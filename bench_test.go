@@ -14,7 +14,6 @@ import (
 	"context"
 	"runtime"
 	"testing"
-	"time"
 
 	splitquant "repro"
 	"repro/internal/experiments"
@@ -196,36 +195,43 @@ func BenchmarkPlanHeuristicCluster5(b *testing.B) {
 	}
 }
 
-// BenchmarkPlanParallelSpeedup times the same plan sequentially
-// (WithParallelism(1)) and on all CPUs, and reports the wall-clock
-// speedup as the "speedup" metric.
+// BenchmarkPlanParallelSpeedup runs perf.PlanParallelSpeedup: the same
+// plan timed sequentially (WithParallelism(1)) and on all CPUs, with the
+// wall-clock ratio reported as the "speedup" metric.
 func BenchmarkPlanParallelSpeedup(b *testing.B) {
 	if runtime.GOMAXPROCS(0) < 2 {
 		b.Skip("needs >1 CPU")
 	}
-	w := splitquant.FixedWorkload(32, 512, 32)
-	planOnce := func(workers int) time.Duration {
-		sys, err := splitquant.New("opt-30b", splitquant.Preset(5),
-			splitquant.WithMethod(splitquant.MethodHeuristic), splitquant.WithTheta(1),
-			splitquant.WithParallelism(workers))
+	var seq, par float64
+	for i := 0; i < b.N; i++ {
+		res, err := perf.PlanParallelSpeedup(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
-		start := time.Now()
-		if _, err := sys.Plan(w, 32); err != nil {
-			b.Fatal(err)
-		}
-		return time.Since(start)
-	}
-	var seq, par time.Duration
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		seq += planOnce(1)
-		par += planOnce(0)
+		seq += res.SeqSeconds
+		par += res.ParSeconds
 	}
 	if par > 0 {
-		b.ReportMetric(float64(seq)/float64(par), "speedup")
+		b.ReportMetric(seq/par, "speedup")
 	}
+}
+
+// BenchmarkServeThroughput runs perf.ServeThroughput: end-to-end jobs/sec
+// through the serve control plane (submit → plan → simulate → complete)
+// with a cold plan cache (every job plans fresh) and a warm one (every
+// job must hit). cmd/benchjson snapshots the same measurement into
+// BENCH_replan.json.
+func BenchmarkServeThroughput(b *testing.B) {
+	var last *perf.ServeResult
+	for i := 0; i < b.N; i++ {
+		res, err := perf.ServeThroughput(context.Background(), 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		last = res
+	}
+	b.ReportMetric(last.ColdJobsPerSec, "cold_jobs/s")
+	b.ReportMetric(last.WarmJobsPerSec, "warm_jobs/s")
 }
 
 // BenchmarkReplanLatency runs the tracked seeded-churn scenario from

@@ -1,463 +1,71 @@
-// Command benchjson maintains the committed benchmark snapshots:
-// BENCH_replan.json (replan latency under seeded cluster churn, planner
-// parallel speedup, serve throughput), BENCH_online.json (the online
-// tier's SLO quantities under a fixed seeded closed-loop scenario), and
-// BENCH_capacity.json (the capacity planner's recommended fleet, cost,
-// and analytic-vs-simulated agreement). BENCH_obs.json tracks the
-// telemetry layer's overhead and BENCH_maintenance.json the rolling
-// fleet-maintenance scenario (makespan, migrated sessions). The
-// measurement logic lives in internal/perf.
+// Command benchjson maintains the committed benchmark snapshots listed
+// in perf.Snapshots: BENCH_replan.json (replan latency under seeded
+// cluster churn, planner parallel speedup, serve throughput),
+// BENCH_online.json (the online tier's SLO quantities under a fixed
+// seeded scenario), BENCH_capacity.json (the capacity planner's
+// recommended fleet, cost, and analytic-vs-simulated agreement),
+// BENCH_obs.json (the telemetry layer's overhead) and
+// BENCH_maintenance.json (the rolling fleet-maintenance scenario). The
+// measurement logic and the gates live in internal/perf.
 //
-//	benchjson -out BENCH_replan.json               # regenerate the replan snapshot
-//	benchjson -check BENCH_replan.json             # CI gate: staleness + regression
-//	benchjson -out-online BENCH_online.json        # regenerate the online snapshot
-//	benchjson -check-online BENCH_online.json      # CI gate: staleness + regression
-//	benchjson -out-capacity BENCH_capacity.json    # regenerate the capacity snapshot
-//	benchjson -check-capacity BENCH_capacity.json  # CI gate: staleness + regression
-//	benchjson -out-obs BENCH_obs.json              # regenerate the telemetry-overhead snapshot
-//	benchjson -check-obs BENCH_obs.json            # CI gate: staleness + overhead ceiling
-//	benchjson -out-maintenance BENCH_maintenance.json    # regenerate the rolling-maintenance snapshot
-//	benchjson -check-maintenance BENCH_maintenance.json  # CI gate: staleness + migration regression
+//	benchjson -out .     # regenerate every snapshot in this directory
+//	benchjson -check .   # CI gate: staleness + every regression gate
 //
-// Flags combine, so `make bench-json` gates all files in one run. A
-// check fails when the committed snapshot was generated from different
+// A check fails when a committed snapshot was generated from different
 // benchmark scenarios than the checked-out code measures (config
-// fingerprint mismatch — regenerate with -out / -out-online), or on
-// regression past tolerance: the warm-vs-cold replan speedup falling
-// more than 25% below the committed ratio, or the online tier's goodput
-// falling (TTFT p50 rising) more than 25% against the committed values.
-// The obs gate is absolute rather than relative: the telemetry layer's
-// measured overhead on the warm serve path must stay under
-// perf.ObsOverheadCeiling (5%) no matter what was committed. The
-// maintenance gate re-runs the seeded rolling-maintenance scenario
-// (which itself fails unless the roll ends clean and every migrated
-// session is bit-identical to the reference) and fails when the
-// migrated-session count falls more than 25% below the committed value;
-// the makespan is machine-dependent and reported only. Replan gates
-// compare only ratios and online gates only virtual-clock simulation
-// results, so snapshots and checks may run on different machines.
+// fingerprint mismatch — regenerate with -out), or when a gate
+// regresses past its bound: the warm-vs-cold replan speedup, the online
+// tier's goodput and TTFT p50, the capacity planner's fleet cost and
+// simulated queue-wait p95, and the migrated-session count may each
+// degrade at most 25% against the committed value; the telemetry
+// overhead on the warm serve path must stay under the absolute
+// perf.ObsOverheadCeiling (5%) no matter what was committed. Every gate
+// is evaluated and every failure reported before the exit status is
+// set.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
+	"path/filepath"
 
 	"repro/internal/perf"
 )
 
-// regressionTolerance is how far a gated quantity may degrade against
-// the committed snapshot before a check fails.
-const regressionTolerance = 0.25
-
-// snapshot is the BENCH_replan.json document.
-type snapshot struct {
-	// Config fingerprints the benchmark scenarios (see
-	// perf.ConfigFingerprint); a mismatch means the snapshot is stale.
-	Config   string               `json:"config"`
-	Replan   *perf.ReplanResult   `json:"replan_latency"`
-	Parallel *perf.ParallelResult `json:"plan_parallel_speedup"`
-	Serve    *perf.ServeResult    `json:"serve_throughput"`
-}
-
-// onlineSnapshot is the BENCH_online.json document.
-type onlineSnapshot struct {
-	Config string             `json:"config"`
-	Online *perf.OnlineResult `json:"online_serving"`
-}
-
-// capacitySnapshot is the BENCH_capacity.json document.
-type capacitySnapshot struct {
-	Config   string               `json:"config"`
-	Capacity *perf.CapacityResult `json:"capacity_planning"`
-}
-
-// obsSnapshot is the BENCH_obs.json document.
-type obsSnapshot struct {
-	Config string          `json:"config"`
-	Obs    *perf.ObsResult `json:"obs_overhead"`
-}
-
-// maintenanceSnapshot is the BENCH_maintenance.json document.
-type maintenanceSnapshot struct {
-	Config      string                  `json:"config"`
-	Maintenance *perf.MaintenanceResult `json:"rolling_maintenance"`
-}
-
 func main() {
-	out := flag.String("out", "", "write a fresh replan/parallel/serve snapshot to this file")
-	check := flag.String("check", "", "verify a committed replan snapshot: fail on staleness or replan-latency regression")
-	outOnline := flag.String("out-online", "", "write a fresh online-serving snapshot to this file")
-	checkOnline := flag.String("check-online", "", "verify a committed online snapshot: fail on staleness or goodput/TTFT regression")
-	outCapacity := flag.String("out-capacity", "", "write a fresh capacity-planning snapshot to this file")
-	checkCapacity := flag.String("check-capacity", "", "verify a committed capacity snapshot: fail on staleness, cost/accuracy regression, or SLO miss")
-	outObs := flag.String("out-obs", "", "write a fresh telemetry-overhead snapshot to this file")
-	checkObs := flag.String("check-obs", "", "verify a committed obs snapshot: fail on staleness or overhead above the ceiling")
-	outMaint := flag.String("out-maintenance", "", "write a fresh rolling-maintenance snapshot to this file")
-	checkMaint := flag.String("check-maintenance", "", "verify a committed maintenance snapshot: fail on staleness, a dirty roll, or migration regression")
-	jobs := flag.Int("jobs", 20, "jobs per serve-throughput arm (with -out)")
+	out := flag.String("out", "", "write fresh BENCH_*.json snapshots into this directory")
+	check := flag.String("check", "", "gate the committed BENCH_*.json snapshots in this directory: fail on staleness or any regression")
 	flag.Parse()
-	if *out == "" && *check == "" && *outOnline == "" && *checkOnline == "" && *outCapacity == "" && *checkCapacity == "" && *outObs == "" && *checkObs == "" && *outMaint == "" && *checkMaint == "" {
-		fatal(fmt.Errorf("at least one of -out, -check, -out-online, -check-online, -out-capacity, -check-capacity, -out-obs, -check-obs, -out-maintenance, -check-maintenance is required"))
+	if (*out == "") == (*check == "") {
+		fmt.Fprintln(os.Stderr, "benchjson: exactly one of -out DIR or -check DIR is required")
+		os.Exit(2)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	if *out != "" {
-		if err := write(ctx, *out, *jobs); err != nil {
-			fatal(err)
+	failed := 0
+	for _, s := range perf.Snapshots {
+		if *out != "" {
+			fmt.Fprintf(os.Stderr, "benchjson: measuring %s...\n", s.File)
+			if err := s.Write(ctx, *out); err != nil {
+				fmt.Fprintf(os.Stderr, "benchjson: %s: %v\n", s.File, err)
+				os.Exit(1)
+			}
+			fmt.Printf("wrote %s\n", filepath.Join(*out, s.File))
+			continue
+		}
+		fmt.Fprintf(os.Stderr, "benchjson: checking %s...\n", s.File)
+		for _, err := range s.Check(ctx, *check, os.Stdout) {
+			fmt.Fprintln(os.Stderr, "benchjson: FAIL:", err)
+			failed++
 		}
 	}
-	if *outOnline != "" {
-		if err := writeOnline(ctx, *outOnline); err != nil {
-			fatal(err)
-		}
+	if failed > 0 {
+		fmt.Fprintf(os.Stderr, "benchjson: %d check(s) failed\n", failed)
+		os.Exit(1)
 	}
-	if *outCapacity != "" {
-		if err := writeCapacity(ctx, *outCapacity); err != nil {
-			fatal(err)
-		}
-	}
-	if *outObs != "" {
-		if err := writeObs(ctx, *outObs); err != nil {
-			fatal(err)
-		}
-	}
-	if *outMaint != "" {
-		if err := writeMaintenance(ctx, *outMaint); err != nil {
-			fatal(err)
-		}
-	}
-	if *check != "" {
-		if err := verify(ctx, *check); err != nil {
-			fatal(err)
-		}
-	}
-	if *checkOnline != "" {
-		if err := verifyOnline(ctx, *checkOnline); err != nil {
-			fatal(err)
-		}
-	}
-	if *checkCapacity != "" {
-		if err := verifyCapacity(ctx, *checkCapacity); err != nil {
-			fatal(err)
-		}
-	}
-	if *checkObs != "" {
-		if err := verifyObs(ctx, *checkObs); err != nil {
-			fatal(err)
-		}
-	}
-	if *checkMaint != "" {
-		if err := verifyMaintenance(ctx, *checkMaint); err != nil {
-			fatal(err)
-		}
-	}
-}
-
-// write runs the three offline benchmarks and writes the snapshot.
-func write(ctx context.Context, path string, jobs int) error {
-	snap := snapshot{Config: perf.ConfigFingerprint()}
-	var err error
-	fmt.Fprintln(os.Stderr, "benchjson: measuring replan latency (seeded churn)...")
-	if snap.Replan, err = perf.ReplanLatency(ctx, 0); err != nil {
-		return err
-	}
-	fmt.Fprintln(os.Stderr, "benchjson: measuring planner parallel speedup...")
-	if snap.Parallel, err = perf.PlanParallelSpeedup(ctx); err != nil {
-		return err
-	}
-	fmt.Fprintln(os.Stderr, "benchjson: measuring serve throughput...")
-	if snap.Serve, err = perf.ServeThroughput(ctx, jobs); err != nil {
-		return err
-	}
-	if err := writeJSON(path, &snap); err != nil {
-		return err
-	}
-	fmt.Printf("replan:   %.1f× warm speedup (cold %.3fs, warm %.3fs, %d pruned, %d memo hits)\n",
-		snap.Replan.Speedup, snap.Replan.ColdSeconds, snap.Replan.WarmSeconds,
-		snap.Replan.PrunedWarm, snap.Replan.MemoHits)
-	fmt.Printf("parallel: %.1f× on %d CPUs\n", snap.Parallel.Speedup, snap.Parallel.Workers)
-	fmt.Printf("serve:    %.1f cold / %.1f warm jobs/sec\n", snap.Serve.ColdJobsPerSec, snap.Serve.WarmJobsPerSec)
-	fmt.Printf("wrote %s\n", path)
-	return nil
-}
-
-// writeOnline runs the seeded online-serving scenario and writes the
-// snapshot.
-func writeOnline(ctx context.Context, path string) error {
-	fmt.Fprintln(os.Stderr, "benchjson: running seeded online-serving scenario (disaggregated pools)...")
-	res, err := perf.OnlineServing(ctx)
-	if err != nil {
-		return err
-	}
-	snap := onlineSnapshot{Config: perf.OnlineConfigFingerprint(), Online: res}
-	if err := writeJSON(path, &snap); err != nil {
-		return err
-	}
-	fmt.Printf("online:   %d/%d completed, %.0f%% SLO attainment, ttft p50 %.3fs / p95 %.3fs, tbt p50 %.4fs, goodput %.1f tok/s, %d handoffs\n",
-		res.Completed, res.Requests, res.DeadlineHitRate*100,
-		res.TTFTP50, res.TTFTP95, res.TBTP50, res.GoodputTPS, res.Handoffs)
-	fmt.Printf("wrote %s\n", path)
-	return nil
-}
-
-// writeCapacity runs the seeded capacity-planning scenario and writes
-// the snapshot.
-func writeCapacity(ctx context.Context, path string) error {
-	fmt.Fprintln(os.Stderr, "benchjson: running seeded capacity-planning scenario (fleet search + replay)...")
-	res, err := perf.CapacityPlanning(ctx)
-	if err != nil {
-		return err
-	}
-	snap := capacitySnapshot{Config: perf.CapacityConfigFingerprint(), Capacity: res}
-	if err := writeJSON(path, &snap); err != nil {
-		return err
-	}
-	fmt.Printf("capacity: fleet %s at %.2f/h (%d tried, %d pruned), wait p95 %.3fs analytic / %.3fs simulated (%.0f%% apart)\n",
-		res.Fleet, res.CostPerHour, res.CandidatesTried, res.CandidatesPruned,
-		res.AnaQueueWaitP95, res.SimQueueWaitP95, res.WaitAgreement*100)
-	fmt.Printf("wrote %s\n", path)
-	return nil
-}
-
-// writeObs runs the telemetry-overhead scenario and writes the
-// snapshot. The measurement itself fails when tracing is off the hot
-// path, so a committed snapshot doubles as proof the spans exist.
-func writeObs(ctx context.Context, path string) error {
-	fmt.Fprintln(os.Stderr, "benchjson: measuring telemetry overhead (traced vs untraced warm serve)...")
-	res, err := perf.ObsOverhead(ctx, 0)
-	if err != nil {
-		return err
-	}
-	snap := obsSnapshot{Config: perf.ObsConfigFingerprint(), Obs: res}
-	if err := writeJSON(path, &snap); err != nil {
-		return err
-	}
-	fmt.Printf("obs:      %.1f base / %.1f traced jobs/sec, %d spans, %.1f%% overhead (ceiling %.0f%%)\n",
-		res.BaseJobsPerSec, res.TracedJobsPerSec, res.Spans, res.Overhead*100, perf.ObsOverheadCeiling*100)
-	fmt.Printf("wrote %s\n", path)
-	return nil
-}
-
-// verify re-measures the replan-latency scenario and gates it against
-// the committed snapshot.
-func verify(ctx context.Context, path string) error {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var snap snapshot
-	if err := json.Unmarshal(raw, &snap); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	if want := perf.ConfigFingerprint(); snap.Config != want {
-		return fmt.Errorf("%s is stale: snapshot config %s, code measures %s — regenerate with `make bench-json-out`",
-			path, snap.Config, want)
-	}
-	if snap.Replan == nil || snap.Replan.Speedup <= 0 {
-		return fmt.Errorf("%s: no committed replan speedup to gate against", path)
-	}
-	fmt.Fprintln(os.Stderr, "benchjson: re-measuring replan latency (seeded churn)...")
-	cur, err := perf.ReplanLatency(ctx, 0)
-	if err != nil {
-		return err
-	}
-	floor := snap.Replan.Speedup * (1 - regressionTolerance)
-	if cur.Speedup < floor {
-		return fmt.Errorf("replan latency regressed: warm speedup %.2f× is more than %.0f%% below the committed %.2f× (floor %.2f×)",
-			cur.Speedup, regressionTolerance*100, snap.Replan.Speedup, floor)
-	}
-	fmt.Printf("replan speedup %.2f× (committed %.2f×, floor %.2f×): ok\n",
-		cur.Speedup, snap.Replan.Speedup, floor)
-	return nil
-}
-
-// verifyOnline re-runs the online scenario and gates goodput and TTFT
-// p50 against the committed snapshot. The scenario is a deterministic
-// virtual-clock simulation, so any drift past tolerance is a genuine
-// behavior change in the planner, the batching engine, or the cost
-// model — not machine noise.
-func verifyOnline(ctx context.Context, path string) error {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var snap onlineSnapshot
-	if err := json.Unmarshal(raw, &snap); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	if want := perf.OnlineConfigFingerprint(); snap.Config != want {
-		return fmt.Errorf("%s is stale: snapshot config %s, code measures %s — regenerate with `make bench-json-out`",
-			path, snap.Config, want)
-	}
-	if snap.Online == nil || snap.Online.GoodputTPS <= 0 || snap.Online.TTFTP50 <= 0 {
-		return fmt.Errorf("%s: no committed online goodput/TTFT to gate against", path)
-	}
-	fmt.Fprintln(os.Stderr, "benchjson: re-running seeded online-serving scenario...")
-	cur, err := perf.OnlineServing(ctx)
-	if err != nil {
-		return err
-	}
-	if floor := snap.Online.GoodputTPS * (1 - regressionTolerance); cur.GoodputTPS < floor {
-		return fmt.Errorf("online goodput regressed: %.1f tok/s is more than %.0f%% below the committed %.1f (floor %.1f)",
-			cur.GoodputTPS, regressionTolerance*100, snap.Online.GoodputTPS, floor)
-	}
-	if ceil := snap.Online.TTFTP50 * (1 + regressionTolerance); cur.TTFTP50 > ceil {
-		return fmt.Errorf("online TTFT regressed: p50 %.3fs is more than %.0f%% above the committed %.3fs (ceiling %.3fs)",
-			cur.TTFTP50, regressionTolerance*100, snap.Online.TTFTP50, ceil)
-	}
-	fmt.Printf("online goodput %.1f tok/s (committed %.1f), ttft p50 %.3fs (committed %.3fs): ok\n",
-		cur.GoodputTPS, snap.Online.GoodputTPS, cur.TTFTP50, snap.Online.TTFTP50)
-	return nil
-}
-
-// verifyCapacity re-runs the capacity-planning scenario and gates the
-// fleet cost and the analytic-vs-simulated queue-wait agreement against
-// the committed snapshot. Everything is a deterministic virtual-clock
-// simulation: drift past tolerance means the planner, the queueing
-// model, or the cost model genuinely changed behavior. (An SLO miss or
-// agreement worse than 20% fails inside perf.CapacityPlanning itself.)
-func verifyCapacity(ctx context.Context, path string) error {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var snap capacitySnapshot
-	if err := json.Unmarshal(raw, &snap); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	if want := perf.CapacityConfigFingerprint(); snap.Config != want {
-		return fmt.Errorf("%s is stale: snapshot config %s, code measures %s — regenerate with `make bench-json-out`",
-			path, snap.Config, want)
-	}
-	if snap.Capacity == nil || snap.Capacity.CostPerHour <= 0 {
-		return fmt.Errorf("%s: no committed capacity recommendation to gate against", path)
-	}
-	fmt.Fprintln(os.Stderr, "benchjson: re-running seeded capacity-planning scenario...")
-	cur, err := perf.CapacityPlanning(ctx)
-	if err != nil {
-		return err
-	}
-	if ceil := snap.Capacity.CostPerHour * (1 + regressionTolerance); cur.CostPerHour > ceil {
-		return fmt.Errorf("capacity cost regressed: recommended fleet %s at %.2f/h is more than %.0f%% above the committed %.2f/h (ceiling %.2f)",
-			cur.Fleet, cur.CostPerHour, regressionTolerance*100, snap.Capacity.CostPerHour, ceil)
-	}
-	if ceil := snap.Capacity.SimQueueWaitP95 * (1 + regressionTolerance); cur.SimQueueWaitP95 > ceil {
-		return fmt.Errorf("capacity wait regressed: simulated queue-wait p95 %.3fs is more than %.0f%% above the committed %.3fs (ceiling %.3fs)",
-			cur.SimQueueWaitP95, regressionTolerance*100, snap.Capacity.SimQueueWaitP95, ceil)
-	}
-	fmt.Printf("capacity fleet %s at %.2f/h (committed %.2f/h), sim wait p95 %.3fs (committed %.3fs), agreement %.0f%%: ok\n",
-		cur.Fleet, cur.CostPerHour, snap.Capacity.CostPerHour,
-		cur.SimQueueWaitP95, snap.Capacity.SimQueueWaitP95, cur.WaitAgreement*100)
-	return nil
-}
-
-// verifyObs re-measures the telemetry overhead and gates it against the
-// absolute ceiling: tracing may cost the warm serve path at most
-// perf.ObsOverheadCeiling regardless of what the committed snapshot
-// measured. The committed value documents the expectation; the live
-// measurement enforces it.
-func verifyObs(ctx context.Context, path string) error {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var snap obsSnapshot
-	if err := json.Unmarshal(raw, &snap); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	if want := perf.ObsConfigFingerprint(); snap.Config != want {
-		return fmt.Errorf("%s is stale: snapshot config %s, code measures %s — regenerate with `make bench-json-out`",
-			path, snap.Config, want)
-	}
-	if snap.Obs == nil || snap.Obs.TracedJobsPerSec <= 0 {
-		return fmt.Errorf("%s: no committed overhead measurement to gate against", path)
-	}
-	fmt.Fprintln(os.Stderr, "benchjson: re-measuring telemetry overhead...")
-	cur, err := perf.ObsOverhead(ctx, 0)
-	if err != nil {
-		return err
-	}
-	if cur.Overhead > perf.ObsOverheadCeiling {
-		return fmt.Errorf("telemetry overhead regressed: traced warm serve runs %.1f%% slower than untraced, above the %.0f%% ceiling (committed %.1f%%)",
-			cur.Overhead*100, perf.ObsOverheadCeiling*100, snap.Obs.Overhead*100)
-	}
-	fmt.Printf("obs overhead %.1f%% (committed %.1f%%, ceiling %.0f%%): ok\n",
-		cur.Overhead*100, snap.Obs.Overhead*100, perf.ObsOverheadCeiling*100)
-	return nil
-}
-
-// writeMaintenance runs the seeded rolling-maintenance scenario and
-// writes the snapshot. The measurement itself fails unless the roll
-// ends clean (zero rollbacks, fleet re-admitted) and every migrated
-// session is bit-identical to an uninterrupted reference run, so a
-// committed snapshot doubles as proof of the zero-downtime path.
-func writeMaintenance(ctx context.Context, path string) error {
-	fmt.Fprintln(os.Stderr, "benchjson: running seeded rolling-maintenance scenario (drain + migrate under chaos)...")
-	res, err := perf.RollingMaintenance(ctx)
-	if err != nil {
-		return err
-	}
-	snap := maintenanceSnapshot{Config: perf.MaintenanceConfigFingerprint(), Maintenance: res}
-	if err := writeJSON(path, &snap); err != nil {
-		return err
-	}
-	fmt.Printf("maint:    rolled %d devices in %d domains in %.2fs, %d sessions migrated bit-identical, %d rollbacks, %d chaos recoveries\n",
-		res.DrainedDevices, res.Domains, res.MakespanSeconds, res.MigratedSessions, res.Rollbacks, res.Recoveries)
-	fmt.Printf("wrote %s\n", path)
-	return nil
-}
-
-// verifyMaintenance re-runs the rolling-maintenance scenario and gates
-// the migrated-session count against the committed snapshot. The
-// scenario's correctness checks (clean roll, bit-identical migrations)
-// fail inside perf.RollingMaintenance itself; the makespan is
-// machine-dependent wall clock and is reported, never gated.
-func verifyMaintenance(ctx context.Context, path string) error {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var snap maintenanceSnapshot
-	if err := json.Unmarshal(raw, &snap); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	if want := perf.MaintenanceConfigFingerprint(); snap.Config != want {
-		return fmt.Errorf("%s is stale: snapshot config %s, code measures %s — regenerate with `make bench-json-out`",
-			path, snap.Config, want)
-	}
-	if snap.Maintenance == nil || snap.Maintenance.MigratedSessions <= 0 {
-		return fmt.Errorf("%s: no committed migrated-session count to gate against", path)
-	}
-	fmt.Fprintln(os.Stderr, "benchjson: re-running seeded rolling-maintenance scenario...")
-	cur, err := perf.RollingMaintenance(ctx)
-	if err != nil {
-		return err
-	}
-	floor := float64(snap.Maintenance.MigratedSessions) * (1 - regressionTolerance)
-	if float64(cur.MigratedSessions) < floor {
-		return fmt.Errorf("maintenance migration regressed: %d sessions migrated is more than %.0f%% below the committed %d (floor %.1f)",
-			cur.MigratedSessions, regressionTolerance*100, snap.Maintenance.MigratedSessions, floor)
-	}
-	fmt.Printf("maintenance migrated %d sessions (committed %d) across %d domains in %.2fs, %d rollbacks: ok\n",
-		cur.MigratedSessions, snap.Maintenance.MigratedSessions, cur.Domains, cur.MakespanSeconds, cur.Rollbacks)
-	return nil
-}
-
-func writeJSON(path string, v any) error {
-	raw, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(raw, '\n'), 0o644)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "benchjson:", err)
-	os.Exit(1)
 }

@@ -236,23 +236,10 @@ func diurnalRate(hour int, peak float64) float64 {
 // day, then drive the autoscaler against a seeded preemption schedule
 // on the same fleet.
 func capacityLoop(ctx context.Context, trace *fleet.Trace, faultSeed uint64, peak float64, tracePath string) error {
-	spec, err := model.Lookup("opt-13b")
-	if err != nil {
-		return err
-	}
-	profile := workload.ShareGPT(stats.NewRNG(5), 64).Filter(spec.MaxPos)
-	slo := capacity.SLO{QueueWaitP95: 0.5, TTFTP95: 1.0, TBTMean: 0.05, MaxRho: 0.85}
-
 	fmt.Printf("diurnal day: %d segments × %.0fs virtual, rate %.2f–%.2f req/s (peak at 15:00)\n",
 		capSegments, capSegSeconds, diurnalRate(3, peak), diurnalRate(15, peak))
 	t0 := time.Now()
-	rec, err := capacity.PlanFleet(ctx, capacity.PlanInput{
-		Spec:    spec,
-		Profile: profile,
-		Rate:    peak,
-		SLO:     slo,
-		Classes: []gpu.DeviceClass{gpu.V100, gpu.A100},
-	})
+	rec, profile, err := planDay(ctx, peak)
 	if err != nil {
 		return err
 	}
@@ -261,24 +248,7 @@ func capacityLoop(ctx context.Context, trace *fleet.Trace, faultSeed uint64, pea
 	fmt.Printf("  design point: prefill rho %.2f, decode rho %.2f, admission threshold %d, decode concurrency %d\n\n",
 		rec.Analysis.Prefill.Rho, rec.Analysis.Decode.Rho, rec.AdmissionThreshold, rec.DecodeConcurrency)
 
-	// Seeded day trace: one Poisson process whose rate steps every
-	// segment.
-	rng := stats.NewRNG(2024)
-	var specs []online.RequestSpec
-	t := 0.0
-	for t < capSegments*capSegSeconds {
-		seg := int(t / capSegSeconds)
-		t += rng.Exp(diurnalRate(seg, peak))
-		if t >= capSegments*capSegSeconds {
-			break
-		}
-		req := profile.Requests[rng.Intn(len(profile.Requests))]
-		maxTok := req.OutputLen
-		if maxTok < 1 {
-			maxTok = 1
-		}
-		specs = append(specs, online.RequestSpec{PromptLen: req.PromptLen, MaxTokens: maxTok, ArrivalSeconds: t})
-	}
+	specs := diurnalDay(profile, peak, nil)
 	engCfg := rec.Config
 	var tracer *obs.Tracer
 	if tracePath != "" {
@@ -344,7 +314,7 @@ func capacityLoop(ctx context.Context, trace *fleet.Trace, faultSeed uint64, pea
 		m.PrefillBusyFraction, m.DecodeOccupancy)
 	agree := math.Abs(anaWaits[1]-m.QueueWait.P95) / math.Max(m.QueueWait.P95, 1e-9)
 	fmt.Printf("  queue-wait p95 agreement: %.0f%% apart\n", agree*100)
-	if m.TTFT.P95 > slo.TTFTP95 || m.QueueWait.P95 > slo.QueueWaitP95 {
+	if m.TTFT.P95 > daySLO.TTFTP95 || m.QueueWait.P95 > daySLO.QueueWaitP95 {
 		fmt.Printf("  WARNING: simulated day busts the SLO the fleet was sized for\n")
 	}
 
@@ -382,7 +352,7 @@ func capacityLoop(ctx context.Context, trace *fleet.Trace, faultSeed uint64, pea
 	as, err := capacity.NewAutoscaler(fs, capacity.AutoscalerConfig{
 		Pool:           "serving",
 		Class:          scaleClass,
-		TargetRho:      slo.MaxRho,
+		TargetRho:      daySLO.MaxRho,
 		ProvisionDelay: 120,
 		Cooldown:       180,
 		MinDevices:     rec.Fleet.Devices(),
@@ -430,7 +400,7 @@ func capacityLoop(ctx context.Context, trace *fleet.Trace, faultSeed uint64, pea
 		// measured utilization climbs past the offered rate during a
 		// reclaim — that climb is what the scaler reacts to.
 		seg := int(now/capSegSeconds) % capSegments
-		arriving := diurnalRate(seg, peak) / peak * slo.MaxRho * float64(baseDevices) * obsWindow
+		arriving := diurnalRate(seg, peak) / peak * daySLO.MaxRho * float64(baseDevices) * obsWindow
 		offered := backlog + arriving
 		served := math.Min(offered, float64(usable)*obsWindow)
 		backlog = offered - served
@@ -446,6 +416,59 @@ func capacityLoop(ctx context.Context, trace *fleet.Trace, faultSeed uint64, pea
 	fmt.Printf("fleet after the day: %d devices intact (%d usable), %d preemptions survived\n",
 		final.TotalDevices, final.Devices, fs.Preemptions())
 	return nil
+}
+
+// daySLO is the service level the -capacity and -maintenance fleets are
+// sized for.
+var daySLO = capacity.SLO{QueueWaitP95: 0.5, TTFTP95: 1.0, TBTMean: 0.05, MaxRho: 0.85}
+
+// planDay sizes the cheapest V100/A100 fleet that serves the diurnal
+// peak of opt-13b ShareGPT traffic within daySLO, and returns the
+// recommendation with the request profile the day draws from.
+func planDay(ctx context.Context, peak float64) (*capacity.Recommendation, *workload.Profile, error) {
+	spec, err := model.Lookup("opt-13b")
+	if err != nil {
+		return nil, nil, err
+	}
+	profile := workload.ShareGPT(stats.NewRNG(5), 64).Filter(spec.MaxPos)
+	rec, err := capacity.PlanFleet(ctx, capacity.PlanInput{
+		Spec:    spec,
+		Profile: profile,
+		Rate:    peak,
+		SLO:     daySLO,
+		Classes: []gpu.DeviceClass{gpu.V100, gpu.A100},
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return rec, profile, nil
+}
+
+// diurnalDay builds the seeded day trace: one Poisson process whose
+// rate steps every segment, drawing requests from profile. inflate, when
+// it has an entry for a segment, scales that segment's rate.
+func diurnalDay(profile *workload.Profile, peak float64, inflate map[int]float64) []online.RequestSpec {
+	rng := stats.NewRNG(2024)
+	var specs []online.RequestSpec
+	t := 0.0
+	for t < capSegments*capSegSeconds {
+		seg := int(t / capSegSeconds)
+		rate := diurnalRate(seg, peak)
+		if f, ok := inflate[seg]; ok {
+			rate *= f
+		}
+		t += rng.Exp(rate)
+		if t >= capSegments*capSegSeconds {
+			break
+		}
+		req := profile.Requests[rng.Intn(len(profile.Requests))]
+		maxTok := req.OutputLen
+		if maxTok < 1 {
+			maxTok = 1
+		}
+		specs = append(specs, online.RequestSpec{PromptLen: req.PromptLen, MaxTokens: maxTok, ArrivalSeconds: t})
+	}
+	return specs
 }
 
 func fatal(err error) {

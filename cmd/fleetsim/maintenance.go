@@ -7,14 +7,10 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/capacity"
 	"repro/internal/gpu"
 	"repro/internal/maintenance"
-	"repro/internal/model"
 	"repro/internal/online"
 	"repro/internal/scheduler"
-	"repro/internal/stats"
-	"repro/internal/workload"
 )
 
 // maintenanceLoop is the -maintenance closed loop: size the cheapest
@@ -29,59 +25,19 @@ import (
 // zero requests, and its queue-wait p95 must stay within a bounded
 // inflation of the reference day.
 func maintenanceLoop(ctx context.Context, peak float64) error {
-	spec, err := model.Lookup("opt-13b")
-	if err != nil {
-		return err
-	}
-	profile := workload.ShareGPT(stats.NewRNG(5), 64).Filter(spec.MaxPos)
-	slo := capacity.SLO{QueueWaitP95: 0.5, TTFTP95: 1.0, TBTMean: 0.05, MaxRho: 0.85}
-
-	rec, err := capacity.PlanFleet(ctx, capacity.PlanInput{
-		Spec:    spec,
-		Profile: profile,
-		Rate:    peak,
-		SLO:     slo,
-		Classes: []gpu.DeviceClass{gpu.V100, gpu.A100},
-	})
+	rec, profile, err := planDay(ctx, peak)
 	if err != nil {
 		return err
 	}
 	nDevices := rec.Cluster.TotalDevices()
 	fmt.Printf("recommended fleet: %s at %.2f/h (%d devices to roll)\n", rec.Fleet, rec.CostPerHour, nDevices)
 
-	// genDay builds the seeded diurnal day; inflate scales a segment's
-	// arrival rate to model the drained device's load concentrating on
-	// the survivors.
-	genDay := func(inflate map[int]float64) []online.RequestSpec {
-		rng := stats.NewRNG(2024)
-		var specs []online.RequestSpec
-		t := 0.0
-		for t < capSegments*capSegSeconds {
-			seg := int(t / capSegSeconds)
-			rate := diurnalRate(seg, peak)
-			if f, ok := inflate[seg]; ok {
-				rate *= f
-			}
-			t += rng.Exp(rate)
-			if t >= capSegments*capSegSeconds {
-				break
-			}
-			req := profile.Requests[rng.Intn(len(profile.Requests))]
-			maxTok := req.OutputLen
-			if maxTok < 1 {
-				maxTok = 1
-			}
-			specs = append(specs, online.RequestSpec{PromptLen: req.PromptLen, MaxTokens: maxTok, ArrivalSeconds: t})
-		}
-		return specs
-	}
-
 	// Reference day: the untouched fleet.
 	refEng, err := online.New(rec.Config)
 	if err != nil {
 		return err
 	}
-	refSpecs := genDay(nil)
+	refSpecs := diurnalDay(profile, peak, nil)
 	refM := refEng.Replay(refSpecs, 0)
 	fmt.Printf("reference day: %d arrivals, %d completed, %d rejected, wait p95 %.3fs\n",
 		len(refSpecs), refM.Completed, refM.Rejected, refM.QueueWait.P95)
@@ -137,7 +93,7 @@ func maintenanceLoop(ctx context.Context, peak float64) error {
 		}
 		inflate[seg] = f * float64(nDevices) / float64(nDevices-1)
 	}
-	maintSpecs := genDay(inflate)
+	maintSpecs := diurnalDay(profile, peak, inflate)
 	arrivals := make([]int, capSegments)
 	for _, s := range maintSpecs {
 		arrivals[int(s.ArrivalSeconds/capSegSeconds)]++

@@ -223,11 +223,8 @@ func meanHandoff(cfg online.Config, ws *WorkloadStats, profile *workload.Profile
 			chunks = 1
 		}
 		cost := replay(chunks, r.OutputLen)
-		if cfg.HandoffBW > 0 {
-			bytes := pipeline.RequestKVBytes(cfg.PrefillPlan, cfg.Spec, r.PromptLen, 0) * int64(cfg.Spec.Layers)
-			if tr := float64(bytes) / cfg.HandoffBW; tr < cost {
-				cost = tr
-			}
+		if tr, ok := cfg.TransferSeconds(r.PromptLen); ok && tr < cost {
+			cost = tr
 		}
 		if !math.IsInf(cost, 1) {
 			sum += cost

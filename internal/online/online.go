@@ -96,6 +96,17 @@ type Config struct {
 	Tracer *obs.Tracer
 }
 
+// TransferSeconds is the time to ship one prompt's KV cache from the
+// prefill pool to the decode pool over the HandoffBW fabric; ok is
+// false when HandoffBW is 0 and transfers are disabled.
+func (c *Config) TransferSeconds(promptLen int) (seconds float64, ok bool) {
+	if c.HandoffBW <= 0 {
+		return 0, false
+	}
+	bytes := pipeline.RequestKVBytes(c.PrefillPlan, c.Spec, promptLen, 0) * int64(c.Spec.Layers)
+	return float64(bytes) / c.HandoffBW, true
+}
+
 func (c *Config) withDefaults() (Config, error) {
 	out := *c
 	if out.Spec == nil || out.PrefillPlan == nil || out.PrefillCluster == nil {
@@ -506,14 +517,10 @@ func (e *Engine) handoffLocked(r *request) (float64, string) {
 		e.replayCache[chunks] = res.TotalSeconds
 		return res.TotalSeconds, true
 	}
-	var transfer float64 = -1
-	if e.cfg.HandoffBW > 0 {
-		bytes := pipeline.RequestKVBytes(e.cfg.PrefillPlan, e.cfg.Spec, r.spec.PromptLen, 0) * int64(e.cfg.Spec.Layers)
-		transfer = float64(bytes) / e.cfg.HandoffBW
-	}
+	transfer, canTransfer := e.cfg.TransferSeconds(r.spec.PromptLen)
 	rep, ok := replay()
 	switch {
-	case transfer >= 0 && (!ok || transfer <= rep):
+	case canTransfer && (!ok || transfer <= rep):
 		e.handoffTransfers++
 		return transfer, "transfer"
 	case ok:

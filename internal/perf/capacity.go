@@ -3,7 +3,6 @@ package perf
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"time"
 
@@ -33,18 +32,6 @@ const (
 	capMaxPerClass  = 4
 	capAgreementTol = 0.20 // sim queue-wait p95 must land within 20% of analytic
 )
-
-// CapacityConfigFingerprint identifies the fixed capacity-planning
-// scenario. cmd/benchjson stores it in BENCH_capacity.json; a mismatch
-// means the committed snapshot measured a different scenario.
-func CapacityConfigFingerprint() string {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "capacity:%s|sharegpt%d:%d|arrivals%d@%.1f|n%d|slo%.2f/%.2f/%.3f|classes:V100+A100|max%d",
-		capModel, capProfileSeed, capProfileN,
-		capArrivalSeed, capRate, capRequests,
-		capWaitSLO, capTTFTSLO, capTBTSLO, capMaxPerClass)
-	return fmt.Sprintf("%016x", h.Sum64())
-}
 
 // CapacityResult is one capacity-planning measurement: the recommended
 // fleet and its cost, the analytic SLO predictions, and the simulated

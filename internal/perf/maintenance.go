@@ -3,7 +3,6 @@ package perf
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 	"time"
 
 	"repro/internal/capacity"
@@ -40,18 +39,6 @@ var maintCfg = tinyllm.Config{Name: "maint-bench", Layers: 6, Hidden: 32, Heads:
 
 var maintRetry = transport.RetryPolicy{MaxAttempts: 25, BaseDelay: time.Millisecond,
 	MaxDelay: 10 * time.Millisecond, Jitter: 0.2, Seed: 9}
-
-// MaintenanceConfigFingerprint identifies the fixed rolling-maintenance
-// scenario. cmd/benchjson stores it in BENCH_maintenance.json; a
-// mismatch means the committed snapshot measured a different scenario.
-func MaintenanceConfigFingerprint() string {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "maintenance:%s-l%d-h%d|seed%d|sessions%d@%d+%d|fleet%dx%s/%d|chaos%.2f/%.2f",
-		maintCfg.Name, maintCfg.Layers, maintCfg.Hidden,
-		maintSeed, maintSessions, maintBefore, maintAfter,
-		maintDevices, gpu.V100, maintDomainSize, maintCutProb, maintStallProb)
-	return fmt.Sprintf("%016x", h.Sum64())
-}
 
 // MaintenanceResult is one rolling-maintenance measurement: the shape
 // of the roll, the migrated-session count, the destination driver's

@@ -3,14 +3,8 @@ package perf
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
-	"time"
 
-	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/scheduler"
-	"repro/internal/serve"
 )
 
 // ObsOverheadCeiling is the tracked bound on telemetry cost: the traced
@@ -18,21 +12,12 @@ import (
 // than the untraced arm. cmd/benchjson gates BENCH_obs.json against it.
 const ObsOverheadCeiling = 0.05
 
-// obsJobs and obsRounds fix the ObsOverhead scenario (see
-// ObsConfigFingerprint).
+// obsJobs and obsRounds fix the ObsOverhead scenario (see its entry in
+// Snapshots).
 const (
 	obsJobs   = 30
 	obsRounds = 3
 )
-
-// ObsConfigFingerprint identifies the fixed overhead scenario;
-// cmd/benchjson stores it in BENCH_obs.json and fails the check when
-// the committed snapshot measured different parameters.
-func ObsConfigFingerprint() string {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "obs:opt-1.3b|pool9|B8|r8|warm|jobs%d|rounds%d|ceiling%.2f", obsJobs, obsRounds, ObsOverheadCeiling)
-	return fmt.Sprintf("%016x", h.Sum64())
-}
 
 // ObsResult is one telemetry-overhead measurement: the warm-cache serve
 // throughput with the metrics registry alone (always on — the serve
@@ -56,7 +41,7 @@ type ObsResult struct {
 
 // ObsOverhead measures what the telemetry layer costs the serve hot
 // path. Both arms run the warm-cache throughput scenario of
-// BenchmarkServeThroughput (submit → cache-hit plan → simulate →
+// ServeThroughput (submit → cache-hit plan → simulate →
 // complete); the traced arm additionally records every span into an
 // in-memory tracer. Arms alternate within each round so cache warmup
 // and CPU frequency drift hit both equally.
@@ -64,71 +49,14 @@ func ObsOverhead(ctx context.Context, jobs int) (*ObsResult, error) {
 	if jobs <= 0 {
 		jobs = obsJobs
 	}
-	run := func(tr *obs.Tracer) (float64, error) {
-		srv, err := serve.New(serve.Config{
-			Resources: []scheduler.Resource{
-				{Name: "pool9", Cluster: cluster.MustPreset(9), Availability: 1},
-			},
-			CacheCapacity: jobs + 2,
-			QueueCapacity: jobs + 2,
-			Planner:       core.Options{Method: core.MethodHeuristic, Theta: 1, OrderingLimit: 4},
-			Tracer:        tr,
-		})
-		if err != nil {
-			return 0, err
-		}
-		defer func() {
-			shCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			defer cancel()
-			srv.Shutdown(shCtx)
-		}()
-		spec := serve.JobSpec{Model: "opt-1.3b", Batch: 8, Requests: 8}
-		wait := func(id string) error {
-			for {
-				v, err := srv.Job(id)
-				if err != nil {
-					return err
-				}
-				if v.State == serve.StateCompleted {
-					return nil
-				}
-				if v.State == serve.StateFailed || v.State == serve.StateCanceled {
-					return fmt.Errorf("perf: job %s: %s (%s)", id, v.State, v.Error)
-				}
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				time.Sleep(time.Millisecond)
-			}
-		}
-		v, err := srv.Submit(spec) // prime the plan cache
-		if err != nil {
-			return 0, err
-		}
-		if err := wait(v.ID); err != nil {
-			return 0, err
-		}
-		t0 := time.Now()
-		for i := 0; i < jobs; i++ {
-			v, err := srv.Submit(spec)
-			if err != nil {
-				return 0, err
-			}
-			if err := wait(v.ID); err != nil {
-				return 0, err
-			}
-		}
-		return float64(jobs) / time.Since(t0).Seconds(), nil
-	}
-
 	res := &ObsResult{Jobs: jobs, Rounds: obsRounds}
 	for r := 0; r < obsRounds; r++ {
-		base, err := run(nil)
+		base, err := serveJobs(ctx, jobs, true, nil)
 		if err != nil {
 			return nil, err
 		}
 		tr := obs.NewTracer()
-		traced, err := run(tr)
+		traced, err := serveJobs(ctx, jobs, true, tr)
 		if err != nil {
 			return nil, err
 		}

@@ -3,7 +3,6 @@ package perf
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 	"time"
 
 	"repro/internal/cluster"
@@ -20,7 +19,7 @@ import (
 // virtual clock, so every tracked quantity below is a property of the
 // simulation, not of the machine measuring it — snapshots taken
 // anywhere are comparable (modulo floating-point, hence the tolerance
-// gate in cmd/benchjson rather than exact equality).
+// gates in Snapshots rather than exact equality).
 const (
 	onlineModel       = "opt-13b"
 	onlinePreset      = 2
@@ -31,18 +30,6 @@ const (
 	onlineRequests    = 40
 	onlineSLO         = 20.0
 )
-
-// OnlineConfigFingerprint identifies the fixed online-serving scenario.
-// cmd/benchjson stores it in BENCH_online.json; a mismatch means the
-// committed snapshot measured a different scenario than the checked-out
-// code does.
-func OnlineConfigFingerprint() string {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "online:%s|preset%d|sharegpt%d:%d|arrivals%d@%.1f|n%d|slo%.0f",
-		onlineModel, onlinePreset, onlineProfileSeed, onlineProfileN,
-		onlineArrivalSeed, onlineRate, onlineRequests, onlineSLO)
-	return fmt.Sprintf("%016x", h.Sum64())
-}
 
 // OnlineResult is one closed-loop online-serving measurement under the
 // fixed seeded scenario: disaggregated prefill/decode pools on the

@@ -1,10 +1,12 @@
 // Package perf holds the measurement logic behind the repo's tracked
 // benchmarks: replan latency under cluster churn, planner parallel
 // speedup, serving throughput, and the online tier's SLO quantities
-// under a seeded closed-loop scenario. The same functions back both the
-// `go test -bench` entry points and cmd/benchjson, which snapshots the
-// numbers into the committed BENCH_replan.json and BENCH_online.json,
-// so the two can never measure different things.
+// under a seeded closed-loop scenario, capacity planning, telemetry
+// overhead and rolling maintenance. The same functions back both the
+// `go test -bench` entry points and cmd/benchjson, which walks the
+// Snapshots table to write the committed BENCH_*.json files and to gate
+// fresh runs against them, so the two can never measure different
+// things.
 //
 // All entry points use fixed seeds and fixed scenario shapes; the
 // tracked quantities are machine-normalized ratios (warm/cold,
@@ -15,7 +17,6 @@ package perf
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 	"reflect"
 	"runtime"
 	"time"
@@ -23,13 +24,14 @@ import (
 	splitquant "repro"
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/scheduler"
 	"repro/internal/serve"
 )
 
 // replanModel and the churn shapes below fix the ReplanLatency
 // scenario; changing any of them invalidates committed snapshots (see
-// ConfigFingerprint).
+// the BENCH_replan.json entry in Snapshots).
 const (
 	replanModel   = "bloom-560m"
 	replanPreset  = 5
@@ -38,17 +40,6 @@ const (
 	replanOut     = 32
 	MaxChurnRound = 8
 )
-
-// ConfigFingerprint identifies the fixed benchmark scenarios.
-// cmd/benchjson stores it in BENCH_replan.json; the staleness check
-// fails when the committed snapshot was generated from different
-// scenario parameters than the checked-out code measures.
-func ConfigFingerprint() string {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "replan:%s|preset%d|B%d|s%d|o%d|rounds%d;parallel:opt-30b|preset5|B32|theta1;serve:opt-1.3b|pool9|B8|r8",
-		replanModel, replanPreset, replanBatch, replanPrompt, replanOut, MaxChurnRound)
-	return fmt.Sprintf("%016x", h.Sum64())
-}
 
 // ReplanResult is one seeded-churn measurement: the total wall-clock of
 // cold PlanContext calls versus warm Replan calls over the same
@@ -261,74 +252,81 @@ func ServeThroughput(ctx context.Context, jobs int) (*ServeResult, error) {
 	if jobs <= 0 {
 		jobs = 20
 	}
-	run := func(warm bool) (float64, error) {
-		srv, err := serve.New(serve.Config{
-			Resources: []scheduler.Resource{
-				{Name: "pool9", Cluster: cluster.MustPreset(9), Availability: 1},
-			},
-			CacheCapacity: jobs + 2,
-			QueueCapacity: jobs + 2,
-			Planner:       core.Options{Method: core.MethodHeuristic, Theta: 1, OrderingLimit: 4},
-		})
-		if err != nil {
-			return 0, err
-		}
-		defer func() {
-			shCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			defer cancel()
-			srv.Shutdown(shCtx)
-		}()
-		spec := serve.JobSpec{Model: "opt-1.3b", Batch: 8, Requests: 8}
-		wait := func(id string) error {
-			for {
-				v, err := srv.Job(id)
-				if err != nil {
-					return err
-				}
-				if v.State == serve.StateCompleted {
-					return nil
-				}
-				if v.State == serve.StateFailed || v.State == serve.StateCanceled {
-					return fmt.Errorf("perf: job %s: %s (%s)", id, v.State, v.Error)
-				}
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				time.Sleep(time.Millisecond)
-			}
-		}
-		if warm {
-			v, err := srv.Submit(spec) // prime the cache
-			if err != nil {
-				return 0, err
-			}
-			if err := wait(v.ID); err != nil {
-				return 0, err
-			}
-		}
-		t0 := time.Now()
-		for i := 0; i < jobs; i++ {
-			s := spec
-			if !warm {
-				s.Prompt = 256 + i%512 // distinct cache key per job
-			}
-			v, err := srv.Submit(s)
-			if err != nil {
-				return 0, err
-			}
-			if err := wait(v.ID); err != nil {
-				return 0, err
-			}
-		}
-		return float64(jobs) / time.Since(t0).Seconds(), nil
-	}
 	res := &ServeResult{Jobs: jobs}
 	var err error
-	if res.ColdJobsPerSec, err = run(false); err != nil {
+	if res.ColdJobsPerSec, err = serveJobs(ctx, jobs, false, nil); err != nil {
 		return nil, err
 	}
-	if res.WarmJobsPerSec, err = run(true); err != nil {
+	if res.WarmJobsPerSec, err = serveJobs(ctx, jobs, true, nil); err != nil {
 		return nil, err
 	}
 	return res, nil
+}
+
+// serveJobs submits jobs one at a time to a fresh single-pool server on
+// preset 9, optionally traced, and returns the jobs/sec of that loop.
+// Cold jobs each get a distinct prompt length, so every one plans
+// fresh. Warm jobs are identical and follow one untimed job that primes
+// the plan cache, so every timed job must be a cache hit.
+func serveJobs(ctx context.Context, jobs int, warm bool, tr *obs.Tracer) (float64, error) {
+	srv, err := serve.New(serve.Config{
+		Resources: []scheduler.Resource{
+			{Name: "pool9", Cluster: cluster.MustPreset(9), Availability: 1},
+		},
+		CacheCapacity: jobs + 2,
+		QueueCapacity: jobs + 2,
+		Planner:       core.Options{Method: core.MethodHeuristic, Theta: 1, OrderingLimit: 4},
+		Tracer:        tr,
+	})
+	if err != nil {
+		return 0, err
+	}
+	defer func() {
+		shCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		srv.Shutdown(shCtx)
+	}()
+	spec := serve.JobSpec{Model: "opt-1.3b", Batch: 8, Requests: 8}
+	// run submits one job and polls it to completion.
+	run := func(s serve.JobSpec) (serve.JobView, error) {
+		v, err := srv.Submit(s)
+		if err != nil {
+			return v, err
+		}
+		for {
+			if v, err = srv.Job(v.ID); err != nil {
+				return v, err
+			}
+			if v.State == serve.StateCompleted {
+				return v, nil
+			}
+			if v.State == serve.StateFailed || v.State == serve.StateCanceled {
+				return v, fmt.Errorf("perf: job %s: %s (%s)", v.ID, v.State, v.Error)
+			}
+			if err := ctx.Err(); err != nil {
+				return v, err
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	if warm {
+		if _, err := run(spec); err != nil { // prime the cache
+			return 0, err
+		}
+	}
+	t0 := time.Now()
+	for i := 0; i < jobs; i++ {
+		s := spec
+		if !warm {
+			s.Prompt = 256 + i%512 // distinct cache key per job
+		}
+		v, err := run(s)
+		if err != nil {
+			return 0, err
+		}
+		if warm && !v.CacheHit {
+			return 0, fmt.Errorf("perf: warm job %s missed the plan cache", v.ID)
+		}
+	}
+	return float64(jobs) / time.Since(t0).Seconds(), nil
 }
