@@ -39,9 +39,9 @@ import (
 	"repro/internal/core"
 	"repro/internal/fleet"
 	"repro/internal/gpu"
-	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/online"
+	"repro/internal/perf"
 	"repro/internal/scheduler"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -239,7 +239,7 @@ func capacityLoop(ctx context.Context, trace *fleet.Trace, faultSeed uint64, pea
 	fmt.Printf("diurnal day: %d segments × %.0fs virtual, rate %.2f–%.2f req/s (peak at 15:00)\n",
 		capSegments, capSegSeconds, diurnalRate(3, peak), diurnalRate(15, peak))
 	t0 := time.Now()
-	rec, profile, err := planDay(ctx, peak)
+	rec, profile, err := perf.PlanCapacityFleet(ctx, peak)
 	if err != nil {
 		return err
 	}
@@ -314,7 +314,7 @@ func capacityLoop(ctx context.Context, trace *fleet.Trace, faultSeed uint64, pea
 		m.PrefillBusyFraction, m.DecodeOccupancy)
 	agree := math.Abs(anaWaits[1]-m.QueueWait.P95) / math.Max(m.QueueWait.P95, 1e-9)
 	fmt.Printf("  queue-wait p95 agreement: %.0f%% apart\n", agree*100)
-	if m.TTFT.P95 > daySLO.TTFTP95 || m.QueueWait.P95 > daySLO.QueueWaitP95 {
+	if m.TTFT.P95 > perf.CapacitySLO.TTFTP95 || m.QueueWait.P95 > perf.CapacitySLO.QueueWaitP95 {
 		fmt.Printf("  WARNING: simulated day busts the SLO the fleet was sized for\n")
 	}
 
@@ -352,7 +352,7 @@ func capacityLoop(ctx context.Context, trace *fleet.Trace, faultSeed uint64, pea
 	as, err := capacity.NewAutoscaler(fs, capacity.AutoscalerConfig{
 		Pool:           "serving",
 		Class:          scaleClass,
-		TargetRho:      daySLO.MaxRho,
+		TargetRho:      perf.CapacitySLO.MaxRho,
 		ProvisionDelay: 120,
 		Cooldown:       180,
 		MinDevices:     rec.Fleet.Devices(),
@@ -400,7 +400,7 @@ func capacityLoop(ctx context.Context, trace *fleet.Trace, faultSeed uint64, pea
 		// measured utilization climbs past the offered rate during a
 		// reclaim — that climb is what the scaler reacts to.
 		seg := int(now/capSegSeconds) % capSegments
-		arriving := diurnalRate(seg, peak) / peak * daySLO.MaxRho * float64(baseDevices) * obsWindow
+		arriving := diurnalRate(seg, peak) / peak * perf.CapacitySLO.MaxRho * float64(baseDevices) * obsWindow
 		offered := backlog + arriving
 		served := math.Min(offered, float64(usable)*obsWindow)
 		backlog = offered - served
@@ -416,32 +416,6 @@ func capacityLoop(ctx context.Context, trace *fleet.Trace, faultSeed uint64, pea
 	fmt.Printf("fleet after the day: %d devices intact (%d usable), %d preemptions survived\n",
 		final.TotalDevices, final.Devices, fs.Preemptions())
 	return nil
-}
-
-// daySLO is the service level the -capacity and -maintenance fleets are
-// sized for.
-var daySLO = capacity.SLO{QueueWaitP95: 0.5, TTFTP95: 1.0, TBTMean: 0.05, MaxRho: 0.85}
-
-// planDay sizes the cheapest V100/A100 fleet that serves the diurnal
-// peak of opt-13b ShareGPT traffic within daySLO, and returns the
-// recommendation with the request profile the day draws from.
-func planDay(ctx context.Context, peak float64) (*capacity.Recommendation, *workload.Profile, error) {
-	spec, err := model.Lookup("opt-13b")
-	if err != nil {
-		return nil, nil, err
-	}
-	profile := workload.ShareGPT(stats.NewRNG(5), 64).Filter(spec.MaxPos)
-	rec, err := capacity.PlanFleet(ctx, capacity.PlanInput{
-		Spec:    spec,
-		Profile: profile,
-		Rate:    peak,
-		SLO:     daySLO,
-		Classes: []gpu.DeviceClass{gpu.V100, gpu.A100},
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return rec, profile, nil
 }
 
 // diurnalDay builds the seeded day trace: one Poisson process whose

@@ -10,6 +10,7 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/maintenance"
 	"repro/internal/online"
+	"repro/internal/perf"
 	"repro/internal/scheduler"
 )
 
@@ -25,7 +26,7 @@ import (
 // zero requests, and its queue-wait p95 must stay within a bounded
 // inflation of the reference day.
 func maintenanceLoop(ctx context.Context, peak float64) error {
-	rec, profile, err := planDay(ctx, peak)
+	rec, profile, err := perf.PlanCapacityFleet(ctx, peak)
 	if err != nil {
 		return err
 	}

@@ -10,7 +10,6 @@ import (
 	"context"
 
 	"repro/internal/core"
-	"repro/internal/workload"
 )
 
 // DisaggregatedDeployment is a pair of phase deployments over disjoint
@@ -30,7 +29,7 @@ type DisaggregatedDeployment struct {
 // objective: prefill-only latency at ≥ 8-bit weights for the prefill
 // pool, decode-only latency at ≤ 8-bit weights and 8-bit KV for the
 // decode pool. Trailing PlanOptions override the System defaults for
-// both phases (bit sets are intersected with the phase defaults).
+// both phases.
 func (s *System) PlanDisaggregated(w Workload, batchSize int, opts ...PlanOption) (*DisaggregatedDeployment, error) {
 	return s.PlanDisaggregatedContext(context.Background(), w, batchSize, opts...)
 }
@@ -42,24 +41,18 @@ func (s *System) PlanDisaggregatedContext(ctx context.Context, w Workload, batch
 	if err != nil {
 		return nil, err
 	}
-	return s.PlanDisaggregatedBatch(ctx, batch, opts...)
-}
-
-// PlanDisaggregatedBatch is PlanDisaggregatedContext for an explicit
-// batch shape.
-func (s *System) PlanDisaggregatedBatch(ctx context.Context, batch workload.Batch, opts ...PlanOption) (*DisaggregatedDeployment, error) {
 	o, err := s.resolve(opts)
 	if err != nil {
 		return nil, err
 	}
-	dp, err := core.PlanDisaggregated(ctx, s.spec, s.clu, s.indicator(o.bits), s.coreOptions(o), batch, core.DisaggOptions{})
+	dp, err := core.PlanDisaggregated(ctx, s.spec, s.clu, s.shared.ind, s.coreOptions(o), batch, core.DisaggOptions{})
 	if err != nil {
 		return nil, err
 	}
 	// Each phase Deployment binds to its own pool cluster so Measure
 	// simulates on the devices the phase actually occupies.
-	preSys := &System{spec: s.spec, clu: dp.PrefillCluster, ind: s.ind, opts: o, shared: s.shared}
-	decSys := &System{spec: s.spec, clu: dp.DecodeCluster, ind: s.ind, opts: o, shared: s.shared}
+	preSys := &System{spec: s.spec, clu: dp.PrefillCluster, opts: o, shared: s.shared}
+	decSys := &System{spec: s.spec, clu: dp.DecodeCluster, opts: o, shared: s.shared}
 	preBatch := batch
 	preBatch.GenTokens = 1
 	preBatch.ReserveTokens = 1

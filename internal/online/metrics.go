@@ -2,48 +2,6 @@ package online
 
 import "repro/internal/stats"
 
-// Summary is a percentile digest of one latency population.
-type Summary struct {
-	Count int     `json:"count"`
-	Mean  float64 `json:"mean"`
-	P50   float64 `json:"p50"`
-	P95   float64 `json:"p95"`
-	P99   float64 `json:"p99"`
-}
-
-// Summarize digests samples (zero Summary for an empty population).
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	return Summary{
-		Count: len(xs),
-		Mean:  stats.Mean(xs),
-		P50:   stats.Percentile(xs, 50),
-		P95:   stats.Percentile(xs, 95),
-		P99:   stats.Percentile(xs, 99),
-	}
-}
-
-// SummarizeReservoir digests a bounded latency population: the count
-// and mean are exact over every observation ever added, the percentiles
-// are estimated from the reservoir's kept sample in one sorted pass —
-// O(capacity) per scrape regardless of how many requests the daemon has
-// served. A nil or empty reservoir digests to the zero Summary.
-func SummarizeReservoir(r *stats.Reservoir) Summary {
-	if r == nil || r.Count() == 0 {
-		return Summary{}
-	}
-	qs := r.Quantiles(50, 95, 99)
-	return Summary{
-		Count: int(r.Count()),
-		Mean:  r.Mean(),
-		P50:   qs[0],
-		P95:   qs[1],
-		P99:   qs[2],
-	}
-}
-
 // Metrics is the online tier's aggregate view: request counters by
 // outcome, SLO attainment, and the per-request latency populations —
 // queue wait (arrival → prefill start), TTFT (arrival → first token),
@@ -73,9 +31,9 @@ type Metrics struct {
 	HandoffTransfers int64 `json:"handoff_transfers"`
 	HandoffReplays   int64 `json:"handoff_replays"`
 
-	QueueWait Summary `json:"queue_wait"`
-	TTFT      Summary `json:"ttft"`
-	TBT       Summary `json:"tbt"`
+	QueueWait stats.Summary `json:"queue_wait"`
+	TTFT      stats.Summary `json:"ttft"`
+	TBT       stats.Summary `json:"tbt"`
 
 	// KVBudgetBytes/KVInUseBytes expose the decode pool's admission
 	// currency (per-layer bytes of the tightest stage).
@@ -111,9 +69,9 @@ func (e *Engine) Metrics() Metrics {
 		Handoffs:         e.handoffs,
 		HandoffTransfers: e.handoffTransfers,
 		HandoffReplays:   e.handoffReplays,
-		QueueWait:        SummarizeReservoir(e.waitS),
-		TTFT:             SummarizeReservoir(e.ttftS),
-		TBT:              SummarizeReservoir(e.tbtS),
+		QueueWait:        e.waitS.Summary(),
+		TTFT:             e.ttftS.Summary(),
+		TBT:              e.tbtS.Summary(),
 		KVBudgetBytes:    e.kvBudget,
 		KVInUseBytes:     e.kvInUse,
 	}

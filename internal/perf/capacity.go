@@ -29,6 +29,7 @@ const (
 	capWaitSLO      = 0.5
 	capTTFTSLO      = 1.0
 	capTBTSLO       = 0.05
+	capMaxRho       = 0.85 // the planner's default utilization cap, spelled out
 	capMaxPerClass  = 4
 	capAgreementTol = 0.20 // sim queue-wait p95 must land within 20% of analytic
 )
@@ -67,25 +68,41 @@ type CapacityResult struct {
 	PlanSeconds float64 `json:"plan_seconds"`
 }
 
+// CapacitySLO is the service level the capacity scenario sizes its
+// fleet for.
+var CapacitySLO = capacity.SLO{QueueWaitP95: capWaitSLO, TTFTP95: capTTFTSLO, TBTMean: capTBTSLO, MaxRho: capMaxRho}
+
+// PlanCapacityFleet sizes the scenario's fleet: the cheapest V100/A100
+// mix that serves opt-13b ShareGPT traffic at rate req/s within
+// CapacitySLO. It returns the recommendation with the request profile
+// the traffic draws from.
+func PlanCapacityFleet(ctx context.Context, rate float64) (*capacity.Recommendation, *workload.Profile, error) {
+	spec, err := model.Lookup(capModel)
+	if err != nil {
+		return nil, nil, err
+	}
+	profile := workload.ShareGPT(stats.NewRNG(capProfileSeed), capProfileN).Filter(spec.MaxPos)
+	rec, err := capacity.PlanFleet(ctx, capacity.PlanInput{
+		Spec:        spec,
+		Profile:     profile,
+		Rate:        rate,
+		SLO:         CapacitySLO,
+		Classes:     []gpu.DeviceClass{gpu.V100, gpu.A100},
+		MaxPerClass: capMaxPerClass,
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return rec, profile, nil
+}
+
 // CapacityPlanning runs the fixed scenario: plan the min-cost fleet for
 // the design rate and SLO, then replay the seeded trace on the
 // recommended configuration and check the simulation agrees with the
 // analytic prediction and meets the SLO.
 func CapacityPlanning(ctx context.Context) (*CapacityResult, error) {
-	spec, err := model.Lookup(capModel)
-	if err != nil {
-		return nil, err
-	}
-	profile := workload.ShareGPT(stats.NewRNG(capProfileSeed), capProfileN).Filter(spec.MaxPos)
 	t0 := time.Now()
-	rec, err := capacity.PlanFleet(ctx, capacity.PlanInput{
-		Spec:        spec,
-		Profile:     profile,
-		Rate:        capRate,
-		SLO:         capacity.SLO{QueueWaitP95: capWaitSLO, TTFTP95: capTTFTSLO, TBTMean: capTBTSLO},
-		Classes:     []gpu.DeviceClass{gpu.V100, gpu.A100},
-		MaxPerClass: capMaxPerClass,
-	})
+	rec, profile, err := PlanCapacityFleet(ctx, capRate)
 	if err != nil {
 		return nil, err
 	}

@@ -61,13 +61,11 @@ func (s *Server) nextJob(start int) (*job, *scheduler.Resource) {
 			heap.Push(&s.queue, j)
 		}
 		if picked != nil {
-			s.busy[pool.Name] = true
-			if s.poolBusyAt != nil {
-				s.poolBusyAt[pool.Name] = time.Now()
-			}
+			now := s.now()
+			s.pools[pool.Name].claimedAt = now
 			picked.state = StatePlanning
 			if picked.started.IsZero() {
-				picked.started = time.Now()
+				picked.started = now
 				wait := picked.started.Sub(picked.submitted).Seconds()
 				s.waitS.Add(wait)
 				s.tel.queueWaitHist.Observe(wait)
@@ -89,7 +87,7 @@ func (s *Server) idlePoolFor(j *job, start int) *scheduler.Resource {
 	n := len(s.cfg.Resources)
 	for k := 0; k < n; k++ {
 		r := &s.cfg.Resources[(start+k)%n]
-		if !s.busy[r.Name] && !j.tried[r.Name] {
+		if !s.pools[r.Name].claimed() && !j.tried[r.Name] {
 			return r
 		}
 	}
@@ -100,11 +98,9 @@ func (s *Server) idlePoolFor(j *job, start int) *scheduler.Resource {
 // a job may have been waiting for exactly this pool.
 func (s *Server) releasePool(res *scheduler.Resource) {
 	s.mu.Lock()
-	s.busy[res.Name] = false
-	if at, ok := s.poolBusyAt[res.Name]; ok {
-		s.poolBusySec[res.Name] += time.Since(at).Seconds()
-		delete(s.poolBusyAt, res.Name)
-	}
+	p := s.pools[res.Name]
+	p.busySec += s.now().Sub(p.claimedAt).Seconds()
+	p.claimedAt = time.Time{}
 	s.cond.Broadcast()
 	s.mu.Unlock()
 }
@@ -157,7 +153,7 @@ func (s *Server) execute(j *job, res *scheduler.Resource) {
 	}
 	j.cancel = cancel
 	j.resource = res.Name
-	expired := !j.deadline.IsZero() && time.Now().After(j.deadline)
+	expired := !j.deadline.IsZero() && s.now().After(j.deadline)
 	s.mu.Unlock()
 	if expired {
 		s.fail(j, fmt.Errorf("deadline exceeded before execution"))

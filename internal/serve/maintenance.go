@@ -3,36 +3,17 @@ package serve
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"repro/internal/maintenance"
 	"repro/internal/online"
 )
-
-// poolBusyFraction is the maintenance gate's utilization source: the
-// pool's executor-claimed share of wall-clock since the server started
-// (the same math Metrics uses for the capacity advice).
-func (s *Server) poolBusyFraction(pool string) float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	now := time.Now()
-	elapsed := now.Sub(s.started).Seconds()
-	if elapsed <= 0 {
-		return 0
-	}
-	busy := s.poolBusySec[pool]
-	if at, ok := s.poolBusyAt[pool]; ok {
-		busy += now.Sub(at).Seconds()
-	}
-	return busy / elapsed
-}
 
 // maintenanceHooks fills the daemon defaults around any caller-supplied
 // overrides in Config.Maintenance.
 func (s *Server) maintenanceHooks() maintenance.Hooks {
 	h := s.cfg.Maintenance
 	if h.Utilization == nil {
-		h.Utilization = s.poolBusyFraction
+		h.Utilization = func(pool string) float64 { return s.load().busy[pool] }
 	}
 	if h.Migrate == nil && s.cfg.Online != nil {
 		eng := s.cfg.Online

@@ -1,10 +1,6 @@
 package serve
 
-import (
-	"time"
-
-	"repro/internal/obs"
-)
+import "repro/internal/obs"
 
 // telemetry is the server's registry-backed counter set. The counters
 // ARE the source of truth: /v1/metrics reads them back, and the
@@ -90,41 +86,18 @@ func (s *Server) instrument(reg *obs.Registry) {
 	draining := reg.Gauge("serve_draining", "1 while the server refuses new submissions.")
 	busyRatio := reg.GaugeVec("serve_pool_busy_ratio", "Executor busy fraction of wall-clock since start, per pool.", "pool")
 	reg.OnGather(func() {
-		s.mu.Lock()
-		depth := 0
-		for _, j := range s.queue {
-			if j.state == StateQueued {
-				depth++
-			}
-		}
-		run := 0
-		for _, j := range s.jobs {
-			if j.state == StatePlanning || j.state == StateRunning {
-				run++
-			}
-		}
-		drain := s.draining || s.stopping
-		now := time.Now()
-		elapsed := now.Sub(s.started).Seconds()
-		busy := make(map[string]float64, len(s.poolBusySec))
-		for name, sec := range s.poolBusySec {
-			busy[name] = sec
-		}
-		for name, at := range s.poolBusyAt {
-			busy[name] += now.Sub(at).Seconds()
-		}
-		s.mu.Unlock()
-		queueDepth.Set(float64(depth))
-		running.Set(float64(run))
-		if drain {
+		l := s.load()
+		queueDepth.Set(float64(l.queued))
+		running.Set(float64(l.running))
+		if l.draining {
 			draining.Set(1)
 		} else {
 			draining.Set(0)
 		}
-		if elapsed > 0 {
+		if l.busy != nil {
 			for i := range s.cfg.Resources {
 				name := s.cfg.Resources[i].Name
-				busyRatio.With(name).Set(busy[name] / elapsed)
+				busyRatio.With(name).Set(l.busy[name])
 			}
 		}
 	})

@@ -3,39 +3,23 @@ package serve
 import (
 	"context"
 	"errors"
-	"sync"
+	"io"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/obs"
 	"repro/internal/scheduler"
-	"repro/internal/stats"
 )
 
-// bareServer builds a Server with no executor workers, so submitted
-// jobs stay queued and the queue/executor mechanics can be driven
-// deterministically by hand.
+// bareServer builds a Server through New's construction path but with
+// no executor workers, so submitted jobs stay queued and the
+// queue/executor mechanics can be driven deterministically by hand.
 func bareServer(t *testing.T, cfg Config) *Server {
 	t.Helper()
-	cfg.Planner.Bits = []int{3, 4, 8, 16}
-	cfg.Planner.BitKV = 16
-	if cfg.QueueCapacity <= 0 {
-		cfg.QueueCapacity = 16
+	s, err := newServer(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	s := &Server{
-		cfg:   cfg,
-		cache: NewPlanCache(4),
-		fleet: scheduler.NewFleetState(cfg.Resources),
-		jobs:  map[string]*job{},
-		busy:  map[string]bool{},
-		waitS: stats.NewReservoir(64, 1),
-		execS: stats.NewReservoir(64, 2),
-	}
-	s.cond = sync.NewCond(&s.mu)
-	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
-	s.cfg.Obs = obs.NewRegistry()
-	s.instrument(s.cfg.Obs)
 	t.Cleanup(s.baseCancel)
 	return s
 }
@@ -225,4 +209,53 @@ func TestShutdownCancelsQueued(t *testing.T) {
 	if j, _ := s.nextJob(0); j != nil {
 		t.Fatal("nextJob should return nil after shutdown")
 	}
+}
+
+// TestPoolUtilization pins offline-pool utilization on a fixed clock:
+// a claimed pool's in-flight time counts, released claims accumulate,
+// and Metrics' capacity advice, the serve_pool_busy_ratio gauge and the
+// maintenance gate's default Utilization hook report the same fraction.
+func TestPoolUtilization(t *testing.T) {
+	s := queueOnlyServer(t, 16)
+	t0 := time.Unix(1_000_000, 0)
+	clock := t0
+	s.now = func() time.Time { return clock }
+	s.started = t0
+	spec := JobSpec{Model: "opt-1.3b", Batch: 8, Requests: 8}
+	mustSubmit(t, s, spec)
+	mustSubmit(t, s, spec)
+
+	util := s.maintenanceHooks().Utilization
+	gauge := s.cfg.Obs.GaugeVec("serve_pool_busy_ratio", "", "pool").With("pool1")
+	at := func(sec float64, want float64) {
+		t.Helper()
+		clock = t0.Add(time.Duration(sec * float64(time.Second)))
+		m := s.Metrics()
+		if len(m.Capacity) != 1 || m.Capacity[0].Pool != "pool1" {
+			t.Fatalf("t=%gs: capacity rows %+v, want one pool1 row", sec, m.Capacity)
+		}
+		if err := s.cfg.Obs.WritePrometheus(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		got := map[string]float64{
+			"metrics": m.Capacity[0].Utilization,
+			"gauge":   gauge.Value(),
+			"hook":    util("pool1"),
+		}
+		for src, g := range got {
+			if g != want {
+				t.Fatalf("t=%gs: %s utilization %v, want %v", sec, src, g, want)
+			}
+		}
+	}
+
+	at(10, 0)
+	_, res := s.nextJob(0) // claimed at t=10
+	at(20, 10.0/20)        // in-flight time counts
+	s.releasePool(res)     // released at t=20
+	at(40, 10.0/40)        // released time accumulates while idle
+	_, res = s.nextJob(0)  // claimed again at t=40
+	at(50, 20.0/50)        // released plus in-flight
+	s.releasePool(res)
+	at(50, 20.0/50)
 }

@@ -161,8 +161,8 @@ type Metrics struct {
 	// JobQueueWait and JobExecLatency digest offline job latencies:
 	// submission → execution start, and execution start → terminal
 	// state (completed jobs only for exec latency).
-	JobQueueWait   online.Summary `json:"job_queue_wait"`
-	JobExecLatency online.Summary `json:"job_exec_latency"`
+	JobQueueWait   stats.Summary `json:"job_queue_wait"`
+	JobExecLatency stats.Summary `json:"job_exec_latency"`
 	// Online carries the streaming tier's per-request SLO metrics when
 	// Config.Online is wired (absent otherwise).
 	Online *online.Metrics `json:"online,omitempty"`
@@ -196,8 +196,8 @@ type Server struct {
 	cond     *sync.Cond
 	queue    jobQueue
 	jobs     map[string]*job
-	order    []string        // job IDs in submission order, for List
-	busy     map[string]bool // pool name → an executor is running a job there
+	order    []string             // job IDs in submission order, for List
+	pools    map[string]*poolLoad // pool name → executor claim record
 	seq      int
 	draining bool
 	stopping bool
@@ -207,12 +207,10 @@ type Server struct {
 	// scrape stays O(reservoir) in both memory and time.
 	waitS *stats.Reservoir
 	execS *stats.Reservoir
-	// started anchors the utilization window; poolBusySec accumulates
-	// each pool's executor-claimed seconds, with poolBusyAt marking the
-	// claim instant of currently-busy pools so an in-flight job counts.
-	started     time.Time
-	poolBusySec map[string]float64
-	poolBusyAt  map[string]time.Time
+	// now is the server clock (time.Now outside tests); started anchors
+	// the utilization window.
+	now     func() time.Time
+	started time.Time
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
@@ -237,6 +235,20 @@ type Server struct {
 // accepts in-process submissions immediately; call Start to expose the
 // HTTP API.
 func New(cfg Config) (*Server, error) {
+	s, err := newServer(cfg)
+	if err != nil {
+		return nil, err
+	}
+	for w := 0; w < s.cfg.Workers; w++ {
+		s.workers.Add(1)
+		go s.worker(w)
+	}
+	return s, nil
+}
+
+// newServer is New without the executor workers: submitted jobs stay
+// queued until someone calls nextJob.
+func newServer(cfg Config) (*Server, error) {
 	if len(cfg.Resources) == 0 {
 		return nil, fmt.Errorf("serve: no resources configured")
 	}
@@ -272,15 +284,17 @@ func New(cfg Config) (*Server, error) {
 		cfg.Workers = len(cfg.Resources)
 	}
 	s := &Server{
-		cfg:         cfg,
-		cache:       NewPlanCache(cfg.CacheCapacity),
-		fleet:       scheduler.NewFleetState(cfg.Resources),
-		costs:       core.NewCostCache(),
-		jobs:        map[string]*job{},
-		busy:        map[string]bool{},
-		started:     time.Now(),
-		poolBusySec: map[string]float64{},
-		poolBusyAt:  map[string]time.Time{},
+		cfg:     cfg,
+		cache:   NewPlanCache(cfg.CacheCapacity),
+		fleet:   scheduler.NewFleetState(cfg.Resources),
+		costs:   core.NewCostCache(),
+		jobs:    map[string]*job{},
+		pools:   make(map[string]*poolLoad, len(cfg.Resources)),
+		now:     time.Now,
+		started: time.Now(),
+	}
+	for i := range cfg.Resources {
+		s.pools[cfg.Resources[i].Name] = &poolLoad{}
 	}
 	s.waitS = stats.NewReservoir(4096, 0x5e41)
 	s.execS = stats.NewReservoir(4096, 0x5e42)
@@ -306,10 +320,6 @@ func New(cfg Config) (*Server, error) {
 		if err := s.cache.Load(s.cachePath()); err != nil {
 			return nil, err
 		}
-	}
-	for w := 0; w < cfg.Workers; w++ {
-		s.workers.Add(1)
-		go s.worker(w)
 	}
 	return s, nil
 }
@@ -363,7 +373,7 @@ func (s *Server) Submit(spec JobSpec) (JobView, error) {
 		return JobView{}, ErrQueueFull
 	}
 	s.seq++
-	now := time.Now()
+	now := s.now()
 	j := &job{
 		id:        fmt.Sprintf("job-%06d", s.seq),
 		seq:       s.seq,
@@ -440,7 +450,7 @@ func (s *Server) finishLocked(j *job, st State, errMsg string) {
 	}
 	j.state = st
 	j.errMsg = errMsg
-	j.finished = time.Now()
+	j.finished = s.now()
 	if st == StateCompleted && !j.started.IsZero() {
 		lat := j.finished.Sub(j.started).Seconds()
 		s.execS.Add(lat)
@@ -470,7 +480,7 @@ func (s *Server) transportStats() transport.RecoveryStats {
 // Metrics snapshots the server counters. It is a *view* over the
 // metrics registry plus the instantaneous queue/fleet state: the
 // lifetime counters live in registry atomics (read lock-free), only
-// the queue walk and the busy-time snapshot take the server mutex, and
+// the load snapshot and the latency digests take the server mutex, and
 // external pollers — the TransportStats callback, the online engine,
 // the drift detector — run strictly outside it, so a slow stats
 // callback can never stall the submit path.
@@ -491,29 +501,11 @@ func (s *Server) Metrics() Metrics {
 	m.CacheEntries = s.cache.Len()
 
 	s.mu.Lock()
-	m.Draining = s.draining || s.stopping
-	for _, j := range s.queue {
-		if j.state == StateQueued {
-			m.QueueDepth++
-		}
-	}
-	for _, j := range s.jobs {
-		if j.state == StatePlanning || j.state == StateRunning {
-			m.Running++
-		}
-	}
-	m.JobQueueWait = online.SummarizeReservoir(s.waitS)
-	m.JobExecLatency = online.SummarizeReservoir(s.execS)
-	now := time.Now()
-	started := s.started
-	busy := make(map[string]float64, len(s.poolBusySec))
-	for name, sec := range s.poolBusySec {
-		busy[name] = sec
-	}
-	for name, at := range s.poolBusyAt {
-		busy[name] += now.Sub(at).Seconds()
-	}
+	load := s.loadLocked(s.now())
+	m.JobQueueWait = s.waitS.Summary()
+	m.JobExecLatency = s.execS.Summary()
 	s.mu.Unlock()
+	m.QueueDepth, m.Running, m.Draining = load.queued, load.running, load.draining
 
 	if s.cfg.TransportStats != nil {
 		ts := s.cfg.TransportStats()
@@ -523,9 +515,9 @@ func (s *Server) Metrics() Metrics {
 		m.TransportRecoveries = ts.Recoveries
 		m.TransportHeartbeats = ts.Heartbeats
 	}
-	if elapsed := now.Sub(started).Seconds(); elapsed > 0 {
+	if load.busy != nil {
 		for _, v := range s.fleet.Views() {
-			m.Capacity = append(m.Capacity, capacity.Advise(v.Resource, v.Devices, busy[v.Resource]/elapsed, 0))
+			m.Capacity = append(m.Capacity, capacity.Advise(v.Resource, v.Devices, load.busy[v.Resource], 0))
 		}
 	}
 	if s.cfg.Online != nil {
@@ -541,6 +533,60 @@ func (s *Server) Metrics() Metrics {
 		}
 	}
 	return m
+}
+
+// poolLoad is one pool's executor-claim record: busySec accumulates the
+// seconds of released claims, and claimedAt marks the current claim
+// (zero while the pool is idle) so an in-flight job's time counts too.
+type poolLoad struct {
+	claimedAt time.Time
+	busySec   float64
+}
+
+func (p *poolLoad) claimed() bool { return !p.claimedAt.IsZero() }
+
+// loadSnapshot is the instantaneous executor load that Metrics, the
+// /metrics gather hook and the maintenance gate's default utilization
+// all read.
+type loadSnapshot struct {
+	queued, running int
+	draining        bool
+	// busy maps each pool to its executor-claimed fraction of the time
+	// since the server started; nil while no time has elapsed.
+	busy map[string]float64
+}
+
+// loadLocked snapshots the executor load at now (caller holds s.mu).
+func (s *Server) loadLocked(now time.Time) loadSnapshot {
+	l := loadSnapshot{draining: s.draining || s.stopping}
+	for _, j := range s.queue {
+		if j.state == StateQueued {
+			l.queued++
+		}
+	}
+	for _, j := range s.jobs {
+		if j.state == StatePlanning || j.state == StateRunning {
+			l.running++
+		}
+	}
+	if elapsed := now.Sub(s.started).Seconds(); elapsed > 0 {
+		l.busy = make(map[string]float64, len(s.pools))
+		for name, p := range s.pools {
+			sec := p.busySec
+			if p.claimed() {
+				sec += now.Sub(p.claimedAt).Seconds()
+			}
+			l.busy[name] = sec / elapsed
+		}
+	}
+	return l
+}
+
+// load is loadLocked at the server clock's current time.
+func (s *Server) load() loadSnapshot {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.loadLocked(s.now())
 }
 
 // requeueRunning checkpoints every in-flight job back to the queue —

@@ -77,7 +77,30 @@ func (r *Reservoir) Quantiles(ps ...float64) []float64 {
 	return out
 }
 
-// percentileSorted is Percentile over an already-sorted slice.
+// Summary is a percentile digest of one latency population.
+type Summary struct {
+	Count int     `json:"count"`
+	Mean  float64 `json:"mean"`
+	P50   float64 `json:"p50"`
+	P95   float64 `json:"p95"`
+	P99   float64 `json:"p99"`
+}
+
+// Summary digests the reservoir: the count and mean are exact over
+// every observation ever added, the percentiles are estimated from the
+// kept sample in one sorted pass — O(capacity) per call regardless of
+// how many observations were added. A nil or empty reservoir digests
+// to the zero Summary.
+func (r *Reservoir) Summary() Summary {
+	if r == nil || r.n == 0 {
+		return Summary{}
+	}
+	qs := r.Quantiles(50, 95, 99)
+	return Summary{Count: int(r.n), Mean: r.Mean(), P50: qs[0], P95: qs[1], P99: qs[2]}
+}
+
+// percentileSorted is the one percentile rule (linear interpolation
+// between closest ranks) over an already-sorted, non-empty slice.
 func percentileSorted(sorted []float64, p float64) float64 {
 	if p <= 0 {
 		return sorted[0]
@@ -88,7 +111,9 @@ func percentileSorted(sorted []float64, p float64) float64 {
 	rank := p / 100 * float64(len(sorted)-1)
 	lo := int(rank)
 	frac := rank - float64(lo)
-	if lo+1 >= len(sorted) {
+	if frac == 0 {
+		// Exact rank: return the sample itself, not an interpolation
+		// with a zero weight (which turns an infinite neighbour into NaN).
 		return sorted[lo]
 	}
 	return sorted[lo]*(1-frac) + sorted[lo+1]*frac

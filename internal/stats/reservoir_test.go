@@ -23,6 +23,17 @@ func TestReservoirExactBelowCapacity(t *testing.T) {
 	if qs[0] != 3 || qs[1] != 5 {
 		t.Fatalf("quantiles %v, want [3 5]", qs)
 	}
+	want := Summary{Count: 5, Mean: Mean(xs), P50: Percentile(xs, 50), P95: Percentile(xs, 95), P99: Percentile(xs, 99)}
+	if got := r.Summary(); got != want {
+		t.Fatalf("summary %+v, want %+v", got, want)
+	}
+	var nilR *Reservoir
+	if got := nilR.Summary(); got != (Summary{}) {
+		t.Fatalf("nil reservoir summary %+v, want zero", got)
+	}
+	if got := NewReservoir(8, 1).Summary(); got != (Summary{}) {
+		t.Fatalf("empty reservoir summary %+v, want zero", got)
+	}
 }
 
 // TestReservoirBoundedMemoryAndTolerance is the regression test for the

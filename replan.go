@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/model"
 	"repro/internal/plan"
 	"repro/internal/quant"
 	"repro/internal/workload"
@@ -39,11 +40,6 @@ func (s *System) Replan(ctx context.Context, prev *Deployment, w Workload, batch
 	return s.replanBatch(ctx, prev, batch, opts)
 }
 
-// ReplanBatch is Replan for an explicit batch shape.
-func (s *System) ReplanBatch(ctx context.Context, prev *Deployment, batch workload.Batch, opts ...PlanOption) (*Deployment, error) {
-	return s.replanBatch(ctx, prev, batch, opts)
-}
-
 // ReadPlanJSON deserializes a plan previously written with
 // Deployment.WritePlanJSON and wraps it as a Deployment of this System,
 // primarily for use as a Replan incumbent. The plan is bound to the
@@ -62,39 +58,27 @@ func (s *System) ReadPlanJSON(r io.Reader) (*Deployment, error) {
 	return &Deployment{sys: s, plan: &p, report: &core.Report{}}, nil
 }
 
+// candidateBits is the weight bitwidth set every solve searches.
+var candidateBits = []int{3, 4, 8, 16}
+
 // sharedState is the planner state a Fork family has in common: the
-// per-device cost cache, the plan memo, and the per-bit-set quality
-// indicators. All members are safe for concurrent use.
+// per-device cost cache, the plan memo, and the quality indicator
+// (Forks serve the same model over the same bit set, so one indicator
+// fits the family). All members are safe for concurrent use.
 type sharedState struct {
 	costs *core.CostCache
+	ind   *core.Indicator
 
 	mu    sync.Mutex
-	inds  map[string]*core.Indicator
 	plans map[memoKey]memoEntry
 }
 
-func newSharedState() *sharedState {
+func newSharedState(spec *model.Spec) *sharedState {
 	return &sharedState{
 		costs: core.NewCostCache(),
-		inds:  map[string]*core.Indicator{},
+		ind:   core.ProfileIndicator(spec, candidateBits, quant.Deterministic),
 		plans: map[memoKey]memoEntry{},
 	}
-}
-
-// indicator returns the family's quality indicator for a candidate bit
-// set, profiling it on first use. Forks serve the same model, so the
-// bit set alone keys the cache.
-func (s *System) indicator(bits []int) *core.Indicator {
-	key := fmt.Sprint(bits)
-	sh := s.shared
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if ind := sh.inds[key]; ind != nil {
-		return ind
-	}
-	ind := core.ProfileIndicator(s.spec, bits, quant.Deterministic)
-	sh.inds[key] = ind
-	return ind
 }
 
 // memoKey identifies one solved planning problem. Everything that can
@@ -118,8 +102,7 @@ type memoEntry struct {
 // the progress hook are deliberately excluded: they change wall-clock
 // behavior, never the plan.
 func (o *options) fingerprint() string {
-	return fmt.Sprintf("bits=%v|theta=%v|kv=%d|m=%s|tl=%v|g=%d|qc=%v|ord=%d",
-		o.bits, o.theta, o.bitKV, o.method, o.timeLimit, o.group, o.qualityCap, o.orderings)
+	return fmt.Sprintf("theta=%v|m=%s|qc=%v|ord=%d", o.theta, o.method, o.qualityCap, o.orderings)
 }
 
 // memoGet returns the memoized plan for key bound to clu, or nil.
@@ -159,9 +142,6 @@ func (s *System) resolve(opts []PlanOption) (options, error) {
 	if err := validMethod(o.method); err != nil {
 		return o, err
 	}
-	if len(o.bits) == 0 {
-		o.bits = []int{3, 4, 8, 16}
-	}
 	return o, nil
 }
 
@@ -169,12 +149,9 @@ func (s *System) resolve(opts []PlanOption) (options, error) {
 // wiring in the family's shared cost cache.
 func (s *System) coreOptions(o options) core.Options {
 	co := core.Options{
-		Bits:          o.bits,
+		Bits:          candidateBits,
 		Theta:         o.theta,
-		BitKV:         o.bitKV,
 		Method:        o.method,
-		TimeLimit:     o.timeLimit,
-		GroupSize:     o.group,
 		QualityCap:    o.qualityCap,
 		OrderingLimit: o.orderings,
 		Parallelism:   o.parallelism,
@@ -191,8 +168,8 @@ func (s *System) coreOptions(o options) core.Options {
 	return co
 }
 
-// replanBatch is the single solve path behind Plan, PlanBatch, Replan
-// and ReplanBatch. prev == nil is a cold plan; otherwise the previous
+// replanBatch is the single solve path behind Plan, PlanContext and
+// Replan. prev == nil is a cold plan; otherwise the previous
 // deployment is reused verbatim (identical inputs), served from the
 // plan memo, or handed to the core solver as a warm-start incumbent.
 func (s *System) replanBatch(ctx context.Context, prev *Deployment, batch workload.Batch, planOpts []PlanOption) (*Deployment, error) {
@@ -219,7 +196,7 @@ func (s *System) replanBatch(ctx context.Context, prev *Deployment, batch worklo
 			return &Deployment{sys: s, plan: p, batch: batch, report: rep, key: key, reused: true}, nil
 		}
 	}
-	a, err := core.New(s.spec, s.clu, s.indicator(o.bits), s.coreOptions(o))
+	a, err := core.New(s.spec, s.clu, s.shared.ind, s.coreOptions(o))
 	if err != nil {
 		return nil, err
 	}

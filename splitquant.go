@@ -16,8 +16,8 @@
 //
 // Planning is parallel (WithParallelism) yet deterministic — the same
 // inputs produce bit-identical plans at any worker count — and
-// cancellable: PlanContext/PlanBatchContext honor context cancellation
-// and deadlines, returning the best incumbent plan found so far (see
+// cancellable: PlanContext honors context cancellation and deadlines,
+// returning the best incumbent plan found so far (see
 // Deployment.Stats). WithProgress streams live search progress.
 //
 // # Options per System vs. options per call
@@ -54,7 +54,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -190,27 +189,17 @@ type Option func(*options)
 type PlanOption = Option
 
 type options struct {
-	bits        []int
 	theta       float64
-	bitKV       int
 	method      core.Method
-	timeLimit   time.Duration
-	group       int
 	qualityCap  float64
 	orderings   int
 	parallelism int
 	progress    func(PlanProgress)
 }
 
-// WithBits sets the candidate quantization bitwidths (default 3,4,8,16).
-func WithBits(bits ...int) Option { return func(o *options) { o.bits = bits } }
-
 // WithTheta sets the quality scalar θ balancing throughput against model
 // quality (default 10; larger favors quality).
 func WithTheta(theta float64) Option { return func(o *options) { o.theta = theta } }
-
-// WithKVBits sets the KV-cache bitwidth (default 16).
-func WithKVBits(bits int) Option { return func(o *options) { o.bitKV = bits } }
 
 // WithMethod selects the planning algorithm: MethodHeuristic (the
 // default), MethodILP, MethodAdabits, MethodUniform, or MethodHet. An
@@ -232,12 +221,6 @@ func WithParallelism(n int) Option { return func(o *options) { o.parallelism = n
 // and must not call back into the System.
 func WithProgress(fn func(PlanProgress)) Option { return func(o *options) { o.progress = fn } }
 
-// WithILPTimeLimit bounds each ILP solve (default 60s).
-func WithILPTimeLimit(d time.Duration) Option { return func(o *options) { o.timeLimit = d } }
-
-// WithGroupSize sets the ILP layer-grouping granularity (0 = auto).
-func WithGroupSize(g int) Option { return func(o *options) { o.group = g } }
-
 // WithQualityFloor constrains plans to at most the given indicated
 // quality degradation Σω (see Deployment.QualityPenalty).
 func WithQualityFloor(cap float64) Option { return func(o *options) { o.qualityCap = cap } }
@@ -251,7 +234,6 @@ func WithOrderingLimit(n int) Option { return func(o *options) { o.orderings = n
 type System struct {
 	spec   *model.Spec
 	clu    *cluster.Cluster
-	ind    *core.Indicator
 	opts   options
 	shared *sharedState
 }
@@ -288,15 +270,10 @@ func assemble(spec *model.Spec, cs ClusterSpec, base options, opts []Option, sh 
 	if err := validMethod(o.method); err != nil {
 		return nil, err
 	}
-	if len(o.bits) == 0 {
-		o.bits = []int{3, 4, 8, 16}
-	}
 	if sh == nil {
-		sh = newSharedState()
+		sh = newSharedState(spec)
 	}
-	s := &System{spec: spec, clu: clu, opts: o, shared: sh}
-	s.ind = s.indicator(o.bits)
-	return s, nil
+	return &System{spec: spec, clu: clu, opts: o, shared: sh}, nil
 }
 
 // validMethod rejects unknown planning methods with ErrUnknownMethod.
@@ -414,19 +391,6 @@ func (s *System) PlanContext(ctx context.Context, w Workload, batchSize int, opt
 	return s.replanBatch(ctx, nil, batch, opts)
 }
 
-// PlanBatch plans for an explicit batch shape (exposed for advanced
-// callers; most should use Plan). It is
-// PlanBatchContext(context.Background(), ...).
-func (s *System) PlanBatch(batch workload.Batch, opts ...PlanOption) (*Deployment, error) {
-	return s.PlanBatchContext(context.Background(), batch, opts...)
-}
-
-// PlanBatchContext is PlanBatch with cooperative cancellation (see
-// PlanContext for the semantics).
-func (s *System) PlanBatchContext(ctx context.Context, batch workload.Batch, opts ...PlanOption) (*Deployment, error) {
-	return s.replanBatch(ctx, nil, batch, opts)
-}
-
 // synthesize turns a workload profile into the planner's batch shape.
 func (s *System) synthesize(w Workload, batchSize int) (workload.Batch, error) {
 	if w.profile == nil {
@@ -446,5 +410,5 @@ func (s *System) synthesize(w Workload, batchSize int) (workload.Batch, error) {
 // QualityOf returns the indicated quality degradation Σω of a
 // deployment's bit assignment — the currency of WithQualityFloor.
 func (s *System) QualityOf(d *Deployment) float64 {
-	return s.ind.Total(d.plan.Bits())
+	return s.shared.ind.Total(d.plan.Bits())
 }
