@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet test-race check bench bench-json bench-json-out
+.PHONY: build test vet test-race fuzz check bench bench-json bench-json-out
 
 build:
 	$(GO) build ./...
@@ -31,6 +31,13 @@ test-race:
 	$(GO) test -race -timeout 15m -count=2 ./internal/maintenance/
 	$(GO) test -race -timeout 15m -count=2 ./internal/obs/
 	$(GO) test -race -timeout 15m -count=2 -run 'Maintenance|DrainTimeout' ./internal/serve/
+
+# Fuzz smoke: twenty seconds of coverage-guided inputs for the
+# bitwidth-transfer delta scorer, which must match a full evaluation bit
+# for bit. The checked-in seed corpus (internal/core/testdata/fuzz) also
+# runs as ordinary tests under `make test`.
+fuzz:
+	$(GO) test -run='^$$' -fuzz=FuzzDeltaScore -fuzztime=20s ./internal/core
 
 # Full gate: static checks plus the race-enabled suite.
 check: vet test-race

@@ -60,6 +60,16 @@ func evaluate(a *assignment, oc *orderingCosts, ind *Indicator, theta float64) e
 	preStage := make([]float64, nDev)
 	decStage := make([]float64, nDev)
 	memStage := make([]int64, nDev)
+	quality := stageSums(a, oc, ind, preStage, decStage, memStage)
+	return objective(oc, preStage, decStage, memStage, quality, theta)
+}
+
+// stageSums adds each layer's prefill, decode and memory cost to its
+// stage's entry of preStage, decStage and memStage (zeroed by the
+// caller), visiting layers in ascending order, and returns Σ ω summed in
+// the same order. The bitwidth-transfer search re-sums single stages in
+// this order too, so its floats match evaluate's bit for bit.
+func stageSums(a *assignment, oc *orderingCosts, ind *Indicator, preStage, decStage []float64, memStage []int64) float64 {
 	quality := 0.0
 	for i, j := range a.stageOf {
 		bi := a.bitIdx[i]
@@ -68,9 +78,16 @@ func evaluate(a *assignment, oc *orderingCosts, ind *Indicator, theta float64) e
 		memStage[j] += oc.memLayer[bi]
 		quality += ind.Omega[i][bi]
 	}
+	return quality
+}
+
+// objective is the Eq. 4 tail shared by evaluate and the bitwidth-transfer
+// search: memory feasibility, the slowest-stage phase times, the pipeline
+// latency and the θ-weighted objective, from per-stage sums and Σ ω.
+func objective(oc *orderingCosts, preStage, decStage []float64, memStage []int64, quality, theta float64) evaluation {
 	ev := evaluation{Quality: quality, Feasible: true}
 	var preSum, decSum float64
-	for j := 0; j < nDev; j++ {
+	for j := range preStage {
 		if memStage[j] > oc.memBudget[j] {
 			ev.Feasible = false
 		}
