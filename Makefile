@@ -32,12 +32,14 @@ test-race:
 	$(GO) test -race -timeout 15m -count=2 ./internal/obs/
 	$(GO) test -race -timeout 15m -count=2 -run 'Maintenance|DrainTimeout' ./internal/serve/
 
-# Fuzz smoke: twenty seconds of coverage-guided inputs for the
-# bitwidth-transfer delta scorer, which must match a full evaluation bit
-# for bit. The checked-in seed corpus (internal/core/testdata/fuzz) also
-# runs as ordinary tests under `make test`.
+# Fuzz smoke: twenty seconds of coverage-guided inputs for each of two
+# targets that must match a reference bit for bit: the bitwidth-transfer
+# delta scorer against a full evaluation, and the matmul kernel against
+# the plain ikj loop. Their seed corpora (internal/core/testdata/fuzz and
+# the f.Add seeds) also run as ordinary tests under `make test`.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDeltaScore -fuzztime=20s ./internal/core
+	$(GO) test -run='^$$' -fuzz=FuzzMatMulBitExact -fuzztime=20s ./internal/tensor
 
 # Full gate: static checks plus the race-enabled suite.
 check: vet test-race

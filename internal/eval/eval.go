@@ -26,6 +26,9 @@ type Proxy struct {
 	Corpora []*tinyllm.Corpus
 	// calib caches the calibration activations.
 	calib []quant.LayerCalibration
+	// refPred holds Model's next-token predictions on each corpus, the
+	// reference every quantized model's agreement is scored against.
+	refPred [][][]int
 }
 
 // NewProxy builds a proxy with the given decoder depth. Width parameters
@@ -54,7 +57,12 @@ func NewProxy(name string, layers int, seed uint64) (*Proxy, error) {
 		if err != nil {
 			return nil, fmt.Errorf("eval: corpus %s: %w", s.name, err)
 		}
+		pred, err := m.Predictions(c)
+		if err != nil {
+			return nil, fmt.Errorf("eval: corpus %s: %w", s.name, err)
+		}
 		p.Corpora = append(p.Corpora, c)
+		p.refPred = append(p.refPred, pred)
 	}
 	return p, nil
 }
@@ -94,13 +102,15 @@ func (p *Proxy) EvalBits(bits []int) (QualityResult, error) {
 	if err != nil {
 		return QualityResult{}, err
 	}
+	return p.quality(qm)
+}
+
+// quality scores a quantized copy of the proxy's model on every corpus,
+// one prefill per sequence, against the reference predictions.
+func (p *Proxy) quality(qm *tinyllm.Model) (QualityResult, error) {
 	var pplSum, accSum float64
-	for _, c := range p.Corpora {
-		ppl, err := qm.Perplexity(c)
-		if err != nil {
-			return QualityResult{}, err
-		}
-		acc, err := qm.Agreement(p.Model, c)
+	for i, c := range p.Corpora {
+		ppl, acc, err := qm.Score(c, p.refPred[i])
 		if err != nil {
 			return QualityResult{}, err
 		}

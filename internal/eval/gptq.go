@@ -42,21 +42,7 @@ func (p *Proxy) EvalBitsGPTQ(bits []int) (QualityResult, error) {
 			*blockWeightPtr(b, oi) = wq.Transpose()
 		}
 	}
-	var pplSum, accSum float64
-	for _, c := range p.Corpora {
-		ppl, err := qm.Perplexity(c)
-		if err != nil {
-			return QualityResult{}, err
-		}
-		acc, err := qm.Agreement(p.Model, c)
-		if err != nil {
-			return QualityResult{}, err
-		}
-		pplSum += ppl
-		accSum += acc
-	}
-	n := float64(len(p.Corpora))
-	return QualityResult{PPL: pplSum / n, Accuracy: accSum / n}, nil
+	return p.quality(qm)
 }
 
 // The helpers below index a block's linear operators in the calibration

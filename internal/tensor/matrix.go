@@ -108,20 +108,51 @@ func MatMul(a, b *Matrix) *Matrix {
 	return out
 }
 
-// matMulRange computes rows [lo, hi) of out = a·b using an ikj loop order
-// so the inner loop streams both b and out rows contiguously.
+// matMulRange computes rows [lo, hi) of out = a·b into a zeroed out. It
+// holds eight output columns of a row in registers over the whole k loop
+// and stores them once; the n%8 remainder columns use a plain ikj loop.
+//
+// Every output element is summed from zero over k in ascending order,
+// skipping zero entries of a, whatever the tiling: the result is bit-for-
+// bit that of the textbook ikj loop. tinyllm's forward pass, and with it
+// EXPERIMENTS.md and transport.Reference, depends on that.
 func matMulRange(a, b, out *Matrix, lo, hi int) {
 	n := b.Cols
+	tiled := n &^ 7
 	for i := lo; i < hi; i++ {
 		ar := a.Row(i)
 		or := out.Row(i)
+		for j := 0; j < tiled; j += 8 {
+			var s0, s1, s2, s3, s4, s5, s6, s7 float32
+			off := j
+			for _, av := range ar {
+				if av != 0 {
+					br := (*[8]float32)(b.Data[off : off+8])
+					s0 += av * br[0]
+					s1 += av * br[1]
+					s2 += av * br[2]
+					s3 += av * br[3]
+					s4 += av * br[4]
+					s5 += av * br[5]
+					s6 += av * br[6]
+					s7 += av * br[7]
+				}
+				off += n
+			}
+			o := (*[8]float32)(or[j:])
+			o[0], o[1], o[2], o[3], o[4], o[5], o[6], o[7] = s0, s1, s2, s3, s4, s5, s6, s7
+		}
+		if tiled == n {
+			continue
+		}
+		rem := or[tiled:]
 		for k, av := range ar {
 			if av == 0 {
 				continue
 			}
-			br := b.Data[k*n : k*n+n]
+			br := b.Data[k*n+tiled : k*n+n]
 			for j := range br {
-				or[j] += av * br[j]
+				rem[j] += av * br[j]
 			}
 		}
 	}
@@ -173,13 +204,6 @@ func Add(a, b *Matrix) *Matrix {
 		out.Data[i] = a.Data[i] + b.Data[i]
 	}
 	return out
-}
-
-// Scale multiplies every element of m by f in place.
-func Scale(m *Matrix, f float32) {
-	for i := range m.Data {
-		m.Data[i] *= f
-	}
 }
 
 // Frobenius returns the Frobenius norm of m.

@@ -50,9 +50,76 @@ func TestMatMulParallelMatchesSerial(t *testing.T) {
 	par := MatMul(a, b)
 	ser := NewMatrix(a.Rows, b.Cols)
 	matMulRange(a, b, ser, 0, a.Rows)
-	if MaxAbsDiff(par, ser) > 1e-6 {
-		t.Fatalf("parallel and serial differ by %v", MaxAbsDiff(par, ser))
+	if i := firstBitDiff(par, ser); i >= 0 {
+		t.Fatalf("parallel and serial differ at %d: %v vs %v", i, par.Data[i], ser.Data[i])
 	}
+}
+
+// matMulOracle is the textbook ikj product: each output element summed
+// from zero over k in ascending order, skipping zero entries of a. The
+// kernel must reproduce it bit for bit.
+func matMulOracle(a, b *Matrix) *Matrix {
+	out := NewMatrix(a.Rows, b.Cols)
+	for i := 0; i < a.Rows; i++ {
+		or := out.Row(i)
+		for k, av := range a.Row(i) {
+			if av == 0 {
+				continue
+			}
+			for j, bv := range b.Row(k) {
+				or[j] += av * bv
+			}
+		}
+	}
+	return out
+}
+
+// firstBitDiff returns the first index at which got and want differ in
+// their bits (any two NaNs count as equal), or -1.
+func firstBitDiff(got, want *Matrix) int {
+	for i, g := range got.Data {
+		w := want.Data[i]
+		if math.Float32bits(g) != math.Float32bits(w) && !(g != g && w != w) {
+			return i
+		}
+	}
+	return -1
+}
+
+// FuzzMatMulBitExact checks MatMul against matMulOracle bit for bit on
+// shapes with column counts that are not multiples of the kernel's tile,
+// shapes large enough for the parallel row split, and inputs seeded with
+// zeros, negative zeros and infinities.
+func FuzzMatMulBitExact(f *testing.F) {
+	f.Add(uint64(1), uint8(3), uint8(5), uint8(7), uint8(0))
+	f.Add(uint64(2), uint8(1), uint8(64), uint8(192), uint8(0))
+	f.Add(uint64(3), uint8(40), uint8(64), uint8(16), uint8(32))
+	f.Add(uint64(4), uint8(150), uint8(96), uint8(21), uint8(64))
+	f.Add(uint64(5), uint8(128), uint8(64), uint8(64), uint8(255))
+	specials := []float32{0, float32(math.Copysign(0, -1)), float32(math.Inf(1)), float32(math.Inf(-1))}
+	f.Fuzz(func(t *testing.T, seed uint64, rows, inner, cols, special uint8) {
+		r := stats.NewRNG(seed)
+		// special is the chance, out of 256, that an entry is one of
+		// specials.
+		fill := func(m *Matrix) {
+			for i := range m.Data {
+				if r.Intn(256) < int(special) {
+					m.Data[i] = specials[r.Intn(len(specials))]
+				} else {
+					m.Data[i] = float32(r.NormMS(0, 1))
+				}
+			}
+		}
+		a := NewMatrix(1+int(rows), 1+int(inner))
+		b := NewMatrix(a.Cols, 1+int(cols))
+		fill(a)
+		fill(b)
+		got, want := MatMul(a, b), matMulOracle(a, b)
+		if i := firstBitDiff(got, want); i >= 0 {
+			t.Fatalf("%dx%d·%dx%d: element %d = %v, oracle %v",
+				a.Rows, a.Cols, b.Rows, b.Cols, i, got.Data[i], want.Data[i])
+		}
+	})
 }
 
 func TestMatMulShapePanic(t *testing.T) {
@@ -109,14 +176,10 @@ func TestAddBiasAndAdd(t *testing.T) {
 	}
 }
 
-func TestScaleFrobenius(t *testing.T) {
+func TestFrobenius(t *testing.T) {
 	m := FromSlice(1, 2, []float32{3, 4})
 	if got := Frobenius(m); math.Abs(got-5) > 1e-9 {
 		t.Fatalf("Frobenius = %v", got)
-	}
-	Scale(m, 2)
-	if got := Frobenius(m); math.Abs(got-10) > 1e-9 {
-		t.Fatalf("Frobenius after Scale = %v", got)
 	}
 }
 

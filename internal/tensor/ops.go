@@ -26,13 +26,6 @@ func SoftmaxRow(xs []float32) {
 	}
 }
 
-// Softmax applies SoftmaxRow to every row of m in place.
-func Softmax(m *Matrix) {
-	for r := 0; r < m.Rows; r++ {
-		SoftmaxRow(m.Row(r))
-	}
-}
-
 // LogSoftmaxRow returns log(softmax(xs))[target] without mutating xs,
 // using the log-sum-exp trick. It is the primitive behind perplexity.
 func LogSoftmaxRow(xs []float32, target int) float64 {
@@ -108,17 +101,4 @@ func ArgmaxRow(xs []float32) int {
 		}
 	}
 	return bi
-}
-
-// CausalMask adds -inf above the diagonal offset so position q can only
-// attend to keys k <= q+offset. scores is (queries × keys); offset is the
-// number of cached positions preceding the first query.
-func CausalMask(scores *Matrix, offset int) {
-	negInf := float32(math.Inf(-1))
-	for q := 0; q < scores.Rows; q++ {
-		row := scores.Row(q)
-		for k := q + offset + 1; k < scores.Cols; k++ {
-			row[k] = negInf
-		}
-	}
 }

@@ -131,34 +131,3 @@ func TestArgmaxRow(t *testing.T) {
 		t.Fatalf("ArgmaxRow single = %d", got)
 	}
 }
-
-func TestCausalMask(t *testing.T) {
-	s := NewMatrix(2, 4)
-	CausalMask(s, 1) // query q attends keys <= q+1
-	// Row 0 can see keys 0,1; keys 2,3 masked.
-	if !math.IsInf(float64(s.At(0, 2)), -1) || !math.IsInf(float64(s.At(0, 3)), -1) {
-		t.Fatalf("row 0 mask wrong: %v", s.Row(0))
-	}
-	if s.At(0, 1) != 0 {
-		t.Fatalf("row 0 visible key masked: %v", s.Row(0))
-	}
-	// Row 1 can see keys 0..2.
-	if !math.IsInf(float64(s.At(1, 3)), -1) || s.At(1, 2) != 0 {
-		t.Fatalf("row 1 mask wrong: %v", s.Row(1))
-	}
-}
-
-func TestCausalMaskThenSoftmaxZeroesFuture(t *testing.T) {
-	s := NewMatrix(3, 3)
-	for i := range s.Data {
-		s.Data[i] = 1
-	}
-	CausalMask(s, 0)
-	Softmax(s)
-	if s.At(0, 1) != 0 || s.At(0, 2) != 0 || s.At(1, 2) != 0 {
-		t.Fatalf("future positions leaked probability: %v", s.Data)
-	}
-	if math.Abs(float64(s.At(0, 0))-1) > 1e-6 {
-		t.Fatalf("row 0 should be all mass on key 0: %v", s.Row(0))
-	}
-}

@@ -54,6 +54,9 @@ func (m *Model) ForwardBlocks(lo, hi int, x *tensor.Matrix, cache *KVCache, offs
 	if x.Cols != m.Cfg.Hidden {
 		return nil, fmt.Errorf("tinyllm: hidden width %d, want %d", x.Cols, m.Cfg.Hidden)
 	}
+	if n := cache.lenAt(lo); offset != n {
+		return nil, fmt.Errorf("tinyllm: offset %d, but blocks [%d, %d) hold %d cached positions", offset, lo, hi, n)
+	}
 	for li := lo; li < hi; li++ {
 		x = m.blockForward(li, m.Blocks[li], x, cache, offset, nil)
 	}

@@ -72,15 +72,80 @@ func sampleRow(logits []float32, temperature float64, rng *stats.RNG) int {
 // corpus: exp of the mean negative log-likelihood of each token given
 // its prefix. Sequences are evaluated in parallel.
 func (m *Model) Perplexity(c *Corpus) (float64, error) {
+	ppl, _, err := m.Score(c, nil)
+	return ppl, err
+}
+
+// Agreement returns the fraction of next-token argmax predictions on
+// which the model agrees with ref over the corpus — the reproduction's
+// zero-shot-accuracy proxy (the FP16 reference scores 1.0 by
+// construction; quantization lowers it).
+func (m *Model) Agreement(ref *Model, c *Corpus) (float64, error) {
+	want, err := ref.Predictions(c)
+	if err != nil {
+		return 0, err
+	}
+	_, agree, err := m.Score(c, want)
+	return agree, err
+}
+
+// Predictions returns the model's greedy next-token prediction at every
+// position but the last of each corpus sequence: the reference Score
+// compares a quantized model's argmaxes against.
+func (m *Model) Predictions(c *Corpus) ([][]int, error) {
+	out := make([][]int, len(c.Seqs))
+	err := m.prefillAll(c, func(i int, logits *tensor.Matrix) {
+		pred := make([]int, len(c.Seqs[i])-1)
+		for t := range pred {
+			pred[t] = tensor.ArgmaxRow(logits.Row(t))
+		}
+		out[i] = pred
+	})
+	return out, err
+}
+
+// Score teacher-forces the model over the corpus with one prefill per
+// sequence and returns its perplexity (as Perplexity) and, when ref
+// holds a reference model's Predictions on the same corpus, the fraction
+// of positions whose argmax agrees with it (as Agreement; 0 for a nil
+// ref).
+func (m *Model) Score(c *Corpus, ref [][]int) (ppl, agreement float64, err error) {
+	nll := make([]float64, len(c.Seqs))
+	match := make([]int, len(c.Seqs))
+	err = m.prefillAll(c, func(i int, logits *tensor.Matrix) {
+		seq := c.Seqs[i]
+		for t := 1; t < len(seq); t++ {
+			nll[i] -= tensor.LogSoftmaxRow(logits.Row(t-1), seq[t])
+		}
+		if ref != nil {
+			for t, want := range ref[i] {
+				if tensor.ArgmaxRow(logits.Row(t)) == want {
+					match[i]++
+				}
+			}
+		}
+	})
+	if err != nil {
+		return 0, 0, err
+	}
+	var sum float64
+	var n, matches int
+	for i, seq := range c.Seqs {
+		sum += nll[i]
+		n += len(seq) - 1
+		matches += match[i]
+	}
+	return math.Exp(sum / float64(n)), float64(matches) / float64(n), nil
+}
+
+// prefillAll prefills every corpus sequence, GOMAXPROCS at a time, and
+// hands each one's logits to visit, which runs concurrently for distinct
+// sequence indices.
+func (m *Model) prefillAll(c *Corpus, visit func(i int, logits *tensor.Matrix)) error {
 	if len(c.Seqs) == 0 {
-		return 0, fmt.Errorf("tinyllm: empty corpus")
+		return fmt.Errorf("tinyllm: empty corpus")
 	}
-	type result struct {
-		nll float64
-		n   int
-		err error
-	}
-	results := make([]result, len(c.Seqs))
+	errs := make([]error, len(c.Seqs))
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	for i, seq := range c.Seqs {
@@ -91,55 +156,19 @@ func (m *Model) Perplexity(c *Corpus) (float64, error) {
 			defer func() { <-sem }()
 			logits, _, err := m.Prefill(seq)
 			if err != nil {
-				results[i] = result{err: err}
+				errs[i] = err
 				return
 			}
-			var nll float64
-			for t := 1; t < len(seq); t++ {
-				nll -= tensor.LogSoftmaxRow(logits.Row(t-1), seq[t])
-			}
-			results[i] = result{nll: nll, n: len(seq) - 1}
+			visit(i, logits)
 		}(i, seq)
 	}
 	wg.Wait()
-	var nll float64
-	var n int
-	for _, r := range results {
-		if r.err != nil {
-			return 0, r.err
-		}
-		nll += r.nll
-		n += r.n
-	}
-	return math.Exp(nll / float64(n)), nil
-}
-
-// Agreement returns the fraction of next-token argmax predictions on
-// which the model agrees with ref over the corpus — the reproduction's
-// zero-shot-accuracy proxy (the FP16 reference scores 1.0 by
-// construction; quantization lowers it).
-func (m *Model) Agreement(ref *Model, c *Corpus) (float64, error) {
-	if len(c.Seqs) == 0 {
-		return 0, fmt.Errorf("tinyllm: empty corpus")
-	}
-	match, total := 0, 0
-	for _, seq := range c.Seqs {
-		a, _, err := m.Prefill(seq)
+	for _, err := range errs {
 		if err != nil {
-			return 0, err
-		}
-		b, _, err := ref.Prefill(seq)
-		if err != nil {
-			return 0, err
-		}
-		for t := 0; t < len(seq)-1; t++ {
-			if tensor.ArgmaxRow(a.Row(t)) == tensor.ArgmaxRow(b.Row(t)) {
-				match++
-			}
-			total++
+			return err
 		}
 	}
-	return float64(match) / float64(total), nil
+	return nil
 }
 
 // linearOps enumerates a block's quantizable linear operators.

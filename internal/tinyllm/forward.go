@@ -9,17 +9,22 @@ import (
 
 // KVCache stores the per-layer key/value tensors accumulated during
 // generation; decode steps attend over it (Fig. 2's two-phase pattern).
+// Each forward pass appends its rows to the layer's matrices in place, so
+// a cache must not be shared between generations.
 type KVCache struct {
 	K []*tensor.Matrix // per layer: positions × hidden
 	V []*tensor.Matrix
 }
 
 // Len returns the number of cached positions.
-func (c *KVCache) Len() int {
-	if len(c.K) == 0 || c.K[0] == nil {
+func (c *KVCache) Len() int { return c.lenAt(0) }
+
+// lenAt returns the number of positions cached for layer li.
+func (c *KVCache) lenAt(li int) int {
+	if li >= len(c.K) || c.K[li] == nil {
 		return 0
 	}
-	return c.K[0].Rows
+	return c.K[li].Rows
 }
 
 // Tap observes the activations entering each linear operator during a
@@ -46,25 +51,15 @@ func (m *Model) prefill(tokens []int, tap Tap) (*tensor.Matrix, *KVCache, error)
 	if seq > m.Cfg.MaxPos {
 		return nil, nil, fmt.Errorf("tinyllm: prompt length %d exceeds max positions %d", seq, m.Cfg.MaxPos)
 	}
-	h := m.Cfg.Hidden
-	x := tensor.NewMatrix(seq, h)
-	for t, tok := range tokens {
-		if tok < 0 || tok >= m.Cfg.Vocab {
-			return nil, nil, fmt.Errorf("tinyllm: token %d out of vocab %d", tok, m.Cfg.Vocab)
-		}
-		row := x.Row(t)
-		te := m.TokEmb.Row(tok)
-		pe := m.PosEmb.Row(t)
-		for c := range row {
-			row[c] = te[c] + pe[c]
-		}
+	x, err := m.Embed(tokens, 0)
+	if err != nil {
+		return nil, nil, err
 	}
-	cache := &KVCache{K: make([]*tensor.Matrix, len(m.Blocks)), V: make([]*tensor.Matrix, len(m.Blocks))}
+	cache := m.NewCache()
 	for li, b := range m.Blocks {
 		x = m.blockForward(li, b, x, cache, 0, tap)
 	}
-	logits := m.head(x)
-	return logits, cache, nil
+	return m.head(x), cache, nil
 }
 
 // DecodeStep feeds one new token per call, attending over the cache, and
@@ -77,16 +72,9 @@ func (m *Model) DecodeStep(token int, cache *KVCache) (*tensor.Matrix, error) {
 	if pos >= m.Cfg.MaxPos {
 		return nil, fmt.Errorf("tinyllm: position %d exceeds max positions %d", pos, m.Cfg.MaxPos)
 	}
-	if token < 0 || token >= m.Cfg.Vocab {
-		return nil, fmt.Errorf("tinyllm: token %d out of vocab %d", token, m.Cfg.Vocab)
-	}
-	h := m.Cfg.Hidden
-	x := tensor.NewMatrix(1, h)
-	row := x.Row(0)
-	te := m.TokEmb.Row(token)
-	pe := m.PosEmb.Row(pos)
-	for c := range row {
-		row[c] = te[c] + pe[c]
+	x, err := m.Embed([]int{token}, pos)
+	if err != nil {
+		return nil, err
 	}
 	for li, b := range m.Blocks {
 		x = m.blockForward(li, b, x, cache, pos, nil)
@@ -96,7 +84,7 @@ func (m *Model) DecodeStep(token int, cache *KVCache) (*tensor.Matrix, error) {
 
 // blockForward runs one decoder block over x (rows = new positions),
 // appending this pass's K/V to the cache. offset is the number of
-// already-cached positions preceding x.
+// already-cached positions preceding x. It never writes into x.
 func (m *Model) blockForward(li int, b *Block, x *tensor.Matrix, cache *KVCache, offset int, tp Tap) *tensor.Matrix {
 	// Attention sublayer (pre-LN).
 	hN := x.Clone()
@@ -106,15 +94,8 @@ func (m *Model) blockForward(li int, b *Block, x *tensor.Matrix, cache *KVCache,
 	}
 	hN = m.maybeQuantAct(hN)
 	q := tensor.MatMul(hN, b.Wq)
-	k := tensor.MatMul(hN, b.Wk)
-	v := tensor.MatMul(hN, b.Wv)
-	// Grow the cache.
-	if cache.K[li] == nil {
-		cache.K[li], cache.V[li] = k, v
-	} else {
-		cache.K[li] = vconcat(cache.K[li], k)
-		cache.V[li] = vconcat(cache.V[li], v)
-	}
+	cache.K[li] = appendRows(cache.K[li], tensor.MatMul(hN, b.Wk))
+	cache.V[li] = appendRows(cache.V[li], tensor.MatMul(hN, b.Wv))
 	attnOut := m.attention(q, cache.K[li], cache.V[li], offset)
 	if tp != nil {
 		tp(li, "attn_out", attnOut)
@@ -140,45 +121,61 @@ func (m *Model) blockForward(li int, b *Block, x *tensor.Matrix, cache *KVCache,
 	return tensor.Add(x, out)
 }
 
+// appendRows grows the cache matrix c by the rows of x in place, with
+// append's amortised growth, so a decode step copies only its own row. A
+// nil c (an empty cache) takes x itself.
+func appendRows(c, x *tensor.Matrix) *tensor.Matrix {
+	if c == nil {
+		return x
+	}
+	c.Data = append(c.Data, x.Data...)
+	c.Rows += x.Rows
+	return c
+}
+
 // attention computes causal multi-head attention of queries q (rows =
 // new positions, preceded by offset cached ones) over keys/values k, v
 // (rows = all positions so far).
+//
+// Each head reads its columns of q, k and v in place, and query row r
+// scores only the keys it may see, j ≤ r+offset. That is bit-identical
+// to scoring every key, masking the future with −∞ and multiplying the
+// probabilities by v: a masked key's probability is exactly zero, it
+// adds exactly zero to the softmax sum, and the p·v product skips zero
+// probabilities. Every sum runs in the order tensor.MatMulTransB and
+// tensor.MatMul use.
 func (m *Model) attention(q, k, v *tensor.Matrix, offset int) *tensor.Matrix {
-	heads := m.Cfg.Heads
-	d := m.Cfg.Hidden / heads
+	hidden := m.Cfg.Hidden
+	d := hidden / m.Cfg.Heads
 	scale := float32(1 / math.Sqrt(float64(d)))
-	out := tensor.NewMatrix(q.Rows, m.Cfg.Hidden)
-	for hd := 0; hd < heads; hd++ {
-		lo := hd * d
-		qh := slice(q, lo, d)
-		kh := slice(k, lo, d)
-		vh := slice(v, lo, d)
-		scores := tensor.MatMulTransB(qh, kh)
-		tensor.Scale(scores, scale)
-		tensor.CausalMask(scores, offset)
-		tensor.Softmax(scores)
-		oh := tensor.MatMul(scores, vh)
-		for r := 0; r < out.Rows; r++ {
-			copy(out.Row(r)[lo:lo+d], oh.Row(r))
+	out := tensor.NewMatrix(q.Rows, hidden)
+	scores := make([]float32, k.Rows)
+	for r := 0; r < q.Rows; r++ {
+		qr, or := q.Row(r), out.Row(r)
+		p := scores[:r+offset+1]
+		for lo := 0; lo < hidden; lo += d {
+			qh := qr[lo : lo+d]
+			for j := range p {
+				kh := k.Data[j*hidden+lo:][:len(qh)]
+				var s float32
+				for c, qv := range qh {
+					s += qv * kh[c]
+				}
+				p[j] = s * scale
+			}
+			tensor.SoftmaxRow(p)
+			oh := or[lo : lo+d]
+			for j, pj := range p {
+				if pj == 0 {
+					continue
+				}
+				vh := v.Data[j*hidden+lo:][:len(oh)]
+				for c := range oh {
+					oh[c] += pj * vh[c]
+				}
+			}
 		}
 	}
-	return out
-}
-
-// slice copies columns [lo, lo+w) of m into a new matrix.
-func slice(m *tensor.Matrix, lo, w int) *tensor.Matrix {
-	out := tensor.NewMatrix(m.Rows, w)
-	for r := 0; r < m.Rows; r++ {
-		copy(out.Row(r), m.Row(r)[lo:lo+w])
-	}
-	return out
-}
-
-// vconcat stacks b under a.
-func vconcat(a, b *tensor.Matrix) *tensor.Matrix {
-	out := tensor.NewMatrix(a.Rows+b.Rows, a.Cols)
-	copy(out.Data[:len(a.Data)], a.Data)
-	copy(out.Data[len(a.Data):], b.Data)
 	return out
 }
 

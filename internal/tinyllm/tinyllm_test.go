@@ -92,7 +92,7 @@ func TestDecodeMatchesPrefill(t *testing.T) {
 	fullLast := full.Row(3)
 	decLast := last.Row(0)
 	for i := range fullLast {
-		if math.Abs(float64(fullLast[i]-decLast[i])) > 1e-3 {
+		if math.Float32bits(fullLast[i]) != math.Float32bits(decLast[i]) {
 			t.Fatalf("decode/prefill mismatch at %d: %v vs %v", i, fullLast[i], decLast[i])
 		}
 	}
@@ -273,6 +273,59 @@ func TestAgreementDropsWithQuantization(t *testing.T) {
 	}
 	if a3 >= 1 {
 		t.Fatalf("3-bit agreement suspiciously perfect: %v", a3)
+	}
+}
+
+// TestScoreMatchesSeparatePrefills checks that Score's one prefill per
+// sequence yields exactly the perplexity and agreement of scoring the
+// quantized and reference prefills separately, sequence by sequence.
+func TestScoreMatchesSeparatePrefills(t *testing.T) {
+	m := newTestModel(t)
+	corpus, err := m.SampleCorpus("self", stats.NewRNG(5), 3, 20, 1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q4, err := m.ApplyBits(uniformBits(testCfg.Layers, 4), quant.Scheme{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var nll float64
+	match, n := 0, 0
+	for _, seq := range corpus.Seqs {
+		a, _, err := q4.Prefill(seq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _, err := m.Prefill(seq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var seqNLL float64
+		for i := 1; i < len(seq); i++ {
+			seqNLL -= tensor.LogSoftmaxRow(a.Row(i-1), seq[i])
+			if tensor.ArgmaxRow(a.Row(i-1)) == tensor.ArgmaxRow(b.Row(i-1)) {
+				match++
+			}
+			n++
+		}
+		nll += seqNLL
+	}
+	ref, err := m.Predictions(corpus)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ppl, agree, err := q4.Score(corpus, ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := math.Exp(nll / float64(n)); ppl != want {
+		t.Fatalf("Score perplexity %v, separate prefills %v", ppl, want)
+	}
+	if want := float64(match) / float64(n); agree != want {
+		t.Fatalf("Score agreement %v, separate prefills %v", agree, want)
+	}
+	if _, _, err := q4.Score(&Corpus{}, nil); err == nil {
+		t.Fatal("empty corpus accepted")
 	}
 }
 

@@ -9,11 +9,7 @@
 
 package transport
 
-import (
-	"fmt"
-
-	"repro/internal/tensor"
-)
+import "fmt"
 
 // TokenLog is the portable generation state handed from a prefill pool
 // to a decode pool. It is deliberately tiny — token ids only, no
@@ -72,7 +68,7 @@ func (d *Driver) GenerateLog(prompt []int, n int) ([]int, *TokenLog, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	tok := tensor.ArgmaxRow(d.model.Logits(h).Row(h.Rows - 1))
+	tok := d.nextToken(h)
 	pos := len(prompt)
 	out := make([]int, 0, n)
 	for {
@@ -89,7 +85,7 @@ func (d *Driver) GenerateLog(prompt []int, n int) ([]int, *TokenLog, error) {
 			return nil, nil, err
 		}
 		g.done = append(g.done, tok)
-		tok = tensor.ArgmaxRow(d.model.Logits(h).Row(0))
+		tok = d.nextToken(h)
 		pos++
 	}
 	log := &TokenLog{
@@ -163,7 +159,7 @@ func (d *Driver) Resume(log *TokenLog, n int) ([]int, error) {
 			return nil, err
 		}
 		g.done = append(g.done, tok)
-		tok = tensor.ArgmaxRow(d.model.Logits(h).Row(0))
+		tok = d.nextToken(h)
 		pos++
 		out = append(out, tok)
 	}

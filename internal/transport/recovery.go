@@ -137,9 +137,8 @@ func (d *Driver) Generate(prompt []int, n int) ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	logits := d.model.Logits(h)
 	out := make([]int, 0, n)
-	tok := tensor.ArgmaxRow(logits.Row(logits.Rows - 1))
+	tok := d.nextToken(h)
 	pos := len(prompt)
 	for len(out) < n {
 		out = append(out, tok)
@@ -155,10 +154,18 @@ func (d *Driver) Generate(prompt []int, n int) ([]int, error) {
 			return nil, err
 		}
 		g.done = append(g.done, tok)
-		tok = tensor.ArgmaxRow(d.model.Logits(h).Row(0))
+		tok = d.nextToken(h)
 		pos++
 	}
 	return out, nil
+}
+
+// nextToken greedily picks the token that follows the last row of the
+// final hidden states h. Only that row's logits matter, so the LM head
+// runs on it alone.
+func (d *Driver) nextToken(h *tensor.Matrix) int {
+	last := tensor.FromSlice(1, h.Cols, h.Row(h.Rows-1))
+	return tensor.ArgmaxRow(d.model.Logits(last).Row(0))
 }
 
 // forwardRecover is forwardOnce wrapped in the reconnect-and-replay
