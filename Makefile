@@ -32,13 +32,17 @@ test-race:
 	$(GO) test -race -timeout 15m -count=2 ./internal/obs/
 	$(GO) test -race -timeout 15m -count=2 -run 'Maintenance|DrainTimeout' ./internal/serve/
 
-# Fuzz smoke: twenty seconds of coverage-guided inputs for each of two
-# targets that must match a reference bit for bit: the bitwidth-transfer
+# Fuzz smoke: twenty seconds of coverage-guided inputs for each of three
+# targets. Two must match a reference bit for bit: the bitwidth-transfer
 # delta scorer against a full evaluation, and the matmul kernel against
-# the plain ikj loop. Their seed corpora (internal/core/testdata/fuzz and
-# the f.Add seeds) also run as ordinary tests under `make test`.
+# the plain ikj loop. The third checks that the planner's optimistic
+# bound, which decides which configurations the search skips, never
+# exceeds a feasible assignment's objective. Their seed corpora
+# (internal/core/testdata/fuzz and the f.Add seeds) also run as ordinary
+# tests under `make test`.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDeltaScore -fuzztime=20s ./internal/core
+	$(GO) test -run='^$$' -fuzz=FuzzOptimisticBound -fuzztime=20s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzMatMulBitExact -fuzztime=20s ./internal/tensor
 
 # Full gate: static checks plus the race-enabled suite.

@@ -139,10 +139,11 @@ func TestStatsAndProgress(t *testing.T) {
 	if st.Configs == 0 || st.SolveSeconds <= 0 || st.Cancelled {
 		t.Fatalf("stats = %+v", st)
 	}
-	if len(st.ConfigStats) != st.Configs {
-		t.Fatalf("%d config stats for %d configs", len(st.ConfigStats), st.Configs)
+	n := st.Configs + st.PrunedConfigs
+	if len(st.ConfigStats) != n {
+		t.Fatalf("%d config stats for %d configs", len(st.ConfigStats), n)
 	}
-	if events != st.Configs || lastDone != lastTotal || lastTotal != st.Configs {
-		t.Fatalf("progress saw %d events (last %d/%d) for %d configs", events, lastDone, lastTotal, st.Configs)
+	if events != n || lastDone != lastTotal || lastTotal != n {
+		t.Fatalf("progress saw %d events (last %d/%d) for %d configs", events, lastDone, lastTotal, n)
 	}
 }

@@ -143,10 +143,10 @@ func main() {
 		note = "   (cancelled: best incumbent)"
 	}
 	if st.WarmStarted {
-		note += fmt.Sprintf("   (warm: %d pruned, %d cost-cache hits)", st.PrunedConfigs, st.CostCacheHits)
+		note += fmt.Sprintf("   (warm: %d cost-cache hits)", st.CostCacheHits)
 	}
-	fmt.Printf("quality:  Σω = %.4f   planning: %.2fs over %d configs%s\n",
-		dep.QualityPenalty(), dep.PlanningSeconds(), st.Configs, note)
+	fmt.Printf("quality:  Σω = %.4f   planning: %.2fs, %d evaluated, %d pruned%s\n",
+		dep.QualityPenalty(), dep.PlanningSeconds(), st.Configs, st.PrunedConfigs, note)
 	m, err := dep.Measure()
 	if err != nil {
 		fatal(fmt.Errorf("simulation: %w", err))

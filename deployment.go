@@ -74,6 +74,9 @@ func (d *Deployment) PlanningSeconds() float64 { return d.plan.SolveSeconds }
 // PlanStats summarizes the solver work behind a deployment.
 type PlanStats struct {
 	// Configs is the number of candidate configurations evaluated.
+	// Configs + PrunedConfigs is the size of the enumeration, and a
+	// completed search has len(ConfigStats) == Configs + PrunedConfigs +
+	// ILPSolves.
 	Configs int
 	// ILPSolves and Nodes count branch-and-bound work.
 	ILPSolves int
@@ -90,9 +93,10 @@ type PlanStats struct {
 	// WarmStarted reports that a Replan call adapted the previous plan
 	// onto the current topology and seeded the search with it.
 	WarmStarted bool
-	// PrunedConfigs counts configurations a warm-started search skipped
-	// because their optimistic bound proved they could not enter the
-	// shortlist. Configs + PrunedConfigs equals the cold enumeration.
+	// PrunedConfigs counts configurations the search skipped because
+	// their optimistic bound proved they could not enter the shortlist,
+	// with or without a warm start. Configs + PrunedConfigs equals the
+	// enumeration.
 	PrunedConfigs int
 	// CostCacheHits and CostCacheMisses count per-device cost
 	// evaluations served by (respectively computed into) the System's

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sort"
 	"time"
 
 	"repro/internal/cluster"
@@ -86,9 +87,10 @@ type Options struct {
 	// setting — candidates are ranked by (objective, canonical
 	// enumeration order) regardless of completion order.
 	Parallelism int
-	// Progress, when non-nil, receives one event per finished
-	// configuration (and per ILP polish solve). Calls are serialized;
-	// the hook must be fast and must not call back into the planner.
+	// Progress, when non-nil, receives one event per configuration,
+	// evaluated or pruned (and per ILP polish solve). Calls are
+	// serialized; the hook must be fast and must not call back into the
+	// planner.
 	Progress func(Progress)
 }
 
@@ -124,7 +126,9 @@ func (o Options) withDefaults() Options {
 // Report summarizes one planning run.
 type Report struct {
 	// Configs is the number of (mesh, ordering, η, ξ) combinations
-	// evaluated.
+	// evaluated. Configs + PrunedConfigs is the size of the enumeration,
+	// and a completed search has len(ConfigStats) == Configs +
+	// PrunedConfigs + ILPSolves.
 	Configs int
 	// ILPSolves and Nodes count branch-and-bound work.
 	ILPSolves int
@@ -142,9 +146,10 @@ type Report struct {
 	// plan (see Assigner.Replan): the incumbent's objective primed the
 	// pruning threshold and candidate evaluation order.
 	WarmStarted bool
-	// PrunedConfigs counts configurations skipped because their
-	// optimistic bound proved they could not enter the shortlist. They
-	// appear in ConfigStats with Pruned set.
+	// PrunedConfigs counts configurations the search skipped because
+	// their optimistic bound proved they could not enter the shortlist,
+	// with or without an incumbent. They appear in ConfigStats with
+	// Pruned set.
 	PrunedConfigs int
 	// CostCacheHits and CostCacheMisses are the Options.Costs counter
 	// deltas attributable to this solve (approximate when several
@@ -290,9 +295,10 @@ func (a *Assigner) buildConfigCosts(cfg planConfig, batch workload.Batch) *order
 }
 
 // Plan computes a deployment plan for one synthesized batch. The
-// independent candidate configurations are solved on a bounded worker
-// pool (Options.Parallelism) and merged deterministically, so the plan
-// is bit-identical to a sequential run.
+// candidate configurations are solved on a bounded worker pool
+// (Options.Parallelism), skipping those whose optimistic bound cannot
+// reach the shortlist (see search), and merged deterministically, so
+// the plan is bit-identical to a sequential, exhaustive run.
 //
 // Cancelling ctx (or exceeding its deadline) stops all in-flight solves
 // promptly. When at least one feasible candidate has already been found
@@ -304,19 +310,18 @@ func (a *Assigner) Plan(ctx context.Context, batch workload.Batch) (*plan.Plan, 
 }
 
 // Replan is Plan warm-started from a previous deployment. The incumbent
-// plan seeds the search: it is adapted onto the current topology
-// (preempted devices donate their layers to the nearest surviving
-// stage), its objective primes an optimistic-bound pruning threshold,
-// and the surviving candidate configurations are evaluated closest-to-
-// incumbent first. Pruning is shortlist-safe — a configuration is
-// skipped only once its bound proves it cannot enter the ILP shortlist
-// of a cold search — so a completed Replan returns a plan bit-identical
-// to Plan on the same inputs; only the work spent differs (see
-// Report.WarmStarted, PrunedConfigs, CostCacheHits).
+// plan is adapted onto the current topology (preempted devices donate
+// their layers to the nearest surviving stage); its objective seeds the
+// search's pruning threshold, and configurations are evaluated closest
+// to it first. Pruning is shortlist-safe either way (see search), so a
+// completed Replan returns a plan bit-identical to Plan on the same
+// inputs; only the work spent differs (see Report.WarmStarted,
+// PrunedConfigs, CostCacheHits).
 //
-// A nil incumbent (or one that cannot be expressed on the current
-// cluster — no surviving devices, changed bit set) degrades to a cold
-// search. Baseline methods (uniform, het) ignore the incumbent.
+// A nil incumbent, or one that cannot be expressed on the current
+// cluster (no surviving devices, changed bit set) or is infeasible
+// under it, searches exactly as Plan does. Baseline methods (uniform,
+// het) ignore the incumbent.
 func (a *Assigner) Replan(ctx context.Context, batch workload.Batch, inc *Incumbent) (*plan.Plan, *Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -359,23 +364,26 @@ func (a *Assigner) solve(ctx context.Context, batch workload.Batch, inc *Incumbe
 	}
 
 	configs := a.searchConfigs(batch.Size)
-	if inc != nil && inc.Plan != nil && len(configs) > 0 {
-		if p, err, ok := a.warmSolve(ctx, batch, configs, inc.Plan, rep, sink, theta); ok {
-			return p, err
-		}
+	var prev *plan.Plan
+	if inc != nil {
+		prev = inc.Plan
 	}
-	return a.coldSolve(ctx, batch, configs, rep, sink, theta)
+	return a.search(ctx, batch, configs, prev, rep, sink, theta)
 }
 
-// solveConfig runs the heuristic sweep body for one configuration with
-// prebuilt cost tables — shared verbatim by the cold and warm paths, so
-// both produce identical candidates for identical configurations.
+// admissible reports whether an evaluated assignment may be planned:
+// feasible, and within the quality cap when one is set.
+func (a *Assigner) admissible(ev evaluation) bool {
+	return ev.Feasible && !(a.opts.QualityCap > 0 && ev.Quality > a.opts.QualityCap+1e-9)
+}
+
+// solveConfig runs the heuristic for one configuration with prebuilt
+// cost tables.
 func (a *Assigner) solveConfig(oc *orderingCosts, key string, theta float64) (*candidate, ConfigStat) {
 	stat := ConfigStat{Key: key, Objective: math.Inf(1)}
 	var cand *candidate
 	if as := a.bestStart(oc, theta); as != nil {
-		ev := evaluate(as, oc, a.ind, theta)
-		if ev.Feasible && !(a.opts.QualityCap > 0 && ev.Quality > a.opts.QualityCap+1e-9) {
+		if ev := evaluate(as, oc, a.ind, theta); a.admissible(ev) {
 			cand = &candidate{oc: oc, as: as, ev: ev, key: key}
 			stat.Feasible = true
 			stat.Objective = ev.Objective
@@ -384,180 +392,118 @@ func (a *Assigner) solveConfig(oc *orderingCosts, key string, theta float64) (*c
 	return cand, stat
 }
 
-// coldSolve is the exhaustive phase-1 sweep over every candidate
-// configuration.
-func (a *Assigner) coldSolve(ctx context.Context, batch workload.Batch, configs []planConfig,
-	rep *Report, sink *progressSink, theta float64) (*plan.Plan, error) {
+// searchChunk is how many configurations the search evaluates between
+// threshold updates. It is a constant, not the worker count, so the
+// evaluated set — and the reported pruning accounting — is
+// machine-independent.
+const searchChunk = 8
 
+// search is the phase-1 sweep: one bound-ordered search over every
+// candidate configuration. It builds each configuration's cost tables
+// and optimistic bound, then evaluates in chunks the configurations
+// whose bound reaches the admission threshold, tightening the threshold
+// to the K-th best candidate objective after every chunk (K is the
+// shortlist depth: the ILP polish count, else 1). It stops at a
+// fixpoint where no unevaluated bound reaches the K-th best objective,
+// so no skipped configuration could enter the shortlist and the plan is
+// the one an exhaustive sweep would return.
+//
+// Only the start depends on prev. A previous plan that adapts onto the
+// current configurations and stays admissible under them seeds the
+// threshold with its objective, and chunks run closest to it first.
+// Otherwise the threshold starts at +Inf and chunks run in ascending
+// bound order (ties by enumeration index).
+func (a *Assigner) search(ctx context.Context, batch workload.Batch, configs []planConfig,
+	prev *plan.Plan, rep *Report, sink *progressSink, theta float64) (*plan.Plan, error) {
+
+	ocs := make([]*orderingCosts, len(configs))
+	bounds := make([]float64, len(configs))
+	runPool(ctx, a.parallelism(), len(configs), func(i int) {
+		if ctx.Err() != nil {
+			return
+		}
+		ocs[i] = a.buildConfigCosts(configs[i], batch)
+		bounds[i] = optimisticBound(ocs[i], a.ind, theta)
+	})
+	if ctx.Err() != nil {
+		return a.finishJoint(ctx, nil, batch, rep, sink, theta)
+	}
+
+	threshold := math.Inf(1)
+	rank := make([]int, len(configs))
+	for i := range rank {
+		rank[i] = i
+	}
+	sort.SliceStable(rank, func(x, y int) bool { return bounds[rank[x]] < bounds[rank[y]] })
+	if seed := adaptIncumbent(prev, configs, a.ind, a.opts.Bits); seed != nil {
+		if ev := evaluate(seed.as, ocs[seed.cfg], a.ind, theta); a.admissible(ev) {
+			rep.WarmStarted = true
+			threshold = ev.Objective
+			rank = warmOrder(rank, configs, seed.cfg)
+		}
+	}
+
+	K := 1
+	if a.opts.Method == MethodILP {
+		K = a.opts.ILPCandidates
+	}
 	type searchResult struct {
 		done bool
 		cand *candidate
 		stat ConfigStat
 	}
 	results := make([]searchResult, len(configs))
-	sink.startPhase(PhaseSearch, len(configs))
-	runPool(ctx, a.parallelism(), len(configs), func(i int) {
-		if ctx.Err() != nil {
-			return
-		}
-		t0 := time.Now()
-		oc := a.buildConfigCosts(configs[i], batch)
-		cand, stat := a.solveConfig(oc, configs[i].key(), theta)
-		stat.Seconds = time.Since(t0).Seconds()
-		results[i] = searchResult{done: true, cand: cand, stat: stat}
-		sink.finished(stat)
-	})
-
-	// Deterministic merge in canonical enumeration order: identical to
-	// the sequential append order regardless of completion order.
-	var cands []candidate
-	for i := range results {
-		if !results[i].done {
-			continue // skipped by cancellation
-		}
-		rep.Configs++
-		rep.ConfigStats = append(rep.ConfigStats, results[i].stat)
-		if results[i].cand != nil {
-			cands = append(cands, *results[i].cand)
-		}
-	}
-	return a.finishJoint(ctx, cands, batch, rep, sink, theta)
-}
-
-// warmSolve is the incremental search: evaluate the configurations whose
-// optimistic bound beats the incumbent, then expand the evaluated set
-// until no pruned configuration could still enter the shortlist (a
-// fixpoint on the k-th best candidate objective). Returns ok=false —
-// leaving the caller to run the cold sweep — when the incumbent cannot
-// be adapted to the current topology or is infeasible under it.
-func (a *Assigner) warmSolve(ctx context.Context, batch workload.Batch, configs []planConfig,
-	prev *plan.Plan, rep *Report, sink *progressSink, theta float64) (*plan.Plan, error, bool) {
-
-	seed := adaptIncumbent(prev, configs, a.ind, a.opts.Bits)
-	if seed == nil {
-		return nil, nil, false
-	}
-
-	// Every configuration's cost tables are needed for the bounds; under
-	// the shared cost cache this is far cheaper than the heuristic
-	// solves it lets the search skip.
-	ocs := make([]*orderingCosts, len(configs))
-	runPool(ctx, a.parallelism(), len(configs), func(i int) {
-		if ctx.Err() != nil {
-			return
-		}
-		ocs[i] = a.buildConfigCosts(configs[i], batch)
-	})
-	for i := range ocs {
-		if ocs[i] == nil {
-			return nil, nil, false // cancelled mid-build; cold path reports it
-		}
-	}
-
-	seedEv := evaluate(seed.as, ocs[seed.cfg], a.ind, theta)
-	if !seedEv.Feasible || (a.opts.QualityCap > 0 && seedEv.Quality > a.opts.QualityCap+1e-9) {
-		return nil, nil, false
-	}
-	rep.WarmStarted = true
-
-	bounds := make([]float64, len(configs))
-	for i := range configs {
-		bounds[i] = optimisticBound(ocs[i], a.ind, theta)
-	}
-
-	// The shortlist depth a cold search would polish: pruning must prove
-	// a configuration cannot reach *any* of those slots, not just the
-	// winner's.
-	K := 1
-	if a.opts.Method == MethodILP {
-		K = a.opts.ILPCandidates
-	}
-
-	type warmResult struct {
-		done bool
-		cand *candidate
-		stat ConfigStat
-	}
-	results := make([]warmResult, len(configs))
-	evaluated := make([]bool, len(configs))
-
-	// kth re-derives the K-th best evaluated candidate objective — the
-	// pruning threshold a cold search's shortlist implies.
+	// kth re-derives the K-th best evaluated candidate objective.
 	kth := func() float64 {
 		var objs []float64
 		for i := range results {
-			if results[i].done && results[i].cand != nil {
+			if results[i].cand != nil {
 				objs = append(objs, results[i].cand.ev.Objective)
 			}
 		}
 		return kthBestObjective(objs, K)
 	}
 
-	// Evaluation proceeds in fixed-size chunks ordered by distance from
-	// the incumbent, and the admission threshold tightens after every
-	// chunk: once the incumbent's neighborhood has produced a strong
-	// candidate, configurations the seed objective alone could not rule
-	// out are pruned without ever being evaluated. The chunk size is a
-	// constant (not the worker count) so the evaluated set — and the
-	// reported pruning accounting — is machine-independent. The final
-	// fixpoint check below re-admits anything the tightened threshold
-	// wrongly excluded, so the shortlist stays bit-identical to cold.
-	const warmChunk = 8
-	threshold := seedEv.Objective
 	sink.startPhase(PhaseSearch, len(configs))
 	for ctx.Err() == nil {
-		var pending []int
-		for i := range configs {
-			if !evaluated[i] && bounds[i] <= threshold+boundEps {
-				pending = append(pending, i)
-			}
-		}
-		if len(pending) == 0 {
-			// Fixpoint check: admit every pruned configuration whose bound
-			// still reaches the K-th best evaluated objective. No growth
-			// means no pruned configuration can appear in a cold search's
-			// shortlist.
-			k := kth()
-			grew := false
-			for i := range configs {
-				if !evaluated[i] && bounds[i] <= k+boundEps {
-					grew = true
+		var chunk []int
+		for _, i := range rank {
+			if !results[i].done && bounds[i] <= threshold+boundEps {
+				if chunk = append(chunk, i); len(chunk) == searchChunk {
+					break
 				}
 			}
-			if !grew {
-				break
+		}
+		if len(chunk) == 0 {
+			// Fixpoint: a seeded threshold below the K-th best objective
+			// may have excluded a configuration the shortlist needs, so
+			// re-admit at the K-th best until nothing more qualifies.
+			if k := kth(); k > threshold {
+				threshold = k
+				continue
 			}
-			threshold = k
-			continue
+			break
 		}
-		order := warmOrder(pending, configs, seed.cfg)
-		if len(order) > warmChunk {
-			order = order[:warmChunk]
-		}
-		runPool(ctx, a.parallelism(), len(order), func(k int) {
+		runPool(ctx, a.parallelism(), len(chunk), func(c int) {
 			if ctx.Err() != nil {
 				return
 			}
-			i := order[k]
+			i := chunk[c]
 			t0 := time.Now()
 			cand, stat := a.solveConfig(ocs[i], configs[i].key(), theta)
 			stat.Seconds = time.Since(t0).Seconds()
-			results[i] = warmResult{done: true, cand: cand, stat: stat}
+			results[i] = searchResult{done: true, cand: cand, stat: stat}
 			sink.finished(stat)
 		})
-		for _, i := range order {
-			if results[i].done {
-				evaluated[i] = true
-			}
-		}
 		if k := kth(); k < threshold {
 			threshold = k
 		}
 	}
 
-	// Canonical-order merge; pruned configurations are recorded (and
-	// fired to the progress sink) so ConfigStats still covers the whole
-	// enumeration.
+	// Canonical-order merge, identical regardless of completion order.
+	// Pruned configurations are recorded (and fired to the progress sink)
+	// so ConfigStats covers the whole enumeration; configurations skipped
+	// by cancellation are absent.
 	var cands []candidate
 	for i := range results {
 		if results[i].done {
@@ -575,13 +521,11 @@ func (a *Assigner) warmSolve(ctx context.Context, batch workload.Batch, configs 
 			sink.finished(stat)
 		}
 	}
-	p, err := a.finishJoint(ctx, cands, batch, rep, sink, theta)
-	return p, err, true
+	return a.finishJoint(ctx, cands, batch, rep, sink, theta)
 }
 
 // finishJoint ranks the merged candidates, runs the ILP polish, and
-// converts the winner to a plan — the tail shared by the cold and warm
-// searches.
+// converts the winner to a plan.
 func (a *Assigner) finishJoint(ctx context.Context, cands []candidate, batch workload.Batch,
 	rep *Report, sink *progressSink, theta float64) (*plan.Plan, error) {
 
@@ -729,14 +673,7 @@ func (a *Assigner) bestStart(oc *orderingCosts, theta float64) *assignment {
 	bestObj := math.Inf(1)
 	for _, s := range starts {
 		improved := bitwidthTransfer(s, oc, a.ind, theta, 0, a.opts.QualityCap)
-		ev := evaluate(improved, oc, a.ind, theta)
-		if !ev.Feasible {
-			continue
-		}
-		if a.opts.QualityCap > 0 && ev.Quality > a.opts.QualityCap+1e-9 {
-			continue
-		}
-		if ev.Objective < bestObj {
+		if ev := evaluate(improved, oc, a.ind, theta); a.admissible(ev) && ev.Objective < bestObj {
 			best, bestObj = improved, ev.Objective
 		}
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -9,6 +10,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/model"
+	"repro/internal/plan"
 	"repro/internal/quant"
 	"repro/internal/workload"
 )
@@ -167,5 +169,73 @@ func TestBruteForceMemoryConstraintRespected(t *testing.T) {
 	obj, as := bruteForceBest(oc, ind, 1)
 	if !math.IsInf(obj, 1) || as != nil {
 		t.Fatalf("expected infeasible, got %v", obj)
+	}
+}
+
+// exhaustiveQualityCap is the Σω cap of TestPlanMatchesExhaustive. It
+// binds: uncapped plans of the test's instances reach Σω ≈ 0.0155.
+const exhaustiveQualityCap = 0.012
+
+// exhaustivePlan is the reference the bound-ordered search must
+// reproduce: the heuristic solved on every enumerated configuration,
+// with no pruning, then the ranking and polish tail Plan shares.
+func exhaustivePlan(a *Assigner, batch workload.Batch) (*plan.Plan, error) {
+	theta := a.opts.Theta
+	var cands []candidate
+	for _, cfg := range a.searchConfigs(batch.Size) {
+		if cand, _ := a.solveConfig(a.buildConfigCosts(cfg, batch), cfg.key(), theta); cand != nil {
+			cands = append(cands, *cand)
+		}
+	}
+	return a.finishJoint(context.Background(), cands, batch, &Report{}, newProgressSink(nil, math.Inf(1)), theta)
+}
+
+// TestPlanMatchesExhaustive requires Plan, which skips configurations
+// whose optimistic bound cannot reach the shortlist, to return the
+// exhaustive reference's plan bit for bit across methods, objective
+// variants, clusters and worker counts.
+func TestPlanMatchesExhaustive(t *testing.T) {
+	spec := model.OPT13B
+	variants := []struct {
+		name string
+		opts Options
+	}{
+		{"joint", Options{}},
+		{"quality-cap", Options{QualityCap: exhaustiveQualityCap}},
+		{"prefill-only", Options{PrefillOnlyObjective: true}},
+		{"decode-only", Options{DecodeOnlyObjective: true}},
+	}
+	pruned := 0
+	for _, method := range []Method{MethodHeuristic, MethodILP, MethodAdabits} {
+		for _, v := range variants {
+			for _, preset := range []int{2, 5, 8, 9} {
+				opts := v.opts
+				opts.Method, opts.Theta, opts.OrderingLimit, opts.MaxNodes = method, 1, 2, 60
+				clu := cluster.MustPreset(preset)
+				want, wantErr := exhaustivePlan(mustAssigner(t, spec, clu, opts), smallBatch)
+				for _, workers := range []int{1, 4} {
+					t.Run(fmt.Sprintf("%s/%s/preset%d/workers%d", method, v.name, preset, workers), func(t *testing.T) {
+						opts.Parallelism = workers
+						got, rep, err := mustAssigner(t, spec, clu, opts).Plan(context.Background(), smallBatch)
+						if wantErr != nil {
+							if !errors.Is(err, ErrInfeasible) || !errors.Is(wantErr, ErrInfeasible) {
+								t.Fatalf("err = %v, exhaustive err = %v; want both infeasible", err, wantErr)
+							}
+							return
+						}
+						if err != nil {
+							t.Fatal(err)
+						}
+						if g, w := planJSON(t, got), planJSON(t, want); g != w {
+							t.Fatalf("plan differs from the exhaustive reference:\ngot  %s\nwant %s", g, w)
+						}
+						pruned += rep.PrunedConfigs
+					})
+				}
+			}
+		}
+	}
+	if pruned == 0 {
+		t.Fatal("no configuration was pruned anywhere on the grid; the comparison proves nothing")
 	}
 }

@@ -169,40 +169,50 @@ func sameEvaluation(a, b evaluation) bool {
 		bits(a.PreMax) == bits(b.PreMax) && bits(a.DecMax) == bits(b.DecMax)
 }
 
+// fuzzAssignment decodes a fuzz input into a tiny planning instance
+// (deltaInstance), a sanitized θ, and a valid contiguous assignment on it
+// (assign: stage sizes, then one bit index per layer).
+func fuzzAssignment(t *testing.T, instance, layers uint8, theta float64, assign []byte) (*orderingCosts, *Indicator, float64, *assignment) {
+	t.Helper()
+	if theta = math.Abs(theta); math.IsNaN(theta) || theta > 1e6 {
+		theta = 1
+	}
+	oc, ind := deltaInstance(instance, layers)
+	nDev, nLayers, nBits := len(oc.devs), ind.Layers(), len(oc.bits)
+	at := func(k int) int {
+		if k < len(assign) {
+			return int(assign[k])
+		}
+		return 0
+	}
+	as := &assignment{stageOf: make([]int, nLayers), bitIdx: make([]int, nLayers)}
+	spare, i := nLayers-nDev, 0
+	for j := 0; j < nDev; j++ {
+		size := 1 + at(j)%(spare+1)
+		if j == nDev-1 {
+			size = nLayers - i
+		}
+		spare -= size - 1
+		for ; size > 0; size-- {
+			as.stageOf[i], as.bitIdx[i] = j, at(nDev+i)%nBits
+			i++
+		}
+	}
+	if !as.valid(nDev) {
+		t.Fatalf("generated assignment %v is not contiguous", as)
+	}
+	return oc, ind, theta, as
+}
+
 // FuzzDeltaScore checks the bitwidth-transfer delta scorer against
 // evaluate on the applied assignment. The inputs pick a tiny instance
-// (deltaInstance), a valid assignment (assign: stage sizes, then one bit
-// index per layer), and a move (layer, to, bit), including moves off a
-// boundary, out of range or emptying a stage.
+// and a valid start assignment (fuzzAssignment), and a move (layer, to,
+// bit), including moves off a boundary, out of range or emptying a
+// stage.
 func FuzzDeltaScore(f *testing.F) {
 	f.Fuzz(func(t *testing.T, instance, layers uint8, theta float64, assign []byte, layer, to, bit uint8) {
-		if theta = math.Abs(theta); math.IsNaN(theta) || theta > 1e6 {
-			theta = 1
-		}
-		oc, ind := deltaInstance(instance, layers)
+		oc, ind, theta, start := fuzzAssignment(t, instance, layers, theta, assign)
 		nDev, nLayers, nBits := len(oc.devs), ind.Layers(), len(oc.bits)
-		at := func(k int) int {
-			if k < len(assign) {
-				return int(assign[k])
-			}
-			return 0
-		}
-		start := &assignment{stageOf: make([]int, nLayers), bitIdx: make([]int, nLayers)}
-		spare, i := nLayers-nDev, 0
-		for j := 0; j < nDev; j++ {
-			size := 1 + at(j)%(spare+1)
-			if j == nDev-1 {
-				size = nLayers - i
-			}
-			spare -= size - 1
-			for ; size > 0; size-- {
-				start.stageOf[i], start.bitIdx[i] = j, at(nDev+i)%nBits
-				i++
-			}
-		}
-		if !start.valid(nDev) {
-			t.Fatalf("generated start %v is not contiguous", start)
-		}
 		l, b := int(layer)%nLayers, int(bit)%nBits
 		mv := int(to)%(nDev+2) - 1 // one past either end is out of range
 
@@ -235,6 +245,27 @@ func FuzzDeltaScore(f *testing.F) {
 		s.apply(l, mv, b)
 		if !reflect.DeepEqual(s.cur, applied) || !sameEvaluation(s.evaluation(), want) {
 			t.Fatalf("applied move: cur %v eval %+v, want %v %+v", s.cur, s.evaluation(), applied, want)
+		}
+	})
+}
+
+// FuzzOptimisticBound checks that optimisticBound, which decides which
+// configurations the search may skip, never exceeds the objective of a
+// feasible assignment under the configuration.
+func FuzzOptimisticBound(f *testing.F) {
+	f.Add(uint8(0), uint8(0), 10.0, []byte{})
+	f.Add(uint8(7), uint8(10), 1.0, []byte{3, 0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2})
+	f.Add(uint8(13), uint8(5), 0.0, []byte{1, 1, 1, 1, 0, 0, 0, 0, 0, 0})
+	f.Add(uint8(24), uint8(9), 100.0, []byte{9, 0, 2, 5, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1})
+	f.Add(uint8(29), uint8(3), 0.5, []byte{0, 4, 0, 4, 3, 3, 3})
+	f.Fuzz(func(t *testing.T, instance, layers uint8, theta float64, assign []byte) {
+		oc, ind, theta, as := fuzzAssignment(t, instance, layers, theta, assign)
+		ev := evaluate(as, oc, ind, theta)
+		if !ev.Feasible {
+			return
+		}
+		if lb := optimisticBound(oc, ind, theta); lb > ev.Objective {
+			t.Fatalf("bound %v exceeds the objective %v of feasible %v", lb, ev.Objective, as)
 		}
 	})
 }

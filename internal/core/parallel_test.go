@@ -198,23 +198,34 @@ func TestProgressEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(events) != rep.Configs {
-		t.Fatalf("%d events for %d configs", len(events), rep.Configs)
+	n := len(a.searchConfigs(smallBatch.Size))
+	if rep.Configs+rep.PrunedConfigs != n {
+		t.Fatalf("evaluated %d + pruned %d != %d enumerated configs", rep.Configs, rep.PrunedConfigs, n)
+	}
+	if len(events) != n {
+		t.Fatalf("%d events for %d configs", len(events), n)
 	}
 	seen := map[string]bool{}
+	pruned := 0
 	for i, e := range events {
 		if e.Phase != PhaseSearch {
 			t.Fatalf("event %d phase %q", i, e.Phase)
 		}
-		if e.Done != i+1 || e.Total != rep.Configs {
-			t.Fatalf("event %d = %d/%d, want %d/%d", i, e.Done, e.Total, i+1, rep.Configs)
+		if e.Done != i+1 || e.Total != n {
+			t.Fatalf("event %d = %d/%d, want %d/%d", i, e.Done, e.Total, i+1, n)
 		}
 		if e.Config.Key == "" || seen[e.Config.Key] {
 			t.Fatalf("event %d key %q duplicated or empty", i, e.Config.Key)
 		}
 		seen[e.Config.Key] = true
+		if e.Config.Pruned {
+			pruned++
+		}
 	}
-	if len(rep.ConfigStats) != rep.Configs {
-		t.Fatalf("%d config stats for %d configs", len(rep.ConfigStats), rep.Configs)
+	if pruned != rep.PrunedConfigs {
+		t.Fatalf("%d pruned events, report %d", pruned, rep.PrunedConfigs)
+	}
+	if len(rep.ConfigStats) != n {
+		t.Fatalf("%d config stats for %d configs", len(rep.ConfigStats), n)
 	}
 }

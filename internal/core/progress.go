@@ -28,9 +28,9 @@ type ConfigStat struct {
 	Nodes     int
 	// Seconds is the wall-clock time spent on the configuration.
 	Seconds float64
-	// Pruned reports that a warm-started search skipped the
-	// configuration because its optimistic bound proved it could not
-	// enter the shortlist (see Assigner.Replan). Pruned entries report
+	// Pruned reports that the search skipped the configuration because
+	// its optimistic bound proved it could not enter the shortlist (see
+	// Assigner.Plan and Replan). Pruned entries report
 	// Feasible=false and an infinite Objective without implying the
 	// configuration is actually infeasible.
 	Pruned bool

@@ -31,8 +31,9 @@ const boundEps = 1e-9
 // prefill+decode+quality cost, and the two max terms are bounded by the
 // communication floors and by the harmonic-mean stage floor over each
 // device's cheapest per-layer work. A configuration whose bound exceeds the current
-// k-th best candidate objective cannot appear in the shortlist of a
-// cold search, so pruning on this bound preserves bit-identical plans.
+// k-th best candidate objective cannot appear in the shortlist of an
+// exhaustive search, so pruning on this bound preserves bit-identical
+// plans.
 func optimisticBound(oc *orderingCosts, ind *Indicator, theta float64) float64 {
 	nDev := len(oc.devs)
 	L := ind.Layers()

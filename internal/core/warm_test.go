@@ -59,9 +59,12 @@ func TestReplanBitIdenticalToColdSameCluster(t *testing.T) {
 			if !warmRep.WarmStarted {
 				t.Fatal("Replan did not report WarmStarted")
 			}
-			if warmRep.Configs+warmRep.PrunedConfigs != coldRep.Configs {
-				t.Fatalf("warm evaluated %d + pruned %d != cold %d configs",
-					warmRep.Configs, warmRep.PrunedConfigs, coldRep.Configs)
+			n := len(a.searchConfigs(smallBatch.Size))
+			for _, rep := range []*Report{coldRep, warmRep} {
+				if rep.Configs+rep.PrunedConfigs != n {
+					t.Fatalf("evaluated %d + pruned %d != %d enumerated configs",
+						rep.Configs, rep.PrunedConfigs, n)
+				}
 			}
 			if warmRep.PrunedConfigs == 0 {
 				t.Logf("note: no configurations pruned for %s (bound too loose on this instance)", method)
@@ -129,8 +132,8 @@ func TestReplanProgressCoversWholeEnumeration(t *testing.T) {
 	if pruned != rep.PrunedConfigs {
 		t.Fatalf("progress reported %d pruned configs, report %d", pruned, rep.PrunedConfigs)
 	}
-	if got := len(rep.ConfigStats); got != coldRep.Configs {
-		t.Fatalf("warm ConfigStats has %d entries, cold enumerated %d", got, coldRep.Configs)
+	if got, n := len(rep.ConfigStats), coldRep.Configs+coldRep.PrunedConfigs; got != n {
+		t.Fatalf("warm ConfigStats has %d entries, cold enumerated %d", got, n)
 	}
 }
 

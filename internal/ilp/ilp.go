@@ -117,7 +117,8 @@ func Solve(p *Problem, opts Options) (*Solution, error) {
 // (the node loop and the underlying LP pivots both poll ctx) and returns
 // the best incumbent found so far — the same graceful degradation as the
 // TimeLimit option. Callers distinguish a proved optimum from an
-// interrupted search via Solution.Proved.
+// interrupted search via Solution.Proved; an interrupted search never
+// reports Infeasible.
 func SolveContext(ctx context.Context, p *Problem, opts Options) (*Solution, error) {
 	if err := p.LP.Validate(); err != nil {
 		return nil, err
@@ -164,6 +165,10 @@ func SolveContext(ctx context.Context, p *Problem, opts Options) (*Solution, err
 	queue := &nodeQueue{{fixes: map[int]float64{}, bound: math.Inf(-1)}}
 	heap.Init(queue)
 	rootInfeasible := true
+	// dropped records a node abandoned with its subtree unexplored (its
+	// LP hit the pivot budget or saw ctx cancelled mid-simplex): the
+	// search can then prove neither optimality nor infeasibility.
+	dropped := false
 
 	for queue.Len() > 0 {
 		if opts.MaxNodes > 0 && best.Nodes >= opts.MaxNodes {
@@ -198,6 +203,7 @@ func SolveContext(ctx context.Context, p *Problem, opts Options) (*Solution, err
 			}
 			continue
 		case lp.IterLimit:
+			dropped = true
 			continue
 		}
 		rootInfeasible = false
@@ -234,12 +240,12 @@ func SolveContext(ctx context.Context, p *Problem, opts Options) (*Solution, err
 	}
 
 	if best.Status == NoSolution {
-		if rootInfeasible && queue.Len() == 0 {
+		if rootInfeasible && queue.Len() == 0 && !dropped {
 			best.Status = Infeasible
 		}
 		return best, nil
 	}
-	if queue.Len() == 0 || allPruned(queue, best.Objective, gap) {
+	if !dropped && (queue.Len() == 0 || allPruned(queue, best.Objective, gap)) {
 		best.Status = Optimal
 		best.Proved = true
 	}

@@ -1,6 +1,7 @@
 package ilp
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -273,5 +274,54 @@ func TestAssignmentProblemProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// pollLimitCtx is a context whose Err turns non-nil after a fixed number
+// of polls: a cancellation that lands at a chosen point of the search
+// with no clock involved.
+type pollLimitCtx struct {
+	context.Context
+	polls int
+}
+
+func (c *pollLimitCtx) Err() error {
+	if c.polls <= 0 {
+		return context.Canceled
+	}
+	c.polls--
+	return nil
+}
+
+// TestCancelledRootLPProvesNothing cancels the search inside the root
+// LP: the branch-and-bound loop's first poll passes, the simplex's first
+// poll fails, so the root node is dropped with its whole tree
+// unexplored. Neither a warm-started incumbent nor the empty result may
+// then be reported as proved.
+func TestCancelledRootLPProvesNothing(t *testing.T) {
+	p := &Problem{
+		LP: lp.Problem{
+			C:      []float64{-10, -6, -4},
+			A:      [][]float64{{1, 1, 1}},
+			Senses: []lp.Sense{lp.LE},
+			B:      []float64{2},
+		},
+		Binary: []int{0, 1, 2},
+	}
+	warm, err := SolveContext(&pollLimitCtx{Context: context.Background(), polls: 1}, p,
+		Options{WarmStart: []float64{0, 0, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.Status != Feasible || warm.Proved || warm.Objective != -4 {
+		t.Errorf("warm start: status %v proved %v objective %v, want an unproved feasible -4",
+			warm.Status, warm.Proved, warm.Objective)
+	}
+	cold, err := SolveContext(&pollLimitCtx{Context: context.Background(), polls: 1}, p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cold.Status != NoSolution || cold.Proved {
+		t.Fatalf("no warm start: status %v proved %v, want no-solution (not infeasible)", cold.Status, cold.Proved)
 	}
 }

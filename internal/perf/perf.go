@@ -176,9 +176,9 @@ func ReplanLatency(ctx context.Context, rounds int) (*ReplanResult, error) {
 			if !st.WarmStarted {
 				return nil, fmt.Errorf("perf: fresh round %d did not warm-start", r)
 			}
-			if st.Configs+st.PrunedConfigs != cold.Stats().Configs {
+			if cs := cold.Stats(); st.Configs+st.PrunedConfigs != cs.Configs+cs.PrunedConfigs {
 				return nil, fmt.Errorf("perf: round %d evaluated %d + pruned %d != cold %d",
-					r, st.Configs, st.PrunedConfigs, cold.Stats().Configs)
+					r, st.Configs, st.PrunedConfigs, cs.Configs+cs.PrunedConfigs)
 			}
 			res.EvaluatedWarm += st.Configs
 			res.PrunedWarm += st.PrunedConfigs

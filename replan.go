@@ -18,20 +18,21 @@ import (
 // Replan plans the workload warm-starting from a previous deployment.
 // The previous plan — typically produced on an earlier incarnation of
 // the cluster, before devices were preempted or restored — seeds the
-// search: it is adapted onto the current topology, configurations whose
-// optimistic bound proves they cannot beat the incumbent's shortlist
-// are pruned, and per-device cost evaluations hit the System's shared
-// cost cache. A completed Replan returns a plan bit-identical to a cold
-// PlanContext on the same inputs; PlanStats reports the work saved
-// (WarmStarted, PrunedConfigs, CostCacheHits).
+// search: it is adapted onto the current topology, its objective starts
+// the pruning threshold that a cold search starts at +Inf, candidate
+// configurations are evaluated closest to it first, and per-device cost
+// evaluations hit the System's shared cost cache. A completed Replan
+// returns a plan bit-identical to a cold PlanContext on the same
+// inputs; PlanStats reports the work (WarmStarted, PrunedConfigs,
+// CostCacheHits).
 //
 // Three fast paths may answer without searching: when prev was planned
 // on an identical cluster for the same batch and options it is reused
 // verbatim, and when the System's plan memo already holds the answer
 // for this (cluster, batch, options) key the memoized plan is returned;
 // both report Reused=true in PlanStats. A nil prev (or one whose plan
-// cannot be expressed on the current topology at all) degrades to a
-// cold search.
+// cannot be expressed on the current topology at all) searches as
+// PlanContext does.
 func (s *System) Replan(ctx context.Context, prev *Deployment, w Workload, batchSize int, opts ...PlanOption) (*Deployment, error) {
 	batch, err := s.synthesize(w, batchSize)
 	if err != nil {

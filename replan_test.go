@@ -95,9 +95,9 @@ func TestReplanMatchesColdAcrossPresets(t *testing.T) {
 			if ws.Reused {
 				t.Fatal("warm replan on a changed cluster reported Reused")
 			}
-			if ws.Configs+ws.PrunedConfigs != cs.Configs {
+			if ws.Configs+ws.PrunedConfigs != cs.Configs+cs.PrunedConfigs {
 				t.Fatalf("warm evaluated %d + pruned %d configs, cold enumerated %d",
-					ws.Configs, ws.PrunedConfigs, cs.Configs)
+					ws.Configs, ws.PrunedConfigs, cs.Configs+cs.PrunedConfigs)
 			}
 		})
 	}

@@ -37,11 +37,13 @@
 //
 // # Incremental re-planning
 //
-// Replan continues from a previous Deployment instead of starting cold:
-// the previous plan seeds the search on the current (possibly degraded
-// or restored) cluster, configurations that provably cannot beat it are
-// pruned, and per-device cost evaluations are memoized in a cache
-// shared across all solves of the System (and of its Fork variants). A
+// Every plan skips the configurations whose optimistic bound proves
+// they cannot reach the shortlist. Replan continues from a previous
+// Deployment instead of starting cold: the previous plan, adapted onto
+// the current (possibly degraded or restored) cluster, seeds the
+// pruning threshold and the evaluation order, and per-device cost
+// evaluations are memoized in a cache shared across all solves of the
+// System (and of its Fork variants). A
 // completed Replan returns a plan bit-identical to a cold PlanContext
 // on the same inputs — only the work spent differs (see PlanStats).
 //
