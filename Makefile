@@ -8,8 +8,13 @@ build:
 test:
 	$(GO) test ./...
 
+# The arm64 vet and 386 build keep the portable matmul kernel (built
+# wherever the amd64 assembly is not) compiling; vet on amd64 also runs
+# asmdecl over the assembly.
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
+	GOARCH=386 $(GO) build ./...
 
 # The whole suite under the race detector (the planner runs a worker
 # pool and the serve executor rotates workers over pools; -race keeps
@@ -34,7 +39,8 @@ test-race:
 
 # Fuzz smoke: twenty seconds of coverage-guided inputs for each of three
 # targets. Two must match a reference bit for bit: the bitwidth-transfer
-# delta scorer against a full evaluation, and the matmul kernel against
+# delta scorer against a full evaluation, and both matmul kernels (the
+# AVX2 assembly, where the CPU has it, and the portable Go one) against
 # the plain ikj loop. The third checks that the planner's optimistic
 # bound, which decides which configurations the search skips, never
 # exceeds a feasible assignment's objective. Their seed corpora

@@ -1,11 +1,12 @@
 // Package tensor implements the dense float32 linear-algebra kernels that
 // back the reproduction's real transformer forward pass (internal/tinyllm)
 // and the quantization library (internal/quant): matrix multiplication
-// (parallel, cache-blocked), softmax, layer normalization, GELU, and the
-// small utility operations an LLM decoder needs.
+// (parallel over rows, with an AVX2 assembly kernel on amd64), softmax,
+// layer normalization, GELU, and the small utility operations an LLM
+// decoder needs.
 //
 // Matrices are stored row-major in a flat []float32 so the hot loops are
-// contiguous and vectorizable by the compiler.
+// contiguous.
 package tensor
 
 import (
@@ -108,39 +109,28 @@ func MatMul(a, b *Matrix) *Matrix {
 	return out
 }
 
-// matMulRange computes rows [lo, hi) of out = a·b into a zeroed out. It
-// holds eight output columns of a row in registers over the whole k loop
-// and stores them once; the n%8 remainder columns use a plain ikj loop.
+// matMulRange computes rows [lo, hi) of out = a·b into a zeroed out. The
+// row's columns up to the last multiple of eight go to matMulTiledAVX2
+// where the CPU has AVX2 and to matMulTiledGo elsewhere; the n%8
+// remainder columns use a plain ikj loop.
 //
 // Every output element is summed from zero over k in ascending order,
-// skipping zero entries of a, whatever the tiling: the result is bit-for-
-// bit that of the textbook ikj loop. tinyllm's forward pass, and with it
-// EXPERIMENTS.md and transport.Reference, depends on that.
+// skipping zero entries of a, whatever the kernel or tiling: the result is
+// bit-for-bit that of the textbook ikj loop. tinyllm's forward pass, and
+// with it EXPERIMENTS.md and transport.Reference, depends on that. Each
+// product is written float32(av * b): the conversion rounds the product
+// before the add, so no compiler may fuse the two into one FMA (arm64's
+// would).
 func matMulRange(a, b, out *Matrix, lo, hi int) {
 	n := b.Cols
 	tiled := n &^ 7
 	for i := lo; i < hi; i++ {
 		ar := a.Row(i)
 		or := out.Row(i)
-		for j := 0; j < tiled; j += 8 {
-			var s0, s1, s2, s3, s4, s5, s6, s7 float32
-			off := j
-			for _, av := range ar {
-				if av != 0 {
-					br := (*[8]float32)(b.Data[off : off+8])
-					s0 += av * br[0]
-					s1 += av * br[1]
-					s2 += av * br[2]
-					s3 += av * br[3]
-					s4 += av * br[4]
-					s5 += av * br[5]
-					s6 += av * br[6]
-					s7 += av * br[7]
-				}
-				off += n
-			}
-			o := (*[8]float32)(or[j:])
-			o[0], o[1], o[2], o[3], o[4], o[5], o[6], o[7] = s0, s1, s2, s3, s4, s5, s6, s7
+		if useAVX2 {
+			matMulTiledAVX2(ar, b.Data, or[:tiled], n)
+		} else {
+			matMulTiledGo(ar, b.Data, or[:tiled], n)
 		}
 		if tiled == n {
 			continue
@@ -152,9 +142,36 @@ func matMulRange(a, b, out *Matrix, lo, hi int) {
 			}
 			br := b.Data[k*n+tiled : k*n+n]
 			for j := range br {
-				rem[j] += av * br[j]
+				rem[j] += float32(av * br[j])
 			}
 		}
+	}
+}
+
+// matMulTiledGo computes or[j] = Σ_k ar[k]·b[k·n+j] for every j <
+// len(or), a multiple of 8, where b holds len(ar) rows of stride n. It
+// holds eight output columns in registers over the whole k loop and
+// stores them once.
+func matMulTiledGo(ar, b, or []float32, n int) {
+	for j := 0; j < len(or); j += 8 {
+		var s0, s1, s2, s3, s4, s5, s6, s7 float32
+		off := j
+		for _, av := range ar {
+			if av != 0 {
+				br := (*[8]float32)(b[off : off+8])
+				s0 += float32(av * br[0])
+				s1 += float32(av * br[1])
+				s2 += float32(av * br[2])
+				s3 += float32(av * br[3])
+				s4 += float32(av * br[4])
+				s5 += float32(av * br[5])
+				s6 += float32(av * br[6])
+				s7 += float32(av * br[7])
+			}
+			off += n
+		}
+		o := (*[8]float32)(or[j:])
+		o[0], o[1], o[2], o[3], o[4], o[5], o[6], o[7] = s0, s1, s2, s3, s4, s5, s6, s7
 	}
 }
 
@@ -172,7 +189,7 @@ func MatMulTransB(a, b *Matrix) *Matrix {
 			br := b.Row(j)
 			var s float32
 			for k := range ar {
-				s += ar[k] * br[k]
+				s += float32(ar[k] * br[k])
 			}
 			or[j] = s
 		}

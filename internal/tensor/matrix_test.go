@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -36,28 +37,62 @@ func TestMatMulIdentity(t *testing.T) {
 	}
 }
 
+// kernels lists the values of useAVX2 this machine can run: the Go kernel
+// always, the AVX2 kernel where the CPU has it.
+func kernels() []bool {
+	if cpuHasAVX2() {
+		return []bool{false, true}
+	}
+	return []bool{false}
+}
+
+func kernelName(avx2 bool) string {
+	if avx2 {
+		return "avx2"
+	}
+	return "go"
+}
+
+// useKernel sets useAVX2 to avx2 and restores it when t ends.
+func useKernel(t testing.TB, avx2 bool) {
+	prev := useAVX2
+	useAVX2 = avx2
+	t.Cleanup(func() { useAVX2 = prev })
+}
+
+func randMatrix(r *stats.RNG, rows, cols int) *Matrix {
+	m := NewMatrix(rows, cols)
+	for i := range m.Data {
+		m.Data[i] = float32(r.NormMS(0, 1))
+	}
+	return m
+}
+
 func TestMatMulParallelMatchesSerial(t *testing.T) {
 	// Big enough to trip the parallel path.
 	r := stats.NewRNG(2)
-	a := NewMatrix(128, 96)
-	b := NewMatrix(96, 64)
-	for i := range a.Data {
-		a.Data[i] = float32(r.NormMS(0, 1))
-	}
-	for i := range b.Data {
-		b.Data[i] = float32(r.NormMS(0, 1))
-	}
-	par := MatMul(a, b)
-	ser := NewMatrix(a.Rows, b.Cols)
-	matMulRange(a, b, ser, 0, a.Rows)
-	if i := firstBitDiff(par, ser); i >= 0 {
-		t.Fatalf("parallel and serial differ at %d: %v vs %v", i, par.Data[i], ser.Data[i])
+	a, b := randMatrix(r, 128, 96), randMatrix(r, 96, 64)
+	want := matMulOracle(a, b)
+	for _, avx2 := range kernels() {
+		t.Run(kernelName(avx2), func(t *testing.T) {
+			useKernel(t, avx2)
+			par := MatMul(a, b)
+			ser := NewMatrix(a.Rows, b.Cols)
+			matMulRange(a, b, ser, 0, a.Rows)
+			if i := firstBitDiff(par, want); i >= 0 {
+				t.Fatalf("parallel and oracle differ at %d: %v vs %v", i, par.Data[i], want.Data[i])
+			}
+			if i := firstBitDiff(ser, want); i >= 0 {
+				t.Fatalf("serial and oracle differ at %d: %v vs %v", i, ser.Data[i], want.Data[i])
+			}
+		})
 	}
 }
 
 // matMulOracle is the textbook ikj product: each output element summed
-// from zero over k in ascending order, skipping zero entries of a. The
-// kernel must reproduce it bit for bit.
+// from zero over k in ascending order, skipping zero entries of a, with
+// each product rounded to float32 before the add. The kernels must
+// reproduce it bit for bit.
 func matMulOracle(a, b *Matrix) *Matrix {
 	out := NewMatrix(a.Rows, b.Cols)
 	for i := 0; i < a.Rows; i++ {
@@ -67,7 +102,7 @@ func matMulOracle(a, b *Matrix) *Matrix {
 				continue
 			}
 			for j, bv := range b.Row(k) {
-				or[j] += av * bv
+				or[j] += float32(av * bv)
 			}
 		}
 	}
@@ -86,17 +121,25 @@ func firstBitDiff(got, want *Matrix) int {
 	return -1
 }
 
-// FuzzMatMulBitExact checks MatMul against matMulOracle bit for bit on
-// shapes with column counts that are not multiples of the kernel's tile,
-// shapes large enough for the parallel row split, and inputs seeded with
-// zeros, negative zeros and infinities.
+// FuzzMatMulBitExact checks MatMul with each kernel against matMulOracle
+// bit for bit on shapes with column counts that are not multiples of the
+// kernel's tiles, shapes large enough for the parallel row split, and
+// inputs seeded with zeros, negative zeros, infinities and NaNs. The
+// seeds' column counts reach the AVX2 kernel's 64- and 8-column blocks
+// and the remainder loop together (75), the remainder alone (7) and
+// 64-column blocks alone (192).
 func FuzzMatMulBitExact(f *testing.F) {
 	f.Add(uint64(1), uint8(3), uint8(5), uint8(7), uint8(0))
 	f.Add(uint64(2), uint8(1), uint8(64), uint8(192), uint8(0))
 	f.Add(uint64(3), uint8(40), uint8(64), uint8(16), uint8(32))
 	f.Add(uint64(4), uint8(150), uint8(96), uint8(21), uint8(64))
 	f.Add(uint64(5), uint8(128), uint8(64), uint8(64), uint8(255))
-	specials := []float32{0, float32(math.Copysign(0, -1)), float32(math.Inf(1)), float32(math.Inf(-1))}
+	f.Add(uint64(6), uint8(2), uint8(63), uint8(64+8+3-1), uint8(48))
+	f.Add(uint64(7), uint8(4), uint8(9), uint8(7-1), uint8(48))
+	f.Add(uint64(8), uint8(42), uint8(63), uint8(192-1), uint8(16))
+	f.Add(uint64(9), uint8(5), uint8(0), uint8(80), uint8(96))
+	specials := []float32{0, float32(math.Copysign(0, -1)), float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN())}
+	kinds := kernels()
 	f.Fuzz(func(t *testing.T, seed uint64, rows, inner, cols, special uint8) {
 		r := stats.NewRNG(seed)
 		// special is the chance, out of 256, that an entry is one of
@@ -114,12 +157,40 @@ func FuzzMatMulBitExact(f *testing.F) {
 		b := NewMatrix(a.Cols, 1+int(cols))
 		fill(a)
 		fill(b)
-		got, want := MatMul(a, b), matMulOracle(a, b)
-		if i := firstBitDiff(got, want); i >= 0 {
-			t.Fatalf("%dx%d·%dx%d: element %d = %v, oracle %v",
-				a.Rows, a.Cols, b.Rows, b.Cols, i, got.Data[i], want.Data[i])
+		want := matMulOracle(a, b)
+		for _, avx2 := range kinds {
+			useKernel(t, avx2)
+			got := MatMul(a, b)
+			if i := firstBitDiff(got, want); i >= 0 {
+				t.Fatalf("%s kernel, %dx%d·%dx%d: element %d = %v, oracle %v",
+					kernelName(avx2), a.Rows, a.Cols, b.Rows, b.Cols, i, got.Data[i], want.Data[i])
+			}
 		}
 	})
+}
+
+var sinkMatrix *Matrix
+
+// BenchmarkMatMul times MatMul with each kernel at the stage-chain
+// model's shapes (hidden 64, FFN 192): one decode row against 64×64,
+// 64×192 and 192×64 weights, and a 43-row prefill against 64×192, which
+// takes the parallel row split when GOMAXPROCS > 1.
+func BenchmarkMatMul(b *testing.B) {
+	shapes := []struct{ rows, inner, cols int }{{1, 64, 64}, {1, 64, 192}, {1, 192, 64}, {43, 64, 192}}
+	for _, avx2 := range kernels() {
+		for _, s := range shapes {
+			b.Run(fmt.Sprintf("%s/%dx%dx%d", kernelName(avx2), s.rows, s.inner, s.cols), func(b *testing.B) {
+				useKernel(b, avx2)
+				r := stats.NewRNG(1)
+				x, w := randMatrix(r, s.rows, s.inner), randMatrix(r, s.inner, s.cols)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					sinkMatrix = MatMul(x, w)
+				}
+			})
+		}
+	}
 }
 
 func TestMatMulShapePanic(t *testing.T) {
