@@ -37,17 +37,19 @@ test-race:
 	$(GO) test -race -timeout 15m -count=2 ./internal/obs/
 	$(GO) test -race -timeout 15m -count=2 -run 'Maintenance|DrainTimeout' ./internal/serve/
 
-# Fuzz smoke: twenty seconds of coverage-guided inputs for each of three
-# targets. Two must match a reference bit for bit: the bitwidth-transfer
-# delta scorer against a full evaluation, and both matmul kernels (the
-# AVX2 assembly, where the CPU has it, and the portable Go one) against
-# the plain ikj loop. The third checks that the planner's optimistic
-# bound, which decides which configurations the search skips, never
-# exceeds a feasible assignment's objective. Their seed corpora
-# (internal/core/testdata/fuzz and the f.Add seeds) also run as ordinary
-# tests under `make test`.
+# Fuzz smoke: twenty seconds of coverage-guided inputs for each of four
+# targets. Three must match a reference exactly: the bitwidth-transfer
+# delta scorer and its kept tables against a full evaluation bit for
+# bit, the whole bitwidth-transfer search against the clone-per-move
+# reference search, and both matmul kernels (the AVX2 assembly, where
+# the CPU has it, and the portable Go one) against the plain ikj loop.
+# The fourth checks that the planner's optimistic bound, which decides
+# which configurations the search skips, never exceeds a feasible
+# assignment's objective. Their seed corpora (internal/core/testdata/fuzz
+# and the f.Add seeds) also run as ordinary tests under `make test`.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDeltaScore -fuzztime=20s ./internal/core
+	$(GO) test -run='^$$' -fuzz=FuzzBitwidthTransfer -fuzztime=20s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzOptimisticBound -fuzztime=20s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzMatMulBitExact -fuzztime=20s ./internal/tensor
 

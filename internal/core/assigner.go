@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/cluster"
@@ -168,6 +169,11 @@ type Assigner struct {
 	clu  *cluster.Cluster
 	ind  *Indicator
 	opts Options
+	// idle holds the bitwidth-transfer searches not in use, so the
+	// workers reuse their buffers across configurations. It is a plain
+	// list, not a sync.Pool, so nothing outlives the assigner.
+	idleMu sync.Mutex
+	idle   []*transferSearch
 }
 
 // New builds an assigner. The indicator must cover exactly the model's
@@ -382,12 +388,10 @@ func (a *Assigner) admissible(ev evaluation) bool {
 func (a *Assigner) solveConfig(oc *orderingCosts, key string, theta float64) (*candidate, ConfigStat) {
 	stat := ConfigStat{Key: key, Objective: math.Inf(1)}
 	var cand *candidate
-	if as := a.bestStart(oc, theta); as != nil {
-		if ev := evaluate(as, oc, a.ind, theta); a.admissible(ev) {
-			cand = &candidate{oc: oc, as: as, ev: ev, key: key}
-			stat.Feasible = true
-			stat.Objective = ev.Objective
-		}
+	if as, ev := a.bestStart(oc, theta); as != nil && a.admissible(ev) {
+		cand = &candidate{oc: oc, as: as, ev: ev, key: key}
+		stat.Feasible = true
+		stat.Objective = ev.Objective
 	}
 	return cand, stat
 }
@@ -634,22 +638,60 @@ func (a *Assigner) polishShortlist(ctx context.Context, cands []candidate, best 
 }
 
 // bestStart builds the heuristic solution for one configuration: the
-// bitwidth-transfer local search run from several starting points
-// (adabits, het, uniform — whichever are feasible), keeping the best.
-// Multi-start matters because adabits' memory-proportional partition and
-// het's speed-balanced partition sit in different basins. For
-// MethodAdabits the raw adabits solution is returned (the Fig. 12
-// ablation). Returns nil when no start point fits.
-func (a *Assigner) bestStart(oc *orderingCosts, theta float64) *assignment {
-	ada, err := adabits(oc, a.ind)
+// bitwidth-transfer local search run from every start point
+// (transferStarts), keeping the best. For MethodAdabits the raw adabits
+// solution is returned (the Fig. 12 ablation). It returns the assignment
+// with its evaluation, or nil when no start point fits. One idle
+// transferSearch serves every start.
+func (a *Assigner) bestStart(oc *orderingCosts, theta float64) (*assignment, evaluation) {
 	if a.opts.Method == MethodAdabits {
+		ada, err := adabits(oc, a.ind)
 		if err != nil {
-			return nil
+			return nil, evaluation{}
 		}
-		return ada
+		return ada, evaluate(ada, oc, a.ind, theta)
 	}
+	var best *assignment
+	bestEv := evaluation{Objective: math.Inf(1)}
+	search := a.takeSearch()
+	defer a.releaseSearch(search)
+	search.configure(oc, a.ind, theta)
+	for _, s := range a.transferStarts(oc) {
+		if ev := search.transfer(s, 0, a.opts.QualityCap); a.admissible(ev) && ev.Objective < bestEv.Objective {
+			best, bestEv = search.cur.clone(), ev
+		}
+	}
+	return best, bestEv
+}
+
+// takeSearch returns an idle bitwidth-transfer search, or a new one.
+func (a *Assigner) takeSearch() *transferSearch {
+	a.idleMu.Lock()
+	defer a.idleMu.Unlock()
+	if n := len(a.idle); n > 0 {
+		s := a.idle[n-1]
+		a.idle = a.idle[:n-1]
+		return s
+	}
+	return new(transferSearch)
+}
+
+// releaseSearch returns s to the idle list, dropping its configuration.
+func (a *Assigner) releaseSearch(s *transferSearch) {
+	s.oc = nil
+	a.idleMu.Lock()
+	a.idle = append(a.idle, s)
+	a.idleMu.Unlock()
+}
+
+// transferStarts returns the start points of the bitwidth-transfer
+// search that fit the configuration, in order: adabits, het, het at the
+// lowest bitwidth, uniform. Multi-start matters because adabits'
+// memory-proportional partition and het's speed-balanced partition sit
+// in different basins.
+func (a *Assigner) transferStarts(oc *orderingCosts) []*assignment {
 	var starts []*assignment
-	if err == nil {
+	if ada, err := adabits(oc, a.ind); err == nil {
 		starts = append(starts, ada)
 	}
 	if h, err := het(oc, a.ind); err == nil {
@@ -669,15 +711,7 @@ func (a *Assigner) bestStart(oc *orderingCosts, theta float64) *assignment {
 	if u, err := uniform(oc, a.ind); err == nil {
 		starts = append(starts, u)
 	}
-	var best *assignment
-	bestObj := math.Inf(1)
-	for _, s := range starts {
-		improved := bitwidthTransfer(s, oc, a.ind, theta, 0, a.opts.QualityCap)
-		if ev := evaluate(improved, oc, a.ind, theta); a.admissible(ev) && ev.Objective < bestObj {
-			best, bestObj = improved, ev.Objective
-		}
-	}
-	return best
+	return starts
 }
 
 // baselineConfigs enumerates the baseline candidate space in canonical

@@ -85,27 +85,45 @@ func stageSums(a *assignment, oc *orderingCosts, ind *Indicator, preStage, decSt
 // search: memory feasibility, the slowest-stage phase times, the pipeline
 // latency and the θ-weighted objective, from per-stage sums and Σ ω.
 func objective(oc *orderingCosts, preStage, decStage []float64, memStage []int64, quality, theta float64) evaluation {
-	ev := evaluation{Quality: quality, Feasible: true}
+	obj, lat, preMax, decMax, feasible := eq4(oc, preStage, decStage, memStage, quality, theta)
+	return evaluation{Latency: lat, Quality: quality, Objective: obj, Feasible: feasible, PreMax: preMax, DecMax: decMax}
+}
+
+// eq4 is the one Eq. 4 formula behind objective, returning its fields
+// unboxed; the bitwidth-transfer search scores moves with it directly.
+func eq4(oc *orderingCosts, preStage, decStage []float64, memStage []int64, quality, theta float64) (obj, latency, preMax, decMax float64, feasible bool) {
+	feasible = true
 	var preSum, decSum float64
 	for j := range preStage {
 		if memStage[j] > oc.memBudget[j] {
-			ev.Feasible = false
+			feasible = false
 		}
-		p := math.Max(preStage[j], oc.commPre[j])
-		d := math.Max(decStage[j], oc.commDec[j])
-		if p > ev.PreMax {
-			ev.PreMax = p
+		p := maxf(preStage[j], oc.commPre[j])
+		d := maxf(decStage[j], oc.commDec[j])
+		if p > preMax {
+			preMax = p
 		}
-		if d > ev.DecMax {
-			ev.DecMax = d
+		if d > decMax {
+			decMax = d
 		}
 		preSum += preStage[j]
 		decSum += decStage[j]
 	}
 	n := oc.batch.GenTokens
-	ev.Latency = oc.aPre*ev.PreMax + preSum + float64(n-1)*decSum + oc.aDec*ev.DecMax + oc.masterConst
-	ev.Objective = ev.Latency + theta*quality
-	return ev
+	latency = oc.aPre*preMax + preSum + float64(n-1)*decSum + oc.aDec*decMax + oc.masterConst
+	return latency + theta*quality, latency, preMax, decMax, feasible
+}
+
+// maxf is math.Max with its ordered cases inlined: equal operands
+// (including ±0) and NaNs fall through to math.Max.
+func maxf(x, y float64) float64 {
+	if x > y {
+		return x
+	}
+	if y > x {
+		return y
+	}
+	return math.Max(x, y)
 }
 
 // toPlan converts an assignment into a public deployment plan.

@@ -1,46 +1,121 @@
 package core
 
-// bitwidthTransfer implements the §IV-C heuristic: starting from the
-// adabits solution, it repeatedly applies transformation rules
-// C = (b_st, b_pi, num_s) — bitwidth conversions and boundary-layer
-// repartitions between straggler and pioneer stages — accepting the move
-// that most improves the Eq. 4 objective, until no move helps or the
-// iteration cap is reached.
+// transferSearch is the incremental state of the bitwidth-transfer
+// search on its current assignment cur. Besides cur's per-stage sums it
+// keeps, for every layer, the prefix of its stage's sums before it, and
+// per-iteration tables of the stage sums and Σ ω that each single-layer
+// bit change would give; a move is then scored from table entries, a
+// prefix or a re-sum of one stage (see score). Every sum is formed in
+// ascending layer order, as stageSums forms it, so every float is
+// bit-identical to evaluate on the moved assignment. Its buffers are
+// reused by every reset and every configure.
+type transferSearch struct {
+	oc    *orderingCosts
+	ind   *Indicator
+	theta float64
+	// nb is the number of candidate bitwidths.
+	nb int
+	// pk[j*nb+bi] and dk[j*nb+bi] are one layer's prefill (× κ) and
+	// decode costs on stage j at bit index bi.
+	pk, dk []float64
+
+	// cur is the current assignment.
+	cur *assignment
+	// first[j] is the first layer of stage j; first[nDev] is the layer
+	// count.
+	first []int
+	// pre, dec, mem are cur's per-stage sums; score overwrites the
+	// touched stages and puts them back.
+	pre, dec []float64
+	mem      []int64
+	// lp[i], ld[i] and omega[i] are layer i's prefill and decode cost
+	// and ω at its current stage and bit.
+	lp, ld, omega []float64
+	// prePfx[i] and decPfx[i] are the sums of lp and ld over the layers
+	// of layer i's stage before i; qPre[i] is Σ ω over layers < i.
+	prePfx, decPfx, qPre []float64
+	// bitPre[i*nb+b], bitDec[i*nb+b] and q[i*nb+b] are the prefill and
+	// decode sums of layer i's stage and Σ ω of cur with layer i at bit
+	// index b.
+	bitPre, bitDec, q []float64
+}
+
+// configure points s at one configuration, reusing its buffers where
+// they are large enough.
+func (s *transferSearch) configure(oc *orderingCosts, ind *Indicator, theta float64) {
+	nDev, nb, L := len(oc.devs), len(oc.bits), ind.Layers()
+	s.oc, s.ind, s.theta, s.nb = oc, ind, theta, nb
+	s.pk, s.dk = resize(s.pk, nDev*nb), resize(s.dk, nDev*nb)
+	for j := 0; j < nDev; j++ {
+		for bi := 0; bi < nb; bi++ {
+			s.pk[j*nb+bi] = oc.prefillLayer(j, bi)
+			s.dk[j*nb+bi] = oc.decodeLayer(j, bi)
+		}
+	}
+	if s.cur == nil {
+		s.cur = new(assignment)
+	}
+	s.cur.stageOf, s.cur.bitIdx = resize(s.cur.stageOf, L), resize(s.cur.bitIdx, L)
+	s.first = resize(s.first, nDev+1)
+	s.pre, s.dec, s.mem = resize(s.pre, nDev), resize(s.dec, nDev), resize(s.mem, nDev)
+	s.lp, s.ld, s.omega = resize(s.lp, L), resize(s.ld, L), resize(s.omega, L)
+	s.prePfx, s.decPfx, s.qPre = resize(s.prePfx, L), resize(s.decPfx, L), resize(s.qPre, L+1)
+	s.bitPre, s.bitDec, s.q = resize(s.bitPre, L*nb), resize(s.bitDec, L*nb), resize(s.q, L*nb)
+}
+
+// resize returns buf with length n, reallocated only when its capacity
+// is short. The contents are not kept.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// transfer implements the §IV-C heuristic: starting from start, it
+// repeatedly applies transformation rules C = (b_st, b_pi, num_s) —
+// bitwidth conversions and boundary-layer repartitions between
+// straggler and pioneer stages — accepting the move that most improves
+// the Eq. 4 objective, until no move helps or maxIters iterations
+// (default 4 per layer) have run. Moves that break qualityCap, when it is
+// positive, are skipped. It leaves the result in cur and returns its
+// evaluation. A start that is not contiguous is left unchanged; every
+// start bestStart makes is contiguous.
 //
-// Each move is tried in place on the current assignment and scored as a
-// delta (see transferSearch), then reverted; only the best move of an
-// iteration is applied. Every start point is contiguous by construction;
-// a start that is not is returned unchanged.
-func bitwidthTransfer(start *assignment, oc *orderingCosts, ind *Indicator, theta float64, maxIters int, qualityCap float64) *assignment {
-	if !start.valid(len(oc.devs)) {
-		return start.clone()
+// Each iteration scores every move in place as a delta (see score) and
+// applies only the best.
+func (s *transferSearch) transfer(start *assignment, maxIters int, qualityCap float64) evaluation {
+	if !start.valid(len(s.oc.devs)) {
+		copy(s.cur.stageOf, start.stageOf)
+		copy(s.cur.bitIdx, start.bitIdx)
+		return evaluate(start, s.oc, s.ind, s.theta)
 	}
-	if maxIters <= 0 {
-		maxIters = 4 * ind.Layers()
-	}
-	s := newTransferSearch(start, oc, ind, theta)
+	s.reset(start)
 	cur := s.cur
-	curEv := s.evaluation()
+	if maxIters <= 0 {
+		maxIters = 4 * s.ind.Layers()
+	}
+	curObj := s.evaluation().Objective
 	for iter := 0; iter < maxIters; iter++ {
 		bestLayer, bestTo, bestBit := -1, 0, 0
-		bestEv := curEv
+		bestObj := curObj
 		consider := func(layer, to, bit int) {
-			ev, ok := s.score(layer, to, bit)
-			if !ok || !ev.Feasible {
+			obj, feasible, ok := s.score(layer, to, bit)
+			if !ok || !feasible {
 				return
 			}
-			if qualityCap > 0 && ev.Quality > qualityCap+1e-9 {
+			if qualityCap > 0 && s.q[layer*s.nb+bit] > qualityCap+1e-9 {
 				return
 			}
-			if ev.Objective < bestEv.Objective-1e-12 {
-				bestLayer, bestTo, bestBit, bestEv = layer, to, bit, ev
+			if obj < bestObj-1e-12 {
+				bestLayer, bestTo, bestBit, bestObj = layer, to, bit, obj
 			}
 		}
 
 		// Move family 1: single-layer bitwidth conversion (any layer,
 		// any alternative bitwidth) — covers the (b_st, b_pi, ·) rules.
 		for i := range cur.bitIdx {
-			for bi := range oc.bits {
+			for bi := 0; bi < s.nb; bi++ {
 				if bi != cur.bitIdx[i] {
 					consider(i, cur.stageOf[i], bi)
 				}
@@ -56,10 +131,10 @@ func bitwidthTransfer(start *assignment, oc *orderingCosts, ind *Indicator, thet
 			}
 			// Boundary between i-1 (stage back) and i (stage fwd):
 			// pull layer i back, or push layer i-1 forward.
-			for bi := range oc.bits {
+			for bi := 0; bi < s.nb; bi++ {
 				consider(i, back, bi)
 			}
-			for bi := range oc.bits {
+			for bi := 0; bi < s.nb; bi++ {
 				consider(i-1, fwd, bi)
 			}
 		}
@@ -67,63 +142,76 @@ func bitwidthTransfer(start *assignment, oc *orderingCosts, ind *Indicator, thet
 			break
 		}
 		s.apply(bestLayer, bestTo, bestBit)
-		curEv = bestEv
+		curObj = bestObj
 	}
-	return cur
+	return s.evaluation()
 }
 
-// transferSearch is the incremental state of bitwidthTransfer's current
-// assignment, which must be valid. It keeps cur's per-stage prefill,
-// decode and memory sums, the first layer of each stage and the prefix
-// sums of Σ ω, so a move is scored by re-summing only the one or two
-// stages it touches (in ascending layer order, as stageSums does) and
-// Σ ω from the moved layer on. Every float is therefore bit-identical
-// to evaluate on the moved assignment.
-type transferSearch struct {
-	oc    *orderingCosts
-	ind   *Indicator
-	theta float64
-
-	// cur is the current assignment; score mutates and restores it.
-	cur *assignment
-	// first[j] is the first layer of stage j; first[nDev] is the layer
-	// count.
-	first []int
-	// pre, dec, mem are cur's per-stage sums; score overwrites the
-	// touched stages and puts them back.
-	pre, dec []float64
-	mem      []int64
-	// qPre[i] is Σ ω over layers < i, summed in layer order.
-	qPre []float64
-}
-
-func newTransferSearch(start *assignment, oc *orderingCosts, ind *Indicator, theta float64) *transferSearch {
-	nDev := len(oc.devs)
-	s := &transferSearch{
-		oc: oc, ind: ind, theta: theta,
-		cur:   start.clone(),
-		first: make([]int, nDev+1),
-		pre:   make([]float64, nDev), dec: make([]float64, nDev), mem: make([]int64, nDev),
-		qPre: make([]float64, len(start.bitIdx)+1),
-	}
+// reset loads start into cur and rebuilds every sum.
+func (s *transferSearch) reset(start *assignment) {
+	copy(s.cur.stageOf, start.stageOf)
+	copy(s.cur.bitIdx, start.bitIdx)
 	s.rebuild()
-	return s
 }
 
-// rebuild recomputes every sum from cur.
+// rebuild recomputes every sum and table from cur.
 func (s *transferSearch) rebuild() {
-	a := s.cur
+	a, nb := s.cur, s.nb
 	clear(s.pre)
 	clear(s.dec)
 	clear(s.mem)
-	stageSums(a, s.oc, s.ind, s.pre, s.dec, s.mem)
-	for i, bi := range a.bitIdx {
-		s.qPre[i+1] = s.qPre[i] + s.ind.Omega[i][bi]
+	for i, j := range a.stageOf {
+		bi := a.bitIdx[i]
+		s.lp[i], s.ld[i], s.omega[i] = s.pk[j*nb+bi], s.dk[j*nb+bi], s.ind.Omega[i][bi]
+		s.prePfx[i], s.decPfx[i] = s.pre[j], s.dec[j]
+		s.pre[j] += s.lp[i]
+		s.dec[j] += s.ld[i]
+		s.mem[j] += s.oc.memLayer[bi]
+		s.qPre[i+1] = s.qPre[i] + s.omega[i]
 	}
 	for i := len(a.stageOf) - 1; i >= 0; i-- {
 		s.first[a.stageOf[i]] = i
 	}
 	s.first[len(s.oc.devs)] = len(a.stageOf)
+	for i, j := range a.stageOf {
+		end := s.first[j+1]
+		sumChains(s.bitPre[i*nb:(i+1)*nb], s.prePfx[i], s.pk[j*nb:(j+1)*nb], s.lp[i+1:end])
+		sumChains(s.bitDec[i*nb:(i+1)*nb], s.decPfx[i], s.dk[j*nb:(j+1)*nb], s.ld[i+1:end])
+		sumChains(s.q[i*nb:(i+1)*nb], s.qPre[i], s.ind.Omega[i], s.omega[i+1:])
+	}
+}
+
+// sumChains sets out[b] to base + alt[b] followed by every tail entry,
+// added one at a time in order, so each is the sum stageSums would form
+// with one layer's term replaced by alt[b]. The alternatives add the same
+// tail, so they run as four independent chains side by side (lanes past
+// the last alternative repeat it and are not stored): the tail is then
+// bound by add throughput rather than latency, and each chain still
+// rounds in order.
+func sumChains(out []float64, base float64, alt, tail []float64) {
+	last := len(out) - 1
+	for b := 0; b <= last; b += 4 {
+		s0 := base + alt[b]
+		s1 := base + alt[min(b+1, last)]
+		s2 := base + alt[min(b+2, last)]
+		s3 := base + alt[min(b+3, last)]
+		for _, t := range tail {
+			s0 += t
+			s1 += t
+			s2 += t
+			s3 += t
+		}
+		out[b] = s0
+		if b+1 <= last {
+			out[b+1] = s1
+		}
+		if b+2 <= last {
+			out[b+2] = s2
+		}
+		if b+3 <= last {
+			out[b+3] = s3
+		}
+	}
 }
 
 // evaluation is evaluate(cur) from the kept sums.
@@ -137,31 +225,53 @@ func (s *transferSearch) apply(layer, to, bit int) {
 	s.rebuild()
 }
 
-// score evaluates cur with layer moved to stage `to` at bit index bit,
-// leaving cur and the sums as they were. ok is cur.valid of the moved
-// assignment; ev is meaningful only when ok.
-func (s *transferSearch) score(layer, to, bit int) (ev evaluation, ok bool) {
-	a := s.cur
-	from, oldBit := a.stageOf[layer], a.bitIdx[layer]
+// score returns the Eq. 4 objective and memory feasibility of cur with
+// layer moved to stage `to` at bit index bit; its Σ ω is
+// q[layer*nb+bit]. cur and the sums are left as they were. ok is
+// cur.valid of the moved assignment; obj and feasible are meaningful
+// only when ok.
+//
+// Only the stages the move touches change, and each is formed in
+// ascending layer order: a bit change reads bitPre and bitDec; a layer
+// joining a stage's end is added to that stage's sum; a stage losing its
+// last layer keeps that layer's prefix; and a stage losing or gaining
+// its first layer is re-summed in full.
+func (s *transferSearch) score(layer, to, bit int) (obj float64, feasible, ok bool) {
+	a, nb := s.cur, s.nb
+	from, old := a.stageOf[layer], a.bitIdx[layer]
 	if !s.movable(layer, from, to) {
-		return ev, false
+		return 0, false, false
 	}
-	a.stageOf[layer], a.bitIdx[layer] = to, bit
 	preFrom, decFrom, memFrom := s.pre[from], s.dec[from], s.mem[from]
 	preTo, decTo, memTo := s.pre[to], s.dec[to], s.mem[to]
-	s.resum(from, layer)
-	if to != from {
-		s.resum(to, layer)
+	s.mem[from] -= s.oc.memLayer[old]
+	s.mem[to] += s.oc.memLayer[bit]
+	switch to {
+	case from:
+		s.pre[from], s.dec[from] = s.bitPre[layer*nb+bit], s.bitDec[layer*nb+bit]
+	case from + 1:
+		// The layer leaves the end of stage from and leads stage to,
+		// whose sum starts from zero as stageSums' does.
+		s.pre[from], s.dec[from] = s.prePfx[layer], s.decPfx[layer]
+		s.pre[to], s.dec[to] = s.sumStage(to, 0+s.pk[to*nb+bit], 0+s.dk[to*nb+bit], s.first[to])
+	default: // from - 1
+		s.pre[to], s.dec[to] = preTo+s.pk[to*nb+bit], decTo+s.dk[to*nb+bit]
+		s.pre[from], s.dec[from] = s.sumStage(from, 0, 0, layer+1)
 	}
-	q := s.qPre[layer] + s.ind.Omega[layer][bit]
-	for i := layer + 1; i < len(a.bitIdx); i++ {
-		q += s.ind.Omega[i][a.bitIdx[i]]
-	}
-	ev = objective(s.oc, s.pre, s.dec, s.mem, q, s.theta)
+	obj, _, _, _, feasible = eq4(s.oc, s.pre, s.dec, s.mem, s.q[layer*nb+bit], s.theta)
 	s.pre[to], s.dec[to], s.mem[to] = preTo, decTo, memTo
 	s.pre[from], s.dec[from], s.mem[from] = preFrom, decFrom, memFrom
-	a.stageOf[layer], a.bitIdx[layer] = from, oldBit
-	return ev, true
+	return obj, feasible, true
+}
+
+// sumStage adds lp and ld of stage j's layers from layer lo to the
+// stage's end to pre and dec, in ascending layer order.
+func (s *transferSearch) sumStage(j int, pre, dec float64, lo int) (float64, float64) {
+	for i := lo; i < s.first[j+1]; i++ {
+		pre += s.lp[i]
+		dec += s.ld[i]
+	}
+	return pre, dec
 }
 
 // movable is the local validity check: a layer may stay on its stage,
@@ -181,31 +291,4 @@ func (s *transferSearch) movable(layer, from, to int) bool {
 		return layer == hi-1 && hi-lo > 1
 	}
 	return false
-}
-
-// resum re-sums stage j of the moved cur into pre, dec, mem, in
-// ascending layer order. layer is the moved layer, which joined, stayed
-// on or left stage j at one of its ends.
-func (s *transferSearch) resum(j, layer int) {
-	a, oc := s.cur, s.oc
-	lo, hi := s.first[j], s.first[j+1]
-	switch {
-	case a.stageOf[layer] != j && layer == lo:
-		lo++
-	case a.stageOf[layer] != j:
-		hi--
-	case layer < lo:
-		lo = layer
-	case layer >= hi:
-		hi = layer + 1
-	}
-	var pre, dec float64
-	var mem int64
-	for i := lo; i < hi; i++ {
-		bi := a.bitIdx[i]
-		pre += oc.prefillLayer(j, bi)
-		dec += oc.decodeLayer(j, bi)
-		mem += oc.memLayer[bi]
-	}
-	s.pre[j], s.dec[j], s.mem[j] = pre, dec, mem
 }

@@ -11,6 +11,22 @@ import (
 	"repro/internal/workload"
 )
 
+// newTransferSearch returns a search configured for oc; reset loads a
+// start assignment into it.
+func newTransferSearch(oc *orderingCosts, ind *Indicator, theta float64) *transferSearch {
+	s := new(transferSearch)
+	s.configure(oc, ind, theta)
+	return s
+}
+
+// bitwidthTransfer runs one bitwidth-transfer search (transferSearch.transfer)
+// and returns its result.
+func bitwidthTransfer(start *assignment, oc *orderingCosts, ind *Indicator, theta float64, maxIters int, qualityCap float64) *assignment {
+	s := newTransferSearch(oc, ind, theta)
+	s.transfer(start, maxIters, qualityCap)
+	return s.cur
+}
+
 // bitwidthTransferRef is the clone-per-move bitwidth transfer that
 // bitwidthTransfer replaced: every candidate is a full copy of the
 // assignment scored by evaluate. It is kept as the reference the
@@ -204,11 +220,51 @@ func fuzzAssignment(t *testing.T, instance, layers uint8, theta float64, assign 
 	return oc, ind, theta, as
 }
 
+// checkSearchTables requires every kept sum and table of s to equal what
+// stageSums gives on the assignment it stands for, bit for bit: the
+// per-stage sums of cur, each layer's prefix of its stage's sums
+// (stageSums over the layers before it), and each bit-change entry
+// (stageSums with that one layer at that bit).
+func checkSearchTables(t *testing.T, s *transferSearch, when string) {
+	t.Helper()
+	bits := math.Float64bits
+	a, nDev, nb := s.cur, len(s.oc.devs), s.nb
+	pre, dec, mem := make([]float64, nDev), make([]float64, nDev), make([]int64, nDev)
+	stageSums(a, s.oc, s.ind, pre, dec, mem)
+	for j := range pre {
+		if bits(s.pre[j]) != bits(pre[j]) || bits(s.dec[j]) != bits(dec[j]) || s.mem[j] != mem[j] {
+			t.Fatalf("after %s on %v: stage %d sums (%v, %v, %d), stageSums (%v, %v, %d)",
+				when, a, j, s.pre[j], s.dec[j], s.mem[j], pre[j], dec[j], mem[j])
+		}
+	}
+	for i, j := range a.stageOf {
+		clear(pre)
+		clear(dec)
+		stageSums(&assignment{stageOf: a.stageOf[:i], bitIdx: a.bitIdx[:i]}, s.oc, s.ind, pre, dec, mem)
+		if bits(s.prePfx[i]) != bits(pre[j]) || bits(s.decPfx[i]) != bits(dec[j]) {
+			t.Fatalf("after %s on %v: layer %d prefix (%v, %v), stageSums (%v, %v)",
+				when, a, i, s.prePfx[i], s.decPfx[i], pre[j], dec[j])
+		}
+		for b := 0; b < nb; b++ {
+			moved := a.clone()
+			moved.bitIdx[i] = b
+			clear(pre)
+			clear(dec)
+			q := stageSums(moved, s.oc, s.ind, pre, dec, mem)
+			if bits(s.bitPre[i*nb+b]) != bits(pre[j]) || bits(s.bitDec[i*nb+b]) != bits(dec[j]) || bits(s.q[i*nb+b]) != bits(q) {
+				t.Fatalf("after %s on %v: layer %d at bit %d gives stage sums (%v, %v) and Σω %v, stageSums (%v, %v) and %v",
+					when, a, i, b, s.bitPre[i*nb+b], s.bitDec[i*nb+b], s.q[i*nb+b], pre[j], dec[j], q)
+			}
+		}
+	}
+}
+
 // FuzzDeltaScore checks the bitwidth-transfer delta scorer against
-// evaluate on the applied assignment. The inputs pick a tiny instance
-// and a valid start assignment (fuzzAssignment), and a move (layer, to,
-// bit), including moves off a boundary, out of range or emptying a
-// stage.
+// evaluate on the applied assignment, and the search's kept sums and
+// tables after reset and after apply (checkSearchTables). The inputs
+// pick a tiny instance and a valid start assignment (fuzzAssignment),
+// and a move (layer, to, bit), including moves off a boundary, out of
+// range or emptying a stage.
 func FuzzDeltaScore(f *testing.F) {
 	f.Fuzz(func(t *testing.T, instance, layers uint8, theta float64, assign []byte, layer, to, bit uint8) {
 		oc, ind, theta, start := fuzzAssignment(t, instance, layers, theta, assign)
@@ -216,11 +272,13 @@ func FuzzDeltaScore(f *testing.F) {
 		l, b := int(layer)%nLayers, int(bit)%nBits
 		mv := int(to)%(nDev+2) - 1 // one past either end is out of range
 
-		s := newTransferSearch(start, oc, ind, theta)
+		s := newTransferSearch(oc, ind, theta)
+		s.reset(start)
+		checkSearchTables(t, s, "reset")
 		if !sameEvaluation(s.evaluation(), evaluate(start, oc, ind, theta)) {
 			t.Fatalf("kept sums of %v differ from evaluate", start)
 		}
-		ev, ok := s.score(l, mv, b)
+		obj, feasible, ok := s.score(l, mv, b)
 		applied := start.clone()
 		applied.stageOf[l], applied.bitIdx[l] = mv, b
 		if want := applied.valid(nDev); ok != want {
@@ -232,21 +290,107 @@ func FuzzDeltaScore(f *testing.F) {
 		if !sameEvaluation(s.evaluation(), evaluate(start, oc, ind, theta)) {
 			t.Fatalf("scoring move (%d→%d, bit %d) left the kept sums of %v changed", l, mv, b, start)
 		}
-		if again, okAgain := s.score(l, mv, b); okAgain != ok || !sameEvaluation(again, ev) {
-			t.Fatalf("rescoring the move changed its verdict: %+v then %+v", ev, again)
+		if again, feasibleAgain, okAgain := s.score(l, mv, b); okAgain != ok || feasibleAgain != feasible ||
+			math.Float64bits(again) != math.Float64bits(obj) {
+			t.Fatalf("rescoring the move changed its verdict: (%v, %v) then (%v, %v)", obj, feasible, again, feasibleAgain)
 		}
 		if !ok {
 			return
 		}
 		want := evaluate(applied, oc, ind, theta)
-		if !sameEvaluation(ev, want) {
-			t.Fatalf("move (%d→%d, bit %d) on %v:\ndelta    %+v\nevaluate %+v", l, mv, b, start, ev, want)
+		if feasible != want.Feasible || math.Float64bits(obj) != math.Float64bits(want.Objective) ||
+			math.Float64bits(s.q[l*nBits+b]) != math.Float64bits(want.Quality) {
+			t.Fatalf("move (%d→%d, bit %d) on %v:\ndelta    objective %v feasible %v Σω %v\nevaluate %+v",
+				l, mv, b, start, obj, feasible, s.q[l*nBits+b], want)
 		}
 		s.apply(l, mv, b)
+		checkSearchTables(t, s, "apply")
 		if !reflect.DeepEqual(s.cur, applied) || !sameEvaluation(s.evaluation(), want) {
 			t.Fatalf("applied move: cur %v eval %+v, want %v %+v", s.cur, s.evaluation(), applied, want)
 		}
 	})
+}
+
+// FuzzBitwidthTransfer runs the whole bitwidth-transfer search, not one
+// move, against the clone-per-move reference: from a fuzzed start
+// (fuzzAssignment) with a fuzzed θ, quality cap (absolute Σ ω; zero,
+// negative or non-finite means none) and iteration cap (zero means the
+// default), the two must return the same assignment.
+func FuzzBitwidthTransfer(f *testing.F) {
+	f.Add(uint8(0), uint8(0), 1.0, []byte{}, 0.0, uint8(0))
+	f.Add(uint8(7), uint8(10), 0.1, []byte{3, 0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2}, 0.0, uint8(3))
+	f.Add(uint8(13), uint8(5), 0.0, []byte{1, 1, 1, 1, 0, 0, 0, 0, 0, 0}, 2.5, uint8(0))
+	f.Add(uint8(24), uint8(9), 10.0, []byte{9, 0, 2, 5, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}, 0.5, uint8(1))
+	f.Add(uint8(29), uint8(3), 100.0, []byte{0, 4, 0, 4, 3, 3, 3}, 6.0, uint8(0))
+	f.Add(uint8(4), uint8(11), 1.0, []byte{2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2}, 1.0, uint8(0))
+	f.Fuzz(func(t *testing.T, instance, layers uint8, theta float64, assign []byte, qcap float64, iters uint8) {
+		oc, ind, theta, start := fuzzAssignment(t, instance, layers, theta, assign)
+		if math.IsNaN(qcap) || math.IsInf(qcap, 0) || qcap < 0 {
+			qcap = 0
+		}
+		maxIters := int(iters) % 16
+		want := bitwidthTransferRef(start, oc, ind, theta, maxIters, qcap)
+		got := bitwidthTransfer(start, oc, ind, theta, maxIters, qcap)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("from %v θ=%v cap=%v iters=%d:\ngot  %v\nwant %v", start, theta, qcap, maxIters, got, want)
+		}
+	})
+}
+
+// TestBestStartMatchesReference runs bestStart, whose search is reset
+// for every start point and reused across configurations of different
+// stage counts, against a multi-start built from the clone-per-move
+// reference and evaluate, and requires the same assignment and
+// evaluation.
+func TestBestStartMatchesReference(t *testing.T) {
+	spec := model.OPT13B
+	for _, preset := range []int{2, 3, 5, 9} {
+		a := mustAssigner(t, spec, cluster.MustPreset(preset), Options{Method: MethodHeuristic, OrderingLimit: 2})
+		configs := a.searchConfigs(smallBatch.Size)
+		stride := len(configs)/6 + 1
+		for c := 0; c < len(configs); c += stride {
+			oc := a.buildConfigCosts(configs[c], smallBatch)
+			starts := a.transferStarts(oc)
+			capQ := 1e-9 // nothing fits: a cap every start breaks
+			if uni, err := uniform(oc, a.ind); err == nil {
+				capQ = evaluate(uni, oc, a.ind, 0).Quality
+			}
+			for _, theta := range []float64{0, 0.1, 1, 10} {
+				for _, qcap := range []float64{0, capQ} {
+					a.opts.QualityCap = qcap
+					var want *assignment
+					wantEv := evaluation{Objective: math.Inf(1)}
+					for _, s := range starts {
+						as := bitwidthTransferRef(s, oc, a.ind, theta, 0, qcap)
+						if ev := evaluate(as, oc, a.ind, theta); a.admissible(ev) && ev.Objective < wantEv.Objective {
+							want, wantEv = as, ev
+						}
+					}
+					got, gotEv := a.bestStart(oc, theta)
+					if !reflect.DeepEqual(got, want) || (want != nil && !sameEvaluation(gotEv, wantEv)) {
+						t.Fatalf("preset %d %s θ=%v cap=%v:\ngot  %v %+v\nwant %v %+v",
+							preset, configs[c].key(), theta, qcap, got, gotEv, want, wantEv)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestMaxfMatchesMathMax pins maxf, the inlined fast path of the Eq. 4
+// tail, to math.Max bit for bit on the cases its comparisons pass on.
+func TestMaxfMatchesMathMax(t *testing.T) {
+	inf, nan, negZero := math.Inf(1), math.NaN(), math.Copysign(0, -1)
+	for _, c := range []struct{ x, y float64 }{
+		{1, 2}, {2, 1}, {3, 3}, {-1, -1},
+		{0, negZero}, {negZero, 0}, {0, 0}, {negZero, negZero},
+		{inf, 1}, {1, inf}, {-inf, 1}, {1, -inf}, {inf, inf}, {-inf, -inf}, {inf, -inf},
+		{nan, 1}, {1, nan}, {nan, nan}, {nan, inf}, {-inf, nan}, {nan, negZero},
+	} {
+		if got, want := maxf(c.x, c.y), math.Max(c.x, c.y); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("maxf(%v, %v) = %v, math.Max %v", c.x, c.y, got, want)
+		}
+	}
 }
 
 // FuzzOptimisticBound checks that optimisticBound, which decides which
