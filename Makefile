@@ -37,14 +37,17 @@ test-race:
 	$(GO) test -race -timeout 15m -count=2 ./internal/obs/
 	$(GO) test -race -timeout 15m -count=2 -run 'Maintenance|DrainTimeout' ./internal/serve/
 
-# Fuzz smoke: twenty seconds of coverage-guided inputs for each of four
-# targets. Three must match a reference exactly: the bitwidth-transfer
+# Fuzz smoke: twenty seconds of coverage-guided inputs for each of five
+# targets. Four must match a reference exactly: the bitwidth-transfer
 # delta scorer and its kept tables against a full evaluation bit for
 # bit, the whole bitwidth-transfer search against the clone-per-move
-# reference search, and both matmul kernels (the AVX2 assembly, where
-# the CPU has it, and the portable Go one) against the plain ikj loop.
-# The fourth checks that the planner's optimistic bound, which decides
-# which configurations the search skips, never exceeds a feasible
+# reference search, both matmul kernels (the AVX2 assembly, where the
+# CPU has it, and the portable Go one) against the plain ikj loop, and
+# a token-log handoff (GenerateLog on one loopback stage chain, Resume
+# on a differently split one) against one Generate and the in-process
+# Reference, with no token lost or invented at the MaxPos edge. The
+# fifth checks that the planner's optimistic bound, which decides which
+# configurations the search skips, never exceeds a feasible
 # assignment's objective. Their seed corpora (internal/core/testdata/fuzz
 # and the f.Add seeds) also run as ordinary tests under `make test`.
 fuzz:
@@ -52,6 +55,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzBitwidthTransfer -fuzztime=20s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzOptimisticBound -fuzztime=20s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzMatMulBitExact -fuzztime=20s ./internal/tensor
+	$(GO) test -run='^$$' -fuzz=FuzzHandoffSplice -fuzztime=20s ./internal/transport
 
 # Full gate: static checks plus the race-enabled suite.
 check: vet test-race

@@ -234,11 +234,11 @@ func (p *ChaosProxy) forwardChunk(dst, src net.Conn, b []byte, dir Direction) bo
 	cut, stall := -1, -1
 	stallFor := p.stallFor
 	if p.cutAt[dir] >= 0 && p.cutAt[dir] < end {
-		cut = int(max64(0, p.cutAt[dir]-start))
+		cut = int(max(0, p.cutAt[dir]-start))
 		p.cutAt[dir] = -1
 	}
 	if cut < 0 && p.stallAt[dir] >= 0 && p.stallAt[dir] < end {
-		stall = int(max64(0, p.stallAt[dir]-start))
+		stall = int(max(0, p.stallAt[dir]-start))
 		p.stallAt[dir] = -1
 	}
 	if cut < 0 && stall < 0 && p.rng != nil {
@@ -311,11 +311,4 @@ func (p *ChaosProxy) Close() error {
 	}
 	p.wg.Wait()
 	return err
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -55,59 +55,17 @@ func (d *Driver) GenerateLog(prompt []int, n int) ([]int, *TokenLog, error) {
 	if len(prompt) == 0 || n < 1 {
 		return nil, nil, fmt.Errorf("transport: bad handoff request (%d prompt tokens, n=%d)", len(prompt), n)
 	}
-	d.genMu.Lock()
-	defer d.genMu.Unlock()
-	g := &genState{session: d.next.Add(1), prompt: prompt}
-	defer func() { d.closeSessionLocked(g.session) }()
-
-	x, err := d.model.Embed(prompt, 0)
-	if err != nil {
-		return nil, nil, err
-	}
-	h, err := d.forwardRecover(g, x, 0)
-	if err != nil {
-		return nil, nil, err
-	}
-	tok := d.nextToken(h)
-	pos := len(prompt)
-	out := make([]int, 0, n)
-	for {
-		out = append(out, tok)
-		if len(out) == n || pos >= d.model.Cfg.MaxPos {
-			break
-		}
-		x, err := d.model.Embed([]int{tok}, pos)
-		if err != nil {
-			return nil, nil, err
-		}
-		h, err := d.forwardRecover(g, x, pos)
-		if err != nil {
-			return nil, nil, err
-		}
-		g.done = append(g.done, tok)
-		tok = d.nextToken(h)
-		pos++
-	}
-	log := &TokenLog{
-		Prompt: append([]int(nil), prompt...),
-		Done:   append([]int(nil), g.done...),
-		Next:   out[len(out)-1],
-	}
-	return out, log, nil
+	return d.generate(&TokenLog{Prompt: prompt, Next: -1}, n)
 }
 
 // Resume continues a generation handed off from another driver: it
-// rebuilds this chain's KV caches by replaying the token log (one
-// multi-row prefill of the prompt, then one single-row pass per
-// forwarded token — the identical passes the producer issued), feeds
-// the pending TokenLog.Next token, and greedily decodes n further
-// tokens. The producer's output followed by Resume's equals one
-// uninterrupted Generate of the whole sequence, bit for bit, even when
-// the two chains partition the layers differently.
-//
-// The replay runs through the same fault-recovery wrapper as live
-// decoding, so a handoff target whose links drop mid-rebuild recovers
-// like any other session.
+// rebuilds this chain's KV caches by re-issuing the producer's passes
+// (the prompt prefill, then each TokenLog.Done token), feeds the
+// pending TokenLog.Next token, and greedily decodes n further tokens.
+// The producer's output followed by Resume's equals one uninterrupted
+// Generate of the whole sequence, bit for bit, even when the two chains
+// partition the layers differently. The rebuild runs under the same
+// fault recovery as live decoding.
 func (d *Driver) Resume(log *TokenLog, n int) ([]int, error) {
 	if err := log.Validate(); err != nil {
 		return nil, err
@@ -115,53 +73,6 @@ func (d *Driver) Resume(log *TokenLog, n int) ([]int, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("transport: bad resume request (n=%d)", n)
 	}
-	d.genMu.Lock()
-	defer d.genMu.Unlock()
-	g := &genState{session: d.next.Add(1), prompt: append([]int(nil), log.Prompt...)}
-	defer func() { d.closeSessionLocked(g.session) }()
-
-	// Rebuild: the prompt prefill, then every forwarded token. Each pass
-	// extends g.done as it lands, so a mid-rebuild fault replays only
-	// what this chain has already absorbed.
-	x, err := d.model.Embed(g.prompt, 0)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := d.forwardRecover(g, x, 0); err != nil {
-		return nil, err
-	}
-	pos := len(g.prompt)
-	for _, tok := range log.Done {
-		x, err := d.model.Embed([]int{tok}, pos)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := d.forwardRecover(g, x, pos); err != nil {
-			return nil, err
-		}
-		g.done = append(g.done, tok)
-		pos++
-	}
-
-	// Continue decoding from the pending token.
-	tok := log.Next
-	out := make([]int, 0, n)
-	for len(out) < n {
-		if pos >= d.model.Cfg.MaxPos {
-			break
-		}
-		x, err := d.model.Embed([]int{tok}, pos)
-		if err != nil {
-			return nil, err
-		}
-		h, err := d.forwardRecover(g, x, pos)
-		if err != nil {
-			return nil, err
-		}
-		g.done = append(g.done, tok)
-		tok = d.nextToken(h)
-		pos++
-		out = append(out, tok)
-	}
-	return out, nil
+	out, _, err := d.generate(log, n)
+	return out, err
 }

@@ -102,14 +102,12 @@ func isRetryable(err error) bool {
 	return errors.As(err, &re)
 }
 
-// genState is the driver's per-generation token log: everything needed
-// to rebuild stage KV caches from scratch.
+// genState is one generation's session and its token log: everything
+// needed to rebuild the stage KV caches from scratch. log.Done holds
+// the tokens forwarded through every stage so far.
 type genState struct {
 	session uint64
-	prompt  []int
-	// done holds generated tokens that have been forwarded through
-	// every stage (their positions are in the stage KV caches).
-	done []int
+	log     TokenLog
 }
 
 // Generate runs prompt through the distributed pipeline and greedily
@@ -117,47 +115,60 @@ type genState struct {
 // (connection errors, stalls, stage restarts, reaped sessions) are
 // repaired transparently within the retry policy's budget; the
 // recovered generation is bit-identical to an unfaulted one.
-//
-// Generate is safe for concurrent use; concurrent calls are serialized
-// on the shared stage streams, each under its own session.
 func (d *Driver) Generate(prompt []int, n int) ([]int, error) {
 	if len(prompt) == 0 || n < 0 {
 		return nil, fmt.Errorf("transport: bad generate request (%d prompt tokens, n=%d)", len(prompt), n)
 	}
+	out, _, err := d.generate(&TokenLog{Prompt: prompt, Next: -1}, n)
+	return out, err
+}
+
+// generate is the driver's one generation loop, behind Generate,
+// GenerateLog and Resume. It opens a session, forwards the prompt, then
+// forwards every token of log.Done, each appended to the session's
+// token log as it lands, so a fault mid-rebuild replays only what this
+// chain has already absorbed. It then decodes greedily, emitting up to
+// n tokens (fewer at MaxPos). The last token emitted is never
+// forwarded: it is the returned log's Next, the token a Resume feeds
+// first, and forwarding it here would be a pass whose output nobody
+// reads. A log.Next < 0 marks a fresh generation, whose first emitted
+// token is the prefill's prediction; otherwise log.Next is pending (the
+// producer emitted it) and is forwarded before anything is emitted.
+func (d *Driver) generate(log *TokenLog, n int) ([]int, *TokenLog, error) {
 	d.genMu.Lock()
 	defer d.genMu.Unlock()
-	g := &genState{session: d.next.Add(1), prompt: prompt}
+	if err := d.checkOpen(); err != nil {
+		return nil, nil, err
+	}
+	g := &genState{session: d.next.Add(1), log: TokenLog{Prompt: append([]int(nil), log.Prompt...)}}
 	defer func() { d.closeSessionLocked(g.session) }()
 
-	x, err := d.model.Embed(prompt, 0)
+	h, err := d.forwardRecover(g, g.log.Prompt, 0)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	h, err := d.forwardRecover(g, x, 0)
-	if err != nil {
-		return nil, err
+	for _, tok := range log.Done {
+		if h, err = d.forwardRecover(g, []int{tok}, g.log.Positions()); err != nil {
+			return nil, nil, err
+		}
+		g.log.Done = append(g.log.Done, tok)
 	}
 	out := make([]int, 0, n)
-	tok := d.nextToken(h)
-	pos := len(prompt)
-	for len(out) < n {
-		out = append(out, tok)
-		if pos >= d.model.Cfg.MaxPos {
-			break
-		}
-		x, err := d.model.Embed([]int{tok}, pos)
-		if err != nil {
-			return nil, err
-		}
-		h, err := d.forwardRecover(g, x, pos)
-		if err != nil {
-			return nil, err
-		}
-		g.done = append(g.done, tok)
+	tok := log.Next
+	if tok < 0 && n > 0 {
 		tok = d.nextToken(h)
-		pos++
+		out = append(out, tok)
 	}
-	return out, nil
+	for len(out) < n && g.log.Positions() < d.model.Cfg.MaxPos {
+		if h, err = d.forwardRecover(g, []int{tok}, g.log.Positions()); err != nil {
+			return nil, nil, err
+		}
+		g.log.Done = append(g.log.Done, tok)
+		tok = d.nextToken(h)
+		out = append(out, tok)
+	}
+	g.log.Next = tok
+	return out, &g.log, nil
 }
 
 // nextToken greedily picks the token that follows the last row of the
@@ -172,80 +183,58 @@ func (d *Driver) nextToken(h *tensor.Matrix) int {
 // loop: on a retryable fault it backs off, redials poisoned links,
 // replays the token log under a fresh session, and retries the pass,
 // up to the policy's attempt budget. Caller holds genMu.
-func (d *Driver) forwardRecover(g *genState, x *tensor.Matrix, offset int) (*tensor.Matrix, error) {
-	h, err := d.forwardOnce(g.session, x, offset)
-	if err == nil || !isRetryable(err) || d.policy.MaxAttempts <= 0 {
-		return h, err
-	}
-	for attempt := 1; ; attempt++ {
+func (d *Driver) forwardRecover(g *genState, toks []int, offset int) (*tensor.Matrix, error) {
+	h, err := d.forwardOnce(g.session, toks, offset)
+	for attempt := 1; err != nil && isRetryable(err) && d.policy.MaxAttempts > 0; attempt++ {
 		if attempt > d.policy.MaxAttempts {
 			return nil, fmt.Errorf("transport: %w after %d attempts: %v",
 				ErrRecoveryExhausted, d.policy.MaxAttempts, err)
 		}
 		time.Sleep(d.policy.Delay(attempt, d.rng))
-		if rerr := d.reconnectPoisoned(); rerr != nil {
-			err = rerr
-			continue
-		}
-		if rerr := d.replay(g, offset); rerr != nil {
-			if isRetryable(rerr) {
-				err = rerr
-				continue
+		// Each step's error is the one the next attempt reports; a
+		// permanent one ends the loop.
+		if err = d.reconnectPoisoned(); err == nil {
+			if err = d.replay(g, offset > 0); err == nil {
+				h, err = d.forwardOnce(g.session, toks, offset)
 			}
-			return nil, rerr
-		}
-		h, err = d.forwardOnce(g.session, x, offset)
-		if err == nil {
-			return h, nil
-		}
-		if !isRetryable(err) {
-			return nil, err
 		}
 	}
+	return h, err
 }
 
-// replay rebuilds every stage's KV cache for positions [0, upto) under
-// a fresh session id by re-issuing the exact forward passes that built
-// them: one multi-row prefill of the prompt, then one single-row pass
-// per already-decoded token. It is the deterministic heart of recovery
-// — the re-computed caches are bit-identical to the lost ones. Caller
-// holds genMu, with all links healthy (reconnectPoisoned just ran).
-func (d *Driver) replay(g *genState, upto int) error {
+// replay rebuilds every stage's KV cache for the session's token log
+// under a fresh session id by re-issuing the exact forward passes that
+// built it: one multi-row prefill of the prompt, then one single-row
+// pass per forwarded token. It is the deterministic heart of recovery
+// — the re-computed caches are bit-identical to the lost ones.
+// prefilled is false when the failed pass was the prefill itself, so
+// nothing has landed to rebuild. replay runs inside recovery, so its
+// passes are single attempts: a fault here fails this recovery round
+// and the caller's backoff loop retries. Caller holds genMu, with all
+// links healthy (reconnectPoisoned just ran).
+func (d *Driver) replay(g *genState, prefilled bool) error {
 	old := g.session
 	g.session = d.next.Add(1)
 	d.recoveries.Add(1)
 	// Reclaim the orphaned session on stages that kept their state; an
 	// unreachable stage's copy falls to its idle-session TTL.
 	d.closeSessionLocked(old)
-	if upto == 0 {
-		return nil // the failed pass was the prefill; nothing to rebuild
+	if !prefilled {
+		return nil
 	}
-	if upto < len(g.prompt) || upto > len(g.prompt)+len(g.done) {
-		return fmt.Errorf("transport: replay offset %d outside token log (%d prompt + %d decoded)",
-			upto, len(g.prompt), len(g.done))
-	}
-	x, err := d.model.Embed(g.prompt, 0)
-	if err != nil {
+	if _, err := d.forwardOnce(g.session, g.log.Prompt, 0); err != nil {
 		return err
 	}
-	if _, err := d.forwardOnce(g.session, x, 0); err != nil {
-		return err
-	}
-	pos := len(g.prompt)
-	for _, tok := range g.done[:upto-len(g.prompt)] {
-		x, err := d.model.Embed([]int{tok}, pos)
-		if err != nil {
+	for i, tok := range g.log.Done {
+		if _, err := d.forwardOnce(g.session, []int{tok}, len(g.log.Prompt)+i); err != nil {
 			return err
 		}
-		if _, err := d.forwardOnce(g.session, x, pos); err != nil {
-			return err
-		}
-		pos++
 	}
-	d.replayedTotal.Add(uint64(upto))
+	replayed := uint64(g.log.Positions())
+	d.replayedTotal.Add(replayed)
 	for _, l := range d.links {
 		if l.pendingReplayCredit {
-			l.replayed.Add(uint64(upto))
+			l.replayed.Add(replayed)
 			l.pendingReplayCredit = false
 		}
 	}

@@ -84,7 +84,9 @@ type RecoveryStats struct {
 // use. Generate calls are serialized internally (the gob streams to the
 // stages are shared), so concurrent generations run back to back, each
 // under its own session; health and recovery snapshots never block
-// behind a running generation.
+// behind a running generation. A closed driver stays closed:
+// generations and Ping return an error without dialing, and
+// StartHeartbeat does nothing.
 type Driver struct {
 	model     *tinyllm.Model
 	links     []*stageLink
@@ -101,6 +103,11 @@ type Driver struct {
 	genMu    sync.Mutex // serializes stream use: Generate, Ping, Close
 	healthMu sync.Mutex // guards poisoned/lastErr on every link
 
+	// lifeMu guards closed and hbStop, which Close, StartHeartbeat and
+	// StopHeartbeat may touch concurrently. It is never held while
+	// waiting for genMu.
+	lifeMu sync.Mutex
+	closed bool
 	hbStop chan struct{}
 	hbWG   sync.WaitGroup
 }
@@ -136,19 +143,21 @@ func NewDriver(cfg tinyllm.Config, seed uint64, stageAddrs []string) (*Driver, e
 // disables deadlines. Set before generating.
 func (d *Driver) SetIOTimeout(t time.Duration) { d.ioTimeout = t }
 
-// armDeadline arms the per-message deadline on one link.
-func (d *Driver) armDeadline(l *stageLink) {
-	if d.ioTimeout > 0 && l.conn != nil {
-		l.conn.SetDeadline(time.Now().Add(d.ioTimeout))
+// checkOpen fails once Close has run, so nothing redials a closed
+// driver's stages.
+func (d *Driver) checkOpen() error {
+	d.lifeMu.Lock()
+	defer d.lifeMu.Unlock()
+	if d.closed {
+		return errors.New("transport: driver closed")
 	}
+	return nil
 }
 
 // poison marks a link's stream desynced: the connection is closed and
 // never written to again until a redial replaces it. Caller holds genMu.
 func (d *Driver) poison(l *stageLink, err error) {
-	if l.conn != nil {
-		l.conn.Close()
-	}
+	l.conn.Close()
 	l.failed.Add(1)
 	d.healthMu.Lock()
 	l.poisoned = true
@@ -163,8 +172,8 @@ func (d *Driver) isPoisoned(l *stageLink) bool {
 	return l.poisoned
 }
 
-// redial replaces a poisoned link's connection with a fresh one. Caller
-// holds genMu.
+// redial replaces a poisoned link's connection (poison already closed
+// it) with a fresh one. Caller holds genMu.
 func (d *Driver) redial(l *stageLink) error {
 	timeout := d.ioTimeout
 	if timeout <= 0 {
@@ -172,14 +181,8 @@ func (d *Driver) redial(l *stageLink) error {
 	}
 	conn, err := net.DialTimeout("tcp", l.addr, timeout)
 	if err != nil {
-		l.failed.Add(1)
-		d.healthMu.Lock()
-		l.lastErr = err.Error()
-		d.healthMu.Unlock()
+		d.poison(l, err) // still poisoned; records the failed attempt
 		return fmt.Errorf("transport: redial %s: %w", l.addr, err)
-	}
-	if l.conn != nil {
-		l.conn.Close()
 	}
 	l.conn = conn
 	l.enc = gob.NewEncoder(conn)
@@ -207,24 +210,46 @@ func (d *Driver) reconnectPoisoned() error {
 	return nil
 }
 
-// forwardOnce pushes hidden states through every stage, one attempt, no
-// recovery. Stream errors poison the link and return a retryable error;
-// stage-reported computation errors are permanent. Caller holds genMu.
-func (d *Driver) forwardOnce(session uint64, x *tensor.Matrix, offset int) (*tensor.Matrix, error) {
+// roundTrip sends req on one link and decodes the reply into resp. The
+// link's deadline is set to timeout from now, or cleared when timeout
+// is 0, so no deadline an earlier call armed outlives it. A send or
+// receive error poisons the link: its gob stream is desynced from then
+// on. A poisoned link is never written to — that would feed the stage
+// garbage — so the call fails at once. Caller holds genMu.
+func (d *Driver) roundTrip(l *stageLink, req *Request, resp *Response, timeout time.Duration) error {
+	if d.isPoisoned(l) {
+		return fmt.Errorf("(%s) is down", l.addr)
+	}
+	var deadline time.Time
+	if timeout > 0 {
+		deadline = time.Now().Add(timeout)
+	}
+	l.conn.SetDeadline(deadline)
+	if err := l.enc.Encode(req); err != nil {
+		d.poison(l, err)
+		return fmt.Errorf("send: %w", err)
+	}
+	if err := l.dec.Decode(resp); err != nil {
+		d.poison(l, err)
+		return fmt.Errorf("recv: %w", err)
+	}
+	return nil
+}
+
+// forwardOnce embeds toks at offset and pushes them through every
+// stage, one attempt, no recovery. Stream errors poison the link and
+// return a retryable error; embedding and stage-reported computation
+// errors are permanent. Caller holds genMu.
+func (d *Driver) forwardOnce(session uint64, toks []int, offset int) (*tensor.Matrix, error) {
+	x, err := d.model.Embed(toks, offset)
+	if err != nil {
+		return nil, err
+	}
 	for i, l := range d.links {
-		if d.isPoisoned(l) {
-			return nil, markRetryable(fmt.Errorf("transport: stage %d (%s) is down", i, l.addr))
-		}
 		req := Request{Session: session, Offset: offset, Rows: x.Rows, Cols: x.Cols, Data: x.Data}
-		d.armDeadline(l)
-		if err := l.enc.Encode(&req); err != nil {
-			d.poison(l, err)
-			return nil, markRetryable(fmt.Errorf("transport: stage %d send: %w", i, err))
-		}
 		var resp Response
-		if err := l.dec.Decode(&resp); err != nil {
-			d.poison(l, err)
-			return nil, markRetryable(fmt.Errorf("transport: stage %d recv: %w", i, err))
+		if err := d.roundTrip(l, &req, &resp, d.ioTimeout); err != nil {
+			return nil, markRetryable(fmt.Errorf("transport: stage %d %w", i, err))
 		}
 		if resp.Code == CodeStaleSession {
 			// The stream is fine (we got a well-formed reply); only the
@@ -239,24 +264,12 @@ func (d *Driver) forwardOnce(session uint64, x *tensor.Matrix, offset int) (*ten
 	return x, nil
 }
 
-// closeSessionLocked releases stage-side caches, skipping poisoned
-// links: writing into a desynced gob stream would feed the stage
-// garbage. Orphaned caches on unreachable stages are reclaimed by the
-// stage's idle-session TTL instead. Caller holds genMu.
+// closeSessionLocked releases stage-side caches; roundTrip skips
+// poisoned links. Orphaned caches on unreachable stages are reclaimed
+// by the stage's idle-session TTL instead. Caller holds genMu.
 func (d *Driver) closeSessionLocked(session uint64) {
 	for _, l := range d.links {
-		if d.isPoisoned(l) {
-			continue
-		}
-		d.armDeadline(l)
-		if err := l.enc.Encode(&Request{Session: session, Close: true}); err != nil {
-			d.poison(l, err)
-			continue
-		}
-		var resp Response
-		if err := l.dec.Decode(&resp); err != nil {
-			d.poison(l, err)
-		}
+		d.roundTrip(l, &Request{Session: session, Close: true}, &Response{}, d.ioTimeout)
 	}
 }
 
@@ -266,6 +279,9 @@ func (d *Driver) closeSessionLocked(session uint64) {
 func (d *Driver) Ping() error {
 	d.genMu.Lock()
 	defer d.genMu.Unlock()
+	if err := d.checkOpen(); err != nil {
+		return err
+	}
 	return d.pingLocked()
 }
 
@@ -278,34 +294,16 @@ func (d *Driver) pingLocked() error {
 		pingTO = time.Second
 	}
 	var firstErr error
-	record := func(err error) {
-		if firstErr == nil {
-			firstErr = err
-		}
-	}
 	for i, l := range d.links {
+		var err error
 		if d.isPoisoned(l) {
-			if err := d.redial(l); err != nil {
-				record(fmt.Errorf("transport: stage %d: %w", i, err))
-				continue
-			}
+			err = d.redial(l)
 		}
-		l.conn.SetDeadline(time.Now().Add(pingTO))
-		if err := l.enc.Encode(&Request{Ping: true}); err != nil {
-			d.poison(l, err)
-			record(fmt.Errorf("transport: stage %d ping send: %w", i, err))
-			continue
+		if err == nil {
+			err = d.roundTrip(l, &Request{Ping: true}, &Response{}, pingTO)
 		}
-		var resp Response
-		if err := l.dec.Decode(&resp); err != nil {
-			d.poison(l, err)
-			record(fmt.Errorf("transport: stage %d ping recv: %w", i, err))
-			continue
-		}
-		if d.ioTimeout <= 0 {
-			// Clear the probe deadline so later generations on this
-			// connection are not bounded by it.
-			l.conn.SetDeadline(time.Time{})
+		if err != nil && firstErr == nil {
+			firstErr = fmt.Errorf("transport: stage %d ping: %w", i, err)
 		}
 	}
 	d.heartbeats.Add(1)
@@ -316,12 +314,16 @@ func (d *Driver) pingLocked() error {
 // interval, idle links are pinged and poisoned links redialed, so
 // failures surface (and heal) between generations. A beat that would
 // contend with a running generation is skipped — forward progress is
-// itself proof of liveness. No-op if already running or interval <= 0.
+// itself proof of liveness. No-op if already running, after Close, or
+// with interval <= 0.
 func (d *Driver) StartHeartbeat(interval time.Duration) {
-	if interval <= 0 || d.hbStop != nil {
+	d.lifeMu.Lock()
+	defer d.lifeMu.Unlock()
+	if interval <= 0 || d.closed || d.hbStop != nil {
 		return
 	}
-	d.hbStop = make(chan struct{})
+	stop := make(chan struct{})
+	d.hbStop = stop
 	d.hbWG.Add(1)
 	go func() {
 		defer d.hbWG.Done()
@@ -329,7 +331,7 @@ func (d *Driver) StartHeartbeat(interval time.Duration) {
 		defer t.Stop()
 		for {
 			select {
-			case <-d.hbStop:
+			case <-stop:
 				return
 			case <-t.C:
 				if d.genMu.TryLock() {
@@ -341,8 +343,12 @@ func (d *Driver) StartHeartbeat(interval time.Duration) {
 	}()
 }
 
-// StopHeartbeat stops the background supervisor, if running.
+// StopHeartbeat stops the background supervisor, if running. It waits
+// under lifeMu for the loop to exit; that cannot deadlock, because the
+// loop only ever try-locks genMu.
 func (d *Driver) StopHeartbeat() {
+	d.lifeMu.Lock()
+	defer d.lifeMu.Unlock()
 	if d.hbStop == nil {
 		return
 	}
@@ -384,12 +390,13 @@ func (d *Driver) RecoveryStats() RecoveryStats {
 
 // Close stops the heartbeat and tears down the stage connections.
 func (d *Driver) Close() {
+	d.lifeMu.Lock()
+	d.closed = true
+	d.lifeMu.Unlock()
 	d.StopHeartbeat()
 	d.genMu.Lock()
 	defer d.genMu.Unlock()
 	for _, l := range d.links {
-		if l.conn != nil {
-			l.conn.Close()
-		}
+		l.conn.Close()
 	}
 }
