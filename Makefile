@@ -37,25 +37,28 @@ test-race:
 	$(GO) test -race -timeout 15m -count=2 ./internal/obs/
 	$(GO) test -race -timeout 15m -count=2 -run 'Maintenance|DrainTimeout' ./internal/serve/
 
-# Fuzz smoke: twenty seconds of coverage-guided inputs for each of five
-# targets. Four must match a reference exactly: the bitwidth-transfer
+# Fuzz smoke: twenty seconds of coverage-guided inputs for each of six
+# targets. Five must match a reference exactly: the bitwidth-transfer
 # delta scorer and its kept tables against a full evaluation bit for
 # bit, the whole bitwidth-transfer search against the clone-per-move
 # reference search, both matmul kernels (the AVX2 assembly, where the
-# CPU has it, and the portable Go one) against the plain ikj loop, and
-# a token-log handoff (GenerateLog on one loopback stage chain, Resume
+# CPU has it, and the portable Go one) against the plain ikj loop, a
+# token-log handoff (GenerateLog on one loopback stage chain, Resume
 # on a differently split one) against one Generate and the in-process
-# Reference, with no token lost or invented at the MaxPos edge. The
-# fifth checks that the planner's optimistic bound, which decides which
-# configurations the search skips, never exceeds a feasible
-# assignment's objective. Their seed corpora (internal/core/testdata/fuzz
-# and the f.Add seeds) also run as ordinary tests under `make test`.
+# Reference, with no token lost or invented at the MaxPos edge, and the
+# pipeline's decode-step price against the per-layer loop it replaced,
+# bit for bit. The sixth checks that the planner's optimistic bound,
+# which decides which configurations the search skips, never exceeds a
+# feasible assignment's objective. Their seed corpora
+# (internal/core/testdata/fuzz and the f.Add seeds) also run as
+# ordinary tests under `make test`.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDeltaScore -fuzztime=20s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzBitwidthTransfer -fuzztime=20s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzOptimisticBound -fuzztime=20s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzMatMulBitExact -fuzztime=20s ./internal/tensor
 	$(GO) test -run='^$$' -fuzz=FuzzHandoffSplice -fuzztime=20s ./internal/transport
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeStep -fuzztime=20s ./internal/pipeline
 
 # Full gate: static checks plus the race-enabled suite.
 check: vet test-race

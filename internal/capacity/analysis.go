@@ -133,6 +133,10 @@ func solveDecode(cfg online.Config, ws *WorkloadStats, profile *workload.Profile
 		d.Saturated = true
 	}
 
+	// The fixed point and the occupancy sum below price the same
+	// occupancies many times; stepAt[v] keeps s(v) for this solve (0 =
+	// not yet priced).
+	stepAt := make([]float64, d.Cap+1)
 	step := func(v int) float64 {
 		if v < 1 {
 			v = 1
@@ -140,7 +144,10 @@ func solveDecode(cfg online.Config, ws *WorkloadStats, profile *workload.Profile
 		if v > d.Cap {
 			v = d.Cap
 		}
-		return pipeline.DecodeStepLatency(plan, cfg.Spec, clu, v, ws.BatchMaxCtx(v))
+		if stepAt[v] == 0 {
+			stepAt[v] = pipeline.DecodeStepLatency(plan, cfg.Spec, clu, v, ws.BatchMaxCtx(v))
+		}
+		return stepAt[v]
 	}
 	if rate == 0 || ws.MeanDecodeSteps == 0 {
 		d.StepSeconds = step(1)

@@ -23,8 +23,10 @@
 package capacity
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/workload"
@@ -214,29 +216,51 @@ type weighted struct {
 	w float64
 }
 
-// quantile returns the q∈[0,100] percentile of a weighted sample set
-// (which it sorts in place). Zero total weight yields 0.
-func quantile(xs []weighted, q float64) float64 {
+// quantiles returns the qs∈[0,100] percentiles of a weighted sample
+// set, in the order asked. It sorts xs in place by value once and reads
+// every percentile in one pass over the cumulative mass. No atoms or
+// zero total weight yields 0s.
+func quantiles(xs []weighted, qs ...float64) []float64 {
+	out := make([]float64, len(qs))
 	if len(xs) == 0 {
-		return 0
+		return out
 	}
-	sort.Slice(xs, func(i, j int) bool { return xs[i].v < xs[j].v })
+	slices.SortFunc(xs, func(a, b weighted) int {
+		switch {
+		case a.v < b.v:
+			return -1
+		case a.v > b.v:
+			return 1
+		}
+		return 0
+	})
 	total := 0.0
 	for _, x := range xs {
 		total += x.w
 	}
 	if total <= 0 {
-		return 0
+		return out
 	}
-	cut := total * q / 100
+	// Visit the percentiles in ascending order: each one's first atom
+	// whose running mass reaches its cut comes no earlier than the
+	// previous one's.
+	order := make([]int, len(qs))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(i, j int) int { return cmp.Compare(qs[i], qs[j]) })
+	k := 0
 	run := 0.0
 	for _, x := range xs {
 		run += x.w
-		if run >= cut-1e-15 {
-			return x.v
+		for ; k < len(order) && run >= total*qs[order[k]]/100-1e-15; k++ {
+			out[order[k]] = x.v
 		}
 	}
-	return xs[len(xs)-1].v
+	for ; k < len(order); k++ {
+		out[order[k]] = xs[len(xs)-1].v
+	}
+	return out
 }
 
 // weightedMean returns the mean of a weighted sample set.

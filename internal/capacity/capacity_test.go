@@ -2,6 +2,7 @@ package capacity
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"repro/internal/stats"
@@ -99,20 +100,73 @@ func TestCtxQuantileMonotone(t *testing.T) {
 }
 
 func TestWeightedQuantile(t *testing.T) {
-	if got := quantile(nil, 50); got != 0 {
-		t.Errorf("empty quantile = %v, want 0", got)
+	if got := quantiles(nil, 50); got[0] != 0 {
+		t.Errorf("empty quantile = %v, want 0", got[0])
 	}
 	xs := []weighted{{v: 3, w: 1}, {v: 1, w: 1}, {v: 2, w: 2}}
-	if got := quantile(xs, 50); got != 2 {
-		t.Errorf("p50 = %v, want 2", got)
-	}
-	if got := quantile(xs, 100); got != 3 {
-		t.Errorf("p100 = %v, want 3", got)
+	if got := quantiles(xs, 100, 50); got[0] != 3 || got[1] != 2 {
+		t.Errorf("p100, p50 = %v, want [3 2]", got)
 	}
 	if got := weightedMean(xs); math.Abs(got-2) > 1e-12 {
 		t.Errorf("mean = %v, want 2", got)
 	}
 	if got := weightedMean(nil); got != 0 {
 		t.Errorf("empty mean = %v, want 0", got)
+	}
+}
+
+// quantileRef is the per-percentile reading quantiles replaces: sort
+// the atoms on every call, then scan the cumulative mass.
+func quantileRef(xs []weighted, q float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	sort.Slice(xs, func(i, j int) bool { return xs[i].v < xs[j].v })
+	total := 0.0
+	for _, x := range xs {
+		total += x.w
+	}
+	if total <= 0 {
+		return 0
+	}
+	cut := total * q / 100
+	run := 0.0
+	for _, x := range xs {
+		run += x.w
+		if run >= cut-1e-15 {
+			return x.v
+		}
+	}
+	return xs[len(xs)-1].v
+}
+
+// TestQuantilesMatchPerCallSort checks the sort-once, one-pass reading
+// against sorting for every percentile, bit for bit and including the
+// order the atoms are left in, on distributions with many tied values
+// (as a station's wait atoms have) and percentiles asked out of order.
+func TestQuantilesMatchPerCallSort(t *testing.T) {
+	rng := stats.NewRNG(3)
+	qs := []float64{99, 50, 0, 95, 100, 50, 1e-9}
+	for trial := 0; trial < 200; trial++ {
+		n := rng.Intn(300)
+		xs := make([]weighted, n)
+		for i := range xs {
+			xs[i] = weighted{v: float64(rng.Intn(12)) * 0.1, w: rng.Float64() * rng.Float64()}
+		}
+		if trial%10 == 0 && n > 0 {
+			xs[rng.Intn(n)].v = math.Inf(1)
+		}
+		ref := append([]weighted(nil), xs...)
+		got := quantiles(xs, qs...)
+		for i, q := range qs {
+			if want := quantileRef(ref, q); math.Float64bits(got[i]) != math.Float64bits(want) {
+				t.Fatalf("trial %d n=%d p%v = %v, per-call sort %v", trial, n, q, got[i], want)
+			}
+		}
+		for i := range xs {
+			if xs[i] != ref[i] {
+				t.Fatalf("trial %d: atom %d left as %v, per-call sort leaves %v", trial, i, xs[i], ref[i])
+			}
+		}
 	}
 }

@@ -344,11 +344,10 @@ func (st *PrefillStation) integrate(pi []float64, T, maxPMF [][]float64) {
 	}
 
 	st.MeanWait = weightedMean(st.waitDist)
-	st.WaitP50 = quantile(st.waitDist, 50)
-	st.WaitP95 = quantile(st.waitDist, 95)
-	st.WaitP99 = quantile(st.waitDist, 99)
-	st.TTFTP50 = quantile(st.ttftDist, 50)
-	st.TTFTP95 = quantile(st.ttftDist, 95)
+	w := quantiles(st.waitDist, 50, 95, 99)
+	st.WaitP50, st.WaitP95, st.WaitP99 = w[0], w[1], w[2]
+	t := quantiles(st.ttftDist, 50, 95)
+	st.TTFTP50, st.TTFTP95 = t[0], t[1]
 }
 
 // MixWaitTTFT combines several stations' exact wait/TTFT distributions
@@ -391,9 +390,5 @@ func MixWaitTTFT(stations []*PrefillStation, weights []float64, qs ...float64) (
 			ttftMix = append(ttftMix, weighted{v: a.v, w: w * a.w / total})
 		}
 	}
-	for _, q := range qs {
-		waits = append(waits, quantile(waitMix, q))
-		ttfts = append(ttfts, quantile(ttftMix, q))
-	}
-	return waits, ttfts
+	return quantiles(waitMix, qs...), quantiles(ttftMix, qs...)
 }

@@ -686,7 +686,8 @@ func (e *Engine) Step() bool {
 				keep = append(keep, r)
 			}
 		}
-		e.batch = append([]*request(nil), keep...)
+		clear(e.batch[len(keep):])
+		e.batch = keep
 	}
 
 	// 7. Run one decode step, or jump the clock to the next event. In
@@ -717,7 +718,8 @@ func (e *Engine) Step() bool {
 				keep = append(keep, r)
 			}
 		}
-		e.batch = append([]*request(nil), keep...)
+		clear(e.batch[len(keep):])
+		e.batch = keep
 		return true
 	}
 	next := -1.0

@@ -107,39 +107,34 @@ func Simulate(p *plan.Plan, spec *model.Spec, clu *cluster.Cluster, batch worklo
 		}
 	}
 
-	// ---- Stage latency helpers. ----
-	prefillStage := func(i int, v int) float64 {
-		st := p.Stages[i]
-		t := 0.0
-		for _, bit := range st.Bits {
-			t += devPrefill(st.Device, spec, v, batch.ChunkLen, bit)
-		}
-		return t
-	}
-	decodeStage := func(i int, v, ctx int) float64 {
-		st := p.Stages[i]
-		t := 0.0
-		for _, bit := range st.Bits {
-			t += devDecode(st.Device, spec, v, ctx, bit, p.BitKV)
-		}
-		return t
-	}
-	master := p.Stages[0].Device
-	linkTime := func(i int, bytes int64) float64 {
-		if i >= nStages-1 {
-			return 0
-		}
-		bw := clu.LinkBandwidth(&p.Stages[i].Device, &p.Stages[i+1].Device)
-		return float64(bytes) / bw
-	}
-
-	// ---- Prefill phase: μpre micro-batches × κ chunks, event-driven. ----
+	// ---- Per-pass stage and link times. ----
+	// A stage's work depends only on the pass shape (v, seq or ctx),
+	// never on the micro-batch or the chunk, so each is computed once
+	// per shape; link times once per run.
 	eta := p.PrefillMicroBatch
 	if eta > batch.Size {
 		eta = batch.Size
 	}
+	xi := p.DecodeMicroBatch
+	if xi > batch.Size {
+		xi = batch.Size
+	}
+	var buf [3 * stackStages]float64
+	s := floats(buf[:], 3*nStages)
+	preLink, decLink, stageFree := s[:nStages], s[nStages:2*nStages], s[2*nStages:]
+	prefillWork := make([]float64, nStages)
+	for j := range p.Stages {
+		st := &p.Stages[j]
+		prefillWork[j] = sumByBit(st.Bits, func(bit int) float64 {
+			return devPrefill(st.Device, spec, eta, batch.ChunkLen, bit)
+		})
+	}
+	linkTimes(preLink, p, clu, spec.ActivationTransferBytes(eta, batch.ChunkLen))
+	linkTimes(decLink, p, clu, spec.ActivationTransferBytes(xi, 1))
+	master := p.Stages[0].Device
+
+	// ---- Prefill phase: μpre micro-batches × κ chunks, event-driven. ----
 	muPre := ceilDiv(batch.Size, eta)
-	stageFree := make([]float64, nStages)
 	stageBusy := make([]float64, nStages)
 	embed := devEmbed(master, spec, eta, batch.ChunkLen)
 	var prefillEnd, firstOut float64
@@ -147,16 +142,15 @@ func Simulate(p *plan.Plan, spec *model.Spec, clu *cluster.Cluster, batch worklo
 		for chunk := 0; chunk < batch.Chunks; chunk++ {
 			// The master embeds each chunk before stage 0 consumes it.
 			arrive := embed * float64(mb*batch.Chunks+chunk+1)
-			for j := 0; j < nStages; j++ {
+			for j, work := range prefillWork {
 				start := arrive
 				if stageFree[j] > start {
 					start = stageFree[j]
 				}
-				work := prefillStage(j, eta)
 				finish := start + work
 				stageFree[j] = finish
 				stageBusy[j] += work
-				arrive = finish + linkTime(j, spec.ActivationTransferBytes(eta, batch.ChunkLen))
+				arrive = finish + preLink[j]
 			}
 			if arrive > prefillEnd {
 				prefillEnd = arrive
@@ -170,13 +164,12 @@ func Simulate(p *plan.Plan, spec *model.Spec, clu *cluster.Cluster, batch worklo
 	prefillEnd += devLMHead(master, spec, batch.Size)
 
 	// ---- Decode phase: n-1 steps, micro-batches of ξ. ----
-	xi := p.DecodeMicroBatch
-	if xi > batch.Size {
-		xi = batch.Size
-	}
 	muDec := ceilDiv(batch.Size, xi)
 	decSteps := batch.GenTokens - 1
 	decodeEnd := prefillEnd
+	// stageDecode holds each step's stage work, and at the end the
+	// mid-generation figure the Result reports.
+	stageDecode := make([]float64, nStages)
 	if decSteps > 0 {
 		for j := range stageFree {
 			stageFree[j] = prefillEnd
@@ -189,24 +182,9 @@ func Simulate(p *plan.Plan, spec *model.Spec, clu *cluster.Cluster, batch worklo
 		}
 		lm := devLMHead(master, spec, xi)
 		for t := 0; t < decSteps; t++ {
-			ctx := batch.PaddedPrompt() + t + 1
-			for m := 0; m < muDec; m++ {
-				arrive := mbReady[m]
-				for j := 0; j < nStages; j++ {
-					start := arrive
-					if stageFree[j] > start {
-						start = stageFree[j]
-					}
-					work := decodeStage(j, xi, ctx)
-					finish := start + work
-					stageFree[j] = finish
-					stageBusy[j] += work
-					arrive = finish + linkTime(j, spec.ActivationTransferBytes(xi, 1))
-				}
-				mbReady[m] = arrive + lm
-				if mbReady[m] > decodeEnd {
-					decodeEnd = mbReady[m]
-				}
+			decodeStageWork(stageDecode, p, spec, xi, batch.PaddedPrompt()+t+1)
+			if end := decodeStep(muDec, mbReady, stageFree, stageBusy, stageDecode, decLink, lm); end > decodeEnd {
+				decodeEnd = end
 			}
 		}
 	}
@@ -217,8 +195,8 @@ func Simulate(p *plan.Plan, spec *model.Spec, clu *cluster.Cluster, batch worklo
 		DecodeSeconds:  decodeEnd - prefillEnd,
 		TotalSeconds:   decodeEnd,
 		OutputTokens:   batch.Size * batch.GenTokens,
-		StagePrefill:   make([]float64, nStages),
-		StageDecode:    make([]float64, nStages),
+		StagePrefill:   prefillWork,
+		StageDecode:    stageDecode,
 		StageMemory:    memory,
 		StageBusy:      stageBusy,
 	}
@@ -229,11 +207,7 @@ func Simulate(p *plan.Plan, spec *model.Spec, clu *cluster.Cluster, batch worklo
 		}
 		res.BubbleFraction = 1 - util/float64(nStages)
 	}
-	midCtx := batch.PaddedPrompt() + batch.GenTokens/2
-	for j := 0; j < nStages; j++ {
-		res.StagePrefill[j] = prefillStage(j, eta)
-		res.StageDecode[j] = decodeStage(j, xi, midCtx)
-	}
+	decodeStageWork(res.StageDecode, p, spec, xi, batch.PaddedPrompt()+batch.GenTokens/2)
 	if res.TotalSeconds > 0 {
 		res.Throughput = float64(res.OutputTokens) / res.TotalSeconds
 	}

@@ -4,8 +4,14 @@
 // composition (requests join and leave at step boundaries) and the KV
 // headroom that bounds how many requests a plan's stages can hold
 // concurrently. Both reuse Simulate's stage-latency and memory models,
-// so a fixed batch stepped token by token costs exactly what Simulate
-// charges it.
+// and one decode step is the same primitive (decodeStep) in both.
+//
+// A step priced here starts from an idle pipeline, so a fixed batch
+// stepped token by token costs exactly what Simulate charges it only
+// when the batch is one micro-batch (ξ ≥ B). With several micro-batches
+// Simulate overlaps one step's tail with the next step's head, and the
+// idle-start sum is larger: on preset 9, OPT-13B, B=32, 32 tokens it is
+// 1.70× Simulate's decode time at ξ=8 and 1.42× at ξ=5.
 package pipeline
 
 import (
@@ -15,13 +21,112 @@ import (
 	"repro/internal/plan"
 )
 
+// stackStages is the stage count up to which the decode-step scratch
+// lives on the stack.
+const stackStages = 8
+
+// maxBit is the widest weight bitwidth a plan carries.
+const maxBit = 16
+
+// floats returns n zeroed float64s: buf[:n] when buf, which must be
+// zeroed, is long enough.
+func floats(buf []float64, n int) []float64 {
+	if n > len(buf) {
+		return make([]float64, n)
+	}
+	return buf[:n]
+}
+
+// sumByBit returns Σ cost(bit) over bits in order. The cost model
+// prices a layer by its bit alone within one pass shape, so cost runs
+// once per distinct bit; the sum keeps layer order, and with it every
+// rounding of the per-layer loop.
+func sumByBit(bits []int, cost func(bit int) float64) float64 {
+	var memo [maxBit + 1]float64
+	var seen uint32
+	t := 0.0
+	for _, bit := range bits {
+		if uint(bit) > maxBit {
+			t += cost(bit)
+			continue
+		}
+		if seen&(1<<bit) == 0 {
+			memo[bit] = cost(bit)
+			seen |= 1 << bit
+		}
+		t += memo[bit]
+	}
+	return t
+}
+
+// decodeStageWork sets work[j] to stage j's compute time for one decode
+// micro-batch of xi requests at context length ctx.
+func decodeStageWork(work []float64, p *plan.Plan, spec *model.Spec, xi, ctx int) {
+	for j := range p.Stages {
+		st := &p.Stages[j]
+		work[j] = sumByBit(st.Bits, func(bit int) float64 {
+			return devDecode(st.Device, spec, xi, ctx, bit, p.BitKV)
+		})
+	}
+}
+
+// linkTimes sets link[j] to the time to ship bytes from stage j to
+// stage j+1, and 0 after the last stage.
+func linkTimes(link []float64, p *plan.Plan, clu *cluster.Cluster, bytes int64) {
+	for j := range link {
+		link[j] = 0
+		if j < len(link)-1 {
+			link[j] = float64(bytes) / clu.LinkBandwidth(&p.Stages[j].Device, &p.Stages[j+1].Device)
+		}
+	}
+}
+
+// decodeStep runs one decode step of mu micro-batches through the
+// stages, event-driven: each stage is serially busy, transfers overlap
+// compute, and the master's LM head (lm) samples each micro-batch.
+// work[j] is stage j's time per micro-batch and link[j] the transfer
+// after it. stageFree[j] carries when stage j is next free, in and out;
+// busy, when non-nil, accumulates each stage's compute. mbReady[m] is
+// when micro-batch m may enter stage 0 and receives when its token is
+// sampled; a nil mbReady starts every micro-batch at time 0. It returns
+// the latest sample time (0 if none is later).
+func decodeStep(mu int, mbReady, stageFree, busy, work, link []float64, lm float64) float64 {
+	var end float64
+	for m := 0; m < mu; m++ {
+		arrive := 0.0
+		if mbReady != nil {
+			arrive = mbReady[m]
+		}
+		for j, w := range work {
+			start := arrive
+			if stageFree[j] > start {
+				start = stageFree[j]
+			}
+			finish := start + w
+			stageFree[j] = finish
+			if busy != nil {
+				busy[j] += w
+			}
+			arrive = finish + link[j]
+		}
+		done := arrive + lm
+		if mbReady != nil {
+			mbReady[m] = done
+		}
+		if done > end {
+			end = done
+		}
+	}
+	return end
+}
+
 // DecodeStepLatency returns the wall-clock of one decode step for a
 // batch of v concurrent requests at context length ctx on the plan:
 // ⌈v/ξ⌉ micro-batches flow through the stages event-driven (each stage
 // serially busy, transfers overlapped) and the master's LM head samples
-// each micro-batch. It is Simulate's inner decode loop for a single t,
-// starting from an idle pipeline — the state a continuous batcher is in
-// at every step boundary.
+// each micro-batch. It is Simulate's decode step (decodeStep) starting
+// from an idle pipeline — the state a continuous batcher is in at every
+// step boundary.
 func DecodeStepLatency(p *plan.Plan, spec *model.Spec, clu *cluster.Cluster, v, ctx int) float64 {
 	if v <= 0 || len(p.Stages) == 0 {
 		return 0
@@ -33,39 +138,13 @@ func DecodeStepLatency(p *plan.Plan, spec *model.Spec, clu *cluster.Cluster, v, 
 	if xi < 1 {
 		xi = 1
 	}
-	muDec := ceilDiv(v, xi)
-	nStages := len(p.Stages)
-	master := p.Stages[0].Device
-	stageFree := make([]float64, nStages)
-	linkTime := func(i int) float64 {
-		if i >= nStages-1 {
-			return 0
-		}
-		bw := clu.LinkBandwidth(&p.Stages[i].Device, &p.Stages[i+1].Device)
-		return float64(spec.ActivationTransferBytes(xi, 1)) / bw
-	}
-	lm := devLMHead(master, spec, xi)
-	var end float64
-	for m := 0; m < muDec; m++ {
-		arrive := 0.0
-		for j := 0; j < nStages; j++ {
-			start := arrive
-			if stageFree[j] > start {
-				start = stageFree[j]
-			}
-			work := 0.0
-			for _, bit := range p.Stages[j].Bits {
-				work += devDecode(p.Stages[j].Device, spec, xi, ctx, bit, p.BitKV)
-			}
-			finish := start + work
-			stageFree[j] = finish
-			arrive = finish + linkTime(j)
-		}
-		if t := arrive + lm; t > end {
-			end = t
-		}
-	}
-	return end
+	n := len(p.Stages)
+	var buf [3 * stackStages]float64
+	s := floats(buf[:], 3*n)
+	work, link, stageFree := s[:n], s[n:2*n], s[2*n:]
+	decodeStageWork(work, p, spec, xi, ctx)
+	linkTimes(link, p, clu, spec.ActivationTransferBytes(xi, 1))
+	return decodeStep(ceilDiv(v, xi), nil, stageFree, nil, work, link, devLMHead(p.Stages[0].Device, spec, xi))
 }
 
 // KVBudget returns the per-layer KV byte budget of the plan's tightest
