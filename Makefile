@@ -37,7 +37,7 @@ test-race:
 	$(GO) test -race -timeout 15m -count=2 ./internal/obs/
 	$(GO) test -race -timeout 15m -count=2 -run 'Maintenance|DrainTimeout' ./internal/serve/
 
-# Fuzz smoke: twenty seconds of coverage-guided inputs for each of six
+# Fuzz smoke: twenty seconds of coverage-guided inputs for each of seven
 # targets. Five must match a reference exactly: the bitwidth-transfer
 # delta scorer and its kept tables against a full evaluation bit for
 # bit, the whole bitwidth-transfer search against the clone-per-move
@@ -49,7 +49,10 @@ test-race:
 # pipeline's decode-step price against the per-layer loop it replaced,
 # bit for bit. The sixth checks that the planner's optimistic bound,
 # which decides which configurations the search skips, never exceeds a
-# feasible assignment's objective. Their seed corpora
+# feasible assignment's objective. The seventh feeds arbitrary bytes to
+# the plan JSON decoder that cached and warm-start plans come through:
+# no panic, Validate rejects malformed stages, and a valid bound plan
+# survives a wire round trip unchanged. Their seed corpora
 # (internal/core/testdata/fuzz and the f.Add seeds) also run as
 # ordinary tests under `make test`.
 fuzz:
@@ -59,6 +62,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzMatMulBitExact -fuzztime=20s ./internal/tensor
 	$(GO) test -run='^$$' -fuzz=FuzzHandoffSplice -fuzztime=20s ./internal/transport
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeStep -fuzztime=20s ./internal/pipeline
+	$(GO) test -run='^$$' -fuzz=FuzzPlanJSON -fuzztime=20s ./internal/plan
 
 # Full gate: static checks plus the race-enabled suite.
 check: vet test-race

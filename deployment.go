@@ -17,11 +17,11 @@ type Deployment struct {
 	plan   *plan.Plan
 	batch  workload.Batch
 	report *core.Report
-	// key identifies the solved problem (cluster fingerprint, batch,
-	// plan-affecting options) for Replan's reuse fast paths.
-	key memoKey
+	// key is the core.PlanKey of the solved problem, for Replan's reuse
+	// fast paths.
+	key string
 	// reused marks a deployment answered from a previous plan or the
-	// plan memo instead of a fresh solve.
+	// plan cache instead of a fresh solve.
 	reused bool
 }
 
@@ -104,7 +104,7 @@ type PlanStats struct {
 	CostCacheHits   int64
 	CostCacheMisses int64
 	// Reused reports that no search ran at all: Replan answered from the
-	// unchanged previous deployment or from the System's plan memo. The
+	// unchanged previous deployment or from the System's plan cache. The
 	// remaining fields then describe the original solve.
 	Reused bool
 	// ConfigStats holds per-configuration solver statistics in canonical

@@ -57,7 +57,7 @@ type ReplanResult struct {
 	// rounds' cold enumeration count.
 	EvaluatedWarm int `json:"evaluated_warm"`
 	PrunedWarm    int `json:"pruned_warm"`
-	// MemoHits counts revisit rounds answered from the plan memo (a
+	// MemoHits counts revisit rounds answered from the plan cache (a
 	// degraded topology the churn returned to).
 	MemoHits int `json:"memo_hits"`
 	// CostCacheHits counts cost evaluations the warm side served from the
@@ -67,7 +67,7 @@ type ReplanResult struct {
 
 // churnState is one round of the seeded churn trace: a cluster
 // incarnation plus whether the trace has visited it before (a restore
-// after preemption, which Replan answers from the plan memo).
+// after preemption, which Replan answers from the plan cache).
 type churnState struct {
 	spec    splitquant.ClusterSpec
 	revisit bool
@@ -119,7 +119,7 @@ func keyOf(d *splitquant.Deployment) planKey {
 // planner would) and warm (Replan on a Fork of the original System,
 // seeded with the previous round's deployment). Fresh rounds must
 // warm-start a genuine search; restore rounds must be answered from the
-// plan memo. Every round's warm plan must match its cold plan
+// plan cache. Every round's warm plan must match its cold plan
 // bit-for-bit; the returned result carries the timing and pruning
 // accounting.
 func ReplanLatency(ctx context.Context, rounds int) (*ReplanResult, error) {
@@ -166,12 +166,12 @@ func ReplanLatency(ctx context.Context, rounds int) (*ReplanResult, error) {
 		st := warm.Stats()
 		if states[r].revisit {
 			if !st.Reused {
-				return nil, fmt.Errorf("perf: restore round %d was not answered from the plan memo", r)
+				return nil, fmt.Errorf("perf: restore round %d was not answered from the plan cache", r)
 			}
 			res.MemoHits++
 		} else {
 			if st.Reused {
-				return nil, fmt.Errorf("perf: fresh round %d was answered from the plan memo; its topology must be new", r)
+				return nil, fmt.Errorf("perf: fresh round %d was answered from the plan cache; its topology must be new", r)
 			}
 			if !st.WarmStarted {
 				return nil, fmt.Errorf("perf: fresh round %d did not warm-start", r)

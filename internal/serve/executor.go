@@ -120,18 +120,15 @@ func (s *Server) jobOptions(j *job) core.Options {
 	return opts
 }
 
-// cacheKey renders the plan-cache key for one (job, cluster) pairing.
-// Everything that influences the planner's decision is included, so a
-// hit is guaranteed to reproduce the plan a fresh search would find. The
-// fingerprint is the *current* cluster's — a degraded pool caches its
-// plans under its own degraded fingerprint — and the pool generation is
-// included on top: after a preempt/restore cycle returns the pool to a
-// previously seen composition, the replan solves fresh instead of
-// trusting an entry cached for an earlier incarnation of the pool.
+// cacheKey renders the plan-cache key for one (job, cluster) pairing:
+// core.PlanKey of the *current* cluster — a degraded pool caches its
+// plans under its own degraded fingerprint — with the pool generation
+// appended to the fingerprint. After a preempt/restore cycle returns the
+// pool to a previously seen composition, the replan therefore solves
+// fresh instead of trusting an entry cached for an earlier incarnation
+// of the pool.
 func cacheKey(modelName, fingerprint string, gen uint64, batch workload.Batch, opts core.Options) string {
-	return fmt.Sprintf("%s|%s|gen%d|B%d.s%d.k%d.n%d.r%d|theta=%.6g|%s|bits=%v|kv=%d",
-		modelName, fingerprint, gen, batch.Size, batch.ChunkLen, batch.Chunks, batch.GenTokens, batch.Reserve(),
-		opts.Theta, opts.Method, opts.Bits, opts.BitKV)
+	return core.PlanKey(modelName, fmt.Sprintf("%s|gen%d", fingerprint, gen), batch, opts)
 }
 
 // execute plans (via the cache) and runs one job on one resource,
@@ -294,20 +291,10 @@ func (s *Server) execute(j *job, res *scheduler.Resource) {
 // planFor returns a plan for the job on the given (possibly degraded)
 // cluster, consulting the cache first. On a miss the solver runs —
 // warm-started from inc, the previous attempt's plan, when one exists —
-// and the fresh plan is serialized into the cache. Cached plans that no
-// longer rebind or validate (stale pool definition) are dropped and
-// replanned.
+// and the completed plan is serialized into the cache.
 func (s *Server) planFor(ctx context.Context, j *job, clu *cluster.Cluster, key string, opts core.Options, inc *plan.Plan) (*plan.Plan, bool, float64, error) {
-	if raw, ok := s.cache.Get(key); ok {
-		var p plan.Plan
-		if err := json.Unmarshal(raw, &p); err == nil {
-			if err := p.Bind(clu); err == nil {
-				if err := p.Validate(j.mspec.Layers); err == nil {
-					return &p, true, 0, nil
-				}
-			}
-		}
-		s.cache.Drop(key)
+	if p, _, ok := s.cache.Lookup(key, clu, j.mspec.Layers); ok {
+		return p, true, 0, nil
 	}
 	ind := core.ProfileIndicator(j.mspec, opts.Bits, quant.Deterministic)
 	a, err := core.New(j.mspec, clu, ind, opts)
@@ -319,15 +306,17 @@ func (s *Server) planFor(ctx context.Context, j *job, clu *cluster.Cluster, key 
 		warm = &core.Incumbent{Plan: inc}
 	}
 	t0 := time.Now()
-	p, _, err := a.Replan(ctx, j.batch, warm)
+	p, rep, err := a.Replan(ctx, j.batch, warm)
 	if err != nil {
 		return nil, false, 0, err
 	}
-	raw, err := json.Marshal(p)
-	if err != nil {
-		return nil, false, 0, err
+	if !rep.Cancelled { // a cut-short search's incumbent is not the answer
+		raw, err := json.Marshal(p)
+		if err != nil {
+			return nil, false, 0, err
+		}
+		s.cache.Put(key, raw, nil)
 	}
-	s.cache.Put(key, raw)
 	return p, false, time.Since(t0).Seconds(), nil
 }
 

@@ -3,9 +3,8 @@
 // workload + request volume) over an HTTP/JSON API, admits only jobs
 // whose memory lower bound fits some resource pool, queues them by
 // priority and deadline, plans each (job, pool) pairing with the
-// core.Assigner — reusing plans through a persistent LRU cache keyed by
-// (model, cluster fingerprint, pool generation, batch shape, θ, method)
-// — and executes
+// core.Assigner — reusing plans through a persistent core.PlanCache
+// keyed by core.PlanKey plus the pool generation — and executes
 // batches on the pipeline simulator across the scheduler's harvested
 // fleet resources. It is the daemon-shaped counterpart of
 // internal/scheduler's one-shot Build: where Build plans a closed job
@@ -181,7 +180,7 @@ type Metrics struct {
 // expose over HTTP with Start, stop with Shutdown.
 type Server struct {
 	cfg   Config
-	cache *PlanCache
+	cache *core.PlanCache
 	fleet *scheduler.FleetState
 	// costs memoizes per-device stage costs across every job, pool and
 	// replan the server performs; entries are keyed by device identity
@@ -285,7 +284,7 @@ func newServer(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:     cfg,
-		cache:   NewPlanCache(cfg.CacheCapacity),
+		cache:   core.NewPlanCache(cfg.CacheCapacity),
 		fleet:   scheduler.NewFleetState(cfg.Resources),
 		costs:   core.NewCostCache(),
 		jobs:    map[string]*job{},

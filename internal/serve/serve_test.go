@@ -146,6 +146,69 @@ func TestEndToEndDaemon(t *testing.T) {
 	}
 }
 
+// TestPersistedCacheKeysPlannerOptions is the regression for a plan
+// cache key that left planner options out: a plan persisted under one
+// Config.Planner must not be served to a daemon restarted with another.
+// A job planned under a MeshFilter cannot be keyed, so it is planned
+// every time and never stored.
+func TestPersistedCacheKeysPlannerOptions(t *testing.T) {
+	state := t.TempDir()
+	spec := JobSpec{Model: "opt-1.3b", Batch: 16, Requests: 32}
+	// run starts a server on state, runs spec to completion, and shuts
+	// the server down (which persists the cache).
+	run := func(cfg Config) (JobView, Metrics) {
+		t.Helper()
+		srv, c := startServer(t, cfg)
+		defer shutdown(t, srv)
+		v, err := c.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+		defer cancel()
+		if v, err = c.Wait(ctx, v.ID, 10*time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		if v.State != StateCompleted {
+			t.Fatalf("job: state %s (%s)", v.State, v.Error)
+		}
+		return v, srv.Metrics()
+	}
+
+	if v, _ := run(testConfig(state)); v.CacheHit {
+		t.Fatal("first job on an empty state dir hit the cache")
+	}
+	if v, _ := run(testConfig(state)); !v.CacheHit {
+		t.Fatal("unchanged planner options should hit the persisted plan")
+	}
+	for name, change := range map[string]func(*core.Options){
+		"OrderingLimit": func(o *core.Options) { o.OrderingLimit = 3 },
+		"QualityCap":    func(o *core.Options) { o.QualityCap = 1000 },
+	} {
+		cfg := testConfig(state)
+		change(&cfg.Planner)
+		if v, _ := run(cfg); v.CacheHit {
+			t.Fatalf("a plan persisted under another %s was served from the cache", name)
+		}
+	}
+
+	cfg := testConfig(state)
+	cfg.Planner.MeshFilter = func([]cluster.Device) bool { return true }
+	srv, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := srv.Metrics().CacheEntries
+	shutdown(t, srv)
+	for i := 0; i < 2; i++ {
+		v, m := run(cfg)
+		if v.CacheHit || m.CacheEntries != entries {
+			t.Fatalf("MeshFilter run %d: cache hit %v, entries %d → %d (want a miss, nothing stored)",
+				i, v.CacheHit, entries, m.CacheEntries)
+		}
+	}
+}
+
 func TestSubmitValidation(t *testing.T) {
 	srv, c := startServer(t, testConfig(""))
 	defer shutdown(t, srv)

@@ -5,9 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sync"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/plan"
@@ -26,11 +24,11 @@ import (
 // inputs; PlanStats reports the work (WarmStarted, PrunedConfigs,
 // CostCacheHits).
 //
-// Three fast paths may answer without searching: when prev was planned
-// on an identical cluster for the same batch and options it is reused
-// verbatim, and when the System's plan memo already holds the answer
-// for this (cluster, batch, options) key the memoized plan is returned;
-// both report Reused=true in PlanStats. A nil prev (or one whose plan
+// Two fast paths may answer without searching: when prev was planned
+// under the same core.PlanKey (identical cluster, batch and options) it
+// is reused verbatim, and when the Fork family's plan cache holds that
+// key the cached plan is returned; both report Reused=true in
+// PlanStats. A nil prev (or one whose plan
 // cannot be expressed on the current topology at all) searches as
 // PlanContext does.
 func (s *System) Replan(ctx context.Context, prev *Deployment, w Workload, batchSize int, opts ...PlanOption) (*Deployment, error) {
@@ -63,73 +61,21 @@ func (s *System) ReadPlanJSON(r io.Reader) (*Deployment, error) {
 var candidateBits = []int{3, 4, 8, 16}
 
 // sharedState is the planner state a Fork family has in common: the
-// per-device cost cache, the plan memo, and the quality indicator
+// per-device cost cache, the plan cache, and the quality indicator
 // (Forks serve the same model over the same bit set, so one indicator
 // fits the family). All members are safe for concurrent use.
 type sharedState struct {
 	costs *core.CostCache
 	ind   *core.Indicator
-
-	mu    sync.Mutex
-	plans map[memoKey]memoEntry
+	plans *core.PlanCache
 }
 
 func newSharedState(spec *model.Spec) *sharedState {
 	return &sharedState{
 		costs: core.NewCostCache(),
 		ind:   core.ProfileIndicator(spec, candidateBits, quant.Deterministic),
-		plans: map[memoKey]memoEntry{},
+		plans: core.NewPlanCache(0),
 	}
-}
-
-// memoKey identifies one solved planning problem. Everything that can
-// change the resulting plan is part of the key: the cluster topology
-// (via its fingerprint), the batch shape, and the plan-affecting
-// options.
-type memoKey struct {
-	clusterFP string
-	batch     workload.Batch
-	optsFP    string
-}
-
-// memoEntry holds a solved plan in wire form (rebound to the live
-// cluster on each hit) plus the report of the solve that produced it.
-type memoEntry struct {
-	raw []byte
-	rep *core.Report
-}
-
-// fingerprint canonicalizes the plan-affecting options. Parallelism and
-// the progress hook are deliberately excluded: they change wall-clock
-// behavior, never the plan.
-func (o *options) fingerprint() string {
-	return fmt.Sprintf("theta=%v|m=%s|qc=%v|ord=%d", o.theta, o.method, o.qualityCap, o.orderings)
-}
-
-// memoGet returns the memoized plan for key bound to clu, or nil.
-func (sh *sharedState) memoGet(key memoKey, clu *cluster.Cluster) (*plan.Plan, *core.Report) {
-	sh.mu.Lock()
-	e, ok := sh.plans[key]
-	sh.mu.Unlock()
-	if !ok {
-		return nil, nil
-	}
-	var p plan.Plan
-	if json.Unmarshal(e.raw, &p) != nil || p.Bind(clu) != nil {
-		return nil, nil
-	}
-	return &p, e.rep
-}
-
-// memoPut stores a completed solve. Marshal failures just skip the memo.
-func (sh *sharedState) memoPut(key memoKey, p *plan.Plan, rep *core.Report) {
-	raw, err := json.Marshal(p)
-	if err != nil {
-		return
-	}
-	sh.mu.Lock()
-	sh.plans[key] = memoEntry{raw: raw, rep: rep}
-	sh.mu.Unlock()
 }
 
 // resolve applies per-call options on top of the System defaults.
@@ -172,32 +118,29 @@ func (s *System) coreOptions(o options) core.Options {
 // replanBatch is the single solve path behind Plan, PlanContext and
 // Replan. prev == nil is a cold plan; otherwise the previous
 // deployment is reused verbatim (identical inputs), served from the
-// plan memo, or handed to the core solver as a warm-start incumbent.
+// plan cache, or handed to the core solver as a warm-start incumbent.
 func (s *System) replanBatch(ctx context.Context, prev *Deployment, batch workload.Batch, planOpts []PlanOption) (*Deployment, error) {
 	o, err := s.resolve(planOpts)
 	if err != nil {
 		return nil, err
 	}
-	clusterFP := s.clu.Fingerprint()
-	optsFP := o.fingerprint()
-	key := memoKey{clusterFP: clusterFP, batch: batch, optsFP: optsFP}
+	co := s.coreOptions(o)
+	key := core.PlanKey(s.spec.Name, s.clu.Fingerprint(), batch, co)
 	if prev != nil && prev.plan != nil {
 		// Nothing changed since prev was planned: it is already the
-		// answer. The topology tier of that decision is cluster.Diff's
-		// Identical; the weaker CompositionIntact tier (same class
+		// answer. Equal keys mean an identical cluster (cluster.Diff's
+		// Identical tier); the weaker CompositionIntact tier (same class
 		// counts, different layout) needs no special casing here because
 		// the shared cost cache keeps every per-(class, precision,
 		// phase, shape) evaluation valid across such changes anyway.
-		if diff := cluster.Diff(prev.sys.clu, s.clu); diff.Identical &&
-			prev.key.batch == batch && prev.key.optsFP == optsFP &&
-			prev.report != nil && !prev.report.Cancelled {
+		if prev.key == key && prev.report != nil && !prev.report.Cancelled {
 			return &Deployment{sys: s, plan: prev.plan, batch: batch, report: prev.report, key: key, reused: true}, nil
 		}
-		if p, rep := s.shared.memoGet(key, s.clu); p != nil {
+		if p, rep, ok := s.shared.plans.Lookup(key, s.clu, s.spec.Layers); ok {
 			return &Deployment{sys: s, plan: p, batch: batch, report: rep, key: key, reused: true}, nil
 		}
 	}
-	a, err := core.New(s.spec, s.clu, s.shared.ind, s.coreOptions(o))
+	a, err := core.New(s.spec, s.clu, s.shared.ind, co)
 	if err != nil {
 		return nil, err
 	}
@@ -210,7 +153,9 @@ func (s *System) replanBatch(ctx context.Context, prev *Deployment, batch worklo
 		return nil, err
 	}
 	if !rep.Cancelled {
-		s.shared.memoPut(key, p, rep)
+		if raw, err := json.Marshal(p); err == nil {
+			s.shared.plans.Put(key, raw, rep)
+		}
 	}
 	return &Deployment{sys: s, plan: p, batch: batch, report: rep, key: key}, nil
 }

@@ -251,7 +251,7 @@ func New(modelName string, cs ClusterSpec, opts ...Option) (*System, error) {
 
 // Fork derives a System for the same model on a different cluster (or
 // with different default options), sharing the parent's cost cache,
-// plan memo, and quality indicators. Replanning on a Fork after a
+// plan cache, and quality indicators. Replanning on a Fork after a
 // preemption or restore therefore reuses every per-device cost the
 // parent family has already evaluated.
 func (s *System) Fork(cs ClusterSpec, opts ...Option) (*System, error) {
