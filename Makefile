@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet test-race fuzz check bench bench-json bench-json-out
+.PHONY: build test fmt-check vet test-race fuzz check bench bench-json bench-json-out
 
 build:
 	$(GO) build ./...
@@ -8,10 +8,16 @@ build:
 test:
 	$(GO) test ./...
 
+# Fails listing every Go file gofmt would change (dot directories such
+# as .git and the benchmark build directory are skipped).
+fmt-check:
+	@out=$$(find . -name '*.go' -not -path './.*/*' | xargs gofmt -l); \
+	if [ -n "$$out" ]; then echo "gofmt -l lists unformatted files:"; echo "$$out"; exit 1; fi
+
 # The arm64 vet and 386 build keep the portable matmul kernel (built
 # wherever the amd64 assembly is not) compiling; vet on amd64 also runs
 # asmdecl over the assembly.
-vet:
+vet: fmt-check
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./...
 	GOARCH=386 $(GO) build ./...
@@ -37,7 +43,7 @@ test-race:
 	$(GO) test -race -timeout 15m -count=2 ./internal/obs/
 	$(GO) test -race -timeout 15m -count=2 -run 'Maintenance|DrainTimeout' ./internal/serve/
 
-# Fuzz smoke: twenty seconds of coverage-guided inputs for each of seven
+# Fuzz smoke: twenty seconds of coverage-guided inputs for each of eight
 # targets. Five must match a reference exactly: the bitwidth-transfer
 # delta scorer and its kept tables against a full evaluation bit for
 # bit, the whole bitwidth-transfer search against the clone-per-move
@@ -52,7 +58,10 @@ test-race:
 # feasible assignment's objective. The seventh feeds arbitrary bytes to
 # the plan JSON decoder that cached and warm-start plans come through:
 # no panic, Validate rejects malformed stages, and a valid bound plan
-# survives a wire round trip unchanged. Their seed corpora
+# survives a wire round trip unchanged. The eighth decodes arbitrary
+# bytes as a serve job spec: Submit rejects it, or the job's batch is
+# valid and equals a fresh synthesis, also when served from the batch
+# memo. Their seed corpora
 # (internal/core/testdata/fuzz and the f.Add seeds) also run as
 # ordinary tests under `make test`.
 fuzz:
@@ -63,6 +72,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzHandoffSplice -fuzztime=20s ./internal/transport
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeStep -fuzztime=20s ./internal/pipeline
 	$(GO) test -run='^$$' -fuzz=FuzzPlanJSON -fuzztime=20s ./internal/plan
+	$(GO) test -run='^$$' -fuzz=FuzzJobSpec -fuzztime=20s ./internal/serve
 
 # Full gate: static checks plus the race-enabled suite.
 check: vet test-race

@@ -83,7 +83,12 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	tracer := obs.NewTracer()
+	// Without -trace or -events nothing reads the spans, so the daemon
+	// runs untraced and builds none.
+	var tracer *obs.Tracer
+	if *tracePath != "" || *eventsPath != "" {
+		tracer = obs.NewTracer()
+	}
 	var eventsFile *os.File
 	if *eventsPath != "" {
 		if eventsFile, err = os.Create(*eventsPath); err != nil {

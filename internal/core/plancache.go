@@ -149,6 +149,9 @@ func (c *PlanCache) Drop(key string) {
 	}
 }
 
+// Capacity returns the most plans the cache holds.
+func (c *PlanCache) Capacity() int { return c.capacity }
+
 // Len returns the number of cached plans.
 func (c *PlanCache) Len() int {
 	c.mu.Lock()

@@ -19,6 +19,7 @@ import (
 	"math"
 	"regexp"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -122,7 +123,8 @@ func joinKey(values []string) string {
 	}
 	b := make([]byte, 0, n)
 	for _, v := range values {
-		b = append(b, fmt.Sprintf("%d:", len(v))...)
+		b = strconv.AppendInt(b, int64(len(v)), 10)
+		b = append(b, ':')
 		b = append(b, v...)
 	}
 	return string(b)

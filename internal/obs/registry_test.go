@@ -51,6 +51,29 @@ func TestLabelKeyCollision(t *testing.T) {
 	}
 }
 
+// TestJoinKeyBytes pins the series key format: each label value as its
+// decimal byte length, a colon, then the value.
+func TestJoinKeyBytes(t *testing.T) {
+	long := strings.Repeat("x", 12)
+	for _, c := range []struct {
+		values []string
+		want   string
+	}{
+		{nil, ""},
+		{[]string{""}, "0:"},
+		{[]string{"", ""}, "0:0:"},
+		{[]string{"pool1"}, "5:pool1"},
+		{[]string{"completed", "V100-32G"}, "9:completed8:V100-32G"},
+		{[]string{"1:a", ":"}, "3:1:a1::"},
+		{[]string{"p|q", "r\x00"}, "3:p|q2:r\x00"},
+		{[]string{long}, "12:" + long},
+	} {
+		if got := joinKey(c.values); got != c.want {
+			t.Errorf("joinKey(%q) = %q, want %q", c.values, got, c.want)
+		}
+	}
+}
+
 func TestHistogramBuckets(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("lat_seconds", "help", []float64{0.1, 1, 10})

@@ -69,8 +69,9 @@ func (s *Server) nextJob(start int) (*job, *scheduler.Resource) {
 				wait := picked.started.Sub(picked.submitted).Seconds()
 				s.waitS.Add(wait)
 				s.tel.queueWaitHist.Observe(wait)
-				tr := s.tel.tr
-				tr.Span(pool.Name, "queue-wait", tr.Now()-wait, wait, map[string]any{"job": picked.id})
+				if tr := s.tel.tr; tr != nil {
+					tr.Span(pool.Name, "queue-wait", tr.Now()-wait, wait, map[string]any{"job": picked.id})
+				}
 			}
 			return picked, pool
 		}
@@ -159,6 +160,8 @@ func (s *Server) execute(j *job, res *scheduler.Resource) {
 
 	opts := s.jobOptions(j)
 	total := j.batches()
+	// Trace names and args are built only under a tracer.
+	tr := s.tel.tr
 
 	// last is the plan of the previous attempt on this pool; after a
 	// preemption or restore it warm-starts the replan on the changed
@@ -183,16 +186,16 @@ func (s *Server) execute(j *job, res *scheduler.Resource) {
 		}
 
 		key := cacheKey(j.mspec.Name, snap.Cluster.Fingerprint(), snap.Generation, j.batch, opts)
-		planBegin := s.tel.tr.Now()
+		planBegin := tr.Now()
 		p, hit, planSec, err := s.planFor(ctx, j, snap.Cluster, key, opts, last)
-		if err == nil {
+		if err == nil && tr != nil {
 			cacheState := "cold"
 			if hit {
 				cacheState = "hit"
 			} else if last != nil {
 				cacheState = "warm"
 			}
-			s.tel.tr.Span(res.Name, "plan", planBegin, s.tel.tr.Now()-planBegin,
+			tr.Span(res.Name, "plan", planBegin, tr.Now()-planBegin,
 				map[string]any{"job": j.id, "cache": cacheState})
 		}
 		if err != nil {
@@ -223,7 +226,9 @@ func (s *Server) execute(j *job, res *scheduler.Resource) {
 		}
 		if attempt > 0 {
 			s.tel.replans.Inc()
-			s.tel.tr.Instant(res.Name, "replan", s.tel.tr.Now(), map[string]any{"job": j.id, "attempt": attempt})
+			if tr != nil {
+				tr.Instant(res.Name, "replan", tr.Now(), map[string]any{"job": j.id, "attempt": attempt})
+			}
 		}
 		s.mu.Lock()
 		if j.requeuedByDrain && !j.cancelRequested {
@@ -246,21 +251,24 @@ func (s *Server) execute(j *job, res *scheduler.Resource) {
 		// simulated batch, so cancellation and preemption both land on a
 		// batch boundary ("finish in-flight batches" during drains).
 		perBatch := sim.TotalSeconds / res.Availability
+		batchHist := s.tel.batchHist.With(res.Name)
 		preempted := false
 		for b := start; b < total; b++ {
 			if ctx.Err() != nil {
 				s.cancelFinished(j)
 				return
 			}
-			batchBegin := s.tel.tr.Now()
+			batchBegin := tr.Now()
 			s.mu.Lock()
 			j.batchesDone = b + 1
 			j.simSeconds += perBatch
 			s.mu.Unlock()
 			s.tel.simSeconds.Add(perBatch)
-			s.tel.batchHist.With(res.Name).Observe(perBatch)
-			s.tel.tr.Span(res.Name, fmt.Sprintf("batch %d/%d", b+1, total), batchBegin, s.tel.tr.Now()-batchBegin,
-				map[string]any{"job": j.id, "sim_seconds": perBatch})
+			batchHist.Observe(perBatch)
+			if tr != nil {
+				tr.Span(res.Name, fmt.Sprintf("batch %d/%d", b+1, total), batchBegin, tr.Now()-batchBegin,
+					map[string]any{"job": j.id, "sim_seconds": perBatch})
+			}
 			if s.cfg.BatchHook != nil {
 				s.cfg.BatchHook(j.id, b+1, total)
 			}
@@ -274,7 +282,9 @@ func (s *Server) execute(j *job, res *scheduler.Resource) {
 					j.preemptions++
 				}
 				s.mu.Unlock()
-				s.tel.tr.Instant(res.Name, "preempted", s.tel.tr.Now(), map[string]any{"job": j.id})
+				if tr != nil {
+					tr.Instant(res.Name, "preempted", tr.Now(), map[string]any{"job": j.id})
+				}
 				preempted = true
 				break
 			}

@@ -2,14 +2,15 @@ package serve
 
 import (
 	"container/heap"
+	"container/list"
 	"context"
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/costmodel"
 	"repro/internal/model"
 	"repro/internal/scheduler"
-	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -90,8 +91,8 @@ type JobView struct {
 	// Preemptions counts pool-shrink events the job observed at batch
 	// boundaries; Replans counts the mid-job re-plans of the remaining
 	// batches (each against the pool's then-current topology).
-	Preemptions int    `json:"preemptions,omitempty"`
-	Replans     int    `json:"replans,omitempty"`
+	Preemptions int `json:"preemptions,omitempty"`
+	Replans     int `json:"replans,omitempty"`
 	// Requeued reports that the drain timeout checkpointed this job back
 	// to the queue (BatchesDone batches are done and stay done).
 	Requeued bool   `json:"requeued,omitempty"`
@@ -218,33 +219,108 @@ func (q *jobQueue) Pop() any {
 
 var _ heap.Interface = (*jobQueue)(nil)
 
+// batchKey holds the JobSpec fields that determine a job's batch,
+// normalized so that specs with the same batch share one key: the
+// workload ("" means fixed), the seed (0 means 1; unused by fixed),
+// prompt and output (512 / 32 when unset; used only by fixed), the batch
+// size and the model's position limit.
+type batchKey struct {
+	workload       string
+	seed           uint64
+	prompt, output int
+	size, maxPos   int
+}
+
+func batchKeyOf(spec JobSpec, mspec *model.Spec) batchKey {
+	k := batchKey{workload: spec.Workload, seed: spec.Seed, size: spec.Batch, maxPos: mspec.MaxPos}
+	if k.workload == "" || k.workload == "fixed" {
+		k.workload, k.seed = "fixed", 0
+		k.prompt, k.output = spec.Prompt, spec.Output
+		if k.prompt == 0 {
+			k.prompt = 512
+		}
+		if k.output == 0 {
+			k.output = 32
+		}
+	} else if k.seed == 0 {
+		k.seed = 1
+	}
+	return k
+}
+
+// build synthesizes the batch. The fixed profile's requests are all
+// alike, so one request gives the same batch as B of them.
+func (k batchKey) build() (workload.Batch, error) {
+	var prof *workload.Profile
+	if k.workload == "fixed" {
+		prof = workload.Fixed(1, k.prompt, k.output)
+	} else {
+		var err error
+		if prof, err = workload.Named(k.workload, k.seed); err != nil {
+			return workload.Batch{}, err
+		}
+	}
+	return workload.Synthesize(prof, k.size, 2048, k.maxPos)
+}
+
 // buildBatch synthesizes the planner batch for a job spec.
 func buildBatch(spec JobSpec, mspec *model.Spec) (workload.Batch, error) {
-	seed := spec.Seed
-	if seed == 0 {
-		seed = 1
+	return batchKeyOf(spec, mspec).build()
+}
+
+// batchMemo is a bounded LRU of synthesized batches: a named profile
+// samples 2000 requests, so a repeated job shape reuses its batch
+// instead of sampling again. Clients pick the seed, hence the bound.
+// Failed builds are not stored.
+type batchMemo struct {
+	mu       sync.Mutex
+	capacity int
+	ll       *list.List // of *batchEntry; front = most recently used
+	index    map[batchKey]*list.Element
+}
+
+type batchEntry struct {
+	key   batchKey
+	batch workload.Batch
+}
+
+func newBatchMemo(capacity int) *batchMemo {
+	return &batchMemo{capacity: capacity, ll: list.New(), index: map[batchKey]*list.Element{}}
+}
+
+// batch returns the job's batch, building and storing it on a miss. The
+// build runs outside the lock; concurrent misses on one key build the
+// same batch and the first store wins.
+func (m *batchMemo) batch(spec JobSpec, mspec *model.Spec) (workload.Batch, error) {
+	k := batchKeyOf(spec, mspec)
+	m.mu.Lock()
+	if e, ok := m.index[k]; ok {
+		m.ll.MoveToFront(e)
+		b := e.Value.(*batchEntry).batch
+		m.mu.Unlock()
+		return b, nil
 	}
-	var prof *workload.Profile
-	switch spec.Workload {
-	case "", "fixed":
-		prompt, out := spec.Prompt, spec.Output
-		if prompt == 0 {
-			prompt = 512
-		}
-		if out == 0 {
-			out = 32
-		}
-		prof = workload.Fixed(spec.Batch, prompt, out)
-	case "summarization":
-		prof = workload.CNNDailyMail(stats.NewRNG(seed), 2000)
-	case "longcontext":
-		prof = workload.LooGLE(stats.NewRNG(seed), 2000)
-	case "chat":
-		prof = workload.ShareGPT(stats.NewRNG(seed), 2000)
-	default:
-		return workload.Batch{}, fmt.Errorf("unknown workload %q", spec.Workload)
+	m.mu.Unlock()
+	b, err := k.build()
+	if err != nil {
+		return workload.Batch{}, err
 	}
-	return workload.Synthesize(prof, spec.Batch, 2048, mspec.MaxPos)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if _, ok := m.index[k]; !ok {
+		m.index[k] = m.ll.PushFront(&batchEntry{key: k, batch: b})
+		if m.ll.Len() > m.capacity {
+			old := m.ll.Remove(m.ll.Back()).(*batchEntry)
+			delete(m.index, old.key)
+		}
+	}
+	return b, nil
+}
+
+func (m *batchMemo) len() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.ll.Len()
 }
 
 // admissionCheck rejects jobs that cannot possibly fit any resource: the

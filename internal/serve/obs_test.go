@@ -2,9 +2,11 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -132,6 +134,55 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	}
 	if mean := sum / n; math.Abs(mean-m.Online.QueueWait.Mean) > 1e-9 {
 		t.Fatalf("trace-reconstructed mean queue wait %.9f vs metrics %.9f", mean, m.Online.QueueWait.Mean)
+	}
+
+	// An offline job of three batches records its submit and finish
+	// instants, its queue-wait and plan spans, and one span per batch
+	// with the job and the batch's simulated seconds.
+	job, err := srv.Submit(JobSpec{Model: "opt-1.3b", Batch: 8, Requests: 24, Prompt: 100, Output: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if job, err = NewClient(addr).Wait(ctx, job.ID, 5*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if job.State != StateCompleted || job.BatchesDone != 3 {
+		t.Fatalf("offline job ended %s after %d batches: %s", job.State, job.BatchesDone, job.Error)
+	}
+	jobEvents := map[key]obs.Event{}
+	for _, ev := range tr.Events() {
+		if ev.Args["job"] == job.ID {
+			if _, dup := jobEvents[key{ev.Track, ev.Name}]; dup {
+				t.Fatalf("event %s/%s recorded twice", ev.Track, ev.Name)
+			}
+			jobEvents[key{ev.Track, ev.Name}] = ev
+		}
+	}
+	want := map[key]map[string]any{
+		{"serve", "submit"}:        {"job": job.ID, "model": "opt-1.3b"},
+		{"pool1", "queue-wait"}:    {"job": job.ID},
+		{"pool1", "plan"}:          {"job": job.ID, "cache": "cold"},
+		{"serve", "job-completed"}: {"job": job.ID},
+	}
+	simSum := 0.0
+	perBatch, _ := jobEvents[key{"pool1", "batch 1/3"}].Args["sim_seconds"].(float64)
+	for b := 1; b <= 3; b++ {
+		want[key{"pool1", fmt.Sprintf("batch %d/3", b)}] = map[string]any{"job": job.ID, "sim_seconds": perBatch}
+		simSum += perBatch
+	}
+	if simSum != job.SimSeconds {
+		t.Fatalf("batch spans sum to %v simulated seconds, job reports %v", simSum, job.SimSeconds)
+	}
+	if len(jobEvents) != len(want) {
+		t.Fatalf("job recorded %d events, want %d: %v", len(jobEvents), len(want), jobEvents)
+	}
+	for k, args := range want {
+		ev, ok := jobEvents[k]
+		if !ok || !reflect.DeepEqual(ev.Args, args) {
+			t.Fatalf("event %v = %+v (recorded %v), want args %v", k, ev, ok, args)
+		}
 	}
 
 	// /metrics: one registry covering serve, online, transport, fleet,

@@ -65,7 +65,8 @@ type Config struct {
 	// StateDir, when non-empty, holds the persisted plan cache; the
 	// server restores it in New and snapshots it on Shutdown.
 	StateDir string
-	// CacheCapacity bounds the plan cache (default 128 plans).
+	// CacheCapacity bounds the plan cache and the memo of synthesized
+	// job batches (default 128 entries each).
 	CacheCapacity int
 	// QueueCapacity bounds queued-but-not-started jobs (default 1024).
 	QueueCapacity int
@@ -181,7 +182,10 @@ type Metrics struct {
 type Server struct {
 	cfg   Config
 	cache *core.PlanCache
-	fleet *scheduler.FleetState
+	// batches memoizes each job shape's synthesized batch, bounded like
+	// the plan cache (Config.CacheCapacity).
+	batches *batchMemo
+	fleet   *scheduler.FleetState
 	// costs memoizes per-device stage costs across every job, pool and
 	// replan the server performs; entries are keyed by device identity
 	// and shape, so plans are unaffected (only planning time is).
@@ -295,6 +299,7 @@ func newServer(cfg Config) (*Server, error) {
 	for i := range cfg.Resources {
 		s.pools[cfg.Resources[i].Name] = &poolLoad{}
 	}
+	s.batches = newBatchMemo(s.cache.Capacity())
 	s.waitS = stats.NewReservoir(4096, 0x5e41)
 	s.execS = stats.NewReservoir(4096, 0x5e42)
 	s.cond = sync.NewCond(&s.mu)
@@ -353,7 +358,10 @@ func (s *Server) Submit(spec JobSpec) (JobView, error) {
 	if spec.Method != "" && !core.ValidMethod(core.Method(spec.Method)) {
 		return s.reject(fmt.Errorf("%w: %w %q", ErrRejected, core.ErrUnknownMethod, spec.Method))
 	}
-	batch, err := buildBatch(spec, mspec)
+	if spec.Prompt < 0 || spec.Output < 0 {
+		return s.reject(fmt.Errorf("%w: negative length (prompt %d, output %d)", ErrRejected, spec.Prompt, spec.Output))
+	}
+	batch, err := s.batches.batch(spec, mspec)
 	if err != nil {
 		return s.reject(fmt.Errorf("%w: %w", ErrRejected, err))
 	}
@@ -389,7 +397,9 @@ func (s *Server) Submit(spec JobSpec) (JobView, error) {
 	s.order = append(s.order, j.id)
 	heap.Push(&s.queue, j)
 	s.tel.submitted.Inc()
-	s.tel.tr.Instant("serve", "submit", s.tel.tr.Now(), map[string]any{"job": j.id, "model": spec.Model})
+	if tr := s.tel.tr; tr != nil {
+		tr.Instant("serve", "submit", tr.Now(), map[string]any{"job": j.id, "model": spec.Model})
+	}
 	// Broadcast, not Signal: a signaled worker whose every idle pool has
 	// already proven infeasible for the queued jobs would re-Wait without
 	// passing the wakeup on, stranding a runnable job while other workers
@@ -463,7 +473,9 @@ func (s *Server) finishLocked(j *job, st State, errMsg string) {
 	case StateCanceled:
 		s.tel.canceled.Inc()
 	}
-	s.tel.tr.Instant("serve", "job-"+string(st), s.tel.tr.Now(), map[string]any{"job": j.id})
+	if tr := s.tel.tr; tr != nil {
+		tr.Instant("serve", "job-"+string(st), tr.Now(), map[string]any{"job": j.id})
+	}
 }
 
 // transportStats polls the configured transport-recovery callback,

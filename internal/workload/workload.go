@@ -176,6 +176,27 @@ func Fixed(n, promptLen, outputLen int) *Profile {
 	return p
 }
 
+// namedRequests is the sample size of every named profile.
+const namedRequests = 2000
+
+// Named samples the named request profile from seed: "summarization"
+// (CNNDailyMail), "longcontext" (LooGLE) or "chat" (ShareGPT), each with
+// 2000 requests.
+func Named(name string, seed uint64) (*Profile, error) {
+	var gen func(*stats.RNG, int) *Profile
+	switch name {
+	case "summarization":
+		gen = CNNDailyMail
+	case "longcontext":
+		gen = LooGLE
+	case "chat":
+		gen = ShareGPT
+	default:
+		return nil, fmt.Errorf("unknown workload %q", name)
+	}
+	return gen(stats.NewRNG(seed), namedRequests), nil
+}
+
 // Batch is the planner's view of one synthesized offline batch: B padded
 // requests chunked for prefill (Sarathi-style), per §IV-C's "padded and
 // dynamically chunked into prompts of uniform length s, partitioned into

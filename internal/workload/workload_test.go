@@ -1,7 +1,9 @@
 package workload
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -135,6 +137,28 @@ func TestSynthesizeErrors(t *testing.T) {
 	p := Fixed(4, 100, 10)
 	if _, err := Synthesize(p, 0, 2048, 2048); err == nil {
 		t.Fatal("zero batch accepted")
+	}
+}
+
+func TestNamedProfiles(t *testing.T) {
+	for name, gen := range map[string]func(*stats.RNG, int) *Profile{
+		"summarization": CNNDailyMail,
+		"longcontext":   LooGLE,
+		"chat":          ShareGPT,
+	} {
+		got, err := Named(name, 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := gen(stats.NewRNG(9), 2000); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Named(%q, 9) differs from its generator's 2000-request profile", name)
+		}
+	}
+	for _, name := range []string{"", "fixed", "Chat"} {
+		_, err := Named(name, 1)
+		if want := fmt.Sprintf("unknown workload %q", name); err == nil || err.Error() != want {
+			t.Fatalf("Named(%q) error %v, want %q", name, err, want)
+		}
 	}
 }
 

@@ -61,7 +61,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/gpu"
 	"repro/internal/model"
-	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -303,19 +302,23 @@ type Workload struct {
 }
 
 // Summarization returns a CNN-DailyMail-shaped profile (long outputs).
-func Summarization(seed uint64) Workload {
-	return Workload{profile: workload.CNNDailyMail(stats.NewRNG(seed), 2000)}
-}
+func Summarization(seed uint64) Workload { return named("summarization", seed) }
 
 // LongContext returns a LooGLE-shaped profile (very long prompts, short
 // outputs).
-func LongContext(seed uint64) Workload {
-	return Workload{profile: workload.LooGLE(stats.NewRNG(seed), 2000)}
-}
+func LongContext(seed uint64) Workload { return named("longcontext", seed) }
 
 // Chat returns a ShareGPT-shaped conversational profile.
-func Chat(seed uint64) Workload {
-	return Workload{profile: workload.ShareGPT(stats.NewRNG(seed), 2000)}
+func Chat(seed uint64) Workload { return named("chat", seed) }
+
+// named wraps one of workload.Named's profiles; the names above are all
+// known to it.
+func named(name string, seed uint64) Workload {
+	p, err := workload.Named(name, seed)
+	if err != nil {
+		panic(err)
+	}
+	return Workload{profile: p}
 }
 
 // FixedWorkload returns n identical requests (promptLen in, outputLen
