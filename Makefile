@@ -16,11 +16,14 @@ fmt-check:
 
 # The arm64 vet and 386 build keep the portable matmul kernel (built
 # wherever the amd64 assembly is not) compiling; vet on amd64 also runs
-# asmdecl over the assembly.
+# asmdecl over the assembly. perfbench/ is its own module (the
+# repository benchmark) and compiles against serve, online, core and
+# capacity, so an API change that breaks it fails here too.
 vet: fmt-check
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./...
 	GOARCH=386 $(GO) build ./...
+	cd perfbench && $(GO) build ./... && $(GO) vet ./...
 
 # The whole suite under the race detector (the planner runs a worker
 # pool and the serve executor rotates workers over pools; -race keeps

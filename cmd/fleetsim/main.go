@@ -109,9 +109,8 @@ func main() {
 		{ID: "synthetic-data", Model: "opt-13b", Batch: batch(32), Requests: 8192},
 		{ID: "doc-classify", Model: "opt-1.3b", Batch: batch(32), Requests: 16384},
 	}
-	sched, err := scheduler.Build(ctx, jobs, resources, scheduler.Options{
-		Planner: core.Options{Method: core.MethodHeuristic, Theta: 1, OrderingLimit: 4},
-	})
+	sched, err := scheduler.Build(ctx, jobs, resources,
+		core.Options{Method: core.MethodHeuristic, Theta: 1, OrderingLimit: 4})
 	if err != nil {
 		fatal(err)
 	}
@@ -198,9 +197,8 @@ func replanUnderFaults(ctx context.Context, trace *fleet.Trace, seed uint64, job
 		fmt.Printf("degraded %-14s %-26s availability %.0f%%\n", r.Name, r.Cluster, r.Availability*100)
 	}
 
-	sched, err := scheduler.Rebuild(ctx, jobs, degraded, scheduler.Options{
-		Planner: core.Options{Method: core.MethodHeuristic, Theta: 1, OrderingLimit: 4},
-	}, baseline)
+	sched, err := scheduler.Rebuild(ctx, jobs, degraded,
+		core.Options{Method: core.MethodHeuristic, Theta: 1, OrderingLimit: 4}, baseline)
 	if err != nil {
 		return err
 	}

@@ -210,7 +210,7 @@ func buildOnline(modelName string, preset, maxBatch int, gbps float64, tr *obs.T
 		HandoffBW: cluster.BandwidthFromGbps(gbps),
 		Tracer:    tr,
 	}
-	dp, err := core.PlanDisaggregated(ctx, spec, clu, ind, opts, batch, core.DisaggOptions{})
+	dp, err := core.PlanDisaggregated(ctx, spec, clu, ind, opts, batch)
 	if err == nil {
 		cfg.PrefillPlan, cfg.PrefillCluster = dp.Prefill, dp.PrefillCluster
 		cfg.DecodePlan, cfg.DecodeCluster = dp.Decode, dp.DecodeCluster

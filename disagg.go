@@ -45,7 +45,7 @@ func (s *System) PlanDisaggregatedContext(ctx context.Context, w Workload, batch
 	if err != nil {
 		return nil, err
 	}
-	dp, err := core.PlanDisaggregated(ctx, s.spec, s.clu, s.shared.ind, s.coreOptions(o), batch, core.DisaggOptions{})
+	dp, err := core.PlanDisaggregated(ctx, s.spec, s.clu, s.shared.ind, s.coreOptions(o), batch)
 	if err != nil {
 		return nil, err
 	}

@@ -57,14 +57,11 @@ func (a *Analysis) SLOk() bool { return len(a.Violations) == 0 }
 // prediction and the simulation share one cost model and differ only
 // by queueing dynamics.
 func Analyze(cfg online.Config, profile *workload.Profile, rate float64, slo SLO) (*Analysis, error) {
-	if cfg.Spec == nil || cfg.PrefillPlan == nil || cfg.PrefillCluster == nil {
-		return nil, fmt.Errorf("capacity: config needs a model spec and a prefill plan/cluster")
+	cfg, err := cfg.WithDefaults()
+	if err != nil {
+		return nil, err
 	}
-	chunkLen := cfg.ChunkLen
-	if chunkLen <= 0 {
-		chunkLen = 256
-	}
-	ws, err := AnalyzeWorkload(profile, chunkLen)
+	ws, err := AnalyzeWorkload(profile, cfg.ChunkLen)
 	if err != nil {
 		return nil, err
 	}
@@ -103,17 +100,14 @@ func Analyze(cfg online.Config, profile *workload.Profile, rate float64, slo SLO
 	return a, nil
 }
 
-// solveDecode builds the decode-pool model. In colocated configs the
-// prefill plan decodes too and there is no handoff.
+// solveDecode builds the decode-pool model from a defaulted config. In
+// colocated configs the prefill plan decodes too and there is no
+// handoff.
 func solveDecode(cfg online.Config, ws *WorkloadStats, profile *workload.Profile, rate float64) (*DecodePool, error) {
 	plan, clu := cfg.DecodePlan, cfg.DecodeCluster
 	disagg := plan != nil
 	if !disagg {
 		plan, clu = cfg.PrefillPlan, cfg.PrefillCluster
-	}
-	maxBatch := cfg.MaxBatch
-	if maxBatch <= 0 {
-		maxBatch = 32
 	}
 
 	// Mean per-request KV footprint on the decode plan bounds admission.
@@ -122,7 +116,7 @@ func solveDecode(cfg online.Config, ws *WorkloadStats, profile *workload.Profile
 		kvMean += float64(pipeline.RequestKVBytes(plan, cfg.Spec, r.PromptLen, r.OutputLen))
 	}
 	kvMean /= float64(len(profile.Requests))
-	d := &DecodePool{Cap: maxBatch}
+	d := &DecodePool{Cap: cfg.MaxBatch}
 	if kvMean > 0 {
 		if byKV := int(float64(pipeline.KVBudget(plan, cfg.Spec)) / kvMean); byKV < d.Cap {
 			d.Cap = byKV

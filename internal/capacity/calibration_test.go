@@ -24,7 +24,7 @@ func engineConfig(t *testing.T, spec *model.Spec, preset int) online.Config {
 	ind := core.ProfileIndicator(spec, bits, quant.Deterministic)
 	batch := workload.Batch{Size: 16, ChunkLen: 256, Chunks: 1, GenTokens: 32}
 	dp, err := core.PlanDisaggregated(context.Background(), spec, clu, ind,
-		core.Options{Bits: bits, TimeLimit: 30 * time.Second}, batch, core.DisaggOptions{})
+		core.Options{Bits: bits, TimeLimit: 30 * time.Second}, batch)
 	if err != nil {
 		t.Fatalf("PlanDisaggregated(preset %d): %v", preset, err)
 	}

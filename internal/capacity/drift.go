@@ -100,6 +100,9 @@ func NewDriftDetector(cfg online.Config, pool string, tol, recal float64) *Drift
 	if recal <= tol {
 		recal = 2 * tol
 	}
+	// An incomplete config keeps its defaults here and reports its
+	// error from SolvePrefill on each Observe.
+	cfg, _ = cfg.WithDefaults()
 	return &DriftDetector{cfg: cfg, pool: pool, tol: tol, recal: recal}
 }
 

@@ -53,6 +53,16 @@ func TestDriftDetectorReplay(t *testing.T) {
 		}
 	}
 
+	// A config that leaves ChunkLen unset gets the engine's default
+	// (256, as this config sets it), so its detector judges the same
+	// replay alike instead of failing to solve.
+	zero := cfg
+	zero.ChunkLen = 0
+	rep0 := NewDriftDetector(zero, "online-prefill", 0, 0).Observe(eng.List(), m)
+	if rep0.Err != "" || rep0.Verdict != rep.Verdict || rep0.PredictedTTFTP95 != rep.PredictedTTFTP95 {
+		t.Fatalf("zero ChunkLen report = %+v, want %+v", rep0, rep)
+	}
+
 	var sb strings.Builder
 	if err := reg.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -32,16 +33,11 @@ var DefaultDeviceCost = map[gpu.DeviceClass]float64{
 // FleetSpec is a per-class device count vector.
 type FleetSpec map[gpu.DeviceClass]int
 
-// Cost prices the fleet under a cost table (DefaultDeviceCost entries
-// fill gaps).
-func (f FleetSpec) Cost(costs map[gpu.DeviceClass]float64) float64 {
+// Cost prices the fleet at DefaultDeviceCost.
+func (f FleetSpec) Cost() float64 {
 	total := 0.0
 	for class, n := range f {
-		c, ok := costs[class]
-		if !ok {
-			c = DefaultDeviceCost[class]
-		}
-		total += c * float64(n)
+		total += DefaultDeviceCost[class] * float64(n)
 	}
 	return total
 }
@@ -115,23 +111,22 @@ type PlanInput struct {
 	// A100); MaxPerClass caps each class's count (default 4).
 	Classes     []gpu.DeviceClass
 	MaxPerClass int
-	// Costs overrides DefaultDeviceCost per class.
-	Costs map[gpu.DeviceClass]float64
-	// Bits are the planner's candidate bitwidths (default 3/4/8/16);
-	// ChunkLen, MaxBatch, MaxPrefillBatch, HandoffBW, InterBW mirror the
-	// engine configuration the fleet will run (engine defaults apply).
-	Bits            []int
-	ChunkLen        int
-	MaxBatch        int
-	MaxPrefillBatch int
-	HandoffBW       float64
-	InterBW         float64
-	// TimeLimit bounds each candidate's phase-plan search (default 10s).
-	TimeLimit time.Duration
-	// Indicator overrides the quantization-quality indicator (default
-	// deterministic profile over Bits).
-	Indicator *core.Indicator
 }
+
+// The fleet search plans every candidate over planBits with a
+// planTimeLimit search each, prices fleets at DefaultDeviceCost, joins
+// a fleet's nodes by an 800 Gb/s Ethernet fabric, and sizes KV for
+// batches of planBatch requests in planChunkLen-token prefill chunks.
+// The engine configuration it recommends sets the chunk length and the
+// admission threshold and leaves every other limit at the online
+// engine's default.
+const (
+	planChunkLen  = 256
+	planBatch     = 16
+	planTimeLimit = 10 * time.Second
+)
+
+var planBits = []int{3, 4, 8, 16}
 
 func (in PlanInput) withDefaults() PlanInput {
 	if len(in.Classes) == 0 {
@@ -139,18 +134,6 @@ func (in PlanInput) withDefaults() PlanInput {
 	}
 	if in.MaxPerClass <= 0 {
 		in.MaxPerClass = 4
-	}
-	if len(in.Bits) == 0 {
-		in.Bits = []int{3, 4, 8, 16}
-	}
-	if in.ChunkLen <= 0 {
-		in.ChunkLen = 256
-	}
-	if in.InterBW <= 0 {
-		in.InterBW = cluster.Eth800BW
-	}
-	if in.TimeLimit <= 0 {
-		in.TimeLimit = 10 * time.Second
 	}
 	in.SLO = in.SLO.withDefaults()
 	return in
@@ -204,20 +187,17 @@ func PlanFleet(ctx context.Context, in PlanInput) (*Recommendation, error) {
 	if in.Rate <= 0 {
 		return nil, fmt.Errorf("capacity: design rate %v", in.Rate)
 	}
-	ind := in.Indicator
-	if ind == nil {
-		ind = core.ProfileIndicator(in.Spec, in.Bits, quant.Deterministic)
-	}
+	ind := core.ProfileIndicator(in.Spec, planBits, quant.Deterministic)
 
 	// The per-batch shape the phase planner sizes KV for.
-	batch, err := workload.Synthesize(in.Profile, maxInt(in.MaxBatch, 16), in.ChunkLen, in.Spec.MaxPos)
+	batch, err := workload.Synthesize(in.Profile, planBatch, planChunkLen, in.Spec.MaxPos)
 	if err != nil {
 		return nil, err
 	}
 
 	candidates := enumerateFleets(in.Classes, in.MaxPerClass)
 	sort.SliceStable(candidates, func(i, j int) bool {
-		ci, cj := candidates[i].Cost(in.Costs), candidates[j].Cost(in.Costs)
+		ci, cj := candidates[i].Cost(), candidates[j].Cost()
 		if ci != cj {
 			return ci < cj
 		}
@@ -226,14 +206,8 @@ func PlanFleet(ctx context.Context, in PlanInput) (*Recommendation, error) {
 
 	// Memory lower bound: the fleet must at least hold the weights at
 	// the smallest bitwidth plus the embedding table.
-	minBits := in.Bits[0]
-	for _, b := range in.Bits {
-		if b < minBits {
-			minBits = b
-		}
-	}
 	mm := costmodel.MemoryModel{}
-	minWeights := mm.LayerBytes(in.Spec, minBits)*int64(in.Spec.Layers) + mm.EmbeddingBytes(in.Spec)
+	minWeights := mm.LayerBytes(in.Spec, slices.Min(planBits))*int64(in.Spec.Layers) + mm.EmbeddingBytes(in.Spec)
 
 	rec := &Recommendation{}
 	var lastErr error
@@ -244,7 +218,7 @@ func PlanFleet(ctx context.Context, in PlanInput) (*Recommendation, error) {
 		if fs.Devices() < 2 {
 			continue // a disaggregated deployment needs two pools
 		}
-		clu := fs.Cluster(fmt.Sprintf("fleet-%s", fs), in.InterBW)
+		clu := fs.Cluster(fmt.Sprintf("fleet-%s", fs), cluster.Eth800BW)
 		var mem int64
 		for _, d := range clu.Devices() {
 			mem += d.UsableMemory()
@@ -255,7 +229,7 @@ func PlanFleet(ctx context.Context, in PlanInput) (*Recommendation, error) {
 		}
 		rec.CandidatesTried++
 		dp, err := core.PlanDisaggregated(ctx, in.Spec, clu, ind,
-			core.Options{Bits: in.Bits, TimeLimit: in.TimeLimit}, batch, core.DisaggOptions{})
+			core.Options{Bits: planBits, TimeLimit: planTimeLimit}, batch)
 		if err != nil {
 			if errors.Is(err, core.ErrInfeasible) {
 				lastErr = err
@@ -264,15 +238,12 @@ func PlanFleet(ctx context.Context, in PlanInput) (*Recommendation, error) {
 			return nil, err
 		}
 		cfg := online.Config{
-			Spec:            in.Spec,
-			PrefillPlan:     dp.Prefill,
-			PrefillCluster:  dp.PrefillCluster,
-			DecodePlan:      dp.Decode,
-			DecodeCluster:   dp.DecodeCluster,
-			ChunkLen:        in.ChunkLen,
-			MaxBatch:        in.MaxBatch,
-			MaxPrefillBatch: in.MaxPrefillBatch,
-			HandoffBW:       in.HandoffBW,
+			Spec:           in.Spec,
+			PrefillPlan:    dp.Prefill,
+			PrefillCluster: dp.PrefillCluster,
+			DecodePlan:     dp.Decode,
+			DecodeCluster:  dp.DecodeCluster,
+			ChunkLen:       planChunkLen,
 		}
 		a, err := Analyze(cfg, in.Profile, in.Rate, in.SLO)
 		if err != nil {
@@ -284,7 +255,7 @@ func PlanFleet(ctx context.Context, in PlanInput) (*Recommendation, error) {
 			continue
 		}
 		rec.Fleet = fs
-		rec.CostPerHour = fs.Cost(in.Costs)
+		rec.CostPerHour = fs.Cost()
 		rec.Cluster = clu
 		rec.Disagg = dp
 		rec.Analysis = a
@@ -347,11 +318,4 @@ func enumerateFleets(classes []gpu.DeviceClass, maxPer int) []FleetSpec {
 	}
 	walk(0, FleetSpec{})
 	return out
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -140,7 +140,7 @@ func analyzeFleet(fs FleetSpec, profile *workload.Profile, rate float64, slo SLO
 	}
 	clu := fs.Cluster("shrunk", cluster.Eth800BW)
 	dp, err := core.PlanDisaggregated(context.Background(), spec, clu, ind,
-		core.Options{Bits: bits, TimeLimit: 30 * time.Second}, batch, core.DisaggOptions{})
+		core.Options{Bits: bits, TimeLimit: 30 * time.Second}, batch)
 	if err != nil {
 		return nil, err
 	}
@@ -193,11 +193,8 @@ func TestFleetSpecHelpers(t *testing.T) {
 		t.Errorf("devices %d", fs.Devices())
 	}
 	wantCost := 2*DefaultDeviceCost[gpu.V100] + DefaultDeviceCost[gpu.A100]
-	if got := fs.Cost(nil); got != wantCost {
+	if got := fs.Cost(); got != wantCost {
 		t.Errorf("cost %.2f, want %.2f", got, wantCost)
-	}
-	if got := fs.Cost(map[gpu.DeviceClass]float64{gpu.V100: 10}); got != 20+DefaultDeviceCost[gpu.A100] {
-		t.Errorf("override cost %.2f", got)
 	}
 	s := fs.String()
 	if !strings.Contains(s, "2x") || !strings.Contains(s, "1x") {

@@ -66,10 +66,11 @@ const uPhases = 16
 // pipeline.Simulate with a one-token generation budget — the same call,
 // with the same cache key shape, the engine itself makes.
 func SolvePrefill(cfg online.Config, ws *WorkloadStats, lambda float64) (*PrefillStation, error) {
-	b := cfg.MaxPrefillBatch
-	if b <= 0 {
-		b = 8
+	cfg, err := cfg.WithDefaults()
+	if err != nil {
+		return nil, err
 	}
+	b := cfg.MaxPrefillBatch
 	st := &PrefillStation{B: b, Lambda: lambda}
 	if lambda < 0 {
 		return nil, fmt.Errorf("capacity: negative arrival rate %v", lambda)

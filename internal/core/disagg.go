@@ -23,21 +23,8 @@ import (
 	"repro/internal/workload"
 )
 
-// DisaggOptions tunes the phase-specific bit sets. Zero values pick the
-// paper-motivated defaults derived from the base Options.Bits.
-type DisaggOptions struct {
-	// PrefillBits restricts the prefill pool's weight bitwidths.
-	// Default: the ≥ 8-bit subset of Options.Bits (prefill accuracy sets
-	// the quality of every later token, so it stays near full precision).
-	PrefillBits []int
-	// DecodeBits restricts the decode pool's weight bitwidths.
-	// Default: the ≤ 8-bit subset of Options.Bits (decode is
-	// bandwidth-bound; low bits trade FLOPS it doesn't need for memory
-	// traffic it does).
-	DecodeBits []int
-	// DecodeBitKV is the decode pool's KV-cache bitwidth (default 8).
-	DecodeBitKV int
-}
+// decodeBitKV is the decode pool's KV-cache bitwidth.
+const decodeBitKV = 8
 
 // DisaggregatedPlan is a pair of phase plans over disjoint sub-clusters.
 type DisaggregatedPlan struct {
@@ -174,24 +161,19 @@ func filterBits(src []int, keep func(int) bool) []int {
 // PrefillOnlyObjective, high-precision bits, and a one-token generation
 // budget (its KV lives only until the handoff); the decode pool with
 // DecodeOnlyObjective, low bits, and a quantized KV cache sized for the
-// full batch. Candidate splits are tried strongest-prefill-first; the
-// first split where both pools plan feasibly wins. The indicator must
-// cover the union of both pools' bit sets (Options.Bits).
+// full batch. The prefill pool keeps the ≥ 8-bit subset of
+// Options.Bits (prefill accuracy sets the quality of every later token,
+// so it stays near full precision); the decode pool keeps the ≤ 8-bit
+// subset (decode is bandwidth-bound; low bits trade FLOPS it doesn't
+// need for memory traffic it does) and an 8-bit KV cache. Candidate
+// splits are tried strongest-prefill-first; the first split where both
+// pools plan feasibly wins. The indicator must cover the union of both
+// pools' bit sets (Options.Bits).
 func PlanDisaggregated(ctx context.Context, spec *model.Spec, clu *cluster.Cluster, ind *Indicator,
-	opts Options, batch workload.Batch, dopts DisaggOptions) (*DisaggregatedPlan, error) {
+	opts Options, batch workload.Batch) (*DisaggregatedPlan, error) {
 	opts = opts.withDefaults()
-	preBits := dopts.PrefillBits
-	if len(preBits) == 0 {
-		preBits = filterBits(opts.Bits, func(b int) bool { return b >= 8 })
-	}
-	decBits := dopts.DecodeBits
-	if len(decBits) == 0 {
-		decBits = filterBits(opts.Bits, func(b int) bool { return b <= 8 })
-	}
-	decBitKV := dopts.DecodeBitKV
-	if decBitKV == 0 {
-		decBitKV = 8
-	}
+	preBits := filterBits(opts.Bits, func(b int) bool { return b >= 8 })
+	decBits := filterBits(opts.Bits, func(b int) bool { return b <= 8 })
 
 	// The prefill pool never accumulates decode context: each request
 	// holds prompt + one generated position, then hands off.
@@ -212,7 +194,7 @@ func PlanDisaggregated(ctx context.Context, spec *model.Spec, clu *cluster.Clust
 		preOpts.DecodeOnlyObjective = false
 		decOpts := opts
 		decOpts.Bits = decBits
-		decOpts.BitKV = decBitKV
+		decOpts.BitKV = decodeBitKV
 		decOpts.DecodeOnlyObjective = true
 		decOpts.PrefillOnlyObjective = false
 

@@ -82,7 +82,7 @@ func TestPlanDisaggregated(t *testing.T) {
 	spec := model.OPT13B
 	clu := cluster.MustPreset(2)
 	opts := Options{Bits: []int{3, 4, 8, 16}, TimeLimit: 10 * time.Second}
-	dp, err := PlanDisaggregated(context.Background(), spec, clu, ind(spec), opts, smallBatch, DisaggOptions{})
+	dp, err := PlanDisaggregated(context.Background(), spec, clu, ind(spec), opts, smallBatch)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -84,74 +84,36 @@ func min(a, b int) int {
 	return b
 }
 
-// All runs every experiment in paper order, stopping at the first error
-// or once ctx is done. Expensive; primarily for `cmd/experiments all`.
-func All(ctx context.Context) ([]*Result, error) {
-	runs := []func(context.Context) (*Result, error){
-		Fig1, Fig3, Fig4, Fig5, Table1, Fig7, Fig8, Fig9, Fig10,
-		Table4, Table5, Table6, Fig11, Fig12, Ablations, Extensions,
-	}
-	var out []*Result
-	for _, run := range runs {
-		if err := ctx.Err(); err != nil {
-			return out, err
-		}
-		r, err := run(ctx)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
+// registry is every experiment in paper order: the order of
+// `cmd/experiments all` and of its -list output.
+var registry = []struct {
+	id  string
+	run func(context.Context) (*Result, error)
+}{
+	{"fig1", Fig1}, {"fig3", Fig3}, {"fig4", Fig4}, {"fig5", Fig5},
+	{"table1", Table1}, {"fig7", Fig7}, {"fig8", Fig8}, {"fig9", Fig9},
+	{"fig10", Fig10}, {"table4", Table4}, {"table5", Table5},
+	{"table6", Table6}, {"fig11", Fig11}, {"fig12", Fig12},
+	{"ablation", Ablations}, {"extensions", Extensions},
 }
 
 // IDs returns the experiment ids in paper order.
 func IDs() []string {
-	return []string{
-		"fig1", "fig3", "fig4", "fig5", "table1", "fig7", "fig8",
-		"fig9", "fig10", "table4", "table5", "table6", "fig11", "fig12",
-		"ablation", "extensions",
+	ids := make([]string, len(registry))
+	for i, e := range registry {
+		ids[i] = e.id
 	}
+	return ids
 }
 
 // ByID dispatches one experiment by id.
 func ByID(ctx context.Context, id string) (*Result, error) {
-	switch strings.ToLower(id) {
-	case "fig1":
-		return Fig1(ctx)
-	case "fig3":
-		return Fig3(ctx)
-	case "fig4":
-		return Fig4(ctx)
-	case "fig5":
-		return Fig5(ctx)
-	case "table1":
-		return Table1(ctx)
-	case "fig7":
-		return Fig7(ctx)
-	case "fig8":
-		return Fig8(ctx)
-	case "fig9":
-		return Fig9(ctx)
-	case "fig10":
-		return Fig10(ctx)
-	case "table4":
-		return Table4(ctx)
-	case "table5":
-		return Table5(ctx)
-	case "table6":
-		return Table6(ctx)
-	case "fig11":
-		return Fig11(ctx)
-	case "fig12":
-		return Fig12(ctx)
-	case "ablation":
-		return Ablations(ctx)
-	case "extensions":
-		return Extensions(ctx)
-	default:
-		return nil, fmt.Errorf("experiments: unknown id %q (known: %v)", id, IDs())
+	for _, e := range registry {
+		if e.id == strings.ToLower(id) {
+			return e.run(ctx)
+		}
 	}
+	return nil, fmt.Errorf("experiments: unknown id %q (known: %v)", id, IDs())
 }
 
 // sortedKeys returns map keys in sorted order for deterministic output.

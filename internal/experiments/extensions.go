@@ -86,7 +86,7 @@ func Extensions(ctx context.Context) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	awqW, err := quant.AWQQuantize(w, x, quant.Scheme{Bits: 3}, quant.AWQOptions{})
+	awqW, err := quant.AWQQuantize(w, x, quant.Scheme{Bits: 3})
 	if err != nil {
 		return nil, err
 	}

@@ -36,10 +36,11 @@ type Options struct {
 	// WarmStart, when non-nil, provides an initial feasible solution
 	// whose objective prunes the search from the start.
 	WarmStart []float64
-	// Gap is the relative optimality gap at which search stops early
-	// (e.g. 1e-6).
-	Gap float64
 }
+
+// gap is the relative optimality gap at which a node is pruned against
+// the incumbent.
+const gap = 1e-9
 
 // Status reports how the solve ended.
 type Status int
@@ -145,11 +146,6 @@ func SolveContext(ctx context.Context, p *Problem, opts Options) (*Solution, err
 	if opts.TimeLimit > 0 {
 		deadline = time.Now().Add(opts.TimeLimit)
 	}
-	gap := opts.Gap
-	if gap <= 0 {
-		gap = 1e-9
-	}
-
 	best := &Solution{Status: NoSolution, Objective: math.Inf(1)}
 	if opts.WarmStart != nil {
 		if len(opts.WarmStart) != n {
@@ -245,7 +241,7 @@ func SolveContext(ctx context.Context, p *Problem, opts Options) (*Solution, err
 		}
 		return best, nil
 	}
-	if !dropped && (queue.Len() == 0 || allPruned(queue, best.Objective, gap)) {
+	if !dropped && (queue.Len() == 0 || allPruned(queue, best.Objective)) {
 		best.Status = Optimal
 		best.Proved = true
 	}
@@ -254,7 +250,7 @@ func SolveContext(ctx context.Context, p *Problem, opts Options) (*Solution, err
 
 // allPruned reports whether every open node's bound is at or above the
 // incumbent (within gap), i.e. the incumbent is optimal.
-func allPruned(q *nodeQueue, incumbent, gap float64) bool {
+func allPruned(q *nodeQueue, incumbent float64) bool {
 	for _, nd := range *q {
 		if nd.bound < incumbent-gap*math.Abs(incumbent)-1e-12 {
 			return false

@@ -107,14 +107,12 @@ func (c *Config) TransferSeconds(promptLen int) (seconds float64, ok bool) {
 	return float64(bytes) / c.HandoffBW, true
 }
 
-func (c *Config) withDefaults() (Config, error) {
+// WithDefaults returns a copy of the config with every unset limit at
+// the engine's default, and an error when the plans are incomplete. The
+// copy carries the defaults even when the error is set. The engine and
+// the capacity planner's analytic model both size from it.
+func (c *Config) WithDefaults() (Config, error) {
 	out := *c
-	if out.Spec == nil || out.PrefillPlan == nil || out.PrefillCluster == nil {
-		return out, fmt.Errorf("online: config needs a model spec and a prefill plan/cluster")
-	}
-	if (out.DecodePlan == nil) != (out.DecodeCluster == nil) {
-		return out, fmt.Errorf("online: decode plan and cluster must be set together")
-	}
 	if out.ChunkLen <= 0 {
 		out.ChunkLen = 256
 	}
@@ -126,6 +124,12 @@ func (c *Config) withDefaults() (Config, error) {
 	}
 	if out.QueueCapacity <= 0 {
 		out.QueueCapacity = 256
+	}
+	if out.Spec == nil || out.PrefillPlan == nil || out.PrefillCluster == nil {
+		return out, fmt.Errorf("online: config needs a model spec and a prefill plan/cluster")
+	}
+	if (out.DecodePlan == nil) != (out.DecodeCluster == nil) {
+		return out, fmt.Errorf("online: decode plan and cluster must be set together")
 	}
 	return out, nil
 }
@@ -240,7 +244,7 @@ const reservoirCap = 4096
 
 // New validates the config and builds an idle engine at clock 0.
 func New(cfg Config) (*Engine, error) {
-	c, err := cfg.withDefaults()
+	c, err := cfg.WithDefaults()
 	if err != nil {
 		return nil, err
 	}

@@ -44,7 +44,7 @@ func disaggConfig(t *testing.T, handoffBW float64) Config {
 	clu := cluster.MustPreset(2)
 	ind := core.ProfileIndicator(spec, []int{3, 4, 8, 16}, quant.Deterministic)
 	dp, err := core.PlanDisaggregated(context.Background(), spec, clu, ind,
-		core.Options{Bits: []int{3, 4, 8, 16}, TimeLimit: 10 * time.Second}, testBatch, core.DisaggOptions{})
+		core.Options{Bits: []int{3, 4, 8, 16}, TimeLimit: 10 * time.Second}, testBatch)
 	if err != nil {
 		t.Fatal(err)
 	}

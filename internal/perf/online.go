@@ -76,7 +76,7 @@ func OnlineServing(ctx context.Context) (*OnlineResult, error) {
 	batch := workload.Batch{Size: 16, ChunkLen: 256, Chunks: 1, GenTokens: 32}
 	t0 := time.Now()
 	dp, err := core.PlanDisaggregated(ctx, spec, clu, ind,
-		core.Options{Bits: bits, TimeLimit: 30 * time.Second}, batch, core.DisaggOptions{})
+		core.Options{Bits: bits, TimeLimit: 30 * time.Second}, batch)
 	if err != nil {
 		return nil, err
 	}

@@ -15,18 +15,15 @@ import (
 // divides it back afterwards, so salient channels land on a finer
 // effective grid without keeping any weight in FP16.
 
-// AWQOptions configures an AWQ run.
-type AWQOptions struct {
-	// Alpha is the saliency exponent in (0, 1); 0 defaults to 0.5.
-	Alpha float64
-}
+// awqAlpha is the saliency exponent α.
+const awqAlpha = 0.5
 
 // AWQQuantize fake-quantizes w (in × out, input-major) to the scheme
 // using calibration activations x (samples × in): channels are scaled by
 // activation saliency, quantized per output column group... the scaling
 // is undone after rounding, so the result stays a drop-in replacement
 // for w.
-func AWQQuantize(w, x *tensor.Matrix, s Scheme, opts AWQOptions) (*tensor.Matrix, error) {
+func AWQQuantize(w, x *tensor.Matrix, s Scheme) (*tensor.Matrix, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -38,13 +35,6 @@ func AWQQuantize(w, x *tensor.Matrix, s Scheme, opts AWQOptions) (*tensor.Matrix
 	}
 	if x.Rows == 0 {
 		return nil, fmt.Errorf("quant: AWQ needs calibration samples")
-	}
-	alpha := opts.Alpha
-	if alpha == 0 {
-		alpha = 0.5
-	}
-	if alpha <= 0 || alpha >= 1 {
-		return nil, fmt.Errorf("quant: AWQ alpha %v outside (0, 1)", alpha)
 	}
 	in := w.Rows
 	// Per-channel saliency: mean absolute activation.
@@ -67,7 +57,7 @@ func AWQQuantize(w, x *tensor.Matrix, s Scheme, opts AWQOptions) (*tensor.Matrix
 	geoMean := math.Exp(geoSum / float64(in))
 	scales := make([]float64, in)
 	for j := range scales {
-		scales[j] = math.Pow(sal[j]/geoMean, alpha)
+		scales[j] = math.Pow(sal[j]/geoMean, awqAlpha)
 	}
 	// Scale, quantize (per output-column rows after transpose — our
 	// quantizer scales per row of its input, so transpose to put output

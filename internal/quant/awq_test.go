@@ -18,7 +18,7 @@ func TestAWQProtectsSalientChannels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	awq, err := AWQQuantize(w, x, s, AWQOptions{})
+	awq, err := AWQQuantize(w, x, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestAWQEndToEndOutputError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	awq, err := AWQQuantize(w, x, s, AWQOptions{})
+	awq, err := AWQQuantize(w, x, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestAWQIdentityAtFP16(t *testing.T) {
 	rng := stats.NewRNG(302)
 	w := randMatrix(rng, 8, 4, 0.05)
 	x := randMatrix(rng, 8, 8, 1)
-	out, err := AWQQuantize(w, x, FP16, AWQOptions{})
+	out, err := AWQQuantize(w, x, FP16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,14 +84,11 @@ func TestAWQIdentityAtFP16(t *testing.T) {
 func TestAWQValidation(t *testing.T) {
 	rng := stats.NewRNG(303)
 	w := randMatrix(rng, 8, 4, 0.05)
-	if _, err := AWQQuantize(w, randMatrix(rng, 8, 6, 1), Scheme{Bits: 4}, AWQOptions{}); err == nil {
+	if _, err := AWQQuantize(w, randMatrix(rng, 8, 6, 1), Scheme{Bits: 4}); err == nil {
 		t.Fatal("channel mismatch accepted")
 	}
-	if _, err := AWQQuantize(w, tensor.NewMatrix(0, 8), Scheme{Bits: 4}, AWQOptions{}); err == nil {
+	if _, err := AWQQuantize(w, tensor.NewMatrix(0, 8), Scheme{Bits: 4}); err == nil {
 		t.Fatal("empty calibration accepted")
-	}
-	if _, err := AWQQuantize(w, randMatrix(rng, 8, 8, 1), Scheme{Bits: 4}, AWQOptions{Alpha: 2}); err == nil {
-		t.Fatal("alpha 2 accepted")
 	}
 }
 

@@ -21,14 +21,15 @@ import (
 
 // GPTQOptions configures a GPTQ run.
 type GPTQOptions struct {
-	// Damp is the relative diagonal damping λ = Damp·mean(diag(H))
-	// (default 0.01, as in the reference implementation).
-	Damp float64
 	// ActOrder quantizes columns in order of decreasing Hessian diagonal
 	// (the reference implementation's "desc_act" heuristic), which
 	// markedly improves very-low-bit quality.
 	ActOrder bool
 }
+
+// gptqDamp is the relative diagonal damping: λ = gptqDamp·mean(diag(H)),
+// as in the reference implementation.
+const gptqDamp = 0.01
 
 // GPTQQuantize fake-quantizes w (out × in) to the scheme using the
 // calibration inputs x (samples × in). Only deterministic rounding is
@@ -55,10 +56,6 @@ func GPTQQuantize(w, x *tensor.Matrix, s Scheme, opts GPTQOptions) (*tensor.Matr
 		return nil, fmt.Errorf("quant: GPTQ needs calibration samples")
 	}
 	d := w.Cols
-	damp := opts.Damp
-	if damp <= 0 {
-		damp = 0.01
-	}
 
 	// H = 2·XᵀX + λI.
 	h := make([][]float64, d)
@@ -82,7 +79,7 @@ func GPTQQuantize(w, x *tensor.Matrix, s Scheme, opts GPTQOptions) (*tensor.Matr
 	for i := 0; i < d; i++ {
 		trace += h[i][i]
 	}
-	lambda := damp * trace / float64(d)
+	lambda := gptqDamp * trace / float64(d)
 	if lambda <= 0 {
 		lambda = 1e-8
 	}

@@ -115,18 +115,13 @@ type Schedule struct {
 	Unplaceable []string
 }
 
-// Options configures schedule construction.
-type Options struct {
-	// Planner options applied to every (job, resource) planning call.
-	// When Planner.Costs is nil, Build installs one cost cache shared by
-	// every pairing of the build, so jobs planned repeatedly against the
-	// same pool reuse each other's per-device cost evaluations.
-	Planner core.Options
-}
-
-// Build plans every feasible (job, resource) pairing and assigns jobs
-// greedily (longest minimum-duration first) to minimize makespan.
-func Build(ctx context.Context, jobs []Job, resources []Resource, opts Options) (*Schedule, error) {
+// Build plans every feasible (job, resource) pairing with the planner
+// options and assigns jobs greedily (longest minimum-duration first) to
+// minimize makespan. When opts.Costs is nil, Build installs one cost
+// cache shared by every pairing of the build, so jobs planned
+// repeatedly against the same pool reuse each other's per-device cost
+// evaluations.
+func Build(ctx context.Context, jobs []Job, resources []Resource, opts core.Options) (*Schedule, error) {
 	return build(ctx, jobs, resources, opts, nil)
 }
 
@@ -137,11 +132,11 @@ func Build(ctx context.Context, jobs []Job, resources []Resource, opts Options) 
 // space instead of searching cold. The resulting schedule is identical
 // to what Build would produce on the same inputs. A nil prev degrades
 // to Build.
-func Rebuild(ctx context.Context, jobs []Job, resources []Resource, opts Options, prev *Schedule) (*Schedule, error) {
+func Rebuild(ctx context.Context, jobs []Job, resources []Resource, opts core.Options, prev *Schedule) (*Schedule, error) {
 	return build(ctx, jobs, resources, opts, prev)
 }
 
-func build(ctx context.Context, jobs []Job, resources []Resource, opts Options, prev *Schedule) (*Schedule, error) {
+func build(ctx context.Context, jobs []Job, resources []Resource, pOpts core.Options, prev *Schedule) (*Schedule, error) {
 	if len(jobs) == 0 || len(resources) == 0 {
 		return nil, fmt.Errorf("scheduler: need at least one job and one resource")
 	}
@@ -160,7 +155,6 @@ func build(ctx context.Context, jobs []Job, resources []Resource, opts Options, 
 		}
 		seen[resources[i].Name] = true
 	}
-	pOpts := opts.Planner
 	if pOpts.Method == "" {
 		pOpts.Method = core.MethodHeuristic
 	}

@@ -21,8 +21,8 @@ func testResources() []Resource {
 	}
 }
 
-func fastPlanner() Options {
-	return Options{Planner: core.Options{Method: core.MethodHeuristic, Theta: 1, OrderingLimit: 4}}
+func fastPlanner() core.Options {
+	return core.Options{Method: core.MethodHeuristic, Theta: 1, OrderingLimit: 4}
 }
 
 func TestBuildBasicSchedule(t *testing.T) {

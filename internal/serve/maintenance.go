@@ -72,7 +72,7 @@ func (s *Server) StartMaintenance(req maintenance.Request) (maintenance.Status, 
 	if err != nil {
 		return maintenance.Status{}, err
 	}
-	o.Instrument(s.cfg.Obs, s.cfg.Tracer)
+	o.Instrument(s.tel.reg, s.cfg.Tracer)
 	o.Start(s.baseCtx)
 	s.maint = o
 	return o.Status(), nil

@@ -28,9 +28,7 @@ type telemetry struct {
 }
 
 // instrument registers the serve daemon's families on reg and wires the
-// sampled gauges. Transport recovery counters are registered
-// unconditionally (reading zero without a driver) so the family set a
-// scrape sees does not depend on runtime wiring.
+// sampled gauges.
 func (s *Server) instrument(reg *obs.Registry) {
 	t := &telemetry{
 		reg:       reg,
@@ -63,22 +61,6 @@ func (s *Server) instrument(reg *obs.Registry) {
 	})
 	reg.GaugeFunc("serve_cache_entries", "Plans held by the LRU cache.", func() float64 {
 		return float64(s.cache.Len())
-	})
-
-	reg.CounterFunc("transport_reconnects_total", "Successful stage redials after a poisoned stream.", func() float64 {
-		return float64(s.transportStats().Reconnects)
-	})
-	reg.CounterFunc("transport_replayed_tokens_total", "Tokens replayed to rebuild stage KV caches.", func() float64 {
-		return float64(s.transportStats().ReplayedTokens)
-	})
-	reg.CounterFunc("transport_failed_attempts_total", "Errored stage request/dial attempts.", func() float64 {
-		return float64(s.transportStats().FailedAttempts)
-	})
-	reg.CounterFunc("transport_recoveries_total", "Session-replay recoveries performed.", func() float64 {
-		return float64(s.transportStats().Recoveries)
-	})
-	reg.CounterFunc("transport_heartbeats_total", "Heartbeat probe rounds completed.", func() float64 {
-		return float64(s.transportStats().Heartbeats)
 	})
 
 	queueDepth := reg.Gauge("serve_queue_depth", "Jobs queued and not yet started.")

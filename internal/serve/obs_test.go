@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -19,7 +18,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/online"
 	"repro/internal/quant"
-	"repro/internal/transport"
 	"repro/internal/workload"
 )
 
@@ -185,7 +183,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 		}
 	}
 
-	// /metrics: one registry covering serve, online, transport, fleet,
+	// /metrics: one registry covering serve, online, fleet,
 	// capacity drift, and (with Pprof) the Go runtime.
 	resp, err := http.Get("http://" + addr + "/metrics")
 	if err != nil {
@@ -205,7 +203,6 @@ func TestObservabilityEndToEnd(t *testing.T) {
 		"serve_queue_depth",
 		"online_submitted_total 32",
 		`online_ttft_seconds{q="p95"}`,
-		"transport_reconnects_total",
 		`fleet_pool_devices{pool="pool1"}`,
 		`capacity_drift_verdict{pool="online-prefill"}`,
 		"go_goroutines",
@@ -224,55 +221,6 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	pp.Body.Close()
 	if pp.StatusCode != http.StatusOK {
 		t.Fatalf("pprof index returned %d", pp.StatusCode)
-	}
-}
-
-// TestMetricsDoesNotBlockSubmit is the regression for polling external
-// stats under the server mutex: a TransportStats callback that stalls
-// must not stall the submit path.
-func TestMetricsDoesNotBlockSubmit(t *testing.T) {
-	block := make(chan struct{})
-	polled := make(chan struct{})
-	var once sync.Once
-	cfg := testConfig("")
-	cfg.TransportStats = func() transport.RecoveryStats {
-		once.Do(func() { close(polled) })
-		<-block
-		return transport.RecoveryStats{}
-	}
-	srv, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		close(block)
-		shutdown(t, srv)
-	}()
-
-	metricsDone := make(chan struct{})
-	go func() {
-		srv.Metrics()
-		close(metricsDone)
-	}()
-	<-polled // Metrics() is now wedged inside the stats callback
-
-	submitted := make(chan error, 1)
-	go func() {
-		_, err := srv.Submit(JobSpec{Model: "opt-1.3b", Batch: 8, Requests: 8})
-		submitted <- err
-	}()
-	select {
-	case err := <-submitted:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("Submit blocked behind a stalled TransportStats poll")
-	}
-	select {
-	case <-metricsDone:
-		t.Fatal("Metrics returned before the callback unblocked?")
-	default:
 	}
 }
 
@@ -309,7 +257,7 @@ func TestPrometheusIsViewOverJSONMetrics(t *testing.T) {
 func scrape(t *testing.T, srv *Server) string {
 	t.Helper()
 	var sb strings.Builder
-	if err := srv.cfg.Obs.WritePrometheus(&sb); err != nil {
+	if err := srv.tel.reg.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
 	return sb.String()

@@ -226,7 +226,7 @@ func TestPoolUtilization(t *testing.T) {
 	mustSubmit(t, s, spec)
 
 	util := s.maintenanceHooks().Utilization
-	gauge := s.cfg.Obs.GaugeVec("serve_pool_busy_ratio", "", "pool").With("pool1")
+	gauge := s.tel.reg.GaugeVec("serve_pool_busy_ratio", "", "pool").With("pool1")
 	at := func(sec float64, want float64) {
 		t.Helper()
 		clock = t0.Add(time.Duration(sec * float64(time.Second)))
@@ -234,7 +234,7 @@ func TestPoolUtilization(t *testing.T) {
 		if len(m.Capacity) != 1 || m.Capacity[0].Pool != "pool1" {
 			t.Fatalf("t=%gs: capacity rows %+v, want one pool1 row", sec, m.Capacity)
 		}
-		if err := s.cfg.Obs.WritePrometheus(io.Discard); err != nil {
+		if err := s.tel.reg.WritePrometheus(io.Discard); err != nil {
 			t.Fatal(err)
 		}
 		got := map[string]float64{

@@ -31,7 +31,6 @@ import (
 	"repro/internal/online"
 	"repro/internal/scheduler"
 	"repro/internal/stats"
-	"repro/internal/transport"
 )
 
 // Sentinel errors. Submission failures wrap one of these so callers can
@@ -97,21 +96,11 @@ type Config struct {
 	// must be fast (it blocks the executor) and must not call back into
 	// the server's job API.
 	BatchHook func(jobID string, done, total int)
-	// TransportStats, when non-nil, is polled by Metrics for the
-	// distributed transport's recovery counters (reconnects, replayed
-	// tokens, failed attempts) so the /v1/metrics endpoint surfaces the
-	// health of a live stage chain — typically transport.Driver's
-	// RecoveryStats method.
-	TransportStats func() transport.RecoveryStats
 	// Online, when non-nil, mounts the streaming request tier
 	// (/v1/requests endpoints) on this daemon and folds its per-request
 	// SLO metrics into /v1/metrics. The caller owns the engine's event
 	// loop (typically online.Engine.Loop in a goroutine).
 	Online *online.Engine
-	// Obs is the metrics registry every subsystem reports through; the
-	// daemon exposes it in Prometheus text format at /metrics. Nil gets
-	// a private registry, so instrumentation is always live.
-	Obs *obs.Registry
 	// Tracer, when non-nil, records per-job spans (queue wait, plan,
 	// each executor batch, preemption/replan events) for Chrome-trace /
 	// NDJSON export. Nil disables tracing at the cost of one branch.
@@ -151,13 +140,6 @@ type Metrics struct {
 	Preemptions uint64 `json:"preemptions"`
 	Replans     int    `json:"replans"`
 	Draining    bool   `json:"draining"`
-	// Transport recovery counters, populated when Config.TransportStats
-	// is wired to a live distributed driver (all zero otherwise).
-	TransportReconnects     uint64 `json:"transport_reconnects"`
-	TransportReplayedTokens uint64 `json:"transport_replayed_tokens"`
-	TransportFailedAttempts uint64 `json:"transport_failed_attempts"`
-	TransportRecoveries     uint64 `json:"transport_recoveries"`
-	TransportHeartbeats     uint64 `json:"transport_heartbeats"`
 	// JobQueueWait and JobExecLatency digest offline job latencies:
 	// submission → execution start, and execution start → terminal
 	// state (completed jobs only for exec latency).
@@ -304,11 +286,7 @@ func newServer(cfg Config) (*Server, error) {
 	s.execS = stats.NewReservoir(4096, 0x5e42)
 	s.cond = sync.NewCond(&s.mu)
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
-	reg := cfg.Obs
-	if reg == nil {
-		reg = obs.NewRegistry()
-		s.cfg.Obs = reg
-	}
+	reg := obs.NewRegistry()
 	s.instrument(reg)
 	s.fleet.Instrument(reg)
 	if cfg.Online != nil {
@@ -478,23 +456,12 @@ func (s *Server) finishLocked(j *job, st State, errMsg string) {
 	}
 }
 
-// transportStats polls the configured transport-recovery callback,
-// returning zeros when no transport driver is wired. Never called under
-// s.mu — callbacks may block on driver internals.
-func (s *Server) transportStats() transport.RecoveryStats {
-	if s.cfg.TransportStats == nil {
-		return transport.RecoveryStats{}
-	}
-	return s.cfg.TransportStats()
-}
-
 // Metrics snapshots the server counters. It is a *view* over the
 // metrics registry plus the instantaneous queue/fleet state: the
 // lifetime counters live in registry atomics (read lock-free), only
 // the load snapshot and the latency digests take the server mutex, and
-// external pollers — the TransportStats callback, the online engine,
-// the drift detector — run strictly outside it, so a slow stats
-// callback can never stall the submit path.
+// external pollers — the online engine and the drift detector — run
+// strictly outside it, so a slow poll can never stall the submit path.
 func (s *Server) Metrics() Metrics {
 	t := s.tel
 	m := Metrics{
@@ -518,14 +485,6 @@ func (s *Server) Metrics() Metrics {
 	s.mu.Unlock()
 	m.QueueDepth, m.Running, m.Draining = load.queued, load.running, load.draining
 
-	if s.cfg.TransportStats != nil {
-		ts := s.cfg.TransportStats()
-		m.TransportReconnects = ts.Reconnects
-		m.TransportReplayedTokens = ts.ReplayedTokens
-		m.TransportFailedAttempts = ts.FailedAttempts
-		m.TransportRecoveries = ts.Recoveries
-		m.TransportHeartbeats = ts.Heartbeats
-	}
 	if load.busy != nil {
 		for _, v := range s.fleet.Views() {
 			m.Capacity = append(m.Capacity, capacity.Advise(v.Resource, v.Devices, load.busy[v.Resource], 0))
