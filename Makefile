@@ -46,7 +46,7 @@ test-race:
 	$(GO) test -race -timeout 15m -count=2 ./internal/obs/
 	$(GO) test -race -timeout 15m -count=2 -run 'Maintenance|DrainTimeout' ./internal/serve/
 
-# Fuzz smoke: twenty seconds of coverage-guided inputs for each of eight
+# Fuzz smoke: twenty seconds of coverage-guided inputs for each of nine
 # targets. Five must match a reference exactly: the bitwidth-transfer
 # delta scorer and its kept tables against a full evaluation bit for
 # bit, the whole bitwidth-transfer search against the clone-per-move
@@ -64,7 +64,10 @@ test-race:
 # survives a wire round trip unchanged. The eighth decodes arbitrary
 # bytes as a serve job spec: Submit rejects it, or the job's batch is
 # valid and equals a fresh synthesis, also when served from the batch
-# memo. Their seed corpora
+# memo. The ninth decodes arbitrary bytes as an online request spec:
+# Submit rejects it, or the request fits the model's positions without
+# overflow, reserves a positive KV footprint and its status echoes the
+# spec. Their seed corpora
 # (internal/core/testdata/fuzz and the f.Add seeds) also run as
 # ordinary tests under `make test`.
 fuzz:
@@ -76,6 +79,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeStep -fuzztime=20s ./internal/pipeline
 	$(GO) test -run='^$$' -fuzz=FuzzPlanJSON -fuzztime=20s ./internal/plan
 	$(GO) test -run='^$$' -fuzz=FuzzJobSpec -fuzztime=20s ./internal/serve
+	$(GO) test -run='^$$' -fuzz=FuzzRequestSpec -fuzztime=20s ./internal/serve
 
 # Full gate: static checks plus the race-enabled suite.
 check: vet test-race

@@ -56,11 +56,9 @@ func main() {
 		listen  = flag.String("listen", "127.0.0.1:8080", "HTTP listen address")
 		state   = flag.String("state", "", "state directory for the persisted plan cache (empty = in-memory only)")
 		pools   = flag.String("pools", "pool5:5:1", "resource pools: name:preset:availability,... (preset 1-10 of Table III)")
-		workers = flag.Int("workers", 0, "executor concurrency (0 = one worker per pool)")
 		method  = flag.String("method", "heuristic", "default planner: ilp | heuristic | adabits | uniform | het")
 		theta   = flag.Float64("theta", 1, "default quality scalar θ")
 		cacheN  = flag.Int("cache", 256, "plan cache capacity (plans)")
-		queueN  = flag.Int("queue", 1024, "job queue capacity")
 		drainTO = flag.Duration("drain-timeout", 0, "max graceful-drain wait on shutdown; past it in-flight jobs are checkpointed and requeued (0 = wait forever)")
 
 		faults       = flag.Bool("faults", false, "inject seeded preemption faults (online tier reclaiming devices)")
@@ -70,8 +68,6 @@ func main() {
 		onlineMode  = flag.Bool("online", false, "enable the streaming request tier (continuous batching over /v1/requests)")
 		onlineModel = flag.String("online-model", "opt-13b", "model served by the online tier")
 		onlinePre   = flag.Int("online-preset", 2, "cluster preset (Table III) the online tier plans on")
-		onlineBatch = flag.Int("online-batch", 32, "online decode batch cap")
-		onlineGbps  = flag.Float64("online-handoff-gbps", 800, "prefill→decode fabric bandwidth in Gbps (0 = replay-only handoff)")
 
 		tracePath  = flag.String("trace", "", "write a Chrome trace-event JSON (Perfetto-loadable) on shutdown")
 		eventsPath = flag.String("events", "", "stream trace events to an NDJSON file as they happen")
@@ -98,20 +94,18 @@ func main() {
 		tracer.SetSink(eventsFile)
 	}
 	var eng *online.Engine
+	var ocfg online.Config
 	var drift *capacity.DriftDetector
 	if *onlineMode {
-		var ocfg online.Config
-		if eng, ocfg, err = buildOnline(*onlineModel, *onlinePre, *onlineBatch, *onlineGbps, tracer); err != nil {
+		if eng, ocfg, err = buildOnline(*onlineModel, *onlinePre, tracer); err != nil {
 			fatal(err)
 		}
 		drift = capacity.NewDriftDetector(ocfg, "online-prefill", 0, 0)
 	}
 	srv, err := serve.New(serve.Config{
 		Resources:     resources,
-		Workers:       *workers,
 		StateDir:      *state,
 		CacheCapacity: *cacheN,
-		QueueCapacity: *queueN,
 		Planner:       core.Options{Method: core.Method(*method), Theta: *theta},
 		DrainTimeout:  *drainTO,
 		Online:        eng,
@@ -143,7 +137,7 @@ func main() {
 			mode = "disaggregated prefill/decode"
 		}
 		fmt.Printf("served: online tier on — %s on preset %d (%s, batch %d)\n",
-			*onlineModel, *onlinePre, mode, *onlineBatch)
+			*onlineModel, *onlinePre, mode, ocfg.MaxBatch)
 		go eng.Loop(runCtx)
 	}
 	if *faults {
@@ -185,9 +179,10 @@ func main() {
 // single colocated plan (stop-and-go batching). The online tier plans
 // its own dedicated cluster rather than borrowing an offline pool — in
 // the paper's setting the interactive and batch fleets are disjoint.
-// The resolved Config is returned alongside the engine so the drift
-// detector can solve the same analytic station the engine runs.
-func buildOnline(modelName string, preset, maxBatch int, gbps float64, tr *obs.Tracer) (*online.Engine, online.Config, error) {
+// The tier runs the engine's default limits over an 800 Gbps handoff
+// fabric. The resolved Config is returned alongside the engine so the
+// drift detector can solve the same analytic station the engine runs.
+func buildOnline(modelName string, preset int, tr *obs.Tracer) (*online.Engine, online.Config, error) {
 	spec, err := model.Lookup(modelName)
 	if err != nil {
 		return nil, online.Config{}, err
@@ -198,18 +193,14 @@ func buildOnline(modelName string, preset, maxBatch int, gbps float64, tr *obs.T
 	}
 	bits := []int{3, 4, 8, 16}
 	ind := core.ProfileIndicator(spec, bits, quant.Deterministic)
+	// The plans are not set yet, so WithDefaults reports them missing;
+	// the copy carries the engine's default limits all the same.
+	cfg, _ := (&online.Config{Spec: spec, ChunkLen: 256, HandoffBW: cluster.Eth800BW, Tracer: tr}).WithDefaults()
 	opts := core.Options{Bits: bits, TimeLimit: 15 * time.Second}
-	batch := workload.Batch{Size: maxBatch, ChunkLen: 256, Chunks: 2, GenTokens: 64}
+	batch := workload.Batch{Size: cfg.MaxBatch, ChunkLen: 256, Chunks: 2, GenTokens: 64}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 
-	cfg := online.Config{
-		Spec:      spec,
-		MaxBatch:  maxBatch,
-		ChunkLen:  256,
-		HandoffBW: cluster.BandwidthFromGbps(gbps),
-		Tracer:    tr,
-	}
 	dp, err := core.PlanDisaggregated(ctx, spec, clu, ind, opts, batch)
 	if err == nil {
 		cfg.PrefillPlan, cfg.PrefillCluster = dp.Prefill, dp.PrefillCluster

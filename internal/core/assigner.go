@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -37,7 +38,8 @@ const (
 type Options struct {
 	// Bits is the candidate bitwidth set (default {3, 4, 8, 16}).
 	Bits []int
-	// Theta is the quality scalar θ of Eq. 4 (default 10).
+	// Theta is the quality scalar θ of Eq. 4 (default 10). Uniform and
+	// Het rank by latency alone and ignore it.
 	Theta float64
 	// BitKV is the KV-cache bitwidth (default 16).
 	BitKV int
@@ -59,6 +61,7 @@ type Options struct {
 	// polish under MethodILP (default 3).
 	ILPCandidates int
 	// QualityCap, when > 0, constrains Σω ≤ cap (§VI-C quality floor).
+	// Uniform and Het ignore it.
 	QualityCap float64
 	// MeshFilter, when non-nil, restricts the device meshes considered
 	// (e.g. force TP4 or pure pipeline parallelism, as in Table IV).
@@ -95,12 +98,31 @@ type Options struct {
 	Progress func(Progress)
 }
 
+// baseline reports whether m is one of the paper's baselines, Uniform
+// and Het. They rank by latency alone (θ = 0), ignore the quality cap,
+// and run one micro-batch per stage.
+func (m Method) baseline() bool { return m == MethodUniform || m == MethodHet }
+
+// builders holds the methods whose step for one configuration is a
+// single constructed assignment. The joint methods, ILP and heuristic,
+// run the multi-start bitwidth-transfer search instead (see bestStart).
+var builders = map[Method]func(*orderingCosts, *Indicator) (*assignment, error){
+	MethodAdabits: adabits,
+	MethodUniform: uniform,
+	MethodHet:     het,
+}
+
 // withDefaults fills unset options.
 func (o Options) withDefaults() Options {
 	if len(o.Bits) == 0 {
 		o.Bits = []int{3, 4, 8, 16}
 	}
-	if o.Theta == 0 {
+	if o.Method == "" {
+		o.Method = MethodILP
+	}
+	if o.Method.baseline() {
+		o.Theta, o.QualityCap = 0, 0
+	} else if o.Theta == 0 {
 		o.Theta = 10
 	}
 	if o.BitKV == 0 {
@@ -111,9 +133,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxNodes == 0 {
 		o.MaxNodes = 200
-	}
-	if o.Method == "" {
-		o.Method = MethodILP
 	}
 	if o.OrderingLimit == 0 {
 		o.OrderingLimit = 8
@@ -201,19 +220,10 @@ func New(spec *model.Spec, clu *cluster.Cluster, ind *Indicator, opts Options) (
 
 // candidateMicroBatches returns the pruned micro-batch size set 𝒮:
 // powers-of-two fractions of B from B/8 up to the whole batch.
-func (a *Assigner) candidateMicroBatches(B int) []int {
-	if len(a.opts.MicroBatches) > 0 {
-		return a.opts.MicroBatches
-	}
-	seen := map[int]bool{}
+func candidateMicroBatches(B int) []int {
 	var out []int
 	for _, d := range []int{8, 4, 2, 1} {
-		v := B / d
-		if v < 1 {
-			v = 1
-		}
-		if !seen[v] {
-			seen[v] = true
+		if v := max(1, B/d); !slices.Contains(out, v) {
 			out = append(out, v)
 		}
 	}
@@ -252,19 +262,42 @@ type planConfig struct {
 // key renders the canonical configuration key.
 func (c planConfig) key() string { return configKey(c.devs, c.eta, c.xi) }
 
-// searchConfigs enumerates the full candidate space for the joint
-// methods (ILP / heuristic / adabits) in canonical order.
+// searchConfigs enumerates the method's candidate space in canonical
+// order. The joint methods try every mesh, ordering and (η, ξ) pair.
+// The baselines do not co-tune micro-batch sizes (that is part of
+// SplitQuant's contribution): they run the standard engine default of
+// one micro-batch per pipeline stage (η = ξ = B / #stages) unless
+// Options.MicroBatches says otherwise. Uniform is the engine default of
+// pure pipeline parallelism over the devices as given, so it never
+// permutes a mesh, and without a MeshFilter (Table IV's explicit TP
+// configurations) it plans the single mesh clu.Devices().
 func (a *Assigner) searchConfigs(B int) []planConfig {
-	mbs := a.candidateMicroBatches(B)
+	method := a.opts.Method
+	meshes := a.clu.Meshes()
+	if method == MethodUniform && a.opts.MeshFilter == nil {
+		meshes = [][]cluster.Device{a.clu.Devices()}
+	}
+	mbs := a.opts.MicroBatches
+	if len(mbs) == 0 && !method.baseline() {
+		mbs = candidateMicroBatches(B)
+	}
 	var out []planConfig
-	for _, mesh := range a.clu.Meshes() {
+	for _, mesh := range meshes {
 		if len(mesh) > a.spec.Layers {
 			continue // more stages than layers
 		}
 		if a.opts.MeshFilter != nil && !a.opts.MeshFilter(mesh) {
 			continue
 		}
-		for _, devs := range cluster.Orderings(mesh, a.opts.OrderingLimit) {
+		orderings := [][]cluster.Device{mesh}
+		if method != MethodUniform {
+			orderings = cluster.Orderings(mesh, a.opts.OrderingLimit)
+		}
+		for _, devs := range orderings {
+			mbs := mbs
+			if len(mbs) == 0 { // a baseline: one micro-batch per stage
+				mbs = []int{max(1, B/len(devs))}
+			}
 			for _, eta := range mbs {
 				for _, xi := range mbs {
 					out = append(out, planConfig{devs: devs, eta: eta, xi: xi})
@@ -326,8 +359,7 @@ func (a *Assigner) Plan(ctx context.Context, batch workload.Batch) (*plan.Plan, 
 //
 // A nil incumbent, or one that cannot be expressed on the current
 // cluster (no surviving devices, changed bit set) or is infeasible
-// under it, searches exactly as Plan does. Baseline methods (uniform,
-// het) ignore the incumbent.
+// under it, searches exactly as Plan does.
 func (a *Assigner) Replan(ctx context.Context, batch workload.Batch, inc *Incumbent) (*plan.Plan, *Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -353,28 +385,15 @@ func (a *Assigner) Replan(ctx context.Context, batch workload.Batch, inc *Incumb
 	return p, rep, err
 }
 
-// solve dispatches to the method's search strategy.
+// solve runs the search over the method's configurations, seeded by the
+// incumbent when there is one.
 func (a *Assigner) solve(ctx context.Context, batch workload.Batch, inc *Incumbent, rep *Report) (*plan.Plan, error) {
-	theta := a.opts.Theta
-	sink := newProgressSink(a.opts.Progress, math.Inf(1))
-
-	switch a.opts.Method {
-	case MethodUniform:
-		p, err := a.baselinePlan(ctx, batch, rep, sink, uniform, string(MethodUniform))
-		rep.Cancelled = ctx.Err() != nil
-		return p, err
-	case MethodHet:
-		p, err := a.baselinePlan(ctx, batch, rep, sink, het, string(MethodHet))
-		rep.Cancelled = ctx.Err() != nil
-		return p, err
-	}
-
-	configs := a.searchConfigs(batch.Size)
 	var prev *plan.Plan
 	if inc != nil {
 		prev = inc.Plan
 	}
-	return a.search(ctx, batch, configs, prev, rep, sink, theta)
+	sink := newProgressSink(a.opts.Progress, math.Inf(1))
+	return a.search(ctx, batch, a.searchConfigs(batch.Size), prev, rep, sink, a.opts.Theta)
 }
 
 // admissible reports whether an evaluated assignment may be planned:
@@ -637,19 +656,20 @@ func (a *Assigner) polishShortlist(ctx context.Context, cands []candidate, best 
 	return best, nil
 }
 
-// bestStart builds the heuristic solution for one configuration: the
-// bitwidth-transfer local search run from every start point
-// (transferStarts), keeping the best. For MethodAdabits the raw adabits
-// solution is returned (the Fig. 12 ablation). It returns the assignment
-// with its evaluation, or nil when no start point fits. One idle
-// transferSearch serves every start.
+// bestStart builds the method's solution for one configuration. A
+// method in builders returns its builder's assignment (the Fig. 12
+// adabits ablation and the two baselines). The joint methods run the
+// bitwidth-transfer local search from every start point
+// (transferStarts) and keep the best. It returns the assignment with its
+// evaluation, or nil when nothing fits. One idle transferSearch serves
+// every start.
 func (a *Assigner) bestStart(oc *orderingCosts, theta float64) (*assignment, evaluation) {
-	if a.opts.Method == MethodAdabits {
-		ada, err := adabits(oc, a.ind)
+	if build := builders[a.opts.Method]; build != nil {
+		as, err := build(oc, a.ind)
 		if err != nil {
 			return nil, evaluation{}
 		}
-		return ada, evaluate(ada, oc, a.ind, theta)
+		return as, evaluate(as, oc, a.ind, theta)
 	}
 	var best *assignment
 	bestEv := evaluation{Objective: math.Inf(1)}
@@ -712,113 +732,6 @@ func (a *Assigner) transferStarts(oc *orderingCosts) []*assignment {
 		starts = append(starts, u)
 	}
 	return starts
-}
-
-// baselineConfigs enumerates the baseline candidate space in canonical
-// order. Baselines do not co-tune micro-batch sizes (that is part of
-// SplitQuant's contribution); they run the standard engine default of
-// one micro-batch per pipeline stage (ξ = B / #stages), unless the user
-// supplied candidates explicitly.
-func (a *Assigner) baselineConfigs(batch workload.Batch, method string) []planConfig {
-	meshes := a.clu.Meshes()
-	if method == string(MethodUniform) && a.opts.MeshFilter == nil {
-		// Uniform is the engine default: pure pipeline parallelism over
-		// the devices as given. Explicit TP configurations (Table IV)
-		// are requested via MeshFilter.
-		meshes = [][]cluster.Device{a.clu.Devices()}
-	}
-	var out []planConfig
-	for _, mesh := range meshes {
-		if len(mesh) > a.spec.Layers {
-			continue
-		}
-		if a.opts.MeshFilter != nil && !a.opts.MeshFilter(mesh) {
-			continue
-		}
-		orderings := [][]cluster.Device{mesh}
-		if method == string(MethodHet) {
-			orderings = cluster.Orderings(mesh, a.opts.OrderingLimit)
-		}
-		for _, devs := range orderings {
-			mbs := a.opts.MicroBatches
-			if len(mbs) == 0 {
-				mb := batch.Size / len(devs)
-				if mb < 1 {
-					mb = 1
-				}
-				mbs = []int{mb}
-			}
-			for _, eta := range mbs {
-				for _, xi := range mbs {
-					out = append(out, planConfig{devs: devs, eta: eta, xi: xi})
-				}
-			}
-		}
-	}
-	return out
-}
-
-// baselinePlan runs a baseline builder across orderings and micro-batch
-// candidates on the worker pool and returns the best feasible plan.
-// Candidates are merged by (latency, enumeration index), reproducing the
-// sequential first-strictly-better-wins scan exactly.
-func (a *Assigner) baselinePlan(ctx context.Context, batch workload.Batch, rep *Report, sink *progressSink,
-	build func(*orderingCosts, *Indicator) (*assignment, error), method string) (*plan.Plan, error) {
-
-	configs := a.baselineConfigs(batch, method)
-	type baseResult struct {
-		done bool
-		p    *plan.Plan
-		lat  float64
-		stat ConfigStat
-	}
-	results := make([]baseResult, len(configs))
-	sink.startPhase(PhaseSearch, len(configs))
-	runPool(ctx, a.parallelism(), len(configs), func(i int) {
-		if ctx.Err() != nil {
-			return
-		}
-		t0 := time.Now()
-		cfg := configs[i]
-		r := baseResult{done: true, lat: math.Inf(1), stat: ConfigStat{Key: cfg.key(), Objective: math.Inf(1)}}
-		oc := buildCosts(a.spec, a.clu, cfg.devs, a.opts.Bits, batch, cfg.eta, cfg.xi, a.opts.BitKV, a.opts.Costs)
-		if as, err := build(oc, a.ind); err == nil {
-			ev := evaluate(as, oc, a.ind, 0) // baselines ignore θ
-			if ev.Feasible {
-				if p, err := toPlan(as, oc, a.ind, 0, method, a.opts.BitKV); err == nil {
-					p.Model = a.spec.Name
-					r.p, r.lat = p, ev.Latency
-					r.stat.Feasible = true
-					r.stat.Objective = ev.Latency
-				}
-			}
-		}
-		r.stat.Seconds = time.Since(t0).Seconds()
-		results[i] = r
-		sink.finished(r.stat)
-	})
-
-	bestObj := math.Inf(1)
-	var bestPlan *plan.Plan
-	for i := range results {
-		if !results[i].done {
-			continue
-		}
-		rep.Configs++
-		rep.ConfigStats = append(rep.ConfigStats, results[i].stat)
-		if results[i].p != nil && results[i].lat < bestObj {
-			bestObj = results[i].lat
-			bestPlan = results[i].p
-		}
-	}
-	if bestPlan == nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return nil, fmt.Errorf("core: %s baseline infeasible for %s on %s (OOM): %w",
-			method, a.spec.Name, a.clu.Name, ErrInfeasible)
-	}
-	return bestPlan, nil
 }
 
 // sortCandidates orders candidates by ascending objective (insertion

@@ -177,7 +177,7 @@ func TestBruteForceMemoryConstraintRespected(t *testing.T) {
 const exhaustiveQualityCap = 0.012
 
 // exhaustivePlan is the reference the bound-ordered search must
-// reproduce: the heuristic solved on every enumerated configuration,
+// reproduce: the method's step solved on every enumerated configuration,
 // with no pruning, then the ranking and polish tail Plan shares.
 func exhaustivePlan(a *Assigner, batch workload.Batch) (*plan.Plan, error) {
 	theta := a.opts.Theta
@@ -206,7 +206,7 @@ func TestPlanMatchesExhaustive(t *testing.T) {
 		{"decode-only", Options{DecodeOnlyObjective: true}},
 	}
 	pruned := 0
-	for _, method := range []Method{MethodHeuristic, MethodILP, MethodAdabits} {
+	for _, method := range []Method{MethodHeuristic, MethodILP, MethodAdabits, MethodUniform, MethodHet} {
 		for _, v := range variants {
 			for _, preset := range []int{2, 5, 8, 9} {
 				opts := v.opts

@@ -314,7 +314,7 @@ func (e *Engine) Submit(spec RequestSpec) (string, error) {
 		return "", fmt.Errorf("%w: need prompt_len ≥ 1 and max_tokens ≥ 1 (got %d, %d)",
 			ErrRejected, spec.PromptLen, spec.MaxTokens)
 	}
-	if spec.PromptLen+spec.MaxTokens > e.cfg.Spec.MaxPos {
+	if spec.PromptLen > e.cfg.Spec.MaxPos || spec.MaxTokens > e.cfg.Spec.MaxPos-spec.PromptLen {
 		e.rejected++
 		return "", fmt.Errorf("%w: prompt %d + max_tokens %d exceeds model positions %d",
 			ErrRejected, spec.PromptLen, spec.MaxTokens, e.cfg.Spec.MaxPos)

@@ -3,6 +3,8 @@ package online
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -195,6 +197,10 @@ func TestAdmissionControl(t *testing.T) {
 	if _, err := e.Submit(RequestSpec{PromptLen: cfg.Spec.MaxPos, MaxTokens: 4}); !errors.Is(err, ErrRejected) {
 		t.Fatalf("over-long request: %v", err)
 	}
+	// prompt_len + max_tokens overflows int and must not wrap into range.
+	if _, err := e.Submit(RequestSpec{PromptLen: 1, MaxTokens: math.MaxInt}); !errors.Is(err, ErrRejected) {
+		t.Fatalf("overflowing max_tokens: %v", err)
+	}
 	for i := 0; i < 2; i++ {
 		if _, err := e.Submit(RequestSpec{PromptLen: 256, MaxTokens: 4, ArrivalSeconds: 1e5}); err != nil {
 			t.Fatal(err)
@@ -210,8 +216,8 @@ func TestAdmissionControl(t *testing.T) {
 		t.Fatalf("unknown cancel: %v", err)
 	}
 	m := e.Metrics()
-	if m.Rejected != 3 {
-		t.Fatalf("rejected = %d, want 3", m.Rejected)
+	if m.Rejected != 4 {
+		t.Fatalf("rejected = %d, want 4", m.Rejected)
 	}
 }
 
@@ -375,5 +381,69 @@ func TestReplayDeterministic(t *testing.T) {
 	if m1.DecodeOccupancy < m1.DecodeBusyFraction {
 		t.Errorf("occupancy %.3f below busy fraction %.3f — batches average under one request",
 			m1.DecodeOccupancy, m1.DecodeBusyFraction)
+	}
+}
+
+// TestKVBudgetProperty drives seeded arrival traces through Step in
+// both modes, with a tight queue and random cancellations, and checks
+// the KV accounting after every step: the decode batch never holds more
+// KV than the budget, kvInUse is exactly the batch's footprint, and the
+// batch never exceeds MaxBatch. Long requests make the budget bind.
+func TestKVBudgetProperty(t *testing.T) {
+	modes := []struct {
+		name string
+		cfg  func(*testing.T) Config
+	}{
+		{"colocated", colocatedConfig},
+		{"disaggregated", func(t *testing.T) Config { return disaggConfig(t, cluster.Eth800BW) }},
+	}
+	for _, mode := range modes {
+		for seed := uint64(1); seed <= 3; seed++ {
+			t.Run(fmt.Sprintf("%s/seed%d", mode.name, seed), func(t *testing.T) {
+				cfg := mode.cfg(t)
+				// MaxBatch above what the budget holds of the long
+				// requests, so the KV budget is what binds.
+				cfg.QueueCapacity, cfg.MaxBatch = 8, 96
+				e := mustEngine(t, cfg)
+				rng := stats.NewRNG(seed)
+				profile := workload.ShareGPT(rng, 64).Filter(cfg.Spec.MaxPos)
+				profile.Requests = append(profile.Requests, workload.Fixed(64, 1500, 500).Requests...)
+				specs := Arrivals(rng, profile, 8.0, 300, 0)
+				var ids []string
+				peak, i := 0.0, 0
+				for steps := 0; ; steps++ {
+					for i < len(specs) && (specs[i].ArrivalSeconds <= e.Clock() || e.futureRoom(4)) {
+						if id, err := e.Submit(specs[i]); err == nil {
+							ids = append(ids, id)
+						}
+						i++
+					}
+					if len(ids) > 0 && rng.Intn(20) == 0 {
+						if err := e.Cancel(ids[rng.Intn(len(ids))]); err != nil {
+							t.Fatal(err)
+						}
+					}
+					more := e.Step()
+					var sum int64
+					for _, r := range e.batch {
+						sum += r.kv
+					}
+					if e.kvInUse != sum || e.kvInUse > e.kvBudget || len(e.batch) > e.cfg.MaxBatch {
+						t.Fatalf("step %d: kvInUse %d, batch footprint %d, budget %d, batch %d of %d",
+							steps, e.kvInUse, sum, e.kvBudget, len(e.batch), e.cfg.MaxBatch)
+					}
+					peak = max(peak, float64(e.kvInUse)/float64(e.kvBudget))
+					if !more && i >= len(specs) {
+						break
+					}
+				}
+				if e.kvInUse != 0 || len(e.batch) != 0 {
+					t.Fatalf("drained engine holds %d KV bytes in %d requests", e.kvInUse, len(e.batch))
+				}
+				if peak < 0.9 {
+					t.Fatalf("peak KV use %.2f of the budget: the budget never bound, so the check proves nothing", peak)
+				}
+			})
+		}
 	}
 }

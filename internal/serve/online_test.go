@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"testing"
@@ -12,17 +14,18 @@ import (
 	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/online"
+	"repro/internal/pipeline"
 	"repro/internal/quant"
 	"repro/internal/workload"
 )
 
-// onlineEngine builds a colocated streaming engine on cluster 1 (one
+// onlineConfig plans a colocated streaming engine on cluster 1 (one
 // V100) for the small model the serve tests use.
-func onlineEngine(t *testing.T) *online.Engine {
-	t.Helper()
+func onlineConfig(tb testing.TB) online.Config {
+	tb.Helper()
 	spec, err := model.Lookup("opt-1.3b")
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	clu := cluster.MustPreset(1)
 	ind := core.ProfileIndicator(spec, []int{3, 4, 8, 16}, quant.Deterministic)
@@ -30,17 +33,86 @@ func onlineEngine(t *testing.T) *online.Engine {
 		Method: core.MethodHeuristic, Theta: 1, OrderingLimit: 4, Bits: []int{3, 4, 8, 16},
 	})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	p, _, err := a.Plan(context.Background(), workload.Batch{Size: 8, ChunkLen: 256, Chunks: 1, GenTokens: 16})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	e, err := online.New(online.Config{Spec: spec, PrefillPlan: p, PrefillCluster: clu, ChunkLen: 256})
+	return online.Config{Spec: spec, PrefillPlan: p, PrefillCluster: clu, ChunkLen: 256}
+}
+
+// onlineEngine builds an engine from onlineConfig.
+func onlineEngine(t *testing.T) *online.Engine {
+	t.Helper()
+	e, err := online.New(onlineConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return e
+}
+
+// FuzzRequestSpec decodes arbitrary bytes as a RequestSpec, the way the
+// request submit endpoint does, and submits the spec to a fresh engine.
+// Each submission is rejected, or the request fits the model's
+// positions (checked without overflow), reserves a positive KV
+// footprint, and its Status echoes the spec.
+func FuzzRequestSpec(f *testing.F) {
+	for _, seed := range []string{
+		`{"prompt_len":128,"max_tokens":6}`,
+		`{"id":"a","prompt_len":256,"max_tokens":4,"priority":3,"deadline_seconds":2.5,"arrival_seconds":1e5}`,
+		`{"prompt_len":1,"max_tokens":9223372036854775807}`,
+		`{"prompt_len":9223372036854775807,"max_tokens":9223372036854775807}`,
+		`{"prompt_len":2047,"max_tokens":1}`,
+		`{"prompt_len":0,"max_tokens":4}`,
+		`{"prompt_len":-5,"max_tokens":-9223372036854775808}`,
+		`{"prompt_len":64,"max_tokens":8,"arrival_seconds":-3,"deadline_seconds":-1}`,
+		`{"prompt_len":64,"max_tokens":8,"extra":1}`,
+		`[]`,
+	} {
+		f.Add([]byte(seed))
+	}
+	cfg := onlineConfig(f)
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		var spec online.RequestSpec
+		dec := json.NewDecoder(bytes.NewReader(raw))
+		dec.DisallowUnknownFields()
+		if dec.Decode(&spec) != nil {
+			return
+		}
+		e, err := online.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		id, err := e.Submit(spec)
+		if err != nil {
+			if !errors.Is(err, online.ErrRejected) {
+				t.Fatalf("%+v: rejected with %v, want ErrRejected", spec, err)
+			}
+			return
+		}
+		maxPos := cfg.Spec.MaxPos
+		if spec.PromptLen < 1 || spec.MaxTokens < 1 || spec.PromptLen > maxPos || spec.MaxTokens > maxPos-spec.PromptLen {
+			t.Fatalf("accepted %+v beyond the model's %d positions", spec, maxPos)
+		}
+		if kv := pipeline.RequestKVBytes(cfg.PrefillPlan, cfg.Spec, spec.PromptLen, spec.MaxTokens); kv <= 0 {
+			t.Fatalf("accepted %+v with KV footprint %d", spec, kv)
+		}
+		v, err := e.Status(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		arrival := max(spec.ArrivalSeconds, 0)
+		deadline := 0.0
+		if spec.DeadlineSeconds > 0 {
+			deadline = arrival + spec.DeadlineSeconds
+		}
+		if (spec.ID != "" && v.ID != spec.ID) || v.ID != id || v.State != online.StateQueued ||
+			v.PromptLen != spec.PromptLen || v.MaxTokens != spec.MaxTokens || v.Priority != spec.Priority ||
+			v.ArrivalSeconds != arrival || v.DeadlineSeconds != deadline || v.Tokens != 0 {
+			t.Fatalf("status %+v does not echo %+v", v, spec)
+		}
+	})
 }
 
 // TestOnlineTierOverHTTP drives the streaming request tier end to end

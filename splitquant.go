@@ -347,9 +347,10 @@ type ConfigStat struct {
 	Nodes     int
 	// Seconds is wall-clock time spent on the configuration.
 	Seconds float64
-	// Pruned reports that a warm-started Replan skipped the
-	// configuration: its optimistic bound proved it could not beat the
-	// shortlist, so no solver work was spent on it.
+	// Pruned reports that the search skipped the configuration, in a
+	// cold plan or a warm-started Replan alike: its optimistic bound
+	// proved it could not enter the shortlist, so no solver work was
+	// spent on it.
 	Pruned bool
 }
 
