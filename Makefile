@@ -46,8 +46,8 @@ test-race:
 	$(GO) test -race -timeout 15m -count=2 ./internal/obs/
 	$(GO) test -race -timeout 15m -count=2 -run 'Maintenance|DrainTimeout' ./internal/serve/
 
-# Fuzz smoke: twenty seconds of coverage-guided inputs for each of nine
-# targets. Five must match a reference exactly: the bitwidth-transfer
+# Fuzz smoke: twenty seconds of coverage-guided inputs for each of ten
+# targets. Six must match a reference exactly: the bitwidth-transfer
 # delta scorer and its kept tables against a full evaluation bit for
 # bit, the whole bitwidth-transfer search against the clone-per-move
 # reference search, both matmul kernels (the AVX2 assembly, where the
@@ -56,15 +56,17 @@ test-race:
 # on a differently split one) against one Generate and the in-process
 # Reference, with no token lost or invented at the MaxPos edge, and the
 # pipeline's decode-step price against the per-layer loop it replaced,
-# bit for bit. The sixth checks that the planner's optimistic bound,
-# which decides which configurations the search skips, never exceeds a
-# feasible assignment's objective. The seventh feeds arbitrary bytes to
+# bit for bit, and one layer's decode-latency curve against the per-call
+# roofline and TP formulas it replaced, bit for bit, over every model,
+# device class and TP degree. The seventh checks that the planner's
+# optimistic bound, which decides which configurations the search
+# skips, never exceeds a feasible assignment's objective. The eighth feeds arbitrary bytes to
 # the plan JSON decoder that cached and warm-start plans come through:
 # no panic, Validate rejects malformed stages, and a valid bound plan
-# survives a wire round trip unchanged. The eighth decodes arbitrary
+# survives a wire round trip unchanged. The ninth decodes arbitrary
 # bytes as a serve job spec: Submit rejects it, or the job's batch is
 # valid and equals a fresh synthesis, also when served from the batch
-# memo. The ninth decodes arbitrary bytes as an online request spec:
+# memo. The tenth decodes arbitrary bytes as an online request spec:
 # Submit rejects it, or the request fits the model's positions without
 # overflow, reserves a positive KV footprint and its status echoes the
 # spec. Their seed corpora
@@ -77,6 +79,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzMatMulBitExact -fuzztime=20s ./internal/tensor
 	$(GO) test -run='^$$' -fuzz=FuzzHandoffSplice -fuzztime=20s ./internal/transport
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeStep -fuzztime=20s ./internal/pipeline
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeCurve -fuzztime=20s ./internal/gpu
 	$(GO) test -run='^$$' -fuzz=FuzzPlanJSON -fuzztime=20s ./internal/plan
 	$(GO) test -run='^$$' -fuzz=FuzzJobSpec -fuzztime=20s ./internal/serve
 	$(GO) test -run='^$$' -fuzz=FuzzRequestSpec -fuzztime=20s ./internal/serve

@@ -11,6 +11,7 @@ import (
 	"strings"
 
 	"repro/internal/gpu"
+	"repro/internal/model"
 )
 
 // Interconnect bandwidths (bytes/second, effective).
@@ -97,6 +98,36 @@ func (d *Device) UsableMemory() int64 {
 		return d.Group.UsableMemory()
 	}
 	return d.Spec.UsableMemory()
+}
+
+// PrefillLayerLatency prices one decoder layer's prefill pass of v
+// sequences of length seq at bit on the device, through its TP group
+// when it has one.
+func (d *Device) PrefillLayerLatency(m *model.Spec, v, seq, bit int) float64 {
+	if d.Group != nil && d.TPDegree > 1 {
+		return d.Group.PrefillLayerLatency(m, v, seq, bit)
+	}
+	return d.Spec.PrefillLayerLatency(m, v, seq, bit)
+}
+
+// DecodeLayerLatency prices one decoder layer's decode step for v
+// sequences at ctx cached positions on the device, through its TP group
+// when it has one.
+func (d *Device) DecodeLayerLatency(m *model.Spec, v, ctx, bit, bitKV int) float64 {
+	if d.Group != nil && d.TPDegree > 1 {
+		return d.Group.DecodeLayerLatency(m, v, ctx, bit, bitKV)
+	}
+	return d.Spec.DecodeLayerLatency(m, v, ctx, bit, bitKV)
+}
+
+// DecodeCurve returns one decoder layer's decode-step latency on the
+// device as a function of the context length, for v sequences at bit
+// and bitKV, through its TP group when it has one.
+func (d *Device) DecodeCurve(m *model.Spec, v, bit, bitKV int) gpu.DecodeCurve {
+	if d.Group != nil && d.TPDegree > 1 {
+		return d.Group.DecodeCurve(m, v, bit, bitKV)
+	}
+	return d.Spec.DecodeCurve(m, v, bit, bitKV)
 }
 
 // Validate checks the cluster for consistency.

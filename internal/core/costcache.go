@@ -40,7 +40,7 @@ const (
 // candidate configurations of one solve (orderings of the same mesh
 // reuse every device's tables), between warm re-plans of a churning
 // fleet, and between the topology variants of System.Fork. Values are
-// bitwise-identical to an uncached computation — devPrefill/devDecode
+// bitwise-identical to an uncached computation — a device's latencies
 // are pure functions of the key — so sharing a cache never changes a
 // plan.
 type CostCache struct {
@@ -101,22 +101,24 @@ func deviceKey(d *cluster.Device, m *model.Spec) costKey {
 	return k
 }
 
-// cachedPrefill is devPrefill memoized through the cache (nil-safe).
+// cachedPrefill is Device.PrefillLayerLatency memoized through the
+// cache (nil-safe).
 func cachedPrefill(c *CostCache, d cluster.Device, m *model.Spec, v, seq, bit int) float64 {
 	if c == nil {
-		return devPrefill(d, m, v, seq, bit)
+		return d.PrefillLayerLatency(m, v, seq, bit)
 	}
 	k := deviceKey(&d, m)
 	k.phase, k.v, k.seq, k.bit = phasePrefill, v, seq, bit
-	return c.lookup(k, func() float64 { return devPrefill(d, m, v, seq, bit) })
+	return c.lookup(k, func() float64 { return d.PrefillLayerLatency(m, v, seq, bit) })
 }
 
-// cachedDecode is devDecode memoized through the cache (nil-safe).
+// cachedDecode is Device.DecodeLayerLatency memoized through the cache
+// (nil-safe).
 func cachedDecode(c *CostCache, d cluster.Device, m *model.Spec, v, ctx, bit, bitKV int) float64 {
 	if c == nil {
-		return devDecode(d, m, v, ctx, bit, bitKV)
+		return d.DecodeLayerLatency(m, v, ctx, bit, bitKV)
 	}
 	k := deviceKey(&d, m)
 	k.phase, k.v, k.seq, k.bit, k.bitKV = phaseDecode, v, ctx, bit, bitKV
-	return c.lookup(k, func() float64 { return devDecode(d, m, v, ctx, bit, bitKV) })
+	return c.lookup(k, func() float64 { return d.DecodeLayerLatency(m, v, ctx, bit, bitKV) })
 }

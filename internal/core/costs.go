@@ -109,20 +109,4 @@ func (oc *orderingCosts) prefillLayer(j, bi int) float64 {
 // decodeLayer returns the per-token decode cost of one layer on device j.
 func (oc *orderingCosts) decodeLayer(j, bi int) float64 { return oc.dec[j][bi] }
 
-// devPrefill dispatches to the TP group when present.
-func devPrefill(d cluster.Device, m *model.Spec, v, seq, bit int) float64 {
-	if d.Group != nil && d.TPDegree > 1 {
-		return d.Group.PrefillLayerLatency(m, v, seq, bit)
-	}
-	return d.Spec.PrefillLayerLatency(m, v, seq, bit)
-}
-
-// devDecode dispatches to the TP group when present.
-func devDecode(d cluster.Device, m *model.Spec, v, ctx, bit, bitKV int) float64 {
-	if d.Group != nil && d.TPDegree > 1 {
-		return d.Group.DecodeLayerLatency(m, v, ctx, bit, bitKV)
-	}
-	return d.Spec.DecodeLayerLatency(m, v, ctx, bit, bitKV)
-}
-
 func ceilDiv(a, b int) int { return (a + b - 1) / b }

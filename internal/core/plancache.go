@@ -33,9 +33,11 @@ func PlanKey(model, clusterFP string, batch workload.Batch, opts Options) string
 
 // PlanCache is an LRU cache of solved plans keyed by PlanKey. Values are
 // the planner wire format of internal/plan, kept serialized so the cache
-// persists to disk byte-for-byte and every lookup rebinds the plan to
-// its caller's live cluster. An entry may also hold, in memory only, the
-// Report of the solve that produced it.
+// persists to disk byte-for-byte. An entry may also hold, in memory
+// only, the Report of the solve that produced it and its plan decoded,
+// bound to the cluster of its last lookup and validated: a lookup with
+// that same cluster and layer count copies the decoded plan, and any
+// other lookup decodes and rebinds the serialized one.
 type PlanCache struct {
 	mu       sync.Mutex
 	capacity int
@@ -46,11 +48,19 @@ type PlanCache struct {
 }
 
 // cacheEntry is one cache slot; only Key and Plan persist. Entries are
-// replaced, never mutated, so a lookup may read one outside the lock.
+// replaced, never mutated, so a lookup may read one outside the lock,
+// and replacing an entry (Put, Drop, Load, eviction) also discards its
+// decoded plan.
 type cacheEntry struct {
 	Key  string          `json:"key"`
 	Plan json.RawMessage `json:"plan"`
 	rep  *Report
+	// bound is Plan decoded, bound to clu and validated for a model of
+	// layers decoder layers; nil until a Lookup decodes it. Nothing
+	// mutates it: Lookup returns copies.
+	bound  *plan.Plan
+	clu    *cluster.Cluster
+	layers int
 }
 
 // cacheFile is the on-disk snapshot: entries from most to least recently
@@ -94,20 +104,58 @@ func (c *PlanCache) Get(key string) (json.RawMessage, bool) {
 
 // Lookup returns the plan cached under key, bound to clu and validated
 // for a model of the given depth, with the report of the solve that
-// made it (nil for an entry restored by Load). An entry that no longer
-// decodes, binds or validates — a pool redefined under an unchanged
-// name — is dropped and reported as absent.
+// made it (nil for an entry restored by Load). The plan is the caller's
+// own copy. An entry that no longer decodes, binds or validates — a
+// pool redefined under an unchanged name — is dropped and reported as
+// absent.
 func (c *PlanCache) Lookup(key string, clu *cluster.Cluster, layers int) (*plan.Plan, *Report, bool) {
 	e := c.get(key)
 	if e == nil {
 		return nil, nil, false
 	}
-	var p plan.Plan
-	if json.Unmarshal(e.Plan, &p) != nil || p.Bind(clu) != nil || p.Validate(layers) != nil {
-		c.Drop(key)
+	if e.bound != nil && e.clu == clu && e.layers == layers {
+		return copyPlan(e.bound), e.rep, true
+	}
+	p := new(plan.Plan)
+	if json.Unmarshal(e.Plan, p) != nil || p.Bind(clu) != nil || p.Validate(layers) != nil {
+		c.replace(key, e, nil)
 		return nil, nil, false
 	}
-	return &p, e.rep, true
+	c.replace(key, e, &cacheEntry{Key: key, Plan: e.Plan, rep: e.rep, bound: p, clu: clu, layers: layers})
+	return copyPlan(p), e.rep, true
+}
+
+// replace swaps next in for key's entry, or drops the entry when next is
+// nil, but only while the entry is still old: a Put, Drop or Load that
+// landed since old was read wins.
+func (c *PlanCache) replace(key string, old, next *cacheEntry) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.index[key]
+	if !ok || el.Value.(*cacheEntry) != old {
+		return
+	}
+	if next == nil {
+		c.ll.Remove(el)
+		delete(c.index, key)
+		return
+	}
+	el.Value = next
+}
+
+// copyPlan returns a copy of p with its own Stages and Bits, so the
+// caller may change them; the devices' performance models are shared.
+func copyPlan(p *plan.Plan) *plan.Plan {
+	out := *p
+	out.Stages = make([]plan.Stage, len(p.Stages))
+	bits := make([]int, 0, p.Layers())
+	for i, st := range p.Stages {
+		lo := len(bits)
+		bits = append(bits, st.Bits...)
+		st.Bits = bits[lo:len(bits):len(bits)]
+		out.Stages[i] = st
+	}
+	return &out
 }
 
 // Put stores a serialized plan and the report of its solve (may be nil),

@@ -8,10 +8,12 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/plan"
 	"repro/internal/workload"
 )
 
@@ -50,6 +52,168 @@ func TestPlanCacheLRU(t *testing.T) {
 	c.Drop("a")
 	if _, ok := c.Get("a"); ok || c.Len() != 1 {
 		t.Fatal("drop should remove the entry")
+	}
+}
+
+// uniformPlanJSON serializes a plan splitting layers over the first two
+// devices of clu's last mesh with every layer at bit.
+func uniformPlanJSON(t *testing.T, clu *cluster.Cluster, layers, bit int) json.RawMessage {
+	t.Helper()
+	meshes := clu.Meshes()
+	devs := meshes[len(meshes)-1]
+	p := &plan.Plan{Model: "opt-13b", PrefillMicroBatch: 4, DecodeMicroBatch: 8, BitKV: 16, Method: "test"}
+	half := layers / 2
+	for i, n := range []int{half, layers - half} {
+		bits := make([]int, n)
+		for j := range bits {
+			bits[j] = bit
+		}
+		p.Stages = append(p.Stages, plan.Stage{Device: devs[i], FirstLayer: i * half, Bits: bits})
+	}
+	raw, err := json.Marshal(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// allBits reports whether every layer of p is at bit.
+func allBits(p *plan.Plan, bit int) bool {
+	for _, b := range p.Bits() {
+		if b != bit {
+			return false
+		}
+	}
+	return true
+}
+
+// TestPlanCacheStaleDropKeepsFreshPlan replays the interleaving of a
+// Lookup whose entry fails to decode while a Put lands: the failed
+// entry's removal must not take the fresh plan with it.
+func TestPlanCacheStaleDropKeepsFreshPlan(t *testing.T) {
+	c := NewPlanCache(4)
+	c.Put("k", raw("not a plan"), nil)
+	stale := c.get("k")
+	fresh := raw("fresh")
+	c.Put("k", fresh, nil)
+	c.replace("k", stale, nil) // the stale Lookup's drop
+	if got, ok := c.Get("k"); !ok || string(got) != string(fresh) {
+		t.Fatalf("fresh plan lost to a stale drop: %s, %v", got, ok)
+	}
+	c.replace("k", c.get("k"), nil) // the current entry does drop
+	if _, ok := c.Get("k"); ok {
+		t.Fatal("current entry survived its drop")
+	}
+}
+
+// TestPlanCacheConcurrentLookup runs Lookups of one key and cluster from
+// eight goroutines while another Puts and Drops it. Every hit must be a
+// valid plan of the one version ever stored, and writing into or
+// growing a returned plan's Bits must never reach a later Lookup or
+// another stage. Afterwards a Put
+// of a different plan must replace the decoded one.
+func TestPlanCacheConcurrentLookup(t *testing.T) {
+	clu := cluster.MustPreset(2)
+	const layers = 40
+	planA, planB := uniformPlanJSON(t, clu, layers, 8), uniformPlanJSON(t, clu, layers, 4)
+	c := NewPlanCache(4)
+	c.Put("k", planA, nil)
+
+	done := make(chan struct{})
+	var writer sync.WaitGroup
+	writer.Add(1)
+	go func() {
+		defer writer.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if i%3 == 2 {
+				c.Drop("k")
+			} else {
+				c.Put("k", planA, nil)
+			}
+		}
+	}()
+	var readers sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for i := 0; i < 300; i++ {
+				p, _, ok := c.Lookup("k", clu, layers)
+				if !ok {
+					continue
+				}
+				if err := p.Validate(layers); err != nil {
+					t.Errorf("lookup returned an invalid plan: %v", err)
+					return
+				}
+				if !allBits(p, 8) {
+					t.Errorf("lookup returned bits %v, want all 8", p.Bits())
+					return
+				}
+				for j := range p.Stages {
+					for k := range p.Stages[j].Bits {
+						p.Stages[j].Bits[k] = 3
+					}
+				}
+				p.Stages[0].Bits = append(p.Stages[0].Bits, 16)
+				if p.Stages[1].Bits[0] != 3 {
+					t.Error("growing stage 0's Bits overwrote stage 1's")
+					return
+				}
+			}
+		}()
+	}
+	readers.Wait()
+	close(done)
+	writer.Wait()
+
+	c.Put("k", planA, nil)
+	if _, _, ok := c.Lookup("k", clu, layers); !ok {
+		t.Fatal("plan A missing")
+	}
+	c.Put("k", planB, nil)
+	p, _, ok := c.Lookup("k", clu, layers)
+	if !ok || !allBits(p, 4) {
+		t.Fatalf("after Put of plan B, Lookup = %v, %v; want plan B", p, ok)
+	}
+}
+
+// TestPlanCacheLookupRebinds checks that a decoded plan serves only the
+// cluster and depth it was bound for: a lookup with another cluster gets
+// that cluster's devices, and a lookup the plan does not fit drops the
+// entry.
+func TestPlanCacheLookupRebinds(t *testing.T) {
+	full := cluster.MustPreset(2)
+	slow := *full // same device IDs, every device at half speed
+	slow.Nodes = append([]cluster.Node(nil), full.Nodes...)
+	for i := range slow.Nodes {
+		slow.Nodes[i].SpeedScale = 0.5
+	}
+	const layers = 40
+	c := NewPlanCache(4)
+	c.Put("k", uniformPlanJSON(t, full, layers, 8), nil)
+	for i, clu := range []*cluster.Cluster{full, full, &slow, &slow, full} {
+		p, _, ok := c.Lookup("k", clu, layers)
+		if !ok {
+			t.Fatalf("lookup %d missed", i)
+		}
+		meshes := clu.Meshes()
+		want := meshes[len(meshes)-1][0]
+		if got := p.Stages[0].Device; got.ID != want.ID || got.Spec.FP16FLOPS != want.Spec.FP16FLOPS {
+			t.Fatalf("lookup %d: stage 0 bound to %s at %v FLOP/s, cluster has %s at %v",
+				i, got.ID, got.Spec.FP16FLOPS, want.ID, want.Spec.FP16FLOPS)
+		}
+	}
+	if _, _, ok := c.Lookup("k", full, layers+1); ok {
+		t.Fatal("a 40-layer plan validated for 41 layers")
+	}
+	if c.Len() != 0 {
+		t.Fatal("an entry that no longer validates was kept")
 	}
 }
 

@@ -189,11 +189,57 @@ func (s *Spec) PrefillLayerLatency(m *model.Spec, v, seq, bit int) float64 {
 
 // DecodeLayerLatency returns the simulated execution time of one decoder
 // layer generating one token per sequence for v sequences with ctx
-// cached positions.
+// cached positions: DecodeCurve(m, v, bit, bitKV).At(ctx), without
+// building the curve.
 func (s *Spec) DecodeLayerLatency(m *model.Spec, v, ctx, bit, bitKV int) float64 {
-	flops := m.LayerFLOPsDecode(v, ctx)
-	mops := m.LayerMOPsDecode(v, ctx, bit, bitKV)
-	return s.roofline(flops, mops, bit)
+	return s.decodeRates(bit, 1, 0).latency(m.DecodeCost(v, ctx, bit, bitKV))
+}
+
+// DecodeCurve returns DecodeLayerLatency on the device as a function of
+// the context length, for v sequences at bit and bitKV: the degree-1 case
+// of TPGroup.DecodeCurve (no scaling, no all-reduce).
+func (s *Spec) DecodeCurve(m *model.Spec, v, bit, bitKV int) DecodeCurve {
+	return DecodeCurve{m.DecodeWork(v, bit, bitKV), s.decodeRates(bit, 1, 0)}
+}
+
+// DecodeCurve is one decoder layer's decode-step latency on a device or
+// TP group for a fixed batch v, weight bitwidth and KV bitwidth, as a
+// function of the context length. Within one batch only the context
+// changes from step to step, so the layer's context-free work, the
+// effective compute rate and bandwidth, the launch overhead and the
+// all-reduce are computed once; At adds the context terms.
+type DecodeCurve struct {
+	work  model.DecodeWork
+	rates decodeRates
+}
+
+// At returns the layer's latency at ctx cached positions.
+func (c *DecodeCurve) At(ctx int) float64 {
+	return c.rates.latency(c.work.FLOPs(ctx), c.work.Bytes(ctx))
+}
+
+// decodeRates are the device terms of a decode pass: the effective
+// compute rate at the weight bitwidth and the bandwidth, both scaled by
+// the TP group, the launch overhead and the all-reduce (0 on one
+// device).
+type decodeRates struct {
+	flops, bandwidth, launch, allReduce float64
+}
+
+func (s *Spec) decodeRates(bit int, scale, allReduce float64) decodeRates {
+	return decodeRates{s.FLOPSAt(bit) * scale, s.Bandwidth * scale, s.LaunchOverhead, allReduce}
+}
+
+// latency is the roofline of one decode pass: the larger of compute and
+// memory time, plus the launch overhead, plus the all-reduce.
+func (r decodeRates) latency(flops, bytes float64) float64 {
+	ct := flops / r.flops
+	mt := bytes / r.bandwidth
+	t := ct
+	if mt > t {
+		t = mt
+	}
+	return t + r.launch + r.allReduce
 }
 
 // EmbedLatency returns the master-engine preprocessing time for a batch.

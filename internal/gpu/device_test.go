@@ -63,8 +63,9 @@ func TestPhasesComputeVsMemoryBound(t *testing.T) {
 	if flopsTime <= memTime {
 		t.Fatalf("prefill not compute-bound: compute %v vs mem %v", flopsTime, memTime)
 	}
-	dFlops := m.LayerFLOPsDecode(8, 512) / v.FLOPSAt(16)
-	dMem := m.LayerMOPsDecode(8, 512, 16, 16) / v.Bandwidth
+	w := m.DecodeWork(8, 16, 16)
+	dFlops := w.FLOPs(512) / v.FLOPSAt(16)
+	dMem := w.Bytes(512) / v.Bandwidth
 	if dMem <= dFlops {
 		t.Fatalf("decode not memory-bound: compute %v vs mem %v", dFlops, dMem)
 	}

@@ -70,11 +70,16 @@ func (g *TPGroup) PrefillLayerLatency(m *model.Spec, v, seq, bit int) float64 {
 
 // DecodeLayerLatency is the TP analogue of Spec.DecodeLayerLatency.
 func (g *TPGroup) DecodeLayerLatency(m *model.Spec, v, ctx, bit, bitKV int) float64 {
-	base := m.LayerFLOPsDecode(v, ctx) / (g.Spec.FLOPSAt(bit) * g.scale())
-	mem := m.LayerMOPsDecode(v, ctx, bit, bitKV) / (g.Spec.Bandwidth * g.scale())
-	t := base
-	if mem > t {
-		t = mem
-	}
-	return t + g.Spec.LaunchOverhead + g.allReduce(float64(m.ActivationTransferBytes(v, 1)))
+	return g.decodeRates(m, v, bit).latency(m.DecodeCost(v, ctx, bit, bitKV))
+}
+
+// DecodeCurve is the TP analogue of Spec.DecodeCurve.
+func (g *TPGroup) DecodeCurve(m *model.Spec, v, bit, bitKV int) DecodeCurve {
+	return DecodeCurve{m.DecodeWork(v, bit, bitKV), g.decodeRates(m, v, bit)}
+}
+
+// decodeRates scales compute and bandwidth with the group, and every
+// pass pays the all-reduce of one token's activations.
+func (g *TPGroup) decodeRates(m *model.Spec, v, bit int) decodeRates {
+	return g.Spec.decodeRates(bit, g.scale(), g.allReduce(float64(m.ActivationTransferBytes(v, 1))))
 }

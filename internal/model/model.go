@@ -158,25 +158,84 @@ func (s *Spec) LayerFLOPsPrefill(v, seq int) float64 {
 	return 4*vs*h1*h1 + 4*vs*h1*kv + 4*float64(v)*float64(seq)*float64(seq)*h1 + mlp
 }
 
-// LayerFLOPsDecode returns the FLOPs for one decoder layer generating one
-// token per sequence with ctx cached positions (s+t): projections
-// 8·v·h1², attention 4·v·ctx·h1, MLP 4·v·h1·h2.
-func (s *Spec) LayerFLOPsDecode(v, ctx int) float64 {
-	h1, h2, kv := float64(s.Hidden), float64(s.FFN), float64(s.KVDim())
-	vf := float64(v)
-	mlp := 2 * float64(s.mlpMatrices()) * vf * h1 * h2
-	return 4*vf*h1*h1 + 4*vf*h1*kv + 4*vf*float64(ctx)*h1 + mlp
+// DecodeWork is the work of one decoder layer generating one token per
+// sequence for v sequences, weights at bit and KV at bitKV, as a
+// function of the cached context length ctx (s+t) alone. Within one
+// batch only the context changes from step to step, so every term that
+// does not depend on it is computed once.
+//
+// FLOPs: projections 4·v·h1² + 4·v·h1·kvDim, attention 4·v·ctx·h1, MLP
+// 2·m·v·h1·h2 (m = 2, or 3 for gated MLPs). Bytes — the paper's "total
+// number of bytes accessed" for the memory-bound decode phase: quantized
+// weights once, the KV cache of ctx positions, and the (small)
+// activation traffic.
+type DecodeWork struct {
+	flops decodeFLOPs
+	bytes decodeBytes
 }
 
-// LayerMOPsDecode returns the bytes moved by one decoder layer in one
-// decode step: quantized weights once, KV cache for ctx positions, and
-// the (small) activation traffic. This is the paper's "total number of
-// bytes accessed" model for the memory-bound decode phase.
-func (s *Spec) LayerMOPsDecode(v, ctx, bit, bitKV int) float64 {
-	weights := float64(s.DecoderLayerParams()) * bytesPerWeight(bit)
-	kv := float64(2*v*ctx*s.KVDim()) * bytesPerWeight(bitKV)
-	act := float64(v*s.Hidden) * bytesFP16 * 8 // read/write per op chain
-	return weights + kv + act
+// DecodeWork returns one decoder layer's decode-step work for v
+// sequences with weights at bit and the KV cache at bitKV.
+func (s *Spec) DecodeWork(v, bit, bitKV int) DecodeWork {
+	f, b := s.decodeTerms(v, bit, bitKV)
+	return DecodeWork{f, b}
+}
+
+// FLOPs returns the layer's FLOPs at ctx cached positions.
+func (w DecodeWork) FLOPs(ctx int) float64 { return w.flops.at(ctx) }
+
+// Bytes returns the bytes the layer moves at ctx cached positions.
+func (w DecodeWork) Bytes(ctx int) float64 { return w.bytes.at(ctx) }
+
+// DecodeCost returns DecodeWork(v, bit, bitKV)'s FLOPs and Bytes at ctx
+// for a single context, without keeping the work.
+func (s *Spec) DecodeCost(v, ctx, bit, bitKV int) (flops, bytes float64) {
+	f, b := s.decodeTerms(v, bit, bitKV)
+	return f.at(ctx), b.at(ctx)
+}
+
+// decodeFLOPs and decodeBytes are DecodeWork's two halves, each small
+// enough to stay in registers.
+type decodeFLOPs struct {
+	proj, v4, h1, mlp float64 // attention FLOPs are v4·ctx·h1
+}
+
+type decodeBytes struct {
+	weights float64
+	kvRow   int     // 2·v·kvDim KV elements per position
+	kvElem  float64 // bytes per KV element at bitKV
+	act     float64
+}
+
+func (s *Spec) decodeTerms(v, bit, bitKV int) (decodeFLOPs, decodeBytes) {
+	kvDim := s.KVDim()
+	h1, h2, kv := float64(s.Hidden), float64(s.FFN), float64(kvDim)
+	vf := float64(v)
+	f := decodeFLOPs{
+		proj: float64(4*vf*h1*h1) + float64(4*vf*h1*kv),
+		v4:   4 * vf,
+		h1:   h1,
+		mlp:  2 * float64(s.mlpMatrices()) * vf * h1 * h2,
+	}
+	b := decodeBytes{
+		weights: float64(s.DecoderLayerParams()) * bytesPerWeight(bit),
+		kvRow:   2 * v * kvDim,
+		kvElem:  bytesPerWeight(bitKV),
+		act:     float64(v*s.Hidden) * bytesFP16 * 8, // read/write per op chain
+	}
+	return f, b
+}
+
+// The explicit float64 conversions in the two at methods round every
+// product before it is added, so no architecture fuses a multiply-add
+// and the result is the same everywhere.
+
+func (f decodeFLOPs) at(ctx int) float64 {
+	return f.proj + float64(f.v4*float64(ctx)*f.h1) + f.mlp
+}
+
+func (b decodeBytes) at(ctx int) float64 {
+	return b.weights + float64(float64(b.kvRow*ctx)*b.kvElem) + b.act
 }
 
 // LayerMOPsPrefill returns the bytes moved in the prefill pass (weights

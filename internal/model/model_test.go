@@ -127,8 +127,8 @@ func TestPrefillFLOPsGrowsQuadraticallyInSeq(t *testing.T) {
 
 func TestDecodeFLOPsLinearInBatch(t *testing.T) {
 	s := OPT13B
-	f1 := s.LayerFLOPsDecode(1, 512)
-	f8 := s.LayerFLOPsDecode(8, 512)
+	f1 := s.DecodeWork(1, 16, 16).FLOPs(512)
+	f8 := s.DecodeWork(8, 16, 16).FLOPs(512)
 	if math.Abs(f8/f1-8) > 1e-9 {
 		t.Fatalf("decode FLOPs not linear in v: %v", f8/f1)
 	}
@@ -140,7 +140,8 @@ func TestArithmeticIntensityGap(t *testing.T) {
 	// reported gap (decode ~tens, prefill ~thousands).
 	s := OPT30B
 	pre := s.LayerFLOPsPrefill(32, 512) / s.LayerMOPsPrefill(32, 512, 16)
-	dec := s.LayerFLOPsDecode(32, 512) / s.LayerMOPsDecode(32, 512, 16, 16)
+	w := s.DecodeWork(32, 16, 16)
+	dec := w.FLOPs(512) / w.Bytes(512)
 	if dec > 100 {
 		t.Fatalf("decode intensity %v too high", dec)
 	}
@@ -154,8 +155,8 @@ func TestArithmeticIntensityGap(t *testing.T) {
 
 func TestQuantizationShrinksDecodeMOPs(t *testing.T) {
 	s := OPT30B
-	m16 := s.LayerMOPsDecode(8, 512, 16, 16)
-	m4 := s.LayerMOPsDecode(8, 512, 4, 16)
+	m16 := s.DecodeWork(8, 16, 16).Bytes(512)
+	m4 := s.DecodeWork(8, 4, 16).Bytes(512)
 	if m4 >= m16 {
 		t.Fatal("4-bit decode MOPs not smaller")
 	}
@@ -249,7 +250,7 @@ func TestGatedMLPParams(t *testing.T) {
 	if diff != 128*512 {
 		t.Fatalf("gated MLP param delta = %d, want %d", diff, 128*512)
 	}
-	if gated.LayerFLOPsDecode(1, 128) <= base.LayerFLOPsDecode(1, 128) {
+	if gated.DecodeWork(1, 16, 16).FLOPs(128) <= base.DecodeWork(1, 16, 16).FLOPs(128) {
 		t.Fatal("gated MLP FLOPs not larger")
 	}
 }

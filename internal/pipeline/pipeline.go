@@ -110,7 +110,8 @@ func Simulate(p *plan.Plan, spec *model.Spec, clu *cluster.Cluster, batch worklo
 	// ---- Per-pass stage and link times. ----
 	// A stage's work depends only on the pass shape (v, seq or ctx),
 	// never on the micro-batch or the chunk, so each is computed once
-	// per shape; link times once per run.
+	// per shape; link times once per run. Decode passes differ only in
+	// their context, so each stage's decode curves are built once.
 	eta := p.PrefillMicroBatch
 	if eta > batch.Size {
 		eta = batch.Size
@@ -120,15 +121,18 @@ func Simulate(p *plan.Plan, spec *model.Spec, clu *cluster.Cluster, batch worklo
 		xi = batch.Size
 	}
 	var buf [3 * stackStages]float64
-	s := floats(buf[:], 3*nStages)
+	s := scratch(buf[:], 3*nStages)
 	preLink, decLink, stageFree := s[:nStages], s[nStages:2*nStages], s[2*nStages:]
 	prefillWork := make([]float64, nStages)
 	for j := range p.Stages {
 		st := &p.Stages[j]
 		prefillWork[j] = sumByBit(st.Bits, func(bit int) float64 {
-			return devPrefill(st.Device, spec, eta, batch.ChunkLen, bit)
+			return st.Device.PrefillLayerLatency(spec, eta, batch.ChunkLen, bit)
 		})
 	}
+	var cbuf [stageBits * stackStages]bitCurve
+	var ebuf [stackStages]int
+	dec := newDecodeCurves(cbuf[:0], scratch(ebuf[:], nStages), p, spec, xi)
 	linkTimes(preLink, p, clu, spec.ActivationTransferBytes(eta, batch.ChunkLen))
 	linkTimes(decLink, p, clu, spec.ActivationTransferBytes(xi, 1))
 	master := p.Stages[0].Device
@@ -182,7 +186,7 @@ func Simulate(p *plan.Plan, spec *model.Spec, clu *cluster.Cluster, batch worklo
 		}
 		lm := devLMHead(master, spec, xi)
 		for t := 0; t < decSteps; t++ {
-			decodeStageWork(stageDecode, p, spec, xi, batch.PaddedPrompt()+t+1)
+			dec.work(stageDecode, batch.PaddedPrompt()+t+1)
 			if end := decodeStep(muDec, mbReady, stageFree, stageBusy, stageDecode, decLink, lm); end > decodeEnd {
 				decodeEnd = end
 			}
@@ -207,7 +211,7 @@ func Simulate(p *plan.Plan, spec *model.Spec, clu *cluster.Cluster, batch worklo
 		}
 		res.BubbleFraction = 1 - util/float64(nStages)
 	}
-	decodeStageWork(res.StageDecode, p, spec, xi, batch.PaddedPrompt()+batch.GenTokens/2)
+	dec.work(res.StageDecode, batch.PaddedPrompt()+batch.GenTokens/2)
 	if res.TotalSeconds > 0 {
 		res.Throughput = float64(res.OutputTokens) / res.TotalSeconds
 	}
@@ -216,22 +220,6 @@ func Simulate(p *plan.Plan, spec *model.Spec, clu *cluster.Cluster, batch worklo
 		res.TBT = res.DecodeSeconds / float64(decSteps)
 	}
 	return res, nil
-}
-
-// devPrefill dispatches to the TP group when present.
-func devPrefill(d cluster.Device, m *model.Spec, v, seq, bit int) float64 {
-	if d.Group != nil && d.TPDegree > 1 {
-		return d.Group.PrefillLayerLatency(m, v, seq, bit)
-	}
-	return d.Spec.PrefillLayerLatency(m, v, seq, bit)
-}
-
-// devDecode dispatches to the TP group when present.
-func devDecode(d cluster.Device, m *model.Spec, v, ctx, bit, bitKV int) float64 {
-	if d.Group != nil && d.TPDegree > 1 {
-		return d.Group.DecodeLayerLatency(m, v, ctx, bit, bitKV)
-	}
-	return d.Spec.DecodeLayerLatency(m, v, ctx, bit, bitKV)
 }
 
 func devEmbed(d cluster.Device, m *model.Spec, v, seq int) float64 {

@@ -17,6 +17,7 @@ package pipeline
 import (
 	"repro/internal/cluster"
 	"repro/internal/costmodel"
+	"repro/internal/gpu"
 	"repro/internal/model"
 	"repro/internal/plan"
 )
@@ -28,11 +29,15 @@ const stackStages = 8
 // maxBit is the widest weight bitwidth a plan carries.
 const maxBit = 16
 
-// floats returns n zeroed float64s: buf[:n] when buf, which must be
+// stageBits is the most distinct bitwidths a validated stage carries:
+// plan.Validate admits 3, 4, 8 and 16.
+const stageBits = 4
+
+// scratch returns n zeroed values: buf[:n] when buf, which must be
 // zeroed, is long enough.
-func floats(buf []float64, n int) []float64 {
+func scratch[T any](buf []T, n int) []T {
 	if n > len(buf) {
-		return make([]float64, n)
+		return make([]T, n)
 	}
 	return buf[:n]
 }
@@ -60,13 +65,67 @@ func sumByBit(bits []int, cost func(bit int) float64) float64 {
 }
 
 // decodeStageWork sets work[j] to stage j's compute time for one decode
-// micro-batch of xi requests at context length ctx.
+// micro-batch of xi requests at context length ctx. It prices a single
+// context, so it evaluates each distinct bit's latency once and builds
+// no curves to keep.
 func decodeStageWork(work []float64, p *plan.Plan, spec *model.Spec, xi, ctx int) {
 	for j := range p.Stages {
 		st := &p.Stages[j]
 		work[j] = sumByBit(st.Bits, func(bit int) float64 {
-			return devDecode(st.Device, spec, xi, ctx, bit, p.BitKV)
+			return st.Device.DecodeLayerLatency(spec, xi, ctx, bit, p.BitKV)
 		})
+	}
+}
+
+// bitCurve is one stage's decode curve at one of its bits.
+type bitCurve struct {
+	bit   int
+	curve gpu.DecodeCurve
+}
+
+// decodeCurves prices one decode micro-batch on every stage of a plan at
+// any context length. Each stage keeps one curve per distinct bit it
+// carries, built once; a step evaluates them at its context and sums
+// the stage in layer order, which keeps every rounding of the per-layer
+// loop.
+type decodeCurves struct {
+	stages []plan.Stage
+	curves []bitCurve // stage-major
+	ends   []int      // stage j's curves are curves[ends[j-1]:ends[j]]
+}
+
+// newDecodeCurves builds the curves of p's stages for micro-batches of
+// xi requests, appending to curves and filling ends (one per stage).
+// Every bit must be in [0, maxBit], as Validate guarantees.
+func newDecodeCurves(curves []bitCurve, ends []int, p *plan.Plan, spec *model.Spec, xi int) decodeCurves {
+	for j := range p.Stages {
+		st := &p.Stages[j]
+		var seen uint32
+		for _, bit := range st.Bits {
+			if seen&(1<<bit) == 0 {
+				seen |= 1 << bit
+				curves = append(curves, bitCurve{bit, st.Device.DecodeCurve(spec, xi, bit, p.BitKV)})
+			}
+		}
+		ends[j] = len(curves)
+	}
+	return decodeCurves{stages: p.Stages, curves: curves, ends: ends}
+}
+
+// work sets work[j] to stage j's compute time for one decode
+// micro-batch at context length ctx.
+func (d *decodeCurves) work(work []float64, ctx int) {
+	var at [maxBit + 1]float64
+	k := 0
+	for j := range d.stages {
+		for ; k < d.ends[j]; k++ {
+			at[d.curves[k].bit] = d.curves[k].curve.At(ctx)
+		}
+		t := 0.0
+		for _, bit := range d.stages[j].Bits {
+			t += at[bit]
+		}
+		work[j] = t
 	}
 }
 
@@ -140,7 +199,7 @@ func DecodeStepLatency(p *plan.Plan, spec *model.Spec, clu *cluster.Cluster, v, 
 	}
 	n := len(p.Stages)
 	var buf [3 * stackStages]float64
-	s := floats(buf[:], 3*n)
+	s := scratch(buf[:], 3*n)
 	work, link, stageFree := s[:n], s[n:2*n], s[2*n:]
 	decodeStageWork(work, p, spec, xi, ctx)
 	linkTimes(link, p, clu, spec.ActivationTransferBytes(xi, 1))

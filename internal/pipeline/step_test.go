@@ -48,7 +48,7 @@ func decodeStepRef(p *plan.Plan, spec *model.Spec, clu *cluster.Cluster, v, ctx 
 			}
 			work := 0.0
 			for _, bit := range p.Stages[j].Bits {
-				work += devDecode(p.Stages[j].Device, spec, xi, ctx, bit, p.BitKV)
+				work += p.Stages[j].Device.DecodeLayerLatency(spec, xi, ctx, bit, p.BitKV)
 			}
 			finish := start + work
 			stageFree[j] = finish

@@ -6,7 +6,7 @@ package plan
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 
 	"repro/internal/cluster"
 )
@@ -108,23 +108,41 @@ func (p *Plan) Validate(layers int) error {
 
 // String renders a compact human-readable plan summary.
 func (p *Plan) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "plan[%s η=%d ξ=%d", p.Method, p.PrefillMicroBatch, p.DecodeMicroBatch)
+	b := make([]byte, 0, 64+48*len(p.Stages))
+	b = append(b, "plan["...)
+	b = append(b, p.Method...)
+	b = append(b, " η="...)
+	b = strconv.AppendInt(b, int64(p.PrefillMicroBatch), 10)
+	b = append(b, " ξ="...)
+	b = strconv.AppendInt(b, int64(p.DecodeMicroBatch), 10)
 	for _, s := range p.Stages {
-		counts := map[int]int{}
+		var counts [17]int // by bitwidth; Validate admits 3, 4, 8 and 16
 		for _, bit := range s.Bits {
-			counts[bit]++
+			if uint(bit) < uint(len(counts)) {
+				counts[bit]++
+			}
 		}
-		fmt.Fprintf(&b, " | %s L%d-%d", s.Device.Spec.Class, s.FirstLayer, s.LastLayer()-1)
+		b = append(b, " | "...)
+		b = append(b, s.Device.Spec.Class...)
+		b = append(b, " L"...)
+		b = strconv.AppendInt(b, int64(s.FirstLayer), 10)
+		b = append(b, '-')
+		b = strconv.AppendInt(b, int64(s.LastLayer()-1), 10)
 		if s.Device.TPDegree > 1 {
-			fmt.Fprintf(&b, "(tp%d)", s.Device.TPDegree)
+			b = append(b, "(tp"...)
+			b = strconv.AppendInt(b, int64(s.Device.TPDegree), 10)
+			b = append(b, ')')
 		}
-		for _, bit := range []int{16, 8, 4, 3} {
+		for _, bit := range [...]int{16, 8, 4, 3} {
 			if counts[bit] > 0 {
-				fmt.Fprintf(&b, " %dx%db", counts[bit], bit)
+				b = append(b, ' ')
+				b = strconv.AppendInt(b, int64(counts[bit]), 10)
+				b = append(b, 'x')
+				b = strconv.AppendInt(b, int64(bit), 10)
+				b = append(b, 'b')
 			}
 		}
 	}
-	b.WriteString("]")
-	return b.String()
+	b = append(b, ']')
+	return string(b)
 }

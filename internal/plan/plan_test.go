@@ -76,6 +76,26 @@ func TestStringSummary(t *testing.T) {
 	}
 }
 
+// TestStringTP2Literal pins String byte for byte on a mixed-bit plan
+// over two TP2 groups: bit counts widest first, a TP suffix per stage.
+func TestStringTP2Literal(t *testing.T) {
+	for _, m := range cluster.MustPreset(10).Meshes() {
+		if len(m) != 2 || m[0].TPDegree != 2 {
+			continue
+		}
+		p := &Plan{Method: "heuristic", PrefillMicroBatch: 4, DecodeMicroBatch: 16, BitKV: 8, Stages: []Stage{
+			{Device: m[0], FirstLayer: 0, Bits: []int{16, 8, 8, 4, 16}},
+			{Device: m[1], FirstLayer: 5, Bits: []int{3, 4, 3, 8, 3, 3}},
+		}}
+		const want = "plan[heuristic η=4 ξ=16 | A100-40G L0-4(tp2) 2x16b 2x8b 1x4b | A100-40G L5-10(tp2) 1x8b 1x4b 4x3b]"
+		if got := p.String(); got != want {
+			t.Fatalf("String() = %q, want %q", got, want)
+		}
+		return
+	}
+	t.Fatal("preset 10 has no mesh of two TP2 groups")
+}
+
 func TestLastLayer(t *testing.T) {
 	st := Stage{FirstLayer: 3, Bits: []int{8, 8}}
 	if st.LastLayer() != 5 {
