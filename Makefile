@@ -38,13 +38,15 @@ vet: fmt-check
 # one fleet state and whose migration e2e replays token logs through a
 # chaos proxy; the telemetry layer, whose lock-free registry is scraped
 # while written and whose tracer ring is appended from every executor
-# worker; and the serve daemon's maintenance endpoints and bounded drain.
+# worker; and the serve daemon's maintenance endpoints, bounded drain,
+# and preempt/restore replans, whose plan-cache lookups and solves run
+# while fault injectors change the pool.
 test-race:
 	$(GO) test -race -timeout 45m ./...
 	$(GO) test -race -timeout 15m -count=2 ./internal/transport/
 	$(GO) test -race -timeout 15m -count=2 ./internal/maintenance/
 	$(GO) test -race -timeout 15m -count=2 ./internal/obs/
-	$(GO) test -race -timeout 15m -count=2 -run 'Maintenance|DrainTimeout' ./internal/serve/
+	$(GO) test -race -timeout 15m -count=2 -run 'Maintenance|DrainTimeout|Preempt|Restore' ./internal/serve/
 
 # Fuzz smoke: twenty seconds of coverage-guided inputs for each of ten
 # targets. Six must match a reference exactly: the bitwidth-transfer

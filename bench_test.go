@@ -180,15 +180,16 @@ func BenchmarkSimplexSolve(b *testing.B) {
 	}
 }
 
+// BenchmarkPlanHeuristicCluster5 times a cold plan: each iteration
+// plans on a new System, whose plan cache is empty.
 func BenchmarkPlanHeuristicCluster5(b *testing.B) {
-	sys, err := splitquant.New("opt-30b", splitquant.Preset(5),
-		splitquant.WithMethod("heuristic"), splitquant.WithTheta(1))
-	if err != nil {
-		b.Fatal(err)
-	}
 	w := splitquant.FixedWorkload(32, 512, 32)
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		sys, err := splitquant.New("opt-30b", splitquant.Preset(5),
+			splitquant.WithMethod("heuristic"), splitquant.WithTheta(1))
+		if err != nil {
+			b.Fatal(err)
+		}
 		if _, err := sys.Plan(w, 32); err != nil {
 			b.Fatal(err)
 		}

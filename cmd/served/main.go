@@ -191,7 +191,7 @@ func buildOnline(modelName string, preset int, tr *obs.Tracer) (*online.Engine, 
 	if err != nil {
 		return nil, online.Config{}, err
 	}
-	bits := []int{3, 4, 8, 16}
+	bits := core.CandidateBits
 	ind := core.ProfileIndicator(spec, bits, quant.Deterministic)
 	// The plans are not set yet, so WithDefaults reports them missing;
 	// the copy carries the engine's default limits all the same.

@@ -104,8 +104,10 @@ type PlanStats struct {
 	CostCacheHits   int64
 	CostCacheMisses int64
 	// Reused reports that no search ran at all: Replan answered from the
-	// unchanged previous deployment or from the System's plan cache. The
-	// remaining fields then describe the original solve.
+	// unchanged previous deployment, or Plan or Replan from the System's
+	// plan cache. The remaining fields then report the original solve's
+	// counts and times; ConfigStats is empty on a plan-cache hit, whose
+	// stored report keeps no per-configuration stats.
 	Reused bool
 	// ConfigStats holds per-configuration solver statistics in canonical
 	// enumeration order.

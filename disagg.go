@@ -45,14 +45,14 @@ func (s *System) PlanDisaggregatedContext(ctx context.Context, w Workload, batch
 	if err != nil {
 		return nil, err
 	}
-	dp, err := core.PlanDisaggregated(ctx, s.spec, s.clu, s.shared.ind, s.coreOptions(o), batch)
+	dp, err := core.PlanDisaggregated(ctx, s.spec, s.clu, s.ind, s.coreOptions(o), batch)
 	if err != nil {
 		return nil, err
 	}
 	// Each phase Deployment binds to its own pool cluster so Measure
 	// simulates on the devices the phase actually occupies.
-	preSys := &System{spec: s.spec, clu: dp.PrefillCluster, opts: o, shared: s.shared}
-	decSys := &System{spec: s.spec, clu: dp.DecodeCluster, opts: o, shared: s.shared}
+	preSys := &System{spec: s.spec, clu: dp.PrefillCluster, opts: o, ind: s.ind, plans: s.plans}
+	decSys := &System{spec: s.spec, clu: dp.DecodeCluster, opts: o, ind: s.ind, plans: s.plans}
 	preBatch := batch
 	preBatch.GenTokens = 1
 	preBatch.ReserveTokens = 1

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/costmodel"
 	"repro/internal/gpu"
 	"repro/internal/model"
 	"repro/internal/online"
@@ -113,7 +112,7 @@ type PlanInput struct {
 	MaxPerClass int
 }
 
-// The fleet search plans every candidate over planBits with a
+// The fleet search plans every candidate over core.CandidateBits with a
 // planTimeLimit search each, prices fleets at DefaultDeviceCost, joins
 // a fleet's nodes by an 800 Gb/s Ethernet fabric, and sizes KV for
 // batches of planBatch requests in planChunkLen-token prefill chunks.
@@ -125,8 +124,6 @@ const (
 	planBatch     = 16
 	planTimeLimit = 10 * time.Second
 )
-
-var planBits = []int{3, 4, 8, 16}
 
 func (in PlanInput) withDefaults() PlanInput {
 	if len(in.Classes) == 0 {
@@ -187,7 +184,7 @@ func PlanFleet(ctx context.Context, in PlanInput) (*Recommendation, error) {
 	if in.Rate <= 0 {
 		return nil, fmt.Errorf("capacity: design rate %v", in.Rate)
 	}
-	ind := core.ProfileIndicator(in.Spec, planBits, quant.Deterministic)
+	ind := core.ProfileIndicator(in.Spec, core.CandidateBits, quant.Deterministic)
 
 	// The per-batch shape the phase planner sizes KV for.
 	batch, err := workload.Synthesize(in.Profile, planBatch, planChunkLen, in.Spec.MaxPos)
@@ -206,8 +203,7 @@ func PlanFleet(ctx context.Context, in PlanInput) (*Recommendation, error) {
 
 	// Memory lower bound: the fleet must at least hold the weights at
 	// the smallest bitwidth plus the embedding table.
-	mm := costmodel.MemoryModel{}
-	minWeights := mm.LayerBytes(in.Spec, slices.Min(planBits))*int64(in.Spec.Layers) + mm.EmbeddingBytes(in.Spec)
+	minWeights := in.Spec.LayerWeightBytes(slices.Min(core.CandidateBits))*int64(in.Spec.Layers) + in.Spec.EmbeddingBytes()
 
 	rec := &Recommendation{}
 	var lastErr error
@@ -229,7 +225,7 @@ func PlanFleet(ctx context.Context, in PlanInput) (*Recommendation, error) {
 		}
 		rec.CandidatesTried++
 		dp, err := core.PlanDisaggregated(ctx, in.Spec, clu, ind,
-			core.Options{Bits: planBits, TimeLimit: planTimeLimit}, batch)
+			core.Options{Bits: core.CandidateBits, TimeLimit: planTimeLimit}, batch)
 		if err != nil {
 			if errors.Is(err, core.ErrInfeasible) {
 				lastErr = err

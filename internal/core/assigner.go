@@ -36,7 +36,7 @@ const (
 
 // Options configures the Assigner.
 type Options struct {
-	// Bits is the candidate bitwidth set (default {3, 4, 8, 16}).
+	// Bits is the candidate bitwidth set (default CandidateBits).
 	Bits []int
 	// Theta is the quality scalar θ of Eq. 4 (default 10). Uniform and
 	// Het rank by latency alone and ignore it.
@@ -112,10 +112,14 @@ var builders = map[Method]func(*orderingCosts, *Indicator) (*assignment, error){
 	MethodHet:     het,
 }
 
+// CandidateBits is the default candidate weight bitwidth set, the one
+// every service path plans over. Callers must not modify it.
+var CandidateBits = []int{3, 4, 8, 16}
+
 // withDefaults fills unset options.
 func (o Options) withDefaults() Options {
 	if len(o.Bits) == 0 {
-		o.Bits = []int{3, 4, 8, 16}
+		o.Bits = CandidateBits
 	}
 	if o.Method == "" {
 		o.Method = MethodILP
@@ -357,10 +361,15 @@ func (a *Assigner) Plan(ctx context.Context, batch workload.Batch) (*plan.Plan, 
 // inputs; only the work spent differs (see Report.WarmStarted,
 // PrunedConfigs, CostCacheHits).
 //
-// A nil incumbent, or one that cannot be expressed on the current
-// cluster (no surviving devices, changed bit set) or is infeasible
-// under it, searches exactly as Plan does.
-func (a *Assigner) Replan(ctx context.Context, batch workload.Batch, inc *Incumbent) (*plan.Plan, *Report, error) {
+// The incumbent inc is the previous plan, live or deserialized; it need
+// not be bound to the current cluster and may come from a larger or
+// smaller one. Its devices are matched to the current topology by ID,
+// and layers of stages whose device no longer exists are merged into
+// the nearest surviving stage before it is evaluated. A nil incumbent,
+// or one that cannot be expressed on the current cluster (no surviving
+// devices, changed bit set) or is infeasible under it, searches exactly
+// as Plan does.
+func (a *Assigner) Replan(ctx context.Context, batch workload.Batch, inc *plan.Plan) (*plan.Plan, *Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -386,14 +395,10 @@ func (a *Assigner) Replan(ctx context.Context, batch workload.Batch, inc *Incumb
 }
 
 // solve runs the search over the method's configurations, seeded by the
-// incumbent when there is one.
-func (a *Assigner) solve(ctx context.Context, batch workload.Batch, inc *Incumbent, rep *Report) (*plan.Plan, error) {
-	var prev *plan.Plan
-	if inc != nil {
-		prev = inc.Plan
-	}
+// incumbent plan inc when there is one (see Replan).
+func (a *Assigner) solve(ctx context.Context, batch workload.Batch, inc *plan.Plan, rep *Report) (*plan.Plan, error) {
 	sink := newProgressSink(a.opts.Progress, math.Inf(1))
-	return a.search(ctx, batch, a.searchConfigs(batch.Size), prev, rep, sink, a.opts.Theta)
+	return a.search(ctx, batch, a.searchConfigs(batch.Size), inc, rep, sink, a.opts.Theta)
 }
 
 // admissible reports whether an evaluated assignment may be planned:

@@ -2,7 +2,6 @@ package core
 
 import (
 	"repro/internal/cluster"
-	"repro/internal/costmodel"
 	"repro/internal/model"
 	"repro/internal/workload"
 )
@@ -53,7 +52,6 @@ type orderingCosts struct {
 func buildCosts(spec *model.Spec, clu *cluster.Cluster, devs []cluster.Device,
 	bits []int, batch workload.Batch, eta, xi, bitKV int, costs *CostCache) *orderingCosts {
 
-	mm := costmodel.MemoryModel{}
 	oc := &orderingCosts{devs: devs, bits: bits, batch: batch, eta: eta, xi: xi}
 	n := batch.GenTokens
 	midCtx := batch.PaddedPrompt() + n/2
@@ -69,9 +67,9 @@ func buildCosts(spec *model.Spec, clu *cluster.Cluster, devs []cluster.Device,
 			oc.pre[j][bi] = cachedPrefill(costs, d, spec, eta, batch.ChunkLen, b)
 			oc.dec[j][bi] = cachedDecode(costs, d, spec, xi, midCtx, b, bitKV)
 		}
-		budget := d.UsableMemory() - mm.ActivationBytes(spec, eta, batch.ChunkLen)
+		budget := d.UsableMemory() - spec.ActivationPeakBytes(eta, batch.ChunkLen)
 		if j == 0 {
-			budget -= mm.EmbeddingBytes(spec)
+			budget -= spec.EmbeddingBytes()
 		}
 		oc.memBudget[j] = budget
 		if j < len(devs)-1 {
@@ -82,7 +80,7 @@ func buildCosts(spec *model.Spec, clu *cluster.Cluster, devs []cluster.Device,
 	}
 	oc.memLayer = make([]int64, len(bits))
 	for bi, b := range bits {
-		oc.memLayer[bi] = mm.LayerBytes(spec, b) + mm.KVBytes(spec, batch.Size, batch.PaddedPrompt(), batch.Reserve(), bitKV)
+		oc.memLayer[bi] = spec.LayerWeightBytes(b) + spec.KVBytesPerLayer(batch.Size, batch.PaddedPrompt(), batch.Reserve(), bitKV)
 	}
 	oc.muPre = ceilDiv(batch.Size, eta)
 	oc.muDec = ceilDiv(batch.Size, xi)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"container/list"
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -9,7 +10,9 @@ import (
 	"sync"
 
 	"repro/internal/cluster"
+	"repro/internal/model"
 	"repro/internal/plan"
+	"repro/internal/quant"
 	"repro/internal/workload"
 )
 
@@ -31,13 +34,15 @@ func PlanKey(model, clusterFP string, batch workload.Batch, opts Options) string
 		o.GroupSize, o.MaxNodes, int64(o.TimeLimit), o.ILPCandidates, o.PrefillOnlyObjective, o.DecodeOnlyObjective)
 }
 
-// PlanCache is an LRU cache of solved plans keyed by PlanKey. Values are
-// the planner wire format of internal/plan, kept serialized so the cache
-// persists to disk byte-for-byte. An entry may also hold, in memory
-// only, the Report of the solve that produced it and its plan decoded,
-// bound to the cluster of its last lookup and validated: a lookup with
-// that same cluster and layer count copies the decoded plan, and any
-// other lookup decodes and rebinds the serialized one.
+// PlanCache is an LRU cache of solved plans keyed by PlanKey, and the one
+// place a plan is obtained: Plan looks the problem up, solves it on a
+// miss and stores the result. Values are the planner wire format of
+// internal/plan, kept serialized so the cache persists to disk
+// byte-for-byte. An entry may also hold, in memory only, the Report of
+// the solve that produced it and its plan decoded, bound to the cluster
+// of its last lookup and validated: a lookup with that same cluster and
+// layer count copies the decoded plan, and any other lookup decodes and
+// rebinds the serialized one.
 type PlanCache struct {
 	mu       sync.Mutex
 	capacity int
@@ -45,19 +50,22 @@ type PlanCache struct {
 	index    map[string]*list.Element
 	hits     uint64
 	misses   uint64
+	// costs memoizes per-device stage costs for every solve that sets no
+	// Options.Costs of its own.
+	costs *CostCache
 }
 
 // cacheEntry is one cache slot; only Key and Plan persist. Entries are
 // replaced, never mutated, so a lookup may read one outside the lock,
-// and replacing an entry (Put, Drop, Load, eviction) also discards its
+// and replacing an entry (put, Load, eviction) also discards its
 // decoded plan.
 type cacheEntry struct {
 	Key  string          `json:"key"`
 	Plan json.RawMessage `json:"plan"`
 	rep  *Report
 	// bound is Plan decoded, bound to clu and validated for a model of
-	// layers decoder layers; nil until a Lookup decodes it. Nothing
-	// mutates it: Lookup returns copies.
+	// layers decoder layers; nil until a lookup decodes it. Nothing
+	// mutates it: lookup returns copies.
 	bound  *plan.Plan
 	clu    *cluster.Cluster
 	layers int
@@ -75,7 +83,45 @@ func NewPlanCache(capacity int) *PlanCache {
 	if capacity <= 0 {
 		capacity = 128
 	}
-	return &PlanCache{capacity: capacity, ll: list.New(), index: map[string]*list.Element{}}
+	return &PlanCache{capacity: capacity, ll: list.New(), index: map[string]*list.Element{}, costs: NewCostCache()}
+}
+
+// Plan returns the plan for batch of spec on clu under opts. When the
+// cache holds the problem's PlanKey it returns that plan, bound to clu,
+// and hit is true. Otherwise it profiles the quality indicator, runs
+// Assigner.Replan warm-started from inc (nil searches cold), and stores
+// the plan unless the solve was cancelled. Replan's contract makes a
+// completed solve bit-identical to a cold one, so a hit returns the plan
+// a fresh solve would. The plan is the caller's own copy; the report is
+// the solve's, and on a hit the stored one: without ConfigStats, and nil
+// for an entry restored by Load. A solve without Options.Costs uses the
+// cache's own cost cache.
+func (c *PlanCache) Plan(ctx context.Context, spec *model.Spec, clu *cluster.Cluster, batch workload.Batch,
+	opts Options, inc *plan.Plan) (p *plan.Plan, rep *Report, hit bool, err error) {
+	key := PlanKey(spec.Name, clu.Fingerprint(), batch, opts)
+	if p, rep, ok := c.lookup(key, clu, spec.Layers); ok {
+		return p, rep, true, nil
+	}
+	if opts.Costs == nil {
+		opts.Costs = c.costs
+	}
+	a, err := New(spec, clu, ProfileIndicator(spec, opts.withDefaults().Bits, quant.Deterministic), opts)
+	if err != nil {
+		return nil, nil, false, err
+	}
+	if p, rep, err = a.Replan(ctx, batch, inc); err != nil {
+		return nil, nil, false, err
+	}
+	if !rep.Cancelled { // a cut-short search's incumbent is not the answer
+		raw, err := json.Marshal(p)
+		if err != nil {
+			return nil, nil, false, err
+		}
+		stored := *rep
+		stored.ConfigStats = nil
+		c.put(key, raw, &stored)
+	}
+	return p, rep, false, nil
 }
 
 // get returns the entry for key, marking it most recently used and
@@ -93,22 +139,13 @@ func (c *PlanCache) get(key string) *cacheEntry {
 	return el.Value.(*cacheEntry)
 }
 
-// Get returns the serialized plan for key, marking it most recently
-// used. The second result reports whether the key was present.
-func (c *PlanCache) Get(key string) (json.RawMessage, bool) {
-	if e := c.get(key); e != nil {
-		return e.Plan, true
-	}
-	return nil, false
-}
-
-// Lookup returns the plan cached under key, bound to clu and validated
+// lookup returns the plan cached under key, bound to clu and validated
 // for a model of the given depth, with the report of the solve that
 // made it (nil for an entry restored by Load). The plan is the caller's
 // own copy. An entry that no longer decodes, binds or validates — a
 // pool redefined under an unchanged name — is dropped and reported as
 // absent.
-func (c *PlanCache) Lookup(key string, clu *cluster.Cluster, layers int) (*plan.Plan, *Report, bool) {
+func (c *PlanCache) lookup(key string, clu *cluster.Cluster, layers int) (*plan.Plan, *Report, bool) {
 	e := c.get(key)
 	if e == nil {
 		return nil, nil, false
@@ -126,7 +163,7 @@ func (c *PlanCache) Lookup(key string, clu *cluster.Cluster, layers int) (*plan.
 }
 
 // replace swaps next in for key's entry, or drops the entry when next is
-// nil, but only while the entry is still old: a Put, Drop or Load that
+// nil, but only while the entry is still old: a put or Load that
 // landed since old was read wins.
 func (c *PlanCache) replace(key string, old, next *cacheEntry) {
 	c.mu.Lock()
@@ -158,10 +195,10 @@ func copyPlan(p *plan.Plan) *plan.Plan {
 	return &out
 }
 
-// Put stores a serialized plan and the report of its solve (may be nil),
+// put stores a serialized plan and the report of its solve (may be nil),
 // evicting the least recently used entry beyond capacity. The empty key
 // (an uncacheable problem, see PlanKey) is ignored.
-func (c *PlanCache) Put(key string, raw json.RawMessage, rep *Report) {
+func (c *PlanCache) put(key string, raw json.RawMessage, rep *Report) {
 	if key == "" {
 		return
 	}
@@ -184,16 +221,6 @@ func (c *PlanCache) evict() {
 		lru := c.ll.Back()
 		c.ll.Remove(lru)
 		delete(c.index, lru.Value.(*cacheEntry).Key)
-	}
-}
-
-// Drop removes a key.
-func (c *PlanCache) Drop(key string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.index[key]; ok {
-		c.ll.Remove(el)
-		delete(c.index, key)
 	}
 }
 

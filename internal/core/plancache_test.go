@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -13,27 +14,38 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/gpu"
+	"repro/internal/model"
 	"repro/internal/plan"
 	"repro/internal/workload"
 )
 
 func raw(s string) json.RawMessage { return json.RawMessage(fmt.Sprintf("%q", s)) }
 
+// cached returns the serialized plan under key, marking it most recently
+// used and counting the hit or miss.
+func cached(c *PlanCache, key string) (json.RawMessage, bool) {
+	if e := c.get(key); e != nil {
+		return e.Plan, true
+	}
+	return nil, false
+}
+
 func TestPlanCacheLRU(t *testing.T) {
 	c := NewPlanCache(2)
-	c.Put("a", raw("A"), nil)
-	c.Put("b", raw("B"), nil)
-	if _, ok := c.Get("a"); !ok { // a becomes MRU
+	c.put("a", raw("A"), nil)
+	c.put("b", raw("B"), nil)
+	if _, ok := cached(c, "a"); !ok { // a becomes MRU
 		t.Fatal("a should be cached")
 	}
-	c.Put("c", raw("C"), nil) // evicts b (LRU)
-	if _, ok := c.Get("b"); ok {
+	c.put("c", raw("C"), nil) // evicts b (LRU)
+	if _, ok := cached(c, "b"); ok {
 		t.Fatal("b should have been evicted")
 	}
-	if _, ok := c.Get("a"); !ok {
+	if _, ok := cached(c, "a"); !ok {
 		t.Fatal("a should have survived eviction")
 	}
-	if got, _ := c.Get("c"); string(got) != `"C"` {
+	if got, _ := cached(c, "c"); string(got) != `"C"` {
 		t.Fatalf("c = %s", got)
 	}
 	if c.Len() != 2 {
@@ -45,12 +57,12 @@ func TestPlanCacheLRU(t *testing.T) {
 	}
 
 	// Re-putting an existing key updates in place without eviction.
-	c.Put("a", raw("A2"), nil)
-	if got, _ := c.Get("a"); string(got) != `"A2"` {
+	c.put("a", raw("A2"), nil)
+	if got, _ := cached(c, "a"); string(got) != `"A2"` {
 		t.Fatalf("a after update = %s", got)
 	}
-	c.Drop("a")
-	if _, ok := c.Get("a"); ok || c.Len() != 1 {
+	c.replace("a", c.get("a"), nil)
+	if _, ok := cached(c, "a"); ok || c.Len() != 1 {
 		t.Fatal("drop should remove the entry")
 	}
 }
@@ -88,36 +100,36 @@ func allBits(p *plan.Plan, bit int) bool {
 }
 
 // TestPlanCacheStaleDropKeepsFreshPlan replays the interleaving of a
-// Lookup whose entry fails to decode while a Put lands: the failed
+// lookup whose entry fails to decode while a put lands: the failed
 // entry's removal must not take the fresh plan with it.
 func TestPlanCacheStaleDropKeepsFreshPlan(t *testing.T) {
 	c := NewPlanCache(4)
-	c.Put("k", raw("not a plan"), nil)
+	c.put("k", raw("not a plan"), nil)
 	stale := c.get("k")
 	fresh := raw("fresh")
-	c.Put("k", fresh, nil)
-	c.replace("k", stale, nil) // the stale Lookup's drop
-	if got, ok := c.Get("k"); !ok || string(got) != string(fresh) {
+	c.put("k", fresh, nil)
+	c.replace("k", stale, nil) // the stale lookup's drop
+	if got, ok := cached(c, "k"); !ok || string(got) != string(fresh) {
 		t.Fatalf("fresh plan lost to a stale drop: %s, %v", got, ok)
 	}
 	c.replace("k", c.get("k"), nil) // the current entry does drop
-	if _, ok := c.Get("k"); ok {
+	if _, ok := cached(c, "k"); ok {
 		t.Fatal("current entry survived its drop")
 	}
 }
 
-// TestPlanCacheConcurrentLookup runs Lookups of one key and cluster from
-// eight goroutines while another Puts and Drops it. Every hit must be a
+// TestPlanCacheConcurrentLookup runs lookups of one key and cluster from
+// eight goroutines while another puts and drops it. Every hit must be a
 // valid plan of the one version ever stored, and writing into or
-// growing a returned plan's Bits must never reach a later Lookup or
-// another stage. Afterwards a Put
+// growing a returned plan's Bits must never reach a later lookup or
+// another stage. Afterwards a put
 // of a different plan must replace the decoded one.
 func TestPlanCacheConcurrentLookup(t *testing.T) {
 	clu := cluster.MustPreset(2)
 	const layers = 40
 	planA, planB := uniformPlanJSON(t, clu, layers, 8), uniformPlanJSON(t, clu, layers, 4)
 	c := NewPlanCache(4)
-	c.Put("k", planA, nil)
+	c.put("k", planA, nil)
 
 	done := make(chan struct{})
 	var writer sync.WaitGroup
@@ -131,9 +143,9 @@ func TestPlanCacheConcurrentLookup(t *testing.T) {
 			default:
 			}
 			if i%3 == 2 {
-				c.Drop("k")
+				c.replace("k", c.get("k"), nil)
 			} else {
-				c.Put("k", planA, nil)
+				c.put("k", planA, nil)
 			}
 		}
 	}()
@@ -143,7 +155,7 @@ func TestPlanCacheConcurrentLookup(t *testing.T) {
 		go func() {
 			defer readers.Done()
 			for i := 0; i < 300; i++ {
-				p, _, ok := c.Lookup("k", clu, layers)
+				p, _, ok := c.lookup("k", clu, layers)
 				if !ok {
 					continue
 				}
@@ -172,14 +184,14 @@ func TestPlanCacheConcurrentLookup(t *testing.T) {
 	close(done)
 	writer.Wait()
 
-	c.Put("k", planA, nil)
-	if _, _, ok := c.Lookup("k", clu, layers); !ok {
+	c.put("k", planA, nil)
+	if _, _, ok := c.lookup("k", clu, layers); !ok {
 		t.Fatal("plan A missing")
 	}
-	c.Put("k", planB, nil)
-	p, _, ok := c.Lookup("k", clu, layers)
+	c.put("k", planB, nil)
+	p, _, ok := c.lookup("k", clu, layers)
 	if !ok || !allBits(p, 4) {
-		t.Fatalf("after Put of plan B, Lookup = %v, %v; want plan B", p, ok)
+		t.Fatalf("after put of plan B, lookup = %v, %v; want plan B", p, ok)
 	}
 }
 
@@ -196,9 +208,9 @@ func TestPlanCacheLookupRebinds(t *testing.T) {
 	}
 	const layers = 40
 	c := NewPlanCache(4)
-	c.Put("k", uniformPlanJSON(t, full, layers, 8), nil)
+	c.put("k", uniformPlanJSON(t, full, layers, 8), nil)
 	for i, clu := range []*cluster.Cluster{full, full, &slow, &slow, full} {
-		p, _, ok := c.Lookup("k", clu, layers)
+		p, _, ok := c.lookup("k", clu, layers)
 		if !ok {
 			t.Fatalf("lookup %d missed", i)
 		}
@@ -209,7 +221,7 @@ func TestPlanCacheLookupRebinds(t *testing.T) {
 				i, got.ID, got.Spec.FP16FLOPS, want.ID, want.Spec.FP16FLOPS)
 		}
 	}
-	if _, _, ok := c.Lookup("k", full, layers+1); ok {
+	if _, _, ok := c.lookup("k", full, layers+1); ok {
 		t.Fatal("a 40-layer plan validated for 41 layers")
 	}
 	if c.Len() != 0 {
@@ -222,9 +234,9 @@ func TestPlanCachePersistence(t *testing.T) {
 	path := filepath.Join(dir, "sub", "cache.json")
 
 	c := NewPlanCache(4)
-	c.Put("old", raw("O"), nil)
-	c.Put("mid", raw("M"), nil)
-	c.Put("new", raw("N"), nil) // order LRU→MRU: old, mid, new
+	c.put("old", raw("O"), nil)
+	c.put("mid", raw("M"), nil)
+	c.put("new", raw("N"), nil) // order LRU→MRU: old, mid, new
 	if err := c.Save(path); err != nil {
 		t.Fatal(err)
 	}
@@ -237,22 +249,22 @@ func TestPlanCachePersistence(t *testing.T) {
 	if c2.Len() != 2 {
 		t.Fatalf("len after capped load = %d", c2.Len())
 	}
-	if _, ok := c2.Get("old"); ok {
+	if _, ok := cached(c2, "old"); ok {
 		t.Fatal("LRU entry should not survive a capped load")
 	}
 	for _, k := range []string{"mid", "new"} {
-		if _, ok := c2.Get(k); !ok {
+		if _, ok := cached(c2, k); !ok {
 			t.Fatalf("%s should survive the round trip", k)
 		}
 	}
 
 	// Loading into a warm cache does not clobber newer entries.
 	c3 := NewPlanCache(4)
-	c3.Put("new", raw("N-live"), nil)
+	c3.put("new", raw("N-live"), nil)
 	if err := c3.Load(path); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := c3.Get("new"); string(got) != `"N-live"` {
+	if got, _ := cached(c3, "new"); string(got) != `"N-live"` {
 		t.Fatalf("live entry clobbered by load: %s", got)
 	}
 
@@ -351,5 +363,81 @@ func TestPlanKeyCoversOptions(t *testing.T) {
 	// Defaults are applied first: spelling a default out keeps the key.
 	if key(Options{}) != key(Options{}.withDefaults()) {
 		t.Error("an explicit default changes PlanKey")
+	}
+}
+
+// TestPlanCachePlan checks the one way a plan is obtained. A miss, a hit
+// and an incumbent-seeded miss each return the plan a direct
+// Assigner.Plan returns; a stored entry keeps the solve's counts but no
+// per-configuration stats; writing into a returned plan never reaches
+// the next hit; and a cancelled solve is not stored.
+func TestPlanCachePlan(t *testing.T) {
+	spec := model.BLOOM560M
+	full := cluster.MustPreset(5) // 3×T4 + 1×V100
+	degraded, err := full.Shrink(gpu.T4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Method: MethodHeuristic, OrderingLimit: 4}
+	direct := func(clu *cluster.Cluster) string {
+		p, _, err := mustAssigner(t, spec, clu, opts).Plan(context.Background(), smallBatch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return planJSON(t, p)
+	}
+	c := NewPlanCache(4)
+	get := func(clu *cluster.Cluster, inc *plan.Plan, wantHit bool) (*plan.Plan, *Report) {
+		t.Helper()
+		p, rep, hit, err := c.Plan(context.Background(), spec, clu, smallBatch, opts, inc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hit != wantHit {
+			t.Fatalf("hit = %v, want %v", hit, wantHit)
+		}
+		if got, want := planJSON(t, p), direct(clu); got != want {
+			t.Fatalf("cached plan differs from a direct solve:\ngot  %s\nwant %s", got, want)
+		}
+		return p, rep
+	}
+
+	_, solved := get(full, nil, false)
+	if len(solved.ConfigStats) == 0 {
+		t.Fatal("a solve reported no per-configuration stats")
+	}
+	// The first hit decodes the entry and the second copies the decoded
+	// plan; neither's caller can reach the next hit.
+	for i := 0; i < 2; i++ {
+		p, rep := get(full, nil, true)
+		if rep.ConfigStats != nil || rep.Configs != solved.Configs || rep.PrunedConfigs != solved.PrunedConfigs {
+			t.Fatalf("stored report = %+v, want the solve's counts without ConfigStats", rep)
+		}
+		for i := range p.Stages {
+			for j := range p.Stages[i].Bits {
+				p.Stages[i].Bits[j] = 3
+			}
+		}
+		p.Stages = p.Stages[:1]
+	}
+	p, _ := get(full, nil, true)
+	if _, warm := get(degraded, p, false); !warm.WarmStarted {
+		t.Fatal("the full-cluster plan did not seed the degraded solve")
+	}
+	if hits, misses := c.Stats(); hits != 3 || misses != 2 || c.Len() != 2 {
+		t.Fatalf("%d hits, %d misses, %d entries; want 3, 2, 2", hits, misses, c.Len())
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cut := opts
+	cut.Parallelism = 1
+	cut.Progress = func(Progress) { cancel() }
+	c = NewPlanCache(4)
+	if _, rep, _, err := c.Plan(ctx, spec, full, smallBatch, cut, nil); err != nil || !rep.Cancelled {
+		t.Fatalf("cancelled solve: err %v, report %+v; want its incumbent", err, rep)
+	}
+	if c.Len() != 0 {
+		t.Fatal("a cancelled solve was stored")
 	}
 }

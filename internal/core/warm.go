@@ -8,17 +8,6 @@ import (
 	"repro/internal/plan"
 )
 
-// Incumbent carries a previous deployment plan into Replan as a warm
-// start. The plan may come from a different (larger or smaller) cluster:
-// devices are matched to the current topology by ID, and layers of
-// stages whose device no longer exists are merged into the nearest
-// surviving stage before the incumbent is evaluated.
-type Incumbent struct {
-	// Plan is the previous plan (a live or deserialized plan.Plan; it
-	// does not need to be bound to the current cluster).
-	Plan *plan.Plan
-}
-
 // boundEps is the slack added to pruning thresholds: a configuration is
 // pruned only when its optimistic bound exceeds the threshold by more
 // than boundEps, so float noise can never prune a configuration that

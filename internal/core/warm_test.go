@@ -49,7 +49,7 @@ func TestReplanBitIdenticalToColdSameCluster(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			warm, warmRep, err := a.Replan(context.Background(), smallBatch, &Incumbent{Plan: cold})
+			warm, warmRep, err := a.Replan(context.Background(), smallBatch, cold)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -90,7 +90,7 @@ func TestReplanBitIdenticalToColdAfterShrink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, rep, err := b.Replan(context.Background(), smallBatch, &Incumbent{Plan: prev})
+	warm, rep, err := b.Replan(context.Background(), smallBatch, prev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestReplanProgressCoversWholeEnumeration(t *testing.T) {
 	}
 	coldEvents := events
 	events, pruned = 0, 0
-	_, rep, err := a.Replan(context.Background(), smallBatch, &Incumbent{Plan: cold})
+	_, rep, err := a.Replan(context.Background(), smallBatch, cold)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestAdaptIncumbentRejectsForeignPlans(t *testing.T) {
 		t.Fatal("plan with unknown device IDs adapted")
 	}
 	// Replan degrades gracefully to a cold search for such incumbents.
-	p, rep, err := a.Replan(context.Background(), smallBatch, &Incumbent{Plan: foreign})
+	p, rep, err := a.Replan(context.Background(), smallBatch, foreign)
 	if err != nil {
 		t.Fatal(err)
 	}

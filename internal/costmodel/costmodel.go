@@ -149,42 +149,3 @@ func (t *Table) Fitted(class gpu.DeviceClass, m *model.Spec, bit int, phase Phas
 	_, ok := t.models[key{class, m.Name, bit, phase}]
 	return ok
 }
-
-// MemoryModel exposes the analytic §IV-A memory expressions under one
-// roof for validation and planning.
-type MemoryModel struct{}
-
-// LayerBytes predicts the resident bytes of one decoder layer at bit.
-func (MemoryModel) LayerBytes(m *model.Spec, bit int) int64 {
-	return m.LayerWeightBytes(bit)
-}
-
-// KVBytes predicts the KV reservation of one layer for v requests with
-// padded prompt seq and generation budget gen at KV bitwidth bitKV.
-func (MemoryModel) KVBytes(m *model.Spec, v, seq, gen, bitKV int) int64 {
-	return m.KVBytesPerLayer(v, seq, gen, bitKV)
-}
-
-// ActivationBytes predicts the peak transient activation buffer.
-func (MemoryModel) ActivationBytes(m *model.Spec, v, seq int) int64 {
-	return m.ActivationPeakBytes(v, seq)
-}
-
-// EmbeddingBytes predicts the master-engine weight footprint (M_emb).
-func (MemoryModel) EmbeddingBytes(m *model.Spec) int64 {
-	return m.EmbeddingBytes()
-}
-
-// StageBytes predicts the placement footprint of a contiguous stage of
-// layerCount layers with per-layer bitwidths bits (len = layerCount),
-// serving v requests with padded prompt seq and generation budget gen:
-// the M^{s·κ+n}_{i,b} term of constraints (12)-(13).
-func (mm MemoryModel) StageBytes(m *model.Spec, bits []int, v, seq, gen, bitKV int) int64 {
-	var total int64
-	for _, b := range bits {
-		total += mm.LayerBytes(m, b)
-		total += mm.KVBytes(m, v, seq, gen, bitKV)
-	}
-	total += mm.ActivationBytes(m, v, seq)
-	return total
-}

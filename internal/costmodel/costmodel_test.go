@@ -107,7 +107,6 @@ func TestDecodeContextInsensitivity(t *testing.T) {
 func TestMemoryModelMatchesMeasurements(t *testing.T) {
 	// Fig. 8: memory model error is almost negligible. Validate against
 	// the noisy measurer across the paper's validation sweep.
-	mm := MemoryModel{}
 	ms := gpu.NewMeasurer(11)
 	rng := stats.NewRNG(12)
 	var preds, actuals []float64
@@ -121,9 +120,9 @@ func TestMemoryModelMatchesMeasurements(t *testing.T) {
 			v := []int{2, 4, 8}[rng.Intn(3)]
 			s := rng.IntRange(128, 512)
 			gen := rng.IntRange(100, 200)
-			preds = append(preds, float64(mm.LayerBytes(spec, bit)))
+			preds = append(preds, float64(spec.LayerWeightBytes(bit)))
 			actuals = append(actuals, ms.MeasureWeightBytes(spec, bit))
-			preds = append(preds, float64(mm.KVBytes(spec, v, s, gen, 16)))
+			preds = append(preds, float64(spec.KVBytesPerLayer(v, s, gen, 16)))
 			actuals = append(actuals, ms.MeasureKVBytes(spec, v, s, gen, 16))
 		}
 	}
@@ -133,12 +132,11 @@ func TestMemoryModelMatchesMeasurements(t *testing.T) {
 }
 
 func TestStageBytesComposition(t *testing.T) {
-	mm := MemoryModel{}
 	m := model.OPT13B
 	bits := []int{8, 8, 4}
-	got := mm.StageBytes(m, bits, 8, 512, 64, 16)
-	want := mm.LayerBytes(m, 8)*2 + mm.LayerBytes(m, 4) +
-		3*mm.KVBytes(m, 8, 512, 64, 16) + mm.ActivationBytes(m, 8, 512)
+	got := m.StageBytes(bits, 8, 512, 64, 16)
+	want := m.LayerWeightBytes(8)*2 + m.LayerWeightBytes(4) +
+		3*m.KVBytesPerLayer(8, 512, 64, 16) + m.ActivationPeakBytes(8, 512)
 	if got != want {
 		t.Fatalf("StageBytes = %d, want %d", got, want)
 	}

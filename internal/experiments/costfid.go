@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/costmodel"
 	"repro/internal/gpu"
 	"repro/internal/model"
@@ -15,7 +16,6 @@ import (
 // sweep (BLOOM-560m/1b7, OPT-13b/30b/66b), and the fitted latency model
 // against 50 unseen workloads per device.
 func Fig8(ctx context.Context) (*Result, error) {
-	mm := costmodel.MemoryModel{}
 	ms := gpu.NewMeasurer(1001)
 	rng := stats.NewRNG(1002)
 
@@ -27,11 +27,11 @@ func Fig8(ctx context.Context) (*Result, error) {
 			return nil, err
 		}
 		for i := 0; i < 20; i++ {
-			bit := []int{3, 4, 8, 16}[rng.Intn(4)]
+			bit := core.CandidateBits[rng.Intn(len(core.CandidateBits))]
 			v := []int{2, 4, 8}[rng.Intn(3)]
 			s := rng.IntRange(128, 512)
 			gen := rng.IntRange(100, 200)
-			memPred = append(memPred, float64(mm.LayerBytes(spec, bit)), float64(mm.KVBytes(spec, v, s, gen, 16)))
+			memPred = append(memPred, float64(spec.LayerWeightBytes(bit)), float64(spec.KVBytesPerLayer(v, s, gen, 16)))
 			memActual = append(memActual, ms.MeasureWeightBytes(spec, bit), ms.MeasureKVBytes(spec, v, s, gen, 16))
 		}
 	}
@@ -46,7 +46,7 @@ func Fig8(ctx context.Context) (*Result, error) {
 		dev := gpu.MustLookup(class)
 		spec := model.OPT13B
 		tab := costmodel.NewTable()
-		if err := tab.Fit(gpu.NewMeasurer(uint64(2000)+uint64(len(class))), dev, spec, []int{3, 4, 8, 16}); err != nil {
+		if err := tab.Fit(gpu.NewMeasurer(uint64(2000)+uint64(len(class))), dev, spec, core.CandidateBits); err != nil {
 			return nil, err
 		}
 		var preds, actuals []float64
@@ -54,7 +54,7 @@ func Fig8(ctx context.Context) (*Result, error) {
 		for i := 0; i < 50; i++ {
 			v := []int{3, 5, 7}[wrng.Intn(3)]
 			s := wrng.IntRange(96, 1024)
-			bit := []int{3, 4, 8, 16}[wrng.Intn(4)]
+			bit := core.CandidateBits[wrng.Intn(len(core.CandidateBits))]
 			p, err := tab.PredictPrefill(class, spec, bit, v, s)
 			if err != nil {
 				return nil, err

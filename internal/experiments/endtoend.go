@@ -21,7 +21,7 @@ import (
 func methodRun(ctx context.Context, spec *model.Spec, clu *cluster.Cluster, batch workload.Batch,
 	opts core.Options) (float64, *plan.Plan, error) {
 
-	ind := core.ProfileIndicator(spec, []int{3, 4, 8, 16}, quant.Deterministic)
+	ind := core.ProfileIndicator(spec, core.CandidateBits, quant.Deterministic)
 	a, err := core.New(spec, clu, ind, opts)
 	if err != nil {
 		return 0, nil, err
@@ -44,7 +44,7 @@ func methodRun(ctx context.Context, spec *model.Spec, clu *cluster.Cluster, batc
 // floor), or -1 when Uniform is infeasible.
 func uniformQuality(ctx context.Context, spec *model.Spec, clu *cluster.Cluster, batch workload.Batch, opts core.Options) float64 {
 	opts.Method = core.MethodUniform
-	ind := core.ProfileIndicator(spec, []int{3, 4, 8, 16}, quant.Deterministic)
+	ind := core.ProfileIndicator(spec, core.CandidateBits, quant.Deterministic)
 	a, err := core.New(spec, clu, ind, opts)
 	if err != nil {
 		return -1

@@ -110,7 +110,7 @@ func Fig11(ctx context.Context) (*Result, error) {
 		for _, mult := range []float64{0.01, 0.1, 1, 10} {
 			theta := 10 * mult // tuned θ is 10 on the normalized indicator
 			opts := fastOpts(core.MethodHeuristic, theta)
-			ind := core.ProfileIndicator(spec, []int{3, 4, 8, 16}, quant.Deterministic)
+			ind := core.ProfileIndicator(spec, core.CandidateBits, quant.Deterministic)
 			a, err := core.New(spec, clu, ind, opts)
 			if err != nil {
 				return nil, err
@@ -195,7 +195,7 @@ func Ablations(ctx context.Context) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	ind := core.ProfileIndicator(spec, []int{3, 4, 8, 16}, quant.Deterministic)
+	ind := core.ProfileIndicator(spec, core.CandidateBits, quant.Deterministic)
 
 	// D1: plan with the decode terms removed from the objective (the
 	// phase-blind view of encoder-oriented partitioners), execute the

@@ -127,7 +127,7 @@ func Table5(ctx context.Context) (*Result, error) {
 	}{
 		{"opt-66b-proxy", 16, 66, 5}, {"opt-30b-proxy", 12, 31, 5},
 	}
-	bitset := []int{3, 4, 8, 16}
+	bitset := core.CandidateBits
 	for _, m := range models {
 		p, err := getProxy(m.name, m.layers, m.seed)
 		if err != nil {

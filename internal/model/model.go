@@ -147,6 +147,18 @@ func (s *Spec) ActivationPeakBytes(v, seq int) int64 {
 	return mlp + attn
 }
 
+// StageBytes returns the placement footprint of a contiguous stage with
+// per-layer bitwidths bits, serving v requests with padded prompt seq
+// and generation budget gen at KV bitwidth bitKV: the M^{s·κ+n}_{i,b}
+// term of the paper's memory constraints (12)-(13).
+func (s *Spec) StageBytes(bits []int, v, seq, gen, bitKV int) int64 {
+	var total int64
+	for _, b := range bits {
+		total += s.LayerWeightBytes(b) + s.KVBytesPerLayer(v, seq, gen, bitKV)
+	}
+	return total + s.ActivationPeakBytes(v, seq)
+}
+
 // LayerFLOPsPrefill returns the floating-point operations for one decoder
 // layer processing a prefill batch of v sequences of length seq:
 // projections (Q+O: 4·v·s·h1², K+V: 4·v·s·h1·kvDim), attention

@@ -71,7 +71,7 @@ func OnlineServing(ctx context.Context) (*OnlineResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	bits := []int{3, 4, 8, 16}
+	bits := core.CandidateBits
 	ind := core.ProfileIndicator(spec, bits, quant.Deterministic)
 	batch := workload.Batch{Size: 16, ChunkLen: 256, Chunks: 1, GenTokens: 32}
 	t0 := time.Now()

@@ -13,7 +13,6 @@ import (
 	"fmt"
 
 	"repro/internal/cluster"
-	"repro/internal/costmodel"
 	"repro/internal/model"
 	"repro/internal/plan"
 	"repro/internal/workload"
@@ -81,7 +80,6 @@ func Simulate(p *plan.Plan, spec *model.Spec, clu *cluster.Cluster, batch worklo
 		return nil, err
 	}
 	nStages := len(p.Stages)
-	mm := costmodel.MemoryModel{}
 
 	// ---- Memory accounting (constraints 12-13). ----
 	// KV is reserved for every concurrent request (batch.Size); the
@@ -94,12 +92,12 @@ func Simulate(p *plan.Plan, spec *model.Spec, clu *cluster.Cluster, batch worklo
 	memory := make([]int64, nStages)
 	for i, st := range p.Stages {
 		for _, bit := range st.Bits {
-			memory[i] += mm.LayerBytes(spec, bit)
-			memory[i] += mm.KVBytes(spec, batch.Size, batch.PaddedPrompt(), batch.Reserve(), p.BitKV)
+			memory[i] += spec.LayerWeightBytes(bit)
+			memory[i] += spec.KVBytesPerLayer(batch.Size, batch.PaddedPrompt(), batch.Reserve(), p.BitKV)
 		}
-		memory[i] += mm.ActivationBytes(spec, actV, batch.ChunkLen)
+		memory[i] += spec.ActivationPeakBytes(actV, batch.ChunkLen)
 		if i == 0 {
-			memory[i] += mm.EmbeddingBytes(spec)
+			memory[i] += spec.EmbeddingBytes()
 		}
 		if memory[i] > st.Device.UsableMemory() {
 			return nil, fmt.Errorf("%w: stage %d needs %.2f GiB, device %s has %.2f GiB",

@@ -16,7 +16,6 @@ package pipeline
 
 import (
 	"repro/internal/cluster"
-	"repro/internal/costmodel"
 	"repro/internal/gpu"
 	"repro/internal/model"
 	"repro/internal/plan"
@@ -214,7 +213,6 @@ func DecodeStepLatency(p *plan.Plan, spec *model.Spec, clu *cluster.Cluster, v, 
 // budget — the admission currency of the continuous batcher. Returns 0
 // when some stage cannot even hold its weights.
 func KVBudget(p *plan.Plan, spec *model.Spec) int64 {
-	mm := costmodel.MemoryModel{}
 	xi := p.DecodeMicroBatch
 	if xi < 1 {
 		xi = 1
@@ -224,12 +222,12 @@ func KVBudget(p *plan.Plan, spec *model.Spec) int64 {
 		if len(st.Bits) == 0 {
 			continue
 		}
-		free := st.Device.UsableMemory() - mm.ActivationBytes(spec, xi, 1)
+		free := st.Device.UsableMemory() - spec.ActivationPeakBytes(xi, 1)
 		if i == 0 {
-			free -= mm.EmbeddingBytes(spec)
+			free -= spec.EmbeddingBytes()
 		}
 		for _, bit := range st.Bits {
-			free -= mm.LayerBytes(spec, bit)
+			free -= spec.LayerWeightBytes(bit)
 		}
 		perLayer := free / int64(len(st.Bits))
 		if budget < 0 || perLayer < budget {
@@ -246,8 +244,7 @@ func KVBudget(p *plan.Plan, spec *model.Spec) int64 {
 // positions plus the reserved generation budget at the plan's KV
 // bitwidth. Summed over a decode batch it is compared against KVBudget.
 func RequestKVBytes(p *plan.Plan, spec *model.Spec, prompt, reserve int) int64 {
-	mm := costmodel.MemoryModel{}
-	return mm.KVBytes(spec, 1, prompt, reserve, p.BitKV)
+	return spec.KVBytesPerLayer(1, prompt, reserve, p.BitKV)
 }
 
 // DecodeCapacity returns how many identical requests (prompt positions,

@@ -2,6 +2,7 @@ package scheduler
 
 import (
 	"fmt"
+	"maps"
 	"sync"
 
 	"repro/internal/cluster"
@@ -129,10 +130,12 @@ func (f *FleetState) view(name string, p *poolState) View {
 	}
 }
 
-// Preempt reclaims count devices of class from the pool, as the online
-// tier does when its demand spikes. It errors when the pool is unknown
-// or holds fewer un-reclaimed devices of the class than count.
-func (f *FleetState) Preempt(pool string, class gpu.DeviceClass, count int) (View, error) {
+// change runs one device-count change on a pool under the lock: it
+// checks the pool and count, lets apply check and edit the pool,
+// rebuilds the usable cluster and bumps the generation (and *events,
+// when non-nil). A failed apply or rebuild leaves the pool as it was.
+// verb names the change in the count error.
+func (f *FleetState) change(pool, verb string, count int, events *uint64, apply func(p *poolState) error) (View, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	p, ok := f.pools[pool]
@@ -140,44 +143,48 @@ func (f *FleetState) Preempt(pool string, class gpu.DeviceClass, count int) (Vie
 		return View{}, fmt.Errorf("scheduler: unknown pool %q", pool)
 	}
 	if count <= 0 {
-		return View{}, fmt.Errorf("scheduler: preempt %d devices", count)
+		return View{}, fmt.Errorf("scheduler: %s %d devices", verb, count)
 	}
-	if avail := p.cap[class] - p.out[class]; count > avail {
-		return View{}, fmt.Errorf("scheduler: pool %s has %d un-reclaimed %s devices, cannot preempt %d", pool, avail, class, count)
+	saved := *p
+	saved.out, saved.cap = maps.Clone(p.out), maps.Clone(p.cap)
+	err := apply(p)
+	if err == nil {
+		err = p.rebuild()
 	}
-	p.out[class] += count
-	if err := p.rebuild(); err != nil {
-		p.out[class] -= count
+	if err != nil {
+		*p = saved
 		return View{}, err
 	}
 	p.gen++
-	f.preemptions++
+	if events != nil {
+		*events++
+	}
 	return f.view(pool, p), nil
+}
+
+// Preempt reclaims count devices of class from the pool, as the online
+// tier does when its demand spikes. It errors when the pool is unknown
+// or holds fewer un-reclaimed devices of the class than count.
+func (f *FleetState) Preempt(pool string, class gpu.DeviceClass, count int) (View, error) {
+	return f.change(pool, "preempt", count, &f.preemptions, func(p *poolState) error {
+		if avail := p.cap[class] - p.out[class]; count > avail {
+			return fmt.Errorf("scheduler: pool %s has %d un-reclaimed %s devices, cannot preempt %d", pool, avail, class, count)
+		}
+		p.out[class] += count
+		return nil
+	})
 }
 
 // Restore returns count previously reclaimed devices of class to the
 // pool.
 func (f *FleetState) Restore(pool string, class gpu.DeviceClass, count int) (View, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	p, ok := f.pools[pool]
-	if !ok {
-		return View{}, fmt.Errorf("scheduler: unknown pool %q", pool)
-	}
-	if count <= 0 {
-		return View{}, fmt.Errorf("scheduler: restore %d devices", count)
-	}
-	if count > p.out[class] {
-		return View{}, fmt.Errorf("scheduler: pool %s has %d reclaimed %s devices, cannot restore %d", pool, p.out[class], class, count)
-	}
-	p.out[class] -= count
-	if err := p.rebuild(); err != nil {
-		p.out[class] += count
-		return View{}, err
-	}
-	p.gen++
-	f.restores++
-	return f.view(pool, p), nil
+	return f.change(pool, "restore", count, &f.restores, func(p *poolState) error {
+		if count > p.out[class] {
+			return fmt.Errorf("scheduler: pool %s has %d reclaimed %s devices, cannot restore %d", pool, p.out[class], class, count)
+		}
+		p.out[class] -= count
+		return nil
+	})
 }
 
 // Expand provisions count extra devices of class into the pool — the
@@ -186,27 +193,16 @@ func (f *FleetState) Restore(pool string, class gpu.DeviceClass, count int) (Vie
 // keeps the new devices. The grown devices are usable immediately; any
 // provisioning delay is the caller's to model before invoking Expand.
 func (f *FleetState) Expand(pool string, class gpu.DeviceClass, count int) (View, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	p, ok := f.pools[pool]
-	if !ok {
-		return View{}, fmt.Errorf("scheduler: unknown pool %q", pool)
-	}
-	if count <= 0 {
-		return View{}, fmt.Errorf("scheduler: expand by %d devices", count)
-	}
-	base, err := p.base.Grow(class, count)
-	if err != nil {
-		return View{}, err
-	}
-	p.base = base
-	p.cap[class] += count
-	p.total += count
-	if err := p.rebuild(); err != nil {
-		return View{}, err
-	}
-	p.gen++
-	return f.view(pool, p), nil
+	return f.change(pool, "expand by", count, nil, func(p *poolState) error {
+		base, err := p.base.Grow(class, count)
+		if err != nil {
+			return err
+		}
+		p.base = base
+		p.cap[class] += count
+		p.total += count
+		return nil
+	})
 }
 
 // Contract decommissions count un-reclaimed devices of class from the
@@ -215,33 +211,22 @@ func (f *FleetState) Expand(pool string, class gpu.DeviceClass, count int) (View
 // owed back to the pool by a Restore); the pool must also keep at least
 // one device.
 func (f *FleetState) Contract(pool string, class gpu.DeviceClass, count int) (View, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	p, ok := f.pools[pool]
-	if !ok {
-		return View{}, fmt.Errorf("scheduler: unknown pool %q", pool)
-	}
-	if count <= 0 {
-		return View{}, fmt.Errorf("scheduler: contract by %d devices", count)
-	}
-	if avail := p.cap[class] - p.out[class]; count > avail {
-		return View{}, fmt.Errorf("scheduler: pool %s has %d un-reclaimed %s devices, cannot contract %d", pool, avail, class, count)
-	}
-	base, err := p.base.Shrink(class, count)
-	if err != nil {
-		return View{}, err
-	}
-	p.base = base
-	p.cap[class] -= count
-	if p.cap[class] == 0 {
-		delete(p.cap, class)
-	}
-	p.total -= count
-	if err := p.rebuild(); err != nil {
-		return View{}, err
-	}
-	p.gen++
-	return f.view(pool, p), nil
+	return f.change(pool, "contract by", count, nil, func(p *poolState) error {
+		if avail := p.cap[class] - p.out[class]; count > avail {
+			return fmt.Errorf("scheduler: pool %s has %d un-reclaimed %s devices, cannot contract %d", pool, avail, class, count)
+		}
+		base, err := p.base.Shrink(class, count)
+		if err != nil {
+			return err
+		}
+		p.base = base
+		p.cap[class] -= count
+		if p.cap[class] == 0 {
+			delete(p.cap, class)
+		}
+		p.total -= count
+		return nil
+	})
 }
 
 // Reset returns every reclaimed device on every pool (one generation

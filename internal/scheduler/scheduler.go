@@ -18,7 +18,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/pipeline"
 	"repro/internal/plan"
-	"repro/internal/quant"
 	"repro/internal/workload"
 )
 
@@ -117,10 +116,10 @@ type Schedule struct {
 
 // Build plans every feasible (job, resource) pairing with the planner
 // options and assigns jobs greedily (longest minimum-duration first) to
-// minimize makespan. When opts.Costs is nil, Build installs one cost
-// cache shared by every pairing of the build, so jobs planned
-// repeatedly against the same pool reuse each other's per-device cost
-// evaluations.
+// minimize makespan. Every pairing of a build goes through one
+// core.PlanCache: identical (model, batch, pool) pairings are solved
+// once, and when opts.Costs is nil all solves share the cache's
+// per-device cost evaluations.
 func Build(ctx context.Context, jobs []Job, resources []Resource, opts core.Options) (*Schedule, error) {
 	return build(ctx, jobs, resources, opts, nil)
 }
@@ -161,8 +160,8 @@ func build(ctx context.Context, jobs []Job, resources []Resource, pOpts core.Opt
 	if pOpts.Theta == 0 {
 		pOpts.Theta = 1
 	}
-	if pOpts.Costs == nil {
-		pOpts.Costs = core.NewCostCache()
+	if !core.ValidMethod(pOpts.Method) {
+		return nil, fmt.Errorf("scheduler: %w %q", core.ErrUnknownMethod, pOpts.Method)
 	}
 
 	// Previous plans by job ID, for warm-started pairings.
@@ -182,24 +181,16 @@ func build(ctx context.Context, jobs []Job, resources []Resource, pOpts core.Opt
 		duration float64
 	}
 	jobOptions := make([][]option, len(jobs))
+	plans := core.NewPlanCache(len(jobs) * len(resources))
 	for ji := range jobs {
 		job := &jobs[ji]
 		spec, err := model.Lookup(job.Model)
 		if err != nil {
 			return nil, err
 		}
-		ind := core.ProfileIndicator(spec, bitsOf(pOpts), quant.Deterministic)
-		var inc *core.Incumbent
-		if p := prevPlan[job.ID]; p != nil {
-			inc = &core.Incumbent{Plan: p}
-		}
 		for ri := range resources {
 			res := &resources[ri]
-			a, err := core.New(spec, res.Cluster, ind, pOpts)
-			if err != nil {
-				return nil, err
-			}
-			p, _, err := a.Replan(ctx, job.Batch, inc)
+			p, _, _, err := plans.Plan(ctx, spec, res.Cluster, job.Batch, pOpts, prevPlan[job.ID])
 			if err != nil {
 				// A canceled context surfaces as a plan error on every
 				// pairing; distinguish it from genuine infeasibility so
@@ -271,12 +262,4 @@ func build(ctx context.Context, jobs []Job, resources []Resource, pOpts core.Opt
 		}
 	}
 	return sched, nil
-}
-
-// bitsOf returns the planner's bit set with defaults applied.
-func bitsOf(o core.Options) []int {
-	if len(o.Bits) > 0 {
-		return o.Bits
-	}
-	return []int{3, 4, 8, 16}
 }

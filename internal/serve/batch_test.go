@@ -189,7 +189,8 @@ func TestNegativeLengthsRejected(t *testing.T) {
 // FuzzJobSpec decodes arbitrary bytes as a JobSpec, the way the submit
 // endpoint does, and submits the spec twice to a server without
 // workers. Each submission is rejected, or its job's batch passes
-// Validate and equals buildBatch(spec); the second is served from the
+// Validate and equals buildBatch(spec), and its deadline, when it has
+// one, is not before its submission; the second is served from the
 // batch memo.
 func FuzzJobSpec(f *testing.F) {
 	for _, seed := range []string{
@@ -203,6 +204,8 @@ func FuzzJobSpec(f *testing.F) {
 		`{"model":"opt-1.3b","batch":9223372036854775807,"requests":9223372036854775807}`,
 		`{"model":"llama3.3-70b","batch":32,"requests":32}`,
 		`{"model":"opt-1.3b","batch":8,"requests":8,"deadline_seconds":-1}`,
+		`{"model":"opt-1.3b","batch":8,"requests":8,"deadline_seconds":1e10}`,
+		`{"model":"opt-1.3b","batch":8,"requests":8,"deadline_seconds":9.2e9}`,
 		`{"model":"opt-1.3b","batch":8,"requests":8,"extra":1}`,
 		`[]`,
 	} {
@@ -239,6 +242,10 @@ func FuzzJobSpec(f *testing.F) {
 			}
 			if got != want {
 				t.Fatalf("submit %d of %+v: batch %+v, want %+v", i, spec, got, want)
+			}
+			// A sub-nanosecond deadline rounds to the submission instant.
+			if (v.Deadline != nil) != (spec.DeadlineSeconds > 0) || v.Deadline != nil && v.Deadline.Before(v.SubmittedAt) {
+				t.Fatalf("accepted %+v with deadline %v, submitted %v", spec, v.Deadline, v.SubmittedAt)
 			}
 		}
 	})

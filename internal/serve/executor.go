@@ -3,18 +3,14 @@ package serve
 import (
 	"container/heap"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/pipeline"
 	"repro/internal/plan"
-	"repro/internal/quant"
 	"repro/internal/scheduler"
-	"repro/internal/workload"
 )
 
 // worker drains the queue. Workers are not pinned to pools: each
@@ -117,19 +113,7 @@ func (s *Server) jobOptions(j *job) core.Options {
 		opts.Method = core.Method(j.spec.Method)
 	}
 	opts.Progress = nil // per-config progress is not surfaced per job
-	opts.Costs = s.costs
 	return opts
-}
-
-// cacheKey renders the plan-cache key for one (job, cluster) pairing:
-// core.PlanKey of the *current* cluster — a degraded pool caches its
-// plans under its own degraded fingerprint — with the pool generation
-// appended to the fingerprint. After a preempt/restore cycle returns the
-// pool to a previously seen composition, the replan therefore solves
-// fresh instead of trusting an entry cached for an earlier incarnation
-// of the pool.
-func cacheKey(modelName, fingerprint string, gen uint64, batch workload.Batch, opts core.Options) string {
-	return core.PlanKey(modelName, fmt.Sprintf("%s|gen%d", fingerprint, gen), batch, opts)
 }
 
 // execute plans (via the cache) and runs one job on one resource,
@@ -185,9 +169,11 @@ func (s *Server) execute(j *job, res *scheduler.Resource) {
 			return
 		}
 
-		key := cacheKey(j.mspec.Name, snap.Cluster.Fingerprint(), snap.Generation, j.batch, opts)
+		// The cache keys on the *current* cluster: a degraded pool plans
+		// under its own fingerprint, and a pool restored to a composition
+		// it already planned is answered from the cache.
 		planBegin := tr.Now()
-		p, hit, planSec, err := s.planFor(ctx, j, snap.Cluster, key, opts, last)
+		p, rep, hit, err := s.cache.Plan(ctx, j.mspec, snap.Cluster, j.batch, opts, last)
 		if err == nil && tr != nil {
 			cacheState := "cold"
 			if hit {
@@ -220,10 +206,12 @@ func (s *Server) execute(j *job, res *scheduler.Resource) {
 			return
 		}
 
-		s.tel.planSeconds.Add(planSec)
+		var planSec float64
 		if !hit {
+			planSec = rep.SolveSeconds
 			s.tel.planHist.Observe(planSec)
 		}
+		s.tel.planSeconds.Add(planSec)
 		if attempt > 0 {
 			s.tel.replans.Inc()
 			if tr != nil {
@@ -296,38 +284,6 @@ func (s *Server) execute(j *job, res *scheduler.Resource) {
 			return
 		}
 	}
-}
-
-// planFor returns a plan for the job on the given (possibly degraded)
-// cluster, consulting the cache first. On a miss the solver runs —
-// warm-started from inc, the previous attempt's plan, when one exists —
-// and the completed plan is serialized into the cache.
-func (s *Server) planFor(ctx context.Context, j *job, clu *cluster.Cluster, key string, opts core.Options, inc *plan.Plan) (*plan.Plan, bool, float64, error) {
-	if p, _, ok := s.cache.Lookup(key, clu, j.mspec.Layers); ok {
-		return p, true, 0, nil
-	}
-	ind := core.ProfileIndicator(j.mspec, opts.Bits, quant.Deterministic)
-	a, err := core.New(j.mspec, clu, ind, opts)
-	if err != nil {
-		return nil, false, 0, err
-	}
-	var warm *core.Incumbent
-	if inc != nil {
-		warm = &core.Incumbent{Plan: inc}
-	}
-	t0 := time.Now()
-	p, rep, err := a.Replan(ctx, j.batch, warm)
-	if err != nil {
-		return nil, false, 0, err
-	}
-	if !rep.Cancelled { // a cut-short search's incumbent is not the answer
-		raw, err := json.Marshal(p)
-		if err != nil {
-			return nil, false, 0, err
-		}
-		s.cache.Put(key, raw, nil)
-	}
-	return p, false, time.Since(t0).Seconds(), nil
 }
 
 // retryElsewhere requeues a job whose planning or simulation proved

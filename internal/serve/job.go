@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/costmodel"
 	"repro/internal/model"
 	"repro/internal/scheduler"
 	"repro/internal/workload"
@@ -331,16 +330,15 @@ func (m *batchMemo) len() int {
 // Uniform-OOM class of jobs into a submit-time rejection instead of a
 // planning-time failure.
 func admissionCheck(mspec *model.Spec, batch workload.Batch, bits []int, bitKV int, resources []scheduler.Resource) error {
-	mm := costmodel.MemoryModel{}
 	minBit := bits[0]
 	for _, b := range bits {
 		if b < minBit {
 			minBit = b
 		}
 	}
-	perLayer := mm.LayerBytes(mspec, minBit) +
-		mm.KVBytes(mspec, batch.Size, batch.PaddedPrompt(), batch.Reserve(), bitKV)
-	need := int64(mspec.Layers)*perLayer + mm.EmbeddingBytes(mspec)
+	perLayer := mspec.LayerWeightBytes(minBit) +
+		mspec.KVBytesPerLayer(batch.Size, batch.PaddedPrompt(), batch.Reserve(), bitKV)
+	need := int64(mspec.Layers)*perLayer + mspec.EmbeddingBytes()
 	var best int64
 	bestName := ""
 	for i := range resources {

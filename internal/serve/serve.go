@@ -2,11 +2,11 @@
 // SplitQuant planner: a long-running daemon that accepts jobs (model +
 // workload + request volume) over an HTTP/JSON API, admits only jobs
 // whose memory lower bound fits some resource pool, queues them by
-// priority and deadline, plans each (job, pool) pairing with the
-// core.Assigner — reusing plans through a persistent core.PlanCache
-// keyed by core.PlanKey plus the pool generation — and executes
-// batches on the pipeline simulator across the scheduler's harvested
-// fleet resources. It is the daemon-shaped counterpart of
+// priority and deadline, plans each (job, pool) pairing through a
+// persistent core.PlanCache keyed by core.PlanKey — which answers a
+// problem it already solved and runs the core.Assigner otherwise — and
+// executes batches on the pipeline simulator across the scheduler's
+// harvested fleet resources. It is the daemon-shaped counterpart of
 // internal/scheduler's one-shot Build: where Build plans a closed job
 // set, serve keeps accepting work, reports per-job progress, and
 // survives restarts warm (the plan cache persists under a state dir).
@@ -17,6 +17,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"path/filepath"
@@ -168,10 +169,6 @@ type Server struct {
 	// the plan cache (Config.CacheCapacity).
 	batches *batchMemo
 	fleet   *scheduler.FleetState
-	// costs memoizes per-device stage costs across every job, pool and
-	// replan the server performs; entries are keyed by device identity
-	// and shape, so plans are unaffected (only planning time is).
-	costs *core.CostCache
 
 	// tel holds the registry-backed counters (the source of truth both
 	// /v1/metrics and /metrics read) and the optional tracer.
@@ -257,7 +254,7 @@ func newServer(cfg Config) (*Server, error) {
 		cfg.Planner.Theta = 1
 	}
 	if len(cfg.Planner.Bits) == 0 {
-		cfg.Planner.Bits = []int{3, 4, 8, 16}
+		cfg.Planner.Bits = core.CandidateBits
 	}
 	if cfg.Planner.BitKV == 0 {
 		cfg.Planner.BitKV = 16
@@ -272,7 +269,6 @@ func newServer(cfg Config) (*Server, error) {
 		cfg:     cfg,
 		cache:   core.NewPlanCache(cfg.CacheCapacity),
 		fleet:   scheduler.NewFleetState(cfg.Resources),
-		costs:   core.NewCostCache(),
 		jobs:    map[string]*job{},
 		pools:   make(map[string]*poolLoad, len(cfg.Resources)),
 		now:     time.Now,
@@ -332,6 +328,11 @@ func (s *Server) Submit(spec JobSpec) (JobView, error) {
 	}
 	if spec.DeadlineSeconds < 0 {
 		return s.reject(fmt.Errorf("%w: negative deadline", ErrRejected))
+	}
+	if spec.DeadlineSeconds*float64(time.Second) >= math.MaxInt64 {
+		// Beyond time.Duration's ~292 years the conversion wraps to a
+		// deadline in the past.
+		return s.reject(fmt.Errorf("%w: deadline %g s exceeds %v", ErrRejected, spec.DeadlineSeconds, time.Duration(math.MaxInt64)))
 	}
 	if spec.Method != "" && !core.ValidMethod(core.Method(spec.Method)) {
 		return s.reject(fmt.Errorf("%w: %w %q", ErrRejected, core.ErrUnknownMethod, spec.Method))

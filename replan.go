@@ -7,9 +7,7 @@ import (
 	"io"
 
 	"repro/internal/core"
-	"repro/internal/model"
 	"repro/internal/plan"
-	"repro/internal/quant"
 	"repro/internal/workload"
 )
 
@@ -28,9 +26,8 @@ import (
 // under the same core.PlanKey (identical cluster, batch and options) it
 // is reused verbatim, and when the Fork family's plan cache holds that
 // key the cached plan is returned; both report Reused=true in
-// PlanStats. A nil prev (or one whose plan
-// cannot be expressed on the current topology at all) searches as
-// PlanContext does.
+// PlanStats. A nil prev (or one whose plan cannot be expressed on the
+// current topology at all) plans as PlanContext does.
 func (s *System) Replan(ctx context.Context, prev *Deployment, w Workload, batchSize int, opts ...PlanOption) (*Deployment, error) {
 	batch, err := s.synthesize(w, batchSize)
 	if err != nil {
@@ -57,27 +54,6 @@ func (s *System) ReadPlanJSON(r io.Reader) (*Deployment, error) {
 	return &Deployment{sys: s, plan: &p, report: &core.Report{}}, nil
 }
 
-// candidateBits is the weight bitwidth set every solve searches.
-var candidateBits = []int{3, 4, 8, 16}
-
-// sharedState is the planner state a Fork family has in common: the
-// per-device cost cache, the plan cache, and the quality indicator
-// (Forks serve the same model over the same bit set, so one indicator
-// fits the family). All members are safe for concurrent use.
-type sharedState struct {
-	costs *core.CostCache
-	ind   *core.Indicator
-	plans *core.PlanCache
-}
-
-func newSharedState(spec *model.Spec) *sharedState {
-	return &sharedState{
-		costs: core.NewCostCache(),
-		ind:   core.ProfileIndicator(spec, candidateBits, quant.Deterministic),
-		plans: core.NewPlanCache(0),
-	}
-}
-
 // resolve applies per-call options on top of the System defaults.
 func (s *System) resolve(opts []PlanOption) (options, error) {
 	o := s.opts
@@ -92,17 +68,14 @@ func (s *System) resolve(opts []PlanOption) (options, error) {
 	return o, nil
 }
 
-// coreOptions translates resolved options for the internal planner,
-// wiring in the family's shared cost cache.
+// coreOptions translates resolved options for the internal planner.
 func (s *System) coreOptions(o options) core.Options {
 	co := core.Options{
-		Bits:          candidateBits,
 		Theta:         o.theta,
 		Method:        o.method,
 		QualityCap:    o.qualityCap,
 		OrderingLimit: o.orderings,
 		Parallelism:   o.parallelism,
-		Costs:         s.shared.costs,
 	}
 	if hook := o.progress; hook != nil {
 		co.Progress = func(p core.Progress) {
@@ -116,9 +89,10 @@ func (s *System) coreOptions(o options) core.Options {
 }
 
 // replanBatch is the single solve path behind Plan, PlanContext and
-// Replan. prev == nil is a cold plan; otherwise the previous
-// deployment is reused verbatim (identical inputs), served from the
-// plan cache, or handed to the core solver as a warm-start incumbent.
+// Replan. prev == nil is a cold plan. A prev planned under the same key
+// is reused verbatim (identical inputs); otherwise the family's plan
+// cache answers or solves, warm-started from prev's plan when there is
+// one.
 func (s *System) replanBatch(ctx context.Context, prev *Deployment, batch workload.Batch, planOpts []PlanOption) (*Deployment, error) {
 	o, err := s.resolve(planOpts)
 	if err != nil {
@@ -126,6 +100,7 @@ func (s *System) replanBatch(ctx context.Context, prev *Deployment, batch worklo
 	}
 	co := s.coreOptions(o)
 	key := core.PlanKey(s.spec.Name, s.clu.Fingerprint(), batch, co)
+	var inc *plan.Plan
 	if prev != nil && prev.plan != nil {
 		// Nothing changed since prev was planned: it is already the
 		// answer. Equal keys mean an identical cluster (cluster.Diff's
@@ -136,26 +111,11 @@ func (s *System) replanBatch(ctx context.Context, prev *Deployment, batch worklo
 		if prev.key == key && prev.report != nil && !prev.report.Cancelled {
 			return &Deployment{sys: s, plan: prev.plan, batch: batch, report: prev.report, key: key, reused: true}, nil
 		}
-		if p, rep, ok := s.shared.plans.Lookup(key, s.clu, s.spec.Layers); ok {
-			return &Deployment{sys: s, plan: p, batch: batch, report: rep, key: key, reused: true}, nil
-		}
+		inc = prev.plan
 	}
-	a, err := core.New(s.spec, s.clu, s.shared.ind, co)
+	p, rep, hit, err := s.plans.Plan(ctx, s.spec, s.clu, batch, co, inc)
 	if err != nil {
 		return nil, err
 	}
-	var inc *core.Incumbent
-	if prev != nil && prev.plan != nil {
-		inc = &core.Incumbent{Plan: prev.plan}
-	}
-	p, rep, err := a.Replan(ctx, batch, inc)
-	if err != nil {
-		return nil, err
-	}
-	if !rep.Cancelled {
-		if raw, err := json.Marshal(p); err == nil {
-			s.shared.plans.Put(key, raw, rep)
-		}
-	}
-	return &Deployment{sys: s, plan: p, batch: batch, report: rep, key: key}, nil
+	return &Deployment{sys: s, plan: p, batch: batch, report: rep, key: key, reused: hit}, nil
 }

@@ -52,6 +52,21 @@ func keyOf(d *Deployment) deploymentKey {
 	return deploymentKey{Stages: d.Stages(), Eta: eta, Xi: xi, Quality: d.QualityPenalty(), Method: d.Method()}
 }
 
+// coldPlan plans w at batch 16 on a new System over cs, whose plan memo
+// is empty.
+func coldPlan(t *testing.T, cs ClusterSpec, w Workload, opts ...PlanOption) *Deployment {
+	t.Helper()
+	sys, err := New(replanModel, cs, replanOpts()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dep, err := sys.PlanContext(context.Background(), w, 16, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dep
+}
+
 // TestReplanMatchesColdAcrossPresets degrades every preset by one GPU
 // and checks that warm-starting Replan from the full-cluster plan
 // produces the bit-identical plan a cold search finds on the degraded
@@ -77,17 +92,13 @@ func TestReplanMatchesColdAcrossPresets(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Warm before cold: Plan never consults the plan memo, but
-			// running Replan first proves the warm path cannot be
-			// answered from a memo filled by the cold solve.
 			warm, err := deg.Replan(context.Background(), prev, w, 16)
 			if err != nil {
 				t.Fatal(err)
 			}
-			cold, err := deg.PlanContext(context.Background(), w, 16)
-			if err != nil {
-				t.Fatal(err)
-			}
+			// The cold solve runs in a family of its own: in deg's, the
+			// plan memo would answer it with the warm plan.
+			cold := coldPlan(t, degraded, w)
 			if !reflect.DeepEqual(keyOf(warm), keyOf(cold)) {
 				t.Fatalf("warm plan differs from cold:\nwarm %+v\ncold %+v", keyOf(warm), keyOf(cold))
 			}
@@ -136,10 +147,7 @@ func TestReplanMatchesColdAcrossWorkloads(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cold, err := deg.PlanContext(context.Background(), tc.w, 16, tc.opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
+			cold := coldPlan(t, degraded, tc.w, tc.opts...)
 			if !reflect.DeepEqual(keyOf(warm), keyOf(cold)) {
 				t.Fatalf("warm plan differs from cold:\nwarm %+v\ncold %+v", keyOf(warm), keyOf(cold))
 			}

@@ -61,6 +61,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/gpu"
 	"repro/internal/model"
+	"repro/internal/quant"
 	"repro/internal/workload"
 )
 
@@ -230,13 +231,17 @@ func WithQualityFloor(cap float64) Option { return func(o *options) { o.qualityC
 func WithOrderingLimit(n int) Option { return func(o *options) { o.orderings = n } }
 
 // System couples a model with a cluster and owns the planner state:
-// default options, the quantization-quality indicator, and the caches
-// shared with its Fork variants. A System is safe for concurrent use.
+// default options, the quantization-quality indicator, and the plan
+// cache (with its cost cache) shared with its Fork variants. A System is
+// safe for concurrent use.
 type System struct {
-	spec   *model.Spec
-	clu    *cluster.Cluster
-	opts   options
-	shared *sharedState
+	spec *model.Spec
+	clu  *cluster.Cluster
+	opts options
+	// ind is the quality indicator QualityOf and PlanDisaggregated read;
+	// plans answers or solves every plan of the Fork family.
+	ind   *core.Indicator
+	plans *core.PlanCache
 }
 
 // New builds a System for the named model (see Models) on the cluster.
@@ -249,17 +254,17 @@ func New(modelName string, cs ClusterSpec, opts ...Option) (*System, error) {
 }
 
 // Fork derives a System for the same model on a different cluster (or
-// with different default options), sharing the parent's cost cache,
-// plan cache, and quality indicators. Replanning on a Fork after a
+// with different default options), sharing the parent's plan cache (and
+// its cost cache) and quality indicator. Replanning on a Fork after a
 // preemption or restore therefore reuses every per-device cost the
 // parent family has already evaluated.
 func (s *System) Fork(cs ClusterSpec, opts ...Option) (*System, error) {
-	return assemble(s.spec, cs, s.opts, opts, s.shared)
+	return assemble(s.spec, cs, s.opts, opts, s)
 }
 
-// assemble builds a System from resolved inputs; sh == nil allocates a
-// fresh shared-state family.
-func assemble(spec *model.Spec, cs ClusterSpec, base options, opts []Option, sh *sharedState) (*System, error) {
+// assemble builds a System from resolved inputs, sharing family's
+// indicator and plan cache; family == nil starts a new family.
+func assemble(spec *model.Spec, cs ClusterSpec, base options, opts []Option, family *System) (*System, error) {
 	clu, err := cs.build()
 	if err != nil {
 		return nil, err
@@ -271,10 +276,10 @@ func assemble(spec *model.Spec, cs ClusterSpec, base options, opts []Option, sh 
 	if err := validMethod(o.method); err != nil {
 		return nil, err
 	}
-	if sh == nil {
-		sh = newSharedState(spec)
+	if family == nil {
+		family = &System{ind: core.ProfileIndicator(spec, core.CandidateBits, quant.Deterministic), plans: core.NewPlanCache(0)}
 	}
-	return &System{spec: spec, clu: clu, opts: o, shared: sh}, nil
+	return &System{spec: spec, clu: clu, opts: o, ind: family.ind, plans: family.plans}, nil
 }
 
 // validMethod rejects unknown planning methods with ErrUnknownMethod.
@@ -378,7 +383,10 @@ type PlanProgress struct {
 // Plan synthesizes a batch of batchSize concurrent requests from the
 // workload and jointly optimizes quantization bitwidths, layer
 // partitioning and micro-batch sizes for it. Trailing PlanOptions
-// override the System defaults for this call only. It is
+// override the System defaults for this call only. A problem the Fork
+// family already solved (same cluster, batch and plan-changing options)
+// is answered from its plan cache without searching: Stats reports
+// Reused and the progress hook sees no events. It is
 // PlanContext(context.Background(), ...).
 func (s *System) Plan(w Workload, batchSize int, opts ...PlanOption) (*Deployment, error) {
 	return s.PlanContext(context.Background(), w, batchSize, opts...)
@@ -416,5 +424,5 @@ func (s *System) synthesize(w Workload, batchSize int) (workload.Batch, error) {
 // QualityOf returns the indicated quality degradation Σω of a
 // deployment's bit assignment — the currency of WithQualityFloor.
 func (s *System) QualityOf(d *Deployment) float64 {
-	return s.shared.ind.Total(d.plan.Bits())
+	return s.ind.Total(d.plan.Bits())
 }
