@@ -48,36 +48,39 @@ test-race:
 	$(GO) test -race -timeout 15m -count=2 ./internal/obs/
 	$(GO) test -race -timeout 15m -count=2 -run 'Maintenance|DrainTimeout|Preempt|Restore' ./internal/serve/
 
-# Fuzz smoke: twenty seconds of coverage-guided inputs for each of ten
-# targets. Six must match a reference exactly: the bitwidth-transfer
-# delta scorer and its kept tables against a full evaluation bit for
-# bit, the whole bitwidth-transfer search against the clone-per-move
-# reference search, both matmul kernels (the AVX2 assembly, where the
-# CPU has it, and the portable Go one) against the plain ikj loop, a
-# token-log handoff (GenerateLog on one loopback stage chain, Resume
-# on a differently split one) against one Generate and the in-process
-# Reference, with no token lost or invented at the MaxPos edge, and the
-# pipeline's decode-step price against the per-layer loop it replaced,
-# bit for bit, and one layer's decode-latency curve against the per-call
-# roofline and TP formulas it replaced, bit for bit, over every model,
-# device class and TP degree. The seventh checks that the planner's
-# optimistic bound, which decides which configurations the search
-# skips, never exceeds a feasible assignment's objective. The eighth feeds arbitrary bytes to
-# the plan JSON decoder that cached and warm-start plans come through:
-# no panic, Validate rejects malformed stages, and a valid bound plan
-# survives a wire round trip unchanged. The ninth decodes arbitrary
-# bytes as a serve job spec: Submit rejects it, or the job's batch is
-# valid and equals a fresh synthesis, also when served from the batch
-# memo. The tenth decodes arbitrary bytes as an online request spec:
-# Submit rejects it, or the request fits the model's positions without
-# overflow, reserves a positive KV footprint and its status echoes the
-# spec. Their seed corpora
+# Fuzz smoke: twenty seconds of coverage-guided inputs for each of
+# eleven targets. Seven must match a reference: a bitwidth-transfer
+# move's exact score and the search's kept sums against a full
+# evaluation bit for bit, and the move's estimate within its error
+# margin; the whole bitwidth-transfer search against the clone-per-move
+# reference search; the simplex solver against the dense tableau solver
+# it replaced, bit for bit on random LPs; both matmul kernels (the AVX2
+# assembly, where the CPU has it, and the portable Go one) against the
+# plain ikj loop; a token-log handoff (GenerateLog on one loopback stage
+# chain, Resume on a differently split one) against one Generate and the
+# in-process Reference, with no token lost or invented at the MaxPos
+# edge; the pipeline's decode-step price against the per-layer loop it
+# replaced, bit for bit; and one layer's decode-latency curve against
+# the per-call roofline and TP formulas it replaced, bit for bit, over
+# every model, device class and TP degree. The eighth checks that the
+# planner's optimistic bound, which decides which configurations the
+# search skips, never exceeds a feasible assignment's objective. The
+# ninth feeds arbitrary bytes to the plan JSON decoder that cached and
+# warm-start plans come through: no panic, Validate rejects malformed
+# stages, and a valid bound plan survives a wire round trip unchanged.
+# The tenth decodes arbitrary bytes as a serve job spec: Submit rejects
+# it, or the job's batch is valid and equals a fresh synthesis, also
+# when served from the batch memo. The eleventh decodes arbitrary bytes
+# as an online request spec: Submit rejects it, or the request fits the
+# model's positions without overflow, reserves a positive KV footprint
+# and its status echoes the spec. Their seed corpora
 # (internal/core/testdata/fuzz and the f.Add seeds) also run as
 # ordinary tests under `make test`.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDeltaScore -fuzztime=20s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzBitwidthTransfer -fuzztime=20s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzOptimisticBound -fuzztime=20s ./internal/core
+	$(GO) test -run='^$$' -fuzz=FuzzSolveMatchesDense -fuzztime=20s ./internal/lp
 	$(GO) test -run='^$$' -fuzz=FuzzMatMulBitExact -fuzztime=20s ./internal/tensor
 	$(GO) test -run='^$$' -fuzz=FuzzHandoffSplice -fuzztime=20s ./internal/transport
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeStep -fuzztime=20s ./internal/pipeline

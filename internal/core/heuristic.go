@@ -1,14 +1,15 @@
 package core
 
+import "math"
+
 // transferSearch is the incremental state of the bitwidth-transfer
-// search on its current assignment cur. Besides cur's per-stage sums it
-// keeps, for every layer, the prefix of its stage's sums before it, and
-// per-iteration tables of the stage sums and Σ ω that each single-layer
-// bit change would give; a move is then scored from table entries, a
-// prefix or a re-sum of one stage (see score). Every sum is formed in
-// ascending layer order, as stageSums forms it, so every float is
-// bit-identical to evaluate on the moved assignment. Its buffers are
-// reused by every reset and every configure.
+// search on its current assignment cur: cur's per-stage sums, each
+// stage's first layer, each layer's prefix of its stage's sums and the
+// prefix of Σ ω. Every move is first priced by an O(1) estimate from
+// these sums (see estimate); only a move the estimate cannot rule out
+// is summed exactly, as evaluate sums it (see score), so every accepted
+// move, objective and plan is bit-identical to scoring a full copy. Its
+// buffers are reused by every reset and every configure.
 type transferSearch struct {
 	oc    *orderingCosts
 	ind   *Indicator
@@ -18,14 +19,17 @@ type transferSearch struct {
 	// pk[j*nb+bi] and dk[j*nb+bi] are one layer's prefill (× κ) and
 	// decode costs on stage j at bit index bi.
 	pk, dk []float64
+	// margin bounds |estimate − exact| of a move's objective and
+	// qMargin that of its Σ ω (see configure).
+	margin, qMargin float64
 
 	// cur is the current assignment.
 	cur *assignment
 	// first[j] is the first layer of stage j; first[nDev] is the layer
 	// count.
 	first []int
-	// pre, dec, mem are cur's per-stage sums; score overwrites the
-	// touched stages and puts them back.
+	// pre, dec, mem are cur's per-stage sums; estimate and score
+	// overwrite the touched stages and put them back.
 	pre, dec []float64
 	mem      []int64
 	// lp[i], ld[i] and omega[i] are layer i's prefill and decode cost
@@ -34,24 +38,70 @@ type transferSearch struct {
 	// prePfx[i] and decPfx[i] are the sums of lp and ld over the layers
 	// of layer i's stage before i; qPre[i] is Σ ω over layers < i.
 	prePfx, decPfx, qPre []float64
-	// bitPre[i*nb+b], bitDec[i*nb+b] and q[i*nb+b] are the prefill and
-	// decode sums of layer i's stage and Σ ω of cur with layer i at bit
-	// index b.
-	bitPre, bitDec, q []float64
+	// bitMoves[(j*nb+old)*nb+bit] prices moving one stage-j layer from
+	// bit index old to bit, which depends on nothing else; rebuild
+	// clears it.
+	bitMoves []pricedBit
+}
+
+// pricedBit is one entry of transferSearch.bitMoves: an estimated
+// latency and its (exact) memory feasibility, once priced.
+type pricedBit struct {
+	latency          float64
+	feasible, priced bool
 }
 
 // configure points s at one configuration, reusing its buffers where
 // they are large enough.
+//
+// It also sets the margins that let transfer skip a move on its
+// estimate. Let u = 2⁻⁵³ and γₙ = n·u/(1−n·u): a float sum of n+1
+// terms added one at a time lies within γₙ·Σ|terms| of the real sum.
+// Let P = L·max|pk| + max commPre, D = L·max|dk| + max commDec and
+// W = L·max|ω|; P bounds every prefill stage sum, their Σⱼ and T^pre_max
+// (D likewise for decode), and W bounds Σ ω.
+//   - The exact re-sum of a stage adds at most L terms and lies within
+//     γ_L·P of the real sum. The estimate (S − old) + new adds at most
+//     L+2 terms (S's own, then two more) of absolute sum at most 3P, and
+//     lies within 3γ_{L+1}·P. So each of the (at most two) touched stages
+//     differs by at most δ = 4γ_{L+1}·P, and Σ ω by 4γ_{L+1}·W.
+//   - Taking the max with a constant is 1-Lipschitz, so T^pre_max
+//     differs by at most δ. Σⱼ adds nDev stage sums, two of them off by
+//     δ, and rounds within γ_nDev·P on each side: 2δ + 2γ_nDev·P.
+//   - Eq. 4 scales by aPre, n−1, aDec and θ (one rounding u each, on
+//     each side) and adds six terms (γ₅ on each side).
+//
+// With A = |aPre|·P + P + |n−1|·D + |aDec|·D + |masterConst| + |θ|·W
+// this sums to |estimate − exact| ≤ (8γ_{L+1} + 2γ_nDev + 2γ₅ + 4u)·A
+// ≤ 8γ_{L+nDev+10}·A. The margin is four times that, 32γ_{L+nDev+16}·A,
+// which also covers the (1+γ) factors dropped above and the rounding of
+// the test estimate − margin itself; qMargin is likewise
+// 16γ_{L+16}·W. A non-finite cost makes a margin Inf or NaN, and then
+// no move is skipped (see lowerBound).
 func (s *transferSearch) configure(oc *orderingCosts, ind *Indicator, theta float64) {
 	nDev, nb, L := len(oc.devs), len(oc.bits), ind.Layers()
 	s.oc, s.ind, s.theta, s.nb = oc, ind, theta, nb
 	s.pk, s.dk = resize(s.pk, nDev*nb), resize(s.dk, nDev*nb)
+	var pkMax, dkMax, commPre, commDec, wMax float64
 	for j := 0; j < nDev; j++ {
 		for bi := 0; bi < nb; bi++ {
 			s.pk[j*nb+bi] = oc.prefillLayer(j, bi)
 			s.dk[j*nb+bi] = oc.decodeLayer(j, bi)
+			pkMax, dkMax = max(pkMax, math.Abs(s.pk[j*nb+bi])), max(dkMax, math.Abs(s.dk[j*nb+bi]))
+		}
+		commPre, commDec = max(commPre, math.Abs(oc.commPre[j])), max(commDec, math.Abs(oc.commDec[j]))
+	}
+	for _, row := range ind.Omega {
+		for _, w := range row[:nb] {
+			wMax = max(wMax, math.Abs(w))
 		}
 	}
+	gamma := func(n int) float64 { nu := float64(n) * 0x1p-53; return nu / (1 - nu) }
+	P, D, W := float64(L)*pkMax+commPre, float64(L)*dkMax+commDec, float64(L)*wMax
+	A := math.Abs(oc.aPre)*P + P + math.Abs(float64(oc.batch.GenTokens-1))*D + math.Abs(oc.aDec)*D +
+		math.Abs(oc.masterConst) + math.Abs(theta)*W
+	s.margin, s.qMargin = 32*gamma(L+nDev+16)*A, 16*gamma(L+16)*W
+
 	if s.cur == nil {
 		s.cur = new(assignment)
 	}
@@ -60,7 +110,7 @@ func (s *transferSearch) configure(oc *orderingCosts, ind *Indicator, theta floa
 	s.pre, s.dec, s.mem = resize(s.pre, nDev), resize(s.dec, nDev), resize(s.mem, nDev)
 	s.lp, s.ld, s.omega = resize(s.lp, L), resize(s.ld, L), resize(s.omega, L)
 	s.prePfx, s.decPfx, s.qPre = resize(s.prePfx, L), resize(s.decPfx, L), resize(s.qPre, L+1)
-	s.bitPre, s.bitDec, s.q = resize(s.bitPre, L*nb), resize(s.bitDec, L*nb), resize(s.q, L*nb)
+	s.bitMoves = resize(s.bitMoves, nDev*nb*nb)
 }
 
 // resize returns buf with length n, reallocated only when its capacity
@@ -82,8 +132,13 @@ func resize[T any](buf []T, n int) []T {
 // evaluation. A start that is not contiguous is left unchanged; every
 // start bestStart makes is contiguous.
 //
-// Each iteration scores every move in place as a delta (see score) and
-// applies only the best.
+// Each iteration prices every move in place from an estimate (see
+// estimate). A move whose estimated objective, less the margin, is not
+// below the running best, or whose estimated Σ ω, less its margin, is
+// over the cap, would be rejected on its exact sums too, and is
+// skipped. Every other move is summed exactly (see score) and accepted
+// or rejected on those sums alone, so the estimate only filters: the
+// accepted moves are those of scoring every move exactly.
 func (s *transferSearch) transfer(start *assignment, maxIters int, qualityCap float64) evaluation {
 	if !start.valid(len(s.oc.devs)) {
 		copy(s.cur.stageOf, start.stageOf)
@@ -95,20 +150,27 @@ func (s *transferSearch) transfer(start *assignment, maxIters int, qualityCap fl
 	if maxIters <= 0 {
 		maxIters = 4 * s.ind.Layers()
 	}
+	capped, capLimit := qualityCap > 0, qualityCap+1e-9
 	curObj := s.evaluation().Objective
 	for iter := 0; iter < maxIters; iter++ {
 		bestLayer, bestTo, bestBit := -1, 0, 0
 		bestObj := curObj
+		limit := bestObj - 1e-12
 		consider := func(layer, to, bit int) {
-			obj, feasible, ok := s.score(layer, to, bit)
-			if !ok || !feasible {
+			if !s.movable(layer, cur.stageOf[layer], to) {
 				return
 			}
-			if qualityCap > 0 && s.q[layer*s.nb+bit] > qualityCap+1e-9 {
+			est, q, feasible := s.estimate(layer, to, bit)
+			if !feasible || capped && lowerBound(q, s.qMargin) > capLimit || lowerBound(est, s.margin) >= limit {
 				return
 			}
-			if obj < bestObj-1e-12 {
+			obj, q, _ := s.score(layer, to, bit)
+			if capped && q > capLimit {
+				return
+			}
+			if obj < limit {
 				bestLayer, bestTo, bestBit, bestObj = layer, to, bit, obj
+				limit = bestObj - 1e-12
 			}
 		}
 
@@ -147,6 +209,16 @@ func (s *transferSearch) transfer(start *assignment, maxIters int, qualityCap fl
 	return s.evaluation()
 }
 
+// lowerBound is est − margin, which no value within margin of est is
+// below, or NaN, which fails every comparison, when est or margin is
+// not finite: a non-finite estimate or margin never skips a move.
+func lowerBound(est, margin float64) float64 {
+	if math.IsInf(est, 0) || math.IsInf(margin, 0) {
+		return math.NaN()
+	}
+	return est - margin
+}
+
 // reset loads start into cur and rebuilds every sum.
 func (s *transferSearch) reset(start *assignment) {
 	copy(s.cur.stageOf, start.stageOf)
@@ -154,12 +226,14 @@ func (s *transferSearch) reset(start *assignment) {
 	s.rebuild()
 }
 
-// rebuild recomputes every sum and table from cur.
+// rebuild recomputes every sum and prefix from cur, in O(L), and
+// forgets the priced bit changes.
 func (s *transferSearch) rebuild() {
 	a, nb := s.cur, s.nb
 	clear(s.pre)
 	clear(s.dec)
 	clear(s.mem)
+	clear(s.bitMoves)
 	for i, j := range a.stageOf {
 		bi := a.bitIdx[i]
 		s.lp[i], s.ld[i], s.omega[i] = s.pk[j*nb+bi], s.dk[j*nb+bi], s.ind.Omega[i][bi]
@@ -173,45 +247,6 @@ func (s *transferSearch) rebuild() {
 		s.first[a.stageOf[i]] = i
 	}
 	s.first[len(s.oc.devs)] = len(a.stageOf)
-	for i, j := range a.stageOf {
-		end := s.first[j+1]
-		sumChains(s.bitPre[i*nb:(i+1)*nb], s.prePfx[i], s.pk[j*nb:(j+1)*nb], s.lp[i+1:end])
-		sumChains(s.bitDec[i*nb:(i+1)*nb], s.decPfx[i], s.dk[j*nb:(j+1)*nb], s.ld[i+1:end])
-		sumChains(s.q[i*nb:(i+1)*nb], s.qPre[i], s.ind.Omega[i], s.omega[i+1:])
-	}
-}
-
-// sumChains sets out[b] to base + alt[b] followed by every tail entry,
-// added one at a time in order, so each is the sum stageSums would form
-// with one layer's term replaced by alt[b]. The alternatives add the same
-// tail, so they run as four independent chains side by side (lanes past
-// the last alternative repeat it and are not stored): the tail is then
-// bound by add throughput rather than latency, and each chain still
-// rounds in order.
-func sumChains(out []float64, base float64, alt, tail []float64) {
-	last := len(out) - 1
-	for b := 0; b <= last; b += 4 {
-		s0 := base + alt[b]
-		s1 := base + alt[min(b+1, last)]
-		s2 := base + alt[min(b+2, last)]
-		s3 := base + alt[min(b+3, last)]
-		for _, t := range tail {
-			s0 += t
-			s1 += t
-			s2 += t
-			s3 += t
-		}
-		out[b] = s0
-		if b+1 <= last {
-			out[b+1] = s1
-		}
-		if b+2 <= last {
-			out[b+2] = s2
-		}
-		if b+3 <= last {
-			out[b+3] = s3
-		}
-	}
 }
 
 // evaluation is evaluate(cur) from the kept sums.
@@ -225,30 +260,71 @@ func (s *transferSearch) apply(layer, to, bit int) {
 	s.rebuild()
 }
 
-// score returns the Eq. 4 objective and memory feasibility of cur with
-// layer moved to stage `to` at bit index bit; its Σ ω is
-// q[layer*nb+bit]. cur and the sums are left as they were. ok is
-// cur.valid of the moved assignment; obj and feasible are meaningful
-// only when ok.
+// estimate returns an estimate of the Eq. 4 objective and Σ ω of cur
+// with layer moved to stage `to` at bit index bit, within s.margin and
+// s.qMargin of the exact ones (see configure), and the move's memory
+// feasibility, which is exact. The move must be movable. The moved
+// layer's old term is subtracted from its stage's sums and from Σ ω and
+// its new term added; a bit change's latency then depends only on
+// (stage, old bit, new bit), so eq4 prices it once per rebuild.
+func (s *transferSearch) estimate(layer, to, bit int) (obj, quality float64, feasible bool) {
+	from, old := s.cur.stageOf[layer], s.cur.bitIdx[layer]
+	var latency float64
+	if to == from {
+		m := &s.bitMoves[(from*s.nb+old)*s.nb+bit]
+		if !m.priced {
+			m.latency, m.feasible = s.shifted(from, old, to, bit)
+			m.priced = true
+		}
+		latency, feasible = m.latency, m.feasible
+	} else {
+		latency, feasible = s.shifted(from, old, to, bit)
+	}
+	quality = s.qPre[len(s.cur.bitIdx)] - s.omega[layer] + s.ind.Omega[layer][bit]
+	return latency + s.theta*quality, quality, feasible
+}
+
+// shifted is eq4's latency and feasibility with one layer's terms at
+// (from, old) subtracted from stage from's sums and its terms at
+// (to, bit) added to stage to's.
+func (s *transferSearch) shifted(from, old, to, bit int) (latency float64, feasible bool) {
+	nb := s.nb
+	preFrom, decFrom, memFrom := s.pre[from], s.dec[from], s.mem[from]
+	preTo, decTo, memTo := s.pre[to], s.dec[to], s.mem[to]
+	s.pre[from] -= s.pk[from*nb+old]
+	s.dec[from] -= s.dk[from*nb+old]
+	s.mem[from] -= s.oc.memLayer[old]
+	s.pre[to] += s.pk[to*nb+bit]
+	s.dec[to] += s.dk[to*nb+bit]
+	s.mem[to] += s.oc.memLayer[bit]
+	_, latency, _, _, feasible = eq4(s.oc, s.pre, s.dec, s.mem, 0, 0)
+	s.pre[to], s.dec[to], s.mem[to] = preTo, decTo, memTo
+	s.pre[from], s.dec[from], s.mem[from] = preFrom, decFrom, memFrom
+	return latency, feasible
+}
+
+// score returns the Eq. 4 objective, Σ ω and memory feasibility of cur
+// with layer moved to stage `to` at bit index bit, every float summed as
+// evaluate sums it on the moved assignment. The move must be movable;
+// cur and the sums are left as they were.
 //
 // Only the stages the move touches change, and each is formed in
-// ascending layer order: a bit change reads bitPre and bitDec; a layer
-// joining a stage's end is added to that stage's sum; a stage losing its
-// last layer keeps that layer's prefix; and a stage losing or gaining
-// its first layer is re-summed in full.
-func (s *transferSearch) score(layer, to, bit int) (obj float64, feasible, ok bool) {
+// ascending layer order: a bit change takes the layer's stage prefix,
+// adds the new term and then the stage's later layers; a layer joining
+// a stage's end is added to that stage's sum; a stage losing its last
+// layer keeps that layer's prefix; and a stage losing or gaining its
+// first layer is re-summed in full. Σ ω is the prefix before the layer,
+// the new ω, then every later layer's.
+func (s *transferSearch) score(layer, to, bit int) (obj, quality float64, feasible bool) {
 	a, nb := s.cur, s.nb
 	from, old := a.stageOf[layer], a.bitIdx[layer]
-	if !s.movable(layer, from, to) {
-		return 0, false, false
-	}
 	preFrom, decFrom, memFrom := s.pre[from], s.dec[from], s.mem[from]
 	preTo, decTo, memTo := s.pre[to], s.dec[to], s.mem[to]
 	s.mem[from] -= s.oc.memLayer[old]
 	s.mem[to] += s.oc.memLayer[bit]
 	switch to {
 	case from:
-		s.pre[from], s.dec[from] = s.bitPre[layer*nb+bit], s.bitDec[layer*nb+bit]
+		s.pre[from], s.dec[from] = s.sumStage(from, s.prePfx[layer]+s.pk[from*nb+bit], s.decPfx[layer]+s.dk[from*nb+bit], layer+1)
 	case from + 1:
 		// The layer leaves the end of stage from and leads stage to,
 		// whose sum starts from zero as stageSums' does.
@@ -258,10 +334,14 @@ func (s *transferSearch) score(layer, to, bit int) (obj float64, feasible, ok bo
 		s.pre[to], s.dec[to] = preTo+s.pk[to*nb+bit], decTo+s.dk[to*nb+bit]
 		s.pre[from], s.dec[from] = s.sumStage(from, 0, 0, layer+1)
 	}
-	obj, _, _, _, feasible = eq4(s.oc, s.pre, s.dec, s.mem, s.q[layer*nb+bit], s.theta)
+	quality = s.qPre[layer] + s.ind.Omega[layer][bit]
+	for _, w := range s.omega[layer+1:] {
+		quality += w
+	}
+	obj, _, _, _, feasible = eq4(s.oc, s.pre, s.dec, s.mem, quality, s.theta)
 	s.pre[to], s.dec[to], s.mem[to] = preTo, decTo, memTo
 	s.pre[from], s.dec[from], s.mem[from] = preFrom, decFrom, memFrom
-	return obj, feasible, true
+	return obj, quality, feasible
 }
 
 // sumStage adds lp and ld of stage j's layers from layer lo to the

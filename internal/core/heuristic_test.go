@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/cluster"
@@ -158,7 +159,10 @@ func TestBitwidthTransferMatchesReference(t *testing.T) {
 
 // deltaInstance builds the tiny planning instance a FuzzDeltaScore input
 // selects: a preset's devices in listed order, one of two bit sets, one
-// of three batch shapes and 2-12 layers.
+// of three batch shapes and 2-12 layers. From instance 30 up the
+// instance is memory-tight: every device's budget is ⌈L/nDev⌉ layers at
+// the mean footprint of the lowest and highest bitwidth, which only
+// some bit mixes and partitions fit.
 func deltaInstance(instance, layers uint8) (*orderingCosts, *Indicator) {
 	presets := []int{2, 3, 4, 5, 9}
 	bitSets := [][]int{{4, 16}, {3, 4, 8, 16}}
@@ -174,7 +178,14 @@ func deltaInstance(instance, layers uint8) (*orderingCosts, *Indicator) {
 	spec := *tinySpec
 	spec.Layers = max(len(devs), 2+int(layers)%11)
 	ind := ProfileIndicator(&spec, bits, quant.Deterministic)
-	return buildCosts(&spec, clu, devs, bits, batch, batch.Size/4, batch.Size/4, 16, nil), ind
+	oc := buildCosts(&spec, clu, devs, bits, batch, batch.Size/4, batch.Size/4, 16, nil)
+	if instance >= 30 {
+		perLayer := (oc.memLayer[0] + oc.memLayer[len(bits)-1]) / 2
+		for j := range oc.memBudget {
+			oc.memBudget[j] = perLayer * int64(ceilDiv(spec.Layers, len(devs)))
+		}
+	}
+	return oc, ind
 }
 
 // sameEvaluation compares two evaluations bit for bit.
@@ -220,15 +231,14 @@ func fuzzAssignment(t *testing.T, instance, layers uint8, theta float64, assign 
 	return oc, ind, theta, as
 }
 
-// checkSearchTables requires every kept sum and table of s to equal what
-// stageSums gives on the assignment it stands for, bit for bit: the
-// per-stage sums of cur, each layer's prefix of its stage's sums
-// (stageSums over the layers before it), and each bit-change entry
-// (stageSums with that one layer at that bit).
-func checkSearchTables(t *testing.T, s *transferSearch, when string) {
+// checkSearchSums requires every kept sum of s to equal what stageSums
+// gives on cur, bit for bit: the per-stage sums, each stage's first
+// layer, each layer's prefix of its stage's sums and the prefix of Σ ω
+// (stageSums over the layers before it).
+func checkSearchSums(t *testing.T, s *transferSearch, when string) {
 	t.Helper()
 	bits := math.Float64bits
-	a, nDev, nb := s.cur, len(s.oc.devs), s.nb
+	a, nDev := s.cur, len(s.oc.devs)
 	pre, dec, mem := make([]float64, nDev), make([]float64, nDev), make([]int64, nDev)
 	stageSums(a, s.oc, s.ind, pre, dec, mem)
 	for j := range pre {
@@ -236,36 +246,103 @@ func checkSearchTables(t *testing.T, s *transferSearch, when string) {
 			t.Fatalf("after %s on %v: stage %d sums (%v, %v, %d), stageSums (%v, %v, %d)",
 				when, a, j, s.pre[j], s.dec[j], s.mem[j], pre[j], dec[j], mem[j])
 		}
+		if s.first[j] != slices.Index(a.stageOf, j) {
+			t.Fatalf("after %s on %v: first %v", when, a, s.first)
+		}
+	}
+	if s.first[nDev] != len(a.stageOf) {
+		t.Fatalf("after %s on %v: first %v", when, a, s.first)
 	}
 	for i, j := range a.stageOf {
 		clear(pre)
 		clear(dec)
-		stageSums(&assignment{stageOf: a.stageOf[:i], bitIdx: a.bitIdx[:i]}, s.oc, s.ind, pre, dec, mem)
-		if bits(s.prePfx[i]) != bits(pre[j]) || bits(s.decPfx[i]) != bits(dec[j]) {
-			t.Fatalf("after %s on %v: layer %d prefix (%v, %v), stageSums (%v, %v)",
-				when, a, i, s.prePfx[i], s.decPfx[i], pre[j], dec[j])
+		q := stageSums(&assignment{stageOf: a.stageOf[:i], bitIdx: a.bitIdx[:i]}, s.oc, s.ind, pre, dec, mem)
+		if bits(s.prePfx[i]) != bits(pre[j]) || bits(s.decPfx[i]) != bits(dec[j]) || bits(s.qPre[i]) != bits(q) {
+			t.Fatalf("after %s on %v: layer %d prefixes (%v, %v, Σω %v), stageSums (%v, %v, Σω %v)",
+				when, a, i, s.prePfx[i], s.decPfx[i], s.qPre[i], pre[j], dec[j], q)
 		}
-		for b := 0; b < nb; b++ {
-			moved := a.clone()
-			moved.bitIdx[i] = b
-			clear(pre)
-			clear(dec)
-			q := stageSums(moved, s.oc, s.ind, pre, dec, mem)
-			if bits(s.bitPre[i*nb+b]) != bits(pre[j]) || bits(s.bitDec[i*nb+b]) != bits(dec[j]) || bits(s.q[i*nb+b]) != bits(q) {
-				t.Fatalf("after %s on %v: layer %d at bit %d gives stage sums (%v, %v) and Σω %v, stageSums (%v, %v) and %v",
-					when, a, i, b, s.bitPre[i*nb+b], s.bitDec[i*nb+b], s.q[i*nb+b], pre[j], dec[j], q)
+	}
+	if got, want := s.qPre[len(a.stageOf)], stageSums(a, s.oc, s.ind, pre, dec, mem); bits(got) != bits(want) {
+		t.Fatalf("after %s on %v: Σω %v, stageSums %v", when, a, got, want)
+	}
+}
+
+// checkMove requires that the move of layer to stage `to` at bit index
+// bit is movable exactly when the moved assignment is valid and, when
+// it is, that score equals evaluate on the moved assignment bit for bit
+// and that the estimate has its feasibility and lies within the margins
+// of its objective and Σ ω. Neither may change cur or the kept sums, and
+// pricing again must give the same bits.
+func checkMove(t *testing.T, s *transferSearch, layer, to, bit int) {
+	t.Helper()
+	a := s.cur.clone()
+	before := s.evaluation()
+	moved := a.clone()
+	moved.stageOf[layer], moved.bitIdx[layer] = to, bit
+	ok := s.movable(layer, a.stageOf[layer], to)
+	if want := moved.valid(len(s.oc.devs)); ok != want {
+		t.Fatalf("move (%d→%d, bit %d) on %v: movable %v, full check %v", layer, to, bit, a, ok, want)
+	}
+	if !ok {
+		return
+	}
+	bits := math.Float64bits
+	want := evaluate(moved, s.oc, s.ind, s.theta)
+	est, estQ, estFeasible := s.estimate(layer, to, bit)
+	obj, q, feasible := s.score(layer, to, bit)
+	if feasible != want.Feasible || bits(obj) != bits(want.Objective) || bits(q) != bits(want.Quality) {
+		t.Fatalf("move (%d→%d, bit %d) on %v:\nscore    objective %v feasible %v Σω %v\nevaluate %+v",
+			layer, to, bit, a, obj, feasible, q, want)
+	}
+	if estFeasible != want.Feasible || !(math.Abs(est-want.Objective) <= s.margin) || !(math.Abs(estQ-want.Quality) <= s.qMargin) {
+		t.Fatalf("move (%d→%d, bit %d) on %v: estimate objective %v (margin %v) Σω %v (margin %v) feasible %v, evaluate %+v",
+			layer, to, bit, a, est, s.margin, estQ, s.qMargin, estFeasible, want)
+	}
+	again, againQ, againFeasible := s.estimate(layer, to, bit)
+	if bits(again) != bits(est) || bits(againQ) != bits(estQ) || againFeasible != estFeasible {
+		t.Fatalf("move (%d→%d, bit %d) on %v: estimated (%v, %v, %v), then (%v, %v, %v)",
+			layer, to, bit, a, est, estQ, estFeasible, again, againQ, againFeasible)
+	}
+	if again, againQ, againFeasible := s.score(layer, to, bit); bits(again) != bits(obj) || bits(againQ) != bits(q) || againFeasible != feasible {
+		t.Fatalf("move (%d→%d, bit %d) on %v: scored (%v, %v, %v), then (%v, %v, %v)",
+			layer, to, bit, a, obj, q, feasible, again, againQ, againFeasible)
+	}
+	if !reflect.DeepEqual(s.cur, a) || !sameEvaluation(s.evaluation(), before) {
+		t.Fatalf("pricing move (%d→%d, bit %d) changed cur or the kept sums of %v", layer, to, bit, a)
+	}
+}
+
+// checkEveryMove runs checkMove on every move off cur: each layer to its
+// own stage and both neighbours (and one past either end), at every bit.
+func checkEveryMove(t *testing.T, s *transferSearch) {
+	t.Helper()
+	for layer, from := range s.cur.stageOf {
+		for to := from - 1; to <= from+1; to++ {
+			for bit := 0; bit < s.nb; bit++ {
+				checkMove(t, s, layer, to, bit)
 			}
 		}
 	}
 }
 
-// FuzzDeltaScore checks the bitwidth-transfer delta scorer against
-// evaluate on the applied assignment, and the search's kept sums and
-// tables after reset and after apply (checkSearchTables). The inputs
-// pick a tiny instance and a valid start assignment (fuzzAssignment),
-// and a move (layer, to, bit), including moves off a boundary, out of
-// range or emptying a stage.
+// FuzzDeltaScore checks the bitwidth-transfer search's two prices of a
+// move against evaluate on the moved assignment: the exact score bit for
+// bit, the estimate within its margins (checkMove, for the fuzzed move
+// and every other one), and the kept sums after reset and after apply
+// (checkSearchSums). The inputs pick a tiny instance and a valid start
+// assignment (fuzzAssignment), and a move (layer, to, bit), including
+// moves off a boundary, out of range or emptying a stage.
 func FuzzDeltaScore(f *testing.F) {
+	// θ at both ends of the range fuzzAssignment keeps.
+	f.Add(uint8(2), uint8(6), 0.0, []byte{2, 0, 3, 0, 1, 0, 1, 0, 1}, uint8(4), uint8(2), uint8(1))
+	f.Add(uint8(7), uint8(8), 1e6, []byte{3, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0}, uint8(3), uint8(1), uint8(0))
+	// Memory-tight instances (see deltaInstance), where many moves are
+	// infeasible.
+	f.Add(uint8(51), uint8(10), 1.0, []byte{5, 0, 0, 0, 0, 1, 1, 1, 0, 0, 0, 0, 1, 1}, uint8(5), uint8(1), uint8(1))
+	f.Add(uint8(52), uint8(10), 0.1, []byte{2, 2, 2, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0}, uint8(5), uint8(2), uint8(1))
+	// One-layer stages: as many layers as devices.
+	f.Add(uint8(4), uint8(2), 1.0, []byte{0, 0, 0, 0, 0, 1, 0, 1, 0}, uint8(1), uint8(2), uint8(1))
+	f.Add(uint8(9), uint8(0), 10.0, []byte{0, 0, 0, 0, 1, 0, 1}, uint8(2), uint8(1), uint8(0))
 	f.Fuzz(func(t *testing.T, instance, layers uint8, theta float64, assign []byte, layer, to, bit uint8) {
 		oc, ind, theta, start := fuzzAssignment(t, instance, layers, theta, assign)
 		nDev, nLayers, nBits := len(oc.devs), ind.Layers(), len(oc.bits)
@@ -274,40 +351,23 @@ func FuzzDeltaScore(f *testing.F) {
 
 		s := newTransferSearch(oc, ind, theta)
 		s.reset(start)
-		checkSearchTables(t, s, "reset")
+		checkSearchSums(t, s, "reset")
 		if !sameEvaluation(s.evaluation(), evaluate(start, oc, ind, theta)) {
 			t.Fatalf("kept sums of %v differ from evaluate", start)
 		}
-		obj, feasible, ok := s.score(l, mv, b)
+		checkMove(t, s, l, mv, b)
+		checkEveryMove(t, s)
 		applied := start.clone()
 		applied.stageOf[l], applied.bitIdx[l] = mv, b
-		if want := applied.valid(nDev); ok != want {
-			t.Fatalf("move (%d→%d, bit %d) on %v: delta valid=%v, full check %v", l, mv, b, start, ok, want)
-		}
-		if !reflect.DeepEqual(s.cur, start) {
-			t.Fatalf("score left %v, want %v", s.cur, start)
-		}
-		if !sameEvaluation(s.evaluation(), evaluate(start, oc, ind, theta)) {
-			t.Fatalf("scoring move (%d→%d, bit %d) left the kept sums of %v changed", l, mv, b, start)
-		}
-		if again, feasibleAgain, okAgain := s.score(l, mv, b); okAgain != ok || feasibleAgain != feasible ||
-			math.Float64bits(again) != math.Float64bits(obj) {
-			t.Fatalf("rescoring the move changed its verdict: (%v, %v) then (%v, %v)", obj, feasible, again, feasibleAgain)
-		}
-		if !ok {
+		if !applied.valid(nDev) {
 			return
 		}
-		want := evaluate(applied, oc, ind, theta)
-		if feasible != want.Feasible || math.Float64bits(obj) != math.Float64bits(want.Objective) ||
-			math.Float64bits(s.q[l*nBits+b]) != math.Float64bits(want.Quality) {
-			t.Fatalf("move (%d→%d, bit %d) on %v:\ndelta    objective %v feasible %v Σω %v\nevaluate %+v",
-				l, mv, b, start, obj, feasible, s.q[l*nBits+b], want)
-		}
 		s.apply(l, mv, b)
-		checkSearchTables(t, s, "apply")
-		if !reflect.DeepEqual(s.cur, applied) || !sameEvaluation(s.evaluation(), want) {
-			t.Fatalf("applied move: cur %v eval %+v, want %v %+v", s.cur, s.evaluation(), applied, want)
+		checkSearchSums(t, s, "apply")
+		if !reflect.DeepEqual(s.cur, applied) || !sameEvaluation(s.evaluation(), evaluate(applied, oc, ind, theta)) {
+			t.Fatalf("applied move: cur %v eval %+v, want %v %+v", s.cur, s.evaluation(), applied, evaluate(applied, oc, ind, theta))
 		}
+		checkEveryMove(t, s)
 	})
 }
 

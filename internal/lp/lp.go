@@ -103,6 +103,7 @@ type tableau struct {
 	basis      []int // basic variable per row
 	nOrig      int   // original variable count
 	artStart   int   // first artificial column, or cols if none
+	nz         []int // pivot's buffer of the pivot row's nonzero columns
 }
 
 // Solve runs two-phase simplex with the given iteration limit per phase
@@ -125,31 +126,20 @@ func SolveContext(ctx context.Context, p *Problem, maxIter int) (*Solution, erro
 		maxIter = 50 * (n + m + 10)
 	}
 
-	// Normalize to non-negative RHS.
-	rows := make([][]float64, m)
-	rhs := make([]float64, m)
+	// Count slack and artificial columns. A row with a negative
+	// right-hand side is negated, which swaps LE and GE.
 	senses := make([]Sense, m)
-	for i := range p.A {
-		rows[i] = append([]float64(nil), p.A[i]...)
-		rhs[i] = p.B[i]
-		senses[i] = p.Senses[i]
-		if rhs[i] < 0 {
-			for j := range rows[i] {
-				rows[i][j] = -rows[i][j]
-			}
-			rhs[i] = -rhs[i]
-			switch senses[i] {
+	nSlack, nArt := 0, 0
+	for i, s := range p.Senses {
+		if p.B[i] < 0 {
+			switch s {
 			case LE:
-				senses[i] = GE
+				s = GE
 			case GE:
-				senses[i] = LE
+				s = LE
 			}
 		}
-	}
-
-	// Count slack and artificial columns.
-	nSlack, nArt := 0, 0
-	for _, s := range senses {
+		senses[i] = s
 		switch s {
 		case LE:
 			nSlack++
@@ -160,16 +150,27 @@ func SolveContext(ctx context.Context, p *Problem, maxIter int) (*Solution, erro
 			nArt++
 		}
 	}
+	// Fill one m×cols tableau directly, signs already normalized.
 	cols := n + nSlack + nArt
 	t := &tableau{rows: m, cols: cols, nOrig: n, artStart: n + nSlack}
 	t.a = make([][]float64, m)
-	t.b = append([]float64(nil), rhs...)
+	t.b = make([]float64, m)
 	t.basis = make([]int, m)
+	t.nz = make([]int, 0, cols)
+	cells := make([]float64, m*cols)
 	slackCol := n
 	artCol := n + nSlack
 	for i := 0; i < m; i++ {
-		t.a[i] = make([]float64, cols)
-		copy(t.a[i], rows[i])
+		t.a[i] = cells[i*cols : (i+1)*cols : (i+1)*cols]
+		if p.B[i] < 0 {
+			for j, v := range p.A[i] {
+				t.a[i][j] = -v
+			}
+			t.b[i] = -p.B[i]
+		} else {
+			copy(t.a[i], p.A[i])
+			t.b[i] = p.B[i]
+		}
 		switch senses[i] {
 		case LE:
 			t.a[i][slackCol] = 1
@@ -223,16 +224,16 @@ func SolveContext(ctx context.Context, p *Problem, maxIter int) (*Solution, erro
 				t.basis[i] = -1
 			}
 		}
-		// Remove artificial columns from consideration by zeroing them.
-		for i := 0; i < m; i++ {
-			for j := t.artStart; j < cols; j++ {
-				t.a[i][j] = 0
-			}
+		// Drop the artificial columns: no row is basic in one any more,
+		// so phase 2 would only ever see them as zeros.
+		for i := range t.a {
+			t.a[i] = t.a[i][:t.artStart]
 		}
+		t.cols = t.artStart
 	}
 
 	// Phase 2: the real objective over original + slack columns.
-	phase2 := make([]float64, cols)
+	phase2 := make([]float64, t.cols)
 	copy(phase2, p.C)
 	status, obj := t.optimize(ctx, phase2, maxIter)
 	switch status {
@@ -272,9 +273,10 @@ func (t *tableau) optimize(ctx context.Context, c []float64, maxIter int) (Statu
 			if cb == 0 {
 				continue
 			}
-			row := t.a[i]
-			for j := 0; j < t.cols; j++ {
-				y[j] -= cb * row[j]
+			for j, v := range t.a[i] {
+				if v != 0 {
+					y[j] -= cb * v
+				}
 			}
 		}
 		// Bland: entering variable = smallest index with negative reduced cost.
@@ -315,25 +317,43 @@ func (t *tableau) optimize(ctx context.Context, c []float64, maxIter int) (Statu
 	return IterLimit, 0
 }
 
-// pivot makes column enter basic in row leave.
+// pivot makes column enter basic in row leave. It scales the pivot row,
+// collects its nonzero columns once and eliminates only those from the
+// other rows.
+//
+// Skipping a zero pivot-row entry v (or, in optimize, a zero row entry)
+// leaves x where the dense update computed x − f·v. For finite f that is
+// x itself when x ≠ 0, and a zero of possibly the other sign when x is
+// zero, so only the sign of a zero tableau entry can differ from the
+// dense update. No such sign reaches a result: every test on a tableau
+// entry or reduced cost compares its magnitude against eps or 0; a zero
+// entry never becomes a divisor (pivots and ratios divide by entries
+// above eps); it scales nothing nonzero (a zero f skips its row, and
+// x + ±0 = x for x ≠ 0); and b changes only through nonzero multipliers
+// f, which match the dense update. So b, and with it X, Objective and
+// every pivot choice, stay bit-identical.
 func (t *tableau) pivot(leave, enter int) {
-	piv := t.a[leave][enter]
-	inv := 1 / piv
 	row := t.a[leave]
-	for j := range row {
-		row[j] *= inv
+	inv := 1 / row[enter]
+	nz := t.nz[:0]
+	for j, v := range row {
+		v *= inv
+		row[j] = v
+		if v != 0 {
+			nz = append(nz, j)
+		}
 	}
+	t.nz = nz
 	t.b[leave] *= inv
-	for i := 0; i < t.rows; i++ {
+	for i, ri := range t.a {
 		if i == leave {
 			continue
 		}
-		f := t.a[i][enter]
+		f := ri[enter]
 		if f == 0 {
 			continue
 		}
-		ri := t.a[i]
-		for j := range ri {
+		for _, j := range nz {
 			ri[j] -= f * row[j]
 		}
 		t.b[i] -= f * t.b[leave]

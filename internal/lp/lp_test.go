@@ -296,3 +296,303 @@ func TestMixedSenseRandomFeasibilityProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// solveDense is the dense two-phase simplex Solve replaced: it copies
+// every row before building the tableau, zeroes the artificial columns
+// after phase 1 instead of dropping them, and pivots and prices over
+// every column. It is kept as the reference Solve must match bit for
+// bit.
+func solveDense(p *Problem) *Solution {
+	n, m := len(p.C), len(p.A)
+	maxIter := 50 * (n + m + 10)
+	rows := make([][]float64, m)
+	rhs := make([]float64, m)
+	senses := make([]Sense, m)
+	for i := range p.A {
+		rows[i] = append([]float64(nil), p.A[i]...)
+		rhs[i] = p.B[i]
+		senses[i] = p.Senses[i]
+		if rhs[i] < 0 {
+			for j := range rows[i] {
+				rows[i][j] = -rows[i][j]
+			}
+			rhs[i] = -rhs[i]
+			switch senses[i] {
+			case LE:
+				senses[i] = GE
+			case GE:
+				senses[i] = LE
+			}
+		}
+	}
+	nSlack, nArt := 0, 0
+	for _, s := range senses {
+		switch s {
+		case LE:
+			nSlack++
+		case GE:
+			nSlack++
+			nArt++
+		case EQ:
+			nArt++
+		}
+	}
+	cols := n + nSlack + nArt
+	t := &denseTableau{rows: m, cols: cols, a: make([][]float64, m), b: rhs, basis: make([]int, m)}
+	artStart := n + nSlack
+	slackCol, artCol := n, artStart
+	for i := 0; i < m; i++ {
+		t.a[i] = make([]float64, cols)
+		copy(t.a[i], rows[i])
+		switch senses[i] {
+		case LE:
+			t.a[i][slackCol] = 1
+			t.basis[i] = slackCol
+			slackCol++
+		case GE:
+			t.a[i][slackCol] = -1
+			slackCol++
+			t.a[i][artCol] = 1
+			t.basis[i] = artCol
+			artCol++
+		case EQ:
+			t.a[i][artCol] = 1
+			t.basis[i] = artCol
+			artCol++
+		}
+	}
+	if nArt > 0 {
+		phase1 := make([]float64, cols)
+		for j := artStart; j < cols; j++ {
+			phase1[j] = 1
+		}
+		status, obj := t.optimize(phase1, maxIter)
+		if status == IterLimit {
+			return &Solution{Status: IterLimit}
+		}
+		if obj > 1e-6 {
+			return &Solution{Status: Infeasible}
+		}
+		for i, bv := range t.basis {
+			if bv < artStart {
+				continue
+			}
+			pivoted := false
+			for j := 0; j < artStart; j++ {
+				if math.Abs(t.a[i][j]) > eps {
+					t.pivot(i, j)
+					pivoted = true
+					break
+				}
+			}
+			if !pivoted {
+				for j := range t.a[i] {
+					t.a[i][j] = 0
+				}
+				t.b[i] = 0
+				t.basis[i] = -1
+			}
+		}
+		for i := 0; i < m; i++ {
+			for j := artStart; j < cols; j++ {
+				t.a[i][j] = 0
+			}
+		}
+	}
+	phase2 := make([]float64, cols)
+	copy(phase2, p.C)
+	status, obj := t.optimize(phase2, maxIter)
+	if status != Optimal {
+		return &Solution{Status: status}
+	}
+	x := make([]float64, n)
+	for i, bv := range t.basis {
+		if bv >= 0 && bv < n {
+			x[bv] = t.b[i]
+		}
+	}
+	return &Solution{Status: Optimal, X: x, Objective: obj}
+}
+
+// denseTableau is solveDense's working state.
+type denseTableau struct {
+	rows, cols int
+	a          [][]float64
+	b          []float64
+	basis      []int
+}
+
+func (t *denseTableau) optimize(c []float64, maxIter int) (Status, float64) {
+	y := make([]float64, t.cols)
+	for iter := 0; iter < maxIter; iter++ {
+		copy(y, c)
+		for i, bv := range t.basis {
+			if bv < 0 || c[bv] == 0 {
+				continue
+			}
+			cb, row := c[bv], t.a[i]
+			for j := 0; j < t.cols; j++ {
+				y[j] -= cb * row[j]
+			}
+		}
+		enter := -1
+		for j := 0; j < t.cols; j++ {
+			if y[j] < -eps {
+				enter = j
+				break
+			}
+		}
+		if enter == -1 {
+			obj := 0.0
+			for i, bv := range t.basis {
+				if bv >= 0 {
+					obj += c[bv] * t.b[i]
+				}
+			}
+			return Optimal, obj
+		}
+		leave := -1
+		best := math.Inf(1)
+		for i := 0; i < t.rows; i++ {
+			if t.a[i][enter] > eps {
+				ratio := t.b[i] / t.a[i][enter]
+				if ratio < best-eps || (ratio < best+eps && (leave == -1 || t.basis[i] < t.basis[leave])) {
+					best = ratio
+					leave = i
+				}
+			}
+		}
+		if leave == -1 {
+			return Unbounded, 0
+		}
+		t.pivot(leave, enter)
+	}
+	return IterLimit, 0
+}
+
+func (t *denseTableau) pivot(leave, enter int) {
+	inv := 1 / t.a[leave][enter]
+	row := t.a[leave]
+	for j := range row {
+		row[j] *= inv
+	}
+	t.b[leave] *= inv
+	for i := 0; i < t.rows; i++ {
+		if i == leave {
+			continue
+		}
+		f := t.a[i][enter]
+		if f == 0 {
+			continue
+		}
+		ri := t.a[i]
+		for j := range ri {
+			ri[j] -= f * row[j]
+		}
+		t.b[i] -= f * t.b[leave]
+		if math.Abs(t.b[i]) < eps {
+			t.b[i] = 0
+		}
+	}
+	t.basis[leave] = enter
+}
+
+// randomLP draws an LP from seed: up to 8 variables and 12 rows of
+// mixed LE/GE/EQ senses, sparse coefficients (often small integers, so
+// ties and degenerate pivots are common), right-hand sides of either
+// sign, redundant copies of equality rows, and, when box is odd, x ≤ 10
+// on every variable. Three rows in four hold at a random integer point,
+// so many draws are feasible.
+func randomLP(seed uint64, vars, rows, box uint8) *Problem {
+	r := stats.NewRNG(seed)
+	n, m := 1+int(vars)%8, 1+int(rows)%12
+	coef := func() float64 {
+		switch r.Intn(4) {
+		case 0:
+			return 0
+		case 1:
+			return r.NormMS(0, 2)
+		default:
+			return float64(r.IntRange(-3, 3))
+		}
+	}
+	p := &Problem{C: make([]float64, n)}
+	x0 := make([]float64, n)
+	for j := range p.C {
+		p.C[j] = coef()
+		x0[j] = float64(r.Intn(4))
+	}
+	addRow := func(row []float64, s Sense, rhs float64) {
+		p.A = append(p.A, row)
+		p.Senses = append(p.Senses, s)
+		p.B = append(p.B, rhs)
+	}
+	for i := 0; i < m; i++ {
+		row := make([]float64, n)
+		for j := range row {
+			row[j] = coef()
+		}
+		s := Sense(r.Intn(3))
+		lhs := 0.0
+		for j, v := range row {
+			lhs += v * x0[j]
+		}
+		var rhs float64
+		switch {
+		case r.Intn(4) == 0:
+			rhs = r.NormMS(1, 3) // may make the LP infeasible
+		case s == LE:
+			rhs = lhs + float64(r.Intn(3))
+		case s == GE:
+			rhs = lhs - float64(r.Intn(3))
+		default:
+			rhs = lhs
+		}
+		addRow(row, s, rhs)
+		if s == EQ && r.Intn(2) == 0 {
+			// A redundant copy, scaled by -1 or 2.
+			k := []float64{-1, 2}[r.Intn(2)]
+			dup := make([]float64, n)
+			for j, v := range row {
+				dup[j] = k * v
+			}
+			addRow(dup, EQ, k*rhs)
+		}
+	}
+	if box%2 == 1 {
+		for j := 0; j < n; j++ {
+			row := make([]float64, n)
+			row[j] = 1
+			addRow(row, LE, 10)
+		}
+	}
+	return p
+}
+
+// FuzzSolveMatchesDense checks Solve against the dense reference
+// (solveDense) bit for bit on random LPs (randomLP): the same Status
+// and, when optimal, the same Objective and X by math.Float64bits.
+func FuzzSolveMatchesDense(f *testing.F) {
+	f.Add(uint64(1), uint8(3), uint8(4), uint8(1))
+	f.Add(uint64(2), uint8(6), uint8(9), uint8(0))
+	f.Add(uint64(3), uint8(2), uint8(7), uint8(3))
+	f.Add(uint64(42), uint8(8), uint8(12), uint8(5))
+	f.Add(uint64(7), uint8(1), uint8(1), uint8(2))
+	f.Fuzz(func(t *testing.T, seed uint64, vars, rows, box uint8) {
+		p := randomLP(seed, vars, rows, box)
+		got, err := Solve(p, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := solveDense(p)
+		same := got.Status == want.Status && len(got.X) == len(want.X) &&
+			math.Float64bits(got.Objective) == math.Float64bits(want.Objective)
+		for j := range got.X {
+			same = same && math.Float64bits(got.X[j]) == math.Float64bits(want.X[j])
+		}
+		if !same {
+			t.Fatalf("problem %+v:\nSolve %v %v %v\ndense %v %v %v",
+				p, got.Status, got.Objective, got.X, want.Status, want.Objective, want.X)
+		}
+	})
+}

@@ -63,14 +63,16 @@ func (r *RNG) Norm() float64 {
 }
 
 // NormMS returns a normal draw with the given mean and standard deviation.
+// NormMS and LogNormal convert the scaled draw before adding, so no
+// architecture fuses a multiply-add and every platform draws the same.
 func (r *RNG) NormMS(mean, std float64) float64 {
-	return mean + std*r.Norm()
+	return mean + float64(std*r.Norm())
 }
 
 // LogNormal returns a draw from the log-normal distribution whose
 // underlying normal has parameters mu and sigma.
 func (r *RNG) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(mu + sigma*r.Norm())
+	return math.Exp(mu + float64(sigma*r.Norm()))
 }
 
 // Exp returns an exponentially distributed value with the given rate.

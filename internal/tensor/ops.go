@@ -44,7 +44,8 @@ func LogSoftmaxRow(xs []float32, target int) float64 {
 
 // LayerNorm normalizes each row of m to zero mean and unit variance, then
 // applies the learned gain and bias. eps guards the variance. It panics
-// if gain/bias lengths do not match m.Cols.
+// if gain/bias lengths do not match m.Cols. Products are converted before
+// they are added, so no architecture fuses a multiply-add.
 func LayerNorm(m *Matrix, gain, bias []float32, eps float32) {
 	if len(gain) != m.Cols || len(bias) != m.Cols {
 		panic("tensor: LayerNorm parameter length mismatch")
@@ -59,23 +60,24 @@ func LayerNorm(m *Matrix, gain, bias []float32, eps float32) {
 		var varr float64
 		for _, v := range row {
 			d := float64(v) - mean
-			varr += d * d
+			varr += float64(d * d)
 		}
 		varr /= float64(len(row))
 		inv := float32(1 / math.Sqrt(varr+float64(eps)))
 		for c, v := range row {
-			row[c] = (v-float32(mean))*inv*gain[c] + bias[c]
+			row[c] = float32((v-float32(mean))*inv*gain[c]) + bias[c]
 		}
 	}
 }
 
 // GELU applies the tanh-approximated Gaussian error linear unit to m in
-// place, matching the activation used by OPT/BLOOM MLP blocks.
+// place, matching the activation used by OPT/BLOOM MLP blocks. The cubic
+// term is converted before it is added, so no architecture fuses it.
 func GELU(m *Matrix) {
 	const c0 = 0.7978845608028654 // sqrt(2/pi)
 	for i, v := range m.Data {
 		x := float64(v)
-		m.Data[i] = float32(0.5 * x * (1 + math.Tanh(c0*(x+0.044715*x*x*x))))
+		m.Data[i] = float32(0.5 * x * (1 + math.Tanh(c0*(x+float64(0.044715*x*x*x)))))
 	}
 }
 

@@ -143,7 +143,8 @@ func appendRows(c, x *tensor.Matrix) *tensor.Matrix {
 // probabilities by v: a masked key's probability is exactly zero, it
 // adds exactly zero to the softmax sum, and the p·v product skips zero
 // probabilities. Every sum runs in the order tensor.MatMulTransB and
-// tensor.MatMul use.
+// tensor.MatMul use, and each product is converted to float32 before it
+// is added, so no architecture fuses a multiply-add.
 func (m *Model) attention(q, k, v *tensor.Matrix, offset int) *tensor.Matrix {
 	hidden := m.Cfg.Hidden
 	d := hidden / m.Cfg.Heads
@@ -159,7 +160,7 @@ func (m *Model) attention(q, k, v *tensor.Matrix, offset int) *tensor.Matrix {
 				kh := k.Data[j*hidden+lo:][:len(qh)]
 				var s float32
 				for c, qv := range qh {
-					s += qv * kh[c]
+					s += float32(qv * kh[c])
 				}
 				p[j] = s * scale
 			}
@@ -171,7 +172,7 @@ func (m *Model) attention(q, k, v *tensor.Matrix, offset int) *tensor.Matrix {
 				}
 				vh := v.Data[j*hidden+lo:][:len(oh)]
 				for c := range oh {
-					oh[c] += pj * vh[c]
+					oh[c] += float32(pj * vh[c])
 				}
 			}
 		}

@@ -78,7 +78,8 @@ type Model struct {
 // New synthesizes a model with the given seed. Weight scales follow
 // standard transformer initialization (≈1/√hidden, output projections
 // damped by 1/√(2L)) so the forward pass is numerically stable at any
-// depth.
+// depth. The outlier scale's product is converted before it is added, so
+// no architecture fuses a multiply-add into the weights.
 func New(cfg Config, seed uint64) (*Model, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -102,7 +103,7 @@ func New(cfg Config, seed uint64) (*Model, error) {
 		if cfg.Layers > 1 {
 			frac = float64(i) / float64(cfg.Layers-1)
 		}
-		outlier := 1 + depthScale*frac
+		outlier := 1 + float64(depthScale*frac)
 		b := &Block{
 			LN1Gain: ones(h), LN1Bias: zeros(h),
 			LN2Gain: ones(h), LN2Bias: zeros(h),
