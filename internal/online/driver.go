@@ -52,7 +52,8 @@ func (e *Engine) SubmitAll(specs []RequestSpec) []string {
 // a live daemon — not the entire remaining trace, as SubmitAll does.
 // Specs must be sorted by ArrivalSeconds (Arrivals emits them sorted).
 // It returns the final metrics after the engine drains; rejected
-// submissions surface in Metrics.Rejected.
+// submissions surface in Metrics.Rejected. Each iteration holds the
+// engine lock once, so Status and List interleave with a replay.
 func (e *Engine) Replay(specs []RequestSpec, window int) Metrics {
 	if window <= 0 {
 		window = e.cfg.MaxPrefillBatch
@@ -60,41 +61,47 @@ func (e *Engine) Replay(specs []RequestSpec, window int) Metrics {
 	if window > e.cfg.QueueCapacity/2 && e.cfg.QueueCapacity >= 2 {
 		window = e.cfg.QueueCapacity / 2
 	}
-	i := 0
-	for {
-		clock := e.Clock()
-		// Arrivals that are due get submitted unconditionally: the
-		// engine admits or sheds them exactly as a live daemon would.
-		for i < len(specs) && specs[i].ArrivalSeconds <= clock {
-			e.Submit(specs[i])
-			i++
-		}
-		// Pre-stage a bounded look-ahead of future arrivals — enough
-		// that clock jumps land on them, never enough to make admission
-		// control shed load that has not arrived yet.
-		for i < len(specs) && e.futureRoom(window) {
-			e.Submit(specs[i])
-			i++
-		}
-		if !e.Step() {
-			if i >= len(specs) {
-				break
-			}
-			// Idle with trace left: feed the next arrival so the clock
-			// can jump to it.
-			e.Submit(specs[i])
-			i++
-		}
+	for i, more := 0, true; more; {
+		i, more = e.replayStep(specs, i, window)
 	}
 	return e.Metrics()
 }
 
-// futureRoom reports whether another future arrival can be pre-staged:
-// fewer than window arrivals already in flight and admission-control
-// headroom to spare.
-func (e *Engine) futureRoom(window int) bool {
+// replayStep runs one Replay iteration under the engine lock from
+// specs[i:]: submit, step, and report the next unsubmitted spec and
+// whether anything is left to do.
+func (e *Engine) replayStep(specs []RequestSpec, i, window int) (int, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	// Arrivals that are due get submitted unconditionally: the engine
+	// admits or sheds them exactly as a live daemon would.
+	for i < len(specs) && specs[i].ArrivalSeconds <= e.clock {
+		e.submitLocked(specs[i])
+		i++
+	}
+	// Pre-stage a bounded look-ahead of future arrivals — enough that
+	// clock jumps land on them, never enough to make admission control
+	// shed load that has not arrived yet.
+	for i < len(specs) && e.futureRoomLocked(window) {
+		e.submitLocked(specs[i])
+		i++
+	}
+	if e.stepLocked() {
+		return i, true
+	}
+	if i >= len(specs) {
+		return i, false
+	}
+	// Idle with trace left: feed the next arrival so the clock can jump
+	// to it.
+	e.submitLocked(specs[i])
+	return i + 1, true
+}
+
+// futureRoomLocked reports whether another future arrival can be
+// pre-staged: fewer than window arrivals already in flight and
+// admission-control headroom to spare.
+func (e *Engine) futureRoomLocked(window int) bool {
 	return len(e.pending) < window && len(e.pending)+len(e.waiting) < e.cfg.QueueCapacity
 }
 

@@ -17,9 +17,12 @@
 package online
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"sync"
 
 	"repro/internal/cluster"
@@ -206,14 +209,16 @@ type Engine struct {
 	prefilling []*request
 	prefillEnd float64
 	inHandoff  []*request
+	ready      []*request // Step's scratch for handoffs due at the clock
 	batch      []*request
 	kvInUse    int64
 	byID       map[string]*request
-	watch      chan struct{}
+	watch      chan struct{} // nil while no one watches
 
 	kvBudget     int64
 	decodePlan   *plan.Plan
 	decodeClu    *cluster.Cluster
+	stepper      *pipeline.DecodeStepper // prices decode steps on decodePlan
 	disagg       bool
 	prefillCache map[[2]int]float64
 	replayCache  map[int]float64
@@ -252,7 +257,6 @@ func New(cfg Config) (*Engine, error) {
 		cfg:          c,
 		tr:           c.Tracer,
 		byID:         map[string]*request{},
-		watch:        make(chan struct{}),
 		decodePlan:   c.DecodePlan,
 		decodeClu:    c.DecodeCluster,
 		disagg:       c.DecodePlan != nil,
@@ -266,7 +270,11 @@ func New(cfg Config) (*Engine, error) {
 		e.decodePlan = c.PrefillPlan
 		e.decodeClu = c.PrefillCluster
 	}
+	if err := e.decodePlan.Validate(c.Spec.Layers); err != nil {
+		return nil, fmt.Errorf("online: decode plan: %w", err)
+	}
 	e.kvBudget = pipeline.KVBudget(e.decodePlan, c.Spec)
+	e.stepper = pipeline.NewDecodeStepper(e.decodePlan, c.Spec, e.decodeClu)
 	return e, nil
 }
 
@@ -291,16 +299,24 @@ func (e *Engine) PoolDevices() (prefill, decode int) {
 	return prefill, decode
 }
 
-// Watch returns a channel closed at the next engine state change.
+// Watch returns a channel closed at the next engine state change. The
+// channel exists only while someone watches: Watch makes it, and the
+// next change closes it and drops it, so an engine no one watches
+// makes and closes none.
 func (e *Engine) Watch() <-chan struct{} {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	if e.watch == nil {
+		e.watch = make(chan struct{})
+	}
 	return e.watch
 }
 
 func (e *Engine) notifyLocked() {
-	close(e.watch)
-	e.watch = make(chan struct{})
+	if e.watch != nil {
+		close(e.watch)
+		e.watch = nil
+	}
 }
 
 // Submit enqueues a request and returns its id. It fails with
@@ -309,6 +325,10 @@ func (e *Engine) notifyLocked() {
 func (e *Engine) Submit(spec RequestSpec) (string, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	return e.submitLocked(spec)
+}
+
+func (e *Engine) submitLocked(spec RequestSpec) (string, error) {
 	if spec.PromptLen <= 0 || spec.MaxTokens < 1 {
 		e.rejected++
 		return "", fmt.Errorf("%w: need prompt_len ≥ 1 and max_tokens ≥ 1 (got %d, %d)",
@@ -325,7 +345,7 @@ func (e *Engine) Submit(spec RequestSpec) (string, error) {
 	}
 	e.seq++
 	if spec.ID == "" {
-		spec.ID = fmt.Sprintf("r%d", e.seq)
+		spec.ID = "r" + strconv.FormatInt(e.seq, 10)
 	}
 	if _, dup := e.byID[spec.ID]; dup {
 		e.rejected++
@@ -345,8 +365,10 @@ func (e *Engine) Submit(spec RequestSpec) (string, error) {
 	if arrival <= e.clock {
 		e.waiting = append(e.waiting, r)
 	} else {
-		e.pending = append(e.pending, r)
-		sort.SliceStable(e.pending, func(i, j int) bool { return e.pending[i].arrival < e.pending[j].arrival })
+		// After every pending arrival at or before this one: the order
+		// a stable sort by arrival gives.
+		k := sort.Search(len(e.pending), func(i int) bool { return e.pending[i].arrival > arrival })
+		e.pending = slices.Insert(e.pending, k, r)
 	}
 	e.notifyLocked()
 	return spec.ID, nil
@@ -463,17 +485,17 @@ func (e *Engine) finishLocked(r *request, st State, t float64) {
 }
 
 // byAdmission orders requests for scheduling: priority desc, then
-// arrival, then submission order.
+// arrival, then submission order. Submission order is unique, so the
+// order is total and an unstable sort gives the stable one.
 func byAdmission(rs []*request) {
-	sort.SliceStable(rs, func(i, j int) bool {
-		a, b := rs[i], rs[j]
-		if a.spec.Priority != b.spec.Priority {
-			return a.spec.Priority > b.spec.Priority
+	slices.SortFunc(rs, func(a, b *request) int {
+		if c := cmp.Compare(b.spec.Priority, a.spec.Priority); c != 0 {
+			return c
 		}
-		if a.arrival != b.arrival {
-			return a.arrival < b.arrival
+		if c := cmp.Compare(a.arrival, b.arrival); c != 0 {
+			return c
 		}
-		return a.seq < b.seq
+		return cmp.Compare(a.seq, b.seq)
 	})
 }
 
@@ -547,6 +569,10 @@ func (e *Engine) handoffLocked(r *request) (float64, string) {
 func (e *Engine) Step() bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	return e.stepLocked()
+}
+
+func (e *Engine) stepLocked() bool {
 	defer e.notifyLocked()
 
 	// 1. Promote arrivals due at or before the clock.
@@ -560,7 +586,9 @@ func (e *Engine) Step() bool {
 	// straight to decode-eligible (colocated).
 	if len(e.prefilling) > 0 && e.clock >= e.prefillEnd-1e-12 {
 		for _, r := range e.prefilling {
-			r.tokens = append(r.tokens, e.prefillEnd)
+			// Room for every token time, so decode steps append
+			// without growing the slice.
+			r.tokens = append(make([]float64, 0, r.spec.MaxTokens), e.prefillEnd)
 			e.ttftS.Add(e.prefillEnd - r.arrival)
 			switch {
 			case r.cancel:
@@ -583,7 +611,8 @@ func (e *Engine) Step() bool {
 				e.inHandoff = append(e.inHandoff, r)
 			}
 		}
-		e.prefilling = nil
+		clear(e.prefilling)
+		e.prefilling = e.prefilling[:0]
 	}
 
 	// 3. Start a prefill group if the prefill pool is idle: highest
@@ -592,7 +621,7 @@ func (e *Engine) Step() bool {
 	if len(e.prefilling) == 0 && len(e.waiting) > 0 {
 		byAdmission(e.waiting)
 		keep := e.waiting[:0]
-		var group []*request
+		group := e.prefilling[:0]
 		for _, r := range e.waiting {
 			switch {
 			case r.cancel:
@@ -606,7 +635,8 @@ func (e *Engine) Step() bool {
 				keep = append(keep, r)
 			}
 		}
-		e.waiting = append([]*request(nil), keep...)
+		clear(e.waiting[len(keep):])
+		e.waiting = keep
 		if len(group) > 0 {
 			maxChunks := 1
 			for _, r := range group {
@@ -620,6 +650,7 @@ func (e *Engine) Step() bool {
 					r.errMsg = err.Error()
 					e.finishLocked(r, StateExpired, e.clock)
 				}
+				clear(group)
 			} else {
 				for _, r := range group {
 					r.state = StatePrefilling
@@ -643,16 +674,17 @@ func (e *Engine) Step() bool {
 
 	// 4–5. Admit handoff-complete requests into the decode batch within
 	// the KV budget and batch cap.
-	var ready, stillMoving []*request
+	ready, moving := e.ready[:0], e.inHandoff[:0]
 	for _, r := range e.inHandoff {
 		if r.readyAt <= e.clock+1e-12 {
 			ready = append(ready, r)
 		} else {
-			stillMoving = append(stillMoving, r)
+			moving = append(moving, r)
 		}
 	}
+	clear(e.inHandoff[len(moving):])
+	e.inHandoff = moving
 	byAdmission(ready)
-	e.inHandoff = stillMoving
 	for _, r := range ready {
 		switch {
 		case r.cancel:
@@ -673,6 +705,8 @@ func (e *Engine) Step() bool {
 			e.inHandoff = append(e.inHandoff, r)
 		}
 	}
+	clear(ready)
+	e.ready = ready[:0]
 
 	// 6. Evict at the boundary: cancellations and missed deadlines.
 	if len(e.batch) > 0 {
@@ -705,7 +739,7 @@ func (e *Engine) Step() bool {
 				ctx = c
 			}
 		}
-		step := pipeline.DecodeStepLatency(e.decodePlan, e.cfg.Spec, e.decodeClu, len(e.batch), ctx)
+		step := e.stepper.Latency(len(e.batch), ctx)
 		if e.tr != nil {
 			e.tr.Span("decode", "step", e.clock, step, map[string]any{"batch": len(e.batch), "ctx": ctx})
 		}

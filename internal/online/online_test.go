@@ -40,7 +40,7 @@ func colocatedConfig(t *testing.T) Config {
 
 // disaggConfig plans split pools on the heterogeneous cluster 2
 // (A100 prefills, V100s decode).
-func disaggConfig(t *testing.T, handoffBW float64) Config {
+func disaggConfig(t testing.TB, handoffBW float64) Config {
 	t.Helper()
 	spec := model.OPT13B
 	clu := cluster.MustPreset(2)

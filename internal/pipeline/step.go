@@ -184,7 +184,9 @@ func decodeStep(mu int, mbReady, stageFree, busy, work, link []float64, lm float
 // serially busy, transfers overlapped) and the master's LM head samples
 // each micro-batch. It is Simulate's decode step (decodeStep) starting
 // from an idle pipeline — the state a continuous batcher is in at every
-// step boundary.
+// step boundary. It is the one-shot price: it builds nothing to keep,
+// which for one call is faster than building curves to evaluate once.
+// A caller that prices many steps on one plan uses a DecodeStepper.
 func DecodeStepLatency(p *plan.Plan, spec *model.Spec, clu *cluster.Cluster, v, ctx int) float64 {
 	if v <= 0 || len(p.Stages) == 0 {
 		return 0
@@ -203,6 +205,55 @@ func DecodeStepLatency(p *plan.Plan, spec *model.Spec, clu *cluster.Cluster, v, 
 	decodeStageWork(work, p, spec, xi, ctx)
 	linkTimes(link, p, clu, spec.ActivationTransferBytes(xi, 1))
 	return decodeStep(ceilDiv(v, xi), nil, stageFree, nil, work, link, devLMHead(p.Stages[0].Device, spec, xi))
+}
+
+// DecodeStepper prices many decode steps on one plan: what
+// DecodeStepLatency re-derives on every call — each stage's curve per
+// distinct bit, the link times and the LM head — it keeps per
+// micro-batch size ξ, built on first use. A step then evaluates the
+// curves at its context and runs decodeStep, and equals
+// DecodeStepLatency bit for bit. A stepper is not safe for concurrent
+// use.
+type DecodeStepper struct {
+	p      *plan.Plan
+	spec   *model.Spec
+	clu    *cluster.Cluster
+	shapes []*stepShape // shapes[ξ-1], nil until first used
+}
+
+// stepShape is what a decode step of micro-batches of ξ requests costs
+// apart from its context: the stage curves, the links and the LM head.
+type stepShape struct {
+	dec  decodeCurves
+	link []float64
+	lm   float64
+}
+
+// NewDecodeStepper returns a stepper for p, which must pass
+// plan.Validate and must not change while the stepper is in use.
+func NewDecodeStepper(p *plan.Plan, spec *model.Spec, clu *cluster.Cluster) *DecodeStepper {
+	return &DecodeStepper{p: p, spec: spec, clu: clu, shapes: make([]*stepShape, max(p.DecodeMicroBatch, 1))}
+}
+
+// Latency returns DecodeStepLatency(p, spec, clu, v, ctx).
+func (s *DecodeStepper) Latency(v, ctx int) float64 {
+	n := len(s.p.Stages)
+	if v <= 0 || n == 0 {
+		return 0
+	}
+	xi := max(min(s.p.DecodeMicroBatch, v), 1)
+	sh := s.shapes[xi-1]
+	if sh == nil {
+		sh = &stepShape{link: make([]float64, n), lm: devLMHead(s.p.Stages[0].Device, s.spec, xi)}
+		sh.dec = newDecodeCurves(nil, make([]int, n), s.p, s.spec, xi)
+		linkTimes(sh.link, s.p, s.clu, s.spec.ActivationTransferBytes(xi, 1))
+		s.shapes[xi-1] = sh
+	}
+	var buf [2 * stackStages]float64
+	sc := scratch(buf[:], 2*n)
+	work, stageFree := sc[:n], sc[n:]
+	sh.dec.work(work, ctx)
+	return decodeStep(ceilDiv(v, xi), nil, stageFree, nil, work, sh.link, sh.lm)
 }
 
 // KVBudget returns the per-layer KV byte budget of the plan's tightest

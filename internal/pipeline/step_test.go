@@ -87,7 +87,10 @@ func fuzzMeshes() []fuzzMesh {
 // FuzzDecodeStep checks DecodeStepLatency against decodeStepRef bit for
 // bit over random plans: mixed bits {3,4,8,16}, KV at 8 or 16 bits,
 // ragged layer splits, v below ξ, ragged micro-batch counts, and context
-// lengths at their edges.
+// lengths at their edges. On the same plan it runs one DecodeStepper
+// through a sequence of steps whose batch sizes move across ξ, so its
+// shapes are built lazily and reused in any order, and checks every
+// step against DecodeStepLatency bit for bit.
 func FuzzDecodeStep(f *testing.F) {
 	f.Add(uint8(0), uint64(1), uint8(8), 32, 512, false)
 	f.Add(uint8(3), uint64(7), uint8(5), 32, 1, true)
@@ -96,6 +99,12 @@ func FuzzDecodeStep(f *testing.F) {
 	f.Add(uint8(5), uint64(3), uint8(3), 0, 2048, true)
 	f.Add(uint8(14), uint64(11), uint8(2), 9, 300, false)
 	meshes := fuzzMeshes()
+	// The 12-stage chain, which takes the stepper's heap scratch, at
+	// several ξ.
+	long := uint8(len(meshes) - 1)
+	f.Add(long, uint64(5), uint8(4), 13, 700, false)
+	f.Add(long, uint64(8), uint8(16), 40, 65, true)
+	f.Add(long, uint64(21), uint8(1), 3, 1500, false)
 	specs := []*model.Spec{model.OPT13B, model.Llama70B}
 	f.Fuzz(func(t *testing.T, mesh uint8, bitSeed uint64, xi uint8, v, ctx int, kv8 bool) {
 		if v > 1024 || ctx < -1 || ctx > 1<<16 {
@@ -131,6 +140,18 @@ func FuzzDecodeStep(f *testing.F) {
 		want := decodeStepRef(p, spec, m.clu, v, ctx)
 		if math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("%s v=%d ctx=%d ξ=%d: DecodeStepLatency = %v, reference %v", p, v, ctx, xi, got, want)
+		}
+		s := NewDecodeStepper(p, spec, m.clu)
+		for k := 0; k < 12; k++ {
+			sv, sctx := v, ctx
+			if k > 0 {
+				sv = int(next(uint64(2*int(xi) + 3)))
+				sctx = int(next(uint64(max(ctx, 0) + 64)))
+			}
+			got, want := s.Latency(sv, sctx), DecodeStepLatency(p, spec, m.clu, sv, sctx)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s step %d v=%d ctx=%d ξ=%d: DecodeStepper = %v, DecodeStepLatency %v", p, k, sv, sctx, xi, got, want)
+			}
 		}
 	})
 }
@@ -178,13 +199,21 @@ func cyclePlan(spec *model.Spec, clu *cluster.Cluster, n, xi int) *plan.Plan {
 }
 
 // TestDecodeStepLatencyAllocs pins DecodeStepLatency's scratch on the
-// stack for plans of up to stackStages stages.
+// stack for plans of up to stackStages stages, and a DecodeStepper's
+// steps to no allocation once its shapes are built.
 func TestDecodeStepLatencyAllocs(t *testing.T) {
 	clu := cluster.MustPreset(7)
 	for n := 1; n <= stackStages; n++ {
 		p := cyclePlan(model.OPT13B, clu, n, 4)
 		if a := testing.AllocsPerRun(100, func() { DecodeStepLatency(p, model.OPT13B, clu, 30, 700) }); a != 0 {
 			t.Errorf("%d stages: %v allocations per call, want 0", n, a)
+		}
+		s := NewDecodeStepper(p, model.OPT13B, clu)
+		for v := 1; v <= 4; v++ {
+			s.Latency(v, 1)
+		}
+		if a := testing.AllocsPerRun(100, func() { s.Latency(30, 700); s.Latency(3, 700) }); a != 0 {
+			t.Errorf("%d stages: %v allocations per two stepper calls, want 0", n, a)
 		}
 	}
 }
@@ -231,6 +260,17 @@ func BenchmarkDecodeStepLatency(b *testing.B) {
 				for _, v := range []int{1, 8, 16, 32} {
 					for _, ctx := range []int{128, 512, 1024, 2048} {
 						stepSink = DecodeStepLatency(bc.p, model.OPT13B, bc.clu, v, ctx)
+					}
+				}
+			}
+		})
+		b.Run(bc.name+"/stepper", func(b *testing.B) {
+			s := NewDecodeStepper(bc.p, model.OPT13B, bc.clu)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, v := range []int{1, 8, 16, 32} {
+					for _, ctx := range []int{128, 512, 1024, 2048} {
+						stepSink = s.Latency(v, ctx)
 					}
 				}
 			}
