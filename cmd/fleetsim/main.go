@@ -286,12 +286,16 @@ func capacityLoop(ctx context.Context, trace *fleet.Trace, faultSeed uint64, pea
 		simWait[seg] = append(simWait[seg], v.QueueWait)
 		simTTFT[seg] = append(simTTFT[seg], v.TTFT)
 	}
+	prices, err := online.NewPrices(rec.Config)
+	if err != nil {
+		return err
+	}
 	stations := make([]*capacity.PrefillStation, capSegments)
 	weights := make([]float64, capSegments)
 	fmt.Printf("%-6s %8s %6s %22s %22s %6s\n", "hour", "rate", "rho", "wait p95 (ana/sim)", "ttft p95 (ana/sim)", "n")
 	for h := 0; h < capSegments; h++ {
 		rate := diurnalRate(h, peak)
-		st, err := capacity.SolvePrefill(rec.Config, ws, rate)
+		st, err := capacity.SolvePrefill(prices, ws, rate)
 		if err != nil {
 			return err
 		}

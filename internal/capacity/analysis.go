@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"repro/internal/online"
-	"repro/internal/pipeline"
 	"repro/internal/workload"
 )
 
@@ -53,25 +52,25 @@ func (a *Analysis) SLOk() bool { return len(a.Violations) == 0 }
 // Analyze predicts queue-wait/TTFT/TBT percentiles and per-pool
 // utilization for an engine configuration serving Poisson arrivals at
 // rate req/s drawn from profile, and checks them against the SLO. It
-// uses exactly the pipeline-simulator calls the engine makes, so the
-// prediction and the simulation share one cost model and differ only
-// by queueing dynamics.
+// builds the configuration's online.Prices, the price book the engine
+// charges from, so the prediction and the simulation share one cost
+// model and differ only by queueing dynamics.
 func Analyze(cfg online.Config, profile *workload.Profile, rate float64, slo SLO) (*Analysis, error) {
-	cfg, err := cfg.WithDefaults()
+	p, err := online.NewPrices(cfg)
 	if err != nil {
 		return nil, err
 	}
-	ws, err := AnalyzeWorkload(profile, cfg.ChunkLen)
+	ws, err := AnalyzeWorkload(profile, p.Config().ChunkLen)
 	if err != nil {
 		return nil, err
 	}
 	slo = slo.withDefaults()
 
-	pre, err := SolvePrefill(cfg, ws, rate)
+	pre, err := SolvePrefill(p, ws, rate)
 	if err != nil {
 		return nil, err
 	}
-	dec, err := solveDecode(cfg, ws, profile, rate)
+	dec, err := solveDecode(p, ws, profile, rate)
 	if err != nil {
 		return nil, err
 	}
@@ -100,25 +99,19 @@ func Analyze(cfg online.Config, profile *workload.Profile, rate float64, slo SLO
 	return a, nil
 }
 
-// solveDecode builds the decode-pool model from a defaulted config. In
-// colocated configs the prefill plan decodes too and there is no
-// handoff.
-func solveDecode(cfg online.Config, ws *WorkloadStats, profile *workload.Profile, rate float64) (*DecodePool, error) {
-	plan, clu := cfg.DecodePlan, cfg.DecodeCluster
-	disagg := plan != nil
-	if !disagg {
-		plan, clu = cfg.PrefillPlan, cfg.PrefillCluster
-	}
-
+// solveDecode builds the decode-pool model on the price book's decode
+// plan. In colocated configs the prefill plan decodes too and there is
+// no handoff.
+func solveDecode(p *online.Prices, ws *WorkloadStats, profile *workload.Profile, rate float64) (*DecodePool, error) {
 	// Mean per-request KV footprint on the decode plan bounds admission.
 	var kvMean float64
 	for _, r := range profile.Requests {
-		kvMean += float64(pipeline.RequestKVBytes(plan, cfg.Spec, r.PromptLen, r.OutputLen))
+		kvMean += float64(p.RequestKV(r.PromptLen, r.OutputLen))
 	}
 	kvMean /= float64(len(profile.Requests))
-	d := &DecodePool{Cap: cfg.MaxBatch}
+	d := &DecodePool{Cap: p.Config().MaxBatch}
 	if kvMean > 0 {
-		if byKV := int(float64(pipeline.KVBudget(plan, cfg.Spec)) / kvMean); byKV < d.Cap {
+		if byKV := int(float64(p.KVBudget()) / kvMean); byKV < d.Cap {
 			d.Cap = byKV
 		}
 	}
@@ -139,7 +132,7 @@ func solveDecode(cfg online.Config, ws *WorkloadStats, profile *workload.Profile
 			v = d.Cap
 		}
 		if stepAt[v] == 0 {
-			stepAt[v] = pipeline.DecodeStepLatency(plan, cfg.Spec, clu, v, ws.BatchMaxCtx(v))
+			stepAt[v] = p.DecodeStep(v, ws.BatchMaxCtx(v))
 		}
 		return stepAt[v]
 	}
@@ -190,8 +183,8 @@ func solveDecode(cfg online.Config, ws *WorkloadStats, profile *workload.Profile
 		d.StepSeconds = step(int(math.Ceil(v)))
 	}
 
-	if disagg {
-		d.MeanHandoff = meanHandoff(cfg, ws, profile)
+	if p.Disaggregated() {
+		d.MeanHandoff = meanHandoff(p, profile)
 		d.TBT = d.StepSeconds + d.MeanHandoff/ws.MeanDecodeSteps
 	} else {
 		d.TBT = d.StepSeconds
@@ -199,37 +192,13 @@ func solveDecode(cfg online.Config, ws *WorkloadStats, profile *workload.Profile
 	return d, nil
 }
 
-// meanHandoff prices the average prefill→decode migration the way the
-// engine does: per request, the cheaper of shipping the prompt's KV
-// bytes over the fabric and replaying the token log on the decode pool.
-func meanHandoff(cfg online.Config, ws *WorkloadStats, profile *workload.Profile) float64 {
-	chunkLen := ws.ChunkLen
-	replayCache := map[int]float64{}
-	replay := func(chunks, reserve int) float64 {
-		if v, ok := replayCache[chunks]; ok {
-			return v
-		}
-		b := workload.Batch{Size: 1, ChunkLen: chunkLen, Chunks: chunks, GenTokens: 1, ReserveTokens: reserve}
-		res, err := pipeline.Simulate(cfg.DecodePlan, cfg.Spec, cfg.DecodeCluster, b)
-		if err != nil {
-			return math.Inf(1)
-		}
-		replayCache[chunks] = res.TotalSeconds
-		return res.TotalSeconds
-	}
+// meanHandoff is the average prefill→decode migration delay the
+// engine charges a request of profile.
+func meanHandoff(p *online.Prices, profile *workload.Profile) float64 {
 	var sum float64
 	for _, r := range profile.Requests {
-		chunks := (r.PromptLen + chunkLen - 1) / chunkLen
-		if chunks < 1 {
-			chunks = 1
-		}
-		cost := replay(chunks, r.OutputLen)
-		if tr, ok := cfg.TransferSeconds(r.PromptLen); ok && tr < cost {
-			cost = tr
-		}
-		if !math.IsInf(cost, 1) {
-			sum += cost
-		}
+		delay, _ := p.Handoff(r.PromptLen, r.OutputLen)
+		sum += delay
 	}
 	return sum / float64(len(profile.Requests))
 }

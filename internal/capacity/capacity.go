@@ -1,7 +1,7 @@
 // Package capacity is the queueing-grounded fleet planner behind the
 // serving tiers: it models each pool of a disaggregated deployment as a
-// queueing station whose service-time distribution comes from the very
-// same pipeline-simulator calls the online engine makes, predicts
+// queueing station whose service times are the online engine's own
+// prices (online.Prices), predicts
 // queue-wait/TTFT/TBT percentiles and utilization analytically, and
 // searches fleet compositions for the cheapest one that meets an SLO.
 //
@@ -29,6 +29,7 @@ import (
 	"slices"
 	"sort"
 
+	"repro/internal/online"
 	"repro/internal/workload"
 )
 
@@ -96,11 +97,7 @@ func AnalyzeWorkload(p *workload.Profile, chunkLen int) (*WorkloadStats, error) 
 	ws := &WorkloadStats{ChunkLen: chunkLen}
 	counts := map[int]int{}
 	for _, r := range p.Requests {
-		c := (r.PromptLen + chunkLen - 1) / chunkLen
-		if c < 1 {
-			c = 1
-		}
-		counts[c]++
+		counts[online.ChunkCount(r.PromptLen, chunkLen)]++
 		ws.MeanPrompt += float64(r.PromptLen)
 		ws.MeanOutput += float64(r.OutputLen)
 		if r.OutputLen > 1 {

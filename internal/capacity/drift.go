@@ -66,17 +66,17 @@ const minDriftObservations = 16
 // observed arrival rate moves by more than 10% or the observed workload
 // profile grows substantially, so scrapes stay cheap.
 type DriftDetector struct {
-	cfg   online.Config
-	pool  string
-	tol   float64 // |error| ≤ tol → "ok"
-	recal float64 // |error| ≤ recal → "drift", beyond → "recalibrate"
+	prices    *online.Prices // nil when the config is incomplete
+	pricesErr error
+	pool      string
+	tol       float64 // |error| ≤ tol → "ok"
+	recal     float64 // |error| ≤ recal → "drift", beyond → "recalibrate"
 
 	mu       sync.Mutex
 	ws       *WorkloadStats
 	profileN int
 	st       *PrefillStation
 	stRate   float64
-	solveErr string
 	last     *DriftReport
 
 	gauges *driftGauges
@@ -100,10 +100,9 @@ func NewDriftDetector(cfg online.Config, pool string, tol, recal float64) *Drift
 	if recal <= tol {
 		recal = 2 * tol
 	}
-	// An incomplete config keeps its defaults here and reports its
-	// error from SolvePrefill on each Observe.
-	cfg, _ = cfg.WithDefaults()
-	return &DriftDetector{cfg: cfg, pool: pool, tol: tol, recal: recal}
+	// An incomplete config reports its error on each Observe.
+	p, err := online.NewPrices(cfg)
+	return &DriftDetector{prices: p, pricesErr: err, pool: pool, tol: tol, recal: recal}
 }
 
 // Pool returns the detector's pool label.
@@ -202,6 +201,9 @@ func (d *DriftDetector) Observe(views []online.RequestView, m online.Metrics) *D
 // refreshLocked rebuilds the workload stats and re-solves the station
 // when the observations have moved enough to matter.
 func (d *DriftDetector) refreshLocked(views []online.RequestView, rate float64) error {
+	if d.pricesErr != nil {
+		return d.pricesErr
+	}
 	n := 0
 	for i := range views {
 		if views[i].PromptLen > 0 {
@@ -221,7 +223,7 @@ func (d *DriftDetector) refreshLocked(views []online.RequestView, rate float64) 
 			}
 			prof.Requests = append(prof.Requests, workload.Request{PromptLen: v.PromptLen, OutputLen: out})
 		}
-		ws, err := AnalyzeWorkload(prof, d.cfg.ChunkLen)
+		ws, err := AnalyzeWorkload(prof, d.prices.Config().ChunkLen)
 		if err != nil {
 			return err
 		}
@@ -230,7 +232,7 @@ func (d *DriftDetector) refreshLocked(views []online.RequestView, rate float64) 
 		d.st = nil // profile moved: force a re-solve
 	}
 	if d.st == nil || rate > d.stRate*1.1 || rate < d.stRate*0.9 {
-		st, err := SolvePrefill(d.cfg, d.ws, rate)
+		st, err := SolvePrefill(d.prices, d.ws, rate)
 		if err != nil {
 			return err
 		}

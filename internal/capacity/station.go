@@ -5,15 +5,13 @@ import (
 	"math"
 
 	"repro/internal/online"
-	"repro/internal/pipeline"
 	"repro/internal/stats"
-	"repro/internal/workload"
 )
 
 // PrefillStation is the M/G^B/1 model of the engine's prefill pool: one
 // bulk server, group size capped at B, per-group service time drawn
-// from the (group size, max chunk count) table the pipeline simulator
-// prices — exactly the cache the online engine fills at run time.
+// from the (group size, max chunk count) prices of online.Prices — the
+// ones the engine charges at run time.
 type PrefillStation struct {
 	// B is the bulk size (the engine's MaxPrefillBatch).
 	B int
@@ -61,14 +59,14 @@ const chainStates = 512
 const uPhases = 16
 
 // SolvePrefill builds and solves the prefill station for arrival rate
-// lambda using the engine configuration's prefill plan/cluster and the
-// workload's chunk-count distribution. The service-time oracle is
-// pipeline.Simulate with a one-token generation budget — the same call,
-// with the same cache key shape, the engine itself makes.
-func SolvePrefill(cfg online.Config, ws *WorkloadStats, lambda float64) (*PrefillStation, error) {
-	cfg, err := cfg.WithDefaults()
-	if err != nil {
-		return nil, err
+// lambda on the price book's prefill plan and cluster and the
+// workload's chunk-count distribution, which must be drawn at the
+// prices' chunk length. Each (group size, chunk count) service time is
+// the price the engine charges for that prefill group.
+func SolvePrefill(p *online.Prices, ws *WorkloadStats, lambda float64) (*PrefillStation, error) {
+	cfg := p.Config()
+	if ws.ChunkLen != cfg.ChunkLen {
+		return nil, fmt.Errorf("capacity: workload stats at chunk length %d, config at %d", ws.ChunkLen, cfg.ChunkLen)
 	}
 	b := cfg.MaxPrefillBatch
 	st := &PrefillStation{B: b, Lambda: lambda}
@@ -86,12 +84,11 @@ func SolvePrefill(cfg online.Config, ws *WorkloadStats, lambda float64) (*Prefil
 	for g := 1; g <= b; g++ {
 		T[g-1] = make([]float64, nc)
 		for ci, chunks := range ws.ChunkClasses {
-			batch := workload.Batch{Size: g, ChunkLen: ws.ChunkLen, Chunks: chunks, GenTokens: 1, ReserveTokens: 1}
-			res, err := pipeline.Simulate(cfg.PrefillPlan, cfg.Spec, cfg.PrefillCluster, batch)
+			sec, err := p.Prefill(g, chunks)
 			if err != nil {
 				return nil, fmt.Errorf("capacity: prefill service time (g=%d, chunks=%d): %w", g, chunks, err)
 			}
-			T[g-1][ci] = res.TotalSeconds
+			T[g-1][ci] = sec
 		}
 	}
 

@@ -144,10 +144,6 @@ func (r Request) stepTimeout() time.Duration {
 	return time.Duration(r.StepTimeoutSeconds * float64(time.Second))
 }
 
-func (r Request) retryBase() time.Duration {
-	return time.Duration(r.RetryBaseSeconds * float64(time.Second))
-}
-
 // Fleet is the slice of scheduler.FleetState the orchestrator drives:
 // drain is Preempt, re-admit is Restore. *scheduler.FleetState
 // satisfies it.

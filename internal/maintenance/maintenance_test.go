@@ -221,6 +221,31 @@ func TestRetryThenSucceed(t *testing.T) {
 	}
 }
 
+// TestRetryDelaySchedule pins the wait after each failed step attempt
+// at the default base: doubling from 100ms, capped at 16 times the base.
+func TestRetryDelaySchedule(t *testing.T) {
+	r, err := Request{Targets: []Target{{Pool: "pool", Class: string(gpu.V100), Count: 1}}}.withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		attempt int
+		want    time.Duration
+	}{
+		{1, 100 * time.Millisecond},
+		{2, 200 * time.Millisecond},
+		{3, 400 * time.Millisecond},
+		{4, 800 * time.Millisecond},
+		{5, 1600 * time.Millisecond},
+		{6, 1600 * time.Millisecond},
+		{64, 1600 * time.Millisecond},
+	} {
+		if got := r.retryDelay(c.attempt); got != c.want {
+			t.Errorf("retryDelay(%d) = %v, want %v", c.attempt, got, c.want)
+		}
+	}
+}
+
 func TestStepTimeoutBoundsWedgedHook(t *testing.T) {
 	fleet := testFleet("pool", 2)
 	hooks := Hooks{

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/transport"
 )
 
 var opCounter atomic.Uint64
@@ -322,7 +324,7 @@ func (o *Orchestrator) runStep(ctx context.Context, d *domainRun, kind StepKind,
 		}
 		o.tel.retryInc()
 		if attempt < o.req.MaxAttempts {
-			if !sleepCtx(ctx, backoff(o.req.retryBase(), attempt)) {
+			if !sleepCtx(ctx, o.req.retryDelay(attempt)) {
 				err = ctx.Err()
 				break
 			}
@@ -339,14 +341,11 @@ func (o *Orchestrator) runStep(ctx context.Context, d *domainRun, kind StepKind,
 	return nil
 }
 
-// backoff is deterministic capped exponential: base·2^(attempt-1),
-// capped at 16·base.
-func backoff(base time.Duration, attempt int) time.Duration {
-	d := base << uint(attempt-1)
-	if max := 16 * base; d > max {
-		d = max
-	}
-	return d
+// retryDelay is the deterministic wait after a step's attempt-th failed
+// attempt: base·2^(attempt−1), capped at 16·base.
+func (r Request) retryDelay(attempt int) time.Duration {
+	base := time.Duration(r.RetryBaseSeconds * float64(time.Second))
+	return transport.RetryPolicy{BaseDelay: base, MaxDelay: 16 * base}.Delay(attempt, nil)
 }
 
 // sleepCtx sleeps d or until ctx cancels; reports whether it slept the

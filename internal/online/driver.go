@@ -110,20 +110,25 @@ func (e *Engine) futureRoomLocked(window int) bool {
 // the serve daemon's live mode — submissions wake the loop, which runs
 // the virtual clock forward as fast as the simulation allows.
 func (e *Engine) Loop(ctx context.Context) {
-	for {
-		ch := e.Watch()
-		if e.Step() {
+	for ctx.Err() == nil {
+		if idle := e.stepOrWatch(); idle != nil {
 			select {
 			case <-ctx.Done():
-				return
-			default:
+			case <-idle:
 			}
-			continue
-		}
-		select {
-		case <-ctx.Done():
-			return
-		case <-ch:
 		}
 	}
+}
+
+// stepOrWatch runs one Step and returns nil if it did something. An idle
+// engine returns a watch channel taken under the same lock, after the
+// step's own change notification, so only a later change — a Submit or
+// a Cancel — closes it.
+func (e *Engine) stepOrWatch() <-chan struct{} {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.stepLocked() {
+		return nil
+	}
+	return e.watchLocked()
 }

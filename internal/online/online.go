@@ -28,10 +28,8 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/model"
 	"repro/internal/obs"
-	"repro/internal/pipeline"
 	"repro/internal/plan"
 	"repro/internal/stats"
-	"repro/internal/workload"
 )
 
 var (
@@ -97,17 +95,6 @@ type Config struct {
 	// obs.NewVirtualTracer(engine.Clock) so wall-clock events recorded
 	// elsewhere land on the same timeline.
 	Tracer *obs.Tracer
-}
-
-// TransferSeconds is the time to ship one prompt's KV cache from the
-// prefill pool to the decode pool over the HandoffBW fabric; ok is
-// false when HandoffBW is 0 and transfers are disabled.
-func (c *Config) TransferSeconds(promptLen int) (seconds float64, ok bool) {
-	if c.HandoffBW <= 0 {
-		return 0, false
-	}
-	bytes := pipeline.RequestKVBytes(c.PrefillPlan, c.Spec, promptLen, 0) * int64(c.Spec.Layers)
-	return float64(bytes) / c.HandoffBW, true
 }
 
 // WithDefaults returns a copy of the config with every unset limit at
@@ -215,13 +202,8 @@ type Engine struct {
 	byID       map[string]*request
 	watch      chan struct{} // nil while no one watches
 
-	kvBudget     int64
-	decodePlan   *plan.Plan
-	decodeClu    *cluster.Cluster
-	stepper      *pipeline.DecodeStepper // prices decode steps on decodePlan
-	disagg       bool
-	prefillCache map[[2]int]float64
-	replayCache  map[int]float64
+	prices   *Prices
+	kvBudget int64 // prices.KVBudget(), the decode batch's admission bound
 
 	// metric accumulators. The latency populations are fixed-capacity
 	// seeded reservoirs (stats.Reservoir), not slices: a long-running
@@ -249,33 +231,21 @@ const reservoirCap = 4096
 
 // New validates the config and builds an idle engine at clock 0.
 func New(cfg Config) (*Engine, error) {
-	c, err := cfg.WithDefaults()
+	p, err := NewPrices(cfg)
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{
-		cfg:          c,
-		tr:           c.Tracer,
-		byID:         map[string]*request{},
-		decodePlan:   c.DecodePlan,
-		decodeClu:    c.DecodeCluster,
-		disagg:       c.DecodePlan != nil,
-		prefillCache: map[[2]int]float64{},
-		replayCache:  map[int]float64{},
-		ttftS:        stats.NewReservoir(reservoirCap, 0xceed1),
-		tbtS:         stats.NewReservoir(reservoirCap, 0xceed2),
-		waitS:        stats.NewReservoir(reservoirCap, 0xceed3),
-	}
-	if !e.disagg {
-		e.decodePlan = c.PrefillPlan
-		e.decodeClu = c.PrefillCluster
-	}
-	if err := e.decodePlan.Validate(c.Spec.Layers); err != nil {
-		return nil, fmt.Errorf("online: decode plan: %w", err)
-	}
-	e.kvBudget = pipeline.KVBudget(e.decodePlan, c.Spec)
-	e.stepper = pipeline.NewDecodeStepper(e.decodePlan, c.Spec, e.decodeClu)
-	return e, nil
+	c := p.Config()
+	return &Engine{
+		cfg:      c,
+		tr:       c.Tracer,
+		byID:     map[string]*request{},
+		prices:   p,
+		kvBudget: p.KVBudget(),
+		ttftS:    stats.NewReservoir(reservoirCap, 0xceed1),
+		tbtS:     stats.NewReservoir(reservoirCap, 0xceed2),
+		waitS:    stats.NewReservoir(reservoirCap, 0xceed3),
+	}, nil
 }
 
 // Clock returns the current virtual time in seconds.
@@ -286,7 +256,7 @@ func (e *Engine) Clock() float64 {
 }
 
 // Disaggregated reports whether the engine runs split pools.
-func (e *Engine) Disaggregated() bool { return e.disagg }
+func (e *Engine) Disaggregated() bool { return e.prices.Disaggregated() }
 
 // PoolDevices reports the device counts behind the engine's pools:
 // prefill always, decode only in disaggregated mode (0 when the
@@ -306,6 +276,10 @@ func (e *Engine) PoolDevices() (prefill, decode int) {
 func (e *Engine) Watch() <-chan struct{} {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	return e.watchLocked()
+}
+
+func (e *Engine) watchLocked() <-chan struct{} {
 	if e.watch == nil {
 		e.watch = make(chan struct{})
 	}
@@ -356,7 +330,7 @@ func (e *Engine) submitLocked(spec RequestSpec) (string, error) {
 		arrival = e.clock
 	}
 	r := &request{spec: spec, seq: e.seq, state: StateQueued, arrival: arrival,
-		kv: pipeline.RequestKVBytes(e.decodePlan, e.cfg.Spec, spec.PromptLen, spec.MaxTokens)}
+		kv: e.prices.RequestKV(spec.PromptLen, spec.MaxTokens)}
 	if spec.DeadlineSeconds > 0 {
 		r.deadline = arrival + spec.DeadlineSeconds
 	}
@@ -499,68 +473,6 @@ func byAdmission(rs []*request) {
 	})
 }
 
-func (e *Engine) chunksFor(promptLen int) int {
-	c := (promptLen + e.cfg.ChunkLen - 1) / e.cfg.ChunkLen
-	if c < 1 {
-		c = 1
-	}
-	return c
-}
-
-// prefillSecondsLocked simulates (and caches) the latency of one
-// prefill group of the given size and chunk count — Simulate with a
-// one-token generation budget, i.e. prompt processing plus the first
-// sampled token.
-func (e *Engine) prefillSecondsLocked(size, chunks int) (float64, error) {
-	key := [2]int{size, chunks}
-	if v, ok := e.prefillCache[key]; ok {
-		return v, nil
-	}
-	b := workload.Batch{Size: size, ChunkLen: e.cfg.ChunkLen, Chunks: chunks, GenTokens: 1, ReserveTokens: 1}
-	res, err := pipeline.Simulate(e.cfg.PrefillPlan, e.cfg.Spec, e.cfg.PrefillCluster, b)
-	if err != nil {
-		return 0, err
-	}
-	e.prefillCache[key] = res.TotalSeconds
-	return res.TotalSeconds, nil
-}
-
-// handoffLocked prices a pool migration: the cheaper of shipping the
-// raw KV bytes over the inter-pool fabric and replaying the token log
-// (a one-request re-prefill on the decode pool). Returns the delay and
-// the chosen mode.
-func (e *Engine) handoffLocked(r *request) (float64, string) {
-	replay := func() (float64, bool) {
-		chunks := e.chunksFor(r.spec.PromptLen)
-		if v, ok := e.replayCache[chunks]; ok {
-			return v, true
-		}
-		b := workload.Batch{Size: 1, ChunkLen: e.cfg.ChunkLen, Chunks: chunks, GenTokens: 1, ReserveTokens: r.spec.MaxTokens}
-		res, err := pipeline.Simulate(e.decodePlan, e.cfg.Spec, e.decodeClu, b)
-		if err != nil {
-			return 0, false
-		}
-		e.replayCache[chunks] = res.TotalSeconds
-		return res.TotalSeconds, true
-	}
-	transfer, canTransfer := e.cfg.TransferSeconds(r.spec.PromptLen)
-	rep, ok := replay()
-	switch {
-	case canTransfer && (!ok || transfer <= rep):
-		e.handoffTransfers++
-		return transfer, "transfer"
-	case ok:
-		e.handoffReplays++
-		return rep, "replay"
-	default:
-		// No fabric and no feasible replay: migrate instantly rather
-		// than wedge (the plan was sized for this workload, so this is
-		// a defensive fallback).
-		e.handoffReplays++
-		return 0, "replay"
-	}
-}
-
 // Step advances the engine by one event on the virtual clock: harvest
 // finished prefills and handoffs, admit and evict at the token-step
 // boundary, then either run one decode step or jump to the next event.
@@ -595,9 +507,14 @@ func (e *Engine) stepLocked() bool {
 				e.finishLocked(r, StateCanceled, e.prefillEnd)
 			case r.spec.MaxTokens == 1:
 				e.finishLocked(r, StateCompleted, e.prefillEnd)
-			case e.disagg:
-				delay, mode := e.handoffLocked(r)
+			case e.prices.Disaggregated():
+				delay, mode := e.prices.Handoff(r.spec.PromptLen, r.spec.MaxTokens)
 				e.handoffs++
+				if mode == "transfer" {
+					e.handoffTransfers++
+				} else {
+					e.handoffReplays++
+				}
 				r.handoff = mode
 				r.state = StateHandoff
 				r.readyAt = e.prefillEnd + delay
@@ -640,11 +557,11 @@ func (e *Engine) stepLocked() bool {
 		if len(group) > 0 {
 			maxChunks := 1
 			for _, r := range group {
-				if c := e.chunksFor(r.spec.PromptLen); c > maxChunks {
+				if c := e.prices.Chunks(r.spec.PromptLen); c > maxChunks {
 					maxChunks = c
 				}
 			}
-			sec, err := e.prefillSecondsLocked(len(group), maxChunks)
+			sec, err := e.prices.Prefill(len(group), maxChunks)
 			if err != nil {
 				for _, r := range group {
 					r.errMsg = err.Error()
@@ -731,7 +648,7 @@ func (e *Engine) stepLocked() bool {
 	// 7. Run one decode step, or jump the clock to the next event. In
 	// colocated mode an in-flight prefill group owns the pool, so
 	// decoding waits for it.
-	canDecode := len(e.batch) > 0 && (e.disagg || len(e.prefilling) == 0)
+	canDecode := len(e.batch) > 0 && (e.prices.Disaggregated() || len(e.prefilling) == 0)
 	if canDecode {
 		ctx := 0
 		for _, r := range e.batch {
@@ -739,7 +656,7 @@ func (e *Engine) stepLocked() bool {
 				ctx = c
 			}
 		}
-		step := e.stepper.Latency(len(e.batch), ctx)
+		step := e.prices.DecodeStep(len(e.batch), ctx)
 		if e.tr != nil {
 			e.tr.Span("decode", "step", e.clock, step, map[string]any{"batch": len(e.batch), "ctx": ctx})
 		}

@@ -2,6 +2,8 @@ package online
 
 import (
 	"cmp"
+	"context"
+	"reflect"
 	"slices"
 	"sort"
 	"testing"
@@ -85,6 +87,80 @@ func TestWatch(t *testing.T) {
 	}
 	if closed(e.Watch()) {
 		t.Fatal("Watch after the changes returned a closed channel")
+	}
+}
+
+// parkCtx counts Loop's iterations, one Err call each, and hands each
+// park to the test: Loop calls Done just before it blocks while idle.
+// It reports whether the engine then holds an open watch channel, the
+// one a Submit or Cancel closes to wake the loop.
+type parkCtx struct {
+	context.Context
+	e      *Engine
+	iters  int
+	parked chan bool
+}
+
+func (c *parkCtx) Err() error {
+	c.iters++
+	return c.Context.Err()
+}
+
+func (c *parkCtx) Done() <-chan struct{} {
+	c.e.mu.Lock()
+	held := c.e.watch != nil
+	c.e.mu.Unlock()
+	select {
+	case c.parked <- held:
+	case <-c.Context.Done():
+	}
+	return c.Context.Done()
+}
+
+// TestLoopParksWhileIdle counts the steps Loop takes around one
+// request: one idle step before the submission, the request's own
+// steps, one idle step after it, and none while nothing changes. Each
+// park must hold an open watch channel; a channel the idle step itself
+// closed would make the loop spin.
+func TestLoopParksWhileIdle(t *testing.T) {
+	cfg := colocatedConfig(t)
+	spec := RequestSpec{PromptLen: 300, MaxTokens: 5}
+	ref := mustEngine(t, cfg)
+	if _, err := ref.Submit(spec); err != nil {
+		t.Fatal(err)
+	}
+	busy := 0
+	for ref.Step() {
+		busy++
+	}
+
+	e := mustEngine(t, cfg)
+	base, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ctx := &parkCtx{Context: base, e: e, parked: make(chan bool)}
+	done := make(chan struct{})
+	go func() {
+		e.Loop(ctx)
+		close(done)
+	}()
+	park := func(when string) {
+		if !<-ctx.parked {
+			t.Fatalf("%s: Loop parked on a watch channel its own step closed", when)
+		}
+	}
+	park("before the submission")
+	if _, err := e.Submit(spec); err != nil {
+		t.Fatal(err)
+	}
+	park("after the request")
+	cancel()
+	<-done
+	// The last iteration is the one that sees the cancellation.
+	if steps := ctx.iters - 1; steps != busy+2 {
+		t.Fatalf("Loop took %d steps, want %d: %d for the request and one idle step on each side", steps, busy+2, busy)
+	}
+	if m, want := e.Metrics(), ref.Metrics(); !reflect.DeepEqual(m, want) {
+		t.Fatalf("Loop metrics\n%+v\nstepped directly\n%+v", m, want)
 	}
 }
 

@@ -297,14 +297,3 @@ func KVBudget(p *plan.Plan, spec *model.Spec) int64 {
 func RequestKVBytes(p *plan.Plan, spec *model.Spec, prompt, reserve int) int64 {
 	return spec.KVBytesPerLayer(1, prompt, reserve, p.BitKV)
 }
-
-// DecodeCapacity returns how many identical requests (prompt positions,
-// reserve generation budget) the plan can decode concurrently before
-// its tightest stage runs out of KV memory.
-func DecodeCapacity(p *plan.Plan, spec *model.Spec, prompt, reserve int) int {
-	per := RequestKVBytes(p, spec, prompt, reserve)
-	if per <= 0 {
-		return 0
-	}
-	return int(KVBudget(p, spec) / per)
-}
