@@ -44,9 +44,6 @@ const seed = 7777
 // and -demo.
 type driveOpts struct {
 	heartbeat time.Duration
-	retries   int
-	retryBase time.Duration
-	retryMax  time.Duration
 	ioTimeout time.Duration
 }
 
@@ -64,13 +61,10 @@ func main() {
 		ioTO   = flag.Duration("io-timeout", 0, "per-message IO deadline on stage connections (0 = none)")
 		ttl    = flag.Duration("session-ttl", 0, "-serve/-demo: reap stage sessions idle longer than this (0 = never)")
 		hb     = flag.Duration("heartbeat", 0, "-drive/-demo: ping stages at this interval between generations (0 = off)")
-		rts    = flag.Int("retries", 0, "-drive/-demo: max reconnect/replay attempts per forward (0 = default policy)")
-		rtBase = flag.Duration("retry-base", 0, "-drive/-demo: base reconnect backoff (0 = default)")
-		rtMax  = flag.Duration("retry-max", 0, "-drive/-demo: backoff cap (0 = default)")
 		chaos  = flag.Bool("chaos", false, "-demo: put a chaos proxy in front of stage 0 and cut the stream mid-generation")
 	)
 	flag.Parse()
-	opts := driveOpts{heartbeat: *hb, retries: *rts, retryBase: *rtBase, retryMax: *rtMax, ioTimeout: *ioTO}
+	opts := driveOpts{heartbeat: *hb, ioTimeout: *ioTO}
 	switch {
 	case *serve:
 		runServe(*layers, *listen, *bits, *ioTO, *ttl)
@@ -104,27 +98,11 @@ func parseBits(s string) ([]int, error) {
 }
 
 // applyDriveOpts configures a driver from the command-line resilience
-// knobs; zero values keep the built-in defaults.
+// knobs; zero values keep the built-in defaults. Reconnects follow
+// transport.DefaultRetryPolicy.
 func applyDriveOpts(d *transport.Driver, opts driveOpts) {
 	if opts.ioTimeout > 0 {
 		d.SetIOTimeout(opts.ioTimeout)
-	}
-	p := transport.DefaultRetryPolicy()
-	changed := false
-	if opts.retries > 0 {
-		p.MaxAttempts = opts.retries
-		changed = true
-	}
-	if opts.retryBase > 0 {
-		p.BaseDelay = opts.retryBase
-		changed = true
-	}
-	if opts.retryMax > 0 {
-		p.MaxDelay = opts.retryMax
-		changed = true
-	}
-	if changed {
-		d.SetRetryPolicy(p)
 	}
 	if opts.heartbeat > 0 {
 		d.StartHeartbeat(opts.heartbeat)

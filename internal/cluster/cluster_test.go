@@ -268,3 +268,27 @@ func TestShrinkErrors(t *testing.T) {
 		t.Fatal("emptying the cluster accepted")
 	}
 }
+
+// The Gbps → bytes/s → Gbps conversion must be lossless for every
+// preset: ClusterSpec.Preset at the root package round-trips the fabric
+// bandwidth through these helpers, and any drift would change the
+// cluster fingerprint (and thus plan-cache identity) between a preset
+// and its rebuilt ClusterSpec.
+func TestBandwidthConversionRoundTripsAllPresets(t *testing.T) {
+	for n := 1; n <= 10; n++ {
+		c := MustPreset(n)
+		gbps := GbpsFromBandwidth(c.InterBW)
+		if back := BandwidthFromGbps(gbps); back != c.InterBW {
+			t.Errorf("preset %d: %.17g bytes/s -> %.17g Gbps -> %.17g bytes/s", n, c.InterBW, gbps, back)
+		}
+	}
+	// And for the nominal speeds a user would type into a ClusterSpec.
+	for _, gbps := range []float64{1, 10, 25, 40, 100, 200, 400, 800, 3.5} {
+		if back := GbpsFromBandwidth(BandwidthFromGbps(gbps)); back != gbps {
+			t.Errorf("%.17g Gbps -> bytes/s -> %.17g Gbps", gbps, back)
+		}
+	}
+	if BandwidthFromGbps(100) != Eth100BW || BandwidthFromGbps(800) != Eth800BW {
+		t.Errorf("helpers disagree with the Eth100BW/Eth800BW constants")
+	}
+}

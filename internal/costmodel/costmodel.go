@@ -143,9 +143,3 @@ func (t *Table) PredictDecode(class gpu.DeviceClass, m *model.Spec, bit, v, ctx 
 	}
 	return p, nil
 }
-
-// Fitted reports whether a model exists for the tuple.
-func (t *Table) Fitted(class gpu.DeviceClass, m *model.Spec, bit int, phase Phase) bool {
-	_, ok := t.models[key{class, m.Name, bit, phase}]
-	return ok
-}

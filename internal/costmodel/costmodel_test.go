@@ -62,16 +62,6 @@ func TestPredictUnfittedErrors(t *testing.T) {
 	}
 }
 
-func TestFittedFlag(t *testing.T) {
-	tab := fitAll(t, gpu.V100, model.OPT13B)
-	if !tab.Fitted(gpu.V100, model.OPT13B, 8, Prefill) {
-		t.Fatal("fitted model not reported")
-	}
-	if tab.Fitted(gpu.A100, model.OPT13B, 8, Prefill) {
-		t.Fatal("phantom model reported")
-	}
-}
-
 func TestPredictionsMonotoneInShape(t *testing.T) {
 	tab := fitAll(t, gpu.V100, model.OPT30B)
 	p1, _ := tab.PredictPrefill(gpu.V100, model.OPT30B, 16, 4, 256)
@@ -128,17 +118,6 @@ func TestMemoryModelMatchesMeasurements(t *testing.T) {
 	}
 	if mape := stats.MeanAbsPctError(preds, actuals); mape > 0.01 {
 		t.Fatalf("memory model MAPE = %.4f, want ~0", mape)
-	}
-}
-
-func TestStageBytesComposition(t *testing.T) {
-	m := model.OPT13B
-	bits := []int{8, 8, 4}
-	got := m.StageBytes(bits, 8, 512, 64, 16)
-	want := m.LayerWeightBytes(8)*2 + m.LayerWeightBytes(4) +
-		3*m.KVBytesPerLayer(8, 512, 64, 16) + m.ActivationPeakBytes(8, 512)
-	if got != want {
-		t.Fatalf("StageBytes = %d, want %d", got, want)
 	}
 }
 

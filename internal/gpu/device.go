@@ -165,19 +165,6 @@ func (s *Spec) FLOPSAt(bit int) float64 {
 	return s.FP16FLOPS * m
 }
 
-// Supports reports whether the device can execute weights at the given
-// bitwidth at all. All simulated devices support every bitwidth via the
-// custom backend; the paper's 3-bit limitation applies to the vLLM
-// backend, which the planner models separately.
-func (s *Spec) Supports(bit int) bool {
-	switch bit {
-	case 3, 4, 8, 16:
-		return true
-	default:
-		return false
-	}
-}
-
 // PrefillLayerLatency returns the simulated execution time of one decoder
 // layer of m processing a prefill micro-batch of v sequences of length
 // seq with weights at the given bitwidth.

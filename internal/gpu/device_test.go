@@ -210,18 +210,6 @@ func TestMeasurerDeterministic(t *testing.T) {
 	}
 }
 
-func TestSupports(t *testing.T) {
-	s := MustLookup(P100)
-	for _, bit := range []int{3, 4, 8, 16} {
-		if !s.Supports(bit) {
-			t.Errorf("bit %d unsupported", bit)
-		}
-	}
-	if s.Supports(5) {
-		t.Error("bit 5 supported")
-	}
-}
-
 func TestEmbedAndLMHeadLatencyPositive(t *testing.T) {
 	s := MustLookup(A100)
 	m := model.OPT30B

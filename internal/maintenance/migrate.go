@@ -33,9 +33,6 @@ type Moved struct {
 type Migrator struct {
 	// Dest drives the destination pipeline.
 	Dest *transport.Driver
-	// Sessions lists the in-flight sessions currently pinned to a
-	// target's devices; called once per target when Hook is used.
-	Sessions func(ctx context.Context, t Target) ([]Session, error)
 }
 
 // Move resumes each session on the destination and returns the
@@ -64,20 +61,4 @@ func (m *Migrator) Move(ctx context.Context, sessions []Session) ([]Moved, error
 		out = append(out, Moved{ID: s.ID, Tokens: toks})
 	}
 	return out, nil
-}
-
-// Hook adapts the Migrator to Hooks.Migrate: it lists the target's
-// sessions and moves them, returning the migrated count.
-func (m *Migrator) Hook() func(ctx context.Context, t Target) (int, error) {
-	return func(ctx context.Context, t Target) (int, error) {
-		if m.Sessions == nil {
-			return 0, nil
-		}
-		sessions, err := m.Sessions(ctx, t)
-		if err != nil {
-			return 0, err
-		}
-		moved, err := m.Move(ctx, sessions)
-		return len(moved), err
-	}
 }

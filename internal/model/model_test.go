@@ -3,7 +3,6 @@ package model
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestRegistryLookup(t *testing.T) {
@@ -184,27 +183,6 @@ func TestProfilePanicsOutOfRange(t *testing.T) {
 		}
 	}()
 	OPT1B3.Profile(24)
-}
-
-func TestTotalWeightBytesProperty(t *testing.T) {
-	f := func(seed uint64) bool {
-		names := Names()
-		s, err := Lookup(names[int(seed%uint64(len(names)))])
-		if err != nil {
-			return false
-		}
-		// Total = layers·layerBytes + embedding for every bitwidth.
-		for _, bit := range []int{3, 4, 8, 16} {
-			want := int64(s.Layers)*s.LayerWeightBytes(bit) + s.EmbeddingBytes()
-			if s.TotalWeightBytes(bit) != want {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestActivationTransferBytes(t *testing.T) {

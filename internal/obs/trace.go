@@ -124,48 +124,6 @@ func (t *Tracer) Instant(track, name string, ts float64, args map[string]any) {
 	t.record(Event{Track: track, Name: name, Phase: "i", Start: ts, Args: args})
 }
 
-// SpanHandle is an open span started by Begin; End closes it at the
-// clock's current reading.
-type SpanHandle struct {
-	t     *Tracer
-	track string
-	name  string
-	start float64
-	args  map[string]any
-}
-
-// Begin opens a span at the clock's current reading. Returns nil on a
-// nil tracer (End on a nil handle is a no-op).
-func (t *Tracer) Begin(track, name string, args map[string]any) *SpanHandle {
-	if t == nil {
-		return nil
-	}
-	return &SpanHandle{t: t, track: track, name: name, start: t.clock(), args: args}
-}
-
-// End closes the span at the clock's current reading.
-func (s *SpanHandle) End() { s.EndWith(nil) }
-
-// EndWith closes the span, merging extra args recorded at completion
-// (a plan span learns cache-hit vs cold only once planning finishes).
-func (s *SpanHandle) EndWith(extra map[string]any) {
-	if s == nil {
-		return
-	}
-	args := s.args
-	if len(extra) > 0 {
-		merged := make(map[string]any, len(args)+len(extra))
-		for k, v := range args {
-			merged[k] = v
-		}
-		for k, v := range extra {
-			merged[k] = v
-		}
-		args = merged
-	}
-	s.t.Span(s.track, s.name, s.start, s.t.clock()-s.start, args)
-}
-
 // Events snapshots the buffered events in emission order.
 func (t *Tracer) Events() []Event {
 	if t == nil {

@@ -111,7 +111,6 @@ func TestNilTracerIsSafe(t *testing.T) {
 	var tr *Tracer
 	tr.Span("a", "b", 0, 1, nil)
 	tr.Instant("a", "b", 0, nil)
-	tr.Begin("a", "b", nil).EndWith(map[string]any{"k": 1})
 	tr.SetSink(nil)
 	tr.SetLimit(1)
 	if tr.Now() != 0 || tr.Events() != nil || tr.Dropped() != 0 {
@@ -119,24 +118,5 @@ func TestNilTracerIsSafe(t *testing.T) {
 	}
 	if err := tr.WriteChromeTrace(&bytes.Buffer{}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestBeginEndUsesClock(t *testing.T) {
-	clock := 1.0
-	tr := NewVirtualTracer(func() float64 { return clock })
-	sp := tr.Begin("t", "work", map[string]any{"a": 1})
-	clock = 3.5
-	sp.EndWith(map[string]any{"b": 2})
-	evs := tr.Events()
-	if len(evs) != 1 {
-		t.Fatalf("got %d events, want 1", len(evs))
-	}
-	ev := evs[0]
-	if ev.Start != 1 || ev.Dur != 2.5 {
-		t.Fatalf("span = %+v, want start 1 dur 2.5", ev)
-	}
-	if ev.Args["a"] != 1 || ev.Args["b"] != 2 {
-		t.Fatalf("args not merged: %v", ev.Args)
 	}
 }

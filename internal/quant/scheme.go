@@ -61,11 +61,6 @@ func (s Scheme) Validate() error {
 	return nil
 }
 
-// Levels returns the number of representable grid points.
-func (s Scheme) Levels() int {
-	return 1 << s.Bits
-}
-
 // IsIdentity reports whether the scheme leaves weights untouched.
 func (s Scheme) IsIdentity() bool { return s.Bits >= 16 }
 

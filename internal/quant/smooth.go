@@ -62,51 +62,3 @@ func SmoothScales(w, x *tensor.Matrix, alpha float64) ([]float64, error) {
 	}
 	return scales, nil
 }
-
-// ApplySmoothing returns rescaled copies (w', x') such that x'·w' equals
-// x·w exactly in real arithmetic.
-func ApplySmoothing(w, x *tensor.Matrix, scales []float64) (*tensor.Matrix, *tensor.Matrix, error) {
-	if len(scales) != w.Rows || w.Rows != x.Cols {
-		return nil, nil, fmt.Errorf("quant: smoothing with %d scales for %d inputs / %d channels",
-			len(scales), w.Rows, x.Cols)
-	}
-	wOut := w.Clone()
-	for j := 0; j < w.Rows; j++ {
-		row := wOut.Row(j)
-		s := float32(scales[j])
-		for c := range row {
-			row[c] *= s
-		}
-	}
-	xOut := x.Clone()
-	for r := 0; r < x.Rows; r++ {
-		row := xOut.Row(r)
-		for j := range row {
-			row[j] /= float32(scales[j])
-		}
-	}
-	return wOut, xOut, nil
-}
-
-// JointQuantError measures the W8A8-style end-to-end error of a linear
-// operator: both weights (in × out) and activations (samples × in) are
-// fake-quantized with their schemes and the mean squared output
-// deviation ‖X·W − X̂·Ŵ‖²/n is returned.
-func JointQuantError(w, x *tensor.Matrix, weightScheme, actScheme Scheme) (float64, error) {
-	wq, err := QuantDequant(w, weightScheme, nil)
-	if err != nil {
-		return 0, err
-	}
-	xq, err := QuantDequant(x, actScheme, nil)
-	if err != nil {
-		return 0, err
-	}
-	ref := tensor.MatMul(x, w)
-	got := tensor.MatMul(xq, wq)
-	var sum float64
-	for i := range ref.Data {
-		d := float64(ref.Data[i] - got.Data[i])
-		sum += d * d
-	}
-	return sum / float64(len(ref.Data)), nil
-}

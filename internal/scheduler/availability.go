@@ -30,9 +30,6 @@ type View struct {
 	Preempted map[gpu.DeviceClass]int
 }
 
-// Degraded reports whether any device is currently reclaimed.
-func (v View) Degraded() bool { return v.Devices < v.TotalDevices }
-
 // poolState is the mutable record behind one resource (guarded by the
 // FleetState mutex).
 type poolState struct {

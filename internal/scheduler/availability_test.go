@@ -23,7 +23,7 @@ func TestFleetStatePreemptRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.Generation != 0 || v.Devices != 6 || v.TotalDevices != 6 || v.Degraded() {
+	if v.Generation != 0 || v.Devices != 6 || v.TotalDevices != 6 {
 		t.Fatalf("intact snapshot = %+v", v)
 	}
 
@@ -31,7 +31,7 @@ func TestFleetStatePreemptRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.Generation != 1 || v.Devices != 4 || !v.Degraded() {
+	if v.Generation != 1 || v.Devices != 4 || v.TotalDevices != 6 {
 		t.Fatalf("degraded view = %+v", v)
 	}
 	if v.Cluster.ClassCount(gpu.T4) != 2 || v.Cluster.ClassCount(gpu.V100) != 2 {
@@ -50,7 +50,7 @@ func TestFleetStatePreemptRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.Generation != 2 || v.Devices != 6 || v.Degraded() {
+	if v.Generation != 2 || v.Devices != 6 || v.TotalDevices != 6 {
 		t.Fatalf("restored view = %+v", v)
 	}
 	if f.Preemptions() != 1 {
@@ -106,7 +106,7 @@ func TestFleetStateReset(t *testing.T) {
 	f.Preempt("v100s", gpu.V100, 2)
 	f.Reset()
 	for _, v := range f.Views() {
-		if v.Degraded() {
+		if v.Devices < v.TotalDevices {
 			t.Fatalf("pool %s still degraded after reset: %+v", v.Resource, v)
 		}
 	}
@@ -152,7 +152,7 @@ func TestFleetStateExpandContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.Generation != 1 || v.Devices != 8 || v.TotalDevices != 8 || v.Degraded() {
+	if v.Generation != 1 || v.Devices != 8 || v.TotalDevices != 8 {
 		t.Fatalf("expanded view = %+v", v)
 	}
 	if v.Capacity[gpu.V100] != 4 || v.Cluster.ClassCount(gpu.V100) != 4 {

@@ -32,11 +32,6 @@ func Variance(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	return math.Sqrt(Variance(xs))
-}
-
 // Min returns the smallest element of xs. It panics on an empty slice.
 func Min(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -65,15 +60,6 @@ func Max(xs []float64) float64 {
 	return m
 }
 
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
 // Percentile returns the p-th percentile (0 <= p <= 100) of xs using
 // linear interpolation between closest ranks. It panics on an empty slice.
 func Percentile(xs []float64, p float64) float64 {
@@ -83,11 +69,6 @@ func Percentile(xs []float64, p float64) float64 {
 	sorted := append([]float64(nil), xs...)
 	sort.Float64s(sorted)
 	return percentileSorted(sorted, p)
-}
-
-// Median returns the 50th percentile of xs.
-func Median(xs []float64) float64 {
-	return Percentile(xs, 50)
 }
 
 // MeanAbsPctError returns the mean of |pred-actual|/|actual| over the

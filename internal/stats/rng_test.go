@@ -118,7 +118,7 @@ func TestNormMS(t *testing.T) {
 	if m := Mean(xs); math.Abs(m-10) > 0.05 {
 		t.Fatalf("NormMS mean = %v", m)
 	}
-	if s := StdDev(xs); math.Abs(s-2) > 0.05 {
+	if s := math.Sqrt(Variance(xs)); math.Abs(s-2) > 0.05 {
 		t.Fatalf("NormMS stddev = %v", s)
 	}
 }
@@ -204,18 +204,5 @@ func TestSplitIndependence(t *testing.T) {
 	b := r.Split()
 	if a.Uint64() == b.Uint64() {
 		t.Fatal("split streams start identically")
-	}
-}
-
-func TestShuffleKeepsElements(t *testing.T) {
-	r := NewRNG(17)
-	xs := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	sum := 0
-	for _, v := range xs {
-		sum += v
-	}
-	if sum != 36 {
-		t.Fatalf("shuffle lost elements: %v", xs)
 	}
 }

@@ -197,20 +197,6 @@ func MatMulTransB(a, b *Matrix) *Matrix {
 	return out
 }
 
-// AddBias adds the bias vector to each row of m in place. It panics if
-// len(bias) != m.Cols.
-func AddBias(m *Matrix, bias []float32) {
-	if len(bias) != m.Cols {
-		panic(fmt.Sprintf("tensor: AddBias len %d on %d cols", len(bias), m.Cols))
-	}
-	for r := 0; r < m.Rows; r++ {
-		row := m.Row(r)
-		for c := range row {
-			row[c] += bias[c]
-		}
-	}
-}
-
 // Add returns a+b elementwise. It panics on shape mismatch.
 func Add(a, b *Matrix) *Matrix {
 	if a.Rows != b.Rows || a.Cols != b.Cols {
@@ -221,15 +207,6 @@ func Add(a, b *Matrix) *Matrix {
 		out.Data[i] = a.Data[i] + b.Data[i]
 	}
 	return out
-}
-
-// Frobenius returns the Frobenius norm of m.
-func Frobenius(m *Matrix) float64 {
-	var s float64
-	for _, v := range m.Data {
-		s += float64(v) * float64(v)
-	}
-	return math.Sqrt(s)
 }
 
 // MaxAbsDiff returns max_i |a_i - b_i|, a convenient error metric between

@@ -81,15 +81,6 @@ func GELU(m *Matrix) {
 	}
 }
 
-// ReLU applies max(0, x) to m in place.
-func ReLU(m *Matrix) {
-	for i, v := range m.Data {
-		if v < 0 {
-			m.Data[i] = 0
-		}
-	}
-}
-
 // ArgmaxRow returns the index of the largest element of xs. It panics on
 // an empty slice.
 func ArgmaxRow(xs []float32) int {

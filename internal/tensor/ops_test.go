@@ -115,14 +115,6 @@ func TestGELU(t *testing.T) {
 	}
 }
 
-func TestReLU(t *testing.T) {
-	m := FromSlice(1, 3, []float32{-1, 0, 2})
-	ReLU(m)
-	if m.Data[0] != 0 || m.Data[1] != 0 || m.Data[2] != 2 {
-		t.Fatalf("ReLU = %v", m.Data)
-	}
-}
-
 func TestArgmaxRow(t *testing.T) {
 	if got := ArgmaxRow([]float32{1, 5, 3}); got != 1 {
 		t.Fatalf("ArgmaxRow = %d", got)

@@ -30,9 +30,6 @@ func (m *Model) SetActBits(bits int) error {
 	return nil
 }
 
-// ActBits returns the runtime activation bitwidth (0 = FP32/off).
-func (m *Model) ActBits() int { return m.actBits }
-
 // maybeQuantAct fake-quantizes x in place when activation quantization
 // is enabled. Per-row scaling corresponds to per-token quantization, the
 // standard choice for activations.
@@ -81,13 +78,9 @@ func smoothGroup(x *tensor.Matrix, weights []*tensor.Matrix, gain, bias []float3
 	if len(weights) == 0 {
 		return fmt.Errorf("no consumers")
 	}
-	// Shared scale: use the elementwise max of per-consumer weight
-	// maxima so one migration serves all consumers.
+	// Shared scale: SmoothScales over a pseudo-weight whose row maxima
+	// are the max across consumers, so one migration serves them all.
 	in := weights[0].Rows
-	combined := tensor.NewMatrix(in, 0)
-	_ = combined
-	// Build a pseudo-weight whose row maxima are the max across
-	// consumers, then reuse SmoothScales.
 	pseudo := tensor.NewMatrix(in, len(weights))
 	for j := 0; j < in; j++ {
 		for wi, w := range weights {

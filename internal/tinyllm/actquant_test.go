@@ -15,8 +15,8 @@ func TestSetActBitsValidation(t *testing.T) {
 	if err := m.SetActBits(8); err != nil {
 		t.Fatal(err)
 	}
-	if m.ActBits() != 8 {
-		t.Fatalf("ActBits = %d", m.ActBits())
+	if m.actBits != 8 {
+		t.Fatalf("actBits = %d", m.actBits)
 	}
 	if err := m.SetActBits(0); err != nil {
 		t.Fatal(err)
@@ -57,7 +57,7 @@ func TestActBitsSurviveClone(t *testing.T) {
 	if err := m.SetActBits(8); err != nil {
 		t.Fatal(err)
 	}
-	if m.Clone().ActBits() != 8 {
+	if m.Clone().actBits != 8 {
 		t.Fatal("Clone dropped activation bits")
 	}
 }

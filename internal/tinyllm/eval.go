@@ -76,19 +76,6 @@ func (m *Model) Perplexity(c *Corpus) (float64, error) {
 	return ppl, err
 }
 
-// Agreement returns the fraction of next-token argmax predictions on
-// which the model agrees with ref over the corpus — the reproduction's
-// zero-shot-accuracy proxy (the FP16 reference scores 1.0 by
-// construction; quantization lowers it).
-func (m *Model) Agreement(ref *Model, c *Corpus) (float64, error) {
-	want, err := ref.Predictions(c)
-	if err != nil {
-		return 0, err
-	}
-	_, agree, err := m.Score(c, want)
-	return agree, err
-}
-
 // Predictions returns the model's greedy next-token prediction at every
 // position but the last of each corpus sequence: the reference Score
 // compares a quantized model's argmaxes against.
@@ -107,8 +94,8 @@ func (m *Model) Predictions(c *Corpus) ([][]int, error) {
 // Score teacher-forces the model over the corpus with one prefill per
 // sequence and returns its perplexity (as Perplexity) and, when ref
 // holds a reference model's Predictions on the same corpus, the fraction
-// of positions whose argmax agrees with it (as Agreement; 0 for a nil
-// ref).
+// of positions whose argmax agrees with it (0 for a nil ref): the
+// reproduction's zero-shot-accuracy proxy.
 func (m *Model) Score(c *Corpus, ref [][]int) (ppl, agreement float64, err error) {
 	nll := make([]float64, len(c.Seqs))
 	match := make([]int, len(c.Seqs))

@@ -245,29 +245,30 @@ func TestAgreementDropsWithQuantization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	self, err := m.Agreement(m, corpus)
+	want, err := m.Predictions(corpus)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if self != 1 {
+	agreement := func(q *Model) float64 {
+		_, agree, err := q.Score(corpus, want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return agree
+	}
+	if self := agreement(m); self != 1 {
 		t.Fatalf("self agreement = %v", self)
 	}
 	q3, err := m.ApplyBits(uniformBits(testCfg.Layers, 3), quant.Scheme{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a3, err := q3.Agreement(m, corpus)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a3 := agreement(q3)
 	q8, err := m.ApplyBits(uniformBits(testCfg.Layers, 8), quant.Scheme{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a8, err := q8.Agreement(m, corpus)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a8 := agreement(q8)
 	if !(a8 > a3) {
 		t.Fatalf("agreement ordering violated: int8 %v vs int3 %v", a8, a3)
 	}

@@ -67,19 +67,6 @@ func (p *Profile) PromptPercentile(q float64) int {
 	return int(stats.Percentile(xs, q))
 }
 
-// OutputPercentile returns the q-th percentile of output lengths, or 0
-// for an empty profile.
-func (p *Profile) OutputPercentile(q float64) int {
-	if len(p.Requests) == 0 {
-		return 0
-	}
-	xs := make([]float64, len(p.Requests))
-	for i, r := range p.Requests {
-		xs[i] = float64(r.OutputLen)
-	}
-	return int(stats.Percentile(xs, q))
-}
-
 // Filter returns a profile containing only requests whose total length
 // (prompt + output) fits within maxPos, mirroring the paper's filtering
 // of synthesized batches against max_position_embeddings.
@@ -325,10 +312,4 @@ func LengthBuckets(p *Profile) map[string]float64 {
 		out[k] /= n
 	}
 	return out
-}
-
-// BucketNames returns the §II-A bucket labels in display order (the
-// ascending length-bucket order LengthBuckets keys by).
-func BucketNames() []string {
-	return []string{"<128", "129-512", "513-1024", "1025-2048", ">2048"}
 }

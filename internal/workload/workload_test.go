@@ -212,35 +212,22 @@ func TestPromptPercentileEmptyProfile(t *testing.T) {
 	if got := empty.PromptPercentile(95); got != 0 {
 		t.Fatalf("PromptPercentile on empty profile = %d, want 0", got)
 	}
-	if got := empty.OutputPercentile(95); got != 0 {
-		t.Fatalf("OutputPercentile on empty profile = %d, want 0", got)
-	}
 	if got := empty.AvgPrompt(); got != 0 {
 		t.Fatalf("AvgPrompt on empty profile = %v, want 0", got)
 	}
 }
 
-// TestBucketNamesMatchLengthBuckets locks the display order against the
-// LengthBuckets key set: every name must be a key, every key a name,
-// and the order must be ascending by bucket lower bound.
+// TestBucketNamesMatchLengthBuckets locks the LengthBuckets key set to
+// the §II-A bucket labels: every label must be a key, every key a label.
 func TestBucketNamesMatchLengthBuckets(t *testing.T) {
-	names := BucketNames()
-	want := []string{"<128", "129-512", "513-1024", "1025-2048", ">2048"}
-	if len(names) != len(want) {
-		t.Fatalf("BucketNames() = %v, want %v", names, want)
-	}
-	for i := range want {
-		if names[i] != want[i] {
-			t.Fatalf("BucketNames()[%d] = %q, want %q (display order must follow bucket bounds)", i, names[i], want[i])
-		}
-	}
+	names := []string{"<128", "129-512", "513-1024", "1025-2048", ">2048"}
 	b := LengthBuckets(ShareGPT(stats.NewRNG(12), 100))
 	if len(b) != len(names) {
-		t.Fatalf("LengthBuckets has %d keys, BucketNames %d", len(b), len(names))
+		t.Fatalf("LengthBuckets has %d keys, want %d", len(b), len(names))
 	}
 	for _, n := range names {
 		if _, ok := b[n]; !ok {
-			t.Fatalf("BucketNames entry %q missing from LengthBuckets keys %v", n, b)
+			t.Fatalf("bucket label %q missing from LengthBuckets keys %v", n, b)
 		}
 	}
 }

@@ -103,11 +103,13 @@ func (s *System) replanBatch(ctx context.Context, prev *Deployment, batch worklo
 	var inc *plan.Plan
 	if prev != nil && prev.plan != nil {
 		// Nothing changed since prev was planned: it is already the
-		// answer. Equal keys mean an identical cluster (cluster.Diff's
-		// Identical tier); the weaker CompositionIntact tier (same class
-		// counts, different layout) needs no special casing here because
-		// the shared cost cache keeps every per-(class, precision,
-		// phase, shape) evaluation valid across such changes anyway.
+		// answer. The key covers the model, the cluster fingerprint
+		// (nodes, class counts, derating and interconnect), the batch
+		// and every plan-moving option, so equal keys mean equal inputs.
+		// A cluster with the same class counts in a different layout
+		// gets a new key and re-plans from prev; the shared cost cache
+		// keeps every per-(class, precision, phase, shape) evaluation
+		// valid across such a change.
 		if prev.key == key && prev.report != nil && !prev.report.Cancelled {
 			return &Deployment{sys: s, plan: prev.plan, batch: batch, report: prev.report, key: key, reused: true}, nil
 		}

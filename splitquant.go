@@ -136,7 +136,10 @@ func Preset(n int) ClusterSpec {
 // build converts the spec to the internal representation.
 func (cs ClusterSpec) build() (*cluster.Cluster, error) {
 	gbps := cs.InterconnectGbps
-	if gbps == 0 {
+	switch {
+	case !(gbps >= 0):
+		return nil, fmt.Errorf("splitquant: InterconnectGbps must be >= 0, got %v", gbps)
+	case gbps == 0:
 		gbps = 800
 	}
 	c := &cluster.Cluster{Name: cs.Name, InterBW: cluster.BandwidthFromGbps(gbps)}

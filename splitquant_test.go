@@ -76,6 +76,10 @@ func TestBadCluster(t *testing.T) {
 	if _, err := New("opt-13b", ClusterSpec{}); err == nil {
 		t.Fatal("empty cluster accepted")
 	}
+	one := ClusterSpec{Nodes: []Node{{Name: "a", GPU: V100, Count: 2}}, InterconnectGbps: -5}
+	if _, err := New("opt-13b", one); err == nil || !strings.Contains(err.Error(), "InterconnectGbps") {
+		t.Fatalf("negative InterconnectGbps on one node: err = %v", err)
+	}
 }
 
 func TestPresetRoundTrip(t *testing.T) {
