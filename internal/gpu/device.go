@@ -240,7 +240,7 @@ func (s *Spec) EmbedLatency(m *model.Spec, v, seq int) float64 {
 // position (the LM head stays FP16).
 func (s *Spec) LMHeadLatency(m *model.Spec, v int) float64 {
 	flops := m.LMHeadFLOPs(v)
-	mops := float64(m.Vocab)*float64(m.EmbedDim)*2 + float64(v*m.Vocab)*4
+	mops := float64(float64(m.Vocab)*float64(m.EmbedDim))*2 + float64(float64(v*m.Vocab)*4)
 	return s.roofline(flops, mops, 16)
 }
 

@@ -154,8 +154,8 @@ func (s *Spec) ActivationPeakBytes(v, seq int) int64 {
 func (s *Spec) LayerFLOPsPrefill(v, seq int) float64 {
 	h1, h2, kv := float64(s.Hidden), float64(s.FFN), float64(s.KVDim())
 	vs := float64(v) * float64(seq)
-	mlp := 2 * float64(s.mlpMatrices()) * vs * h1 * h2
-	return 4*vs*h1*h1 + 4*vs*h1*kv + 4*float64(v)*float64(seq)*float64(seq)*h1 + mlp
+	mlp := float64(2 * float64(s.mlpMatrices()) * vs * h1 * h2)
+	return float64(4*vs*h1*h1) + float64(4*vs*h1*kv) + float64(4*float64(v)*float64(seq)*float64(seq)*h1) + mlp
 }
 
 // DecodeWork is the work of one decoder layer generating one token per
@@ -242,8 +242,8 @@ func (b decodeBytes) at(ctx int) float64 {
 // once plus streaming activations); prefill is compute-bound so this only
 // matters for the roofline crossover at tiny batch·seq.
 func (s *Spec) LayerMOPsPrefill(v, seq, bit int) float64 {
-	weights := float64(s.DecoderLayerParams()) * bytesPerWeight(bit)
-	act := float64(v*seq*s.Hidden) * bytesFP16 * 12
+	weights := float64(float64(s.DecoderLayerParams()) * bytesPerWeight(bit))
+	act := float64(float64(v*seq*s.Hidden) * bytesFP16 * 12)
 	return weights + act
 }
 
@@ -251,7 +251,7 @@ func (s *Spec) LayerMOPsPrefill(v, seq, bit int) float64 {
 // token lookup is O(v·s·h1) copies; the LM-head matmul dominates
 // postprocessing at 2·v·h1·vocab per generated position.
 func (s *Spec) EmbedFLOPs(v, seq int) float64 {
-	return float64(v) * float64(seq) * float64(s.Hidden) * 2
+	return float64(float64(v)*float64(seq)*float64(s.Hidden)) * 2
 }
 
 // LMHeadFLOPs returns the logit-projection cost for v sequences at one

@@ -98,12 +98,12 @@ func (s *Spec) Profile(i int) LayerProfile {
 	}
 	depth := float64(i) / float64(s.Layers)
 	// Weight range mildly widens with depth; activations grow markedly.
-	wAbs := 0.05 * (1 + 0.3*depth)
+	wAbs := 0.05 * (1 + float64(0.3*depth))
 	return LayerProfile{
 		DW:    s.DecoderLayerParams(),
 		WMin:  -wAbs,
 		WMax:  wAbs,
 		MeanX: 0.02 * depth,
-		VarX:  1.0 + 3.0*depth,
+		VarX:  1.0 + float64(3.0*depth),
 	}
 }

@@ -150,7 +150,7 @@ func (q *Quantized) Dequantize() *tensor.Matrix {
 				if q.Scheme.Symmetric {
 					code -= half
 				}
-				row[c] = float32(float64(code)*scale + zero)
+				row[c] = float32(float64(float64(code)*scale) + zero)
 			}
 		}
 	}

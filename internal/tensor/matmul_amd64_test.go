@@ -3,13 +3,15 @@ package tensor
 import (
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
 
-// TestAVX2DispatchOnWhereCPUHasIt guards the CPUID check: a machine whose
-// kernel lists avx2 must run the AVX2 kernel, not fall back to the Go one
-// with every bit-exactness test still passing.
+// TestAVX2DispatchOnWhereCPUHasIt guards the CPUID checks: a machine whose
+// kernel lists avx2 must run the AVX2 matmul kernel, and one that lists
+// avx2 and fma must also run the GELU and softmax kernels, not fall back
+// to the Go loops with every bit-exactness test still passing.
 func TestAVX2DispatchOnWhereCPUHasIt(t *testing.T) {
 	if runtime.GOOS != "linux" {
 		t.Skip("reads /proc/cpuinfo")
@@ -23,15 +25,17 @@ func TestAVX2DispatchOnWhereCPUHasIt(t *testing.T) {
 		if !ok || strings.TrimSpace(name) != "flags" {
 			continue
 		}
-		for _, f := range strings.Fields(flags) {
-			if f == "avx2" {
-				if !cpuHasAVX2() || !useAVX2 {
-					t.Fatalf("cpuinfo lists avx2 but cpuHasAVX2() = %v, useAVX2 = %v", cpuHasAVX2(), useAVX2)
-				}
-				return
-			}
+		fs := strings.Fields(flags)
+		if !slices.Contains(fs, "avx2") {
+			t.Skip("cpuinfo does not list avx2")
 		}
-		t.Skip("cpuinfo does not list avx2")
+		if !cpuHasAVX2() || !useAVX2 {
+			t.Fatalf("cpuinfo lists avx2 but cpuHasAVX2() = %v, useAVX2 = %v", cpuHasAVX2(), useAVX2)
+		}
+		if hasFMA := slices.Contains(fs, "fma"); hasFMA != cpuHasFMA() || hasFMA != useFMA {
+			t.Fatalf("cpuinfo lists avx2, fma listed = %v, but cpuHasFMA() = %v, useFMA = %v", hasFMA, cpuHasFMA(), useFMA)
+		}
+		return
 	}
 	t.Skip("no flags line in cpuinfo")
 }

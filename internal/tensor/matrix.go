@@ -109,41 +109,49 @@ func MatMul(a, b *Matrix) *Matrix {
 	return out
 }
 
-// matMulRange computes rows [lo, hi) of out = a·b into a zeroed out. The
-// row's columns up to the last multiple of eight go to matMulTiledAVX2
-// where the CPU has AVX2 and to matMulTiledGo elsewhere; the n%8
-// remainder columns use a plain ikj loop.
+// matMulRange computes rows [lo, hi) of out = a·b, one MatMulRow each.
+func matMulRange(a, b, out *Matrix, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		MatMulRow(a.Row(i), b.Data, out.Row(i), b.Cols)
+	}
+}
+
+// MatMulRow sets or[j] = Σ_k ar[k]·b[k·n+j] for every j < len(or), where
+// b holds len(ar) rows of stride n ≥ len(or); a row may start anywhere in
+// a larger matrix, so one call can multiply by a column block of it. The
+// columns up to the last multiple of eight go to matMulTiledAVX2 where the
+// CPU has AVX2 and to matMulTiledGo elsewhere; the len(or)%8 remainder
+// columns use a plain kj loop.
 //
-// Every output element is summed from zero over k in ascending order,
-// skipping zero entries of a, whatever the kernel or tiling: the result is
+// Every element is summed from zero over k in ascending order, skipping
+// zero entries of ar, whatever the kernel or tiling: the result is
 // bit-for-bit that of the textbook ikj loop. tinyllm's forward pass, and
 // with it EXPERIMENTS.md and transport.Reference, depends on that. Each
 // product is written float32(av * b): the conversion rounds the product
 // before the add, so no compiler may fuse the two into one FMA (arm64's
-// would).
-func matMulRange(a, b, out *Matrix, lo, hi int) {
-	n := b.Cols
-	tiled := n &^ 7
-	for i := lo; i < hi; i++ {
-		ar := a.Row(i)
-		or := out.Row(i)
-		if useAVX2 {
-			matMulTiledAVX2(ar, b.Data, or[:tiled], n)
-		} else {
-			matMulTiledGo(ar, b.Data, or[:tiled], n)
-		}
-		if tiled == n {
+// would). It panics if b is too short.
+func MatMulRow(ar, b, or []float32, n int) {
+	if len(or) > n || len(ar) > 0 && len(b) < (len(ar)-1)*n+len(or) {
+		panic(fmt.Sprintf("tensor: MatMulRow of %d columns, stride %d, over %d rows in %d elements", len(or), n, len(ar), len(b)))
+	}
+	tiled := len(or) &^ 7
+	if useAVX2 {
+		matMulTiledAVX2(ar, b, or[:tiled], n)
+	} else {
+		matMulTiledGo(ar, b, or[:tiled], n)
+	}
+	if tiled == len(or) {
+		return
+	}
+	rem := or[tiled:]
+	clear(rem)
+	for k, av := range ar {
+		if av == 0 {
 			continue
 		}
-		rem := or[tiled:]
-		for k, av := range ar {
-			if av == 0 {
-				continue
-			}
-			br := b.Data[k*n+tiled : k*n+n]
-			for j := range br {
-				rem[j] += float32(av * br[j])
-			}
+		br := b[k*n+tiled:][:len(rem)]
+		for j := range br {
+			rem[j] += float32(av * br[j])
 		}
 	}
 }

@@ -109,11 +109,14 @@ func matMulOracle(a, b *Matrix) *Matrix {
 	return out
 }
 
-// firstBitDiff returns the first index at which got and want differ in
-// their bits (any two NaNs count as equal), or -1.
-func firstBitDiff(got, want *Matrix) int {
-	for i, g := range got.Data {
-		w := want.Data[i]
+// firstBitDiff is firstSliceBitDiff over two matrices' elements.
+func firstBitDiff(got, want *Matrix) int { return firstSliceBitDiff(got.Data, want.Data) }
+
+// firstSliceBitDiff returns the first index at which got and want differ
+// in their bits (any two NaNs count as equal), or -1.
+func firstSliceBitDiff(got, want []float32) int {
+	for i, g := range got {
+		w := want[i]
 		if math.Float32bits(g) != math.Float32bits(w) && !(g != g && w != w) {
 			return i
 		}
@@ -121,10 +124,11 @@ func firstBitDiff(got, want *Matrix) int {
 	return -1
 }
 
-// FuzzMatMulBitExact checks MatMul with each kernel against matMulOracle
-// bit for bit on shapes with column counts that are not multiples of the
-// kernel's tiles, shapes large enough for the parallel row split, and
-// inputs seeded with zeros, negative zeros, infinities and NaNs. The
+// FuzzMatMulBitExact checks MatMul, and MatMulRow over a column block of
+// b, with each kernel against matMulOracle bit for bit on shapes with
+// column counts that are not multiples of the kernel's tiles, shapes
+// large enough for the parallel row split, and inputs seeded with zeros,
+// negative zeros, infinities and NaNs. The
 // seeds' column counts reach the AVX2 kernel's 64- and 8-column blocks
 // and the remainder loop together (75), the remainder alone (7) and
 // 64-column blocks alone (192).
@@ -158,12 +162,22 @@ func FuzzMatMulBitExact(f *testing.F) {
 		fill(a)
 		fill(b)
 		want := matMulOracle(a, b)
+		// The last row again through MatMulRow, over the column block
+		// [lo, b.Cols) read in place, as attention reads one head.
+		lo := b.Cols / 3
+		last := a.Rows - 1
+		block := make([]float32, b.Cols-lo)
 		for _, avx2 := range kinds {
 			useKernel(t, avx2)
 			got := MatMul(a, b)
 			if i := firstBitDiff(got, want); i >= 0 {
 				t.Fatalf("%s kernel, %dx%d·%dx%d: element %d = %v, oracle %v",
 					kernelName(avx2), a.Rows, a.Cols, b.Rows, b.Cols, i, got.Data[i], want.Data[i])
+			}
+			MatMulRow(a.Row(last), b.Data[lo:], block, b.Cols)
+			if i := firstSliceBitDiff(block, want.Row(last)[lo:]); i >= 0 {
+				t.Fatalf("%s kernel, MatMulRow over columns [%d, %d): column %d = %v, oracle %v",
+					kernelName(avx2), lo, b.Cols, lo+i, block[i], want.At(last, lo+i))
 			}
 		}
 	})

@@ -3,7 +3,9 @@ package tensor
 import "math"
 
 // SoftmaxRow converts xs to a probability distribution in place using the
-// numerically stable max-shift formulation.
+// numerically stable max-shift formulation. Where useFMA is set, groups
+// of four take their exponentials from softmaxExpAVX2, which rounds as
+// math.Exp does; the float64 sum runs in index order either way.
 func SoftmaxRow(xs []float32) {
 	if len(xs) == 0 {
 		return
@@ -15,15 +17,30 @@ func SoftmaxRow(xs []float32) {
 		}
 	}
 	var sum float64
+	rest := xs
+	for useFMA && len(rest) >= 4 {
+		n, s := softmaxExpAVX2(rest, mx, sum)
+		rest = rest[n:]
+		n = min(len(rest), 4)
+		sum = expShift(rest[:n], mx, s)
+		rest = rest[n:]
+	}
+	sum = expShift(rest, mx, sum)
+	inv := float32(1 / sum)
+	for i := range xs {
+		xs[i] *= inv
+	}
+}
+
+// expShift replaces each v in xs with float32(exp(float64(v − mx))) and
+// returns sum plus the exponentials, added in index order.
+func expShift(xs []float32, mx float32, sum float64) float64 {
 	for i, v := range xs {
 		e := math.Exp(float64(v - mx))
 		xs[i] = float32(e)
 		sum += e
 	}
-	inv := float32(1 / sum)
-	for i := range xs {
-		xs[i] *= inv
-	}
+	return sum
 }
 
 // LogSoftmaxRow returns log(softmax(xs))[target] without mutating xs,
@@ -71,13 +88,28 @@ func LayerNorm(m *Matrix, gain, bias []float32, eps float32) {
 }
 
 // GELU applies the tanh-approximated Gaussian error linear unit to m in
-// place, matching the activation used by OPT/BLOOM MLP blocks. The cubic
-// term is converted before it is added, so no architecture fuses it.
+// place, matching the activation used by OPT/BLOOM MLP blocks. Where
+// useFMA is set, groups of four run in geluAVX2, which repeats
+// geluScalar bit for bit; a group it declines and the len%4 tail run in
+// geluScalar.
 func GELU(m *Matrix) {
+	d := m.Data
+	for useFMA && len(d) >= 4 {
+		d = d[geluAVX2(d):]
+		n := min(len(d), 4)
+		geluScalar(d[:n])
+		d = d[n:]
+	}
+	geluScalar(d)
+}
+
+// geluScalar applies GELU to xs in place. The cubic term is converted
+// before it is added, so no architecture fuses it.
+func geluScalar(xs []float32) {
 	const c0 = 0.7978845608028654 // sqrt(2/pi)
-	for i, v := range m.Data {
+	for i, v := range xs {
 		x := float64(v)
-		m.Data[i] = float32(0.5 * x * (1 + math.Tanh(c0*(x+float64(0.044715*x*x*x)))))
+		xs[i] = float32(0.5 * x * (1 + math.Tanh(c0*(x+float64(0.044715*x*x*x)))))
 	}
 }
 

@@ -38,7 +38,11 @@ func (m *Model) Embed(tokens []int, startPos int) (*tensor.Matrix, error) {
 
 // NewCache allocates an empty KV cache sized for the model's depth.
 func (m *Model) NewCache() *KVCache {
-	return &KVCache{K: make([]*tensor.Matrix, len(m.Blocks)), V: make([]*tensor.Matrix, len(m.Blocks))}
+	return &KVCache{
+		k:   make([]*tensor.Matrix, len(m.Blocks)),
+		v:   make([]*tensor.Matrix, len(m.Blocks)),
+		key: make([]float32, m.Cfg.Hidden),
+	}
 }
 
 // ForwardBlocks advances hidden states x through blocks [lo, hi),
@@ -48,13 +52,18 @@ func (m *Model) ForwardBlocks(lo, hi int, x *tensor.Matrix, cache *KVCache, offs
 	if lo < 0 || hi > len(m.Blocks) || lo >= hi {
 		return nil, fmt.Errorf("tinyllm: block range [%d, %d) of %d", lo, hi, len(m.Blocks))
 	}
-	if cache == nil || len(cache.K) != len(m.Blocks) {
+	if cache == nil || len(cache.k) != len(m.Blocks) {
 		return nil, fmt.Errorf("tinyllm: cache depth mismatch")
 	}
 	if x.Cols != m.Cfg.Hidden {
 		return nil, fmt.Errorf("tinyllm: hidden width %d, want %d", x.Cols, m.Cfg.Hidden)
 	}
-	if n := cache.lenAt(lo); offset != n {
+	// Layer lo's values hold one row per position its passes cached.
+	n := 0
+	if v := cache.v[lo]; v != nil {
+		n = v.Rows
+	}
+	if offset != n {
 		return nil, fmt.Errorf("tinyllm: offset %d, but blocks [%d, %d) hold %d cached positions", offset, lo, hi, n)
 	}
 	for li := lo; li < hi; li++ {

@@ -9,23 +9,25 @@ import (
 
 // KVCache stores the per-layer key/value tensors accumulated during
 // generation; decode steps attend over it (Fig. 2's two-phase pattern).
-// Each forward pass appends its rows to the layer's matrices in place, so
-// a cache must not be shared between generations.
+// Each forward pass writes its positions into the layer's matrices in
+// place, so a cache must not be shared between generations, and a cache
+// serves one block range: every layer in it holds the same positions.
 type KVCache struct {
-	K []*tensor.Matrix // per layer: positions × hidden
-	V []*tensor.Matrix
+	// k holds each layer's keys transposed, hidden × capacity: column j
+	// is position j's key, so a query row scores every position with one
+	// tensor.MatMulRow per head. The capacity doubles when a pass
+	// overflows it.
+	k []*tensor.Matrix
+	// v holds each layer's values, positions × hidden.
+	v []*tensor.Matrix
+	// n is the number of cached positions.
+	n int
+	// key holds one position's key on its way into k.
+	key []float32
 }
 
 // Len returns the number of cached positions.
-func (c *KVCache) Len() int { return c.lenAt(0) }
-
-// lenAt returns the number of positions cached for layer li.
-func (c *KVCache) lenAt(li int) int {
-	if li >= len(c.K) || c.K[li] == nil {
-		return 0
-	}
-	return c.K[li].Rows
-}
+func (c *KVCache) Len() int { return c.n }
 
 // Tap observes the activations entering each linear operator during a
 // forward pass (used to collect calibration inputs for the sensitivity
@@ -65,7 +67,7 @@ func (m *Model) prefill(tokens []int, tap Tap) (*tensor.Matrix, *KVCache, error)
 // DecodeStep feeds one new token per call, attending over the cache, and
 // returns the logits for the next-token distribution (1 × vocab).
 func (m *Model) DecodeStep(token int, cache *KVCache) (*tensor.Matrix, error) {
-	if cache == nil || len(cache.K) != len(m.Blocks) {
+	if cache == nil || len(cache.k) != len(m.Blocks) {
 		return nil, fmt.Errorf("tinyllm: decode without a prefilled cache")
 	}
 	pos := cache.Len()
@@ -83,8 +85,8 @@ func (m *Model) DecodeStep(token int, cache *KVCache) (*tensor.Matrix, error) {
 }
 
 // blockForward runs one decoder block over x (rows = new positions),
-// appending this pass's K/V to the cache. offset is the number of
-// already-cached positions preceding x. It never writes into x.
+// writing this pass's K/V into the cache at positions [offset,
+// offset+x.Rows). It never writes into x.
 func (m *Model) blockForward(li int, b *Block, x *tensor.Matrix, cache *KVCache, offset int, tp Tap) *tensor.Matrix {
 	// Attention sublayer (pre-LN).
 	hN := x.Clone()
@@ -94,9 +96,10 @@ func (m *Model) blockForward(li int, b *Block, x *tensor.Matrix, cache *KVCache,
 	}
 	hN = m.maybeQuantAct(hN)
 	q := tensor.MatMul(hN, b.Wq)
-	cache.K[li] = appendRows(cache.K[li], tensor.MatMul(hN, b.Wk))
-	cache.V[li] = appendRows(cache.V[li], tensor.MatMul(hN, b.Wv))
-	attnOut := m.attention(q, cache.K[li], cache.V[li], offset)
+	cache.appendKeys(li, hN, b.Wk, offset)
+	cache.v[li] = appendRows(cache.v[li], tensor.MatMul(hN, b.Wv))
+	cache.n = offset + x.Rows
+	attnOut := m.attention(q, cache.k[li], cache.v[li], offset)
 	if tp != nil {
 		tp(li, "attn_out", attnOut)
 	}
@@ -133,48 +136,63 @@ func appendRows(c, x *tensor.Matrix) *tensor.Matrix {
 	return c
 }
 
+// appendKeys computes the keys x·wk of positions [n, n+x.Rows) one row
+// at a time, as tensor.MatMul would, and writes them into columns [n,
+// n+x.Rows) of layer li's transposed key matrix, whose first n columns
+// are cached. An empty layer gets exactly x.Rows columns. When they do
+// not fit, it moves the cached columns into a matrix of twice the
+// capacity, or of exactly n+x.Rows columns if that is more.
+func (c *KVCache) appendKeys(li int, x, wk *tensor.Matrix, n int) {
+	kt := c.k[li]
+	if kt == nil {
+		kt = tensor.NewMatrix(wk.Cols, x.Rows)
+	} else if n+x.Rows > kt.Cols {
+		grown := tensor.NewMatrix(kt.Rows, max(n+x.Rows, 2*kt.Cols))
+		for r := 0; r < kt.Rows; r++ {
+			copy(grown.Row(r), kt.Row(r)[:n])
+		}
+		kt = grown
+	}
+	c.k[li] = kt
+	for i := 0; i < x.Rows; i++ {
+		tensor.MatMulRow(x.Row(i), wk.Data, c.key, wk.Cols)
+		col := kt.Data[n+i:]
+		for ch, v := range c.key {
+			col[ch*kt.Cols] = v
+		}
+	}
+}
+
 // attention computes causal multi-head attention of queries q (rows =
-// new positions, preceded by offset cached ones) over keys/values k, v
-// (rows = all positions so far).
+// new positions, preceded by offset cached ones) over the transposed keys
+// kt (hidden × capacity) and values v (rows = all positions so far).
 //
-// Each head reads its columns of q, k and v in place, and query row r
-// scores only the keys it may see, j ≤ r+offset. That is bit-identical
-// to scoring every key, masking the future with −∞ and multiplying the
-// probabilities by v: a masked key's probability is exactly zero, it
-// adds exactly zero to the softmax sum, and the p·v product skips zero
-// probabilities. Every sum runs in the order tensor.MatMulTransB and
-// tensor.MatMul use, and each product is converted to float32 before it
-// is added, so no architecture fuses a multiply-add.
-func (m *Model) attention(q, k, v *tensor.Matrix, offset int) *tensor.Matrix {
+// Query row r scores only the keys it may see, j ≤ r+offset. That is
+// bit-identical to scoring every key, masking the future with −∞ and
+// multiplying the probabilities by v: a masked key's probability is
+// exactly zero, it adds exactly zero to the softmax sum, and the p·v
+// product skips zero probabilities. For each head, the scores are one
+// tensor.MatMulRow of the head's query columns over its rows of kt, and
+// the output is one tensor.MatMulRow of the probabilities over its
+// columns of v, both read in place: every sum runs over ascending k from
+// zero, skipping zero factors, with each product rounded to float32
+// before it is added, so no architecture fuses a multiply-add.
+func (m *Model) attention(q, kt, v *tensor.Matrix, offset int) *tensor.Matrix {
 	hidden := m.Cfg.Hidden
 	d := hidden / m.Cfg.Heads
 	scale := float32(1 / math.Sqrt(float64(d)))
 	out := tensor.NewMatrix(q.Rows, hidden)
-	scores := make([]float32, k.Rows)
+	scores := make([]float32, offset+q.Rows)
 	for r := 0; r < q.Rows; r++ {
 		qr, or := q.Row(r), out.Row(r)
 		p := scores[:r+offset+1]
 		for lo := 0; lo < hidden; lo += d {
-			qh := qr[lo : lo+d]
+			tensor.MatMulRow(qr[lo:lo+d], kt.Data[lo*kt.Cols:], p, kt.Cols)
 			for j := range p {
-				kh := k.Data[j*hidden+lo:][:len(qh)]
-				var s float32
-				for c, qv := range qh {
-					s += float32(qv * kh[c])
-				}
-				p[j] = s * scale
+				p[j] *= scale
 			}
 			tensor.SoftmaxRow(p)
-			oh := or[lo : lo+d]
-			for j, pj := range p {
-				if pj == 0 {
-					continue
-				}
-				vh := v.Data[j*hidden+lo:][:len(oh)]
-				for c := range oh {
-					oh[c] += float32(pj * vh[c])
-				}
-			}
+			tensor.MatMulRow(p, v.Data[lo:], or[lo:lo+d], hidden)
 		}
 	}
 	return out

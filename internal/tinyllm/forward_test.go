@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/quant"
+	"repro/internal/stats"
 	"repro/internal/tensor"
 )
 
@@ -163,5 +164,79 @@ func TestForwardBlocksMatchesPrefill(t *testing.T) {
 		if _, err := m.ForwardBlocks(split, goldenCfg.Layers, x, caches[1], off); err == nil {
 			t.Fatalf("offset %d accepted with %d cached positions", off, len(seq))
 		}
+	}
+}
+
+// TestStageCacheLen runs the golden model as stages [0, 6) and [6, 12)
+// through a 3-token prefill and ten single-token steps, so the second
+// stage's cache (which never fills layer 0) doubles its key capacity
+// twice. After every pass both caches must report every position, and
+// the last step's logits must equal the single-process prefill's.
+func TestStageCacheLen(t *testing.T) {
+	m := goldenModel(t)
+	seq := []int{5, 17, 29, 41, 53, 65, 77, 89, 101, 113, 125, 137, 149}
+	want, _, err := m.Prefill(seq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	caches := []*KVCache{m.NewCache(), m.NewCache()}
+	var x *tensor.Matrix
+	for pos := 0; pos < len(seq); {
+		n := 1
+		if pos == 0 {
+			n = 3
+		}
+		if x, err = m.Embed(seq[pos:pos+n], pos); err != nil {
+			t.Fatal(err)
+		}
+		for s, r := range [][2]int{{0, 6}, {6, goldenCfg.Layers}} {
+			if x, err = m.ForwardBlocks(r[0], r[1], x, caches[s], pos); err != nil {
+				t.Fatal(err)
+			}
+		}
+		pos += n
+		for s, c := range caches {
+			if c.Len() != pos {
+				t.Fatalf("stage %d cache Len() = %d after %d positions", s, c.Len(), pos)
+			}
+		}
+	}
+	got, last := m.Logits(x).Row(0), want.Row(len(seq)-1)
+	for i := range got {
+		if math.Float32bits(got[i]) != math.Float32bits(last[i]) {
+			t.Fatalf("logit %d: stages %v, single pass %v", i, got[i], last[i])
+		}
+	}
+}
+
+// BenchmarkAttention times one layer's attention at the stage-chain
+// shapes (hidden 64, 4 heads): a 43-token prefill, and one decode step
+// over 75 cached positions, the longest prompt plus generation.
+func BenchmarkAttention(b *testing.B) {
+	m := goldenModel(b)
+	r := stats.NewRNG(1)
+	for _, s := range []struct {
+		name         string
+		rows, offset int
+	}{{"prefill43", 43, 0}, {"decode75", 1, 74}} {
+		b.Run(s.name, func(b *testing.B) {
+			tokens := make([]int, s.rows+s.offset)
+			for i := range tokens {
+				tokens[i] = r.Intn(goldenCfg.Vocab)
+			}
+			_, cache, err := m.Prefill(tokens)
+			if err != nil {
+				b.Fatal(err)
+			}
+			q := tensor.NewMatrix(s.rows, goldenCfg.Hidden)
+			for i := range q.Data {
+				q.Data[i] = float32(r.NormMS(0, 1))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.attention(q, cache.k[0], cache.v[0], s.offset)
+			}
+		})
 	}
 }
