@@ -49,14 +49,16 @@ test-race:
 	$(GO) test -race -timeout 15m -count=2 -run 'Maintenance|DrainTimeout|Preempt|Restore' ./internal/serve/
 
 # Fuzz smoke: twenty seconds of coverage-guided inputs for each of
-# twelve targets. Eight must match a reference: a bitwidth-transfer
+# thirteen targets. Nine must match a reference: a bitwidth-transfer
 # move's exact score and the search's kept sums against a full
 # evaluation bit for bit, and the move's estimate within its error
 # margin; the whole bitwidth-transfer search against the clone-per-move
 # reference search; the simplex solver against the dense tableau solver
-# it replaced, bit for bit on random LPs; both matmul kernels (the AVX2
-# assembly, where the CPU has it, and the portable Go one) against the
-# plain ikj loop; GELU and the softmax (the AVX2+FMA kernels, where the
+# it replaced, bit for bit on random LPs; the branch-and-bound solver
+# against enumeration of every binary point of random 0/1 programs, with
+# and without the rows that make its box rows redundant; both matmul
+# kernels (the AVX2 assembly, where the CPU has it, and the portable Go
+# one) against the plain ikj loop; GELU and the softmax (the AVX2+FMA kernels, where the
 # CPU has them) against the scalar loops they replaced, bit for bit on
 # fuzzed float32 bit patterns; a token-log handoff (GenerateLog on one
 # loopback stage chain, Resume on a differently split one) against one
@@ -64,15 +66,15 @@ test-race:
 # at the MaxPos edge; the pipeline's decode-step price against the per-layer loop it
 # replaced, bit for bit; and one layer's decode-latency curve against
 # the per-call roofline and TP formulas it replaced, bit for bit, over
-# every model, device class and TP degree. The ninth checks that the
+# every model, device class and TP degree. The tenth checks that the
 # planner's optimistic bound, which decides which configurations the
 # search skips, never exceeds a feasible assignment's objective. The
-# tenth feeds arbitrary bytes to the plan JSON decoder that cached and
+# eleventh feeds arbitrary bytes to the plan JSON decoder that cached and
 # warm-start plans come through: no panic, Validate rejects malformed
 # stages, and a valid bound plan survives a wire round trip unchanged.
-# The eleventh decodes arbitrary bytes as a serve job spec: Submit rejects
+# The twelfth decodes arbitrary bytes as a serve job spec: Submit rejects
 # it, or the job's batch is valid and equals a fresh synthesis, also
-# when served from the batch memo. The twelfth decodes arbitrary bytes
+# when served from the batch memo. The thirteenth decodes arbitrary bytes
 # as an online request spec: Submit rejects it, or the request fits the
 # model's positions without overflow, reserves a positive KV footprint
 # and its status echoes the spec. Their seed corpora
@@ -83,6 +85,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzBitwidthTransfer -fuzztime=20s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzOptimisticBound -fuzztime=20s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzSolveMatchesDense -fuzztime=20s ./internal/lp
+	$(GO) test -run='^$$' -fuzz=FuzzILPMatchesBruteForce -fuzztime=20s ./internal/ilp
 	$(GO) test -run='^$$' -fuzz=FuzzMatMulBitExact -fuzztime=20s ./internal/tensor
 	$(GO) test -run='^$$' -fuzz=FuzzGELUBitExact -fuzztime=20s ./internal/tensor
 	$(GO) test -run='^$$' -fuzz=FuzzHandoffSplice -fuzztime=20s ./internal/transport

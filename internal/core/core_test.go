@@ -203,6 +203,35 @@ func TestILPPolishNotWorseThanHeuristic(t *testing.T) {
 	}
 }
 
+// TestILPPlansMemoryBoundCluster plans OPT-30B on the memory-bound
+// preset 6, where the memory rows' byte counts once sat next to time
+// rows in seconds and broke the simplex's tolerances: at θ = 10 the
+// root relaxation read as unbounded and Plan failed. Every θ must plan,
+// no worse in Eq. 4 than the heuristic.
+func TestILPPlansMemoryBoundCluster(t *testing.T) {
+	spec := model.OPT30B
+	clu := cluster.MustPreset(6)
+	batch := workload.Batch{Size: 32, ChunkLen: 512, Chunks: 1, GenTokens: 32}
+	for _, theta := range []float64{0.1, 1, 10} {
+		h := mustAssigner(t, spec, clu, Options{Method: MethodHeuristic, Theta: theta})
+		hPlan, _, err := h.Plan(context.Background(), batch)
+		if err != nil {
+			t.Fatalf("θ=%v heuristic: %v", theta, err)
+		}
+		i := mustAssigner(t, spec, clu, Options{Method: MethodILP, Theta: theta})
+		iPlan, rep, err := i.Plan(context.Background(), batch)
+		if err != nil {
+			t.Fatalf("θ=%v ILP: %v", theta, err)
+		}
+		if rep.ILPSolves == 0 {
+			t.Fatalf("θ=%v: ILP never invoked", theta)
+		}
+		if iPlan.Objective > hPlan.Objective+1e-9 {
+			t.Errorf("θ=%v: ILP objective %v worse than heuristic %v", theta, iPlan.Objective, hPlan.Objective)
+		}
+	}
+}
+
 func TestAdabitsIgnoresLatency(t *testing.T) {
 	// Fig. 12: adabits maximizes quality under memory but ignores the
 	// pipeline; the joint heuristic must be at least as good in objective.

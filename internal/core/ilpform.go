@@ -135,16 +135,23 @@ func solveILP(ctx context.Context, oc *orderingCosts, ind *Indicator, theta floa
 		row[tDec] = 1
 		addRow(row, lp.GE, maxCDec)
 	}
-	// (12)-(13) memory capacity.
+	// (12)-(13) memory capacity, in units of one layer's footprint at
+	// the first bitwidth: bytes (~1e9) next to the time rows' seconds
+	// would swamp the simplex's absolute tolerances. The budget may be
+	// <= 0, so it is never the divisor.
+	memScale := 1.0
+	if oc.memLayer[0] > 0 {
+		memScale = float64(oc.memLayer[0])
+	}
 	for j := 0; j < N; j++ {
 		row := make([]float64, nv)
 		for g, b := range groups {
 			size := float64(b[1] - b[0])
 			for bi := 0; bi < K; bi++ {
-				row[idx(g, j, bi)] = size * float64(oc.memLayer[bi])
+				row[idx(g, j, bi)] = size * float64(oc.memLayer[bi]) / memScale
 			}
 		}
-		addRow(row, lp.LE, float64(oc.memBudget[j]))
+		addRow(row, lp.LE, float64(oc.memBudget[j])/memScale)
 	}
 	// (15) anchors: first group on the first device, last on the last.
 	firstRow := make([]float64, nv)

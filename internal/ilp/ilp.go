@@ -19,8 +19,8 @@ import (
 )
 
 // Problem is a minimization MILP: the embedded LP plus a set of variable
-// indices restricted to {0, 1}. Box rows x_j <= 1 for the binaries are
-// added automatically.
+// indices restricted to {0, 1}. A box row x_j <= 1 is added for each
+// binary that no row of the LP already bounds at 1 (see impliedBox).
 type Problem struct {
 	LP lp.Problem
 	// Binary lists the indices of 0/1-restricted variables.
@@ -125,19 +125,31 @@ func SolveContext(ctx context.Context, p *Problem, opts Options) (*Solution, err
 		return nil, err
 	}
 	n := len(p.LP.C)
-	isBin := make(map[int]bool, len(p.Binary))
 	for _, j := range p.Binary {
 		if j < 0 || j >= n {
 			return nil, fmt.Errorf("ilp: binary index %d out of range %d", j, n)
 		}
-		isBin[j] = true
 	}
-	base := cloneLP(&p.LP)
-	// Box the binaries.
+	// units holds the rows e_j, built on first use and shared by the box
+	// and fix rows of every node LP (no solve writes to a row).
+	units := make([][]float64, n)
+	unit := func(j int) []float64 {
+		if units[j] == nil {
+			units[j] = make([]float64, n)
+			units[j][j] = 1
+		}
+		return units[j]
+	}
+	// Box the binaries no row bounds already. The full slice expressions
+	// make the appends copy, leaving the caller's slices alone.
+	m := len(p.LP.A)
+	base := &lp.Problem{C: p.LP.C, A: p.LP.A[:m:m], Senses: p.LP.Senses[:m:m], B: p.LP.B[:m:m]}
+	implied := impliedBox(&p.LP)
 	for _, j := range p.Binary {
-		row := make([]float64, n)
-		row[j] = 1
-		base.A = append(base.A, row)
+		if implied[j] {
+			continue
+		}
+		base.A = append(base.A, unit(j))
 		base.Senses = append(base.Senses, lp.LE)
 		base.B = append(base.B, 1)
 	}
@@ -160,11 +172,12 @@ func SolveContext(ctx context.Context, p *Problem, opts Options) (*Solution, err
 
 	queue := &nodeQueue{{fixes: map[int]float64{}, bound: math.Inf(-1)}}
 	heap.Init(queue)
-	rootInfeasible := true
 	// dropped records a node abandoned with its subtree unexplored (its
 	// LP hit the pivot budget or saw ctx cancelled mid-simplex): the
 	// search can then prove neither optimality nor infeasibility.
 	dropped := false
+	// One Solver for every node LP, so they all reuse one tableau.
+	var solver lp.Solver
 
 	for queue.Len() > 0 {
 		if opts.MaxNodes > 0 && best.Nodes >= opts.MaxNodes {
@@ -183,8 +196,8 @@ func SolveContext(ctx context.Context, p *Problem, opts Options) (*Solution, err
 		}
 		best.Nodes++
 
-		sub := applyFixes(base, nd.fixes, n)
-		sol, err := lp.SolveContext(ctx, sub, 0)
+		sub := applyFixes(base, nd.fixes, unit)
+		sol, err := solver.Solve(ctx, sub, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -202,7 +215,6 @@ func SolveContext(ctx context.Context, p *Problem, opts Options) (*Solution, err
 			dropped = true
 			continue
 		}
-		rootInfeasible = false
 		if sol.Objective >= best.Objective-1e-12 && best.Status != NoSolution {
 			continue // bound cannot improve the incumbent
 		}
@@ -236,7 +248,9 @@ func SolveContext(ctx context.Context, p *Problem, opts Options) (*Solution, err
 	}
 
 	if best.Status == NoSolution {
-		if rootInfeasible && queue.Len() == 0 && !dropped {
+		// An exhausted search that dropped no subtree has proved that no
+		// integer point exists.
+		if queue.Len() == 0 && !dropped {
 			best.Status = Infeasible
 		}
 		return best, nil
@@ -259,22 +273,34 @@ func allPruned(q *nodeQueue, incumbent float64) bool {
 	return true
 }
 
-// cloneLP deep-copies an LP.
-func cloneLP(p *lp.Problem) *lp.Problem {
-	out := &lp.Problem{
-		C:      append([]float64(nil), p.C...),
-		Senses: append([]lp.Sense(nil), p.Senses...),
-		B:      append([]float64(nil), p.B...),
+// impliedBox reports, per variable, whether a row of p already bounds
+// it at 1: an LE or EQ row with b >= 0 and no negative coefficient gives
+// x_j <= b/a_j, since x >= 0, so a_j >= b > 0, or b = 0, implies x_j <= 1.
+func impliedBox(p *lp.Problem) []bool {
+	implied := make([]bool, len(p.C))
+rows:
+	for i, row := range p.A {
+		b := p.B[i]
+		if p.Senses[i] == lp.GE || b < 0 {
+			continue
+		}
+		for _, v := range row {
+			if v < 0 {
+				continue rows
+			}
+		}
+		for j, v := range row {
+			if v > 0 && v >= b {
+				implied[j] = true
+			}
+		}
 	}
-	out.A = make([][]float64, len(p.A))
-	for i := range p.A {
-		out.A[i] = append([]float64(nil), p.A[i]...)
-	}
-	return out
+	return implied
 }
 
-// applyFixes appends x_j = v rows for each branch decision.
-func applyFixes(base *lp.Problem, fixes map[int]float64, n int) *lp.Problem {
+// applyFixes appends x_j = v rows (unit(j) = e_j) for each branch
+// decision.
+func applyFixes(base *lp.Problem, fixes map[int]float64, unit func(int) []float64) *lp.Problem {
 	sub := &lp.Problem{
 		C:      base.C,
 		A:      base.A,
@@ -300,9 +326,7 @@ func applyFixes(base *lp.Problem, fixes map[int]float64, n int) *lp.Problem {
 	}
 	sort.Ints(keys)
 	for _, j := range keys {
-		row := make([]float64, n)
-		row[j] = 1
-		a = append(a, row)
+		a = append(a, unit(j))
 		senses = append(senses, lp.EQ)
 		b = append(b, fixes[j])
 	}

@@ -325,3 +325,114 @@ func TestCancelledRootLPProvesNothing(t *testing.T) {
 		t.Fatalf("no warm start: status %v proved %v, want no-solution (not infeasible)", cold.Status, cold.Proved)
 	}
 }
+
+// randomBinaryProgram draws a 0/1 program from seed: 1 + vars%10
+// binaries with real costs and 1 + rows%6 LE/GE/EQ rows of small integer
+// coefficients and integer right-hand sides, so every binary point meets
+// a row exactly or misses it by at least 1. Most rows hold at a random
+// binary point x0. When partition is odd, set-partition rows Σ x = 1
+// over consecutive blocks of three variables are added too, and x0 meets
+// them; they bound every variable at 1, so no box row is added for any
+// binary.
+func randomBinaryProgram(seed uint64, vars, rows, partition uint8) *Problem {
+	r := stats.NewRNG(seed)
+	n, m := 1+int(vars)%10, 1+int(rows)%6
+	p := &Problem{LP: lp.Problem{C: make([]float64, n)}, Binary: make([]int, n)}
+	addRow := func(row []float64, s lp.Sense, rhs float64) {
+		p.LP.A = append(p.LP.A, row)
+		p.LP.Senses = append(p.LP.Senses, s)
+		p.LP.B = append(p.LP.B, rhs)
+	}
+	x0 := make([]float64, n)
+	for j := range p.LP.C {
+		p.LP.C[j] = r.NormMS(0, 3)
+		p.Binary[j] = j
+		x0[j] = float64(r.Intn(2))
+	}
+	if partition%2 == 1 {
+		for lo := 0; lo < n; lo += 3 {
+			hi := min(lo+3, n)
+			row := make([]float64, n)
+			for j := lo; j < hi; j++ {
+				row[j] = 1
+				x0[j] = 0
+			}
+			x0[lo+r.Intn(hi-lo)] = 1
+			addRow(row, lp.EQ, 1)
+		}
+	}
+	for i := 0; i < m; i++ {
+		row := make([]float64, n)
+		lhs := 0.0
+		for j := range row {
+			if r.Intn(3) > 0 {
+				row[j] = float64(r.IntRange(-3, 3))
+			}
+			lhs += row[j] * x0[j]
+		}
+		s := lp.Sense(r.Intn(3))
+		rhs := lhs
+		switch {
+		case r.Intn(10) == 0:
+			rhs = float64(r.IntRange(-4, 4)) // may make the program infeasible
+		case s == lp.LE:
+			rhs += float64(r.Intn(3))
+		case s == lp.GE:
+			rhs -= float64(r.Intn(3))
+		}
+		addRow(row, s, rhs)
+	}
+	return p
+}
+
+// bruteForce enumerates every binary point of p and returns the least
+// objective over the feasible ones, or +Inf when there is none.
+func bruteForce(p *Problem) float64 {
+	n := len(p.LP.C)
+	best := math.Inf(1)
+	x := make([]float64, n)
+	for mask := 0; mask < 1<<n; mask++ {
+		for j := range x {
+			x[j] = float64(mask >> j & 1)
+		}
+		if feasible(&p.LP, p.Binary, x) {
+			best = math.Min(best, dot(p.LP.C, x))
+		}
+	}
+	return best
+}
+
+// FuzzILPMatchesBruteForce solves random 0/1 programs
+// (randomBinaryProgram) with no node or time limit and checks the status
+// and objective against enumeration of every binary point: Infeasible
+// when no point is feasible, otherwise Optimal at the least objective
+// (within 1e-9·max(1, |obj|)) and a feasible binary point that attains
+// it. The seeds are a program whose box rows are all implied by its
+// set-partition rows, one where no row implies a box (21 nodes), and an
+// infeasible one whose relaxation is feasible (3 nodes).
+func FuzzILPMatchesBruteForce(f *testing.F) {
+	f.Add(uint64(3), uint8(9), uint8(4), uint8(1))
+	f.Add(uint64(1), uint8(9), uint8(4), uint8(0))
+	f.Add(uint64(1), uint8(9), uint8(4), uint8(1))
+	f.Fuzz(func(t *testing.T, seed uint64, vars, rows, partition uint8) {
+		p := randomBinaryProgram(seed, vars, rows, partition)
+		got, err := Solve(p, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := bruteForce(p)
+		if math.IsInf(want, 1) {
+			if got.Status != Infeasible {
+				t.Fatalf("program %+v: status %v, want infeasible", p, got.Status)
+			}
+			return
+		}
+		tol := 1e-9 * math.Max(1, math.Abs(want))
+		if got.Status != Optimal || math.Abs(got.Objective-want) > tol {
+			t.Fatalf("program %+v: status %v objective %v, want optimal %v", p, got.Status, got.Objective, want)
+		}
+		if !feasible(&p.LP, p.Binary, got.X) || math.Abs(dot(p.LP.C, got.X)-want) > tol {
+			t.Fatalf("program %+v: x = %v is infeasible or misses objective %v", p, got.X, want)
+		}
+	})
+}

@@ -6,8 +6,9 @@
 //
 // It is the reproduction's substitute for the commercial LP engine
 // underneath GUROBI: internal/ilp builds a branch-and-bound MILP solver
-// on top of the relaxations solved here. Bland's pivoting rule is used
-// throughout, trading speed for guaranteed termination.
+// on top of the relaxations solved here. Pivots enter the most negative
+// reduced cost (Dantzig's rule) and fall back to Bland's rule through
+// runs of degenerate pivots, which keeps termination guaranteed.
 package lp
 
 import (
@@ -100,10 +101,24 @@ type tableau struct {
 	rows, cols int // constraint rows, total columns (vars incl. slack/artificial)
 	a          [][]float64
 	b          []float64
-	basis      []int // basic variable per row
-	nOrig      int   // original variable count
-	artStart   int   // first artificial column, or cols if none
-	nz         []int // pivot's buffer of the pivot row's nonzero columns
+	basis      []int     // basic variable per row
+	nOrig      int       // original variable count
+	artStart   int       // first artificial column, or cols if none
+	nz         []int     // pivot's buffer of the pivot row's nonzero columns
+	y          []float64 // optimize's reduced costs
+	c          []float64 // the current phase's objective
+	// blandPivots counts the pivots chosen by Bland's rule after a run
+	// of degenerate ones.
+	blandPivots int
+}
+
+// Solver solves LPs, reusing its tableau storage from one solve to the
+// next. The zero value is ready to use. A Solver must not be used by
+// several goroutines at once.
+type Solver struct {
+	t      tableau
+	cells  []float64
+	senses []Sense
 }
 
 // Solve runs two-phase simplex with the given iteration limit per phase
@@ -117,6 +132,12 @@ func Solve(p *Problem, maxIter int) (*Solution, error) {
 // solve and reports IterLimit (callers treat the subproblem as
 // unresolved, exactly as when the iteration budget runs out).
 func SolveContext(ctx context.Context, p *Problem, maxIter int) (*Solution, error) {
+	return new(Solver).Solve(ctx, p, maxIter)
+}
+
+// Solve is SolveContext on s's storage. The returned Solution shares
+// nothing with s.
+func (s *Solver) Solve(ctx context.Context, p *Problem, maxIter int) (*Solution, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -128,19 +149,20 @@ func SolveContext(ctx context.Context, p *Problem, maxIter int) (*Solution, erro
 
 	// Count slack and artificial columns. A row with a negative
 	// right-hand side is negated, which swaps LE and GE.
-	senses := make([]Sense, m)
+	senses := grow(s.senses, m)
+	s.senses = senses
 	nSlack, nArt := 0, 0
-	for i, s := range p.Senses {
+	for i, sense := range p.Senses {
 		if p.B[i] < 0 {
-			switch s {
+			switch sense {
 			case LE:
-				s = GE
+				sense = GE
 			case GE:
-				s = LE
+				sense = LE
 			}
 		}
-		senses[i] = s
-		switch s {
+		senses[i] = sense
+		switch sense {
 		case LE:
 			nSlack++
 		case GE:
@@ -152,12 +174,15 @@ func SolveContext(ctx context.Context, p *Problem, maxIter int) (*Solution, erro
 	}
 	// Fill one m×cols tableau directly, signs already normalized.
 	cols := n + nSlack + nArt
-	t := &tableau{rows: m, cols: cols, nOrig: n, artStart: n + nSlack}
-	t.a = make([][]float64, m)
-	t.b = make([]float64, m)
-	t.basis = make([]int, m)
-	t.nz = make([]int, 0, cols)
-	cells := make([]float64, m*cols)
+	t := &s.t
+	*t = tableau{
+		rows: m, cols: cols, nOrig: n, artStart: n + nSlack,
+		a: grow(t.a, m), b: grow(t.b, m), basis: grow(t.basis, m),
+		nz: t.nz[:0], y: grow(t.y, cols), c: grow(t.c, cols),
+	}
+	s.cells = grow(s.cells, m*cols)
+	cells := s.cells
+	clear(cells)
 	slackCol := n
 	artCol := n + nSlack
 	for i := 0; i < m; i++ {
@@ -191,11 +216,11 @@ func SolveContext(ctx context.Context, p *Problem, maxIter int) (*Solution, erro
 
 	// Phase 1: minimize the sum of artificials.
 	if nArt > 0 {
-		phase1 := make([]float64, cols)
+		clear(t.c[:t.artStart])
 		for j := t.artStart; j < cols; j++ {
-			phase1[j] = 1
+			t.c[j] = 1
 		}
-		status, obj := t.optimize(ctx, phase1, maxIter)
+		status, obj := t.optimize(ctx, maxIter)
 		if status == IterLimit {
 			return &Solution{Status: IterLimit}, nil
 		}
@@ -233,9 +258,10 @@ func SolveContext(ctx context.Context, p *Problem, maxIter int) (*Solution, erro
 	}
 
 	// Phase 2: the real objective over original + slack columns.
-	phase2 := make([]float64, t.cols)
-	copy(phase2, p.C)
-	status, obj := t.optimize(ctx, phase2, maxIter)
+	t.c = t.c[:t.cols]
+	copy(t.c, p.C)
+	clear(t.c[n:])
+	status, obj := t.optimize(ctx, maxIter)
 	switch status {
 	case Unbounded:
 		return &Solution{Status: Unbounded}, nil
@@ -251,40 +277,69 @@ func SolveContext(ctx context.Context, p *Problem, maxIter int) (*Solution, erro
 	return &Solution{Status: Optimal, X: x, Objective: obj}, nil
 }
 
-// optimize runs primal simplex minimizing c over the current basis. It
+// grow returns buf resliced to length n, reallocated when its capacity
+// is short. The contents are not cleared.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// blandAfter is the number of consecutive degenerate pivots after which
+// optimize prices by Bland's rule until the next nondegenerate pivot.
+const blandAfter = 20
+
+// optimize runs primal simplex minimizing t.c over the current basis. It
 // returns the status and final objective value.
-func (t *tableau) optimize(ctx context.Context, c []float64, maxIter int) (Status, float64) {
-	// Reduced costs are computed directly each iteration (dense; fine at
-	// the problem sizes the planner produces).
-	y := make([]float64, t.cols) // reduced cost buffer
+//
+// The entering column is the most negative reduced cost (Dantzig's rule,
+// lowest index on ties). After blandAfter consecutive degenerate pivots
+// (minimum ratio below eps) it is the lowest index with a negative
+// reduced cost (Bland's rule), until a pivot moves the objective again.
+// That terminates: a nondegenerate pivot strictly lowers the objective,
+// so no basis repeats across one, and a run of pivots under Bland's rule
+// cannot cycle.
+func (t *tableau) optimize(ctx context.Context, maxIter int) (Status, float64) {
+	c := t.c
+	// Reduced costs r_j = c_j - sum_i c_basis[i] * a[i][j], computed once
+	// and then updated by each pivot as one more tableau row.
+	y := t.y[:t.cols]
+	copy(y, c)
+	for i, bv := range t.basis {
+		if bv < 0 {
+			continue
+		}
+		cb := c[bv]
+		if cb == 0 {
+			continue
+		}
+		for j, v := range t.a[i] {
+			if v != 0 {
+				y[j] -= cb * v
+			}
+		}
+	}
+	degenerate := 0
 	for iter := 0; iter < maxIter; iter++ {
 		if iter&31 == 0 && ctx.Err() != nil {
 			return IterLimit, 0
 		}
-		// reduced cost r_j = c_j - sum_i c_basis[i] * a[i][j]
-		for j := 0; j < t.cols; j++ {
-			y[j] = c[j]
-		}
-		for i, bv := range t.basis {
-			if bv < 0 {
-				continue
-			}
-			cb := c[bv]
-			if cb == 0 {
-				continue
-			}
-			for j, v := range t.a[i] {
-				if v != 0 {
-					y[j] -= cb * v
+		enter := -1
+		bland := degenerate >= blandAfter
+		if bland {
+			for j, r := range y {
+				if r < -eps {
+					enter = j
+					break
 				}
 			}
-		}
-		// Bland: entering variable = smallest index with negative reduced cost.
-		enter := -1
-		for j := 0; j < t.cols; j++ {
-			if y[j] < -eps {
-				enter = j
-				break
+		} else {
+			most := -eps
+			for j, r := range y {
+				if r < most {
+					enter, most = j, r
+				}
 			}
 		}
 		if enter == -1 {
@@ -297,7 +352,8 @@ func (t *tableau) optimize(ctx context.Context, c []float64, maxIter int) (Statu
 			}
 			return Optimal, obj
 		}
-		// Ratio test (Bland: smallest basis index breaks ties).
+		// Ratio test (smallest basis index breaks ties, as Bland's rule
+		// requires).
 		leave := -1
 		best := math.Inf(1)
 		for i := 0; i < t.rows; i++ {
@@ -312,7 +368,20 @@ func (t *tableau) optimize(ctx context.Context, c []float64, maxIter int) (Statu
 		if leave == -1 {
 			return Unbounded, 0
 		}
+		if bland {
+			t.blandPivots++
+		}
+		if best < eps {
+			degenerate++
+		} else {
+			degenerate = 0
+		}
+		f := y[enter]
 		t.pivot(leave, enter)
+		row := t.a[leave]
+		for _, j := range t.nz {
+			y[j] -= f * row[j]
+		}
 	}
 	return IterLimit, 0
 }

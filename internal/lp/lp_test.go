@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -133,6 +134,66 @@ func TestRedundantEqualities(t *testing.T) {
 	}
 	if math.Abs(s.Objective-(2*4)) > 1e-6 && s.Objective > 12+1e-6 {
 		t.Fatalf("objective = %v", s.Objective)
+	}
+}
+
+// TestBealeCycling solves Beale's example, on which the simplex method
+// with Dantzig's rule cycles through degenerate bases forever.
+func TestBealeCycling(t *testing.T) {
+	p := &Problem{
+		C: []float64{-0.75, 20, -0.5, 6},
+		A: [][]float64{
+			{0.25, -8, -1, 9},
+			{0.5, -12, -0.5, 3},
+			{0, 0, 1, 0},
+		},
+		Senses: []Sense{LE, LE, LE},
+		B:      []float64{0, 0, 1},
+	}
+	s := solveOK(t, p)
+	if math.Abs(s.Objective+1.25) > 1e-9 {
+		t.Fatalf("objective = %v, want -1.25", s.Objective)
+	}
+	for j, want := range []float64{1, 0, 1, 0} {
+		if math.Abs(s.X[j]-want) > 1e-9 {
+			t.Fatalf("x = %v, want (1, 0, 1, 0)", s.X)
+		}
+	}
+}
+
+// TestBlandFallbackBreaksCycle solves Chvátal's cycling example, whose
+// Dantzig pivots from the origin are all degenerate and return to the
+// starting basis: the solve must reach the optimum through pivots
+// chosen by Bland's rule, as the dense reference does.
+func TestBlandFallbackBreaksCycle(t *testing.T) {
+	p := &Problem{
+		C: []float64{-10, 57, 9, 24},
+		A: [][]float64{
+			{0.5, -5.5, -2.5, 9},
+			{0.5, -1.5, -0.5, 1},
+			{1, 0, 0, 0},
+		},
+		Senses: []Sense{LE, LE, LE},
+		B:      []float64{0, 0, 1},
+	}
+	var s Solver
+	sol, err := s.Solve(context.Background(), p, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Status != Optimal || math.Abs(sol.Objective+1) > 1e-9 {
+		t.Fatalf("status %v objective %v, want optimal -1", sol.Status, sol.Objective)
+	}
+	for j, want := range []float64{1, 0, 1, 0} {
+		if math.Abs(sol.X[j]-want) > 1e-9 {
+			t.Fatalf("x = %v, want (1, 0, 1, 0)", sol.X)
+		}
+	}
+	if s.t.blandPivots == 0 {
+		t.Fatalf("no pivot was chosen by Bland's rule after %d degenerate ones", blandAfter)
+	}
+	if want := solveDense(p); math.Float64bits(sol.Objective) != math.Float64bits(want.Objective) {
+		t.Fatalf("objective %v, dense reference %v", sol.Objective, want.Objective)
 	}
 }
 
@@ -300,8 +361,10 @@ func TestMixedSenseRandomFeasibilityProperty(t *testing.T) {
 // solveDense is the dense two-phase simplex Solve replaced: it copies
 // every row before building the tableau, zeroes the artificial columns
 // after phase 1 instead of dropping them, and pivots and prices over
-// every column. It is kept as the reference Solve must match bit for
-// bit.
+// every column, with Solve's pricing rule (Dantzig's, and Bland's after
+// blandAfter consecutive degenerate pivots) and its reduced costs
+// (computed at the start of each phase, then updated by every pivot).
+// It is kept as the reference Solve must match bit for bit.
 func solveDense(p *Problem) *Solution {
 	n, m := len(p.C), len(p.A)
 	maxIter := 50 * (n + m + 10)
@@ -424,22 +487,28 @@ type denseTableau struct {
 
 func (t *denseTableau) optimize(c []float64, maxIter int) (Status, float64) {
 	y := make([]float64, t.cols)
-	for iter := 0; iter < maxIter; iter++ {
-		copy(y, c)
-		for i, bv := range t.basis {
-			if bv < 0 || c[bv] == 0 {
-				continue
-			}
-			cb, row := c[bv], t.a[i]
-			for j := 0; j < t.cols; j++ {
-				y[j] -= cb * row[j]
-			}
+	copy(y, c)
+	for i, bv := range t.basis {
+		if bv < 0 || c[bv] == 0 {
+			continue
 		}
-		enter := -1
+		cb, row := c[bv], t.a[i]
 		for j := 0; j < t.cols; j++ {
-			if y[j] < -eps {
+			y[j] -= cb * row[j]
+		}
+	}
+	degenerate := 0
+	for iter := 0; iter < maxIter; iter++ {
+		enter := -1
+		bland := degenerate >= blandAfter
+		most := -eps
+		for j := 0; j < t.cols; j++ {
+			if bland && y[j] < -eps {
 				enter = j
 				break
+			}
+			if !bland && y[j] < most {
+				enter, most = j, y[j]
 			}
 		}
 		if enter == -1 {
@@ -465,7 +534,16 @@ func (t *denseTableau) optimize(c []float64, maxIter int) (Status, float64) {
 		if leave == -1 {
 			return Unbounded, 0
 		}
+		if best < eps {
+			degenerate++
+		} else {
+			degenerate = 0
+		}
+		f := y[enter]
 		t.pivot(leave, enter)
+		for j, v := range t.a[leave] {
+			y[j] -= f * v
+		}
 	}
 	return IterLimit, 0
 }
@@ -571,7 +649,9 @@ func randomLP(seed uint64, vars, rows, box uint8) *Problem {
 
 // FuzzSolveMatchesDense checks Solve against the dense reference
 // (solveDense) bit for bit on random LPs (randomLP): the same Status
-// and, when optimal, the same Objective and X by math.Float64bits.
+// and, when optimal, the same Objective and X by math.Float64bits. The
+// Solver first solves another random LP, so a stale tableau left in its
+// reused storage would show.
 func FuzzSolveMatchesDense(f *testing.F) {
 	f.Add(uint64(1), uint8(3), uint8(4), uint8(1))
 	f.Add(uint64(2), uint8(6), uint8(9), uint8(0))
@@ -579,8 +659,12 @@ func FuzzSolveMatchesDense(f *testing.F) {
 	f.Add(uint64(42), uint8(8), uint8(12), uint8(5))
 	f.Add(uint64(7), uint8(1), uint8(1), uint8(2))
 	f.Fuzz(func(t *testing.T, seed uint64, vars, rows, box uint8) {
+		var s Solver
+		if _, err := s.Solve(context.Background(), randomLP(seed+1, rows, vars, box+1), 0); err != nil {
+			t.Fatal(err)
+		}
 		p := randomLP(seed, vars, rows, box)
-		got, err := Solve(p, 0)
+		got, err := s.Solve(context.Background(), p, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
