@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test fmt-check vet test-race fuzz check bench bench-json bench-json-out
+.PHONY: build test fmt-check arm64-fused vet test-race fuzz check bench bench-json bench-json-out
 
 build:
 	$(GO) build ./...
@@ -14,12 +14,31 @@ fmt-check:
 	@out=$$(find . -name '*.go' -not -path './.*/*' | xargs gofmt -l); \
 	if [ -n "$$out" ]; then echo "gofmt -l lists unformatted files:"; echo "$$out"; exit 1; fi
 
+# Go on arm64 fuses a*b+c into one FMADD-family instruction unless the
+# product is converted first; amd64 never fuses it. Code that must round
+# as amd64 does is checked in the arm64 compiler output: every function
+# of tensor and tinyllm (the forward pass), quant's fake quantizer
+# (QuantDequant and its per-row grid), the RNG draws that make tinyllm's
+# weights, the planner's prefill, embedding and LM-head formulas in
+# model, and gpu's decode, LM-head and embedding latencies. The build
+# replays cached compiler output, so the step is cheap.
+arm64-fused:
+	@asm=$$(GOARCH=arm64 $(GO) build -gcflags=-S ./internal/tensor ./internal/tinyllm \
+		./internal/quant ./internal/stats ./internal/model ./internal/gpu 2>&1) || { echo "$$asm"; exit 1; }; \
+	fused=$$(echo "$$asm" | awk '/^[^ \t#]/ {fn = $$1} /\t(FMADD|FMSUB|FNMADD|FNMSUB)/ {print fn}' | sort -u | grep -E \
+		-e '^repro/internal/(tensor|tinyllm)\.' \
+		-e '^repro/internal/quant\.(QuantDequant|newRowGrid|\(\*rowGrid\)\.round)$$' \
+		-e '^repro/internal/stats\.\(\*RNG\)\.(NormMS|LogNormal)$$' \
+		-e '^repro/internal/model\.\(\*Spec\)\.(LayerFLOPsPrefill|LayerMOPsPrefill|EmbedFLOPs|Profile)$$' \
+		-e '^repro/internal/gpu\..*([Dd]ecode|LMHeadLatency|EmbedLatency)'); \
+	if [ -n "$$fused" ]; then echo "arm64 fuses a multiply-add in:"; echo "$$fused"; exit 1; fi
+
 # The arm64 vet and 386 build keep the portable matmul kernel (built
 # wherever the amd64 assembly is not) compiling; vet on amd64 also runs
 # asmdecl over the assembly. perfbench/ is its own module (the
 # repository benchmark) and compiles against serve, online, core and
 # capacity, so an API change that breaks it fails here too.
-vet: fmt-check
+vet: fmt-check arm64-fused
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./...
 	GOARCH=386 $(GO) build ./...
@@ -49,7 +68,7 @@ test-race:
 	$(GO) test -race -timeout 15m -count=2 -run 'Maintenance|DrainTimeout|Preempt|Restore' ./internal/serve/
 
 # Fuzz smoke: twenty seconds of coverage-guided inputs for each of
-# thirteen targets. Nine must match a reference: a bitwidth-transfer
+# fourteen targets. Ten must match a reference: a bitwidth-transfer
 # move's exact score and the search's kept sums against a full
 # evaluation bit for bit, and the move's estimate within its error
 # margin; the whole bitwidth-transfer search against the clone-per-move
@@ -64,17 +83,20 @@ test-race:
 # loopback stage chain, Resume on a differently split one) against one
 # Generate and the in-process Reference, with no token lost or invented
 # at the MaxPos edge; the pipeline's decode-step price against the per-layer loop it
-# replaced, bit for bit; and one layer's decode-latency curve against
+# replaced, bit for bit; one layer's decode-latency curve against
 # the per-call roofline and TP formulas it replaced, bit for bit, over
-# every model, device class and TP degree. The tenth checks that the
+# every model, device class and TP degree; and the fake quantizer
+# against the bit-packed quantize-then-dequantize round trip it
+# replaced, bit for bit on fuzzed float32 bit patterns at 3, 4 and 8
+# bits, both forms and both roundings. The eleventh checks that the
 # planner's optimistic bound, which decides which configurations the
 # search skips, never exceeds a feasible assignment's objective. The
-# eleventh feeds arbitrary bytes to the plan JSON decoder that cached and
+# twelfth feeds arbitrary bytes to the plan JSON decoder that cached and
 # warm-start plans come through: no panic, Validate rejects malformed
 # stages, and a valid bound plan survives a wire round trip unchanged.
-# The twelfth decodes arbitrary bytes as a serve job spec: Submit rejects
+# The thirteenth decodes arbitrary bytes as a serve job spec: Submit rejects
 # it, or the job's batch is valid and equals a fresh synthesis, also
-# when served from the batch memo. The thirteenth decodes arbitrary bytes
+# when served from the batch memo. The fourteenth decodes arbitrary bytes
 # as an online request spec: Submit rejects it, or the request fits the
 # model's positions without overflow, reserves a positive KV footprint
 # and its status echoes the spec. Their seed corpora
@@ -91,6 +113,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzHandoffSplice -fuzztime=20s ./internal/transport
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeStep -fuzztime=20s ./internal/pipeline
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeCurve -fuzztime=20s ./internal/gpu
+	$(GO) test -run='^$$' -fuzz=FuzzQuantDequant -fuzztime=20s ./internal/quant
 	$(GO) test -run='^$$' -fuzz=FuzzPlanJSON -fuzztime=20s ./internal/plan
 	$(GO) test -run='^$$' -fuzz=FuzzJobSpec -fuzztime=20s ./internal/serve
 	$(GO) test -run='^$$' -fuzz=FuzzRequestSpec -fuzztime=20s ./internal/serve

@@ -110,7 +110,7 @@ func BenchmarkAblationFixedMicrobatch(b *testing.B) {
 
 // ---- Primitive micro-benchmarks. ----
 
-func BenchmarkQuantizeInt4(b *testing.B) {
+func BenchmarkQuantDequantInt4(b *testing.B) {
 	rng := stats.NewRNG(1)
 	w := tensor.NewMatrix(512, 512)
 	for i := range w.Data {
@@ -119,26 +119,9 @@ func BenchmarkQuantizeInt4(b *testing.B) {
 	b.SetBytes(int64(len(w.Data)) * 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := quant.Quantize(w, quant.Scheme{Bits: 4}, nil); err != nil {
+		if _, err := quant.QuantDequant(w, quant.Scheme{Bits: 4}, nil); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkDequantizeInt4(b *testing.B) {
-	rng := stats.NewRNG(2)
-	w := tensor.NewMatrix(512, 512)
-	for i := range w.Data {
-		w.Data[i] = float32(rng.NormMS(0, 0.05))
-	}
-	q, err := quant.Quantize(w, quant.Scheme{Bits: 4}, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(w.Data)) * 4)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q.Dequantize()
 	}
 }
 

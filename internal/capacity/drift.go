@@ -105,9 +105,6 @@ func NewDriftDetector(cfg online.Config, pool string, tol, recal float64) *Drift
 	return &DriftDetector{prices: p, pricesErr: err, pool: pool, tol: tol, recal: recal}
 }
 
-// Pool returns the detector's pool label.
-func (d *DriftDetector) Pool() string { return d.pool }
-
 // LastReport returns the most recent report Observe produced (nil
 // before the first Observe). Consumers that act on a verdict — the
 // autoscaler's recalibration trigger — compare report identity to act

@@ -96,9 +96,6 @@ func New(req Request, fleet Fleet, hooks Hooks) (*Orchestrator, error) {
 	}, nil
 }
 
-// ID names the operation.
-func (o *Orchestrator) ID() string { return o.id }
-
 // Start launches Run on its own goroutine.
 func (o *Orchestrator) Start(ctx context.Context) {
 	go o.Run(ctx) //nolint:errcheck // surfaced via Status

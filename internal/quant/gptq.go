@@ -34,8 +34,7 @@ const gptqDamp = 0.01
 // GPTQQuantize fake-quantizes w (out × in) to the scheme using the
 // calibration inputs x (samples × in). Only deterministic rounding is
 // supported (stochastic rounding defeats error compensation). Per-row
-// asymmetric or symmetric scaling follows the scheme; group sizes are
-// not supported here.
+// asymmetric or symmetric scaling follows the scheme.
 func GPTQQuantize(w, x *tensor.Matrix, s Scheme, opts GPTQOptions) (*tensor.Matrix, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -45,9 +44,6 @@ func GPTQQuantize(w, x *tensor.Matrix, s Scheme, opts GPTQOptions) (*tensor.Matr
 	}
 	if s.Rounding != Deterministic {
 		return nil, fmt.Errorf("quant: GPTQ requires deterministic rounding")
-	}
-	if s.GroupSize != 0 {
-		return nil, fmt.Errorf("quant: GPTQ does not support group quantization here")
 	}
 	if x.Cols != w.Cols {
 		return nil, fmt.Errorf("quant: GPTQ calibration has %d features, weights have %d inputs", x.Cols, w.Cols)
@@ -118,49 +114,15 @@ func GPTQQuantize(w, x *tensor.Matrix, s Scheme, opts GPTQOptions) (*tensor.Matr
 	}
 
 	out := w.Clone()
-	maxCode := int64(1)<<s.Bits - 1
-	half := int64(1) << (s.Bits - 1)
 	for r := 0; r < out.Rows; r++ {
 		row := out.Row(r)
-		// Per-row scale from the original (pre-compensation) weights, as
+		// Per-row grid from the original (pre-compensation) weights, as
 		// real GPTQ kernels do.
-		minV, maxV := float64(row[0]), float64(row[0])
-		for _, v := range row[1:] {
-			f := float64(v)
-			if f < minV {
-				minV = f
-			}
-			if f > maxV {
-				maxV = f
-			}
-		}
-		scale := ScaleFactor(minV, maxV, s.Bits, s.Symmetric)
-		zero := minV
-		if s.Symmetric {
-			zero = 0
-		}
+		g := newRowGrid(row, s)
 		for k := 0; k < d; k++ {
 			c := perm[k]
 			orig := float64(row[c])
-			var q float64
-			if scale == 0 {
-				q = zero
-			} else {
-				code := int64(math.Round((orig - zero) / scale))
-				if s.Symmetric {
-					code += half
-				}
-				if code < 0 {
-					code = 0
-				}
-				if code > maxCode {
-					code = maxCode
-				}
-				if s.Symmetric {
-					code -= half
-				}
-				q = float64(code)*scale + zero
-			}
+			q := g.round(row[c], Deterministic, nil)
 			err := (orig - q) / hInv[k][k]
 			row[c] = float32(q)
 			// Propagate the error into the not-yet-quantized columns.

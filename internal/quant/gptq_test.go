@@ -72,9 +72,6 @@ func TestGPTQValidation(t *testing.T) {
 	if _, err := GPTQQuantize(w, x, Scheme{Bits: 4, Rounding: Stochastic}, GPTQOptions{}); err == nil {
 		t.Fatal("stochastic GPTQ accepted")
 	}
-	if _, err := GPTQQuantize(w, x, Scheme{Bits: 4, GroupSize: 4}, GPTQOptions{}); err == nil {
-		t.Fatal("grouped GPTQ accepted")
-	}
 	bad := randMatrix(rng, 16, 7, 1)
 	if _, err := GPTQQuantize(w, bad, Scheme{Bits: 4}, GPTQOptions{}); err == nil {
 		t.Fatal("mismatched calibration accepted")

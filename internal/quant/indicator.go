@@ -59,20 +59,10 @@ func meanRowScaleSq(w *tensor.Matrix, bits int, symmetric bool) float64 {
 	if w.Rows == 0 || w.Cols == 0 {
 		return 0
 	}
+	scheme := Scheme{Bits: bits, Symmetric: symmetric}
 	total := 0.0
 	for r := 0; r < w.Rows; r++ {
-		row := w.Row(r)
-		minV, maxV := float64(row[0]), float64(row[0])
-		for _, v := range row[1:] {
-			f := float64(v)
-			if f < minV {
-				minV = f
-			}
-			if f > maxV {
-				maxV = f
-			}
-		}
-		s := ScaleFactor(minV, maxV, bits, symmetric)
+		s := newRowGrid(w.Row(r), scheme).scale
 		total += s * s
 	}
 	return total / float64(w.Rows)

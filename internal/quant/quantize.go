@@ -8,37 +8,65 @@ import (
 	"repro/internal/tensor"
 )
 
-// Quantized is a bit-packed quantized matrix together with the per-group
-// scales and zero points needed to dequantize it.
-type Quantized struct {
-	Rows, Cols int
-	Scheme     Scheme
-	// Values holds the packed integer codes, row-major.
-	Values *PackedInts
-	// Scales and Zeros hold one entry per scaling group, indexed
-	// row-major by (row, group).
-	Scales []float64
-	Zeros  []float64
-	// GroupsPerRow is the number of scaling groups in each row.
-	GroupsPerRow int
-	// FP16 is set instead of Values when Scheme is the identity.
-	FP16 *tensor.Matrix
+// rowGrid is the integer grid one row is quantized on: the scale and
+// zero point of the row's value range at the scheme's bitwidth, with
+// codes clamped to [−half, maxCode−half] (half is 2^(b−1) for the
+// symmetric form and 0 for the asymmetric one).
+type rowGrid struct {
+	scale, zero   float64
+	half, maxCode int64
 }
 
-// Bytes returns the storage footprint of the quantized weights,
-// including scales and zero points (one float32 each per group, as real
-// low-bit kernels store them).
-func (q *Quantized) Bytes() int64 {
-	if q.FP16 != nil {
-		return int64(q.Rows) * int64(q.Cols) * 2
+// newRowGrid returns the grid of row under s: ScaleFactor of the row's
+// [min, max], with zero point min (0 when symmetric). row must not be
+// empty.
+func newRowGrid(row []float32, s Scheme) rowGrid {
+	minV, maxV := float64(row[0]), float64(row[0])
+	for _, v := range row[1:] {
+		f := float64(v)
+		if f < minV {
+			minV = f
+		}
+		if f > maxV {
+			maxV = f
+		}
 	}
-	meta := int64(len(q.Scales)+len(q.Zeros)) * 4
-	return q.Values.Bytes() + meta
+	g := rowGrid{scale: ScaleFactor(minV, maxV, s.Bits, s.Symmetric), zero: minV, maxCode: 1<<s.Bits - 1}
+	if s.Symmetric {
+		g.zero, g.half = 0, 1<<(s.Bits-1)
+	}
+	return g
 }
 
-// Quantize converts w to the given scheme. rng supplies randomness for
-// stochastic rounding and may be nil for deterministic schemes.
-func Quantize(w *tensor.Matrix, s Scheme, rng *stats.RNG) (*Quantized, error) {
+// round maps x to its grid point: the code (x−zero)/scale rounded under
+// r (0 when the scale is 0), clamped, times the scale plus the zero
+// point. Stochastic rounding rounds up with probability equal to the
+// fractional part, drawing from rng once per call on a nonzero scale.
+// The product is converted before the add, so arm64 does not fuse it.
+func (g *rowGrid) round(x float32, r Rounding, rng *stats.RNG) float64 {
+	var code int64
+	if g.scale != 0 {
+		y := (float64(x) - g.zero) / g.scale
+		if r == Deterministic {
+			code = int64(math.Round(y))
+		} else {
+			fl := math.Floor(y)
+			code = int64(fl)
+			if rng.Float64() < y-fl {
+				code++
+			}
+		}
+	}
+	code = min(max(code+g.half, 0), g.maxCode) - g.half
+	return float64(float64(code)*g.scale) + g.zero
+}
+
+// QuantDequant fake-quantizes w under scheme s: each row is mapped onto
+// its own grid (per-output-channel scales) and written back as floats,
+// the Q(W) used to evaluate quality under a scheme. rng supplies
+// randomness for stochastic rounding and may be nil for deterministic
+// schemes.
+func QuantDequant(w *tensor.Matrix, s Scheme, rng *stats.RNG) (*tensor.Matrix, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -46,125 +74,17 @@ func Quantize(w *tensor.Matrix, s Scheme, rng *stats.RNG) (*Quantized, error) {
 		return nil, fmt.Errorf("quant: stochastic rounding requires an RNG")
 	}
 	if s.IsIdentity() {
-		return &Quantized{Rows: w.Rows, Cols: w.Cols, Scheme: s, FP16: w.Clone()}, nil
+		return w.Clone(), nil
 	}
-	gs := s.GroupSize
-	if gs <= 0 || gs > w.Cols {
-		gs = w.Cols
-	}
-	groups := (w.Cols + gs - 1) / gs
-	q := &Quantized{
-		Rows: w.Rows, Cols: w.Cols, Scheme: s,
-		Scales:       make([]float64, w.Rows*groups),
-		Zeros:        make([]float64, w.Rows*groups),
-		GroupsPerRow: groups,
-	}
-	packer := NewBitPacker(s.Bits)
-	maxCode := uint32(1)<<s.Bits - 1
-	half := int32(1) << (s.Bits - 1) // symmetric offset so codes stay unsigned
+	out := tensor.NewMatrix(w.Rows, w.Cols)
 	for r := 0; r < w.Rows; r++ {
-		row := w.Row(r)
-		for g := 0; g < groups; g++ {
-			lo, hi := g*gs, (g+1)*gs
-			if hi > len(row) {
-				hi = len(row)
-			}
-			seg := row[lo:hi]
-			minV, maxV := float64(seg[0]), float64(seg[0])
-			for _, v := range seg[1:] {
-				f := float64(v)
-				if f < minV {
-					minV = f
-				}
-				if f > maxV {
-					maxV = f
-				}
-			}
-			scale := ScaleFactor(minV, maxV, s.Bits, s.Symmetric)
-			zero := minV
-			if s.Symmetric {
-				zero = 0
-			}
-			gi := r*groups + g
-			q.Scales[gi] = scale
-			q.Zeros[gi] = zero
-			for _, v := range seg {
-				var code int64
-				if scale == 0 {
-					code = 0
-				} else {
-					x := (float64(v) - zero) / scale
-					code = roundValue(x, s.Rounding, rng)
-				}
-				if s.Symmetric {
-					code += int64(half) // shift [-2^(b-1), 2^(b-1)-1] to unsigned
-				}
-				if code < 0 {
-					code = 0
-				}
-				if code > int64(maxCode) {
-					code = int64(maxCode)
-				}
-				packer.Append(uint32(code))
-			}
+		row, dst := w.Row(r), out.Row(r)
+		g := newRowGrid(row, s)
+		for c, v := range row {
+			dst[c] = float32(g.round(v, s.Rounding, rng))
 		}
 	}
-	q.Values = packer.Finish()
-	return q, nil
-}
-
-// roundValue applies the scheme's rounding to x.
-func roundValue(x float64, r Rounding, rng *stats.RNG) int64 {
-	if r == Deterministic {
-		return int64(math.Round(x))
-	}
-	fl := math.Floor(x)
-	frac := x - fl
-	if rng.Float64() < frac {
-		return int64(fl) + 1
-	}
-	return int64(fl)
-}
-
-// Dequantize reconstructs the float matrix from the packed codes.
-func (q *Quantized) Dequantize() *tensor.Matrix {
-	if q.FP16 != nil {
-		return q.FP16.Clone()
-	}
-	out := tensor.NewMatrix(q.Rows, q.Cols)
-	gs := (q.Cols + q.GroupsPerRow - 1) / q.GroupsPerRow
-	half := int64(1) << (q.Scheme.Bits - 1)
-	idx := 0
-	for r := 0; r < q.Rows; r++ {
-		row := out.Row(r)
-		for g := 0; g < q.GroupsPerRow; g++ {
-			lo, hi := g*gs, (g+1)*gs
-			if hi > q.Cols {
-				hi = q.Cols
-			}
-			gi := r*q.GroupsPerRow + g
-			scale, zero := q.Scales[gi], q.Zeros[gi]
-			for c := lo; c < hi; c++ {
-				code := int64(q.Values.At(idx))
-				idx++
-				if q.Scheme.Symmetric {
-					code -= half
-				}
-				row[c] = float32(float64(float64(code)*scale) + zero)
-			}
-		}
-	}
-	return out
-}
-
-// QuantDequant is the round trip Quantize→Dequantize, the "fake quant"
-// operation used to evaluate quality under a scheme.
-func QuantDequant(w *tensor.Matrix, s Scheme, rng *stats.RNG) (*tensor.Matrix, error) {
-	q, err := Quantize(w, s, rng)
-	if err != nil {
-		return nil, err
-	}
-	return q.Dequantize(), nil
+	return out, nil
 }
 
 // MSE returns the mean squared reconstruction error between w and its

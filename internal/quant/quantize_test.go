@@ -1,6 +1,7 @@
 package quant
 
 import (
+	"encoding/binary"
 	"math"
 	"testing"
 	"testing/quick"
@@ -17,6 +18,15 @@ func randMatrix(r *stats.RNG, rows, cols int, std float64) *tensor.Matrix {
 	return m
 }
 
+// maxRowScale returns the largest per-row scale of w under s.
+func maxRowScale(w *tensor.Matrix, s Scheme) float64 {
+	m := 0.0
+	for r := 0; r < w.Rows; r++ {
+		m = max(m, newRowGrid(w.Row(r), s).scale)
+	}
+	return m
+}
+
 func TestSchemeValidate(t *testing.T) {
 	for _, bits := range []int{3, 4, 8, 16} {
 		if err := (Scheme{Bits: bits}).Validate(); err != nil {
@@ -27,9 +37,6 @@ func TestSchemeValidate(t *testing.T) {
 		if err := (Scheme{Bits: bits}).Validate(); err == nil {
 			t.Fatalf("bits %d accepted", bits)
 		}
-	}
-	if err := (Scheme{Bits: 4, GroupSize: -1}).Validate(); err == nil {
-		t.Fatal("negative group size accepted")
 	}
 }
 
@@ -53,16 +60,12 @@ func TestScaleFactor(t *testing.T) {
 func TestQuantizeIdentityFP16(t *testing.T) {
 	r := stats.NewRNG(1)
 	w := randMatrix(r, 4, 8, 1)
-	q, err := Quantize(w, FP16, nil)
+	dq, err := QuantDequant(w, FP16, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dq := q.Dequantize()
 	if tensor.MaxAbsDiff(w, dq) != 0 {
 		t.Fatal("FP16 scheme altered weights")
-	}
-	if q.Bytes() != int64(4*8*2) {
-		t.Fatalf("FP16 bytes = %d", q.Bytes())
 	}
 }
 
@@ -96,17 +99,12 @@ func TestQuantizeBoundedError(t *testing.T) {
 	// element (half a quantization step).
 	r := stats.NewRNG(3)
 	w := randMatrix(r, 8, 32, 0.05)
-	q, err := Quantize(w, Scheme{Bits: 4}, nil)
+	s := Scheme{Bits: 4}
+	dq, err := QuantDequant(w, s, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dq := q.Dequantize()
-	maxScale := 0.0
-	for _, s := range q.Scales {
-		if s > maxScale {
-			maxScale = s
-		}
-	}
+	maxScale := maxRowScale(w, s)
 	if d := tensor.MaxAbsDiff(w, dq); d > maxScale/2+1e-6 {
 		t.Fatalf("max error %v exceeds half-step %v", d, maxScale/2)
 	}
@@ -114,7 +112,7 @@ func TestQuantizeBoundedError(t *testing.T) {
 
 func TestStochasticRequiresRNG(t *testing.T) {
 	w := tensor.NewMatrix(1, 4)
-	if _, err := Quantize(w, Scheme{Bits: 4, Rounding: Stochastic}, nil); err == nil {
+	if _, err := QuantDequant(w, Scheme{Bits: 4, Rounding: Stochastic}, nil); err == nil {
 		t.Fatal("stochastic without RNG accepted")
 	}
 }
@@ -139,53 +137,6 @@ func TestStochasticUnbiased(t *testing.T) {
 	}
 }
 
-func TestGroupQuantizationImprovesError(t *testing.T) {
-	// A matrix with per-region scale differences benefits from groups.
-	r := stats.NewRNG(5)
-	w := tensor.NewMatrix(4, 256)
-	for row := 0; row < 4; row++ {
-		for c := 0; c < 256; c++ {
-			std := 0.01
-			if c >= 128 {
-				std = 1.0 // second half has much larger magnitude
-			}
-			w.Set(row, c, float32(r.NormMS(0, std)))
-		}
-	}
-	whole, err := MSE(w, Scheme{Bits: 4}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	grouped, err := MSE(w, Scheme{Bits: 4, GroupSize: 128}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if grouped >= whole {
-		t.Fatalf("group quantization MSE %v >= per-row %v", grouped, whole)
-	}
-}
-
-func TestQuantizedBytesMatchBitwidth(t *testing.T) {
-	r := stats.NewRNG(6)
-	w := randMatrix(r, 64, 512, 0.02)
-	var prev int64 = 1 << 62
-	for _, bits := range []int{8, 4, 3} {
-		q, err := Quantize(w, Scheme{Bits: bits}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if q.Bytes() >= prev {
-			t.Fatalf("bytes not decreasing with bits: %d bits → %d", bits, q.Bytes())
-		}
-		prev = q.Bytes()
-		// Packed payload should be close to rows*cols*bits/8.
-		wantPayload := int64(64*512*bits) / 8
-		if q.Values.Bytes() < wantPayload || q.Values.Bytes() > wantPayload+8*64 {
-			t.Fatalf("bits=%d payload=%d want ~%d", bits, q.Values.Bytes(), wantPayload)
-		}
-	}
-}
-
 func TestQuantizeRoundTripProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := stats.NewRNG(seed)
@@ -193,21 +144,155 @@ func TestQuantizeRoundTripProperty(t *testing.T) {
 		w := randMatrix(r, rows, cols, 0.1)
 		bits := []int{3, 4, 8}[r.Intn(3)]
 		sym := r.Intn(2) == 0
-		q, err := Quantize(w, Scheme{Bits: bits, Symmetric: sym}, nil)
+		s := Scheme{Bits: bits, Symmetric: sym}
+		dq, err := QuantDequant(w, s, nil)
 		if err != nil {
 			return false
 		}
-		dq := q.Dequantize()
 		// Error must be bounded by the largest scale step.
-		maxScale := 0.0
-		for _, s := range q.Scales {
-			if s > maxScale {
-				maxScale = s
-			}
-		}
-		return tensor.MaxAbsDiff(w, dq) <= maxScale+1e-6
+		return tensor.MaxAbsDiff(w, dq) <= maxRowScale(w, s)+1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// refQuantized is the packed form the fake quantizer replaced: codes
+// bit-packed row-major, with one scale and zero point per row.
+type refQuantized struct {
+	rows, cols   int
+	scheme       Scheme
+	values       *packedInts
+	scales, zero []float64
+}
+
+// refQuantize is the quantizer QuantDequant replaced, one scaling group
+// per row: it rounds each element to an unsigned code and packs it.
+func refQuantize(w *tensor.Matrix, s Scheme, rng *stats.RNG) *refQuantized {
+	q := &refQuantized{rows: w.Rows, cols: w.Cols, scheme: s,
+		scales: make([]float64, w.Rows), zero: make([]float64, w.Rows)}
+	packer := newBitPacker(s.Bits)
+	maxCode := uint32(1)<<s.Bits - 1
+	half := int32(1) << (s.Bits - 1) // symmetric offset so codes stay unsigned
+	for r := 0; r < w.Rows; r++ {
+		row := w.Row(r)
+		minV, maxV := float64(row[0]), float64(row[0])
+		for _, v := range row[1:] {
+			f := float64(v)
+			if f < minV {
+				minV = f
+			}
+			if f > maxV {
+				maxV = f
+			}
+		}
+		scale := ScaleFactor(minV, maxV, s.Bits, s.Symmetric)
+		zero := minV
+		if s.Symmetric {
+			zero = 0
+		}
+		q.scales[r], q.zero[r] = scale, zero
+		for _, v := range row {
+			var code int64
+			if scale != 0 {
+				x := (float64(v) - zero) / scale
+				if s.Rounding == Deterministic {
+					code = int64(math.Round(x))
+				} else {
+					fl := math.Floor(x)
+					code = int64(fl)
+					if rng.Float64() < x-fl {
+						code++
+					}
+				}
+			}
+			if s.Symmetric {
+				code += int64(half)
+			}
+			if code < 0 {
+				code = 0
+			}
+			if code > int64(maxCode) {
+				code = int64(maxCode)
+			}
+			packer.Append(uint32(code))
+		}
+	}
+	q.values = packer.Finish()
+	return q
+}
+
+// dequantize reconstructs the float matrix from the packed codes.
+func (q *refQuantized) dequantize() *tensor.Matrix {
+	out := tensor.NewMatrix(q.rows, q.cols)
+	half := int64(1) << (q.scheme.Bits - 1)
+	idx := 0
+	for r := 0; r < q.rows; r++ {
+		row := out.Row(r)
+		for c := range row {
+			code := int64(q.values.At(idx))
+			idx++
+			if q.scheme.Symmetric {
+				code -= half
+			}
+			row[c] = float32(float64(float64(code)*q.scales[r]) + q.zero[r])
+		}
+	}
+	return out
+}
+
+// float32Bytes encodes vs as the little-endian bit patterns
+// FuzzQuantDequant reads.
+func float32Bytes(vs ...float32) []byte {
+	var b []byte
+	for _, v := range vs {
+		b = binary.LittleEndian.AppendUint32(b, math.Float32bits(v))
+	}
+	return b
+}
+
+// FuzzQuantDequant checks QuantDequant against the packed round trip it
+// replaced, refQuantize then dequantize, bit for bit on fuzzed float32
+// bit patterns at 3, 4 and 8 bits, in both forms and under both
+// roundings. Stochastic runs draw from two RNGs with the same seed,
+// which must end in the same state.
+func FuzzQuantDequant(f *testing.F) {
+	negZero := float32(math.Copysign(0, -1))
+	inf, nan := float32(math.Inf(1)), float32(math.NaN())
+	f.Add(float32Bytes(0.31, -0.77, 0.05, 0.9, -0.2, 0.4), uint8(2), uint8(0), false, false, uint64(1))
+	f.Add(float32Bytes(0.31, -0.77, 0.05, 0.9, -0.2, 0.4), uint8(5), uint8(1), true, true, uint64(7))
+	f.Add(float32Bytes(negZero, 0, 0, 0, 0.5, 0.5, 0.5, 0.5), uint8(3), uint8(2), false, false, uint64(0))
+	f.Add(float32Bytes(negZero, 0, 0, 0, 0, 0, 0, 0), uint8(3), uint8(0), true, true, uint64(3))
+	f.Add(float32Bytes(1e30, -1e30, 3, inf, 2, nan, -inf, 1), uint8(1), uint8(0), false, true, uint64(9))
+	f.Fuzz(func(t *testing.T, data []byte, cols, bitSel uint8, sym, stoch bool, seed uint64) {
+		c := int(cols)%16 + 1
+		rows := len(data) / 4 / c
+		if rows == 0 {
+			return
+		}
+		w := tensor.NewMatrix(rows, c)
+		for i := range w.Data {
+			w.Data[i] = math.Float32frombits(binary.LittleEndian.Uint32(data[4*i:]))
+		}
+		s := Scheme{Bits: []int{3, 4, 8}[bitSel%3], Symmetric: sym}
+		var rng, refRNG *stats.RNG
+		if stoch {
+			s.Rounding = Stochastic
+			rng, refRNG = stats.NewRNG(seed), stats.NewRNG(seed)
+		}
+		got, err := QuantDequant(w, s, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := refQuantize(w, s, refRNG).dequantize()
+		for i, v := range want.Data {
+			if math.Float32bits(got.Data[i]) != math.Float32bits(v) {
+				t.Fatalf("%v: element %d of %v: got %v (%#x), want %v (%#x)",
+					s, i, w.Data, got.Data[i], math.Float32bits(got.Data[i]), v, math.Float32bits(v))
+			}
+		}
+		if stoch && rng.Uint64() != refRNG.Uint64() {
+			t.Fatalf("%v: the two RNGs drew a different number of values", s)
+		}
+	})
 }

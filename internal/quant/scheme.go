@@ -1,9 +1,9 @@
 // Package quant implements the quantization machinery of SplitQuant:
-// symmetric and asymmetric integer quantization at 3/4/8 bits with
-// deterministic or stochastic rounding, bit-packed storage, per-row and
-// per-group scaling, and the layer-sensitivity indicators of §IV-B — the
-// paper's variance indicator (Proposition 1), the Hessian-based indicator
-// it is compared against, and the random baseline.
+// symmetric and asymmetric integer fake quantization at 3/4/8 bits with
+// deterministic or stochastic rounding and per-row scales, and the
+// layer-sensitivity indicators of §IV-B — the paper's variance indicator
+// (Proposition 1), the Hessian-based indicator it is compared against,
+// and the random baseline.
 package quant
 
 import "fmt"
@@ -36,13 +36,10 @@ type Scheme struct {
 	// Bits is the integer bitwidth; 16 means "keep FP16" (identity).
 	Bits int
 	// Symmetric selects symmetric (zero-point-free) quantization; the
-	// default asymmetric form uses a zero point per scaling group.
+	// default asymmetric form uses a zero point per row.
 	Symmetric bool
 	// Rounding selects deterministic or stochastic rounding.
 	Rounding Rounding
-	// GroupSize is the number of consecutive elements per scaling group
-	// within a row; 0 means one group per row (per-output-channel).
-	GroupSize int
 }
 
 // FP16 is the identity scheme: weights are left in 16-bit floating point.
@@ -55,16 +52,13 @@ func (s Scheme) Validate() error {
 	default:
 		return fmt.Errorf("quant: unsupported bitwidth %d (want 3, 4, 8, or 16)", s.Bits)
 	}
-	if s.GroupSize < 0 {
-		return fmt.Errorf("quant: negative group size %d", s.GroupSize)
-	}
 	return nil
 }
 
 // IsIdentity reports whether the scheme leaves weights untouched.
 func (s Scheme) IsIdentity() bool { return s.Bits >= 16 }
 
-// String returns a short description such as "int4-sym-det-g128".
+// String returns a short description such as "int4-sym-det".
 func (s Scheme) String() string {
 	if s.IsIdentity() {
 		return "fp16"
@@ -76,9 +70,6 @@ func (s Scheme) String() string {
 	rnd := "det"
 	if s.Rounding == Stochastic {
 		rnd = "stoch"
-	}
-	if s.GroupSize > 0 {
-		return fmt.Sprintf("int%d-%s-%s-g%d", s.Bits, sym, rnd, s.GroupSize)
 	}
 	return fmt.Sprintf("int%d-%s-%s", s.Bits, sym, rnd)
 }

@@ -2,6 +2,7 @@ package quant
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/stats"
@@ -130,7 +131,7 @@ func TestSmoothScalesFlattenOutliers(t *testing.T) {
 				}
 			}
 		}
-		return stats.Max(maxs) / (stats.Min(maxs) + 1e-12)
+		return slices.Max(maxs) / (slices.Min(maxs) + 1e-12)
 	}
 	if ratio(xs) >= ratio(x) {
 		t.Fatalf("channel max spread not reduced: %v → %v", ratio(x), ratio(xs))

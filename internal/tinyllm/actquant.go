@@ -57,16 +57,23 @@ func (m *Model) Smooth(c *Corpus, alpha float64, maxSeqs int) error {
 		return err
 	}
 	for li, b := range m.Blocks {
-		ops := cal[li].Ops // wq, wk, wv, wo, w1, w2
-		// Attention input: shared by Wq, Wk, Wv; fold into LN1.
-		attnX := ops[0].X
-		if err := smoothGroup(attnX, []*tensor.Matrix{b.Wq, b.Wk, b.Wv}, b.LN1Gain, b.LN1Bias, alpha); err != nil {
-			return fmt.Errorf("tinyllm: smooth layer %d attention: %w", li, err)
-		}
-		// MLP input: W1; fold into LN2.
-		mlpX := ops[4].X
-		if err := smoothGroup(mlpX, []*tensor.Matrix{b.W1}, b.LN2Gain, b.LN2Bias, alpha); err != nil {
-			return fmt.Errorf("tinyllm: smooth layer %d mlp: %w", li, err)
+		ops := b.LinearOps()
+		// Each LayerNorm's output is one tap; its consumers share one
+		// migration, folded into the norm.
+		for _, n := range []struct {
+			tap        string
+			gain, bias []float32
+		}{{tapAttnIn, b.LN1Gain, b.LN1Bias}, {tapMLPIn, b.LN2Gain, b.LN2Bias}} {
+			var x *tensor.Matrix
+			var ws []*tensor.Matrix
+			for i, op := range ops {
+				if op.Tap == n.tap {
+					x, ws = cal[li].Ops[i].X, append(ws, *op.W)
+				}
+			}
+			if err := smoothGroup(x, ws, n.gain, n.bias, alpha); err != nil {
+				return fmt.Errorf("tinyllm: smooth layer %d %s: %w", li, n.tap, err)
+			}
 		}
 	}
 	return nil

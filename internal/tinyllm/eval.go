@@ -158,17 +158,21 @@ func (m *Model) prefillAll(c *Corpus, visit func(i int, logits *tensor.Matrix)) 
 	return nil
 }
 
-// linearOps enumerates a block's quantizable linear operators.
-func (b *Block) linearOps() []struct {
-	name string
-	w    **tensor.Matrix
-} {
-	return []struct {
-		name string
-		w    **tensor.Matrix
-	}{
-		{"wq", &b.Wq}, {"wk", &b.Wk}, {"wv", &b.Wv}, {"wo", &b.Wo},
-		{"w1", &b.W1}, {"w2", &b.W2},
+// LinearOp is one of a block's quantizable linear operators: its name,
+// its weight's place in the block, and the Tap op that captures its
+// input.
+type LinearOp struct {
+	Name string
+	W    **tensor.Matrix
+	Tap  string
+}
+
+// LinearOps lists the block's quantizable linear operators in
+// calibration order: wq, wk, wv, wo, w1, w2.
+func (b *Block) LinearOps() []LinearOp {
+	return []LinearOp{
+		{"wq", &b.Wq, tapAttnIn}, {"wk", &b.Wk, tapAttnIn}, {"wv", &b.Wv, tapAttnIn},
+		{"wo", &b.Wo, tapAttnOut}, {"w1", &b.W1, tapMLPIn}, {"w2", &b.W2, tapMLPMid},
 	}
 }
 
@@ -187,12 +191,12 @@ func (m *Model) ApplyBits(bits []int, scheme quant.Scheme, rng *stats.RNG) (*Mod
 		if s.IsIdentity() {
 			continue
 		}
-		for _, op := range b.linearOps() {
-			dq, err := quant.QuantDequant(*op.w, s, rng)
+		for _, op := range b.LinearOps() {
+			dq, err := quant.QuantDequant(*op.W, s, rng)
 			if err != nil {
-				return nil, fmt.Errorf("tinyllm: layer %d %s: %w", li, op.name, err)
+				return nil, fmt.Errorf("tinyllm: layer %d %s: %w", li, op.Name, err)
 			}
-			*op.w = dq
+			*op.W = dq
 		}
 	}
 	return out, nil
@@ -209,18 +213,12 @@ func (m *Model) Calibrate(c *Corpus, maxSeqs int) ([]quant.LayerCalibration, err
 	if maxSeqs <= 0 || maxSeqs > len(c.Seqs) {
 		maxSeqs = len(c.Seqs)
 	}
-	type opAcc struct{ rows []*tensor.Matrix }
-	acc := make([]map[string]*opAcc, m.Cfg.Layers)
+	acc := make([]map[string][]*tensor.Matrix, m.Cfg.Layers)
 	for i := range acc {
-		acc[i] = map[string]*opAcc{}
+		acc[i] = map[string][]*tensor.Matrix{}
 	}
 	tp := func(layer int, op string, x *tensor.Matrix) {
-		a := acc[layer][op]
-		if a == nil {
-			a = &opAcc{}
-			acc[layer][op] = a
-		}
-		a.rows = append(a.rows, x.Clone())
+		acc[layer][op] = append(acc[layer][op], x.Clone())
 	}
 	for _, seq := range c.Seqs[:maxSeqs] {
 		if _, _, err := m.PrefillTapped(seq, tp); err != nil {
@@ -229,36 +227,34 @@ func (m *Model) Calibrate(c *Corpus, maxSeqs int) ([]quant.LayerCalibration, err
 	}
 	out := make([]quant.LayerCalibration, m.Cfg.Layers)
 	for li, b := range m.Blocks {
-		mk := func(op string) *tensor.Matrix {
-			a := acc[li][op]
-			var all []*tensor.Matrix
-			if a != nil {
-				all = a.rows
+		// Operators that share a tap share one concatenated input.
+		xs := map[string]*tensor.Matrix{}
+		for _, op := range b.LinearOps() {
+			x := xs[op.Tap]
+			if x == nil {
+				x = concatRows(acc[li][op.Tap])
+				xs[op.Tap] = x
 			}
-			if len(all) == 0 {
-				return tensor.NewMatrix(0, 0)
-			}
-			rows := 0
-			for _, t := range all {
-				rows += t.Rows
-			}
-			cat := tensor.NewMatrix(rows, all[0].Cols)
-			r := 0
-			for _, t := range all {
-				copy(cat.Data[r*cat.Cols:], t.Data)
-				r += t.Rows
-			}
-			return cat
+			out[li].Ops = append(out[li].Ops, quant.Operator{Name: op.Name, W: *op.W, X: x})
 		}
-		attnIn := mk("attn_in")
-		out[li] = quant.LayerCalibration{Ops: []quant.Operator{
-			{Name: "wq", W: b.Wq, X: attnIn},
-			{Name: "wk", W: b.Wk, X: attnIn},
-			{Name: "wv", W: b.Wv, X: attnIn},
-			{Name: "wo", W: b.Wo, X: mk("attn_out")},
-			{Name: "w1", W: b.W1, X: mk("mlp_in")},
-			{Name: "w2", W: b.W2, X: mk("mlp_mid")},
-		}}
 	}
 	return out, nil
+}
+
+// concatRows stacks the rows of all into one matrix (0 × 0 when empty).
+func concatRows(all []*tensor.Matrix) *tensor.Matrix {
+	if len(all) == 0 {
+		return tensor.NewMatrix(0, 0)
+	}
+	rows := 0
+	for _, t := range all {
+		rows += t.Rows
+	}
+	cat := tensor.NewMatrix(rows, all[0].Cols)
+	r := 0
+	for _, t := range all {
+		copy(cat.Data[r*cat.Cols:], t.Data)
+		r += t.Rows
+	}
+	return cat
 }

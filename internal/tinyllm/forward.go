@@ -31,8 +31,16 @@ func (c *KVCache) Len() int { return c.n }
 
 // Tap observes the activations entering each linear operator during a
 // forward pass (used to collect calibration inputs for the sensitivity
-// indicators).
+// indicators). op names the activation, one of the tap constants below.
 type Tap func(layer int, op string, x *tensor.Matrix)
+
+// The activations a block's forward pass hands its Tap.
+const (
+	tapAttnIn  = "attn_in"  // LN1's output, the input of wq, wk and wv
+	tapAttnOut = "attn_out" // the attention output, wo's input
+	tapMLPIn   = "mlp_in"   // LN2's output, w1's input
+	tapMLPMid  = "mlp_mid"  // GELU's output, w2's input
+)
 
 // Prefill runs the prompt-processing phase over tokens, returning the
 // logits at every position (seq × vocab) and the populated KV cache.
@@ -92,7 +100,7 @@ func (m *Model) blockForward(li int, b *Block, x *tensor.Matrix, cache *KVCache,
 	hN := x.Clone()
 	tensor.LayerNorm(hN, b.LN1Gain, b.LN1Bias, 1e-5)
 	if tp != nil {
-		tp(li, "attn_in", hN)
+		tp(li, tapAttnIn, hN)
 	}
 	hN = m.maybeQuantAct(hN)
 	q := tensor.MatMul(hN, b.Wq)
@@ -101,7 +109,7 @@ func (m *Model) blockForward(li int, b *Block, x *tensor.Matrix, cache *KVCache,
 	cache.n = offset + x.Rows
 	attnOut := m.attention(q, cache.k[li], cache.v[li], offset)
 	if tp != nil {
-		tp(li, "attn_out", attnOut)
+		tp(li, tapAttnOut, attnOut)
 	}
 	attnOut = m.maybeQuantAct(attnOut)
 	proj := tensor.MatMul(attnOut, b.Wo)
@@ -111,13 +119,13 @@ func (m *Model) blockForward(li int, b *Block, x *tensor.Matrix, cache *KVCache,
 	hN2 := x.Clone()
 	tensor.LayerNorm(hN2, b.LN2Gain, b.LN2Bias, 1e-5)
 	if tp != nil {
-		tp(li, "mlp_in", hN2)
+		tp(li, tapMLPIn, hN2)
 	}
 	hN2 = m.maybeQuantAct(hN2)
 	inner := tensor.MatMul(hN2, b.W1)
 	tensor.GELU(inner)
 	if tp != nil {
-		tp(li, "mlp_mid", inner)
+		tp(li, tapMLPMid, inner)
 	}
 	inner = m.maybeQuantAct(inner)
 	out := tensor.MatMul(inner, b.W2)
