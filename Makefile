@@ -68,11 +68,13 @@ test-race:
 	$(GO) test -race -timeout 15m -count=2 -run 'Maintenance|DrainTimeout|Preempt|Restore' ./internal/serve/
 
 # Fuzz smoke: twenty seconds of coverage-guided inputs for each of
-# fourteen targets. Ten must match a reference: a bitwidth-transfer
+# fifteen targets. Eleven must match a reference: a bitwidth-transfer
 # move's exact score and the search's kept sums against a full
 # evaluation bit for bit, and the move's estimate within its error
 # margin; the whole bitwidth-transfer search against the clone-per-move
-# reference search; the simplex solver against the dense tableau solver
+# reference search; the search's start points, built into reused
+# buffers, against their references (adabits against its O(L²) greedy);
+# the simplex solver against the dense tableau solver
 # it replaced, bit for bit on random LPs; the branch-and-bound solver
 # against enumeration of every binary point of random 0/1 programs, with
 # and without the rows that make its box rows redundant; both matmul
@@ -88,15 +90,15 @@ test-race:
 # every model, device class and TP degree; and the fake quantizer
 # against the bit-packed quantize-then-dequantize round trip it
 # replaced, bit for bit on fuzzed float32 bit patterns at 3, 4 and 8
-# bits, both forms and both roundings. The eleventh checks that the
+# bits, both forms and both roundings. The twelfth checks that the
 # planner's optimistic bound, which decides which configurations the
 # search skips, never exceeds a feasible assignment's objective. The
-# twelfth feeds arbitrary bytes to the plan JSON decoder that cached and
+# thirteenth feeds arbitrary bytes to the plan JSON decoder that cached and
 # warm-start plans come through: no panic, Validate rejects malformed
 # stages, and a valid bound plan survives a wire round trip unchanged.
-# The thirteenth decodes arbitrary bytes as a serve job spec: Submit rejects
+# The fourteenth decodes arbitrary bytes as a serve job spec: Submit rejects
 # it, or the job's batch is valid and equals a fresh synthesis, also
-# when served from the batch memo. The fourteenth decodes arbitrary bytes
+# when served from the batch memo. The fifteenth decodes arbitrary bytes
 # as an online request spec: Submit rejects it, or the request fits the
 # model's positions without overflow, reserves a positive KV footprint
 # and its status echoes the spec. Their seed corpora
@@ -105,6 +107,7 @@ test-race:
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDeltaScore -fuzztime=20s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzBitwidthTransfer -fuzztime=20s ./internal/core
+	$(GO) test -run='^$$' -fuzz=FuzzStartPoints -fuzztime=20s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzOptimisticBound -fuzztime=20s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzSolveMatchesDense -fuzztime=20s ./internal/lp
 	$(GO) test -run='^$$' -fuzz=FuzzILPMatchesBruteForce -fuzztime=20s ./internal/ilp

@@ -106,10 +106,28 @@ func (m Method) baseline() bool { return m == MethodUniform || m == MethodHet }
 // builders holds the methods whose step for one configuration is a
 // single constructed assignment. The joint methods, ILP and heuristic,
 // run the multi-start bitwidth-transfer search instead (see bestStart).
-var builders = map[Method]func(*orderingCosts, *Indicator) (*assignment, error){
-	MethodAdabits: adabits,
-	MethodUniform: uniform,
-	MethodHet:     het,
+var builders = map[Method]startBuilder{
+	MethodAdabits: (*startBuffers).adabits,
+	MethodUniform: (*startBuffers).uniform,
+	MethodHet:     (*startBuffers).het,
+}
+
+// startBuilder builds one assignment for a configuration into reused
+// buffers (see startBuffers).
+type startBuilder func(*startBuffers, *orderingCosts, *Indicator) (*assignment, error)
+
+// transferStarts are the start points of the bitwidth-transfer search,
+// in the order bestStart runs them: adabits, het, het at the lowest
+// bitwidth, uniform. Multi-start matters because adabits'
+// memory-proportional partition and het's speed-balanced partition sit
+// in different basins; het at the lowest bitwidth is a
+// latency-aggressive basin the precision-conservative starts cannot
+// always reach.
+var transferStarts = []startBuilder{
+	(*startBuffers).adabits,
+	(*startBuffers).het,
+	(*startBuffers).hetLowest,
+	(*startBuffers).uniform,
 }
 
 // CandidateBits is the default candidate weight bitwidth set, the one
@@ -664,29 +682,40 @@ func (a *Assigner) polishShortlist(ctx context.Context, cands []candidate, best 
 // bestStart builds the method's solution for one configuration. A
 // method in builders returns its builder's assignment (the Fig. 12
 // adabits ablation and the two baselines). The joint methods run the
-// bitwidth-transfer local search from every start point
+// bitwidth-transfer local search from every start point that fits
 // (transferStarts) and keep the best. It returns the assignment with its
 // evaluation, or nil when nothing fits. One idle transferSearch serves
-// every start.
+// every start: the starts are built into its buffers, and the best
+// result so far is kept there too, so only the returned assignment is
+// allocated.
 func (a *Assigner) bestStart(oc *orderingCosts, theta float64) (*assignment, evaluation) {
+	search := a.takeSearch()
+	defer a.releaseSearch(search)
 	if build := builders[a.opts.Method]; build != nil {
-		as, err := build(oc, a.ind)
+		as, err := build(&search.starts, oc, a.ind)
 		if err != nil {
 			return nil, evaluation{}
 		}
-		return as, evaluate(as, oc, a.ind, theta)
+		return as.clone(), evaluate(as, oc, a.ind, theta)
 	}
-	var best *assignment
+	found := false
 	bestEv := evaluation{Objective: math.Inf(1)}
-	search := a.takeSearch()
-	defer a.releaseSearch(search)
 	search.configure(oc, a.ind, theta)
-	for _, s := range a.transferStarts(oc) {
-		if ev := search.transfer(s, 0, a.opts.QualityCap); a.admissible(ev) && ev.Objective < bestEv.Objective {
-			best, bestEv = search.cur.clone(), ev
+	for _, build := range transferStarts {
+		start, err := build(&search.starts, oc, a.ind)
+		if err != nil {
+			continue
+		}
+		if ev := search.transfer(start, 0, a.opts.QualityCap); a.admissible(ev) && ev.Objective < bestEv.Objective {
+			found, bestEv = true, ev
+			search.best.stageOf = append(search.best.stageOf[:0], search.cur.stageOf...)
+			search.best.bitIdx = append(search.best.bitIdx[:0], search.cur.bitIdx...)
 		}
 	}
-	return best, bestEv
+	if !found {
+		return nil, bestEv
+	}
+	return search.best.clone(), bestEv
 }
 
 // takeSearch returns an idle bitwidth-transfer search, or a new one.
@@ -707,36 +736,6 @@ func (a *Assigner) releaseSearch(s *transferSearch) {
 	a.idleMu.Lock()
 	a.idle = append(a.idle, s)
 	a.idleMu.Unlock()
-}
-
-// transferStarts returns the start points of the bitwidth-transfer
-// search that fit the configuration, in order: adabits, het, het at the
-// lowest bitwidth, uniform. Multi-start matters because adabits'
-// memory-proportional partition and het's speed-balanced partition sit
-// in different basins.
-func (a *Assigner) transferStarts(oc *orderingCosts) []*assignment {
-	var starts []*assignment
-	if ada, err := adabits(oc, a.ind); err == nil {
-		starts = append(starts, ada)
-	}
-	if h, err := het(oc, a.ind); err == nil {
-		starts = append(starts, h)
-	}
-	// Speed-balanced at the lowest bitwidth: a latency-aggressive basin
-	// the precision-conservative starts cannot always reach.
-	lowest := a.opts.Bits[0]
-	for _, b := range a.opts.Bits {
-		if b < lowest {
-			lowest = b
-		}
-	}
-	if h, err := hetAtBit(oc, a.ind, lowest); err == nil {
-		starts = append(starts, h)
-	}
-	if u, err := uniform(oc, a.ind); err == nil {
-		starts = append(starts, u)
-	}
-	return starts
 }
 
 // sortCandidates orders candidates by ascending objective (insertion

@@ -2,8 +2,50 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
+
+// startBuffers holds what the start builders (adabits, uniform, het,
+// hetAtBit) write: the assignment they return and their scratch. A
+// built assignment is as, valid until the next build on the same
+// buffers; the bitwidth-transfer search owns one set and builds every
+// start point into it.
+type startBuffers struct {
+	as      assignment
+	counts  []int
+	memUse  []int64
+	weights []float64
+	// order is the candidate bitwidths, largest first.
+	order []int
+	// nextBit[bi] is the bit index adabits raises bit index bi to, or
+	// -1 when it raises none.
+	nextBit []int
+	// up[i], extra[i] and gain[i] are adabits' upgrade of layer i: the
+	// bit index it raises the layer to (-1 for none), the extra bytes
+	// and the ω reduction per extra byte.
+	up    []int
+	extra []int64
+	gain  []float64
+}
+
+// fill lays out b.as: counts[j] consecutive layers on stage j, all at
+// bit index bi.
+func (b *startBuffers) fill(counts []int, bi int) *assignment {
+	layers := 0
+	for _, c := range counts {
+		layers += c
+	}
+	a := &b.as
+	a.stageOf, a.bitIdx = resize(a.stageOf, layers), resize(a.bitIdx, layers)
+	li := 0
+	for j, c := range counts {
+		for k := 0; k < c; k++ {
+			a.stageOf[li], a.bitIdx[li] = j, bi
+			li++
+		}
+	}
+	return a
+}
 
 // adabits builds the "pure adaptive quantization" solution of §IV-C and
 // Fig. 12: layers are partitioned by memory capacity alone (no latency
@@ -11,7 +53,7 @@ import (
 // allows, prioritizing the layers whose indicated quality gain per byte
 // is largest. It is both a baseline and the bitwidth-transfer heuristic's
 // starting point.
-func adabits(oc *orderingCosts, ind *Indicator) (*assignment, error) {
+func (b *startBuffers) adabits(oc *orderingCosts, ind *Indicator) (*assignment, error) {
 	layers := ind.Layers()
 	N := len(oc.devs)
 	if layers < N {
@@ -21,7 +63,8 @@ func adabits(oc *orderingCosts, ind *Indicator) (*assignment, error) {
 	low := oc.memLayer[lowBi]
 
 	// Partition proportionally to memory budget, at least one layer each.
-	counts := make([]int, N)
+	b.counts = resize(b.counts, N)
+	counts := b.counts
 	var totalBudget float64
 	for _, b := range oc.memBudget {
 		if b > 0 {
@@ -84,68 +127,85 @@ func adabits(oc *orderingCosts, ind *Indicator) (*assignment, error) {
 			assigned--
 		}
 	}
-
-	a := &assignment{stageOf: make([]int, layers), bitIdx: make([]int, layers)}
-	li := 0
-	for j := 0; j < N; j++ {
-		for k := 0; k < counts[j]; k++ {
-			a.stageOf[li] = j
-			a.bitIdx[li] = lowBi
-			li++
-		}
-	}
+	a := b.fill(counts, lowBi)
 	if !a.valid(N) {
 		return nil, fmt.Errorf("core: adabits produced an invalid partition %v", counts)
 	}
 
 	// Greedy upgrades: repeatedly raise the bitwidth of the layer with
-	// the best ω-reduction per extra byte, while its stage still fits.
-	memUse := make([]int64, N)
+	// the best ω-reduction per extra byte, while its stage still fits;
+	// the first such layer wins a tie. A layer's upgrade depends only
+	// on its own bit, so it is priced once and again only when raised.
+	b.memUse = resize(b.memUse, N)
+	memUse := b.memUse
+	clear(memUse)
 	for i := range a.stageOf {
 		memUse[a.stageOf[i]] += oc.memLayer[a.bitIdx[i]]
 	}
-	type upgrade struct {
-		layer int
-		gain  float64 // ω reduction per byte
+	b.nextBits(oc)
+	b.up, b.extra, b.gain = resize(b.up, layers), resize(b.extra, layers), resize(b.gain, layers)
+	for i := range b.up {
+		b.price(oc, ind, i)
 	}
 	for {
-		best := upgrade{layer: -1}
-		for i := range a.stageOf {
-			bi := a.bitIdx[i]
-			if bi+1 >= len(oc.bits) {
-				continue
-			}
-			next := nextBitIdx(oc, bi)
+		best, bestGain := -1, 0.0
+		for i, next := range b.up {
 			if next < 0 {
 				continue
 			}
-			extra := oc.memLayer[next] - oc.memLayer[bi]
-			j := a.stageOf[i]
-			if memUse[j]+extra > oc.memBudget[j] {
+			if j := a.stageOf[i]; memUse[j]+b.extra[i] > oc.memBudget[j] || best != -1 && !(b.gain[i] > bestGain) {
 				continue
 			}
-			drop := ind.Omega[i][bi] - ind.Omega[i][next]
-			if drop <= 0 {
-				continue
-			}
-			gain := drop
-			if extra > 0 {
-				gain = drop / float64(extra)
-			}
-			if best.layer == -1 || gain > best.gain {
-				best = upgrade{layer: i, gain: gain}
-			}
+			best, bestGain = i, b.gain[i]
 		}
-		if best.layer == -1 {
+		if best == -1 {
 			break
 		}
-		i := best.layer
-		next := nextBitIdx(oc, a.bitIdx[i])
-		extra := oc.memLayer[next] - oc.memLayer[a.bitIdx[i]]
-		memUse[a.stageOf[i]] += extra
-		a.bitIdx[i] = next
+		memUse[a.stageOf[best]] += b.extra[best]
+		a.bitIdx[best] = b.up[best]
+		b.price(oc, ind, best)
 	}
 	return a, nil
+}
+
+// price sets layer i's upgrade from its bit index in b.as: the next
+// larger bitwidth, unless there is none or it does not lower ω.
+func (b *startBuffers) price(oc *orderingCosts, ind *Indicator, i int) {
+	bi := b.as.bitIdx[i]
+	next := b.nextBit[bi]
+	b.up[i] = -1
+	if next < 0 {
+		return
+	}
+	extra := oc.memLayer[next] - oc.memLayer[bi]
+	drop := ind.Omega[i][bi] - ind.Omega[i][next]
+	if drop <= 0 {
+		return
+	}
+	gain := drop
+	if extra > 0 {
+		gain = drop / float64(extra)
+	}
+	b.up[i], b.extra[i], b.gain[i] = next, extra, gain
+}
+
+// nextBits fills b.nextBit: each bit index's next larger bitwidth, or
+// -1 for the largest and for the last column, which adabits never
+// raises.
+func (b *startBuffers) nextBits(oc *orderingCosts) {
+	nb := len(oc.bits)
+	b.nextBit = resize(b.nextBit, nb)
+	for bi, cur := range oc.bits {
+		next, nextBits := -1, 1<<30
+		if bi+1 < nb {
+			for i, bits := range oc.bits {
+				if bits > cur && bits < nextBits {
+					next, nextBits = i, bits
+				}
+			}
+		}
+		b.nextBit[bi] = next
+	}
 }
 
 // lowestBitIdx returns the column of the smallest bitwidth.
@@ -159,29 +219,25 @@ func lowestBitIdx(oc *orderingCosts) int {
 	return best
 }
 
-// nextBitIdx returns the column of the next larger bitwidth after bi,
-// or -1 when bi is already the largest.
-func nextBitIdx(oc *orderingCosts, bi int) int {
-	cur := oc.bits[bi]
-	best, bestBits := -1, 1<<30
-	for i, b := range oc.bits {
-		if b > cur && b < bestBits {
-			best, bestBits = i, b
-		}
-	}
-	return best
+// descending returns the candidate bitwidths, largest first, in b.order.
+func (b *startBuffers) descending(oc *orderingCosts) []int {
+	b.order = append(b.order[:0], oc.bits...)
+	slices.Sort(b.order)
+	slices.Reverse(b.order)
+	return b.order
 }
 
 // uniform builds the Uniform baseline under a fixed ordering: even layer
 // counts per stage and one global bitwidth, lowered from FP16 until the
 // plan fits (or no bitwidth works).
-func uniform(oc *orderingCosts, ind *Indicator) (*assignment, error) {
+func (b *startBuffers) uniform(oc *orderingCosts, ind *Indicator) (*assignment, error) {
 	layers := ind.Layers()
 	N := len(oc.devs)
 	if layers < N {
 		return nil, fmt.Errorf("core: %d layers cannot span %d stages", layers, N)
 	}
-	counts := make([]int, N)
+	b.counts = resize(b.counts, N)
+	counts := b.counts
 	per, extra := layers/N, layers%N
 	for j := range counts {
 		counts[j] = per
@@ -189,16 +245,8 @@ func uniform(oc *orderingCosts, ind *Indicator) (*assignment, error) {
 			counts[j]++
 		}
 	}
-	// Descending bitwidths.
-	order := append([]int(nil), oc.bits...)
-	sort.Sort(sort.Reverse(sort.IntSlice(order)))
-	for _, bit := range order {
-		bi := -1
-		for i, b := range oc.bits {
-			if b == bit {
-				bi = i
-			}
-		}
+	for _, bit := range b.descending(oc) {
+		bi := bitColumn(oc, bit)
 		fits := true
 		for j := 0; j < N; j++ {
 			if int64(counts[j])*oc.memLayer[bi] > oc.memBudget[j] {
@@ -206,21 +254,22 @@ func uniform(oc *orderingCosts, ind *Indicator) (*assignment, error) {
 				break
 			}
 		}
-		if !fits {
-			continue
+		if fits {
+			return b.fill(counts, bi), nil
 		}
-		a := &assignment{stageOf: make([]int, layers), bitIdx: make([]int, layers)}
-		li := 0
-		for j := 0; j < N; j++ {
-			for k := 0; k < counts[j]; k++ {
-				a.stageOf[li] = j
-				a.bitIdx[li] = bi
-				li++
-			}
-		}
-		return a, nil
 	}
 	return nil, fmt.Errorf("core: uniform baseline cannot fit the model at any bitwidth")
+}
+
+// bitColumn returns the last column of bitwidth bit, or -1.
+func bitColumn(oc *orderingCosts, bit int) int {
+	bi := -1
+	for i, b := range oc.bits {
+		if b == bit {
+			bi = i
+		}
+	}
+	return bi
 }
 
 // het builds the Het baseline under a fixed ordering: uniform bitwidth
@@ -228,129 +277,112 @@ func uniform(oc *orderingCosts, ind *Indicator) (*assignment, error) {
 // to each device's speed. Following the heterogeneous-pipeline prior
 // work the paper compares against (which targets encoder models), the
 // balancing is prefill-only — the phase blindness SplitQuant fixes.
-func het(oc *orderingCosts, ind *Indicator) (*assignment, error) {
-	order := append([]int(nil), oc.bits...)
-	sort.Sort(sort.Reverse(sort.IntSlice(order)))
-	for _, bit := range order {
-		if a, err := hetAtBit(oc, ind, bit); err == nil {
+func (b *startBuffers) het(oc *orderingCosts, ind *Indicator) (*assignment, error) {
+	for _, bit := range b.descending(oc) {
+		if a, err := b.hetAtBit(oc, ind, bit); err == nil {
 			return a, nil
 		}
 	}
 	return nil, fmt.Errorf("core: het baseline cannot fit the model at any bitwidth")
 }
 
+// hetLowest is hetAtBit at the lowest candidate bitwidth: a
+// latency-aggressive start point for the bitwidth-transfer search.
+func (b *startBuffers) hetLowest(oc *orderingCosts, ind *Indicator) (*assignment, error) {
+	return b.hetAtBit(oc, ind, oc.bits[lowestBitIdx(oc)])
+}
+
 // hetAtBit builds the Het-style speed-balanced uniform-precision
-// assignment at one specific bitwidth. It is also used as a low-bit
-// starting point for the bitwidth-transfer heuristic.
-func hetAtBit(oc *orderingCosts, ind *Indicator, bit int) (*assignment, error) {
+// assignment at one specific bitwidth.
+func (b *startBuffers) hetAtBit(oc *orderingCosts, ind *Indicator, bit int) (*assignment, error) {
 	layers := ind.Layers()
 	N := len(oc.devs)
 	if layers < N {
 		return nil, fmt.Errorf("core: %d layers cannot span %d stages", layers, N)
 	}
-	{
-		bi := -1
-		for i, b := range oc.bits {
-			if b == bit {
-				bi = i
-			}
+	bi := bitColumn(oc, bit)
+	if bi < 0 {
+		return nil, fmt.Errorf("core: unknown bitwidth %d", bit)
+	}
+	// Speed weight: inverse of the per-layer prefill time only.
+	b.weights, b.counts = resize(b.weights, N), resize(b.counts, N)
+	weights, counts := b.weights, b.counts
+	var wSum float64
+	for j := 0; j < N; j++ {
+		weights[j] = 1 / oc.prefillLayer(j, bi)
+		wSum += weights[j]
+	}
+	assigned := 0
+	for j := 0; j < N; j++ {
+		counts[j] = int(weights[j] / wSum * float64(layers))
+		if counts[j] < 1 {
+			counts[j] = 1
 		}
-		if bi < 0 {
-			return nil, fmt.Errorf("core: unknown bitwidth %d", bit)
-		}
-		// Speed weight: inverse of the per-layer prefill time only.
-		weights := make([]float64, N)
-		var wSum float64
+		assigned += counts[j]
+	}
+	for assigned > layers {
+		// Remove from the slowest stage with > 1 layer.
+		worst, worstW := -1, 0.0
 		for j := 0; j < N; j++ {
-			weights[j] = 1 / oc.prefillLayer(j, bi)
-			wSum += weights[j]
+			if counts[j] > 1 && (worst == -1 || weights[j] < worstW) {
+				worst, worstW = j, weights[j]
+			}
 		}
-		counts := make([]int, N)
-		assigned := 0
-		for j := 0; j < N; j++ {
-			counts[j] = int(weights[j] / wSum * float64(layers))
-			if counts[j] < 1 {
-				counts[j] = 1
-			}
-			assigned += counts[j]
+		if worst == -1 {
+			break
 		}
-		for assigned > layers {
-			// Remove from the slowest stage with > 1 layer.
-			worst, worstW := -1, 0.0
-			for j := 0; j < N; j++ {
-				if counts[j] > 1 && (worst == -1 || weights[j] < worstW) {
-					worst, worstW = j, weights[j]
-				}
+		counts[worst]--
+		assigned--
+	}
+	for assigned < layers {
+		// Add to the fastest stage.
+		best, bestW := 0, weights[0]
+		for j := 1; j < N; j++ {
+			if weights[j] > bestW {
+				best, bestW = j, weights[j]
 			}
-			if worst == -1 {
-				break
-			}
-			counts[worst]--
-			assigned--
 		}
-		for assigned < layers {
-			// Add to the fastest stage.
-			best, bestW := 0, weights[0]
-			for j := 1; j < N; j++ {
-				if weights[j] > bestW {
-					best, bestW = j, weights[j]
-				}
-			}
-			counts[best]++
-			assigned++
-		}
-		// Redistribute layers off over-budget stages onto stages with
-		// slack (speed-balancing is a preference; memory is a hard
-		// constraint) before declaring this bitwidth infeasible.
-		for iter := 0; iter < layers*N; iter++ {
-			over := -1
-			for j := 0; j < N; j++ {
-				if int64(counts[j])*oc.memLayer[bi] > oc.memBudget[j] {
-					over = j
-					break
-				}
-			}
-			if over == -1 {
-				break
-			}
-			best, bestSlack := -1, int64(0)
-			for j := 0; j < N; j++ {
-				if j == over {
-					continue
-				}
-				slack := oc.memBudget[j] - int64(counts[j]+1)*oc.memLayer[bi]
-				if slack >= 0 && (best == -1 || slack > bestSlack) {
-					best, bestSlack = j, slack
-				}
-			}
-			if best == -1 || counts[over] <= 1 {
-				break
-			}
-			counts[over]--
-			counts[best]++
-		}
-		fits := true
+		counts[best]++
+		assigned++
+	}
+	// Redistribute layers off over-budget stages onto stages with
+	// slack (speed-balancing is a preference; memory is a hard
+	// constraint) before declaring this bitwidth infeasible.
+	for iter := 0; iter < layers*N; iter++ {
+		over := -1
 		for j := 0; j < N; j++ {
 			if int64(counts[j])*oc.memLayer[bi] > oc.memBudget[j] {
-				fits = false
+				over = j
 				break
 			}
 		}
-		if !fits {
-			return nil, fmt.Errorf("core: het partition infeasible at %d bits", bit)
+		if over == -1 {
+			break
 		}
-		a := &assignment{stageOf: make([]int, layers), bitIdx: make([]int, layers)}
-		li := 0
+		best, bestSlack := -1, int64(0)
 		for j := 0; j < N; j++ {
-			for k := 0; k < counts[j]; k++ {
-				a.stageOf[li] = j
-				a.bitIdx[li] = bi
-				li++
+			if j == over {
+				continue
+			}
+			slack := oc.memBudget[j] - int64(counts[j]+1)*oc.memLayer[bi]
+			if slack >= 0 && (best == -1 || slack > bestSlack) {
+				best, bestSlack = j, slack
 			}
 		}
-		if !a.valid(N) {
-			return nil, fmt.Errorf("core: het partition invalid at %d bits", bit)
+		if best == -1 || counts[over] <= 1 {
+			break
 		}
-		return a, nil
+		counts[over]--
+		counts[best]++
 	}
+	for j := 0; j < N; j++ {
+		if int64(counts[j])*oc.memLayer[bi] > oc.memBudget[j] {
+			return nil, fmt.Errorf("core: het partition infeasible at %d bits", bit)
+		}
+	}
+	a := b.fill(counts, bi)
+	if !a.valid(N) {
+		return nil, fmt.Errorf("core: het partition invalid at %d bits", bit)
+	}
+	return a, nil
 }

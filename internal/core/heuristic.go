@@ -6,10 +6,11 @@ import "math"
 // search on its current assignment cur: cur's per-stage sums, each
 // stage's first layer, each layer's prefix of its stage's sums and the
 // prefix of Σ ω. Every move is first priced by an O(1) estimate from
-// these sums (see estimate); only a move the estimate cannot rule out
-// is summed exactly, as evaluate sums it (see score), so every accepted
-// move, objective and plan is bit-identical to scoring a full copy. Its
-// buffers are reused by every reset and every configure.
+// these sums (see estimate); only a move whose outcome the estimate
+// leaves open is summed exactly, as evaluate sums it (see score and
+// pick), so every accepted move, objective and plan is bit-identical to
+// scoring a full copy. Its buffers are reused by every reset and every
+// configure.
 type transferSearch struct {
 	oc    *orderingCosts
 	ind   *Indicator
@@ -39,9 +40,14 @@ type transferSearch struct {
 	// of layer i's stage before i; qPre[i] is Σ ω over layers < i.
 	prePfx, decPfx, qPre []float64
 	// bitMoves[(j*nb+old)*nb+bit] prices moving one stage-j layer from
-	// bit index old to bit, which depends on nothing else; rebuild
-	// clears it.
+	// bit index old to bit, which depends on nothing else; rebuild and
+	// apply clear it.
 	bitMoves []pricedBit
+
+	// starts holds the start points bestStart builds, and best the
+	// best assignment a multi-start search has reached so far.
+	starts startBuffers
+	best   assignment
 }
 
 // pricedBit is one entry of transferSearch.bitMoves: an estimated
@@ -54,7 +60,7 @@ type pricedBit struct {
 // configure points s at one configuration, reusing its buffers where
 // they are large enough.
 //
-// It also sets the margins that let transfer skip a move on its
+// It also sets the margins that let transfer decide a move on its
 // estimate. Let u = 2⁻⁵³ and γₙ = n·u/(1−n·u): a float sum of n+1
 // terms added one at a time lies within γₙ·Σ|terms| of the real sum.
 // Let P = L·max|pk| + max commPre, D = L·max|dk| + max commDec and
@@ -75,9 +81,9 @@ type pricedBit struct {
 // this sums to |estimate − exact| ≤ (8γ_{L+1} + 2γ_nDev + 2γ₅ + 4u)·A
 // ≤ 8γ_{L+nDev+10}·A. The margin is four times that, 32γ_{L+nDev+16}·A,
 // which also covers the (1+γ) factors dropped above and the rounding of
-// the test estimate − margin itself; qMargin is likewise
-// 16γ_{L+16}·W. A non-finite cost makes a margin Inf or NaN, and then
-// no move is skipped (see lowerBound).
+// the margin itself; qMargin is likewise 16γ_{L+16}·W. A non-finite
+// cost makes a margin Inf or NaN, and then no move is decided on its
+// estimate (see pick).
 func (s *transferSearch) configure(oc *orderingCosts, ind *Indicator, theta float64) {
 	nDev, nb, L := len(oc.devs), len(oc.bits), ind.Layers()
 	s.oc, s.ind, s.theta, s.nb = oc, ind, theta, nb
@@ -132,13 +138,14 @@ func resize[T any](buf []T, n int) []T {
 // evaluation. A start that is not contiguous is left unchanged; every
 // start bestStart makes is contiguous.
 //
-// Each iteration prices every move in place from an estimate (see
-// estimate). A move whose estimated objective, less the margin, is not
-// below the running best, or whose estimated Σ ω, less its margin, is
-// over the cap, would be rejected on its exact sums too, and is
-// skipped. Every other move is summed exactly (see score) and accepted
-// or rejected on those sums alone, so the estimate only filters: the
-// accepted moves are those of scoring every move exactly.
+// Each iteration scans the moves in a fixed order and keeps the running
+// best: a move replaces it when its exact objective (summed as evaluate
+// sums it, see score) is below the best's less 1e-12 and it keeps the
+// cap. Every move is first priced by an estimate (see estimate) within
+// a margin of its exact objective and Σ ω, and decided on the estimate
+// alone wherever that decides it (see pick), so that only moves whose
+// outcome the margins leave open are summed exactly: the accepted
+// moves are those of scoring every move exactly.
 func (s *transferSearch) transfer(start *assignment, maxIters int, qualityCap float64) evaluation {
 	if !start.valid(len(s.oc.devs)) {
 		copy(s.cur.stageOf, start.stageOf)
@@ -146,77 +153,169 @@ func (s *transferSearch) transfer(start *assignment, maxIters int, qualityCap fl
 		return evaluate(start, s.oc, s.ind, s.theta)
 	}
 	s.reset(start)
-	cur := s.cur
+	cur, nb, L := s.cur, s.nb, len(s.cur.bitIdx)
 	if maxIters <= 0 {
-		maxIters = 4 * s.ind.Layers()
+		maxIters = 4 * L
 	}
-	capped, capLimit := qualityCap > 0, qualityCap+1e-9
-	curObj := s.evaluation().Objective
+	p := pick{capped: qualityCap > 0, capLimit: qualityCap + 1e-9, margin: s.margin, qMargin: s.qMargin}
+	// A margin that is not finite decides nothing: NaN fails every
+	// comparison it enters.
+	if math.IsInf(p.margin, 0) {
+		p.margin = math.NaN()
+	}
+	if math.IsInf(p.qMargin, 0) {
+		p.qMargin = math.NaN()
+	}
 	for iter := 0; iter < maxIters; iter++ {
-		bestLayer, bestTo, bestBit := -1, 0, 0
-		bestObj := curObj
-		limit := bestObj - 1e-12
-		consider := func(layer, to, bit int) {
-			if !s.movable(layer, cur.stageOf[layer], to) {
-				return
-			}
-			est, q, feasible := s.estimate(layer, to, bit)
-			if !feasible || capped && lowerBound(q, s.qMargin) > capLimit || lowerBound(est, s.margin) >= limit {
-				return
-			}
-			obj, q, _ := s.score(layer, to, bit)
-			if capped && q > capLimit {
-				return
-			}
-			if obj < limit {
-				bestLayer, bestTo, bestBit, bestObj = layer, to, bit, obj
-				limit = bestObj - 1e-12
-			}
-		}
+		p.layer = -1
+		p.settle(s.evaluation().Objective)
 
 		// Move family 1: single-layer bitwidth conversion (any layer,
 		// any alternative bitwidth) — covers the (b_st, b_pi, ·) rules.
-		for i := range cur.bitIdx {
-			for bi := 0; bi < s.nb; bi++ {
-				if bi != cur.bitIdx[i] {
-					consider(i, cur.stageOf[i], bi)
+		// This is consider with estimate inlined: a bit change is always
+		// movable, and its latency, which depends only on (stage, old
+		// bit, new bit), is priced once per applied move into bitMoves.
+		qTotal := s.qPre[L]
+		for i, from := range cur.stageOf {
+			old := cur.bitIdx[i]
+			row := s.bitMoves[(from*nb+old)*nb:][:nb]
+			omega, qRest := s.ind.Omega[i][:nb], qTotal-s.omega[i]
+			for bi := range row {
+				if bi == old {
+					continue
 				}
+				m := &row[bi]
+				if !m.priced {
+					m.latency, m.feasible = s.shifted(from, old, from, bi)
+					m.priced = true
+				}
+				q := qRest + omega[bi]
+				est := m.latency + s.theta*q
+				if !m.feasible || p.rulesOut(est, q) {
+					continue
+				}
+				s.offer(&p, i, from, bi, est, q)
 			}
 		}
 		// Move family 2: boundary-layer repartition between adjacent
 		// stages, optionally converting the moved layer's bitwidth so it
 		// fits or runs faster on the receiving device (num_s rule).
-		for i := 1; i < len(cur.stageOf); i++ {
+		for i := 1; i < L; i++ {
 			back, fwd := cur.stageOf[i-1], cur.stageOf[i]
 			if back == fwd {
 				continue
 			}
 			// Boundary between i-1 (stage back) and i (stage fwd):
 			// pull layer i back, or push layer i-1 forward.
-			for bi := 0; bi < s.nb; bi++ {
-				consider(i, back, bi)
+			for bi := 0; bi < nb; bi++ {
+				s.consider(&p, i, back, bi)
 			}
-			for bi := 0; bi < s.nb; bi++ {
-				consider(i-1, fwd, bi)
+			for bi := 0; bi < nb; bi++ {
+				s.consider(&p, i-1, fwd, bi)
 			}
 		}
-		if bestLayer < 0 {
+		if p.layer < 0 {
 			break
 		}
-		s.apply(bestLayer, bestTo, bestBit)
-		curObj = bestObj
+		s.apply(p.layer, p.to, p.bit)
 	}
 	return s.evaluation()
 }
 
-// lowerBound is est − margin, which no value within margin of est is
-// below, or NaN, which fails every comparison, when est or margin is
-// not finite: a non-finite estimate or margin never skips a move.
-func lowerBound(est, margin float64) float64 {
-	if math.IsInf(est, 0) || math.IsInf(margin, 0) {
-		return math.NaN()
+// pick is one transfer iteration's running best move. Its exact
+// objective obj is known, or, while it is pending, only its estimate,
+// which is within margin of it. A move replaces it when the move's
+// exact objective is below limit = obj − 1e-12 and its exact Σ ω keeps
+// the cap; moves are decided on their estimates against two bounds on
+// limit:
+//   - skip ≥ limit: a move whose estimate less the margin is not below
+//     skip is rejected;
+//   - sure ≤ limit: a move whose estimate plus the margin is below sure,
+//     and whose Σ ω estimate plus its margin keeps the cap, is accepted
+//     unscored, and is pending.
+//
+// With the exact objective known, skip = sure = limit. A pending best
+// of estimate e has skip = (e + margin) − 1e-12 and sure =
+// (e − margin) − 1e-12: |e − obj| ≤ margin (see configure) and
+// rounding is monotone, so the rounded e ± margin bound obj and each
+// rounded bound less 1e-12 bounds limit. Only a move the bounds leave
+// open is scored, after the pending best is (see offer). An estimate
+// that is not finite, or a margin that is not (pick holds it as NaN),
+// decides nothing.
+type pick struct {
+	layer, to, bit  int
+	pending         bool
+	limit           float64
+	skip, sure      float64
+	capped          bool
+	capLimit        float64
+	margin, qMargin float64
+}
+
+// settle makes obj the best's exact objective.
+func (p *pick) settle(obj float64) {
+	p.pending, p.limit = false, obj-1e-12
+	p.skip, p.sure = p.limit, p.limit
+}
+
+// rulesOut reports whether a feasible move with estimates est and q is
+// rejected on them: its Σ ω less the margin is over the cap, or its
+// objective less the margin is not below skip.
+func (p *pick) rulesOut(est, q float64) bool {
+	inf := math.Inf(1)
+	return p.capped && q-p.qMargin > p.capLimit && q < inf && q > -inf ||
+		est-p.margin >= p.skip && est < inf && est > -inf
+}
+
+// consider prices moving layer to stage `to` at bit index bit and
+// offers it to p unless it is not movable, infeasible or ruled out.
+func (s *transferSearch) consider(p *pick, layer, to, bit int) {
+	if !s.movable(layer, s.cur.stageOf[layer], to) {
+		return
 	}
-	return est - margin
+	est, q, feasible := s.estimate(layer, to, bit)
+	if !feasible || p.rulesOut(est, q) {
+		return
+	}
+	s.offer(p, layer, to, bit, est, q)
+}
+
+// beats reports whether a feasible move with estimates est and q is
+// accepted on them: its objective plus the margin is below sure, and
+// its Σ ω plus its margin keeps the cap.
+func (p *pick) beats(est, q float64) bool {
+	inf := math.Inf(1)
+	return est+p.margin < p.sure && est > -inf && (!p.capped || q+p.qMargin <= p.capLimit && q > -inf)
+}
+
+// hold makes a move of estimate est, which beats p, p's pending best.
+func (p *pick) hold(layer, to, bit int, est float64) {
+	p.layer, p.to, p.bit, p.pending = layer, to, bit, true
+	p.skip, p.sure = est+p.margin-1e-12, est-p.margin-1e-12
+}
+
+// offer decides a feasible, movable move with estimates est and q that
+// rulesOut let through. It becomes p's pending best when it beats it;
+// otherwise a pending best is scored, and the move is rejected if it is
+// then ruled out, else scored and decided exactly.
+func (s *transferSearch) offer(p *pick, layer, to, bit int, est, q float64) {
+	if p.beats(est, q) {
+		p.hold(layer, to, bit, est)
+		return
+	}
+	if p.pending {
+		obj, _, _ := s.score(p.layer, p.to, p.bit)
+		p.settle(obj)
+		if p.rulesOut(est, q) {
+			return
+		}
+	}
+	obj, q, _ := s.score(layer, to, bit)
+	if p.capped && q > p.capLimit || !(obj < p.limit) {
+		return
+	}
+	p.layer, p.to, p.bit = layer, to, bit
+	p.settle(obj)
 }
 
 // reset loads start into cur and rebuilds every sum.
@@ -254,10 +353,54 @@ func (s *transferSearch) evaluation() evaluation {
 	return objective(s.oc, s.pre, s.dec, s.mem, s.qPre[len(s.cur.bitIdx)], s.theta)
 }
 
-// apply moves layer to stage `to` at bit index bit for good.
+// apply moves layer to stage `to` at bit index bit for good (the move
+// must be movable) and forgets the priced bit changes. Only the touched
+// stages' sums and prefixes are re-formed, each in ascending layer order
+// from the moved layer on, as rebuild forms them: a stage losing its
+// last layer keeps that layer's prefix, a layer joining a stage's end
+// starts from that stage's sum, and a stage losing or gaining its first
+// layer is re-formed in full. Σ ω is re-summed from the moved layer on,
+// and mem and first are adjusted in place.
 func (s *transferSearch) apply(layer, to, bit int) {
+	nb := s.nb
+	from, old := s.cur.stageOf[layer], s.cur.bitIdx[layer]
 	s.cur.stageOf[layer], s.cur.bitIdx[layer] = to, bit
-	s.rebuild()
+	s.lp[layer], s.ld[layer], s.omega[layer] = s.pk[to*nb+bit], s.dk[to*nb+bit], s.ind.Omega[layer][bit]
+	s.mem[from] -= s.oc.memLayer[old]
+	s.mem[to] += s.oc.memLayer[bit]
+	switch to {
+	case from:
+		s.refold(from, layer)
+	case from + 1:
+		s.first[to] = layer
+		s.refold(from, layer)
+		s.refold(to, layer)
+	default: // from - 1
+		s.first[from] = layer + 1
+		s.prePfx[layer], s.decPfx[layer] = s.pre[to], s.dec[to]
+		s.refold(to, layer)
+		s.refold(from, layer+1)
+	}
+	for i := layer; i < len(s.omega); i++ {
+		s.qPre[i+1] = s.qPre[i] + s.omega[i]
+	}
+	clear(s.bitMoves)
+}
+
+// refold re-forms stage j's sums, and the prefixes of its layers from lo
+// on, in ascending layer order: from zero when lo is the stage's first
+// layer, else from lo's prefix.
+func (s *transferSearch) refold(j, lo int) {
+	var pre, dec float64
+	if lo > s.first[j] {
+		pre, dec = s.prePfx[lo], s.decPfx[lo]
+	}
+	for i := lo; i < s.first[j+1]; i++ {
+		s.prePfx[i], s.decPfx[i] = pre, dec
+		pre += s.lp[i]
+		dec += s.ld[i]
+	}
+	s.pre[j], s.dec[j] = pre, dec
 }
 
 // estimate returns an estimate of the Eq. 4 objective and Σ ω of cur
@@ -265,21 +408,12 @@ func (s *transferSearch) apply(layer, to, bit int) {
 // s.qMargin of the exact ones (see configure), and the move's memory
 // feasibility, which is exact. The move must be movable. The moved
 // layer's old term is subtracted from its stage's sums and from Σ ω and
-// its new term added; a bit change's latency then depends only on
-// (stage, old bit, new bit), so eq4 prices it once per rebuild.
+// its new term added. A bit change's latency then depends only on
+// (stage, old bit, new bit), so transfer, which prices bit changes
+// inline, keeps it in bitMoves.
 func (s *transferSearch) estimate(layer, to, bit int) (obj, quality float64, feasible bool) {
 	from, old := s.cur.stageOf[layer], s.cur.bitIdx[layer]
-	var latency float64
-	if to == from {
-		m := &s.bitMoves[(from*s.nb+old)*s.nb+bit]
-		if !m.priced {
-			m.latency, m.feasible = s.shifted(from, old, to, bit)
-			m.priced = true
-		}
-		latency, feasible = m.latency, m.feasible
-	} else {
-		latency, feasible = s.shifted(from, old, to, bit)
-	}
+	latency, feasible := s.shifted(from, old, to, bit)
 	quality = s.qPre[len(s.cur.bitIdx)] - s.omega[layer] + s.ind.Omega[layer][bit]
 	return latency + s.theta*quality, quality, feasible
 }

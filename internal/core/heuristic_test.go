@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"math/big"
+	"math/rand/v2"
 	"reflect"
 	"slices"
 	"testing"
@@ -397,11 +399,93 @@ func FuzzBitwidthTransfer(f *testing.F) {
 	})
 }
 
+// TestPickBounds checks the two rules by which pick decides a move on
+// its estimate against every exact objective its margin allows: a move
+// rulesOut rejects is not below the exact limit, or breaks the cap, and
+// a move beats accepts is below it and keeps the cap, with the best's
+// objective exact and pending. Estimates, margins and objectives are
+// drawn near each other's rounding scale and the 1e-12 tolerance,
+// including objectives at exactly an estimate ± its margin.
+func TestPickBounds(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	// within reports whether |x − e| ≤ m, exactly.
+	within := func(x, e, m float64) bool {
+		d := new(big.Float).SetPrec(2200).Sub(big.NewFloat(x), big.NewFloat(e))
+		return d.Abs(d).Cmp(big.NewFloat(m)) <= 0
+	}
+	// near returns values within m of e: both ends, e itself and random
+	// points, each also one float up and down.
+	near := func(e, m float64) []float64 {
+		var out []float64
+		for _, x := range []float64{e - m, e + m, e, e + (2*rng.Float64()-1)*m, e + (2*rng.Float64()-1)*m} {
+			for _, y := range []float64{x, math.Nextafter(x, math.Inf(-1)), math.Nextafter(x, math.Inf(1))} {
+				if within(y, e, m) {
+					out = append(out, y)
+				}
+			}
+		}
+		return out
+	}
+	draw := func() (e, m float64) {
+		e = (2*rng.Float64() - 1) * math.Pow(10, float64(rng.IntN(7)-3))
+		switch rng.IntN(3) {
+		case 0:
+			m = math.Abs(e) * math.Ldexp(1, -30-rng.IntN(30))
+		case 1:
+			m = math.Pow(10, -10-4*rng.Float64())
+		}
+		return e, m
+	}
+	for trial := 0; trial < 20000; trial++ {
+		eK, m := draw()
+		objK := near(eK, m)[rng.IntN(3)]
+		// The candidate's estimate lies near the best's, offset by about
+		// the margin or the tolerance.
+		offsets := []float64{0, m, -m, 2 * m, -2 * m, 1e-12, -1e-12, 1e-12 + 2*m, -1e-12 - 2*m}
+		eJ := eK + offsets[rng.IntN(len(offsets))]*(0.5+rng.Float64())
+		for _, pending := range []bool{false, true} {
+			p := pick{margin: m}
+			p.settle(objK)
+			if pending {
+				p.hold(0, 0, 0, eK)
+			}
+			out, in := p.rulesOut(eJ, 0), p.beats(eJ, 0)
+			for _, objJ := range near(eJ, m) {
+				// Every objective of the best within the margin of its
+				// estimate, when pending.
+				bests := []float64{objK}
+				if pending {
+					bests = near(eK, m)
+				}
+				for _, ok := range bests {
+					limit := ok - 1e-12
+					if out && objJ < limit || in && !(objJ < limit) {
+						t.Fatalf("best %v (pending %v, estimate %v), move %v (estimate %v), margin %v: rulesOut %v, beats %v",
+							ok, pending, eK, objJ, eJ, m, out, in)
+					}
+				}
+			}
+		}
+		// The cap: an objective estimate far below the best's leaves the
+		// decision to Σ ω.
+		capLimit := eK
+		eQ := eJ
+		p := pick{capped: true, capLimit: capLimit, qMargin: m}
+		p.settle(0)
+		out, in := p.rulesOut(-1e9, eQ), p.beats(-1e9, eQ)
+		for _, q := range near(eQ, m) {
+			if out && !(q > capLimit) || in && q > capLimit {
+				t.Fatalf("cap %v, Σ ω %v (estimate %v), margin %v: rulesOut %v, beats %v", capLimit, q, eQ, m, out, in)
+			}
+		}
+	}
+}
+
 // TestBestStartMatchesReference runs bestStart, whose search is reset
 // for every start point and reused across configurations of different
-// stage counts, against a multi-start built from the clone-per-move
-// reference and evaluate, and requires the same assignment and
-// evaluation.
+// stage counts, against a multi-start built from the reference start
+// points (referenceStarts), the clone-per-move reference and evaluate,
+// and requires the same assignment and evaluation.
 func TestBestStartMatchesReference(t *testing.T) {
 	spec := model.OPT13B
 	for _, preset := range []int{2, 3, 5, 9} {
@@ -410,7 +494,7 @@ func TestBestStartMatchesReference(t *testing.T) {
 		stride := len(configs)/6 + 1
 		for c := 0; c < len(configs); c += stride {
 			oc := a.buildConfigCosts(configs[c], smallBatch)
-			starts := a.transferStarts(oc)
+			starts := referenceStarts(oc, a.ind)
 			capQ := 1e-9 // nothing fits: a cap every start breaks
 			if uni, err := uniform(oc, a.ind); err == nil {
 				capQ = evaluate(uni, oc, a.ind, 0).Quality

@@ -29,10 +29,9 @@ var (
 	shapeChat      = benchShape{"opt-13b-chat-b16", "opt-13b", "chat", 16}
 )
 
-// benchConfig plans sh with method at θ = 1 and returns the assigner and
-// the cost tables of the configuration pick names from the plan's
-// report.
-func benchConfig(b *testing.B, sh benchShape, method Method, pick func(*Report) string) (*Assigner, *orderingCosts) {
+// benchAssigner returns a new assigner for sh with method at θ = 1
+// (Options.Parallelism and a cost cache as given) and sh's batch.
+func benchAssigner(b *testing.B, sh benchShape, method Method, parallelism int, costs *CostCache) (*Assigner, workload.Batch) {
 	b.Helper()
 	spec, err := model.Lookup(sh.model)
 	if err != nil {
@@ -48,11 +47,20 @@ func benchConfig(b *testing.B, sh benchShape, method Method, pick func(*Report) 
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts := Options{Method: method, Theta: 1, Bits: []int{3, 4, 8, 16}, BitKV: 16}
+	opts := Options{Method: method, Theta: 1, Bits: []int{3, 4, 8, 16}, BitKV: 16, Parallelism: parallelism, Costs: costs}
 	a, err := New(spec, cluster.MustPreset(2), ProfileIndicator(spec, opts.Bits, quant.Deterministic), opts)
 	if err != nil {
 		b.Fatal(err)
 	}
+	return a, batch
+}
+
+// benchConfig plans sh with method at θ = 1 and returns the assigner and
+// the cost tables of the configuration pick names from the plan's
+// report.
+func benchConfig(b *testing.B, sh benchShape, method Method, pick func(*Report) string) (*Assigner, *orderingCosts) {
+	b.Helper()
+	a, batch := benchAssigner(b, sh, method, 0, nil)
 	_, rep, err := a.Plan(context.Background(), batch)
 	if err != nil {
 		b.Fatal(err)
@@ -65,6 +73,31 @@ func benchConfig(b *testing.B, sh benchShape, method Method, pick func(*Report) 
 	}
 	b.Fatalf("configuration %q not enumerated", key)
 	return nil, nil
+}
+
+// BenchmarkColdPlan times one whole cold Assigner.Plan, on one worker,
+// at each of the four offline-cold shapes with its method (the ILP for
+// the chat shape, as perfbench submits it): a new assigner and a new
+// cost cache every plan, so every search buffer and device cost is
+// built afresh, as on a fresh server.
+func BenchmarkColdPlan(b *testing.B) {
+	for _, sh := range []benchShape{shapeOPT13B, shapeSummarize, shapeLongCtx, shapeChat} {
+		method := MethodHeuristic
+		if sh == shapeChat {
+			method = MethodILP
+		}
+		b.Run(sh.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				a, batch := benchAssigner(b, sh, method, 1, NewCostCache())
+				b.StartTimer()
+				if _, _, err := a.Plan(context.Background(), batch); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkBestStart times the multi-start bitwidth-transfer search for

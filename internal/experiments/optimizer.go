@@ -107,10 +107,14 @@ func Fig11(ctx context.Context) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
+		// A θ change keeps the indicator and every device cost, so the
+		// four plans share one profile and one cost cache.
+		ind := core.ProfileIndicator(spec, core.CandidateBits, quant.Deterministic)
+		costs := core.NewCostCache()
 		for _, mult := range []float64{0.01, 0.1, 1, 10} {
 			theta := 10 * mult // tuned θ is 10 on the normalized indicator
 			opts := fastOpts(core.MethodHeuristic, theta)
-			ind := core.ProfileIndicator(spec, core.CandidateBits, quant.Deterministic)
+			opts.Costs = costs
 			a, err := core.New(spec, clu, ind, opts)
 			if err != nil {
 				return nil, err
