@@ -68,7 +68,7 @@ test-race:
 	$(GO) test -race -timeout 15m -count=2 -run 'Maintenance|DrainTimeout|Preempt|Restore' ./internal/serve/
 
 # Fuzz smoke: twenty seconds of coverage-guided inputs for each of
-# fifteen targets. Eleven must match a reference: a bitwidth-transfer
+# sixteen targets. Eleven must match a reference: a bitwidth-transfer
 # move's exact score and the search's kept sums against a full
 # evaluation bit for bit, and the move's estimate within its error
 # margin; the whole bitwidth-transfer search against the clone-per-move
@@ -101,7 +101,11 @@ test-race:
 # when served from the batch memo. The fifteenth decodes arbitrary bytes
 # as an online request spec: Submit rejects it, or the request fits the
 # model's positions without overflow, reserves a positive KV footprint
-# and its status echoes the spec. Their seed corpora
+# and its status echoes the spec. The sixteenth feeds arbitrary bytes to
+# the stage frame reader: every frame decodes or fails, never panics and
+# never allocates past one frame of the bound, and requests and replies
+# round-trip exactly, float32 bit patterns and NaN payloads included.
+# Their seed corpora
 # (internal/core/testdata/fuzz and the f.Add seeds) also run as
 # ordinary tests under `make test`.
 fuzz:
@@ -120,6 +124,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzPlanJSON -fuzztime=20s ./internal/plan
 	$(GO) test -run='^$$' -fuzz=FuzzJobSpec -fuzztime=20s ./internal/serve
 	$(GO) test -run='^$$' -fuzz=FuzzRequestSpec -fuzztime=20s ./internal/serve
+	$(GO) test -run='^$$' -fuzz=FuzzFrame -fuzztime=20s ./internal/transport
 
 # Full gate: static checks plus the race-enabled suite.
 check: vet test-race

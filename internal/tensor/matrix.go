@@ -67,38 +67,49 @@ func (m *Matrix) Transpose() *Matrix {
 	return out
 }
 
-// parallelThreshold is the minimum amount of multiply-accumulate work
-// below which MatMul stays single-threaded; goroutine fan-out costs more
-// than it saves on tiny problems.
-const parallelThreshold = 1 << 16
+// parallelThreshold is the amount of multiply-accumulate work (rows ×
+// inner × cols) from which MatMul splits its rows across goroutines;
+// below it, fan-out costs more CPU than it saves. Measured with
+// BenchmarkMatMul's serial and split runs on a 2-CPU host: a 43-row
+// prefill against 64×192 weights (528 Ki MACs) cost ~40% more CPU split,
+// while 128×128×128 (2 Mi) cost ~3% more and took 1.6× less wall time.
+const parallelThreshold = 1 << 21
 
-// MatMul computes a·b, parallelizing over row blocks of a. It panics on
-// shape mismatch.
+// MatMul returns a·b. It panics on shape mismatch.
 func MatMul(a, b *Matrix) *Matrix {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: MatMul %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
 	out := NewMatrix(a.Rows, b.Cols)
-	work := a.Rows * a.Cols * b.Cols
-	nw := runtime.GOMAXPROCS(0)
-	if work < parallelThreshold || nw <= 1 || a.Rows == 1 {
-		matMulRange(a, b, out, 0, a.Rows)
-		return out
+	MatMulInto(out, a, b)
+	return out
+}
+
+// MatMulInto sets out = a·b, splitting the rows of a across up to
+// GOMAXPROCS goroutines once the work reaches parallelThreshold. out must
+// be a.Rows × b.Cols and must not share storage with a or b. Each row is
+// one MatMulRow whoever computes it, so the split never changes a bit. It
+// panics on shape mismatch.
+func MatMulInto(out, a, b *Matrix) {
+	if a.Cols != b.Rows || out.Rows != a.Rows || out.Cols != b.Cols {
+		panic(fmt.Sprintf("tensor: MatMulInto %dx%d = %dx%d · %dx%d", out.Rows, out.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	if nw > a.Rows {
-		nw = a.Rows
+	nw := 1
+	if a.Rows*a.Cols*b.Cols >= parallelThreshold {
+		nw = runtime.GOMAXPROCS(0)
+	}
+	matMulSplit(a, b, out, nw)
+}
+
+// matMulSplit computes out = a·b in up to nw row blocks, one goroutine
+// each; with nw ≤ 1 or a single row it runs on the caller's goroutine.
+func matMulSplit(a, b, out *Matrix, nw int) {
+	nw = min(nw, a.Rows)
+	if nw <= 1 {
+		matMulRange(a, b, out, 0, a.Rows)
+		return
 	}
 	var wg sync.WaitGroup
 	chunk := (a.Rows + nw - 1) / nw
-	for w := 0; w < nw; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > a.Rows {
-			hi = a.Rows
-		}
-		if lo >= hi {
-			break
-		}
+	for lo := 0; lo < a.Rows; lo += chunk {
+		hi := min(lo+chunk, a.Rows)
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
@@ -106,7 +117,6 @@ func MatMul(a, b *Matrix) *Matrix {
 		}(lo, hi)
 	}
 	wg.Wait()
-	return out
 }
 
 // matMulRange computes rows [lo, hi) of out = a·b, one MatMulRow each.
@@ -207,14 +217,21 @@ func MatMulTransB(a, b *Matrix) *Matrix {
 
 // Add returns a+b elementwise. It panics on shape mismatch.
 func Add(a, b *Matrix) *Matrix {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
+	out := NewMatrix(a.Rows, a.Cols)
+	AddInto(out, a, b)
+	return out
+}
+
+// AddInto sets out = a+b elementwise; out may be a or b. It panics on
+// shape mismatch.
+func AddInto(out, a, b *Matrix) {
+	if a.Rows != b.Rows || a.Cols != b.Cols || out.Rows != a.Rows || out.Cols != a.Cols {
 		panic("tensor: Add shape mismatch")
 	}
-	out := NewMatrix(a.Rows, a.Cols)
-	for i := range a.Data {
-		out.Data[i] = a.Data[i] + b.Data[i]
+	bd, od := b.Data[:len(a.Data)], out.Data[:len(a.Data)]
+	for i, v := range a.Data {
+		od[i] = v + bd[i]
 	}
-	return out
 }
 
 // MaxAbsDiff returns max_i |a_i - b_i|, a convenient error metric between

@@ -3,8 +3,11 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"syscall"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/stats"
 )
@@ -68,22 +71,30 @@ func randMatrix(r *stats.RNG, rows, cols int) *Matrix {
 	return m
 }
 
+// TestMatMulParallelMatchesSerial checks the row split against the
+// oracle at worker counts that divide the rows evenly and unevenly, and
+// MatMul at a size past parallelThreshold.
 func TestMatMulParallelMatchesSerial(t *testing.T) {
-	// Big enough to trip the parallel path.
 	r := stats.NewRNG(2)
 	a, b := randMatrix(r, 128, 96), randMatrix(r, 96, 64)
 	want := matMulOracle(a, b)
+	big, bigW := randMatrix(r, 160, 128), randMatrix(r, 128, 112)
+	if big.Rows*big.Cols*bigW.Cols < parallelThreshold {
+		t.Fatal("the MatMul case no longer reaches parallelThreshold")
+	}
+	bigWant := matMulOracle(big, bigW)
 	for _, avx2 := range kernels() {
 		t.Run(kernelName(avx2), func(t *testing.T) {
 			useKernel(t, avx2)
-			par := MatMul(a, b)
-			ser := NewMatrix(a.Rows, b.Cols)
-			matMulRange(a, b, ser, 0, a.Rows)
-			if i := firstBitDiff(par, want); i >= 0 {
-				t.Fatalf("parallel and oracle differ at %d: %v vs %v", i, par.Data[i], want.Data[i])
+			for _, nw := range []int{1, 2, 3, 8} {
+				got := NewMatrix(a.Rows, b.Cols)
+				matMulSplit(a, b, got, nw)
+				if i := firstBitDiff(got, want); i >= 0 {
+					t.Fatalf("%d workers and oracle differ at %d: %v vs %v", nw, i, got.Data[i], want.Data[i])
+				}
 			}
-			if i := firstBitDiff(ser, want); i >= 0 {
-				t.Fatalf("serial and oracle differ at %d: %v vs %v", i, ser.Data[i], want.Data[i])
+			if got := MatMul(big, bigW); firstBitDiff(got, bigWant) >= 0 {
+				t.Fatal("MatMul past parallelThreshold differs from the oracle")
 			}
 		})
 	}
@@ -124,10 +135,10 @@ func firstSliceBitDiff(got, want []float32) int {
 	return -1
 }
 
-// FuzzMatMulBitExact checks MatMul, and MatMulRow over a column block of
-// b, with each kernel against matMulOracle bit for bit on shapes with
-// column counts that are not multiples of the kernel's tiles, shapes
-// large enough for the parallel row split, and inputs seeded with zeros,
+// FuzzMatMulBitExact checks MatMul, a three-way row split, and MatMulRow
+// over a column block of b, with each kernel against matMulOracle bit for
+// bit on shapes with column counts that are not multiples of the kernel's
+// tiles, and inputs seeded with zeros,
 // negative zeros, infinities and NaNs. The
 // seeds' column counts reach the AVX2 kernel's 64- and 8-column blocks
 // and the remainder loop together (75), the remainder alone (7) and
@@ -174,6 +185,11 @@ func FuzzMatMulBitExact(f *testing.F) {
 				t.Fatalf("%s kernel, %dx%d·%dx%d: element %d = %v, oracle %v",
 					kernelName(avx2), a.Rows, a.Cols, b.Rows, b.Cols, i, got.Data[i], want.Data[i])
 			}
+			matMulSplit(a, b, got, 3)
+			if i := firstBitDiff(got, want); i >= 0 {
+				t.Fatalf("%s kernel, three-way split of %dx%d·%dx%d: element %d = %v, oracle %v",
+					kernelName(avx2), a.Rows, a.Cols, b.Rows, b.Cols, i, got.Data[i], want.Data[i])
+			}
 			MatMulRow(a.Row(last), b.Data[lo:], block, b.Cols)
 			if i := firstSliceBitDiff(block, want.Row(last)[lo:]); i >= 0 {
 				t.Fatalf("%s kernel, MatMulRow over columns [%d, %d): column %d = %v, oracle %v",
@@ -185,26 +201,50 @@ func FuzzMatMulBitExact(f *testing.F) {
 
 var sinkMatrix *Matrix
 
-// BenchmarkMatMul times MatMul with each kernel at the stage-chain
+// BenchmarkMatMul times MatMulInto with each kernel at the stage-chain
 // model's shapes (hidden 64, FFN 192): one decode row against 64×64,
-// 64×192 and 192×64 weights, and a 43-row prefill against 64×192, which
-// takes the parallel row split when GOMAXPROCS > 1.
+// 64×192 and 192×64 weights, and 8- and 43-row prefills (the chain's
+// shortest and longest prompts) against 64×192 and 192×64. Each shape
+// runs serial and split across GOMAXPROCS goroutines, and reports the
+// process CPU time per op (cpu-ns/op) beside the wall time: the split
+// can cut the wall time and still cost more CPU, and parallelThreshold
+// is set from the CPU.
 func BenchmarkMatMul(b *testing.B) {
-	shapes := []struct{ rows, inner, cols int }{{1, 64, 64}, {1, 64, 192}, {1, 192, 64}, {43, 64, 192}}
+	shapes := []struct{ rows, inner, cols int }{{1, 64, 64}, {1, 64, 192}, {1, 192, 64},
+		{8, 64, 192}, {43, 64, 192}, {43, 192, 64}}
 	for _, avx2 := range kernels() {
 		for _, s := range shapes {
-			b.Run(fmt.Sprintf("%s/%dx%dx%d", kernelName(avx2), s.rows, s.inner, s.cols), func(b *testing.B) {
-				useKernel(b, avx2)
-				r := stats.NewRNG(1)
-				x, w := randMatrix(r, s.rows, s.inner), randMatrix(r, s.inner, s.cols)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					sinkMatrix = MatMul(x, w)
+			for _, nw := range []int{1, runtime.GOMAXPROCS(0)} {
+				name := "serial"
+				if nw > 1 {
+					name = fmt.Sprintf("split%d", nw)
 				}
-			})
+				b.Run(fmt.Sprintf("%s/%dx%dx%d/%s", kernelName(avx2), s.rows, s.inner, s.cols, name), func(b *testing.B) {
+					useKernel(b, avx2)
+					r := stats.NewRNG(1)
+					x, w := randMatrix(r, s.rows, s.inner), randMatrix(r, s.inner, s.cols)
+					out := NewMatrix(s.rows, s.cols)
+					b.ReportAllocs()
+					b.ResetTimer()
+					cpu0 := cpuTime(b)
+					for i := 0; i < b.N; i++ {
+						matMulSplit(x, w, out, nw)
+					}
+					b.ReportMetric(float64(cpuTime(b)-cpu0)/float64(b.N), "cpu-ns/op")
+					sinkMatrix = out
+				})
+			}
 		}
 	}
+}
+
+// cpuTime returns the process's user plus system CPU time.
+func cpuTime(b *testing.B) time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		b.Fatal(err)
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }
 
 func TestMatMulShapePanic(t *testing.T) {
@@ -254,6 +294,11 @@ func TestAdd(t *testing.T) {
 	s := Add(m, m)
 	if s.At(0, 0) != 2 || s.At(1, 1) != 8 {
 		t.Fatalf("Add = %v", s.Data)
+	}
+	// In place: out may be either operand.
+	AddInto(m, m, s)
+	if m.At(0, 0) != 3 || m.At(1, 1) != 12 || s.At(1, 1) != 8 {
+		t.Fatalf("AddInto = %v", m.Data)
 	}
 }
 

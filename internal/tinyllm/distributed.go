@@ -47,7 +47,11 @@ func (m *Model) NewCache() *KVCache {
 
 // ForwardBlocks advances hidden states x through blocks [lo, hi),
 // appending keys/values to cache. offset is the number of positions
-// already cached for these blocks.
+// already cached for these blocks. The result lives in the cache's
+// workspace: it is valid until the next pass over the cache, which
+// overwrites it. A pass whose shape an earlier pass over the cache has
+// already seen allocates nothing, apart from the key and value storage
+// growing by doubling.
 func (m *Model) ForwardBlocks(lo, hi int, x *tensor.Matrix, cache *KVCache, offset int) (*tensor.Matrix, error) {
 	if lo < 0 || hi > len(m.Blocks) || lo >= hi {
 		return nil, fmt.Errorf("tinyllm: block range [%d, %d) of %d", lo, hi, len(m.Blocks))
@@ -66,10 +70,7 @@ func (m *Model) ForwardBlocks(lo, hi int, x *tensor.Matrix, cache *KVCache, offs
 	if offset != n {
 		return nil, fmt.Errorf("tinyllm: offset %d, but blocks [%d, %d) hold %d cached positions", offset, lo, hi, n)
 	}
-	for li := lo; li < hi; li++ {
-		x = m.blockForward(li, m.Blocks[li], x, cache, offset, nil)
-	}
-	return x, nil
+	return m.forward(lo, hi, x, cache, offset, nil)
 }
 
 // Logits applies the final layer norm and LM head to hidden states.

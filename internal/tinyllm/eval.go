@@ -188,7 +188,7 @@ func (m *Model) ApplyBits(bits []int, scheme quant.Scheme, rng *stats.RNG) (*Mod
 	for li, b := range out.Blocks {
 		s := scheme
 		s.Bits = bits[li]
-		if s.IsIdentity() {
+		if b == nil || s.IsIdentity() {
 			continue
 		}
 		for _, op := range b.LinearOps() {

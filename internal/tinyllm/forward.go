@@ -24,14 +24,56 @@ type KVCache struct {
 	n int
 	// key holds one position's key on its way into k.
 	key []float32
+	// ws holds the activations of the session's forward passes.
+	ws workspace
 }
 
 // Len returns the number of cached positions.
 func (c *KVCache) Len() int { return c.n }
 
+// Reset empties the cache for a new generation. It keeps the key and
+// value storage and the workspace, so a reused cache allocates only
+// where a pass outgrows every earlier one.
+func (c *KVCache) Reset() {
+	c.n = 0
+	for _, v := range c.v {
+		if v != nil {
+			v.Rows, v.Data = 0, v.Data[:0]
+		}
+	}
+}
+
+// workspace holds the activations of one forward pass, shared by every
+// block and reused by every pass over the same cache: its matrices grow
+// to the longest pass and then stop allocating.
+type workspace struct {
+	// norm holds a layer norm's output, q the queries, v the new
+	// values, att the attention output, proj an output projection and
+	// inner the MLP's hidden activations.
+	norm, q, v, att, proj, inner tensor.Matrix
+	// res holds the residual stream: a block's attention sublayer writes
+	// res[0] and its MLP sublayer res[1], the block's output.
+	res [2]tensor.Matrix
+	// scores holds one query's attention probabilities.
+	scores []float32
+}
+
+// shape resizes m to rows × cols, reusing its storage when that is large
+// enough. The contents are left as they were.
+func shape(m *tensor.Matrix, rows, cols int) *tensor.Matrix {
+	n := rows * cols
+	if cap(m.Data) < n {
+		m.Data = make([]float32, n)
+	}
+	m.Rows, m.Cols, m.Data = rows, cols, m.Data[:n]
+	return m
+}
+
 // Tap observes the activations entering each linear operator during a
 // forward pass (used to collect calibration inputs for the sensitivity
 // indicators). op names the activation, one of the tap constants below.
+// x lives in the cache's workspace: it is valid only during the call,
+// so a tap that keeps it must copy it.
 type Tap func(layer int, op string, x *tensor.Matrix)
 
 // The activations a block's forward pass hands its Tap.
@@ -66,8 +108,8 @@ func (m *Model) prefill(tokens []int, tap Tap) (*tensor.Matrix, *KVCache, error)
 		return nil, nil, err
 	}
 	cache := m.NewCache()
-	for li, b := range m.Blocks {
-		x = m.blockForward(li, b, x, cache, 0, tap)
+	if x, err = m.forward(0, len(m.Blocks), x, cache, 0, tap); err != nil {
+		return nil, nil, err
 	}
 	return m.head(x), cache, nil
 }
@@ -86,58 +128,90 @@ func (m *Model) DecodeStep(token int, cache *KVCache) (*tensor.Matrix, error) {
 	if err != nil {
 		return nil, err
 	}
-	for li, b := range m.Blocks {
-		x = m.blockForward(li, b, x, cache, pos, nil)
+	if x, err = m.forward(0, len(m.Blocks), x, cache, pos, nil); err != nil {
+		return nil, err
 	}
 	return m.head(x), nil
 }
 
+// forward runs blocks [lo, hi) over x (rows = new positions), writing
+// this pass's K/V into the cache at positions [offset, offset+x.Rows).
+// It never writes into x. The result lives in the cache's workspace and
+// is valid until the next pass over the cache.
+func (m *Model) forward(lo, hi int, x *tensor.Matrix, cache *KVCache, offset int, tap Tap) (*tensor.Matrix, error) {
+	for li := lo; li < hi; li++ {
+		b := m.Blocks[li]
+		if b == nil {
+			return nil, fmt.Errorf("tinyllm: block %d was dropped from this model", li)
+		}
+		x = m.blockForward(li, b, x, cache, offset, tap)
+	}
+	return x, nil
+}
+
 // blockForward runs one decoder block over x (rows = new positions),
 // writing this pass's K/V into the cache at positions [offset,
-// offset+x.Rows). It never writes into x.
+// offset+x.Rows) and every activation into the cache's workspace. It
+// returns the workspace's res[1]; x may be that matrix, since x is last
+// read before res[1] is written.
 func (m *Model) blockForward(li int, b *Block, x *tensor.Matrix, cache *KVCache, offset int, tp Tap) *tensor.Matrix {
+	ws := &cache.ws
+	rows, hidden := x.Rows, x.Cols
+
 	// Attention sublayer (pre-LN).
-	hN := x.Clone()
+	hN := shape(&ws.norm, rows, hidden)
+	copy(hN.Data, x.Data)
 	tensor.LayerNorm(hN, b.LN1Gain, b.LN1Bias, 1e-5)
 	if tp != nil {
 		tp(li, tapAttnIn, hN)
 	}
 	hN = m.maybeQuantAct(hN)
-	q := tensor.MatMul(hN, b.Wq)
+	q := shape(&ws.q, rows, b.Wq.Cols)
+	tensor.MatMulInto(q, hN, b.Wq)
 	cache.appendKeys(li, hN, b.Wk, offset)
-	cache.v[li] = appendRows(cache.v[li], tensor.MatMul(hN, b.Wv))
-	cache.n = offset + x.Rows
-	attnOut := m.attention(q, cache.k[li], cache.v[li], offset)
+	v := shape(&ws.v, rows, b.Wv.Cols)
+	tensor.MatMulInto(v, hN, b.Wv)
+	cache.v[li] = appendRows(cache.v[li], v)
+	cache.n = offset + rows
+	attnOut := m.attention(q, cache.k[li], cache.v[li], offset, ws)
 	if tp != nil {
 		tp(li, tapAttnOut, attnOut)
 	}
 	attnOut = m.maybeQuantAct(attnOut)
-	proj := tensor.MatMul(attnOut, b.Wo)
-	x = tensor.Add(x, proj)
+	proj := shape(&ws.proj, rows, b.Wo.Cols)
+	tensor.MatMulInto(proj, attnOut, b.Wo)
+	mid := shape(&ws.res[0], rows, hidden)
+	tensor.AddInto(mid, x, proj)
 
 	// MLP sublayer.
-	hN2 := x.Clone()
+	hN2 := shape(&ws.norm, rows, hidden)
+	copy(hN2.Data, mid.Data)
 	tensor.LayerNorm(hN2, b.LN2Gain, b.LN2Bias, 1e-5)
 	if tp != nil {
 		tp(li, tapMLPIn, hN2)
 	}
 	hN2 = m.maybeQuantAct(hN2)
-	inner := tensor.MatMul(hN2, b.W1)
+	inner := shape(&ws.inner, rows, b.W1.Cols)
+	tensor.MatMulInto(inner, hN2, b.W1)
 	tensor.GELU(inner)
 	if tp != nil {
 		tp(li, tapMLPMid, inner)
 	}
 	inner = m.maybeQuantAct(inner)
-	out := tensor.MatMul(inner, b.W2)
-	return tensor.Add(x, out)
+	out := shape(&ws.proj, rows, b.W2.Cols)
+	tensor.MatMulInto(out, inner, b.W2)
+	res := shape(&ws.res[1], rows, hidden)
+	tensor.AddInto(res, mid, out)
+	return res
 }
 
-// appendRows grows the cache matrix c by the rows of x in place, with
-// append's amortised growth, so a decode step copies only its own row. A
-// nil c (an empty cache) takes x itself.
+// appendRows grows the cache matrix c by a copy of the rows of x, in
+// place with append's amortised growth, so a decode step copies only its
+// own row. A nil c (an empty cache) becomes a copy of x: x lives in the
+// workspace, which the next pass overwrites.
 func appendRows(c, x *tensor.Matrix) *tensor.Matrix {
 	if c == nil {
-		return x
+		return x.Clone()
 	}
 	c.Data = append(c.Data, x.Data...)
 	c.Rows += x.Rows
@@ -173,7 +247,8 @@ func (c *KVCache) appendKeys(li int, x, wk *tensor.Matrix, n int) {
 
 // attention computes causal multi-head attention of queries q (rows =
 // new positions, preceded by offset cached ones) over the transposed keys
-// kt (hidden × capacity) and values v (rows = all positions so far).
+// kt (hidden × capacity) and values v (rows = all positions so far),
+// into the workspace's att (one row per query).
 //
 // Query row r scores only the keys it may see, j ≤ r+offset. That is
 // bit-identical to scoring every key, masking the future with −∞ and
@@ -185,12 +260,15 @@ func (c *KVCache) appendKeys(li int, x, wk *tensor.Matrix, n int) {
 // columns of v, both read in place: every sum runs over ascending k from
 // zero, skipping zero factors, with each product rounded to float32
 // before it is added, so no architecture fuses a multiply-add.
-func (m *Model) attention(q, kt, v *tensor.Matrix, offset int) *tensor.Matrix {
+func (m *Model) attention(q, kt, v *tensor.Matrix, offset int, ws *workspace) *tensor.Matrix {
 	hidden := m.Cfg.Hidden
 	d := hidden / m.Cfg.Heads
 	scale := float32(1 / math.Sqrt(float64(d)))
-	out := tensor.NewMatrix(q.Rows, hidden)
-	scores := make([]float32, offset+q.Rows)
+	out := shape(&ws.att, q.Rows, hidden)
+	if cap(ws.scores) < offset+q.Rows {
+		ws.scores = make([]float32, offset+q.Rows)
+	}
+	scores := ws.scores[:offset+q.Rows]
 	for r := 0; r < q.Rows; r++ {
 		qr, or := q.Row(r), out.Row(r)
 		p := scores[:r+offset+1]

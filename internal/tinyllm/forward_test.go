@@ -209,6 +209,91 @@ func TestStageCacheLen(t *testing.T) {
 	}
 }
 
+// TestForwardBlocksDecodeAllocs pins a steady decode step through
+// ForwardBlocks to zero allocations. The cache first serves a generation
+// to 40 positions and is Reset, as a stage reuses a closed session's
+// cache, so its key and value storage and its workspace already hold
+// every pass the measured generation makes.
+func TestForwardBlocksDecodeAllocs(t *testing.T) {
+	m := goldenModel(t)
+	const lo, hi = 6, 12
+	cache := m.NewCache()
+	run := func(rows, pos int) {
+		x, err := m.Embed(make([]int, rows), pos)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.ForwardBlocks(lo, hi, x, cache, pos); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run(8, 0)
+	for pos := 8; pos < 40; pos++ {
+		run(1, pos)
+	}
+	cache.Reset()
+	if cache.Len() != 0 {
+		t.Fatalf("Reset left %d positions", cache.Len())
+	}
+	run(8, 0)
+	x, err := m.Embed([]int{3}, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pos := 8
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := m.ForwardBlocks(lo, hi, x, cache, pos); err != nil {
+			t.Fatal(err)
+		}
+		pos++
+	})
+	if allocs != 0 {
+		t.Fatalf("a steady decode step allocates %v times", allocs)
+	}
+}
+
+// TestKeepBlocks checks that a model trimmed to one stage's blocks, and
+// fake-quantized after the trim, forwards that stage bit for bit as the
+// whole model does, and fails on a dropped block.
+func TestKeepBlocks(t *testing.T) {
+	full := goldenModel(t)
+	m, err := New(goldenCfg, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.KeepBlocks(6, 12)
+	bits := make([]int, goldenCfg.Layers)
+	for i := range bits {
+		bits[i] = 8 >> (i % 2)
+	}
+	if m, err = m.ApplyBits(bits, quant.Scheme{}, nil); err != nil {
+		t.Fatal(err)
+	}
+	x, err := full.Embed([]int{9, 8, 7, 6, 5}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := full.ForwardBlocks(6, 12, x, full.NewCache(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := m.ForwardBlocks(6, 12, x, m.NewCache(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range got.Data {
+		if math.Float32bits(v) != math.Float32bits(want.Data[i]) {
+			t.Fatalf("element %d: trimmed %v, whole %v", i, v, want.Data[i])
+		}
+	}
+	if _, err := m.ForwardBlocks(5, 12, x, m.NewCache(), 0); err == nil {
+		t.Fatal("a pass over a dropped block succeeded")
+	}
+	if _, _, err := m.Prefill([]int{1}); err == nil {
+		t.Fatal("a prefill over dropped blocks succeeded")
+	}
+}
+
 // BenchmarkAttention times one layer's attention at the stage-chain
 // shapes (hidden 64, 4 heads): a 43-token prefill, and one decode step
 // over 75 cached positions, the longest prompt plus generation.
@@ -232,10 +317,11 @@ func BenchmarkAttention(b *testing.B) {
 			for i := range q.Data {
 				q.Data[i] = float32(r.NormMS(0, 1))
 			}
+			var ws workspace
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				m.attention(q, cache.k[0], cache.v[0], s.offset)
+				m.attention(q, cache.k[0], cache.v[0], s.offset, &ws)
 			}
 		})
 	}

@@ -121,6 +121,19 @@ func New(cfg Config, seed uint64) (*Model, error) {
 	return m, nil
 }
 
+// KeepBlocks drops the weights of every block outside [lo, hi), as a
+// pipeline stage does with the layers other stages serve; an empty range
+// drops them all. Blocks keeps its length, so layer indices stay put; a
+// forward pass over a dropped block fails. Clone and ApplyBits take a
+// trimmed model; Calibrate and Smooth need every block.
+func (m *Model) KeepBlocks(lo, hi int) {
+	for i := range m.Blocks {
+		if i < lo || i >= hi {
+			m.Blocks[i] = nil
+		}
+	}
+}
+
 // Clone returns a deep copy (quantization experiments mutate weights).
 func (m *Model) Clone() *Model {
 	out := &Model{Cfg: m.Cfg, actBits: m.actBits,
@@ -129,15 +142,19 @@ func (m *Model) Clone() *Model {
 		FinalBias: append([]float32(nil), m.FinalBias...),
 		LMHead:    m.LMHead.Clone(),
 	}
-	for _, b := range m.Blocks {
-		out.Blocks = append(out.Blocks, &Block{
+	out.Blocks = make([]*Block, len(m.Blocks))
+	for i, b := range m.Blocks {
+		if b == nil {
+			continue
+		}
+		out.Blocks[i] = &Block{
 			LN1Gain: append([]float32(nil), b.LN1Gain...),
 			LN1Bias: append([]float32(nil), b.LN1Bias...),
 			LN2Gain: append([]float32(nil), b.LN2Gain...),
 			LN2Bias: append([]float32(nil), b.LN2Bias...),
 			Wq:      b.Wq.Clone(), Wk: b.Wk.Clone(), Wv: b.Wv.Clone(), Wo: b.Wo.Clone(),
 			W1: b.W1.Clone(), W2: b.W2.Clone(),
-		})
+		}
 	}
 	return out
 }

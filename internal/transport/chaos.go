@@ -1,11 +1,11 @@
 // ChaosProxy is a TCP man-in-the-middle for deterministic fault
 // injection between a driver and one stage server. Faults are armed at
 // absolute byte positions in each direction's forwarded stream — the
-// gob traffic for a fixed prompt is byte-for-byte reproducible, so "cut
-// the upstream after N bytes" lands at the same protocol point (even
-// mid-message) on every run, independent of TCP read chunking. A seeded
-// random mode layers probabilistic cuts and stalls on top for soak
-// testing.
+// frame traffic for a fixed prompt is byte-for-byte reproducible (and
+// computable from the frame layout in frame.go), so "cut the upstream
+// after N bytes" lands at the same protocol point (even mid-message) on
+// every run, independent of TCP read chunking. A seeded random mode
+// layers probabilistic cuts and stalls on top for soak testing.
 
 package transport
 
@@ -78,7 +78,7 @@ func NewChaosProxy(target string) *ChaosProxy {
 // CutAfterBytes arms a one-shot connection cut once the direction has
 // forwarded n cumulative bytes (across reconnects): bytes up to n are
 // delivered, then both sides of the pair are severed — a mid-message
-// cut whenever n falls inside a gob message.
+// cut whenever n falls inside a frame.
 func (p *ChaosProxy) CutAfterBytes(dir Direction, n int64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -125,7 +125,7 @@ func (p *ChaosProxy) Randomize(seed uint64, cutProb, stallProb float64, stallFor
 }
 
 // Bytes returns the cumulative bytes forwarded in the direction, for
-// calibrating fault positions from a clean run.
+// measuring a clean run's traffic.
 func (p *ChaosProxy) Bytes(dir Direction) int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()

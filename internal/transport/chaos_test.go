@@ -11,9 +11,9 @@ import (
 // ChaosProxy and checks that every fault class, injected in either
 // phase (prefill or decode) and direction, leaves the generation
 // bit-identical to the single-process reference. Fault positions are
-// calibrated in bytes from clean runs, so each cell severs/stalls the
-// stream at a reproducible protocol point. Gated behind -short to keep
-// the tier-1 loop fast.
+// byte offsets computed from the frame layout, so each cell
+// severs/stalls the stream at a reproducible protocol point. Gated
+// behind -short to keep the tier-1 loop fast.
 
 const (
 	chaosPromptSeed = 5
@@ -23,12 +23,24 @@ const (
 
 var chaosCuts = [][2]int{{0, 3}, {3, 6}}
 
-// chaosCalib holds cumulative byte counts from clean proxied runs:
-// through the end of prefill (a prefill-only generation) and through a
-// full generation, per direction.
-type chaosCalib struct {
-	upPrefill, upTotal     int64
-	downPrefill, downTotal int64
+// chaosOffsets are byte positions in a proxied generation of
+// chaosTokens tokens from a chaosPromptLen-token prompt, computed from the
+// frame layout. Both directions carry the same frames: the prefill of
+// chaosPromptLen rows, chaosTokens−1 one-row decode passes (the last
+// token is never forwarded), then the session close, a bare header.
+type chaosOffsets struct {
+	// pre lies halfway into the prefill frame, dec 60% of the way into
+	// the decode frames.
+	pre, dec int64
+	// total is the whole generation's traffic in one direction.
+	total int64
+}
+
+func chaosAt() chaosOffsets {
+	prefill := frameBytes(chaosPromptLen, cfg.Hidden)
+	decode := int64(chaosTokens-1) * frameBytes(1, cfg.Hidden)
+	return chaosOffsets{pre: prefill / 2, dec: prefill + decode*6/10,
+		total: prefill + decode + frameBytes(0, 0)}
 }
 
 // chaosRig is one proxied pipeline: driver → proxy → stage0 → stage1.
@@ -91,51 +103,16 @@ func chaosPrompt() []int {
 	return RandomPrompt(stats.NewRNG(chaosPromptSeed), cfg.Vocab, chaosPromptLen)
 }
 
-// calibrateChaos measures the proxied byte stream of a prefill-only run
-// and of a full clean run.
-func calibrateChaos(t *testing.T) chaosCalib {
-	t.Helper()
-	var c chaosCalib
-	// Prefill-only generation (n=0): prefill request/response plus the
-	// session close.
-	r := newChaosRig(t, 0, nil)
-	if _, err := r.driver.Generate(chaosPrompt(), 0); err != nil {
-		t.Fatal(err)
-	}
-	c.upPrefill = r.proxy.Bytes(Upstream)
-	c.downPrefill = r.proxy.Bytes(Downstream)
-	r.close()
-
-	r = newChaosRig(t, 0, nil)
-	got, err := r.driver.Generate(chaosPrompt(), chaosTokens)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertMatchesReference(t, nil, chaosPrompt(), got, chaosTokens)
-	c.upTotal = r.proxy.Bytes(Upstream)
-	c.downTotal = r.proxy.Bytes(Downstream)
-	r.close()
-
-	if c.upPrefill <= 0 || c.upTotal <= c.upPrefill || c.downTotal <= c.downPrefill {
-		t.Fatalf("implausible calibration: %+v", c)
-	}
-	return c
-}
-
 // TestChaosFaultMatrix: fault class × phase (× direction for stream
 // faults) → generation completes and matches the reference.
 func TestChaosFaultMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos suite skipped in -short mode")
 	}
-	cal := calibrateChaos(t)
 	// Positions safely inside each phase's traffic: mid-prefill lands
-	// inside the large first gob message; mid-decode lands ~60% into
-	// the decode stream.
-	upPre := cal.upPrefill / 2
-	upDec := cal.upPrefill + (cal.upTotal-cal.upPrefill)*6/10
-	downPre := cal.downPrefill / 2
-	downDec := cal.downPrefill + (cal.downTotal-cal.downPrefill)*6/10
+	// inside the large first frame; mid-decode lands ~60% into the
+	// decode frames.
+	at := chaosAt()
 
 	const stallIO = 80 * time.Millisecond // driver IO timeout for stall cells
 	cases := []struct {
@@ -147,12 +124,12 @@ func TestChaosFaultMatrix(t *testing.T) {
 		// KV caches; a prefill-phase fault recovers with an empty log.
 		wantReplay bool
 	}{
-		{"cut/prefill/upstream", 0, func(p *ChaosProxy) { p.CutAfterBytes(Upstream, upPre) }, true, false},
-		{"cut/prefill/downstream", 0, func(p *ChaosProxy) { p.CutAfterBytes(Downstream, downPre) }, true, false},
-		{"cut/decode/upstream", 0, func(p *ChaosProxy) { p.CutAfterBytes(Upstream, upDec) }, true, true},
-		{"cut/decode/downstream", 0, func(p *ChaosProxy) { p.CutAfterBytes(Downstream, downDec) }, true, true},
-		{"stall/prefill/upstream", stallIO, func(p *ChaosProxy) { p.StallAfterBytes(Upstream, upPre, 600*time.Millisecond) }, true, false},
-		{"stall/decode/downstream", stallIO, func(p *ChaosProxy) { p.StallAfterBytes(Downstream, downDec, 600*time.Millisecond) }, true, true},
+		{"cut/prefill/upstream", 0, func(p *ChaosProxy) { p.CutAfterBytes(Upstream, at.pre) }, true, false},
+		{"cut/prefill/downstream", 0, func(p *ChaosProxy) { p.CutAfterBytes(Downstream, at.pre) }, true, false},
+		{"cut/decode/upstream", 0, func(p *ChaosProxy) { p.CutAfterBytes(Upstream, at.dec) }, true, true},
+		{"cut/decode/downstream", 0, func(p *ChaosProxy) { p.CutAfterBytes(Downstream, at.dec) }, true, true},
+		{"stall/prefill/upstream", stallIO, func(p *ChaosProxy) { p.StallAfterBytes(Upstream, at.pre, 600*time.Millisecond) }, true, false},
+		{"stall/decode/downstream", stallIO, func(p *ChaosProxy) { p.StallAfterBytes(Downstream, at.dec, 600*time.Millisecond) }, true, true},
 		{"delay/both-phases/both-directions", 0, func(p *ChaosProxy) {
 			p.SetDelay(Upstream, 200*time.Microsecond)
 			p.SetDelay(Downstream, 200*time.Microsecond)
@@ -161,7 +138,7 @@ func TestChaosFaultMatrix(t *testing.T) {
 			// Sever mid-decode; the post-connect arm below also refuses
 			// the first redial, so recovery must absorb a failed attempt
 			// and succeed on the next.
-			p.CutAfterBytes(Upstream, upDec)
+			p.CutAfterBytes(Upstream, at.dec)
 		}, true, true},
 	}
 	for _, tc := range cases {
@@ -188,6 +165,16 @@ func TestChaosFaultMatrix(t *testing.T) {
 			if !tc.wantRecovery && rs.Recoveries != 0 {
 				t.Fatalf("benign fault triggered recovery: %+v", rs)
 			}
+			if !tc.wantRecovery {
+				// A clean run moves exactly the frames chaosAt counts,
+				// so a change to the frame layout fails here, not as
+				// faults that land in the wrong phase.
+				for _, dir := range []Direction{Upstream, Downstream} {
+					if got := r.proxy.Bytes(dir); got != at.total {
+						t.Fatalf("%s traffic of a clean run is %d bytes, the frame layout says %d", dir, got, at.total)
+					}
+				}
+			}
 		})
 	}
 }
@@ -203,11 +190,7 @@ func TestChaosRestartMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos suite skipped in -short mode")
 	}
-	cal := calibrateChaos(t)
-	upPre := cal.upPrefill / 2
-	upDec := cal.upPrefill + (cal.upTotal-cal.upPrefill)*6/10
-	downPre := cal.downPrefill / 2
-	downDec := cal.downPrefill + (cal.downTotal-cal.downPrefill)*6/10
+	at := chaosAt()
 
 	// Pace the stream so the watcher goroutine reliably lands the
 	// restart inside the target phase window.
@@ -218,10 +201,10 @@ func TestChaosRestartMatrix(t *testing.T) {
 		at         int64
 		wantReplay bool
 	}{
-		{"restart/prefill/upstream", Upstream, upPre, false},
-		{"restart/prefill/downstream", Downstream, downPre, false},
-		{"restart/decode/upstream", Upstream, upDec, true},
-		{"restart/decode/downstream", Downstream, downDec, true},
+		{"restart/prefill/upstream", Upstream, at.pre, false},
+		{"restart/prefill/downstream", Downstream, at.pre, false},
+		{"restart/decode/upstream", Upstream, at.dec, true},
+		{"restart/decode/downstream", Downstream, at.dec, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -277,10 +260,7 @@ func TestChaosOrphanReaping(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos suite skipped in -short mode")
 	}
-	cal := calibrateChaos(t)
-	upDec := cal.upPrefill + (cal.upTotal-cal.upPrefill)*6/10
-
-	r := newChaosRig(t, 0, func(p *ChaosProxy) { p.CutAfterBytes(Upstream, upDec) })
+	r := newChaosRig(t, 0, func(p *ChaosProxy) { p.CutAfterBytes(Upstream, chaosAt().dec) })
 	defer r.close()
 	// Armed after the driver's initial connection: only redials after
 	// the cut are refused — the stage never comes back.

@@ -55,8 +55,9 @@ func takePasses(t *testing.T, what string, passes []*atomic.Int64, want int64) {
 
 // TestGeneratePassCount pins the generation loop's pass budget: a
 // prefill plus one pass per emitted token except the last, which is
-// never forwarded. n = 0 is a pure prefill (the chaos calibration
-// depends on it), and a handoff splits the same budget between chains.
+// never forwarded. n = 0 is a pure prefill, and a handoff splits the
+// same budget between chains. The chaos tests' byte offsets (chaosAt)
+// count frames by this budget.
 func TestGeneratePassCount(t *testing.T) {
 	srcAddrs, src, srcCleanup := startCountingPipeline(t, [][2]int{{0, 3}, {3, 6}})
 	defer srcCleanup()

@@ -1,10 +1,8 @@
 package transport
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -124,36 +122,17 @@ func TestStaleSessionRejectedAtProtocol(t *testing.T) {
 	}
 	defer s.Close()
 
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	enc := gob.NewEncoder(conn)
-	dec := gob.NewDecoder(conn)
+	c := dialFrames(t, addr)
 
 	data := make([]float32, cfg.Hidden)
-	if err := enc.Encode(&Request{Session: 999, Offset: 7, Rows: 1, Cols: cfg.Hidden, Data: data}); err != nil {
-		t.Fatal(err)
-	}
-	var resp Response
-	if err := dec.Decode(&resp); err != nil {
-		t.Fatal(err)
-	}
+	resp := c.roundTrip(t, &Request{Session: 999, Offset: 7, Rows: 1, Cols: cfg.Hidden, Data: data})
 	if resp.Code != CodeStaleSession {
 		t.Fatalf("stale decode accepted: %+v", resp)
 	}
 	// Offset 0 for a fresh session must still create a cache and work.
-	// (Fresh Response each decode: gob omits zero fields on the wire.)
-	if err := enc.Encode(&Request{Session: 999, Offset: 0, Rows: 1, Cols: cfg.Hidden, Data: data}); err != nil {
-		t.Fatal(err)
-	}
-	var resp2 Response
-	if err := dec.Decode(&resp2); err != nil {
-		t.Fatal(err)
-	}
-	if resp2.Err != "" || resp2.Code != "" {
-		t.Fatalf("fresh prefill rejected: %+v", resp2)
+	resp = c.roundTrip(t, &Request{Session: 999, Offset: 0, Rows: 1, Cols: cfg.Hidden, Data: data})
+	if resp.Err != "" || resp.Code != "" {
+		t.Fatalf("fresh prefill rejected: %+v", resp)
 	}
 }
 
@@ -248,7 +227,7 @@ func TestConcurrentGenerate(t *testing.T) {
 }
 
 // TestCloseSessionSkipsPoisonedConn is the regression for the old
-// closeSession behavior of writing into a desynced gob stream: after a
+// closeSession behavior of writing into a desynced stream: after a
 // permanent stage failure, the driver must not send anything more on
 // the poisoned link — in particular no session-close garbage.
 func TestCloseSessionSkipsPoisonedConn(t *testing.T) {
@@ -405,24 +384,15 @@ func TestIdleSessionTTLReaping(t *testing.T) {
 	defer s.Close()
 
 	// A driver that prefills a session and then vanishes without Close.
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc := gob.NewEncoder(conn)
-	dec := gob.NewDecoder(conn)
+	c := dialFrames(t, addr)
 	data := make([]float32, 2*cfg.Hidden)
-	if err := enc.Encode(&Request{Session: 42, Rows: 2, Cols: cfg.Hidden, Data: data}); err != nil {
-		t.Fatal(err)
-	}
-	var resp Response
-	if err := dec.Decode(&resp); err != nil || resp.Err != "" {
-		t.Fatalf("prefill failed: %v %q", err, resp.Err)
+	if resp := c.roundTrip(t, &Request{Session: 42, Rows: 2, Cols: cfg.Hidden, Data: data}); resp.Err != "" {
+		t.Fatalf("prefill failed: %q", resp.Err)
 	}
 	if s.SessionCount() != 1 {
 		t.Fatalf("session not created: %d", s.SessionCount())
 	}
-	conn.Close() // driver vanishes
+	c.conn.Close() // driver vanishes
 
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {

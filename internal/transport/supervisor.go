@@ -1,15 +1,17 @@
 // Driver-side stage supervision: every stage connection is a supervised
 // link with health state, poisoned-stream detection, and reconnect
-// support. Any mid-stream gob or timeout error marks the link poisoned —
-// the gob encoder/decoder pair is assumed desynced and is never written
-// to again — and the recovery layer (recovery.go) redials and replays.
+// support. Any mid-stream frame or timeout error marks the link
+// poisoned — the frame stream is assumed desynced (a frame may be half
+// written or half read) and is never written to again — and the
+// recovery layer (recovery.go) redials and replays.
 // An optional heartbeat loop pings idle stages so failures are detected
 // and repaired between generations, not just when a request hits them.
 
 package transport
 
 import (
-	"encoding/gob"
+	"crypto/rand"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -22,15 +24,14 @@ import (
 	"repro/internal/tinyllm"
 )
 
-// stageLink is one supervised connection to a stage server. The conn,
-// encoder and decoder are only touched while holding Driver.genMu; the
+// stageLink is one supervised connection to a stage server. The conn
+// and its frame codec are only touched while holding Driver.genMu; the
 // health fields are additionally guarded by Driver.healthMu so metric
 // snapshots never block behind a running generation.
 type stageLink struct {
-	addr string
-	conn net.Conn
-	enc  *gob.Encoder
-	dec  *gob.Decoder
+	addr  string
+	conn  net.Conn
+	codec *frameCodec
 
 	poisoned bool
 	lastErr  string
@@ -81,15 +82,17 @@ type RecoveryStats struct {
 // drives a chain of remote stages over supervised connections.
 //
 // Concurrency contract: all exported methods are safe for concurrent
-// use. Generate calls are serialized internally (the gob streams to the
-// stages are shared), so concurrent generations run back to back, each
-// under its own session; health and recovery snapshots never block
+// use. Generate calls are serialized internally (the frame streams to
+// the stages are shared), so concurrent generations run back to back,
+// each under its own session; health and recovery snapshots never block
 // behind a running generation. A closed driver stays closed:
 // generations and Ping return an error without dialing, and
 // StartHeartbeat does nothing.
 type Driver struct {
-	model     *tinyllm.Model
-	links     []*stageLink
+	model *tinyllm.Model
+	links []*stageLink
+	// next is the last session id drawn. It starts at a random base, so
+	// drivers that share a stage do not collide on session ids.
 	next      atomic.Uint64
 	ioTimeout time.Duration
 
@@ -112,8 +115,9 @@ type Driver struct {
 	hbWG   sync.WaitGroup
 }
 
-// NewDriver reconstructs the master model from (cfg, seed) and connects
-// to the stage servers in pipeline order. Recovery defaults to
+// NewDriver reconstructs the master model from (cfg, seed), keeping its
+// embeddings, final layer norm and LM head and dropping every block, and
+// connects to the stage servers in pipeline order. Recovery defaults to
 // DefaultRetryPolicy; tune with SetRetryPolicy.
 func NewDriver(cfg tinyllm.Config, seed uint64, stageAddrs []string) (*Driver, error) {
 	if len(stageAddrs) == 0 {
@@ -123,8 +127,14 @@ func NewDriver(cfg tinyllm.Config, seed uint64, stageAddrs []string) (*Driver, e
 	if err != nil {
 		return nil, err
 	}
+	m.KeepBlocks(0, 0)
+	var base [8]byte
+	if _, err := rand.Read(base[:]); err != nil {
+		return nil, fmt.Errorf("transport: session base: %w", err)
+	}
 	p := DefaultRetryPolicy()
 	d := &Driver{model: m, policy: p, rng: stats.NewRNG(p.Seed)}
+	d.next.Store(binary.LittleEndian.Uint64(base[:]))
 	for _, addr := range stageAddrs {
 		conn, err := net.Dial("tcp", addr)
 		if err != nil {
@@ -132,7 +142,7 @@ func NewDriver(cfg tinyllm.Config, seed uint64, stageAddrs []string) (*Driver, e
 			return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
 		}
 		d.links = append(d.links, &stageLink{addr: addr, conn: conn,
-			enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn)})
+			codec: newFrameCodec(conn, frameLimit(cfg))})
 	}
 	return d, nil
 }
@@ -185,8 +195,7 @@ func (d *Driver) redial(l *stageLink) error {
 		return fmt.Errorf("transport: redial %s: %w", l.addr, err)
 	}
 	l.conn = conn
-	l.enc = gob.NewEncoder(conn)
-	l.dec = gob.NewDecoder(conn)
+	l.codec.reset(conn)
 	l.reconnects.Add(1)
 	l.pendingReplayCredit = true
 	d.healthMu.Lock()
@@ -210,12 +219,13 @@ func (d *Driver) reconnectPoisoned() error {
 	return nil
 }
 
-// roundTrip sends req on one link and decodes the reply into resp. The
-// link's deadline is set to timeout from now, or cleared when timeout
-// is 0, so no deadline an earlier call armed outlives it. A send or
-// receive error poisons the link: its gob stream is desynced from then
-// on. A poisoned link is never written to — that would feed the stage
-// garbage — so the call fails at once. Caller holds genMu.
+// roundTrip sends req on one link and decodes the reply into resp,
+// whose Data is valid until the link's next receive. The link's
+// deadline is set to timeout from now, or cleared when timeout is 0, so
+// no deadline an earlier call armed outlives it. A send or receive error
+// poisons the link: its frame stream is desynced from then on. A
+// poisoned link is never written to — that would feed the stage garbage
+// — so the call fails at once. Caller holds genMu.
 func (d *Driver) roundTrip(l *stageLink, req *Request, resp *Response, timeout time.Duration) error {
 	if d.isPoisoned(l) {
 		return fmt.Errorf("(%s) is down", l.addr)
@@ -225,11 +235,11 @@ func (d *Driver) roundTrip(l *stageLink, req *Request, resp *Response, timeout t
 		deadline = time.Now().Add(timeout)
 	}
 	l.conn.SetDeadline(deadline)
-	if err := l.enc.Encode(req); err != nil {
+	if err := l.codec.writeRequest(req); err != nil {
 		d.poison(l, err)
 		return fmt.Errorf("send: %w", err)
 	}
-	if err := l.dec.Decode(resp); err != nil {
+	if err := l.codec.readResponse(resp); err != nil {
 		d.poison(l, err)
 		return fmt.Errorf("recv: %w", err)
 	}
@@ -237,9 +247,10 @@ func (d *Driver) roundTrip(l *stageLink, req *Request, resp *Response, timeout t
 }
 
 // forwardOnce embeds toks at offset and pushes them through every
-// stage, one attempt, no recovery. Stream errors poison the link and
-// return a retryable error; embedding and stage-reported computation
-// errors are permanent. Caller holds genMu.
+// stage, one attempt, no recovery. The result lives in the last link's
+// receive buffer, valid until the next pass. Stream errors poison the
+// link and return a retryable error; embedding and stage-reported
+// computation errors are permanent. Caller holds genMu.
 func (d *Driver) forwardOnce(session uint64, toks []int, offset int) (*tensor.Matrix, error) {
 	x, err := d.model.Embed(toks, offset)
 	if err != nil {

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"encoding/gob"
 	"io"
 	"net"
 	"testing"
@@ -168,22 +167,9 @@ func TestRestartSeversIdleClientAndServesNew(t *testing.T) {
 	}
 
 	// A fresh dial against the same address completes a full roundtrip.
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	enc := gob.NewEncoder(conn)
-	dec := gob.NewDecoder(conn)
+	c := dialFrames(t, addr)
 	data := make([]float32, cfg.Hidden)
-	if err := enc.Encode(&Request{Session: 1, Rows: 1, Cols: cfg.Hidden, Data: data}); err != nil {
-		t.Fatal(err)
-	}
-	var resp Response
-	if err := dec.Decode(&resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Err != "" {
+	if resp := c.roundTrip(t, &Request{Session: 1, Rows: 1, Cols: cfg.Hidden, Data: data}); resp.Err != "" {
 		t.Fatalf("post-restart request failed: %s", resp.Err)
 	}
 }

@@ -1,15 +1,17 @@
 // Package transport runs the tiny distributed inference runtime over
 // real TCP connections: each pipeline stage is a server process holding
-// a contiguous block range of a tinyllm model (quantized per the plan),
-// and a master driver embeds tokens, streams hidden states through the
-// stage chain with gob encoding, and applies the LM head. It is the
-// reproduction's analogue of SplitQuant's worker processes — stage
-// boundaries, per-stage KV caches, and activation transfers are real,
-// even though the model is small.
+// only its own contiguous block range of a tinyllm model (quantized per
+// the plan), and a master driver, which holds only the embeddings, the
+// final layer norm and the LM head, embeds tokens, streams hidden
+// states through the stage chain as fixed binary frames (frame.go), and
+// applies the LM head. It is the reproduction's analogue of
+// SplitQuant's worker processes — stage boundaries, per-stage KV
+// caches, and activation transfers are real, even though the model is
+// small.
 //
 // The runtime is fault-tolerant: the driver supervises each stage
 // connection (supervisor.go), treats any mid-stream error as poisoning
-// the gob stream, reconnects with capped exponential backoff, and
+// the frame stream, reconnects with capped exponential backoff, and
 // replays the session's token history to rebuild stage KV caches so a
 // generation survives stage crashes and network faults bit-identically
 // (recovery.go). chaos.go provides a TCP fault-injection proxy for
@@ -17,7 +19,6 @@
 package transport
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
@@ -67,9 +68,24 @@ const CodeStaleSession = "stale_session"
 type session struct {
 	cache    *tinyllm.KVCache
 	lastUsed time.Time
+	// owner is the connection that created the session.
+	owner *stageConn
 }
 
-// StageServer serves ForwardBlocks for a block range of one model.
+// stageConn is one served connection: its frame codec and at most one
+// idle KV cache, kept from a session the connection created and closed
+// for the next session it creates. Only the connection's own handler
+// touches it, so a cache handed on this way is never held by another
+// handler: drivers use a session on one connection only.
+type stageConn struct {
+	codec *frameCodec
+	idle  *tinyllm.KVCache
+	// x wraps the request payload being served.
+	x tensor.Matrix
+}
+
+// StageServer serves ForwardBlocks for a block range of one model. It
+// holds the weights of that range only.
 type StageServer struct {
 	model  *tinyllm.Model
 	lo, hi int
@@ -93,19 +109,21 @@ type StageServer struct {
 // NewStageServer builds a stage over blocks [lo, hi) of a model
 // reconstructed from (cfg, seed) and fake-quantized with the given
 // per-layer bits (full-model length; only the stage's slice matters).
+// The weights of the other blocks are dropped before quantization.
 func NewStageServer(cfg tinyllm.Config, seed uint64, bits []int, lo, hi int) (*StageServer, error) {
 	m, err := tinyllm.New(cfg, seed)
 	if err != nil {
 		return nil, err
 	}
+	if lo < 0 || hi > cfg.Layers || lo >= hi {
+		return nil, fmt.Errorf("transport: stage range [%d, %d) of %d", lo, hi, cfg.Layers)
+	}
+	m.KeepBlocks(lo, hi)
 	if bits != nil {
 		m, err = m.ApplyBits(bits, quant.Scheme{}, nil)
 		if err != nil {
 			return nil, err
 		}
-	}
-	if lo < 0 || hi > cfg.Layers || lo >= hi {
-		return nil, fmt.Errorf("transport: stage range [%d, %d) of %d", lo, hi, cfg.Layers)
 	}
 	return &StageServer{model: m, lo: lo, hi: hi,
 		sessions: map[uint64]*session{}, conns: map[net.Conn]bool{},
@@ -128,7 +146,8 @@ func (s *StageServer) SetSessionTTL(d time.Duration) { s.ttl = d }
 // SetRequestHook installs fn to run on every decoded request before it
 // is handled. Tests and chaos experiments use it to trigger faults at
 // deterministic protocol points (e.g. restart the stage on the k-th
-// decode request). Set before Listen.
+// decode request). It runs on the connection's handler goroutine, and
+// the request's Data is valid only during the call. Set before Listen.
 func (s *StageServer) SetRequestHook(fn func(*Request)) { s.onRequest = fn }
 
 // Listen starts serving on addr ("127.0.0.1:0" for an ephemeral port)
@@ -250,42 +269,54 @@ func (s *StageServer) serveConn(conn net.Conn, epoch int) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
-	dec := gob.NewDecoder(conn)
-	enc := gob.NewEncoder(conn)
+	sc := &stageConn{codec: newFrameCodec(conn, frameLimit(s.model.Cfg))}
+	var req Request
+	var resp Response
 	for {
 		if s.ioTimeout > 0 {
 			conn.SetReadDeadline(time.Now().Add(s.ioTimeout))
 		}
-		var req Request
-		if err := dec.Decode(&req); err != nil {
+		if err := sc.codec.readRequest(&req); err != nil {
 			return // connection closed, corrupt, or timed out
 		}
 		if h := s.onRequest; h != nil {
 			h(&req)
 		}
-		resp := s.handle(&req)
+		s.handle(&req, sc, &resp)
 		if s.ioTimeout > 0 {
 			conn.SetWriteDeadline(time.Now().Add(s.ioTimeout))
 		}
-		if err := enc.Encode(resp); err != nil {
+		if err := sc.codec.writeResponse(&resp); err != nil {
 			return
 		}
 	}
 }
 
-// handle advances one request through the stage's blocks.
-func (s *StageServer) handle(req *Request) *Response {
+// frameLimit is the largest payload a stage frame carries: hidden states
+// for every position of the model.
+func frameLimit(cfg tinyllm.Config) int { return cfg.MaxPos * cfg.Hidden }
+
+// handle advances one request, received on sc, through the stage's
+// blocks and writes the reply into resp. resp.Data lives in the
+// session's workspace until the session's next pass.
+func (s *StageServer) handle(req *Request, sc *stageConn, resp *Response) {
+	*resp = Response{}
 	if req.Ping {
-		return &Response{}
+		return
 	}
 	if req.Close {
 		s.mu.Lock()
+		sess, ok := s.sessions[req.Session]
 		delete(s.sessions, req.Session)
 		s.mu.Unlock()
-		return &Response{}
+		if ok && sess.owner == sc && sc.idle == nil {
+			sc.idle = sess.cache
+		}
+		return
 	}
 	if req.Rows*req.Cols != len(req.Data) {
-		return &Response{Err: fmt.Sprintf("transport: payload %d for %dx%d", len(req.Data), req.Rows, req.Cols)}
+		resp.Err = fmt.Sprintf("transport: payload %d for %dx%d", len(req.Data), req.Rows, req.Cols)
+		return
 	}
 	s.mu.Lock()
 	sess, ok := s.sessions[req.Session]
@@ -296,20 +327,29 @@ func (s *StageServer) handle(req *Request) *Response {
 			// cache would silently return wrong hidden states, so
 			// reject with a typed code the driver's replay handles.
 			s.mu.Unlock()
-			return &Response{Code: CodeStaleSession,
-				Err: fmt.Sprintf("transport: unknown session %d at offset %d (stage restarted or session reaped)", req.Session, req.Offset)}
+			resp.Code = CodeStaleSession
+			resp.Err = fmt.Sprintf("transport: unknown session %d at offset %d (stage restarted or session reaped)", req.Session, req.Offset)
+			return
 		}
-		sess = &session{cache: s.model.NewCache()}
+		cache := sc.idle
+		if cache != nil {
+			sc.idle = nil
+			cache.Reset()
+		} else {
+			cache = s.model.NewCache()
+		}
+		sess = &session{cache: cache, owner: sc}
 		s.sessions[req.Session] = sess
 	}
 	sess.lastUsed = time.Now()
 	s.mu.Unlock()
-	x := tensor.FromSlice(req.Rows, req.Cols, req.Data)
-	out, err := s.model.ForwardBlocks(s.lo, s.hi, x, sess.cache, req.Offset)
+	sc.x = tensor.Matrix{Rows: req.Rows, Cols: req.Cols, Data: req.Data}
+	out, err := s.model.ForwardBlocks(s.lo, s.hi, &sc.x, sess.cache, req.Offset)
 	if err != nil {
-		return &Response{Err: err.Error()}
+		resp.Err = err.Error()
+		return
 	}
-	return &Response{Rows: out.Rows, Cols: out.Cols, Data: out.Data}
+	resp.Rows, resp.Cols, resp.Data = out.Rows, out.Cols, out.Data
 }
 
 // Restart simulates a crash-and-replace: it severs every connection,
