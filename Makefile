@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test fmt-check arm64-fused vet test-race fuzz check bench bench-json bench-json-out
+.PHONY: build test fmt-check arm64-fused clock-check vet test-race fuzz check bench bench-json bench-json-out
 
 build:
 	$(GO) build ./...
@@ -33,12 +33,33 @@ arm64-fused:
 		-e '^repro/internal/gpu\..*([Dd]ecode|LMHeadLatency|EmbedLatency)'); \
 	if [ -n "$$fused" ]; then echo "arm64 fuses a multiply-add in:"; echo "$$fused"; exit 1; fi
 
+# Control-plane time goes through internal/clock: the serve daemon, the
+# stage transport, the maintenance orchestrator and cmd/served read the
+# time, sleep and derive timeouts on a clock.Clock (clock.Real outside
+# tests), so their timer tests advance a clock.Fake instead of sleeping.
+# Their non-test files may not call time.Now, time.Since, time.Sleep,
+# time.After, time.NewTimer or context.WithTimeout, except where the
+# time bounds real work or real sockets, allowed below by file and
+# pattern: net.Conn deadlines (transport.go, supervisor.go), the chaos
+# proxy's injected delays (chaos.go), the HTTP server's shutdown bound
+# (serve.go) and the online tier's planning bound (cmd/served). Tickers
+# that only pace a loop are not checked.
+clock-check:
+	@hits=$$(grep -nE 'time\.(Now|Since|Sleep|After|NewTimer)\b|context\.WithTimeout' \
+		$$(ls internal/serve/*.go internal/transport/*.go internal/maintenance/*.go cmd/served/*.go | grep -v '_test\.go$$') | grep -vE \
+		-e '^internal/transport/transport\.go:[0-9]+:.*conn\.Set(Read|Write)Deadline\(time\.Now\(\)\.Add\(s\.ioTimeout\)\)' \
+		-e '^internal/transport/supervisor\.go:[0-9]+:.*deadline = time\.Now\(\)\.Add\(timeout\)' \
+		-e '^internal/transport/chaos\.go:[0-9]+:.*time\.Sleep\((delay|stallFor)\)' \
+		-e '^internal/serve/serve\.go:[0-9]+:.*shCtx, cancel := context\.WithTimeout\(context\.Background\(\), 5\*time\.Second\)' \
+		-e '^cmd/served/main\.go:[0-9]+:.*context\.WithTimeout\(context\.Background\(\), time\.Minute\)'); \
+	if [ -n "$$hits" ]; then echo "control-plane time read past internal/clock:"; echo "$$hits"; exit 1; fi
+
 # The arm64 vet and 386 build keep the portable matmul kernel (built
 # wherever the amd64 assembly is not) compiling; vet on amd64 also runs
 # asmdecl over the assembly. perfbench/ is its own module (the
 # repository benchmark) and compiles against serve, online, core and
 # capacity, so an API change that breaks it fails here too.
-vet: fmt-check arm64-fused
+vet: fmt-check arm64-fused clock-check
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./...
 	GOARCH=386 $(GO) build ./...

@@ -3,7 +3,9 @@ package splitquant
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -34,6 +36,23 @@ func TestSentinelErrors(t *testing.T) {
 	sys, err := New("opt-13b", Preset(9))
 	if err != nil {
 		t.Fatal(err)
+	}
+	// A negative or non-finite θ or quality floor is refused by New and
+	// per call, naming the value.
+	for _, c := range []struct {
+		opt  Option
+		name string
+	}{
+		{WithTheta(-5), "-5"}, {WithTheta(math.NaN()), "NaN"}, {WithTheta(math.Inf(1)), "+Inf"},
+		{WithQualityFloor(-1), "-1"}, {WithQualityFloor(math.NaN()), "NaN"},
+	} {
+		_, err := New("opt-13b", Preset(9), c.opt)
+		_, perCall := sys.Plan(FixedWorkload(16, 256, 16), 16, c.opt)
+		for _, err := range []error{err, perCall} {
+			if err == nil || !strings.Contains(err.Error(), c.name) {
+				t.Errorf("option with %s: err = %v, want one naming the value", c.name, err)
+			}
+		}
 	}
 	if _, err := sys.Plan(Workload{}, 8); !errors.Is(err, ErrEmptyWorkload) {
 		t.Fatalf("empty workload: err = %v, want ErrEmptyWorkload", err)

@@ -37,6 +37,7 @@ import (
 	"time"
 
 	"repro/internal/capacity"
+	"repro/internal/clock"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/fleet"
@@ -142,14 +143,14 @@ func main() {
 	}
 	if *faults {
 		fmt.Printf("served: fault injection on (seed %d, window %s)\n", *faultSeed, *faultHorizon)
-		go runFaults(runCtx, srv, *faultSeed, *faultHorizon)
+		go runFaults(runCtx, clock.Real, srv, *faultSeed, *faultHorizon)
 	}
 
 	// SIGINT/SIGTERM drains: finish in-flight batches, persist the cache.
 	<-runCtx.Done()
 	stop()
 	fmt.Println("served: draining (in-flight batches finish, cache persists)")
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	ctx, cancel := clock.Real.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {
 		fatal(err)
@@ -229,8 +230,9 @@ func buildOnline(modelName string, preset int, tr *obs.Tracer) (*online.Engine, 
 // until ctx is canceled: reclaim/return events derived from the
 // synthetic utilization trace are applied (clamped to what each pool
 // still holds) to every pool containing the event's device class, then
-// the window repeats with a fresh schedule after healing the fleet.
-func runFaults(ctx context.Context, srv *serve.Server, seed uint64, horizon time.Duration) {
+// the window repeats with a fresh schedule after healing the fleet. The
+// schedule's offsets are read on clk.
+func runFaults(ctx context.Context, clk clock.Clock, srv *serve.Server, seed uint64, horizon time.Duration) {
 	trace, err := fleet.Generate(stats.NewRNG(seed), fleet.DefaultShares, 12)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "served: faults disabled:", err)
@@ -259,14 +261,10 @@ func runFaults(ctx context.Context, srv *serve.Server, seed uint64, horizon time
 		}
 		sort.Slice(timeline, func(i, j int) bool { return timeline[i].at < timeline[j].at })
 
-		start := time.Now()
+		start := clk.Now()
 		for _, a := range timeline {
-			if wait := a.at - time.Since(start); wait > 0 {
-				select {
-				case <-ctx.Done():
-					return
-				case <-time.After(wait):
-				}
+			if wait := a.at - clk.Now().Sub(start); wait > 0 && !clk.Sleep(ctx, wait) {
+				return
 			}
 			fl := srv.Fleet()
 			for _, v := range fl.Views() {
@@ -299,12 +297,8 @@ func runFaults(ctx context.Context, srv *serve.Server, seed uint64, horizon time
 				}
 			}
 		}
-		if wait := horizon - time.Since(start); wait > 0 {
-			select {
-			case <-ctx.Done():
-				return
-			case <-time.After(wait):
-			}
+		if wait := horizon - clk.Now().Sub(start); wait > 0 && !clk.Sleep(ctx, wait) {
+			return
 		}
 		srv.Fleet().Reset()
 	}

@@ -65,9 +65,7 @@ func main() {
 		splitquant.WithMethod(splitquant.Method(*method)),
 		splitquant.WithTheta(*theta),
 		splitquant.WithParallelism(*parallel),
-	}
-	if *qcap > 0 {
-		opts = append(opts, splitquant.WithQualityFloor(*qcap))
+		splitquant.WithQualityFloor(*qcap),
 	}
 	if *progress {
 		opts = append(opts, splitquant.WithProgress(printProgress))

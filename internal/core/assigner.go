@@ -55,7 +55,7 @@ type Options struct {
 	// OrderingLimit caps device-ordering enumeration (default 8).
 	OrderingLimit int
 	// MicroBatches lists candidate micro-batch sizes for both phases
-	// (default {B/8, B/4} clamped to ≥ 1, deduplicated).
+	// (default {B/8, B/4, B/2, B} clamped to ≥ 1, deduplicated).
 	MicroBatches []int
 	// ILPCandidates is how many shortlisted configurations get an ILP
 	// polish under MethodILP (default 3).

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/capacity"
+	"repro/internal/clock"
 	"repro/internal/gpu"
 	"repro/internal/obs"
 	"repro/internal/scheduler"
@@ -209,6 +210,7 @@ func TestRetryThenSucceed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	o.clk = clock.NewFake(time.Unix(0, 0))
 	if err := o.Run(context.Background()); err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -218,6 +220,20 @@ func TestRetryThenSucceed(t *testing.T) {
 	}
 	if st.Domains[0].Steps[4].Attempts != 2 {
 		t.Fatalf("health attempts %d, want 2", st.Domains[0].Steps[4].Attempts)
+	}
+	// The only time that passes is the one backoff between the health
+	// check's attempts: RetryBaseSeconds.
+	assertStepSeconds(t, st, map[StepKind]float64{StepHealth: time.Millisecond.Seconds()})
+}
+
+// assertStepSeconds checks the seconds the first domain's steps
+// recorded: want[kind] for the kinds it names, 0 for every other step.
+func assertStepSeconds(t *testing.T, st Status, want map[StepKind]float64) {
+	t.Helper()
+	for _, s := range st.Domains[0].Steps {
+		if s.Seconds != want[s.Kind] {
+			t.Errorf("step %s recorded %v s, want %v", s.Kind, s.Seconds, want[s.Kind])
+		}
 	}
 }
 
@@ -248,9 +264,11 @@ func TestRetryDelaySchedule(t *testing.T) {
 
 func TestStepTimeoutBoundsWedgedHook(t *testing.T) {
 	fleet := testFleet("pool", 2)
+	f := clock.NewFake(time.Unix(0, 0))
 	hooks := Hooks{
 		Restart: func(ctx context.Context, _ Target) error {
-			<-ctx.Done() // wedged until the per-step timeout fires
+			f.Advance(50 * time.Millisecond) // time passes only while wedged
+			<-ctx.Done()                     // wedged until the per-step timeout fires
 			return ctx.Err()
 		},
 	}
@@ -261,13 +279,11 @@ func TestStepTimeoutBoundsWedgedHook(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	start := time.Now()
-	if err := o.Run(context.Background()); err == nil {
-		t.Fatal("wedged restart should fail the operation")
+	o.clk = f
+	if err := o.Run(context.Background()); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("wedged restart: run error %v, want the step's deadline", err)
 	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("step timeout did not bound the wedge: %v", elapsed)
-	}
+	assertStepSeconds(t, o.Status(), map[StepKind]float64{StepRestart: 0.05})
 	v, _ := fleet.Snapshot("pool")
 	if v.Devices != 2 {
 		t.Fatalf("rollback did not restore the pool: %+v", v)

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/transport"
 )
 
@@ -67,6 +68,7 @@ type Orchestrator struct {
 	done           chan struct{}
 
 	tel *telemetry
+	clk clock.Clock // times steps, bounds attempts, paces retries
 }
 
 // New validates the request and runs the pre-flight capacity gate over
@@ -93,6 +95,7 @@ func New(req Request, fleet Fleet, hooks Hooks) (*Orchestrator, error) {
 		state:   StatePending,
 		domains: domains,
 		done:    make(chan struct{}),
+		clk:     clock.Real,
 	}, nil
 }
 
@@ -305,7 +308,7 @@ func (o *Orchestrator) runDomain(ctx context.Context, d *domainRun) (err error) 
 func (o *Orchestrator) runStep(ctx context.Context, d *domainRun, kind StepKind, fn func(context.Context) error) error {
 	o.setStep(d, kind, StateRunning, nil)
 	o.tel.stepGauge(d.name, stepCode(kind))
-	start := time.Now()
+	start := o.clk.Now()
 	var err error
 	for attempt := 1; attempt <= o.req.MaxAttempts; attempt++ {
 		if ctx.Err() != nil {
@@ -313,7 +316,7 @@ func (o *Orchestrator) runStep(ctx context.Context, d *domainRun, kind StepKind,
 			break
 		}
 		o.bumpAttempt(d, kind)
-		sctx, cancel := context.WithTimeout(ctx, o.req.stepTimeout())
+		sctx, cancel := o.clk.WithTimeout(ctx, o.req.stepTimeout())
 		err = fn(sctx)
 		cancel()
 		if err == nil {
@@ -321,13 +324,13 @@ func (o *Orchestrator) runStep(ctx context.Context, d *domainRun, kind StepKind,
 		}
 		o.tel.retryInc()
 		if attempt < o.req.MaxAttempts {
-			if !sleepCtx(ctx, o.req.retryDelay(attempt)) {
+			if !o.clk.Sleep(ctx, o.req.retryDelay(attempt)) {
 				err = ctx.Err()
 				break
 			}
 		}
 	}
-	elapsed := time.Since(start).Seconds()
+	elapsed := o.clk.Now().Sub(start).Seconds()
 	if err != nil {
 		o.setStepTimed(d, kind, StateFailed, err, elapsed)
 		o.tel.span(d.name, kind, elapsed, false)
@@ -345,19 +348,6 @@ func (r Request) retryDelay(attempt int) time.Duration {
 	return transport.RetryPolicy{BaseDelay: base, MaxDelay: 16 * base}.Delay(attempt, nil)
 }
 
-// sleepCtx sleeps d or until ctx cancels; reports whether it slept the
-// full duration.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
-}
-
 // rollbackDomain re-admits everything the domain drained. Best-effort:
 // restore errors are recorded on the rollback step but do not mask the
 // original failure.
@@ -368,9 +358,9 @@ func (o *Orchestrator) rollbackDomain(d *domainRun, cause error) {
 	o.mu.Unlock()
 	o.tel.stepGauge(d.name, stepCode(StepRollback))
 
-	start := time.Now()
+	start := o.clk.Now()
 	err := o.restoreDrained(d)
-	elapsed := time.Since(start).Seconds()
+	elapsed := o.clk.Now().Sub(start).Seconds()
 
 	o.mu.Lock()
 	rb.seconds = elapsed

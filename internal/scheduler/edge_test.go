@@ -3,6 +3,7 @@ package scheduler
 import (
 	"context"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -32,10 +33,11 @@ func TestJobFitsNoResource(t *testing.T) {
 }
 
 // TestZeroAvailabilityRejected: availability must be in (0, 1]; zero
-// (and negative, and > 1) resources fail validation before any planning.
+// (and negative, > 1 and NaN) resources fail validation before any
+// planning.
 func TestZeroAvailabilityRejected(t *testing.T) {
 	job := []Job{{ID: "j", Model: "opt-13b", Batch: fixedBatch(16), Requests: 64}}
-	for _, avail := range []float64{0, -0.5, 1.5} {
+	for _, avail := range []float64{0, -0.5, 1.5, math.NaN()} {
 		r := Resource{Name: "idle", Cluster: cluster.MustPreset(5), Availability: avail}
 		if err := r.Validate(); err == nil {
 			t.Errorf("availability %v should fail Validate", avail)

@@ -82,7 +82,7 @@ func (r *Resource) Validate() error {
 	if err := r.Cluster.Validate(); err != nil {
 		return fmt.Errorf("scheduler: resource %s: %w", r.Name, err)
 	}
-	if r.Availability <= 0 || r.Availability > 1 {
+	if !(r.Availability > 0 && r.Availability <= 1) { // NaN fails too
 		return fmt.Errorf("scheduler: resource %s availability %v outside (0, 1]", r.Name, r.Availability)
 	}
 	return nil

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/clock"
 	"repro/internal/model"
 	"repro/internal/workload"
 )
@@ -218,7 +219,7 @@ func FuzzJobSpec(f *testing.F) {
 		if dec.Decode(&spec) != nil {
 			return
 		}
-		s, err := newServer(testConfig(""))
+		s, err := newServer(testConfig(""), clock.Real)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -217,6 +217,7 @@ func TestRejectedCountsEveryPath(t *testing.T) {
 		{Model: "opt-1.3b", Batch: 0, Requests: 8},
 		{Model: "opt-1.3b", Batch: 8, Requests: 0},
 		{Model: "opt-1.3b", Batch: 8, Requests: 8, DeadlineSeconds: -1},
+		{Model: "opt-1.3b", Batch: 8, Requests: 8, Theta: -1},
 		{Model: "opt-1.3b", Batch: 8, Requests: 8, Method: "gradient-descent"},
 		{Model: "opt-1.3b", Batch: 8, Requests: 8, Workload: "mystery"},
 		{Model: "llama3.3-70b", Batch: 32, Requests: 32}, // admission (memory bound)

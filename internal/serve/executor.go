@@ -57,7 +57,7 @@ func (s *Server) nextJob(start int) (*job, *scheduler.Resource) {
 			heap.Push(&s.queue, j)
 		}
 		if picked != nil {
-			now := s.now()
+			now := s.clk.Now()
 			s.pools[pool.Name].claimedAt = now
 			picked.state = StatePlanning
 			if picked.started.IsZero() {
@@ -96,7 +96,7 @@ func (s *Server) idlePoolFor(j *job, start int) *scheduler.Resource {
 func (s *Server) releasePool(res *scheduler.Resource) {
 	s.mu.Lock()
 	p := s.pools[res.Name]
-	p.busySec += s.now().Sub(p.claimedAt).Seconds()
+	p.busySec += s.clk.Now().Sub(p.claimedAt).Seconds()
 	p.claimedAt = time.Time{}
 	s.cond.Broadcast()
 	s.mu.Unlock()
@@ -135,7 +135,7 @@ func (s *Server) execute(j *job, res *scheduler.Resource) {
 	}
 	j.cancel = cancel
 	j.resource = res.Name
-	expired := !j.deadline.IsZero() && s.now().After(j.deadline)
+	expired := !j.deadline.IsZero() && s.clk.Now().After(j.deadline)
 	s.mu.Unlock()
 	if expired {
 		s.fail(j, fmt.Errorf("deadline exceeded before execution"))

@@ -56,7 +56,7 @@ type JobSpec struct {
 	// priority tier, tighter deadlines run first.
 	DeadlineSeconds float64 `json:"deadline_seconds,omitempty"`
 	// Theta overrides the server's quality scalar θ for this job (0 =
-	// server default).
+	// server default; Submit rejects a negative θ).
 	Theta float64 `json:"theta,omitempty"`
 	// Method overrides the planning algorithm ("" = server default).
 	Method string `json:"method,omitempty"`

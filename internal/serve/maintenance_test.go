@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/gpu"
@@ -76,19 +77,7 @@ func TestMaintenanceHTTPE2E(t *testing.T) {
 	if st.ID == "" {
 		t.Fatal("operation has no ID")
 	}
-	deadline := time.Now().Add(30 * time.Second)
-	for st.State != maintenance.StateDone {
-		if time.Now().After(deadline) {
-			t.Fatalf("maintenance did not finish: %+v", st)
-		}
-		if st.State == maintenance.StateFailed || st.State == maintenance.StateAborted {
-			t.Fatalf("maintenance ended %s: %s", st.State, st.Error)
-		}
-		time.Sleep(10 * time.Millisecond)
-		if st, err = c.Maintenance(); err != nil {
-			t.Fatal(err)
-		}
-	}
+	st = finishMaintenance(t, srv, c)
 	if st.Rollback != 0 || st.Drained != 0 {
 		t.Fatalf("clean roll left rollbacks=%d drained=%d", st.Rollback, st.Drained)
 	}
@@ -138,76 +127,69 @@ func TestMaintenanceHTTPE2E(t *testing.T) {
 	if _, err := c.StartMaintenance(roll); err != nil {
 		t.Fatalf("post-abort submit: %v", err)
 	}
-	for {
-		st, err = c.Maintenance()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.State == maintenance.StateDone {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("post-abort roll did not finish: %+v", st)
-		}
-		time.Sleep(10 * time.Millisecond)
+	finishMaintenance(t, srv, c)
+}
+
+// finishMaintenance waits for the server's current operation to end and
+// returns its final status, read over HTTP; it must have succeeded.
+func finishMaintenance(t *testing.T, srv *Server, c *Client) maintenance.Status {
+	t.Helper()
+	srv.maintMu.Lock()
+	o := srv.maint
+	srv.maintMu.Unlock()
+	<-o.Done()
+	st, err := c.Maintenance()
+	if err != nil {
+		t.Fatal(err)
 	}
+	if st.State != maintenance.StateDone {
+		t.Fatalf("maintenance ended %s: %s", st.State, st.Error)
+	}
+	return st
 }
 
 // TestDrainTimeoutRequeuesWedgedJob is the regression test for the
 // shutdown-hang bug: a batch wedged inside a BatchHook used to make
 // Server.Shutdown wait forever. With DrainTimeout set, Shutdown must
-// return by the deadline with the job checkpointed back to the queue —
-// batches already done stay done, and the job view records the requeue.
+// return once the server clock reaches the deadline, with the job
+// checkpointed back to the queue — batches already done stay done, and
+// the job view records the requeue.
 func TestDrainTimeoutRequeuesWedgedJob(t *testing.T) {
 	release := make(chan struct{})
 	t.Cleanup(func() { close(release) }) // let the wedged worker unwind
+	wedged := make(chan struct{})
 
 	cfg := testConfig(t.TempDir())
 	cfg.DrainTimeout = 200 * time.Millisecond
 	cfg.BatchHook = func(jobID string, done, total int) {
 		if done == 1 {
+			close(wedged)
 			<-release // wedge: never returns until the test ends
 		}
 	}
-	srv, c := startServer(t, cfg)
+	srv := bareServer(t, cfg)
+	f := srv.clk.(*clock.Fake)
+	srv.workers.Add(1)
+	go srv.worker(0)
 
-	v, err := c.Submit(JobSpec{Model: "opt-1.3b", Batch: 16, Requests: 96}) // 6 batches
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Wait until the job is wedged inside batch 1's hook.
-	waitDeadline := time.Now().Add(30 * time.Second)
-	for {
-		jv, err := c.Job(v.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if jv.BatchesDone >= 1 {
-			break
-		}
-		if time.Now().After(waitDeadline) {
-			t.Fatalf("job never reached batch 1: %+v", jv)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	v := mustSubmit(t, srv, JobSpec{Model: "opt-1.3b", Batch: 16, Requests: 96}) // 6 batches
+	<-wedged
 
 	// Shutdown with an unbounded context: before the fix this blocked
 	// forever on workers.Wait; now the drain timeout checkpoints and
-	// requeues the wedged job and Shutdown returns promptly.
-	start := time.Now()
+	// requeues the wedged job, and Shutdown returns when it fires.
 	done := make(chan error, 1)
 	go func() { done <- srv.Shutdown(context.Background()) }()
+	f.BlockUntil(1)
+	f.Advance(cfg.DrainTimeout - 1)
 	select {
 	case err := <-done:
-		if err != nil {
-			t.Fatalf("shutdown: %v", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("Shutdown still hung despite DrainTimeout")
+		t.Fatalf("Shutdown returned before the drain timeout: %v", err)
+	default:
 	}
-	if e := time.Since(start); e > 5*time.Second {
-		t.Fatalf("shutdown took %v, want ~DrainTimeout", e)
+	f.Advance(1)
+	if err := <-done; err != nil {
+		t.Fatalf("shutdown: %v", err)
 	}
 
 	jv, err := srv.Job(v.ID)

@@ -7,16 +7,18 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/cluster"
 	"repro/internal/scheduler"
 )
 
 // bareServer builds a Server through New's construction path but with
-// no executor workers, so submitted jobs stay queued and the
-// queue/executor mechanics can be driven deterministically by hand.
+// no executor workers and on a clock.Fake, so submitted jobs stay queued
+// and the queue/executor mechanics, time included, can be driven
+// deterministically by hand.
 func bareServer(t *testing.T, cfg Config) *Server {
 	t.Helper()
-	s, err := newServer(cfg)
+	s, err := newServer(cfg, clock.NewFake(time.Unix(1_000_000, 0)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +126,7 @@ func TestDeadlineExpiredBeforeRun(t *testing.T) {
 	s := queueOnlyServer(t, 16)
 	spec := JobSpec{Model: "opt-1.3b", Batch: 8, Requests: 8, DeadlineSeconds: 0.001}
 	v := mustSubmit(t, s, spec)
-	time.Sleep(5 * time.Millisecond)
+	s.clk.(*clock.Fake).Advance(time.Millisecond + 1)
 
 	j, res := s.nextJob(0)
 	if j == nil || j.id != v.ID {
@@ -217,10 +219,7 @@ func TestShutdownCancelsQueued(t *testing.T) {
 // maintenance gate's default Utilization hook report the same fraction.
 func TestPoolUtilization(t *testing.T) {
 	s := queueOnlyServer(t, 16)
-	t0 := time.Unix(1_000_000, 0)
-	clock := t0
-	s.now = func() time.Time { return clock }
-	s.started = t0
+	f := s.clk.(*clock.Fake)
 	spec := JobSpec{Model: "opt-1.3b", Batch: 8, Requests: 8}
 	mustSubmit(t, s, spec)
 	mustSubmit(t, s, spec)
@@ -229,7 +228,7 @@ func TestPoolUtilization(t *testing.T) {
 	gauge := s.tel.reg.GaugeVec("serve_pool_busy_ratio", "", "pool").With("pool1")
 	at := func(sec float64, want float64) {
 		t.Helper()
-		clock = t0.Add(time.Duration(sec * float64(time.Second)))
+		f.Advance(time.Duration(sec*float64(time.Second)) - f.Now().Sub(s.started))
 		m := s.Metrics()
 		if len(m.Capacity) != 1 || m.Capacity[0].Pool != "pool1" {
 			t.Fatalf("t=%gs: capacity rows %+v, want one pool1 row", sec, m.Capacity)

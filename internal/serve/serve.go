@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"repro/internal/capacity"
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/maintenance"
 	"repro/internal/model"
@@ -189,9 +190,9 @@ type Server struct {
 	// scrape stays O(reservoir) in both memory and time.
 	waitS *stats.Reservoir
 	execS *stats.Reservoir
-	// now is the server clock (time.Now outside tests); started anchors
-	// the utilization window.
-	now     func() time.Time
+	// clk is the server clock; started, read from it at construction,
+	// anchors the utilization window.
+	clk     clock.Clock
 	started time.Time
 
 	baseCtx    context.Context
@@ -217,7 +218,7 @@ type Server struct {
 // accepts in-process submissions immediately; call Start to expose the
 // HTTP API.
 func New(cfg Config) (*Server, error) {
-	s, err := newServer(cfg)
+	s, err := newServer(cfg, clock.Real)
 	if err != nil {
 		return nil, err
 	}
@@ -228,9 +229,9 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// newServer is New without the executor workers: submitted jobs stay
-// queued until someone calls nextJob.
-func newServer(cfg Config) (*Server, error) {
+// newServer is New without the executor workers, on clock clk:
+// submitted jobs stay queued until someone calls nextJob.
+func newServer(cfg Config, clk clock.Clock) (*Server, error) {
 	if len(cfg.Resources) == 0 {
 		return nil, fmt.Errorf("serve: no resources configured")
 	}
@@ -271,8 +272,8 @@ func newServer(cfg Config) (*Server, error) {
 		fleet:   scheduler.NewFleetState(cfg.Resources),
 		jobs:    map[string]*job{},
 		pools:   make(map[string]*poolLoad, len(cfg.Resources)),
-		now:     time.Now,
-		started: time.Now(),
+		clk:     clk,
+		started: clk.Now(),
 	}
 	for i := range cfg.Resources {
 		s.pools[cfg.Resources[i].Name] = &poolLoad{}
@@ -334,6 +335,9 @@ func (s *Server) Submit(spec JobSpec) (JobView, error) {
 		// deadline in the past.
 		return s.reject(fmt.Errorf("%w: deadline %g s exceeds %v", ErrRejected, spec.DeadlineSeconds, time.Duration(math.MaxInt64)))
 	}
+	if !(spec.Theta >= 0) {
+		return s.reject(fmt.Errorf("%w: theta %v", ErrRejected, spec.Theta))
+	}
 	if spec.Method != "" && !core.ValidMethod(core.Method(spec.Method)) {
 		return s.reject(fmt.Errorf("%w: %w %q", ErrRejected, core.ErrUnknownMethod, spec.Method))
 	}
@@ -359,7 +363,7 @@ func (s *Server) Submit(spec JobSpec) (JobView, error) {
 		return JobView{}, ErrQueueFull
 	}
 	s.seq++
-	now := s.now()
+	now := s.clk.Now()
 	j := &job{
 		id:        fmt.Sprintf("job-%06d", s.seq),
 		seq:       s.seq,
@@ -438,7 +442,7 @@ func (s *Server) finishLocked(j *job, st State, errMsg string) {
 	}
 	j.state = st
 	j.errMsg = errMsg
-	j.finished = s.now()
+	j.finished = s.clk.Now()
 	if st == StateCompleted && !j.started.IsZero() {
 		lat := j.finished.Sub(j.started).Seconds()
 		s.execS.Add(lat)
@@ -480,7 +484,7 @@ func (s *Server) Metrics() Metrics {
 	m.CacheEntries = s.cache.Len()
 
 	s.mu.Lock()
-	load := s.loadLocked(s.now())
+	load := s.loadLocked(s.clk.Now())
 	m.JobQueueWait = s.waitS.Summary()
 	m.JobExecLatency = s.execS.Summary()
 	s.mu.Unlock()
@@ -557,7 +561,7 @@ func (s *Server) loadLocked(now time.Time) loadSnapshot {
 func (s *Server) load() loadSnapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.loadLocked(s.now())
+	return s.loadLocked(s.clk.Now())
 }
 
 // requeueRunning checkpoints every in-flight job back to the queue —
@@ -693,11 +697,11 @@ func (s *Server) waitAndPersist(ctx context.Context) error {
 		s.workers.Wait()
 		close(done)
 	}()
-	var timeout <-chan time.Time
+	var timeout <-chan struct{}
 	if s.cfg.DrainTimeout > 0 {
-		t := time.NewTimer(s.cfg.DrainTimeout)
-		defer t.Stop()
-		timeout = t.C
+		tctx, cancel := s.clk.WithTimeout(context.Background(), s.cfg.DrainTimeout)
+		defer cancel()
+		timeout = tctx.Done()
 	}
 	select {
 	case <-done:

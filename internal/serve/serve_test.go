@@ -219,6 +219,7 @@ func TestSubmitValidation(t *testing.T) {
 		{Model: "opt-1.3b", Batch: 8, Requests: 8, Method: "gradient-descent"},
 		{Model: "opt-1.3b", Batch: 8, Requests: 8, Workload: "mystery"},
 		{Model: "opt-1.3b", Batch: 8, Requests: 8, DeadlineSeconds: -1},
+		{Model: "opt-1.3b", Batch: 8, Requests: 8, Theta: -1},
 		{Model: "opt-1.3b", Batch: 8, Requests: 8, DeadlineSeconds: 1e10},
 	}
 	for _, spec := range cases {

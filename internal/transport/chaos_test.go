@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/stats"
 )
 
@@ -253,41 +254,89 @@ func TestChaosRestartMatrix(t *testing.T) {
 }
 
 // TestChaosOrphanReaping: when a stage stays unreachable (every redial
-// refused) the driver gives up and can never close its session there —
-// the KV cache is orphaned on the stage and must fall to the
-// idle-session TTL reaper.
+// refused) the generation fails, and the stage's one orphaned session
+// is reclaimed by its idle-session TTL on the stage clock: it survives
+// an idle time of exactly the TTL and goes one nanosecond later.
 func TestChaosOrphanReaping(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos suite skipped in -short mode")
 	}
 	r := newChaosRig(t, 0, func(p *ChaosProxy) { p.CutAfterBytes(Upstream, chaosAt().dec) })
 	defer r.close()
-	// Armed after the driver's initial connection: only redials after
-	// the cut are refused — the stage never comes back.
+	// Armed after the driver's initial connection, which a ping proves
+	// the proxy has accepted: only redials after the cut are refused —
+	// the stage never comes back.
+	if err := r.driver.Ping(); err != nil {
+		t.Fatal(err)
+	}
 	r.proxy.DropNextConns(1000)
 	// TTL set after Listen: the periodic reap loop is not running, so
-	// the poll below sweeps explicitly via ReapIdleSessions.
-	r.servers[0].SetSessionTTL(20 * time.Millisecond)
+	// the sweeps below are the only ones. The clock is swapped under
+	// the stage lock its handlers read it under.
+	stage, f := r.servers[0], clock.NewFake(time.Unix(0, 0))
+	stage.mu.Lock()
+	stage.clk = f
+	stage.mu.Unlock()
+	const ttl = 20 * time.Millisecond
+	stage.SetSessionTTL(ttl)
+	r.driver.clk = clock.NewFake(time.Unix(0, 0)) // backoff costs no real time
 	r.driver.SetRetryPolicy(RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond,
 		MaxDelay: 2 * time.Millisecond, Seed: 5})
 
 	if _, err := r.driver.Generate(chaosPrompt(), chaosTokens); err == nil {
 		t.Fatal("generation against a permanently dead stage should fail")
 	}
-	if n := r.servers[0].SessionCount(); n == 0 {
-		t.Fatal("expected an orphaned session on the unreachable stage")
+	if n := stage.SessionCount(); n != 1 {
+		t.Fatalf("%d sessions on the unreachable stage, want the one orphan", n)
 	}
+	f.Advance(ttl)
+	if n := stage.ReapIdleSessions(); n != 0 || stage.SessionCount() != 1 {
+		t.Fatalf("orphan idle exactly the TTL: %d reaped, %d live, want 0 and 1", n, stage.SessionCount())
+	}
+	f.Advance(1)
+	if n := stage.ReapIdleSessions(); n != 1 || stage.SessionCount() != 0 || stage.ReapedSessions() != 1 {
+		t.Fatalf("orphan past the TTL: %d reaped (%d in total), %d live, want 1, 1 and 0",
+			n, stage.ReapedSessions(), stage.SessionCount())
+	}
+}
 
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if r.servers[0].ReapedSessions() > 0 && r.servers[0].SessionCount() == 0 {
-			return
-		}
-		r.servers[0].ReapIdleSessions()
-		time.Sleep(5 * time.Millisecond)
+// TestChaosBackoffApplied: the recovery loop sleeps the policy's backoff
+// before every attempt. After a mid-decode cut whose first two redials
+// are refused, the driver clock has moved by exactly the sum of
+// RetryPolicy.Delay over the attempts, drawn from an RNG replayed from
+// the policy seed: one attempt per failed request or dial the driver
+// recorded.
+func TestChaosBackoffApplied(t *testing.T) {
+	if testing.Short() {
+		t.Skip("chaos suite skipped in -short mode")
 	}
-	t.Fatalf("orphaned session never reaped: %d live, %d reaped",
-		r.servers[0].SessionCount(), r.servers[0].ReapedSessions())
+	r := newChaosRig(t, 0, func(p *ChaosProxy) { p.CutAfterBytes(Upstream, chaosAt().dec) })
+	defer r.close()
+	if err := r.driver.Ping(); err != nil { // the proxy holds the first connection
+		t.Fatal(err)
+	}
+	r.proxy.DropNextConns(2)
+	t0 := time.Unix(0, 0)
+	f := clock.NewFake(t0)
+	r.driver.clk = f
+
+	got, err := r.driver.Generate(chaosPrompt(), chaosTokens)
+	if err != nil {
+		t.Fatalf("generation did not survive the fault: %v", err)
+	}
+	assertMatchesReference(t, nil, chaosPrompt(), got, chaosTokens)
+	rs := r.driver.RecoveryStats()
+	if rs.FailedAttempts != 3 {
+		t.Fatalf("recovery stats %+v, want 3 failed attempts (the cut and two refused redials)", rs)
+	}
+	rng := stats.NewRNG(fastRetry.Seed)
+	var want time.Duration
+	for a := 1; a <= int(rs.FailedAttempts); a++ {
+		want += fastRetry.Delay(a, rng)
+	}
+	if elapsed := f.Now().Sub(t0); elapsed != want {
+		t.Fatalf("backoff slept %v, the policy's delays sum to %v", elapsed, want)
+	}
 }
 
 // TestChaosRandomSoak: seeded probabilistic cuts and stalls across the

@@ -10,6 +10,7 @@
 package transport
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"time"
@@ -190,7 +191,7 @@ func (d *Driver) forwardRecover(g *genState, toks []int, offset int) (*tensor.Ma
 			return nil, fmt.Errorf("transport: %w after %d attempts: %v",
 				ErrRecoveryExhausted, d.policy.MaxAttempts, err)
 		}
-		time.Sleep(d.policy.Delay(attempt, d.rng))
+		d.clk.Sleep(context.Background(), d.policy.Delay(attempt, d.rng))
 		// Each step's error is the one the next attempt reports; a
 		// permanent one ends the loop.
 		if err = d.reconnectPoisoned(); err == nil {

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/stats"
 )
 
@@ -370,13 +371,17 @@ func TestHeartbeatLoop(t *testing.T) {
 }
 
 // TestIdleSessionTTLReaping: KV caches orphaned by a vanished driver
-// are reclaimed by the stage's TTL reaper.
+// are reclaimed once idle past the TTL on the stage clock, and a
+// session idle exactly the TTL survives.
 func TestIdleSessionTTLReaping(t *testing.T) {
 	s, err := NewStageServer(cfg, seed, nil, 0, cfg.Layers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SetSessionTTL(10 * time.Millisecond)
+	f := clock.NewFake(time.Unix(0, 0))
+	s.clk = f
+	const ttl = 10 * time.Millisecond
+	s.SetSessionTTL(ttl)
 	addr, err := s.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -389,19 +394,19 @@ func TestIdleSessionTTLReaping(t *testing.T) {
 	if resp := c.roundTrip(t, &Request{Session: 42, Rows: 2, Cols: cfg.Hidden, Data: data}); resp.Err != "" {
 		t.Fatalf("prefill failed: %q", resp.Err)
 	}
-	if s.SessionCount() != 1 {
-		t.Fatalf("session not created: %d", s.SessionCount())
-	}
 	c.conn.Close() // driver vanishes
 
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if s.SessionCount() == 0 && s.ReapedSessions() >= 1 {
-			return
-		}
-		time.Sleep(2 * time.Millisecond)
+	// The reap loop sweeps on its own ticker but decides on the stage
+	// clock, so the counts below are exact whoever sweeps.
+	f.Advance(ttl)
+	if n := s.ReapIdleSessions(); n != 0 || s.SessionCount() != 1 {
+		t.Fatalf("session idle exactly the TTL: %d reaped, %d live, want 0 and 1", n, s.SessionCount())
 	}
-	t.Fatalf("orphaned session never reaped: %d live, %d reaped", s.SessionCount(), s.ReapedSessions())
+	f.Advance(1)
+	s.ReapIdleSessions()
+	if s.SessionCount() != 0 || s.ReapedSessions() != 1 {
+		t.Fatalf("orphaned session past the TTL: %d live, %d reaped, want 0 and 1", s.SessionCount(), s.ReapedSessions())
+	}
 }
 
 // TestRetryPolicyDelay pins the backoff shape: exponential from

@@ -19,6 +19,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/stats"
 	"repro/internal/tensor"
 	"repro/internal/tinyllm"
@@ -97,7 +98,8 @@ type Driver struct {
 	ioTimeout time.Duration
 
 	policy RetryPolicy
-	rng    *stats.RNG // jitter source; guarded by genMu
+	rng    *stats.RNG  // jitter source; guarded by genMu
+	clk    clock.Clock // the recovery backoff sleeps on it
 
 	replayedTotal atomic.Uint64
 	recoveries    atomic.Uint64
@@ -133,7 +135,7 @@ func NewDriver(cfg tinyllm.Config, seed uint64, stageAddrs []string) (*Driver, e
 		return nil, fmt.Errorf("transport: session base: %w", err)
 	}
 	p := DefaultRetryPolicy()
-	d := &Driver{model: m, policy: p, rng: stats.NewRNG(p.Seed)}
+	d := &Driver{model: m, policy: p, rng: stats.NewRNG(p.Seed), clk: clock.Real}
 	d.next.Store(binary.LittleEndian.Uint64(base[:]))
 	for _, addr := range stageAddrs {
 		conn, err := net.Dial("tcp", addr)

@@ -25,6 +25,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/quant"
 	"repro/internal/stats"
 	"repro/internal/tensor"
@@ -102,6 +103,7 @@ type StageServer struct {
 	ioTimeout time.Duration
 	ttl       time.Duration
 	reaped    uint64
+	clk       clock.Clock // stamps lastUsed; the reaper's TTL reads it
 
 	onRequest func(*Request)
 }
@@ -127,7 +129,7 @@ func NewStageServer(cfg tinyllm.Config, seed uint64, bits []int, lo, hi int) (*S
 	}
 	return &StageServer{model: m, lo: lo, hi: hi,
 		sessions: map[uint64]*session{}, conns: map[net.Conn]bool{},
-		quit: make(chan struct{})}, nil
+		quit: make(chan struct{}), clk: clock.Real}, nil
 }
 
 // SetIOTimeout bounds each per-message read and write on stage
@@ -214,7 +216,7 @@ func (s *StageServer) ReapIdleSessions() int {
 	if s.ttl <= 0 {
 		return 0
 	}
-	now := time.Now()
+	now := s.clk.Now()
 	n := 0
 	for id, sess := range s.sessions {
 		if now.Sub(sess.lastUsed) > s.ttl {
@@ -341,7 +343,7 @@ func (s *StageServer) handle(req *Request, sc *stageConn, resp *Response) {
 		sess = &session{cache: cache, owner: sc}
 		s.sessions[req.Session] = sess
 	}
-	sess.lastUsed = time.Now()
+	sess.lastUsed = s.clk.Now()
 	s.mu.Unlock()
 	sc.x = tensor.Matrix{Rows: req.Rows, Cols: req.Cols, Data: req.Data}
 	out, err := s.model.ForwardBlocks(s.lo, s.hi, &sc.x, sess.cache, req.Offset)

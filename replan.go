@@ -62,10 +62,7 @@ func (s *System) resolve(opts []PlanOption) (options, error) {
 			fn(&o)
 		}
 	}
-	if err := validMethod(o.method); err != nil {
-		return o, err
-	}
-	return o, nil
+	return o, o.validate()
 }
 
 // coreOptions translates resolved options for the internal planner.

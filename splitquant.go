@@ -56,6 +56,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -276,7 +277,7 @@ func assemble(spec *model.Spec, cs ClusterSpec, base options, opts []Option, fam
 	for _, fn := range opts {
 		fn(&o)
 	}
-	if err := validMethod(o.method); err != nil {
+	if err := o.validate(); err != nil {
 		return nil, err
 	}
 	if family == nil {
@@ -285,13 +286,20 @@ func assemble(spec *model.Spec, cs ClusterSpec, base options, opts []Option, fam
 	return &System{spec: spec, clu: clu, opts: o, ind: family.ind, plans: family.plans}, nil
 }
 
-// validMethod rejects unknown planning methods with ErrUnknownMethod.
-func validMethod(m core.Method) error {
-	if core.ValidMethod(m) {
-		return nil
+// validate rejects an unknown planning method with ErrUnknownMethod,
+// and a negative or non-finite θ or quality floor.
+func (o options) validate() error {
+	if !core.ValidMethod(o.method) {
+		return fmt.Errorf("splitquant: %w %q (valid: %s, %s, %s, %s, %s)", ErrUnknownMethod, o.method,
+			MethodHeuristic, MethodILP, MethodAdabits, MethodUniform, MethodHet)
 	}
-	return fmt.Errorf("splitquant: %w %q (valid: %s, %s, %s, %s, %s)", ErrUnknownMethod, m,
-		MethodHeuristic, MethodILP, MethodAdabits, MethodUniform, MethodHet)
+	if !(o.theta >= 0 && o.theta <= math.MaxFloat64) { // NaN and +Inf fail too
+		return fmt.Errorf("splitquant: theta %v is not a finite non-negative number", o.theta)
+	}
+	if !(o.qualityCap >= 0 && o.qualityCap <= math.MaxFloat64) {
+		return fmt.Errorf("splitquant: quality floor %v is not a finite non-negative number", o.qualityCap)
+	}
+	return nil
 }
 
 // Model returns the architecture name served by the system.
