@@ -20,8 +20,9 @@ fmt-check:
 # of tensor and tinyllm (the forward pass), quant's fake quantizer
 # (QuantDequant and its per-row grid), the RNG draws that make tinyllm's
 # weights, the planner's prefill, embedding and LM-head formulas in
-# model, and gpu's decode, LM-head and embedding latencies. The build
-# replays cached compiler output, so the step is cheap.
+# model, and every function of gpu: the one pass formula (Pass.Latency)
+# and every pass it prices, whatever their names. The build replays
+# cached compiler output, so the step is cheap.
 arm64-fused:
 	@asm=$$(GOARCH=arm64 $(GO) build -gcflags=-S ./internal/tensor ./internal/tinyllm \
 		./internal/quant ./internal/stats ./internal/model ./internal/gpu 2>&1) || { echo "$$asm"; exit 1; }; \
@@ -30,7 +31,7 @@ arm64-fused:
 		-e '^repro/internal/quant\.(QuantDequant|newRowGrid|\(\*rowGrid\)\.round)$$' \
 		-e '^repro/internal/stats\.\(\*RNG\)\.(NormMS|LogNormal)$$' \
 		-e '^repro/internal/model\.\(\*Spec\)\.(LayerFLOPsPrefill|LayerMOPsPrefill|EmbedFLOPs|Profile)$$' \
-		-e '^repro/internal/gpu\..*([Dd]ecode|LMHeadLatency|EmbedLatency)'); \
+		-e '^repro/internal/gpu\.'); \
 	if [ -n "$$fused" ]; then echo "arm64 fuses a multiply-add in:"; echo "$$fused"; exit 1; fi
 
 # Control-plane time goes through internal/clock: the serve daemon, the
@@ -89,7 +90,7 @@ test-race:
 	$(GO) test -race -timeout 15m -count=2 -run 'Maintenance|DrainTimeout|Preempt|Restore' ./internal/serve/
 
 # Fuzz smoke: twenty seconds of coverage-guided inputs for each of
-# sixteen targets. Eleven must match a reference: a bitwidth-transfer
+# seventeen targets. Eleven must match a reference: a bitwidth-transfer
 # move's exact score and the search's kept sums against a full
 # evaluation bit for bit, and the move's estimate within its error
 # margin; the whole bitwidth-transfer search against the clone-per-move
@@ -126,6 +127,10 @@ test-race:
 # the stage frame reader: every frame decodes or fails, never panics and
 # never allocates past one frame of the bound, and requests and replies
 # round-trip exactly, float32 bit patterns and NaN payloads included.
+# The seventeenth checks that the planner and the simulator agree on
+# memory: evaluate finds a random contiguous assignment feasible exactly
+# when pipeline.Simulate runs its plan without ErrOOM, over every model,
+# preset, mesh, planner micro-batch size and KV bitwidth.
 # Their seed corpora
 # (internal/core/testdata/fuzz and the f.Add seeds) also run as
 # ordinary tests under `make test`.
@@ -134,6 +139,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzBitwidthTransfer -fuzztime=20s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzStartPoints -fuzztime=20s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzOptimisticBound -fuzztime=20s ./internal/core
+	$(GO) test -run='^$$' -fuzz=FuzzPlanMemoryMatchesSimulate -fuzztime=20s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzSolveMatchesDense -fuzztime=20s ./internal/lp
 	$(GO) test -run='^$$' -fuzz=FuzzILPMatchesBruteForce -fuzztime=20s ./internal/ilp
 	$(GO) test -run='^$$' -fuzz=FuzzMatMulBitExact -fuzztime=20s ./internal/tensor

@@ -203,7 +203,7 @@ func PlanFleet(ctx context.Context, in PlanInput) (*Recommendation, error) {
 
 	// Memory lower bound: the fleet must at least hold the weights at
 	// the smallest bitwidth plus the embedding table.
-	minWeights := in.Spec.LayerWeightBytes(slices.Min(core.CandidateBits))*int64(in.Spec.Layers) + in.Spec.EmbeddingBytes()
+	minWeights := in.Spec.ModelBytes(slices.Min(core.CandidateBits), 0)
 
 	rec := &Recommendation{}
 	var lastErr error
@@ -215,11 +215,7 @@ func PlanFleet(ctx context.Context, in PlanInput) (*Recommendation, error) {
 			continue // a disaggregated deployment needs two pools
 		}
 		clu := fs.Cluster(fmt.Sprintf("fleet-%s", fs), cluster.Eth800BW)
-		var mem int64
-		for _, d := range clu.Devices() {
-			mem += d.UsableMemory()
-		}
-		if mem < minWeights {
+		if clu.UsableMemory() < minWeights {
 			rec.CandidatesPruned++
 			continue
 		}

@@ -11,7 +11,6 @@ import (
 	"strings"
 
 	"repro/internal/gpu"
-	"repro/internal/model"
 )
 
 // Interconnect bandwidths (bytes/second, effective).
@@ -88,47 +87,13 @@ type Device struct {
 	Node string
 	// TPDegree > 1 marks a tensor-parallel group acting as one device.
 	TPDegree int
-	// Group is the TP aggregation when TPDegree > 1.
+	// Group prices the device's passes and holds its memory: a TP group
+	// of TPDegree devices of Spec, degree 1 for a single GPU.
 	Group *gpu.TPGroup
 }
 
 // UsableMemory returns the placement memory budget of the device.
-func (d *Device) UsableMemory() int64 {
-	if d.Group != nil {
-		return d.Group.UsableMemory()
-	}
-	return d.Spec.UsableMemory()
-}
-
-// PrefillLayerLatency prices one decoder layer's prefill pass of v
-// sequences of length seq at bit on the device, through its TP group
-// when it has one.
-func (d *Device) PrefillLayerLatency(m *model.Spec, v, seq, bit int) float64 {
-	if d.Group != nil && d.TPDegree > 1 {
-		return d.Group.PrefillLayerLatency(m, v, seq, bit)
-	}
-	return d.Spec.PrefillLayerLatency(m, v, seq, bit)
-}
-
-// DecodeLayerLatency prices one decoder layer's decode step for v
-// sequences at ctx cached positions on the device, through its TP group
-// when it has one.
-func (d *Device) DecodeLayerLatency(m *model.Spec, v, ctx, bit, bitKV int) float64 {
-	if d.Group != nil && d.TPDegree > 1 {
-		return d.Group.DecodeLayerLatency(m, v, ctx, bit, bitKV)
-	}
-	return d.Spec.DecodeLayerLatency(m, v, ctx, bit, bitKV)
-}
-
-// DecodeCurve returns one decoder layer's decode-step latency on the
-// device as a function of the context length, for v sequences at bit
-// and bitKV, through its TP group when it has one.
-func (d *Device) DecodeCurve(m *model.Spec, v, bit, bitKV int) gpu.DecodeCurve {
-	if d.Group != nil && d.TPDegree > 1 {
-		return d.Group.DecodeCurve(m, v, bit, bitKV)
-	}
-	return d.Spec.DecodeCurve(m, v, bit, bitKV)
-}
+func (d *Device) UsableMemory() int64 { return d.Group.UsableMemory() }
 
 // Validate checks the cluster for consistency.
 func (c *Cluster) Validate() error {
@@ -169,10 +134,25 @@ func (c *Cluster) Devices() []Device {
 				Spec:     spec,
 				Node:     n.Name,
 				TPDegree: 1,
+				Group:    spec.Single(),
 			})
 		}
 	}
 	return out
+}
+
+// UsableMemory returns the placement memory budget of all the
+// cluster's devices together, however they are grouped.
+func (c *Cluster) UsableMemory() int64 {
+	var t int64
+	for _, n := range c.Nodes {
+		spec, err := n.spec()
+		if err != nil {
+			panic(err) // Validate catches bad nodes before UsableMemory runs
+		}
+		t += int64(n.Count) * spec.UsableMemory()
+	}
+	return t
 }
 
 // TotalDevices returns the GPU count across all nodes.

@@ -113,6 +113,32 @@ func TestMeshesIncludeTPOptions(t *testing.T) {
 	}
 }
 
+// TestClusterUsableMemory checks the cluster's memory against its
+// devices' on every preset and a derated cluster: Devices and every
+// mesh, TP groups included, hold exactly Cluster.UsableMemory.
+func TestClusterUsableMemory(t *testing.T) {
+	derated := &Cluster{Name: "derated", InterBW: Eth800BW, Nodes: []Node{
+		{Name: "a", Class: gpu.V100, Count: 2, IntraBW: NVLinkBW, MemScale: 0.5},
+		{Name: "b", Class: gpu.T4, Count: 1},
+	}}
+	clusters := []*Cluster{derated}
+	for n := 1; n <= 10; n++ {
+		clusters = append(clusters, MustPreset(n))
+	}
+	for _, c := range clusters {
+		want := c.UsableMemory()
+		for i, devs := range append([][]Device{c.Devices()}, c.Meshes()...) {
+			var got int64
+			for _, d := range devs {
+				got += d.UsableMemory()
+			}
+			if got != want {
+				t.Errorf("%s device set %d holds %d bytes, cluster %d", c.Name, i, got, want)
+			}
+		}
+	}
+}
+
 func TestMeshesCrossNodeProduct(t *testing.T) {
 	c := MustPreset(2) // node0: 2×V100 (TP1 or TP2), node1: 1×A100 (TP1)
 	meshes := c.Meshes()

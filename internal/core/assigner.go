@@ -66,20 +66,16 @@ type Options struct {
 	// MeshFilter, when non-nil, restricts the device meshes considered
 	// (e.g. force TP4 or pure pipeline parallelism, as in Table IV).
 	MeshFilter func([]cluster.Device) bool
-	// PrefillOnlyObjective drops the decode terms from the planning
-	// objective (memory accounting stays intact) — the phase-blind
-	// ablation D1 of DESIGN.md, modeling prior encoder-oriented
-	// partitioners. It is also how a disaggregated prefill pool is
-	// planned: its stages never decode.
-	PrefillOnlyObjective bool
-	// DecodeOnlyObjective is the mirror image: the prefill terms are
-	// dropped from the objective, leaving pure per-token decode latency.
-	// A disaggregated decode pool is planned with this set — it receives
-	// sessions whose prefill already ran elsewhere (KV arrives by
-	// handoff), so prompt-processing speed is irrelevant to it.
-	DecodeOnlyObjective bool
-	// Costs, when non-nil, memoizes per-(device, bitwidth, phase, shape)
-	// latency evaluations across configurations and across searches (see
+	// Objective selects the phase terms the planning objective keeps
+	// (default both; memory accounting stays intact either way).
+	// PrefillOnly is the phase-blind ablation D1 of DESIGN.md, modeling
+	// prior encoder-oriented partitioners, and plans a disaggregated
+	// prefill pool, whose stages never decode. DecodeOnly leaves pure
+	// per-token decode latency and plans a disaggregated decode pool: its
+	// sessions' prefill already ran elsewhere (KV arrives by handoff).
+	Objective Phase
+	// Costs, when non-nil, memoizes per-layer latencies, keyed by the
+	// gpu.Pass they price, across configurations and across searches (see
 	// CostCache). Sharing one cache between re-plans of a churning fleet
 	// is safe — cached values are bitwise-identical to direct evaluation —
 	// and is where most of Replan's speedup comes from.
@@ -97,6 +93,19 @@ type Options struct {
 	// planner.
 	Progress func(Progress)
 }
+
+// Phase names the phase terms a planning objective keeps.
+type Phase string
+
+// Objective phases.
+const (
+	// BothPhases keeps every term of Eq. 4.
+	BothPhases Phase = ""
+	// PrefillOnly drops the decode terms.
+	PrefillOnly Phase = "prefill"
+	// DecodeOnly drops the prefill terms.
+	DecodeOnly Phase = "decode"
+)
 
 // baseline reports whether m is one of the paper's baselines, Uniform
 // and Het. They rank by latency alone (θ = 0), ignore the quality cap,
@@ -226,6 +235,9 @@ func New(spec *model.Spec, clu *cluster.Cluster, ind *Indicator, opts Options) (
 	if !ValidMethod(opts.Method) {
 		return nil, fmt.Errorf("core: %w %q (valid: %v)", ErrUnknownMethod, opts.Method, validMethods)
 	}
+	if o := opts.Objective; o != BothPhases && o != PrefillOnly && o != DecodeOnly {
+		return nil, fmt.Errorf("core: unknown objective phase %q", o)
+	}
 	if err := clu.Validate(); err != nil {
 		return nil, err
 	}
@@ -334,7 +346,8 @@ func (a *Assigner) searchConfigs(B int) []planConfig {
 // tables of one candidate configuration.
 func (a *Assigner) buildConfigCosts(cfg planConfig, batch workload.Batch) *orderingCosts {
 	oc := buildCosts(a.spec, a.clu, cfg.devs, a.opts.Bits, batch, cfg.eta, cfg.xi, a.opts.BitKV, a.opts.Costs)
-	if a.opts.PrefillOnlyObjective {
+	switch a.opts.Objective {
+	case PrefillOnly:
 		for j := range oc.dec {
 			for bi := range oc.dec[j] {
 				oc.dec[j][bi] = 0
@@ -342,8 +355,7 @@ func (a *Assigner) buildConfigCosts(cfg planConfig, batch workload.Batch) *order
 			oc.commDec[j] = 0
 		}
 		oc.aDec = 0
-	}
-	if a.opts.DecodeOnlyObjective {
+	case DecodeOnly:
 		for j := range oc.pre {
 			for bi := range oc.pre[j] {
 				oc.pre[j][bi] = 0

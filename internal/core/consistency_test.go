@@ -74,7 +74,7 @@ func TestEvaluatorTracksSimulator(t *testing.T) {
 		p.Model = spec.Name
 		res, err := pipeline.Simulate(p, spec, clu, batch)
 		if err != nil {
-			continue // simulator is stricter about memory; skip
+			t.Fatalf("simulator rejects a plan the evaluator accepts: %v\n%s", err, p)
 		}
 		ratio := ev.Latency / res.TotalSeconds
 		if ratio < 0.5 || ratio > 2.0 {

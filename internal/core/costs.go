@@ -64,14 +64,10 @@ func buildCosts(spec *model.Spec, clu *cluster.Cluster, devs []cluster.Device,
 		oc.pre[j] = make([]float64, len(bits))
 		oc.dec[j] = make([]float64, len(bits))
 		for bi, b := range bits {
-			oc.pre[j][bi] = cachedPrefill(costs, d, spec, eta, batch.ChunkLen, b)
-			oc.dec[j][bi] = cachedDecode(costs, d, spec, xi, midCtx, b, bitKV)
+			oc.pre[j][bi] = costs.latency(d.Group.Prefill(spec, eta, batch.ChunkLen, b))
+			oc.dec[j][bi] = costs.latency(d.Group.Decode(spec, xi, midCtx, b, bitKV))
 		}
-		budget := d.UsableMemory() - spec.ActivationPeakBytes(eta, batch.ChunkLen)
-		if j == 0 {
-			budget -= spec.EmbeddingBytes()
-		}
-		oc.memBudget[j] = budget
+		oc.memBudget[j] = d.UsableMemory() - spec.StageOverheadBytes(eta, batch.ChunkLen, j == 0)
 		if j < len(devs)-1 {
 			bw := clu.LinkBandwidth(&devs[j], &devs[j+1])
 			oc.commPre[j] = float64(spec.ActivationTransferBytes(eta, batch.ChunkLen)) / bw
@@ -79,8 +75,9 @@ func buildCosts(spec *model.Spec, clu *cluster.Cluster, devs []cluster.Device,
 		}
 	}
 	oc.memLayer = make([]int64, len(bits))
+	kv := batch.KVBytesPerLayer(spec, bitKV)
 	for bi, b := range bits {
-		oc.memLayer[bi] = spec.LayerWeightBytes(b) + spec.KVBytesPerLayer(batch.Size, batch.PaddedPrompt(), batch.Reserve(), bitKV)
+		oc.memLayer[bi] = spec.LayerBytes(b, kv)
 	}
 	oc.muPre = ceilDiv(batch.Size, eta)
 	oc.muDec = ceilDiv(batch.Size, xi)
@@ -89,11 +86,11 @@ func buildCosts(spec *model.Spec, clu *cluster.Cluster, devs []cluster.Device,
 	if oc.aDec < 0 {
 		oc.aDec = 0
 	}
-	master := devs[0]
-	embed := master.Spec.EmbedLatency(spec, eta, batch.ChunkLen)
-	lmStep := master.Spec.LMHeadLatency(spec, xi)
+	master := devs[0].Group
+	embed := master.Embed(spec, eta, batch.ChunkLen).Latency()
+	lmStep := master.LMHead(spec, xi).Latency()
 	oc.masterConst = float64(oc.muPre*batch.Chunks)*embed +
-		master.Spec.LMHeadLatency(spec, batch.Size) +
+		master.LMHead(spec, batch.Size).Latency() +
 		float64((n-1)*oc.muDec)*lmStep
 	return oc
 }

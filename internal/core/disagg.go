@@ -2,9 +2,10 @@
 // workload run on *different* device pools, each planned with the
 // objective that matches its phase. Prefill is compute-bound, so its
 // pool is carved from the cluster's highest-FLOPS classes and planned
-// at high precision with PrefillOnlyObjective; decode is memory-bound,
-// so the remaining (cheaper, bandwidth-limited) classes take it with
-// low-bit weights and a quantized KV cache under DecodeOnlyObjective.
+// at high precision under the PrefillOnly objective; decode is
+// memory-bound, so the remaining (cheaper, bandwidth-limited) classes
+// take it with low-bit weights and a quantized KV cache under the
+// DecodeOnly objective.
 // A generation started on the prefill pool migrates to the decode pool
 // by token-log handoff (internal/transport), so the prefill plan only
 // ever holds one generated token of KV per request.
@@ -157,11 +158,11 @@ func filterBits(src []int, keep func(int) bool) []int {
 }
 
 // PlanDisaggregated partitions the cluster into a prefill and a decode
-// pool and plans each phase separately: the prefill pool with
-// PrefillOnlyObjective, high-precision bits, and a one-token generation
-// budget (its KV lives only until the handoff); the decode pool with
-// DecodeOnlyObjective, low bits, and a quantized KV cache sized for the
-// full batch. The prefill pool keeps the ≥ 8-bit subset of
+// pool and plans each phase separately: the prefill pool with the
+// PrefillOnly objective, high-precision bits, and a one-token
+// generation budget (its KV lives only until the handoff); the decode
+// pool with the DecodeOnly objective, low bits, and a quantized KV
+// cache sized for the full batch. The prefill pool keeps the ≥ 8-bit subset of
 // Options.Bits (prefill accuracy sets the quality of every later token,
 // so it stays near full precision); the decode pool keeps the ≤ 8-bit
 // subset (decode is bandwidth-bound; low bits trade FLOPS it doesn't
@@ -190,13 +191,11 @@ func PlanDisaggregated(ctx context.Context, spec *model.Spec, clu *cluster.Clust
 	for _, sp := range splits {
 		preOpts := opts
 		preOpts.Bits = preBits
-		preOpts.PrefillOnlyObjective = true
-		preOpts.DecodeOnlyObjective = false
+		preOpts.Objective = PrefillOnly
 		decOpts := opts
 		decOpts.Bits = decBits
 		decOpts.BitKV = decodeBitKV
-		decOpts.DecodeOnlyObjective = true
-		decOpts.PrefillOnlyObjective = false
+		decOpts.Objective = DecodeOnly
 
 		preAsn, err := New(spec, sp.Prefill, ind, preOpts)
 		if err != nil {

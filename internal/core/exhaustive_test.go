@@ -202,8 +202,8 @@ func TestPlanMatchesExhaustive(t *testing.T) {
 	}{
 		{"joint", Options{}},
 		{"quality-cap", Options{QualityCap: exhaustiveQualityCap}},
-		{"prefill-only", Options{PrefillOnlyObjective: true}},
-		{"decode-only", Options{DecodeOnlyObjective: true}},
+		{"prefill-only", Options{Objective: PrefillOnly}},
+		{"decode-only", Options{Objective: DecodeOnly}},
 	}
 	pruned := 0
 	for _, method := range []Method{MethodHeuristic, MethodILP, MethodAdabits, MethodUniform, MethodHet} {

@@ -28,10 +28,10 @@ func PlanKey(model, clusterFP string, batch workload.Batch, opts Options) string
 		return ""
 	}
 	o := opts.withDefaults()
-	return fmt.Sprintf("%s|%s|B%d.s%d.k%d.n%d.r%d|theta=%v|%s|bits=%v|kv=%d|qc=%v|ord=%d|mb=%v|gs=%d|nodes=%d|tl=%d|ilp=%d|only=%t.%t",
+	return fmt.Sprintf("%s|%s|B%d.s%d.k%d.n%d.r%d|theta=%v|%s|bits=%v|kv=%d|qc=%v|ord=%d|mb=%v|gs=%d|nodes=%d|tl=%d|ilp=%d|obj=%s",
 		model, clusterFP, batch.Size, batch.ChunkLen, batch.Chunks, batch.GenTokens, batch.Reserve(),
 		o.Theta, o.Method, o.Bits, o.BitKV, o.QualityCap, o.OrderingLimit, o.MicroBatches,
-		o.GroupSize, o.MaxNodes, int64(o.TimeLimit), o.ILPCandidates, o.PrefillOnlyObjective, o.DecodeOnlyObjective)
+		o.GroupSize, o.MaxNodes, int64(o.TimeLimit), o.ILPCandidates, o.Objective)
 }
 
 // PlanCache is an LRU cache of solved plans keyed by PlanKey, and the one

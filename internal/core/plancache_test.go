@@ -295,7 +295,7 @@ func TestPlanKeyCoversOptions(t *testing.T) {
 	keyed := map[string]bool{
 		"Bits": true, "Theta": true, "BitKV": true, "GroupSize": true, "TimeLimit": true,
 		"MaxNodes": true, "Method": true, "OrderingLimit": true, "MicroBatches": true,
-		"ILPCandidates": true, "QualityCap": true, "PrefillOnlyObjective": true, "DecodeOnlyObjective": true,
+		"ILPCandidates": true, "QualityCap": true, "Objective": true,
 	}
 	ignored := map[string]func(*Options){
 		"Costs":       func(o *Options) { o.Costs = NewCostCache() },

@@ -1,8 +1,10 @@
 // Package costmodel implements SplitQuant's cost models (§IV-A).
 //
-// The memory model is analytic: weight, KV-cache and activation bytes
-// follow closed-form expressions over the architecture dimensions
-// (delegated to internal/model).
+// The memory model is analytic and lives in internal/model: weight,
+// KV-cache and activation bytes follow closed-form expressions over the
+// architecture dimensions, and a stage's memory is model.Spec's
+// LayerBytes, StageOverheadBytes and ModelBytes. This package holds only
+// the latency model.
 //
 // The latency model is learned: for each (device, model, bitwidth,
 // phase) we profile a handful of calibration shapes on the simulated

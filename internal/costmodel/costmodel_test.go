@@ -36,7 +36,7 @@ func TestFitAndPredictUnseenShapes(t *testing.T) {
 				t.Fatal(err)
 			}
 			preds = append(preds, p)
-			actuals = append(actuals, dev.PrefillLayerLatency(m, v, s, bit))
+			actuals = append(actuals, dev.Single().Prefill(m, v, s, bit).Latency())
 
 			ctx := []int{384, 768}[rng.Intn(2)]
 			d, err := tab.PredictDecode(class, m, bit, v, ctx)
@@ -44,7 +44,7 @@ func TestFitAndPredictUnseenShapes(t *testing.T) {
 				t.Fatal(err)
 			}
 			preds = append(preds, d)
-			actuals = append(actuals, dev.DecodeLayerLatency(m, v, ctx, bit, 16))
+			actuals = append(actuals, dev.Single().Decode(m, v, ctx, bit, 16).Latency())
 		}
 		if mape := stats.MeanAbsPctError(preds, actuals); mape > 0.06 {
 			t.Errorf("%s latency cost model MAPE = %.3f, want < 0.06", class, mape)

@@ -60,14 +60,14 @@ func Fig8(ctx context.Context) (*Result, error) {
 				return nil, err
 			}
 			preds = append(preds, p)
-			actuals = append(actuals, dev.PrefillLayerLatency(spec, v, s, bit))
+			actuals = append(actuals, dev.Single().Prefill(spec, v, s, bit).Latency())
 			ctx := []int{384, 768}[wrng.Intn(2)]
 			d, err := tab.PredictDecode(class, spec, bit, v, ctx)
 			if err != nil {
 				return nil, err
 			}
 			preds = append(preds, d)
-			actuals = append(actuals, dev.DecodeLayerLatency(spec, v, ctx, bit, 16))
+			actuals = append(actuals, dev.Single().Decode(spec, v, ctx, bit, 16).Latency())
 		}
 		mape := stats.MeanAbsPctError(preds, actuals)
 		if mape > worst {

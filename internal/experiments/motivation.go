@@ -41,8 +41,8 @@ func Fig1(ctx context.Context) (*Result, error) {
 // lengths, and (bottom) the single-layer P100/V100 execution-time ratio
 // per phase.
 func Fig3(ctx context.Context) (*Result, error) {
-	v100 := gpu.MustLookup(gpu.V100)
-	p100 := gpu.MustLookup(gpu.P100)
+	v100 := gpu.MustLookup(gpu.V100).Single()
+	p100 := gpu.MustLookup(gpu.P100).Single()
 
 	t := newTable("model", "prompt", "prefill share", "decode share")
 	type deco struct {
@@ -51,11 +51,10 @@ func Fig3(ctx context.Context) (*Result, error) {
 	}
 	for _, d := range []deco{{model.OPT13B, 1024}, {model.OPT13B, 128}, {model.OPT30B, 1024}, {model.OPT30B, 128}} {
 		// Batch of 8 sequences, 32 generated tokens (paper setup).
-		pre := d.spec.LayerFLOPsPrefill(8, d.prompt) / v100.FLOPSAt(16)
-		pre = float64(d.spec.Layers) * maxf(pre, d.spec.LayerMOPsPrefill(8, d.prompt, 16)/v100.Bandwidth)
+		pre := float64(d.spec.Layers) * v100.Prefill(d.spec, 8, d.prompt, 16).Latency()
 		var dec float64
 		for tok := 0; tok < 32; tok++ {
-			dec += float64(d.spec.Layers) * v100.DecodeLayerLatency(d.spec, 8, d.prompt+tok, 16, 16)
+			dec += float64(d.spec.Layers) * v100.Decode(d.spec, 8, d.prompt+tok, 16, 16).Latency()
 		}
 		total := pre + dec
 		t.addf("%s|%d|%.0f%%|%.0f%%", d.spec.Name, d.prompt, pre/total*100, dec/total*100)
@@ -63,8 +62,8 @@ func Fig3(ctx context.Context) (*Result, error) {
 
 	// Single-layer device ratios at s=512, v=8 (paper: 14.53× / 7.29×).
 	spec := model.OPT30B
-	preRatio := p100.PrefillLayerLatency(spec, 8, 512, 16) / v100.PrefillLayerLatency(spec, 8, 512, 16)
-	decRatio := p100.DecodeLayerLatency(spec, 8, 512, 16, 16) / v100.DecodeLayerLatency(spec, 8, 512, 16, 16)
+	preRatio := p100.Prefill(spec, 8, 512, 16).Latency() / v100.Prefill(spec, 8, 512, 16).Latency()
+	decRatio := p100.Decode(spec, 8, 512, 16, 16).Latency() / v100.Decode(spec, 8, 512, 16, 16).Latency()
 	text := t.String() + fmt.Sprintf(
 		"\nsingle OPT-30B layer, s=512 v=8, P100 vs V100: prefill %.2fx, decode %.2fx (paper: 14.53x / 7.29x)\n",
 		preRatio, decRatio)
@@ -87,22 +86,22 @@ func Fig5(ctx context.Context) (*Result, error) {
 	devices := []gpu.DeviceClass{gpu.T4, gpu.V100}
 	metrics := map[string]float64{}
 	for _, class := range devices {
-		dev := gpu.MustLookup(class)
+		dev := gpu.MustLookup(class).Single()
 		for _, v := range []int{1, 8, 32} {
 			var pre [4]float64
 			var dec [4]float64
 			for i, bit := range []int{16, 8, 4, 3} {
-				pre[i] = dev.PrefillLayerLatency(spec, v, 512, bit) * 1e3
-				dec[i] = dev.DecodeLayerLatency(spec, v, 512, bit, 16) * 1e3
+				pre[i] = dev.Prefill(spec, v, 512, bit).Latency() * 1e3
+				dec[i] = dev.Decode(spec, v, 512, bit, 16).Latency() * 1e3
 			}
 			t.addf("%s|prefill|%d|%.2f|%.2f|%.2f|%.2f", class, v, pre[0], pre[1], pre[2], pre[3])
 			t.addf("%s|decode|%d|%.2f|%.2f|%.2f|%.2f", class, v, dec[0], dec[1], dec[2], dec[3])
 		}
 		// Headline shape: decode speedup of int4 over fp16 at v=8.
 		metrics[fmt.Sprintf("%s_decode_int4_speedup", class)] =
-			dev.DecodeLayerLatency(spec, 8, 512, 16, 16) / dev.DecodeLayerLatency(spec, 8, 512, 4, 16)
+			dev.Decode(spec, 8, 512, 16, 16).Latency() / dev.Decode(spec, 8, 512, 4, 16).Latency()
 		metrics[fmt.Sprintf("%s_prefill_int3_slowdown", class)] =
-			dev.PrefillLayerLatency(spec, 8, 512, 3) / dev.PrefillLayerLatency(spec, 8, 512, 16)
+			dev.Prefill(spec, 8, 512, 3).Latency() / dev.Prefill(spec, 8, 512, 16).Latency()
 	}
 	return &Result{
 		ID:      "fig5",
@@ -136,11 +135,4 @@ func Fig7(ctx context.Context) (*Result, error) {
 			"loogle_avg_out":    loogle.AvgOutput(),
 		},
 	}, nil
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -205,7 +205,7 @@ func Ablations(ctx context.Context) (*Result, error) {
 	// phase-blind view of encoder-oriented partitioners), execute the
 	// real two-phase workload.
 	preOpts := fastOpts(core.MethodHeuristic, 1)
-	preOpts.PrefillOnlyObjective = true
+	preOpts.Objective = core.PrefillOnly
 	aPre, err := core.New(spec, clu, ind, preOpts)
 	if err != nil {
 		return nil, err

@@ -49,8 +49,8 @@ func decodeLatencyRef(s *Spec, g *TPGroup, m *model.Spec, v, ctx, bit, bitKV int
 	return t + g.Spec.LaunchOverhead + allReduce
 }
 
-// FuzzDecodeCurve checks DecodeCurve.At, and DecodeLayerLatency built on
-// it, against decodeLatencyRef by math.Float64bits over every registered
+// FuzzDecodeCurve checks DecodeCurve.At and the Decode pass's Latency
+// against decodeLatencyRef by math.Float64bits over every registered
 // model, every device class, TP degrees 1, 2, 4 and 8, weight bits
 // {3, 4, 8, 16}, KV bits {4, 8, 16}, v in [1, 1024] and ctx in
 // [0, 2^16].
@@ -90,12 +90,12 @@ func FuzzDecodeCurve(f *testing.F) {
 		want := decodeLatencyRef(s, g, m, v, ctx, bit, bitKV)
 		curve := g.DecodeCurve(m, v, bit, bitKV)
 		check("TPGroup.DecodeCurve.At", curve.At(ctx), want)
-		check("TPGroup.DecodeLayerLatency", g.DecodeLayerLatency(m, v, ctx, bit, bitKV), want)
+		check("TPGroup.Decode.Latency", g.Decode(m, v, ctx, bit, bitKV).Latency(), want)
 		if degree == 1 {
 			want := decodeLatencyRef(s, nil, m, v, ctx, bit, bitKV)
-			curve := s.DecodeCurve(m, v, bit, bitKV)
-			check("Spec.DecodeCurve.At", curve.At(ctx), want)
-			check("Spec.DecodeLayerLatency", s.DecodeLayerLatency(m, v, ctx, bit, bitKV), want)
+			curve := s.Single().DecodeCurve(m, v, bit, bitKV)
+			check("Spec.Single.DecodeCurve.At", curve.At(ctx), want)
+			check("Spec.Single.Decode.Latency", s.Single().Decode(m, v, ctx, bit, bitKV).Latency(), want)
 		}
 	})
 }

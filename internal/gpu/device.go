@@ -3,7 +3,10 @@
 // latencies with a roofline model: execution time is the maximum of the
 // compute time (FLOPs over effective throughput at the active precision)
 // and the memory time (bytes moved over effective bandwidth), plus a
-// fixed kernel-launch overhead.
+// fixed kernel-launch overhead and, on a tensor-parallel group, the
+// all-reduce. That one formula, Pass.Latency, prices every pass; a
+// TPGroup builds the passes, and a single GPU is the degree-1 group
+// (Spec.Single).
 //
 // The absolute constants are effective (sustained) rates, not datasheet
 // peaks; they are tuned so the *relative* behaviour the paper measures
@@ -165,92 +168,57 @@ func (s *Spec) FLOPSAt(bit int) float64 {
 	return s.FP16FLOPS * m
 }
 
-// PrefillLayerLatency returns the simulated execution time of one decoder
-// layer of m processing a prefill micro-batch of v sequences of length
-// seq with weights at the given bitwidth.
-func (s *Spec) PrefillLayerLatency(m *model.Spec, v, seq, bit int) float64 {
-	flops := m.LayerFLOPsPrefill(v, seq)
-	mops := m.LayerMOPsPrefill(v, seq, bit)
-	return s.roofline(flops, mops, bit)
+// Single returns the device alone: the degree-1 TP group every pass of
+// one GPU is priced on.
+func (s *Spec) Single() *TPGroup { return &TPGroup{Spec: s, Degree: 1} }
+
+// rates returns the device terms of a pass at weight bitwidth bit, with
+// compute and bandwidth scaled by scale and the given all-reduce time.
+func (s *Spec) rates(bit int, scale, allReduce float64) rates {
+	return rates{s.FLOPSAt(bit) * scale, s.Bandwidth * scale, s.LaunchOverhead, allReduce}
 }
 
-// DecodeLayerLatency returns the simulated execution time of one decoder
-// layer generating one token per sequence for v sequences with ctx
-// cached positions: DecodeCurve(m, v, bit, bitKV).At(ctx), without
-// building the curve.
-func (s *Spec) DecodeLayerLatency(m *model.Spec, v, ctx, bit, bitKV int) float64 {
-	return s.decodeRates(bit, 1, 0).latency(m.DecodeCost(v, ctx, bit, bitKV))
+// rates are the device terms of one pass: the effective compute rate at
+// the pass's weight bitwidth and the bandwidth, both scaled by the TP
+// group, the launch overhead and the all-reduce (0 on one device).
+type rates struct {
+	rate, bandwidth, launch, allReduce float64
 }
 
-// DecodeCurve returns DecodeLayerLatency on the device as a function of
-// the context length, for v sequences at bit and bitKV: the degree-1 case
-// of TPGroup.DecodeCurve (no scaling, no all-reduce).
-func (s *Spec) DecodeCurve(m *model.Spec, v, bit, bitKV int) DecodeCurve {
-	return DecodeCurve{m.DecodeWork(v, bit, bitKV), s.decodeRates(bit, 1, 0)}
+// Pass is one kernel pass (a decoder layer's prefill or decode step, the
+// master engine's embedding or LM head) on a device or TP group: the
+// work it does, FLOPs and bytes moved, and the device terms it runs at.
+// Latency reads these values and nothing else, so a Pass is also the key
+// a latency is memoized under: equal passes price equally, bit for bit.
+type Pass struct {
+	flops, bytes float64
+	rates
+}
+
+// Latency is the §IV-A roofline, the one formula every pass is priced
+// by: the larger of compute and memory time, plus the launch overhead,
+// plus the all-reduce.
+func (p Pass) Latency() float64 {
+	ct := p.flops / p.rate
+	mt := p.bytes / p.bandwidth
+	t := ct
+	if mt > t {
+		t = mt
+	}
+	return t + p.launch + p.allReduce
 }
 
 // DecodeCurve is one decoder layer's decode-step latency on a device or
 // TP group for a fixed batch v, weight bitwidth and KV bitwidth, as a
 // function of the context length. Within one batch only the context
-// changes from step to step, so the layer's context-free work, the
-// effective compute rate and bandwidth, the launch overhead and the
-// all-reduce are computed once; At adds the context terms.
+// changes from step to step, so the layer's context-free work and the
+// device terms are computed once; At adds the context terms.
 type DecodeCurve struct {
 	work  model.DecodeWork
-	rates decodeRates
+	rates rates
 }
 
 // At returns the layer's latency at ctx cached positions.
 func (c *DecodeCurve) At(ctx int) float64 {
-	return c.rates.latency(c.work.FLOPs(ctx), c.work.Bytes(ctx))
-}
-
-// decodeRates are the device terms of a decode pass: the effective
-// compute rate at the weight bitwidth and the bandwidth, both scaled by
-// the TP group, the launch overhead and the all-reduce (0 on one
-// device).
-type decodeRates struct {
-	flops, bandwidth, launch, allReduce float64
-}
-
-func (s *Spec) decodeRates(bit int, scale, allReduce float64) decodeRates {
-	return decodeRates{s.FLOPSAt(bit) * scale, s.Bandwidth * scale, s.LaunchOverhead, allReduce}
-}
-
-// latency is the roofline of one decode pass: the larger of compute and
-// memory time, plus the launch overhead, plus the all-reduce.
-func (r decodeRates) latency(flops, bytes float64) float64 {
-	ct := flops / r.flops
-	mt := bytes / r.bandwidth
-	t := ct
-	if mt > t {
-		t = mt
-	}
-	return t + r.launch + r.allReduce
-}
-
-// EmbedLatency returns the master-engine preprocessing time for a batch.
-func (s *Spec) EmbedLatency(m *model.Spec, v, seq int) float64 {
-	flops := m.EmbedFLOPs(v, seq)
-	mops := float64(m.ActivationTransferBytes(v, seq)) * 3
-	return s.roofline(flops, mops, 16)
-}
-
-// LMHeadLatency returns the logit-projection time for v sequences at one
-// position (the LM head stays FP16).
-func (s *Spec) LMHeadLatency(m *model.Spec, v int) float64 {
-	flops := m.LMHeadFLOPs(v)
-	mops := float64(float64(m.Vocab)*float64(m.EmbedDim))*2 + float64(float64(v*m.Vocab)*4)
-	return s.roofline(flops, mops, 16)
-}
-
-// roofline combines compute and memory time.
-func (s *Spec) roofline(flops, bytes float64, bit int) float64 {
-	ct := flops / s.FLOPSAt(bit)
-	mt := bytes / s.Bandwidth
-	t := ct
-	if mt > t {
-		t = mt
-	}
-	return t + s.LaunchOverhead
+	return Pass{c.work.FLOPs(ctx), c.work.Bytes(ctx), c.rates}.Latency()
 }

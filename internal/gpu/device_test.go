@@ -40,8 +40,8 @@ func TestFig3PhaseRatios(t *testing.T) {
 	// both ratios ≫ 1 and the prefill ratio clearly exceeds decode.
 	m := model.OPT30B
 	p, v := MustLookup(P100), MustLookup(V100)
-	preRatio := p.PrefillLayerLatency(m, 8, 512, 16) / v.PrefillLayerLatency(m, 8, 512, 16)
-	decRatio := p.DecodeLayerLatency(m, 8, 512, 16, 16) / v.DecodeLayerLatency(m, 8, 512, 16, 16)
+	preRatio := p.Single().Prefill(m, 8, 512, 16).Latency() / v.Single().Prefill(m, 8, 512, 16).Latency()
+	decRatio := p.Single().Decode(m, 8, 512, 16, 16).Latency() / v.Single().Decode(m, 8, 512, 16, 16).Latency()
 	if preRatio < 8 || preRatio > 22 {
 		t.Fatalf("prefill P100/V100 ratio = %.2f, want ~14.5", preRatio)
 	}
@@ -77,8 +77,8 @@ func TestQuantizationSpeedsUpDecodeEverywhere(t *testing.T) {
 	m := model.OPT30B
 	for _, c := range []DeviceClass{T4, P100, V100, A100} {
 		s := MustLookup(c)
-		t16 := s.DecodeLayerLatency(m, 8, 512, 16, 16)
-		t4b := s.DecodeLayerLatency(m, 8, 512, 4, 16)
+		t16 := s.Single().Decode(m, 8, 512, 16, 16).Latency()
+		t4b := s.Single().Decode(m, 8, 512, 4, 16).Latency()
 		if t4b >= t16 {
 			t.Errorf("%s: 4-bit decode %v not faster than fp16 %v", c, t4b, t16)
 		}
@@ -91,14 +91,14 @@ func TestLowBitPrefillSlowerOnNonTensorCoreDevices(t *testing.T) {
 	m := model.OPT30B
 	for _, c := range []DeviceClass{P100, V100} {
 		s := MustLookup(c)
-		t16 := s.PrefillLayerLatency(m, 8, 512, 16)
-		t3 := s.PrefillLayerLatency(m, 8, 512, 3)
+		t16 := s.Single().Prefill(m, 8, 512, 16).Latency()
+		t3 := s.Single().Prefill(m, 8, 512, 3).Latency()
 		if t3 <= t16 {
 			t.Errorf("%s: 3-bit prefill %v should be slower than fp16 %v", c, t3, t16)
 		}
 	}
 	t4 := MustLookup(T4)
-	r := t4.PrefillLayerLatency(m, 8, 512, 8) / t4.PrefillLayerLatency(m, 8, 512, 16)
+	r := t4.Single().Prefill(m, 8, 512, 8).Latency() / t4.Single().Prefill(m, 8, 512, 16).Latency()
 	if r > 1.05 {
 		t.Errorf("T4 int8/fp16 prefill ratio = %v, want comparable or better", r)
 	}
@@ -126,10 +126,10 @@ func TestLatencyMonotoneInBatchProperty(t *testing.T) {
 		seq := r.IntRange(64, 1024)
 		bit := []int{3, 4, 8, 16}[r.Intn(4)]
 		// More sequences can never be faster.
-		if s.PrefillLayerLatency(m, 2*v, seq, bit) < s.PrefillLayerLatency(m, v, seq, bit) {
+		if s.Single().Prefill(m, 2*v, seq, bit).Latency() < s.Single().Prefill(m, v, seq, bit).Latency() {
 			return false
 		}
-		if s.DecodeLayerLatency(m, 2*v, seq, bit, 16) < s.DecodeLayerLatency(m, v, seq, bit, 16) {
+		if s.Single().Decode(m, 2*v, seq, bit, 16).Latency() < s.Single().Decode(m, v, seq, bit, 16).Latency() {
 			return false
 		}
 		return true
@@ -150,8 +150,8 @@ func TestTPGroupScaling(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := model.Llama70B
-	t1 := g1.PrefillLayerLatency(m, 8, 512, 16)
-	t4 := g4.PrefillLayerLatency(m, 8, 512, 16)
+	t1 := g1.Prefill(m, 8, 512, 16).Latency()
+	t4 := g4.Prefill(m, 8, 512, 16).Latency()
 	if t4 >= t1 {
 		t.Fatalf("TP4 %v not faster than TP1 %v", t4, t1)
 	}
@@ -170,8 +170,8 @@ func TestTPGroupAllReduceOverheadAtSmallShapes(t *testing.T) {
 	g2, _ := NewTPGroup(v, 2, 150e9)
 	g1, _ := NewTPGroup(v, 1, 0)
 	m := model.OPT13B
-	s1 := g1.DecodeLayerLatency(m, 1, 128, 16, 16)
-	s2 := g2.DecodeLayerLatency(m, 1, 128, 16, 16)
+	s1 := g1.Decode(m, 1, 128, 16, 16).Latency()
+	s2 := g2.Decode(m, 1, 128, 16, 16).Latency()
 	if s1/s2 > 1.9 {
 		t.Fatalf("TP2 tiny-shape speedup %v too close to linear", s1/s2)
 	}
@@ -191,7 +191,7 @@ func TestMeasurerNoiseBounded(t *testing.T) {
 	ms := NewMeasurer(7)
 	s := MustLookup(V100)
 	m := model.OPT13B
-	base := s.PrefillLayerLatency(m, 8, 512, 16)
+	base := s.Single().Prefill(m, 8, 512, 16).Latency()
 	for i := 0; i < 200; i++ {
 		got := ms.MeasurePrefill(s, m, 8, 512, 16)
 		if got < base*0.84 || got > base*1.16 {
@@ -213,11 +213,11 @@ func TestMeasurerDeterministic(t *testing.T) {
 func TestEmbedAndLMHeadLatencyPositive(t *testing.T) {
 	s := MustLookup(A100)
 	m := model.OPT30B
-	if s.EmbedLatency(m, 8, 512) <= 0 || s.LMHeadLatency(m, 8) <= 0 {
+	if s.Single().Embed(m, 8, 512).Latency() <= 0 || s.Single().LMHead(m, 8).Latency() <= 0 {
 		t.Fatal("non-positive master-engine latency")
 	}
 	// LM head on a big vocab should dwarf embedding lookup cost.
-	if s.LMHeadLatency(m, 8) < s.EmbedLatency(m, 8, 1) {
+	if s.Single().LMHead(m, 8).Latency() < s.Single().Embed(m, 8, 1).Latency() {
 		t.Fatal("LM head cheaper than embedding lookup")
 	}
 }

@@ -36,12 +36,12 @@ func (ms *Measurer) perturb(t float64) float64 {
 
 // MeasurePrefill returns a noisy observation of one prefill layer pass.
 func (ms *Measurer) MeasurePrefill(s *Spec, m *model.Spec, v, seq, bit int) float64 {
-	return ms.perturb(s.PrefillLayerLatency(m, v, seq, bit))
+	return ms.perturb(s.Single().Prefill(m, v, seq, bit).Latency())
 }
 
 // MeasureDecode returns a noisy observation of one decode layer pass.
 func (ms *Measurer) MeasureDecode(s *Spec, m *model.Spec, v, ctx, bit, bitKV int) float64 {
-	return ms.perturb(s.DecodeLayerLatency(m, v, ctx, bit, bitKV))
+	return ms.perturb(s.Single().Decode(m, v, ctx, bit, bitKV).Latency())
 }
 
 // MeasureWeightBytes returns a noisy observation of resident weight

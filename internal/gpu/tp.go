@@ -57,29 +57,44 @@ func (g *TPGroup) allReduce(bytes float64) float64 {
 	return 2 * (2 * (k - 1) / k * bytes / g.LinkBandwidth)
 }
 
-// PrefillLayerLatency is the TP analogue of Spec.PrefillLayerLatency.
-func (g *TPGroup) PrefillLayerLatency(m *model.Spec, v, seq, bit int) float64 {
-	base := m.LayerFLOPsPrefill(v, seq) / (g.Spec.FLOPSAt(bit) * g.scale())
-	mem := m.LayerMOPsPrefill(v, seq, bit) / (g.Spec.Bandwidth * g.scale())
-	t := base
-	if mem > t {
-		t = mem
-	}
-	return t + g.Spec.LaunchOverhead + g.allReduce(float64(m.ActivationTransferBytes(v, seq)))
+// rates returns the group's device terms at weight bitwidth bit for a
+// pass whose all-reduce carries arBytes of activations: compute and
+// bandwidth scale with the group, and the all-reduce is 0 at degree 1.
+func (g *TPGroup) rates(bit int, arBytes int64) rates {
+	return g.Spec.rates(bit, g.scale(), g.allReduce(float64(arBytes)))
 }
 
-// DecodeLayerLatency is the TP analogue of Spec.DecodeLayerLatency.
-func (g *TPGroup) DecodeLayerLatency(m *model.Spec, v, ctx, bit, bitKV int) float64 {
-	return g.decodeRates(m, v, bit).latency(m.DecodeCost(v, ctx, bit, bitKV))
+// Prefill is one decoder layer of m processing a prefill micro-batch of
+// v sequences of length seq with weights at the given bitwidth.
+func (g *TPGroup) Prefill(m *model.Spec, v, seq, bit int) Pass {
+	return Pass{m.LayerFLOPsPrefill(v, seq), m.LayerMOPsPrefill(v, seq, bit), g.rates(bit, m.ActivationTransferBytes(v, seq))}
 }
 
-// DecodeCurve is the TP analogue of Spec.DecodeCurve.
+// Decode is one decoder layer generating one token per sequence for v
+// sequences with ctx cached positions; its latency is
+// DecodeCurve(m, v, bit, bitKV).At(ctx), without building the curve.
+func (g *TPGroup) Decode(m *model.Spec, v, ctx, bit, bitKV int) Pass {
+	flops, bytes := m.DecodeCost(v, ctx, bit, bitKV)
+	return Pass{flops, bytes, g.rates(bit, m.ActivationTransferBytes(v, 1))}
+}
+
+// DecodeCurve returns Decode's latency as a function of the context
+// length, for v sequences at bit and bitKV.
 func (g *TPGroup) DecodeCurve(m *model.Spec, v, bit, bitKV int) DecodeCurve {
-	return DecodeCurve{m.DecodeWork(v, bit, bitKV), g.decodeRates(m, v, bit)}
+	return DecodeCurve{m.DecodeWork(v, bit, bitKV), g.rates(bit, m.ActivationTransferBytes(v, 1))}
 }
 
-// decodeRates scales compute and bandwidth with the group, and every
-// pass pays the all-reduce of one token's activations.
-func (g *TPGroup) decodeRates(m *model.Spec, v, bit int) decodeRates {
-	return g.Spec.decodeRates(bit, g.scale(), g.allReduce(float64(m.ActivationTransferBytes(v, 1))))
+// The master engine's passes, Embed and LMHead, stay FP16 and run on
+// one device of the group: no TP scaling and no all-reduce.
+
+// Embed is the master engine's preprocessing of a batch of v sequences
+// of length seq.
+func (g *TPGroup) Embed(m *model.Spec, v, seq int) Pass {
+	return Pass{m.EmbedFLOPs(v, seq), float64(m.ActivationTransferBytes(v, seq)) * 3, g.Spec.rates(16, 1, 0)}
+}
+
+// LMHead is the logit projection for v sequences at one position.
+func (g *TPGroup) LMHead(m *model.Spec, v int) Pass {
+	bytes := float64(float64(m.Vocab)*float64(m.EmbedDim))*2 + float64(float64(v*m.Vocab)*4)
+	return Pass{m.LMHeadFLOPs(v), bytes, g.Spec.rates(16, 1, 0)}
 }

@@ -147,6 +147,36 @@ func (s *Spec) ActivationPeakBytes(v, seq int) int64 {
 	return mlp + attn
 }
 
+// Stage memory (§IV-A, constraints 12-13) is defined by the next three
+// functions and nowhere else: the planner's cost tables, the pipeline
+// simulator's OOM check, the online KV budget, serve's admission check
+// and the capacity planner's fleet prune all read them. Byte counts are
+// integers, so a stage's sum is exact in any order.
+
+// LayerBytes returns one decoder layer's placement footprint: its
+// weights at bit plus kv bytes of KV reservation (a batch's
+// KVBytesPerLayer; 0 counts the weights alone).
+func (s *Spec) LayerBytes(bit int, kv int64) int64 { return s.LayerWeightBytes(bit) + kv }
+
+// StageOverheadBytes returns what a pipeline stage holds besides its
+// layers: the transient activation peak of a pass of v sequences of
+// seq tokens, plus, on the master stage, the FP16 embeddings and LM
+// head.
+func (s *Spec) StageOverheadBytes(v, seq int, master bool) int64 {
+	b := s.ActivationPeakBytes(v, seq)
+	if master {
+		b += s.EmbeddingBytes()
+	}
+	return b
+}
+
+// ModelBytes returns the whole model's lower bound at bit: every layer's
+// LayerBytes(bit, kv) plus the embeddings. A plan whose bits are all at
+// least bit holds no less on its devices together.
+func (s *Spec) ModelBytes(bit int, kv int64) int64 {
+	return int64(s.Layers)*s.LayerBytes(bit, kv) + s.EmbeddingBytes()
+}
+
 // LayerFLOPsPrefill returns the floating-point operations for one decoder
 // layer processing a prefill batch of v sequences of length seq:
 // projections (Q+O: 4·v·s·h1², K+V: 4·v·s·h1·kvDim), attention

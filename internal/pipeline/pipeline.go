@@ -89,15 +89,12 @@ func Simulate(p *plan.Plan, spec *model.Spec, clu *cluster.Cluster, batch worklo
 	if actV > batch.Size {
 		actV = batch.Size
 	}
+	kv := batch.KVBytesPerLayer(spec, p.BitKV)
 	memory := make([]int64, nStages)
 	for i, st := range p.Stages {
+		memory[i] = spec.StageOverheadBytes(actV, batch.ChunkLen, i == 0)
 		for _, bit := range st.Bits {
-			memory[i] += spec.LayerWeightBytes(bit)
-			memory[i] += spec.KVBytesPerLayer(batch.Size, batch.PaddedPrompt(), batch.Reserve(), p.BitKV)
-		}
-		memory[i] += spec.ActivationPeakBytes(actV, batch.ChunkLen)
-		if i == 0 {
-			memory[i] += spec.EmbeddingBytes()
+			memory[i] += spec.LayerBytes(bit, kv)
 		}
 		if memory[i] > st.Device.UsableMemory() {
 			return nil, fmt.Errorf("%w: stage %d needs %.2f GiB, device %s has %.2f GiB",
@@ -125,7 +122,7 @@ func Simulate(p *plan.Plan, spec *model.Spec, clu *cluster.Cluster, batch worklo
 	for j := range p.Stages {
 		st := &p.Stages[j]
 		prefillWork[j] = sumByBit(st.Bits, func(bit int) float64 {
-			return st.Device.PrefillLayerLatency(spec, eta, batch.ChunkLen, bit)
+			return st.Device.Group.Prefill(spec, eta, batch.ChunkLen, bit).Latency()
 		})
 	}
 	var cbuf [stageBits * stackStages]bitCurve
@@ -133,12 +130,12 @@ func Simulate(p *plan.Plan, spec *model.Spec, clu *cluster.Cluster, batch worklo
 	dec := newDecodeCurves(cbuf[:0], scratch(ebuf[:], nStages), p, spec, xi)
 	linkTimes(preLink, p, clu, spec.ActivationTransferBytes(eta, batch.ChunkLen))
 	linkTimes(decLink, p, clu, spec.ActivationTransferBytes(xi, 1))
-	master := p.Stages[0].Device
+	master := p.Stages[0].Device.Group
 
 	// ---- Prefill phase: μpre micro-batches × κ chunks, event-driven. ----
 	muPre := ceilDiv(batch.Size, eta)
 	stageBusy := make([]float64, nStages)
-	embed := devEmbed(master, spec, eta, batch.ChunkLen)
+	embed := master.Embed(spec, eta, batch.ChunkLen).Latency()
 	var prefillEnd, firstOut float64
 	for mb := 0; mb < muPre; mb++ {
 		for chunk := 0; chunk < batch.Chunks; chunk++ {
@@ -158,12 +155,12 @@ func Simulate(p *plan.Plan, spec *model.Spec, clu *cluster.Cluster, batch worklo
 				prefillEnd = arrive
 			}
 			if mb == 0 && chunk == batch.Chunks-1 {
-				firstOut = arrive + devLMHead(master, spec, eta)
+				firstOut = arrive + master.LMHead(spec, eta).Latency()
 			}
 		}
 	}
 	// First-token LM head for every request.
-	prefillEnd += devLMHead(master, spec, batch.Size)
+	prefillEnd += master.LMHead(spec, batch.Size).Latency()
 
 	// ---- Decode phase: n-1 steps, micro-batches of ξ. ----
 	muDec := ceilDiv(batch.Size, xi)
@@ -182,7 +179,7 @@ func Simulate(p *plan.Plan, spec *model.Spec, clu *cluster.Cluster, batch worklo
 		for m := range mbReady {
 			mbReady[m] = prefillEnd
 		}
-		lm := devLMHead(master, spec, xi)
+		lm := master.LMHead(spec, xi).Latency()
 		for t := 0; t < decSteps; t++ {
 			dec.work(stageDecode, batch.PaddedPrompt()+t+1)
 			if end := decodeStep(muDec, mbReady, stageFree, stageBusy, stageDecode, decLink, lm); end > decodeEnd {
@@ -218,14 +215,6 @@ func Simulate(p *plan.Plan, spec *model.Spec, clu *cluster.Cluster, batch worklo
 		res.TBT = res.DecodeSeconds / float64(decSteps)
 	}
 	return res, nil
-}
-
-func devEmbed(d cluster.Device, m *model.Spec, v, seq int) float64 {
-	return d.Spec.EmbedLatency(m, v, seq)
-}
-
-func devLMHead(d cluster.Device, m *model.Spec, v int) float64 {
-	return d.Spec.LMHeadLatency(m, v)
 }
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }

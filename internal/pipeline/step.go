@@ -71,7 +71,7 @@ func decodeStageWork(work []float64, p *plan.Plan, spec *model.Spec, xi, ctx int
 	for j := range p.Stages {
 		st := &p.Stages[j]
 		work[j] = sumByBit(st.Bits, func(bit int) float64 {
-			return st.Device.DecodeLayerLatency(spec, xi, ctx, bit, p.BitKV)
+			return st.Device.Group.Decode(spec, xi, ctx, bit, p.BitKV).Latency()
 		})
 	}
 }
@@ -103,7 +103,7 @@ func newDecodeCurves(curves []bitCurve, ends []int, p *plan.Plan, spec *model.Sp
 		for _, bit := range st.Bits {
 			if seen&(1<<bit) == 0 {
 				seen |= 1 << bit
-				curves = append(curves, bitCurve{bit, st.Device.DecodeCurve(spec, xi, bit, p.BitKV)})
+				curves = append(curves, bitCurve{bit, st.Device.Group.DecodeCurve(spec, xi, bit, p.BitKV)})
 			}
 		}
 		ends[j] = len(curves)
@@ -204,7 +204,7 @@ func DecodeStepLatency(p *plan.Plan, spec *model.Spec, clu *cluster.Cluster, v, 
 	work, link, stageFree := s[:n], s[n:2*n], s[2*n:]
 	decodeStageWork(work, p, spec, xi, ctx)
 	linkTimes(link, p, clu, spec.ActivationTransferBytes(xi, 1))
-	return decodeStep(ceilDiv(v, xi), nil, stageFree, nil, work, link, devLMHead(p.Stages[0].Device, spec, xi))
+	return decodeStep(ceilDiv(v, xi), nil, stageFree, nil, work, link, p.Stages[0].Device.Group.LMHead(spec, xi).Latency())
 }
 
 // DecodeStepper prices many decode steps on one plan: what
@@ -244,7 +244,7 @@ func (s *DecodeStepper) Latency(v, ctx int) float64 {
 	xi := max(min(s.p.DecodeMicroBatch, v), 1)
 	sh := s.shapes[xi-1]
 	if sh == nil {
-		sh = &stepShape{link: make([]float64, n), lm: devLMHead(s.p.Stages[0].Device, s.spec, xi)}
+		sh = &stepShape{link: make([]float64, n), lm: s.p.Stages[0].Device.Group.LMHead(s.spec, xi).Latency()}
 		sh.dec = newDecodeCurves(nil, make([]int, n), s.p, s.spec, xi)
 		linkTimes(sh.link, s.p, s.clu, s.spec.ActivationTransferBytes(xi, 1))
 		s.shapes[xi-1] = sh
@@ -273,12 +273,9 @@ func KVBudget(p *plan.Plan, spec *model.Spec) int64 {
 		if len(st.Bits) == 0 {
 			continue
 		}
-		free := st.Device.UsableMemory() - spec.ActivationPeakBytes(xi, 1)
-		if i == 0 {
-			free -= spec.EmbeddingBytes()
-		}
+		free := st.Device.UsableMemory() - spec.StageOverheadBytes(xi, 1, i == 0)
 		for _, bit := range st.Bits {
-			free -= spec.LayerWeightBytes(bit)
+			free -= spec.LayerBytes(bit, 0)
 		}
 		perLayer := free / int64(len(st.Bits))
 		if budget < 0 || perLayer < budget {

@@ -28,7 +28,7 @@ func decodeStepRef(p *plan.Plan, spec *model.Spec, clu *cluster.Cluster, v, ctx 
 	}
 	muDec := ceilDiv(v, xi)
 	nStages := len(p.Stages)
-	master := p.Stages[0].Device
+	master := p.Stages[0].Device.Group
 	stageFree := make([]float64, nStages)
 	linkTime := func(i int) float64 {
 		if i >= nStages-1 {
@@ -37,7 +37,7 @@ func decodeStepRef(p *plan.Plan, spec *model.Spec, clu *cluster.Cluster, v, ctx 
 		bw := clu.LinkBandwidth(&p.Stages[i].Device, &p.Stages[i+1].Device)
 		return float64(spec.ActivationTransferBytes(xi, 1)) / bw
 	}
-	lm := devLMHead(master, spec, xi)
+	lm := master.LMHead(spec, xi).Latency()
 	var end float64
 	for m := 0; m < muDec; m++ {
 		arrive := 0.0
@@ -48,7 +48,7 @@ func decodeStepRef(p *plan.Plan, spec *model.Spec, clu *cluster.Cluster, v, ctx 
 			}
 			work := 0.0
 			for _, bit := range p.Stages[j].Bits {
-				work += p.Stages[j].Device.DecodeLayerLatency(spec, xi, ctx, bit, p.BitKV)
+				work += p.Stages[j].Device.Group.Decode(spec, xi, ctx, bit, p.BitKV).Latency()
 			}
 			finish := start + work
 			stageFree[j] = finish

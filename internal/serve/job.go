@@ -5,6 +5,7 @@ import (
 	"container/list"
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -330,23 +331,12 @@ func (m *batchMemo) len() int {
 // Uniform-OOM class of jobs into a submit-time rejection instead of a
 // planning-time failure.
 func admissionCheck(mspec *model.Spec, batch workload.Batch, bits []int, bitKV int, resources []scheduler.Resource) error {
-	minBit := bits[0]
-	for _, b := range bits {
-		if b < minBit {
-			minBit = b
-		}
-	}
-	perLayer := mspec.LayerWeightBytes(minBit) +
-		mspec.KVBytesPerLayer(batch.Size, batch.PaddedPrompt(), batch.Reserve(), bitKV)
-	need := int64(mspec.Layers)*perLayer + mspec.EmbeddingBytes()
+	minBit := slices.Min(bits)
+	need := mspec.ModelBytes(minBit, batch.KVBytesPerLayer(mspec, bitKV))
 	var best int64
 	bestName := ""
 	for i := range resources {
-		var capacity int64
-		for _, d := range resources[i].Cluster.Devices() {
-			capacity += d.UsableMemory()
-		}
-		if capacity > best {
+		if capacity := resources[i].Cluster.UsableMemory(); capacity > best {
 			best, bestName = capacity, resources[i].Name
 		}
 	}

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/model"
 	"repro/internal/stats"
 )
 
@@ -217,6 +218,12 @@ func (b Batch) Reserve() int {
 // PaddedPrompt returns the padded per-request prompt length s·κ.
 func (b Batch) PaddedPrompt() int { return b.ChunkLen * b.Chunks }
 
+// KVBytesPerLayer returns the batch's per-layer KV reservation on m at
+// bitKV: every request's padded prompt plus its generation budget.
+func (b Batch) KVBytesPerLayer(m *model.Spec, bitKV int) int64 {
+	return m.KVBytesPerLayer(b.Size, b.PaddedPrompt(), b.Reserve(), bitKV)
+}
+
 // Validate checks batch parameters.
 func (b Batch) Validate() error {
 	if b.Size <= 0 || b.ChunkLen <= 0 || b.Chunks <= 0 || b.GenTokens <= 0 {
@@ -225,7 +232,8 @@ func (b Batch) Validate() error {
 	return nil
 }
 
-// Synthesize builds a batch from a profile: requests are filtered to the
+// Synthesize builds a batch from a profile, which must be non-empty with
+// every prompt and output length at least 1: requests are filtered to the
 // model's position limit, prompts are padded to the profile's 95th
 // percentile (capped by maxPos minus the generation budget), and the
 // padded prompt is split into chunkLen-token chunks. The generation
@@ -238,14 +246,21 @@ func Synthesize(p *Profile, batchSize, chunkLen, maxPos int) (Batch, error) {
 	if batchSize <= 0 || chunkLen <= 0 || maxPos <= 0 {
 		return Batch{}, fmt.Errorf("workload: bad parameters B=%d chunk=%d maxPos=%d", batchSize, chunkLen, maxPos)
 	}
+	for i, r := range p.Requests {
+		if r.PromptLen < 1 {
+			return Batch{}, fmt.Errorf("workload: profile %q request %d: prompt length %d < 1", p.Name, i, r.PromptLen)
+		}
+		if r.OutputLen < 1 {
+			return Batch{}, fmt.Errorf("workload: profile %q request %d: output length %d < 1", p.Name, i, r.OutputLen)
+		}
+	}
 	f := p.Filter(maxPos)
 	if len(f.Requests) == 0 {
 		f = p.Truncate(maxPos)
 	}
+	// Every length is at least 1 (checked above), so gen and padded are
+	// too (reserve ≤ maxPos-1 leaves paddedMax ≥ 1).
 	gen := int(math.Round(f.AvgOutput()))
-	if gen < 1 {
-		gen = 1
-	}
 	// Reserve KV for the 95th-percentile output so long generations in a
 	// variable-output-length batch do not overflow the cache. The
 	// population cannot be empty here: p is non-empty (checked above) and
@@ -267,9 +282,6 @@ func Synthesize(p *Profile, batchSize, chunkLen, maxPos int) (Batch, error) {
 	paddedMax := maxPos - reserve
 	if padded > paddedMax {
 		padded = paddedMax
-	}
-	if padded < 1 {
-		padded = 1
 	}
 	if padded < chunkLen {
 		chunkLen = padded

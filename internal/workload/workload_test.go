@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -137,6 +138,20 @@ func TestSynthesizeErrors(t *testing.T) {
 	p := Fixed(4, 100, 10)
 	if _, err := Synthesize(p, 0, 2048, 2048); err == nil {
 		t.Fatal("zero batch accepted")
+	}
+	for _, c := range []struct {
+		prompt, output int
+		want           string
+	}{
+		{-5, 32, "prompt length -5 < 1"},
+		{0, 32, "prompt length 0 < 1"},
+		{512, 0, "output length 0 < 1"},
+		{512, -7, "output length -7 < 1"},
+	} {
+		_, err := Synthesize(Fixed(8, c.prompt, c.output), 8, 2048, 2048)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Fixed(8, %d, %d): err = %v, want one naming %q", c.prompt, c.output, err, c.want)
+		}
 	}
 }
 
