@@ -79,18 +79,21 @@ vet: fmt-check arm64-fused clock-check
 # one fleet state and whose migration e2e replays token logs through a
 # chaos proxy; the telemetry layer, whose lock-free registry is scraped
 # while written and whose tracer ring is appended from every executor
-# worker; and the serve daemon's maintenance endpoints, bounded drain,
+# worker; the serve daemon's maintenance endpoints, bounded drain,
 # and preempt/restore replans, whose plan-cache lookups and solves run
-# while fault injectors change the pool.
+# while fault injectors change the pool; and the plan cache itself,
+# whose entries are rebound and replaced while concurrent hits read
+# their decoded plan and shared simulation.
 test-race:
 	$(GO) test -race -timeout 45m ./...
 	$(GO) test -race -timeout 15m -count=2 ./internal/transport/
 	$(GO) test -race -timeout 15m -count=2 ./internal/maintenance/
 	$(GO) test -race -timeout 15m -count=2 ./internal/obs/
 	$(GO) test -race -timeout 15m -count=2 -run 'Maintenance|DrainTimeout|Preempt|Restore' ./internal/serve/
+	$(GO) test -race -count=2 -run 'PlanCache|PlanKey' ./internal/core/
 
 # Fuzz smoke: twenty seconds of coverage-guided inputs for each of
-# seventeen targets. Eleven must match a reference: a bitwidth-transfer
+# eighteen targets. Eleven must match a reference: a bitwidth-transfer
 # move's exact score and the search's kept sums against a full
 # evaluation bit for bit, and the move's estimate within its error
 # margin; the whole bitwidth-transfer search against the clone-per-move
@@ -130,7 +133,10 @@ test-race:
 # The seventeenth checks that the planner and the simulator agree on
 # memory: evaluate finds a random contiguous assignment feasible exactly
 # when pipeline.Simulate runs its plan without ErrOOM, over every model,
-# preset, mesh, planner micro-batch size and KV bitwidth.
+# preset, mesh, planner micro-batch size and KV bitwidth. The
+# eighteenth checks that the plan-cache key and the cluster fingerprint,
+# appended into one buffer, are byte for byte the fmt formats they
+# replaced, so snapshots saved before keep hitting.
 # Their seed corpora
 # (internal/core/testdata/fuzz and the f.Add seeds) also run as
 # ordinary tests under `make test`.
@@ -140,6 +146,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzStartPoints -fuzztime=20s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzOptimisticBound -fuzztime=20s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzPlanMemoryMatchesSimulate -fuzztime=20s ./internal/core
+	$(GO) test -run='^$$' -fuzz=FuzzPlanKeyMatchesFormat -fuzztime=20s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzSolveMatchesDense -fuzztime=20s ./internal/lp
 	$(GO) test -run='^$$' -fuzz=FuzzILPMatchesBruteForce -fuzztime=20s ./internal/ilp
 	$(GO) test -run='^$$' -fuzz=FuzzMatMulBitExact -fuzztime=20s ./internal/tensor

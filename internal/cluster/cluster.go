@@ -8,6 +8,7 @@ package cluster
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/gpu"
@@ -285,13 +286,23 @@ func (c *Cluster) String() string {
 // inputs, which makes the fingerprint a safe plan-cache key component.
 // Node names are included because serialized plans rebind devices by ID,
 // and device IDs embed the node name.
-func (c *Cluster) Fingerprint() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "bw=%.6g", c.InterBW)
+func (c *Cluster) Fingerprint() string { return string(c.AppendFingerprint(nil)) }
+
+// AppendFingerprint appends the cluster's Fingerprint to b and returns
+// the extended buffer, so a caller building a longer key needs no
+// string of its own. The bytes are those of the fmt formats
+// "bw=%.6g" and, per node, "|%s:%s:%d:%.6g:%.4g:%.4g" (name, class,
+// count, intra-node bandwidth, speed and memory scales).
+func (c *Cluster) AppendFingerprint(b []byte) []byte {
+	b = strconv.AppendFloat(append(b, "bw="...), c.InterBW, 'g', 6, 64)
 	for _, n := range c.Nodes {
-		fmt.Fprintf(&b, "|%s:%s:%d:%.6g:%.4g:%.4g", n.Name, n.Class, n.Count, n.IntraBW, n.SpeedScale, n.MemScale)
+		b = append(append(append(append(b, '|'), n.Name...), ':'), n.Class...)
+		b = strconv.AppendInt(append(b, ':'), int64(n.Count), 10)
+		b = strconv.AppendFloat(append(b, ':'), n.IntraBW, 'g', 6, 64)
+		b = strconv.AppendFloat(append(b, ':'), n.SpeedScale, 'g', 4, 64)
+		b = strconv.AppendFloat(append(b, ':'), n.MemScale, 'g', 4, 64)
 	}
-	return b.String()
+	return b
 }
 
 // Meshes enumerates the placeable device sets the optimizer considers:

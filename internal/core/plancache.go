@@ -7,31 +7,72 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
 
 	"repro/internal/cluster"
 	"repro/internal/model"
+	"repro/internal/pipeline"
 	"repro/internal/plan"
 	"repro/internal/quant"
 	"repro/internal/workload"
 )
 
 // PlanKey renders the cache key of one planning problem: the model, the
-// cluster fingerprint, the batch shape, and every option that can change
-// the plan, after defaults and with floats written exactly. Costs,
-// Parallelism and Progress are left out: they change how fast a plan is
-// found, never which plan. A MeshFilter is a function and cannot be
-// keyed, so a problem that sets one is not cacheable and PlanKey returns
-// "", which PlanCache never stores.
-func PlanKey(model, clusterFP string, batch workload.Batch, opts Options) string {
+// cluster's fingerprint, the batch shape, and every option that can
+// change the plan, after defaults and with floats written exactly.
+// Costs, Parallelism and Progress are left out: they change how fast a
+// plan is found, never which plan. A MeshFilter is a function and cannot
+// be keyed, so a problem that sets one is not cacheable and PlanKey
+// returns "", which PlanCache never stores.
+func PlanKey(model string, clu *cluster.Cluster, batch workload.Batch, opts Options) string {
+	return string(appendPlanKey(nil, model, clu, batch, opts))
+}
+
+// appendPlanKey appends PlanKey(model, clu, batch, opts) to b, and
+// nothing for an uncacheable problem. The bytes are those of the fmt
+// format
+// "%s|%s|B%d.s%d.k%d.n%d.r%d|theta=%v|%s|bits=%v|kv=%d|qc=%v|ord=%d|mb=%v|gs=%d|nodes=%d|tl=%d|ilp=%d|obj=%s"
+// over the model, clu.Fingerprint(), the batch's size, chunk length,
+// chunk count, generation tokens and KV reservation, then θ, method,
+// bits, KV bits, quality cap, ordering limit, micro-batches, group size,
+// node limit, time limit in nanoseconds, ILP candidates and objective,
+// after defaults; keys saved by that format keep hitting.
+func appendPlanKey(b []byte, model string, clu *cluster.Cluster, batch workload.Batch, opts Options) []byte {
 	if opts.MeshFilter != nil {
-		return ""
+		return b
 	}
 	o := opts.withDefaults()
-	return fmt.Sprintf("%s|%s|B%d.s%d.k%d.n%d.r%d|theta=%v|%s|bits=%v|kv=%d|qc=%v|ord=%d|mb=%v|gs=%d|nodes=%d|tl=%d|ilp=%d|obj=%s",
-		model, clusterFP, batch.Size, batch.ChunkLen, batch.Chunks, batch.GenTokens, batch.Reserve(),
-		o.Theta, o.Method, o.Bits, o.BitKV, o.QualityCap, o.OrderingLimit, o.MicroBatches,
-		o.GroupSize, o.MaxNodes, int64(o.TimeLimit), o.ILPCandidates, o.Objective)
+	b = clu.AppendFingerprint(append(append(b, model...), '|'))
+	b = strconv.AppendInt(append(b, "|B"...), int64(batch.Size), 10)
+	b = strconv.AppendInt(append(b, ".s"...), int64(batch.ChunkLen), 10)
+	b = strconv.AppendInt(append(b, ".k"...), int64(batch.Chunks), 10)
+	b = strconv.AppendInt(append(b, ".n"...), int64(batch.GenTokens), 10)
+	b = strconv.AppendInt(append(b, ".r"...), int64(batch.Reserve()), 10)
+	b = strconv.AppendFloat(append(b, "|theta="...), o.Theta, 'g', -1, 64)
+	b = append(append(b, '|'), o.Method...)
+	b = appendInts(append(b, "|bits="...), o.Bits)
+	b = strconv.AppendInt(append(b, "|kv="...), int64(o.BitKV), 10)
+	b = strconv.AppendFloat(append(b, "|qc="...), o.QualityCap, 'g', -1, 64)
+	b = strconv.AppendInt(append(b, "|ord="...), int64(o.OrderingLimit), 10)
+	b = appendInts(append(b, "|mb="...), o.MicroBatches)
+	b = strconv.AppendInt(append(b, "|gs="...), int64(o.GroupSize), 10)
+	b = strconv.AppendInt(append(b, "|nodes="...), int64(o.MaxNodes), 10)
+	b = strconv.AppendInt(append(b, "|tl="...), int64(o.TimeLimit), 10)
+	b = strconv.AppendInt(append(b, "|ilp="...), int64(o.ILPCandidates), 10)
+	return append(append(b, "|obj="...), o.Objective...)
+}
+
+// appendInts appends xs as fmt's %v writes an []int: "[3 4 8]".
+func appendInts(b []byte, xs []int) []byte {
+	b = append(b, '[')
+	for i, x := range xs {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendInt(b, int64(x), 10)
+	}
+	return append(b, ']')
 }
 
 // PlanCache is an LRU cache of solved plans keyed by PlanKey, and the one
@@ -40,9 +81,10 @@ func PlanKey(model, clusterFP string, batch workload.Batch, opts Options) string
 // internal/plan, kept serialized so the cache persists to disk
 // byte-for-byte. An entry may also hold, in memory only, the Report of
 // the solve that produced it and its plan decoded, bound to the cluster
-// of its last lookup and validated: a lookup with that same cluster and
-// layer count copies the decoded plan, and any other lookup decodes and
-// rebinds the serialized one.
+// and model of its last lookup, validated and simulated: a lookup with
+// that same cluster and model copies the decoded plan and returns its
+// simulation, and any other lookup decodes, rebinds and simulates the
+// serialized one.
 type PlanCache struct {
 	mu       sync.Mutex
 	capacity int
@@ -58,17 +100,24 @@ type PlanCache struct {
 // cacheEntry is one cache slot; only Key and Plan persist. Entries are
 // replaced, never mutated, so a lookup may read one outside the lock,
 // and replacing an entry (put, Load, eviction) also discards its
-// decoded plan.
+// decoded plan and simulation.
 type cacheEntry struct {
 	Key  string          `json:"key"`
 	Plan json.RawMessage `json:"plan"`
 	rep  *Report
-	// bound is Plan decoded, bound to clu and validated for a model of
-	// layers decoder layers; nil until a lookup decodes it. Nothing
-	// mutates it: lookup returns copies.
+	// bound is Plan decoded, bound to clu and validated for spec's
+	// layers, and sim and simErr are what pipeline.Simulate returns for
+	// it on the key's batch; all nil until a lookup binds the entry.
+	// Simulate reads only the batch fields PlanKey covers, so every
+	// lookup of this key with clu and spec would simulate the same.
+	// Nothing mutates them: lookup returns copies of bound, and sim is
+	// shared read-only.
 	bound  *plan.Plan
 	clu    *cluster.Cluster
+	spec   *model.Spec
 	layers int
+	sim    *pipeline.Result
+	simErr error
 }
 
 // cacheFile is the on-disk snapshot: entries from most to least recently
@@ -98,38 +147,67 @@ func NewPlanCache(capacity int) *PlanCache {
 // cache's own cost cache.
 func (c *PlanCache) Plan(ctx context.Context, spec *model.Spec, clu *cluster.Cluster, batch workload.Batch,
 	opts Options, inc *plan.Plan) (p *plan.Plan, rep *Report, hit bool, err error) {
-	key := PlanKey(spec.Name, clu.Fingerprint(), batch, opts)
-	if p, rep, ok := c.lookup(key, clu, spec.Layers); ok {
-		return p, rep, true, nil
+	p, _, rep, hit, err = c.plan(ctx, spec, clu, batch, opts, inc, false)
+	return p, rep, hit, err
+}
+
+// PlanAndSimulate is Plan followed by pipeline.Simulate of the plan on
+// the same inputs, and returns the simulation too. A hit returns the
+// simulation made when its entry was bound, which is bit-identical to a
+// fresh one, an ErrOOM verdict included; it is shared with every other
+// hit, so the caller must not modify it. A simulation error is returned
+// as err.
+func (c *PlanCache) PlanAndSimulate(ctx context.Context, spec *model.Spec, clu *cluster.Cluster, batch workload.Batch,
+	opts Options, inc *plan.Plan) (p *plan.Plan, sim *pipeline.Result, rep *Report, hit bool, err error) {
+	return c.plan(ctx, spec, clu, batch, opts, inc, true)
+}
+
+// plan is Plan, and PlanAndSimulate when simulate is set.
+func (c *PlanCache) plan(ctx context.Context, spec *model.Spec, clu *cluster.Cluster, batch workload.Batch,
+	opts Options, inc *plan.Plan, simulate bool) (p *plan.Plan, sim *pipeline.Result, rep *Report, hit bool, err error) {
+	// The key is built on the stack and looked up without a string of
+	// its own; an uncacheable problem has the empty key, never stored.
+	var buf [512]byte
+	key := appendPlanKey(buf[:0], spec.Name, clu, batch, opts)
+	if e := c.lookup(key, spec, clu, batch); e != nil {
+		if simulate && e.simErr != nil {
+			return nil, nil, nil, false, e.simErr
+		}
+		return copyPlan(e.bound), e.sim, e.rep, true, nil
 	}
 	if opts.Costs == nil {
 		opts.Costs = c.costs
 	}
 	a, err := New(spec, clu, ProfileIndicator(spec, opts.withDefaults().Bits, quant.Deterministic), opts)
 	if err != nil {
-		return nil, nil, false, err
+		return nil, nil, nil, false, err
 	}
 	if p, rep, err = a.Replan(ctx, batch, inc); err != nil {
-		return nil, nil, false, err
+		return nil, nil, nil, false, err
 	}
 	if !rep.Cancelled { // a cut-short search's incumbent is not the answer
 		raw, err := json.Marshal(p)
 		if err != nil {
-			return nil, nil, false, err
+			return nil, nil, nil, false, err
 		}
 		stored := *rep
 		stored.ConfigStats = nil
-		c.put(key, raw, &stored)
+		c.put(string(key), raw, &stored)
 	}
-	return p, rep, false, nil
+	if simulate {
+		if sim, err = pipeline.Simulate(p, spec, clu, batch); err != nil {
+			return nil, nil, nil, false, err
+		}
+	}
+	return p, sim, rep, false, nil
 }
 
 // get returns the entry for key, marking it most recently used and
 // counting the hit or miss, or nil.
-func (c *PlanCache) get(key string) *cacheEntry {
+func (c *PlanCache) get(key []byte) *cacheEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.index[key]
+	el, ok := c.index[string(key)]
 	if !ok {
 		c.misses++
 		return nil
@@ -139,27 +217,30 @@ func (c *PlanCache) get(key string) *cacheEntry {
 	return el.Value.(*cacheEntry)
 }
 
-// lookup returns the plan cached under key, bound to clu and validated
-// for a model of the given depth, with the report of the solve that
-// made it (nil for an entry restored by Load). The plan is the caller's
-// own copy. An entry that no longer decodes, binds or validates — a
-// pool redefined under an unchanged name — is dropped and reported as
-// absent.
-func (c *PlanCache) lookup(key string, clu *cluster.Cluster, layers int) (*plan.Plan, *Report, bool) {
+// lookup returns the entry cached under key, bound to clu, validated for
+// spec and simulated on batch, or nil. Its report is that of the solve
+// that made it (nil for an entry restored by Load). An entry bound to
+// another cluster or model is decoded, rebound and simulated anew, and
+// replaces the stored one. An entry that no longer decodes, binds or
+// validates — a pool redefined under an unchanged name — is dropped and
+// reported as absent.
+func (c *PlanCache) lookup(key []byte, spec *model.Spec, clu *cluster.Cluster, batch workload.Batch) *cacheEntry {
 	e := c.get(key)
 	if e == nil {
-		return nil, nil, false
+		return nil
 	}
-	if e.bound != nil && e.clu == clu && e.layers == layers {
-		return copyPlan(e.bound), e.rep, true
+	if e.bound != nil && e.clu == clu && e.spec == spec && e.layers == spec.Layers {
+		return e
 	}
 	p := new(plan.Plan)
-	if json.Unmarshal(e.Plan, p) != nil || p.Bind(clu) != nil || p.Validate(layers) != nil {
-		c.replace(key, e, nil)
-		return nil, nil, false
+	if json.Unmarshal(e.Plan, p) != nil || p.Bind(clu) != nil || p.Validate(spec.Layers) != nil {
+		c.replace(e.Key, e, nil)
+		return nil
 	}
-	c.replace(key, e, &cacheEntry{Key: key, Plan: e.Plan, rep: e.rep, bound: p, clu: clu, layers: layers})
-	return copyPlan(p), e.rep, true
+	next := &cacheEntry{Key: e.Key, Plan: e.Plan, rep: e.rep, bound: p, clu: clu, spec: spec, layers: spec.Layers}
+	next.sim, next.simErr = pipeline.Simulate(p, spec, clu, batch)
+	c.replace(e.Key, e, next)
+	return next
 }
 
 // replace swaps next in for key's entry, or drops the entry when next is

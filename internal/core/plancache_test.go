@@ -25,7 +25,7 @@ func raw(s string) json.RawMessage { return json.RawMessage(fmt.Sprintf("%q", s)
 // cached returns the serialized plan under key, marking it most recently
 // used and counting the hit or miss.
 func cached(c *PlanCache, key string) (json.RawMessage, bool) {
-	if e := c.get(key); e != nil {
+	if e := c.get([]byte(key)); e != nil {
 		return e.Plan, true
 	}
 	return nil, false
@@ -61,7 +61,7 @@ func TestPlanCacheLRU(t *testing.T) {
 	if got, _ := cached(c, "a"); string(got) != `"A2"` {
 		t.Fatalf("a after update = %s", got)
 	}
-	c.replace("a", c.get("a"), nil)
+	c.replace("a", c.get([]byte("a")), nil)
 	if _, ok := cached(c, "a"); ok || c.Len() != 1 {
 		t.Fatal("drop should remove the entry")
 	}
@@ -89,6 +89,16 @@ func uniformPlanJSON(t *testing.T, clu *cluster.Cluster, layers, bit int) json.R
 	return raw
 }
 
+// lookupPlan looks key up for a batch of spec on clu and returns a copy
+// of the bound plan, as a hit does.
+func lookupPlan(c *PlanCache, key string, spec *model.Spec, clu *cluster.Cluster) (*plan.Plan, bool) {
+	e := c.lookup([]byte(key), spec, clu, smallBatch)
+	if e == nil {
+		return nil, false
+	}
+	return copyPlan(e.bound), true
+}
+
 // allBits reports whether every layer of p is at bit.
 func allBits(p *plan.Plan, bit int) bool {
 	for _, b := range p.Bits() {
@@ -105,14 +115,14 @@ func allBits(p *plan.Plan, bit int) bool {
 func TestPlanCacheStaleDropKeepsFreshPlan(t *testing.T) {
 	c := NewPlanCache(4)
 	c.put("k", raw("not a plan"), nil)
-	stale := c.get("k")
+	stale := c.get([]byte("k"))
 	fresh := raw("fresh")
 	c.put("k", fresh, nil)
 	c.replace("k", stale, nil) // the stale lookup's drop
 	if got, ok := cached(c, "k"); !ok || string(got) != string(fresh) {
 		t.Fatalf("fresh plan lost to a stale drop: %s, %v", got, ok)
 	}
-	c.replace("k", c.get("k"), nil) // the current entry does drop
+	c.replace("k", c.get([]byte("k")), nil) // the current entry does drop
 	if _, ok := cached(c, "k"); ok {
 		t.Fatal("current entry survived its drop")
 	}
@@ -143,7 +153,7 @@ func TestPlanCacheConcurrentLookup(t *testing.T) {
 			default:
 			}
 			if i%3 == 2 {
-				c.replace("k", c.get("k"), nil)
+				c.replace("k", c.get([]byte("k")), nil)
 			} else {
 				c.put("k", planA, nil)
 			}
@@ -155,7 +165,7 @@ func TestPlanCacheConcurrentLookup(t *testing.T) {
 		go func() {
 			defer readers.Done()
 			for i := 0; i < 300; i++ {
-				p, _, ok := c.lookup("k", clu, layers)
+				p, ok := lookupPlan(c, "k", model.OPT13B, clu)
 				if !ok {
 					continue
 				}
@@ -185,11 +195,11 @@ func TestPlanCacheConcurrentLookup(t *testing.T) {
 	writer.Wait()
 
 	c.put("k", planA, nil)
-	if _, _, ok := c.lookup("k", clu, layers); !ok {
+	if _, ok := lookupPlan(c, "k", model.OPT13B, clu); !ok {
 		t.Fatal("plan A missing")
 	}
 	c.put("k", planB, nil)
-	p, _, ok := c.lookup("k", clu, layers)
+	p, ok := lookupPlan(c, "k", model.OPT13B, clu)
 	if !ok || !allBits(p, 4) {
 		t.Fatalf("after put of plan B, lookup = %v, %v; want plan B", p, ok)
 	}
@@ -210,7 +220,7 @@ func TestPlanCacheLookupRebinds(t *testing.T) {
 	c := NewPlanCache(4)
 	c.put("k", uniformPlanJSON(t, full, layers, 8), nil)
 	for i, clu := range []*cluster.Cluster{full, full, &slow, &slow, full} {
-		p, _, ok := c.lookup("k", clu, layers)
+		p, ok := lookupPlan(c, "k", model.OPT13B, clu)
 		if !ok {
 			t.Fatalf("lookup %d missed", i)
 		}
@@ -221,7 +231,9 @@ func TestPlanCacheLookupRebinds(t *testing.T) {
 				i, got.ID, got.Spec.FP16FLOPS, want.ID, want.Spec.FP16FLOPS)
 		}
 	}
-	if _, _, ok := c.lookup("k", full, layers+1); ok {
+	deeper := *model.OPT13B
+	deeper.Layers++
+	if _, ok := lookupPlan(c, "k", &deeper, full); ok {
 		t.Fatal("a 40-layer plan validated for 41 layers")
 	}
 	if c.Len() != 0 {
@@ -303,7 +315,8 @@ func TestPlanKeyCoversOptions(t *testing.T) {
 		"Progress":    func(o *Options) { o.Progress = func(Progress) {} },
 	}
 	batch := workload.Batch{Size: 16, ChunkLen: 512, Chunks: 1, GenTokens: 32}
-	key := func(o Options) string { return PlanKey("opt-13b", "fp", batch, o) }
+	clu := cluster.MustPreset(2)
+	key := func(o Options) string { return PlanKey("opt-13b", clu, batch, o) }
 	// base sets every keyed field off its default, so each change below
 	// survives withDefaults.
 	base := Options{

@@ -96,14 +96,18 @@ func (p *Plan) UnmarshalJSON(data []byte) error {
 // Bind resolves the plan's stage devices against a live cluster,
 // restoring the device performance models (and TP group aggregates) a
 // serialized plan cannot carry. It fails when a stage names a device the
-// cluster does not expose in any of its meshes — e.g. a plan cached for
-// a different cluster.
+// cluster does not expose in any of its meshes or among its Devices (the
+// single GPUs a uniform plan runs on) — e.g. a plan cached for a
+// different cluster.
 func (p *Plan) Bind(clu *cluster.Cluster) error {
 	byID := map[string]cluster.Device{}
 	for _, mesh := range clu.Meshes() {
 		for _, d := range mesh {
 			byID[d.ID] = d
 		}
+	}
+	for _, d := range clu.Devices() {
+		byID[d.ID] = d
 	}
 	for i := range p.Stages {
 		want := p.Stages[i].Device

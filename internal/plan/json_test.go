@@ -127,3 +127,28 @@ func TestPlanBindRejectsForeignCluster(t *testing.T) {
 		t.Fatal("bind against a foreign cluster should fail")
 	}
 }
+
+// TestPlanBindSingleDevices round-trips a plan over the cluster's single
+// GPUs (clu.Devices(), which uniform plans run on and no mesh names):
+// Bind must restore every stage's device.
+func TestPlanBindSingleDevices(t *testing.T) {
+	clu := cluster.MustPreset(6) // 3×P100-12G + 1×V100-32G
+	p := &Plan{Model: "bloom-1b7", PrefillMicroBatch: 4, DecodeMicroBatch: 4, BitKV: 16, Method: "uniform"}
+	for i, d := range clu.Devices() {
+		p.Stages = append(p.Stages, Stage{Device: d, FirstLayer: 6 * i, Bits: []int{16, 16, 16, 16, 16, 16}})
+	}
+	data, err := json.Marshal(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back Plan
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatal(err)
+	}
+	if err := back.Bind(clu); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back.Stages, p.Stages) {
+		t.Fatalf("bound stages %+v, want %+v", back.Stages, p.Stages)
+	}
+}

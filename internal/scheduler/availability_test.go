@@ -1,11 +1,17 @@
 package scheduler
 
 import (
+	"context"
+	"reflect"
 	"sync"
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/gpu"
+	"repro/internal/model"
+	"repro/internal/pipeline"
+	"repro/internal/plan"
 )
 
 func twoPoolFleet(t *testing.T) *FleetState {
@@ -237,5 +243,72 @@ func TestClusterGrowShrinkRoundTrip(t *testing.T) {
 	}
 	if _, err := c.Grow("H999", 1); err == nil {
 		t.Fatal("grow unknown class")
+	}
+}
+
+// TestPlanCacheSimulationAcrossPreemptRestore follows one pool through a
+// preemption, a full restore and a second preemption, planning through
+// one PlanCache. The restore hands back the intact cluster pointer, so
+// its hit reuses the simulation memoized for it; the second preemption
+// builds a new cluster pointer with the first one's fingerprint, so its
+// hit rebinds and simulates afresh. Every simulation must equal a fresh
+// pipeline.Simulate.
+func TestPlanCacheSimulationAcrossPreemptRestore(t *testing.T) {
+	f := twoPoolFleet(t)
+	spec := model.BLOOM560M
+	batch := fixedBatch(16)
+	cache := core.NewPlanCache(4)
+	var last *plan.Plan
+	run := func(step string, v View, wantHit bool) *pipeline.Result {
+		t.Helper()
+		p, sim, _, hit, err := cache.PlanAndSimulate(context.Background(), spec, v.Cluster, batch, fastPlanner(), last)
+		if err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		if hit != wantHit {
+			t.Fatalf("%s: hit = %v, want %v", step, hit, wantHit)
+		}
+		fresh, err := pipeline.Simulate(p, spec, v.Cluster, batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(sim, fresh) {
+			t.Fatalf("%s: simulation %+v, fresh %+v", step, sim, fresh)
+		}
+		last = p
+		return sim
+	}
+
+	intact, err := f.Snapshot("mixed")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run("intact, solved", intact, false)
+	memo := run("intact, cached", intact, true)
+	degraded, err := f.Preempt("mixed", gpu.T4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run("degraded, solved", degraded, false)
+	degradedMemo := run("degraded, cached", degraded, true)
+	restored, err := f.Restore("mixed", gpu.T4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if restored.Cluster != intact.Cluster {
+		t.Fatal("a full restore built a new cluster")
+	}
+	if run("restored", restored, true) != memo {
+		t.Fatal("the restored pool's hit simulated again on an unchanged cluster")
+	}
+	again, err := f.Preempt("mixed", gpu.T4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Cluster == degraded.Cluster || again.Cluster.Fingerprint() != degraded.Cluster.Fingerprint() {
+		t.Fatal("the second preemption should build a new cluster of the first one's fingerprint")
+	}
+	if run("degraded again", again, true) == degradedMemo {
+		t.Fatal("a hit on a new cluster pointer kept the simulation bound to the old one")
 	}
 }

@@ -16,7 +16,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/model"
-	"repro/internal/pipeline"
 	"repro/internal/plan"
 	"repro/internal/workload"
 )
@@ -118,8 +117,8 @@ type Schedule struct {
 // options and assigns jobs greedily (longest minimum-duration first) to
 // minimize makespan. Every pairing of a build goes through one
 // core.PlanCache: identical (model, batch, pool) pairings are solved
-// once, and when opts.Costs is nil all solves share the cache's
-// per-device cost evaluations.
+// and simulated once, and when opts.Costs is nil all solves share the
+// cache's per-device cost evaluations.
 func Build(ctx context.Context, jobs []Job, resources []Resource, opts core.Options) (*Schedule, error) {
 	return build(ctx, jobs, resources, opts, nil)
 }
@@ -190,7 +189,7 @@ func build(ctx context.Context, jobs []Job, resources []Resource, pOpts core.Opt
 		}
 		for ri := range resources {
 			res := &resources[ri]
-			p, _, _, err := plans.Plan(ctx, spec, res.Cluster, job.Batch, pOpts, prevPlan[job.ID])
+			p, sim, _, _, err := plans.PlanAndSimulate(ctx, spec, res.Cluster, job.Batch, pOpts, prevPlan[job.ID])
 			if err != nil {
 				// A canceled context surfaces as a plan error on every
 				// pairing; distinguish it from genuine infeasibility so
@@ -198,11 +197,7 @@ func build(ctx context.Context, jobs []Job, resources []Resource, pOpts core.Opt
 				if ctx.Err() != nil {
 					return nil, ctx.Err()
 				}
-				continue // infeasible pairing
-			}
-			sim, err := pipeline.Simulate(p, spec, res.Cluster, job.Batch)
-			if err != nil {
-				continue
+				continue // infeasible pairing, or the plan does not fit
 			}
 			dur := float64(job.batches()) * sim.TotalSeconds / res.Availability
 			jobOptions[ji] = append(jobOptions[ji], option{

@@ -378,22 +378,30 @@ func TestRaceConcurrentShutdown(t *testing.T) {
 // TestNoLostWakeupUnderMixedFeasibility floods a two-pool server with
 // jobs that bounce between pools; with the old Signal-based wakeup a
 // woken worker could swallow the only signal and strand a runnable job.
+// Each job signals its last batch through BatchHook, so the test waits
+// on those signals instead of polling job states.
 func TestNoLostWakeupUnderMixedFeasibility(t *testing.T) {
+	const jobs = 8
+	finished := make(chan string, jobs)
 	cfg := Config{
 		Resources: []scheduler.Resource{
 			{Name: "small", Cluster: cluster.MustPreset(1), Availability: 1},
 			{Name: "big", Cluster: cluster.MustPreset(9), Availability: 1},
 		},
 		Planner: core.Options{Method: core.MethodHeuristic, Theta: 1, OrderingLimit: 4},
+		BatchHook: func(jobID string, done, total int) {
+			if done == total {
+				finished <- jobID
+			}
+		},
 	}
 	srv, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer shutdown(t, srv)
 
-	var ids []string
-	for i := 0; i < 8; i++ {
+	pending := map[string]bool{}
+	for i := 0; i < jobs; i++ {
 		spec := JobSpec{Model: "opt-1.3b", Batch: 8, Requests: 16}
 		if i%4 == 0 {
 			spec = JobSpec{Model: "llama3.3-70b", Batch: 32, Requests: 32} // big-pool only
@@ -402,25 +410,29 @@ func TestNoLostWakeupUnderMixedFeasibility(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ids = append(ids, v.ID)
+		pending[v.ID] = true
 	}
-	deadline := time.Now().Add(120 * time.Second)
-	for _, id := range ids {
-		for {
-			v, err := srv.Job(id)
-			if err != nil {
-				t.Fatal(err)
+	timeout := time.After(120 * time.Second)
+	for len(pending) > 0 {
+		select {
+		case id := <-finished:
+			delete(pending, id)
+		case <-timeout:
+			for id := range pending {
+				v, err := srv.Job(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Errorf("job %s stranded in %s (%s; lost wakeup?)", id, v.State, v.Error)
 			}
-			if v.State == StateCompleted {
-				break
-			}
-			if v.State.terminal() {
-				t.Fatalf("job %s: %s (%s)", id, v.State, v.Error)
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("job %s stranded in %s (lost wakeup?)", id, v.State)
-			}
-			time.Sleep(time.Millisecond)
+			t.FailNow()
+		}
+	}
+	// The drain lets every executor record its job's completion.
+	shutdown(t, srv)
+	for _, v := range srv.Jobs() {
+		if v.State != StateCompleted {
+			t.Errorf("job %s: %s (%s)", v.ID, v.State, v.Error)
 		}
 	}
 }

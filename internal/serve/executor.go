@@ -171,9 +171,10 @@ func (s *Server) execute(j *job, res *scheduler.Resource) {
 
 		// The cache keys on the *current* cluster: a degraded pool plans
 		// under its own fingerprint, and a pool restored to a composition
-		// it already planned is answered from the cache.
+		// it already planned is answered from the cache, simulation
+		// included.
 		planBegin := tr.Now()
-		p, rep, hit, err := s.cache.Plan(ctx, j.mspec, snap.Cluster, j.batch, opts, last)
+		p, sim, rep, hit, err := s.cache.PlanAndSimulate(ctx, j.mspec, snap.Cluster, j.batch, opts, last)
 		if err == nil && tr != nil {
 			cacheState := "cold"
 			if hit {
@@ -196,15 +197,6 @@ func (s *Server) execute(j *job, res *scheduler.Resource) {
 			return
 		}
 		last = p
-
-		sim, err := pipeline.Simulate(p, j.mspec, snap.Cluster, j.batch)
-		if err != nil {
-			if s.retryElsewhere(j, res, err) {
-				return
-			}
-			s.fail(j, err)
-			return
-		}
 
 		var planSec float64
 		if !hit {

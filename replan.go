@@ -96,7 +96,7 @@ func (s *System) replanBatch(ctx context.Context, prev *Deployment, batch worklo
 		return nil, err
 	}
 	co := s.coreOptions(o)
-	key := core.PlanKey(s.spec.Name, s.clu.Fingerprint(), batch, co)
+	key := core.PlanKey(s.spec.Name, s.clu, batch, co)
 	var inc *plan.Plan
 	if prev != nil && prev.plan != nil {
 		// Nothing changed since prev was planned: it is already the
