@@ -67,10 +67,10 @@ vet: fmt-check arm64-fused clock-check
 	cd perfbench && $(GO) build ./... && $(GO) vet ./...
 
 # The whole suite under the race detector (the planner runs a worker
-# pool and the serve executor rotates workers over pools; -race keeps
-# both honest). The explicit -timeout raises Go's 10-minute per-package
+# pool and serve's workers place jobs on shared pools; -race keeps both
+# honest). The explicit -timeout raises Go's 10-minute per-package
 # default: the experiments package regenerates every paper table and can
-# exceed it under -race on small CI machines. Four packages get an
+# exceed it under -race on small CI machines. Some packages get an
 # explicit second pass with -count=2, which shakes out order-dependent
 # state, so each holds up under the race detector even if the
 # full-suite invocation is later narrowed: the transport chaos
@@ -81,15 +81,19 @@ vet: fmt-check arm64-fused clock-check
 # while written and whose tracer ring is appended from every executor
 # worker; the serve daemon's maintenance endpoints, bounded drain,
 # and preempt/restore replans, whose plan-cache lookups and solves run
-# while fault injectors change the pool; and the plan cache itself,
-# whose entries are rebound and replaced while concurrent hits read
-# their decoded plan and shared simulation.
+# while fault injectors change the pool; serve's placement and pool
+# loads, which every end of a job (completion, cancel, failure, drain
+# requeue) and every replan settle under the server lock while workers
+# price other jobs; and the plan cache itself, whose entries are
+# rebound and replaced while concurrent hits read their decoded plan
+# and shared simulation.
 test-race:
 	$(GO) test -race -timeout 45m ./...
 	$(GO) test -race -timeout 15m -count=2 ./internal/transport/
 	$(GO) test -race -timeout 15m -count=2 ./internal/maintenance/
 	$(GO) test -race -timeout 15m -count=2 ./internal/obs/
 	$(GO) test -race -timeout 15m -count=2 -run 'Maintenance|DrainTimeout|Preempt|Restore' ./internal/serve/
+	$(GO) test -race -count=2 -run 'Placement|Load' ./internal/serve/
 	$(GO) test -race -count=2 -run 'PlanCache|PlanKey' ./internal/core/
 
 # Fuzz smoke: twenty seconds of coverage-guided inputs for each of

@@ -1,8 +1,9 @@
 // Command fleetsim demonstrates harvesting idle heterogeneous capacity
 // for offline LLM serving: it synthesizes a production-fleet utilization
 // trace (Fig. 1), derives harvestable clusters with availability equal
-// to their idle share, plans every job with the SplitQuant assigner, and
-// prints the resulting schedule.
+// to their idle share, runs a closed job mix through an in-process
+// serve.Server — which places each job on the pool where it finishes
+// earliest — and prints the resulting schedule.
 //
 //	fleetsim               # default job mix
 //	fleetsim -months 6     # longer trace window
@@ -13,8 +14,8 @@
 // With -faults, fleetsim derives a seeded preemption schedule from the
 // same trace (the online tier reclaiming devices over the baseline
 // makespan), shrinks every pool by each class's peak concurrent outage,
-// and re-plans the job mix on the degraded fleet to show the makespan
-// cost of surviving the worst instant of the schedule.
+// and schedules the job mix again on the degraded fleet to show the
+// makespan cost of surviving the worst instant of the schedule.
 //
 // With -capacity, fleetsim runs the capacity planner's closed loop: it
 // sizes the cheapest fleet for the peak of a diurnal arrival-rate
@@ -27,8 +28,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"os/signal"
@@ -43,41 +46,44 @@ import (
 	"repro/internal/online"
 	"repro/internal/perf"
 	"repro/internal/scheduler"
+	"repro/internal/serve"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
 func main() {
-	months := flag.Int("months", 12, "trace window in months")
-	seed := flag.Uint64("seed", 1, "trace seed")
-	faults := flag.Bool("faults", false, "derive a preemption schedule and re-plan on the worst-case degraded fleet")
-	faultSeed := flag.Uint64("fault-seed", 1, "preemption schedule seed")
-	capMode := flag.Bool("capacity", false, "closed-loop capacity planning: size a fleet for a diurnal day, replay it, autoscale under preemptions")
-	capPeak := flag.Float64("cap-peak", 2.0, "peak arrival rate of the diurnal profile, req/s (with -capacity or -maintenance)")
-	maintMode := flag.Bool("maintenance", false, "zero-downtime roll: rolling-maintain every device of a planned fleet during the diurnal day replay")
-	tracePath := flag.String("trace", "", "write the -capacity day replay as Chrome trace-event JSON (virtual clock)")
-	flag.Parse()
-
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
+	if err := run(ctx, os.Stdout, os.Args[1:]); err != nil {
+		fmt.Fprintln(os.Stderr, "fleetsim:", err)
+		os.Exit(1)
+	}
+}
+
+// run parses args and runs the selected mode, writing its report to w.
+func run(ctx context.Context, w io.Writer, args []string) error {
+	fs := flag.NewFlagSet("fleetsim", flag.ExitOnError)
+	months := fs.Int("months", 12, "trace window in months")
+	seed := fs.Uint64("seed", 1, "trace seed")
+	faults := fs.Bool("faults", false, "derive a preemption schedule and re-plan on the worst-case degraded fleet")
+	faultSeed := fs.Uint64("fault-seed", 1, "preemption schedule seed")
+	capMode := fs.Bool("capacity", false, "closed-loop capacity planning: size a fleet for a diurnal day, replay it, autoscale under preemptions")
+	capPeak := fs.Float64("cap-peak", 2.0, "peak arrival rate of the diurnal profile, req/s (with -capacity or -maintenance)")
+	maintMode := fs.Bool("maintenance", false, "zero-downtime roll: rolling-maintain every device of a planned fleet during the diurnal day replay")
+	tracePath := fs.String("trace", "", "write the -capacity day replay as Chrome trace-event JSON (virtual clock)")
+	fs.Parse(args)
 
 	trace, err := fleet.Generate(stats.NewRNG(*seed), fleet.DefaultShares, *months)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if *capMode {
-		if err := capacityLoop(ctx, trace, *faultSeed, *capPeak, *tracePath); err != nil {
-			fatal(err)
-		}
-		return
+		return capacityLoop(ctx, w, trace, *faultSeed, *capPeak, *tracePath)
 	}
 	if *maintMode {
-		if err := maintenanceLoop(ctx, *capPeak); err != nil {
-			fatal(err)
-		}
-		return
+		return maintenanceLoop(ctx, w, *capPeak)
 	}
-	fmt.Printf("fleet idle capacity: %.0f%% of GPU hours\n\n", trace.IdleCapacityFraction()*100)
+	fmt.Fprintf(w, "fleet idle capacity: %.0f%% of GPU hours\n\n", trace.IdleCapacityFraction()*100)
 
 	// Harvest pools: Table III clusters whose device classes exist in
 	// the fleet; availability = idle share of the scarcest class used.
@@ -97,46 +103,112 @@ func main() {
 		{Name: "pool-V100x4", Cluster: cluster.MustPreset(9), Availability: avail(gpu.V100)},
 	}
 	for _, r := range resources {
-		fmt.Printf("resource %-14s %-26s availability %.0f%%\n", r.Name, r.Cluster, r.Availability*100)
+		fmt.Fprintf(w, "resource %-14s %-26s availability %.0f%%\n", r.Name, r.Cluster, r.Availability*100)
 	}
-
-	batch := func(B int) workload.Batch {
-		return workload.Batch{Size: B, ChunkLen: 512, Chunks: 1, GenTokens: 32}
-	}
-	jobs := []scheduler.Job{
-		{ID: "nightly-summaries", Model: "opt-30b", Batch: batch(32), Requests: 2048},
-		{ID: "eval-checkpoints", Model: "opt-13b", Batch: batch(32), Requests: 4096},
-		{ID: "synthetic-data", Model: "opt-13b", Batch: batch(32), Requests: 8192},
-		{ID: "doc-classify", Model: "opt-1.3b", Batch: batch(32), Requests: 16384},
-	}
-	sched, err := scheduler.Build(ctx, jobs, resources,
-		core.Options{Method: core.MethodHeuristic, Theta: 1, OrderingLimit: 4})
+	makespan, err := schedule(ctx, w, offlineJobs, resources, "no pool fits")
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("\n%-20s %-14s %10s %12s %10s\n", "job", "resource", "tkn/s", "duration", "plan")
-	for _, a := range sched.Assignments {
-		fmt.Printf("%-20s %-14s %10.1f %11.1fs  %s\n", a.JobID, a.Resource, a.Throughput, a.Duration, a.Plan)
-	}
-	for _, id := range sched.Unplaceable {
-		fmt.Printf("%-20s UNPLACEABLE (no pool fits)\n", id)
-	}
-	fmt.Printf("\nmakespan: %.1fs across %d pools\n", sched.Makespan, len(resources))
-
+	fmt.Fprintf(w, "\nmakespan: %.1fs across %d pools\n", makespan, len(resources))
 	if *faults {
-		if err := replanUnderFaults(ctx, trace, *faultSeed, jobs, resources, sched); err != nil {
-			fatal(err)
+		return replanUnderFaults(ctx, w, trace, *faultSeed, resources, makespan)
+	}
+	return nil
+}
+
+// offlineJob is one job of the default and -faults modes.
+type offlineJob struct {
+	id   string
+	spec serve.JobSpec
+}
+
+// offlineJobs is the closed job set, listed longest first by requests ×
+// model parameters, a key known without planning. serve places jobs in
+// arrival order, so the order matters: DESIGN.md ("Offline placement")
+// gives the makespans other orders reach on this scenario.
+var offlineJobs = []offlineJob{
+	{"synthetic-data", serve.JobSpec{Model: "opt-13b", Batch: 32, Requests: 8192}},
+	{"nightly-summaries", serve.JobSpec{Model: "opt-30b", Batch: 32, Requests: 2048}},
+	{"eval-checkpoints", serve.JobSpec{Model: "opt-13b", Batch: 32, Requests: 4096}},
+	{"doc-classify", serve.JobSpec{Model: "opt-1.3b", Batch: 32, Requests: 16384}},
+}
+
+// schedule runs jobs through an in-process serve.Server over resources
+// with one worker, so each job is placed in list order on the pool where
+// it finishes earliest. It prints each job's pool, simulated throughput,
+// simulated duration and plan, then the jobs no pool could run
+// (labelled with why), and returns the makespan: the largest per-pool
+// sum of the jobs' simulated seconds.
+func schedule(ctx context.Context, w io.Writer, jobs []offlineJob, resources []scheduler.Resource, why string) (float64, error) {
+	srv, err := serve.New(serve.Config{
+		Resources: resources,
+		Workers:   1,
+		Planner:   core.Options{Method: core.MethodHeuristic, Theta: 1, OrderingLimit: 4},
+	})
+	if err != nil {
+		return 0, err
+	}
+	defer srv.Shutdown(context.Background())
+	ids := make([]string, len(jobs))
+	for i, j := range jobs {
+		v, err := srv.Submit(j.spec)
+		if err != nil && !errors.Is(err, serve.ErrInfeasible) {
+			return 0, fmt.Errorf("job %s: %w", j.id, err)
+		}
+		ids[i] = v.ID // "" when no pool can hold the job
+	}
+
+	loads := map[string]float64{}
+	var unplaceable []string
+	fmt.Fprintf(w, "\n%-20s %-14s %10s %12s %10s\n", "job", "resource", "tkn/s", "duration", "plan")
+	for i, j := range jobs {
+		var v serve.JobView
+		if ids[i] != "" {
+			if v, err = waitJob(ctx, srv, ids[i]); err != nil {
+				return 0, err
+			}
+		}
+		if v.State != serve.StateCompleted {
+			unplaceable = append(unplaceable, j.id)
+			continue
+		}
+		loads[v.Resource] += v.SimSeconds
+		fmt.Fprintf(w, "%-20s %-14s %10.1f %11.1fs  %s\n", j.id, v.Resource, v.Throughput, v.SimSeconds, v.Plan)
+	}
+	for _, id := range unplaceable {
+		fmt.Fprintf(w, "%-20s UNPLACEABLE (%s)\n", id, why)
+	}
+	var makespan float64
+	for _, l := range loads {
+		makespan = math.Max(makespan, l)
+	}
+	return makespan, nil
+}
+
+// waitJob polls a job until it ends.
+func waitJob(ctx context.Context, srv *serve.Server, id string) (serve.JobView, error) {
+	for {
+		v, err := srv.Job(id)
+		if err != nil {
+			return v, err
+		}
+		switch v.State {
+		case serve.StateCompleted, serve.StateFailed, serve.StateCanceled:
+			return v, nil
+		}
+		select {
+		case <-ctx.Done():
+			return v, ctx.Err()
+		case <-time.After(time.Millisecond):
 		}
 	}
 }
 
 // replanUnderFaults derives the preemption schedule the online tier
 // would impose over the baseline makespan, shrinks every pool by each
-// class's peak concurrent outage, and re-plans the job mix on what is
-// left — warm-started from the baseline schedule's plans, so the
-// degraded solve prunes most of the configuration space.
-func replanUnderFaults(ctx context.Context, trace *fleet.Trace, seed uint64, jobs []scheduler.Job, resources []scheduler.Resource, baseline *scheduler.Schedule) error {
-	baseMakespan := baseline.Makespan
+// class's peak concurrent outage, and schedules the job mix again on a
+// fresh server over what is left.
+func replanUnderFaults(ctx context.Context, w io.Writer, trace *fleet.Trace, seed uint64, resources []scheduler.Resource, baseMakespan float64) error {
 	horizon := time.Duration(baseMakespan * float64(time.Second))
 	if horizon <= 0 {
 		horizon = time.Minute
@@ -145,19 +217,19 @@ func replanUnderFaults(ctx context.Context, trace *fleet.Trace, seed uint64, job
 	if err != nil {
 		return err
 	}
-	fmt.Printf("\npreemption schedule over the %.0fs makespan (seed %d):\n", horizon.Seconds(), seed)
+	fmt.Fprintf(w, "\npreemption schedule over the %.0fs makespan (seed %d):\n", horizon.Seconds(), seed)
 	for _, ev := range events {
-		fmt.Printf("  t=%7.1fs reclaim %d×%-9s for %6.1fs\n",
+		fmt.Fprintf(w, "  t=%7.1fs reclaim %d×%-9s for %6.1fs\n",
 			ev.At.Seconds(), ev.Count, ev.Class, ev.Duration.Seconds())
 	}
 	peak := fleet.PeakOutage(events)
-	fmt.Printf("peak concurrent outage:")
+	fmt.Fprintf(w, "peak concurrent outage:")
 	for _, s := range trace.Shares {
 		if n := peak[s.Class]; n > 0 {
-			fmt.Printf(" %d×%s", n, s.Class)
+			fmt.Fprintf(w, " %d×%s", n, s.Class)
 		}
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 
 	// Worst-case degraded fleet: every pool loses its classes' peak
 	// outage (clamped so a pool keeps at least zero devices; fully
@@ -185,7 +257,7 @@ func replanUnderFaults(ctx context.Context, trace *fleet.Trace, seed uint64, job
 			clu = next
 		}
 		if clu == nil {
-			fmt.Printf("resource %-14s fully reclaimed at peak — dropped\n", r.Name)
+			fmt.Fprintf(w, "resource %-14s fully reclaimed at peak — dropped\n", r.Name)
 			continue
 		}
 		degraded = append(degraded, scheduler.Resource{Name: r.Name, Cluster: clu, Availability: r.Availability})
@@ -194,23 +266,15 @@ func replanUnderFaults(ctx context.Context, trace *fleet.Trace, seed uint64, job
 		return fmt.Errorf("every pool fully reclaimed at peak outage")
 	}
 	for _, r := range degraded {
-		fmt.Printf("degraded %-14s %-26s availability %.0f%%\n", r.Name, r.Cluster, r.Availability*100)
+		fmt.Fprintf(w, "degraded %-14s %-26s availability %.0f%%\n", r.Name, r.Cluster, r.Availability*100)
 	}
 
-	sched, err := scheduler.Rebuild(ctx, jobs, degraded,
-		core.Options{Method: core.MethodHeuristic, Theta: 1, OrderingLimit: 4}, baseline)
+	makespan, err := schedule(ctx, w, offlineJobs, degraded, "no degraded pool fits")
 	if err != nil {
 		return err
 	}
-	fmt.Printf("\n%-20s %-14s %10s %12s %10s\n", "job", "resource", "tkn/s", "duration", "plan")
-	for _, a := range sched.Assignments {
-		fmt.Printf("%-20s %-14s %10.1f %11.1fs  %s\n", a.JobID, a.Resource, a.Throughput, a.Duration, a.Plan)
-	}
-	for _, id := range sched.Unplaceable {
-		fmt.Printf("%-20s UNPLACEABLE (no degraded pool fits)\n", id)
-	}
-	fmt.Printf("\ndegraded makespan: %.1fs (baseline %.1fs, %+.0f%%)\n",
-		sched.Makespan, baseMakespan, (sched.Makespan/baseMakespan-1)*100)
+	fmt.Fprintf(w, "\ndegraded makespan: %.1fs (baseline %.1fs, %+.0f%%)\n",
+		makespan, baseMakespan, (makespan/baseMakespan-1)*100)
 	return nil
 }
 
@@ -233,17 +297,17 @@ func diurnalRate(hour int, peak float64) float64 {
 // predictions with the simulated percentiles per segment and for the
 // day, then drive the autoscaler against a seeded preemption schedule
 // on the same fleet.
-func capacityLoop(ctx context.Context, trace *fleet.Trace, faultSeed uint64, peak float64, tracePath string) error {
-	fmt.Printf("diurnal day: %d segments × %.0fs virtual, rate %.2f–%.2f req/s (peak at 15:00)\n",
+func capacityLoop(ctx context.Context, w io.Writer, trace *fleet.Trace, faultSeed uint64, peak float64, tracePath string) error {
+	fmt.Fprintf(w, "diurnal day: %d segments × %.0fs virtual, rate %.2f–%.2f req/s (peak at 15:00)\n",
 		capSegments, capSegSeconds, diurnalRate(3, peak), diurnalRate(15, peak))
 	t0 := time.Now()
 	rec, profile, err := perf.PlanCapacityFleet(ctx, peak)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("recommended fleet: %s at %.2f/h (%d candidates tried, %d pruned, %.1fs)\n",
+	fmt.Fprintf(w, "recommended fleet: %s at %.2f/h (%d candidates tried, %d pruned, %.1fs)\n",
 		rec.Fleet, rec.CostPerHour, rec.CandidatesTried, rec.CandidatesPruned, time.Since(t0).Seconds())
-	fmt.Printf("  design point: prefill rho %.2f, decode rho %.2f, admission threshold %d, decode concurrency %d\n\n",
+	fmt.Fprintf(w, "  design point: prefill rho %.2f, decode rho %.2f, admission threshold %d, decode concurrency %d\n\n",
 		rec.Analysis.Prefill.Rho, rec.Analysis.Decode.Rho, rec.AdmissionThreshold, rec.DecodeConcurrency)
 
 	specs := diurnalDay(profile, peak, nil)
@@ -266,7 +330,7 @@ func capacityLoop(ctx context.Context, trace *fleet.Trace, faultSeed uint64, pea
 		if err := tracer.ExportChromeTrace(tracePath); err != nil {
 			return err
 		}
-		fmt.Printf("wrote Chrome trace to %s (%d events, %d dropped) — load it at ui.perfetto.dev\n\n",
+		fmt.Fprintf(w, "wrote Chrome trace to %s (%d events, %d dropped) — load it at ui.perfetto.dev\n\n",
 			tracePath, len(tracer.Events()), tracer.Dropped())
 	}
 
@@ -292,7 +356,7 @@ func capacityLoop(ctx context.Context, trace *fleet.Trace, faultSeed uint64, pea
 	}
 	stations := make([]*capacity.PrefillStation, capSegments)
 	weights := make([]float64, capSegments)
-	fmt.Printf("%-6s %8s %6s %22s %22s %6s\n", "hour", "rate", "rho", "wait p95 (ana/sim)", "ttft p95 (ana/sim)", "n")
+	fmt.Fprintf(w, "%-6s %8s %6s %22s %22s %6s\n", "hour", "rate", "rho", "wait p95 (ana/sim)", "ttft p95 (ana/sim)", "n")
 	for h := 0; h < capSegments; h++ {
 		rate := diurnalRate(h, peak)
 		st, err := capacity.SolvePrefill(prices, ws, rate)
@@ -303,21 +367,21 @@ func capacityLoop(ctx context.Context, trace *fleet.Trace, faultSeed uint64, pea
 		if h%3 != 0 {
 			continue // print every third hour; all segments feed the mixture
 		}
-		fmt.Printf("%02d:00  %8.2f %6.2f %10.3fs /%8.3fs %10.3fs /%8.3fs %6d\n",
+		fmt.Fprintf(w, "%02d:00  %8.2f %6.2f %10.3fs /%8.3fs %10.3fs /%8.3fs %6d\n",
 			h, rate, st.Rho,
 			st.WaitP95, stats.Percentile(simWait[h], 95),
 			st.TTFTP95, stats.Percentile(simTTFT[h], 95), len(simWait[h]))
 	}
 	anaWaits, anaTTFTs := capacity.MixWaitTTFT(stations, weights, 50, 95)
-	fmt.Printf("\nday totals: %d arrivals, %d completed, %d rejected\n", len(specs), m.Completed, m.Rejected)
-	fmt.Printf("  wait p50 %.3fs/%.3fs  wait p95 %.3fs/%.3fs  ttft p95 %.3fs/%.3fs (analytic/simulated)\n",
+	fmt.Fprintf(w, "\nday totals: %d arrivals, %d completed, %d rejected\n", len(specs), m.Completed, m.Rejected)
+	fmt.Fprintf(w, "  wait p50 %.3fs/%.3fs  wait p95 %.3fs/%.3fs  ttft p95 %.3fs/%.3fs (analytic/simulated)\n",
 		anaWaits[0], m.QueueWait.P50, anaWaits[1], m.QueueWait.P95, anaTTFTs[1], m.TTFT.P95)
-	fmt.Printf("  prefill busy fraction %.3f, mean decode occupancy %.2f requests\n",
+	fmt.Fprintf(w, "  prefill busy fraction %.3f, mean decode occupancy %.2f requests\n",
 		m.PrefillBusyFraction, m.DecodeOccupancy)
 	agree := math.Abs(anaWaits[1]-m.QueueWait.P95) / math.Max(m.QueueWait.P95, 1e-9)
-	fmt.Printf("  queue-wait p95 agreement: %.0f%% apart\n", agree*100)
+	fmt.Fprintf(w, "  queue-wait p95 agreement: %.0f%% apart\n", agree*100)
 	if m.TTFT.P95 > perf.CapacitySLO.TTFTP95 || m.QueueWait.P95 > perf.CapacitySLO.QueueWaitP95 {
-		fmt.Printf("  WARNING: simulated day busts the SLO the fleet was sized for\n")
+		fmt.Fprintf(w, "  WARNING: simulated day busts the SLO the fleet was sized for\n")
 	}
 
 	// Drift detector verdict: the same analytic-vs-observed comparison a
@@ -327,14 +391,14 @@ func capacityLoop(ctx context.Context, trace *fleet.Trace, faultSeed uint64, pea
 	// not a broken model.
 	det := capacity.NewDriftDetector(rec.Config, "online-prefill", 0, 0)
 	rep := det.Observe(eng.List(), m)
-	fmt.Printf("\ndrift detector (day mean rate %.2f req/s, %d observations): verdict %s\n",
+	fmt.Fprintf(w, "\ndrift detector (day mean rate %.2f req/s, %d observations): verdict %s\n",
 		rep.Rate, rep.Observations, rep.Verdict)
 	if rep.Verdict != "insufficient-data" && rep.Verdict != "saturated" {
-		fmt.Printf("  wait p95 %.3fs predicted / %.3fs observed (%+.0f%%)\n",
+		fmt.Fprintf(w, "  wait p95 %.3fs predicted / %.3fs observed (%+.0f%%)\n",
 			rep.PredictedWaitP95, rep.ObservedWaitP95, rep.WaitP95Error*100)
-		fmt.Printf("  ttft p95 %.3fs predicted / %.3fs observed (%+.0f%%)\n",
+		fmt.Fprintf(w, "  ttft p95 %.3fs predicted / %.3fs observed (%+.0f%%)\n",
 			rep.PredictedTTFTP95, rep.ObservedTTFTP95, rep.TTFTP95Error*100)
-		fmt.Printf("  prefill busy %.3f predicted / %.3f observed (%+.0f%%)\n",
+		fmt.Fprintf(w, "  prefill busy %.3f predicted / %.3f observed (%+.0f%%)\n",
 			rep.PredictedBusyFraction, rep.ObservedBusyFraction, rep.BusyFractionError*100)
 	}
 
@@ -342,7 +406,7 @@ func capacityLoop(ctx context.Context, trace *fleet.Trace, faultSeed uint64, pea
 	// the recommended fleet while the online tier reclaims devices per a
 	// seeded schedule; the scaler orders capacity with a provisioning
 	// lead time and returns it when the day cools down.
-	fmt.Printf("\nautoscaler vs preemption (seed %d, 60s observations, 120s provision delay):\n", faultSeed)
+	fmt.Fprintf(w, "\nautoscaler vs preemption (seed %d, 60s observations, 120s provision delay):\n", faultSeed)
 	scaleClass := gpu.V100
 	if rec.Fleet[scaleClass] == 0 {
 		for c := range rec.Fleet {
@@ -379,12 +443,12 @@ func capacityLoop(ctx context.Context, trace *fleet.Trace, faultSeed uint64, pea
 			at, end := ev.At.Seconds(), (ev.At + ev.Duration).Seconds()
 			if at > now-obsWindow && at <= now {
 				if _, err := fs.Preempt("serving", ev.Class, ev.Count); err == nil {
-					fmt.Printf("  t=%6.0fs  online tier reclaims %d×%s\n", now, ev.Count, ev.Class)
+					fmt.Fprintf(w, "  t=%6.0fs  online tier reclaims %d×%s\n", now, ev.Count, ev.Class)
 				}
 			}
 			if end > now-obsWindow && end <= now {
 				if _, err := fs.Restore("serving", ev.Class, ev.Count); err == nil {
-					fmt.Printf("  t=%6.0fs  online tier returns  %d×%s\n", now, ev.Count, ev.Class)
+					fmt.Fprintf(w, "  t=%6.0fs  online tier returns  %d×%s\n", now, ev.Count, ev.Class)
 				}
 			}
 		}
@@ -411,11 +475,11 @@ func capacityLoop(ctx context.Context, trace *fleet.Trace, faultSeed uint64, pea
 			return err
 		}
 		for _, ev := range evs {
-			fmt.Printf("  t=%6.0fs  autoscaler %-9s %d×%s  %s\n", now, ev.Action, ev.Count, ev.Class, ev.Detail)
+			fmt.Fprintf(w, "  t=%6.0fs  autoscaler %-9s %d×%s  %s\n", now, ev.Action, ev.Count, ev.Class, ev.Detail)
 		}
 	}
 	final, _ := fs.Snapshot("serving")
-	fmt.Printf("fleet after the day: %d devices intact (%d usable), %d preemptions survived\n",
+	fmt.Fprintf(w, "fleet after the day: %d devices intact (%d usable), %d preemptions survived\n",
 		final.TotalDevices, final.Devices, fs.Preemptions())
 	return nil
 }
@@ -445,9 +509,4 @@ func diurnalDay(profile *workload.Profile, peak float64, inflate map[int]float64
 		specs = append(specs, online.RequestSpec{PromptLen: req.PromptLen, MaxTokens: maxTok, ArrivalSeconds: t})
 	}
 	return specs
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "fleetsim:", err)
-	os.Exit(1)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"sort"
 
@@ -25,13 +26,13 @@ import (
 // end with the pool fully re-admitted, the maintenance day must lose
 // zero requests, and its queue-wait p95 must stay within a bounded
 // inflation of the reference day.
-func maintenanceLoop(ctx context.Context, peak float64) error {
+func maintenanceLoop(ctx context.Context, w io.Writer, peak float64) error {
 	rec, profile, err := perf.PlanCapacityFleet(ctx, peak)
 	if err != nil {
 		return err
 	}
 	nDevices := rec.Cluster.TotalDevices()
-	fmt.Printf("recommended fleet: %s at %.2f/h (%d devices to roll)\n", rec.Fleet, rec.CostPerHour, nDevices)
+	fmt.Fprintf(w, "recommended fleet: %s at %.2f/h (%d devices to roll)\n", rec.Fleet, rec.CostPerHour, nDevices)
 
 	// Reference day: the untouched fleet.
 	refEng, err := online.New(rec.Config)
@@ -40,7 +41,7 @@ func maintenanceLoop(ctx context.Context, peak float64) error {
 	}
 	refSpecs := diurnalDay(profile, peak, nil)
 	refM := refEng.Replay(refSpecs, 0)
-	fmt.Printf("reference day: %d arrivals, %d completed, %d rejected, wait p95 %.3fs\n",
+	fmt.Fprintf(w, "reference day: %d arrivals, %d completed, %d rejected, wait p95 %.3fs\n",
 		len(refSpecs), refM.Completed, refM.Rejected, refM.QueueWait.P95)
 	if refM.Rejected > 0 || refM.Completed != int64(len(refSpecs)) {
 		return fmt.Errorf("reference day already loses requests (%d rejected, %d/%d completed) — raise the fleet or lower -cap-peak",
@@ -78,7 +79,7 @@ func maintenanceLoop(ctx context.Context, peak float64) error {
 	if fs.Preemptions() != 0 {
 		return fmt.Errorf("infeasible drain touched the fleet")
 	}
-	fmt.Printf("saturated drain refused before touching the fleet: %v\n\n", err)
+	fmt.Fprintf(w, "saturated drain refused before touching the fleet: %v\n\n", err)
 
 	// The real roll. Each domain maps to one day segment (wrapping past
 	// 24); the migrate hook counts the sessions that arrive while that
@@ -129,7 +130,7 @@ func maintenanceLoop(ctx context.Context, peak float64) error {
 	}
 	st := o.Status()
 	view, _ := fs.Snapshot("serving")
-	fmt.Printf("rolled %d/%d devices in %d domains: state %s, %d rollbacks, %d sessions migrated\n",
+	fmt.Fprintf(w, "rolled %d/%d devices in %d domains: state %s, %d rollbacks, %d sessions migrated\n",
 		rolled, nDevices, len(st.Domains), st.State, st.Rollback, st.Migrated)
 	if st.State != maintenance.StateDone || st.Rollback != 0 {
 		return fmt.Errorf("roll ended %s with %d rollbacks", st.State, st.Rollback)
@@ -149,7 +150,7 @@ func maintenanceLoop(ctx context.Context, peak float64) error {
 		return err
 	}
 	maintM := maintEng.Replay(maintSpecs, 0)
-	fmt.Printf("maintenance day: %d arrivals, %d completed, %d rejected, wait p95 %.3fs\n",
+	fmt.Fprintf(w, "maintenance day: %d arrivals, %d completed, %d rejected, wait p95 %.3fs\n",
 		len(maintSpecs), maintM.Completed, maintM.Rejected, maintM.QueueWait.P95)
 
 	if maintM.Rejected > 0 || maintM.Completed != int64(len(maintSpecs)) {
@@ -157,11 +158,11 @@ func maintenanceLoop(ctx context.Context, peak float64) error {
 			maintM.Rejected, maintM.Completed, len(maintSpecs))
 	}
 	bound := 3 * math.Max(refM.QueueWait.P95, 0.05)
-	fmt.Printf("queue-wait p95 inflation: %.3fs → %.3fs (bound %.3fs)\n",
+	fmt.Fprintf(w, "queue-wait p95 inflation: %.3fs → %.3fs (bound %.3fs)\n",
 		refM.QueueWait.P95, maintM.QueueWait.P95, bound)
 	if maintM.QueueWait.P95 > bound {
 		return fmt.Errorf("maintenance day p95 %.3fs exceeds the %.3fs inflation bound", maintM.QueueWait.P95, bound)
 	}
-	fmt.Println("zero-downtime roll proved: every device rolled, zero requests lost, p95 inflation bounded")
+	fmt.Fprintln(w, "zero-downtime roll proved: every device rolled, zero requests lost, p95 inflation bounded")
 	return nil
 }

@@ -135,7 +135,7 @@ func TestFullPreemptionMigratesJob(t *testing.T) {
 			{Name: "pool9", Cluster: cluster.MustPreset(9), Availability: 1}, // 4×V100
 			{Name: "pool8", Cluster: cluster.MustPreset(8), Availability: 1}, // 4×T4
 		},
-		Workers: 1, // deterministic: the single worker starts on pool9
+		Workers: 1, // deterministic: placement picks pool9, the faster pool
 		Planner: core.Options{Method: core.MethodHeuristic, Theta: 1, OrderingLimit: 4},
 	}
 	var once sync.Once
@@ -172,8 +172,8 @@ func TestFullPreemptionMigratesJob(t *testing.T) {
 
 // TestWorkersFewerThanPools is the regression for the stranded-job bug:
 // with Workers=1 over two pools, the old executor pinned the only worker
-// to pool 0, so a job requeued by retryElsewhere for the other pool
-// stayed queued forever. Workers now rotate over all pools.
+// to pool 0, so a job that fits only the other pool stayed queued
+// forever. Workers are not pinned; placement picks the pool.
 func TestWorkersFewerThanPools(t *testing.T) {
 	cfg := Config{
 		Resources: []scheduler.Resource{
@@ -186,8 +186,8 @@ func TestWorkersFewerThanPools(t *testing.T) {
 	srv, c := startServer(t, cfg)
 	defer shutdown(t, srv)
 
-	// Fits only the big pool: the worker tries small first (offset 0),
-	// requeues, and must then serve it on big — the old code hung here.
+	// Fits only the big pool: placement finds small infeasible and must
+	// serve it on big — the old code hung here.
 	v, err := c.Submit(JobSpec{Model: "llama3.3-70b", Batch: 32, Requests: 32})
 	if err != nil {
 		t.Fatal(err)
@@ -239,20 +239,34 @@ func TestRejectedCountsEveryPath(t *testing.T) {
 func TestRetryDuringShutdownCancels(t *testing.T) {
 	cfg := testConfig("")
 	cfg.Resources = []scheduler.Resource{
-		{Name: "small", Cluster: cluster.MustPreset(1), Availability: 1},
 		{Name: "big", Cluster: cluster.MustPreset(9), Availability: 1},
+		{Name: "small", Cluster: cluster.MustPreset(1), Availability: 0.5},
 	}
-	s := bareServer(t, cfg)
-	v := mustSubmit(t, s, JobSpec{Model: "llama3.3-70b", Batch: 32, Requests: 32})
+	var s *Server
+	cfg.BatchHook = func(_ string, done, _ int) {
+		if done != 1 {
+			return
+		}
+		// After the first batch the job's pool is reclaimed whole, so
+		// it is infeasible there, and the server starts stopping.
+		if _, err := s.Fleet().Preempt("big", gpu.V100, 4); err != nil {
+			t.Error(err)
+		}
+		s.mu.Lock()
+		s.stopping = true
+		s.mu.Unlock()
+	}
+	s = bareServer(t, cfg)
+	v := mustSubmit(t, s, JobSpec{Model: "opt-1.3b", Batch: 8, Requests: 16})
 
-	j, res := s.nextJob(0)
-	if j == nil || res.Name != "small" {
-		t.Fatalf("popped %v on %v", j, res)
+	j := s.nextJob()
+	if j == nil {
+		t.Fatal("no job popped")
 	}
-	s.mu.Lock()
-	s.stopping = true
-	s.mu.Unlock()
-	s.execute(j, res) // infeasible on small; retry abandoned by the drain
+	s.execute(j) // infeasible on big after batch 1; retry abandoned by the drain
+	if j.resource != "big" || j.batchesDone != 1 {
+		t.Fatalf("job ran %d batches on %q, want 1 on big", j.batchesDone, j.resource)
+	}
 
 	got, err := s.Job(v.ID)
 	if err != nil {
@@ -273,14 +287,14 @@ func TestRetryDuringShutdownCancels(t *testing.T) {
 func TestCancelDuringPlanningWindow(t *testing.T) {
 	s := queueOnlyServer(t, 16)
 	v := mustSubmit(t, s, JobSpec{Model: "opt-1.3b", Batch: 8, Requests: 8})
-	j, res := s.nextJob(0)
+	j := s.nextJob()
 	if j == nil || j.state != StatePlanning {
 		t.Fatalf("popped %v", j)
 	}
 	if _, err := s.Cancel(v.ID); err != nil {
 		t.Fatal(err)
 	}
-	s.execute(j, res)
+	s.execute(j)
 	got, err := s.Job(v.ID)
 	if err != nil {
 		t.Fatal(err)
@@ -376,8 +390,9 @@ func TestRaceConcurrentShutdown(t *testing.T) {
 }
 
 // TestNoLostWakeupUnderMixedFeasibility floods a two-pool server with
-// jobs that bounce between pools; with the old Signal-based wakeup a
-// woken worker could swallow the only signal and strand a runnable job.
+// jobs of mixed feasibility that queue for pool claims; with a
+// Signal-based wakeup a woken worker could swallow the only signal and
+// strand a runnable job.
 // Each job signals its last batch through BatchHook, so the test waits
 // on those signals instead of polling job states.
 func TestNoLostWakeupUnderMixedFeasibility(t *testing.T) {

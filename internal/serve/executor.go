@@ -13,89 +13,55 @@ import (
 	"repro/internal/scheduler"
 )
 
-// worker drains the queue. Workers are not pinned to pools: each
-// iteration claims any idle pool with a runnable job (preferring the
-// pool at the worker's own offset for spread), so every pool is served
-// even when Config.Workers is below the pool count. At most one job runs
-// per pool at a time.
-func (s *Server) worker(idx int) {
+// worker drains the queue: it takes the next queued job and executes
+// it. Workers are not pinned to pools; placement picks the pool.
+func (s *Server) worker() {
 	defer s.workers.Done()
 	for {
-		j, res := s.nextJob(idx)
+		j := s.nextJob()
 		if j == nil {
 			return
 		}
-		s.execute(j, res)
-		s.releasePool(res)
+		s.execute(j)
 	}
 }
 
-// nextJob blocks until some queued job has an idle pool that has not
-// already proven infeasible for it, claims the pool (marking it busy),
-// and returns the pairing with the job in planning state — or (nil, nil)
-// once the server stops. Jobs whose untried pools are all busy stay
-// queued; releasePool re-wakes the workers when a pool frees up.
-func (s *Server) nextJob(start int) (*job, *scheduler.Resource) {
+// nextJob blocks until a job is queued, pops the first in queue order
+// and moves it to planning — or returns nil once the server stops.
+func (s *Server) nextJob() *job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
-		var picked *job
-		var pool *scheduler.Resource
-		var skipped []*job
 		for s.queue.Len() > 0 {
 			j := heap.Pop(&s.queue).(*job)
-			if j.state != StateQueued {
-				continue // canceled while queued
+			if j.state == StateQueued { // else canceled while queued
+				j.state = StatePlanning
+				return j
 			}
-			if r := s.idlePoolFor(j, start); r != nil {
-				picked, pool = j, r
-				break
-			}
-			skipped = append(skipped, j)
-		}
-		for _, j := range skipped {
-			heap.Push(&s.queue, j)
-		}
-		if picked != nil {
-			now := s.clk.Now()
-			s.pools[pool.Name].claimedAt = now
-			picked.state = StatePlanning
-			if picked.started.IsZero() {
-				picked.started = now
-				wait := picked.started.Sub(picked.submitted).Seconds()
-				s.waitS.Add(wait)
-				s.tel.queueWaitHist.Observe(wait)
-				if tr := s.tel.tr; tr != nil {
-					tr.Span(pool.Name, "queue-wait", tr.Now()-wait, wait, map[string]any{"job": picked.id})
-				}
-			}
-			return picked, pool
 		}
 		if s.stopping {
-			return nil, nil
+			return nil
 		}
 		s.cond.Wait()
 	}
 }
 
-// idlePoolFor returns an idle pool the job has not yet been tried on,
-// scanning from the start offset (caller holds s.mu).
-func (s *Server) idlePoolFor(j *job, start int) *scheduler.Resource {
-	n := len(s.cfg.Resources)
-	for k := 0; k < n; k++ {
-		r := &s.cfg.Resources[(start+k)%n]
-		if !s.pools[r.Name].claimed() && !j.tried[r.Name] {
-			return r
-		}
+// claimPool blocks until no job executes on the pool, then marks it
+// claimed: at most one job executes per pool at a time, and a placed
+// job waits for its own pool.
+func (s *Server) claimPool(p *poolLoad) {
+	s.mu.Lock()
+	for p.claimed() {
+		s.cond.Wait()
 	}
-	return nil
+	p.claimedAt = s.clk.Now()
+	s.mu.Unlock()
 }
 
-// releasePool frees a pool claimed by nextJob and re-wakes the workers:
-// a job may have been waiting for exactly this pool.
-func (s *Server) releasePool(res *scheduler.Resource) {
+// releasePool frees a claim and re-wakes the workers: a placed job may
+// be waiting for exactly this pool.
+func (s *Server) releasePool(p *poolLoad) {
 	s.mu.Lock()
-	p := s.pools[res.Name]
 	p.busySec += s.clk.Now().Sub(p.claimedAt).Seconds()
 	p.claimedAt = time.Time{}
 	s.cond.Broadcast()
@@ -116,26 +82,173 @@ func (s *Server) jobOptions(j *job) core.Options {
 	return opts
 }
 
-// execute plans (via the cache) and runs one job on one resource,
-// surviving preemption: batches run against the pool's *current*
-// availability snapshot, and when the fleet view's generation moves at a
-// batch boundary the executor checkpoints batchesDone and re-plans the
-// remaining batches on the degraded (or restored) cluster. Only when the
-// shrunken pool cannot run the job at all does it fall back to
-// retryElsewhere.
-func (s *Server) execute(j *job, res *scheduler.Resource) {
+// offer is one pool's price for a job's remaining batches.
+type offer struct {
+	res  *scheduler.Resource
+	pool *poolLoad
+	snap scheduler.View
+	plan *plan.Plan
+	sim  *pipeline.Result
+	hit  bool
+	// sec is the remaining batches' simulated seconds on the pool:
+	// batches × sim.TotalSeconds / availability.
+	sec float64
+	// planSec is the planner time the offer took (0 on a cache hit).
+	planSec float64
+}
+
+// price plans and simulates the job's remaining batches on a snapshot
+// of pool res through the plan cache, warm-started from inc. The cache
+// keys on the snapshot's cluster: a degraded pool plans under its own
+// fingerprint, and a pool restored to a composition it already planned
+// is answered from the cache, simulation included.
+func (s *Server) price(ctx context.Context, j *job, res *scheduler.Resource, snap scheduler.View, remaining int, opts core.Options, inc *plan.Plan) (offer, error) {
+	tr := s.tel.tr
+	planBegin := tr.Now()
+	p, sim, rep, hit, err := s.cache.PlanAndSimulate(ctx, j.mspec, snap.Cluster, j.batch, opts, inc)
+	if err != nil {
+		return offer{}, err
+	}
+	if tr != nil {
+		cacheState := "cold"
+		if hit {
+			cacheState = "hit"
+		} else if inc != nil {
+			cacheState = "warm"
+		}
+		tr.Span(res.Name, "plan", planBegin, tr.Now()-planBegin,
+			map[string]any{"job": j.id, "cache": cacheState})
+	}
+	o := offer{
+		res: res, pool: s.pools[res.Name], snap: snap, plan: p, sim: sim, hit: hit,
+		sec: float64(remaining) * sim.TotalSeconds / res.Availability,
+	}
+	if !hit {
+		o.planSec = rep.SolveSeconds
+		s.tel.planHist.Observe(o.planSec)
+	}
+	s.tel.planSeconds.Add(o.planSec)
+	return o, nil
+}
+
+// capacityErr reports whether err says the job does not fit a pool.
+func capacityErr(err error) bool {
+	return errors.Is(err, core.ErrInfeasible) || errors.Is(err, pipeline.ErrOOM)
+}
+
+// place prices the job's remaining batches on every pool that is not
+// fully reclaimed and that the job has not proven infeasible on, and
+// reserves the pool where the job finishes earliest: the least pool
+// load plus offer seconds, the pool listed first in Config.Resources on
+// a tie. A pool that proves infeasible is recorded in j.tried. The
+// returned offer's planSec covers every pool priced. place fails when
+// no pool can run the job.
+func (s *Server) place(ctx context.Context, j *job, remaining int, opts core.Options) (offer, error) {
+	var buf [4]offer
+	offers := buf[:0]
+	var firstErr error
+	var planSec float64
+	for i := range s.cfg.Resources {
+		res := &s.cfg.Resources[i]
+		if j.tried[res.Name] {
+			continue
+		}
+		snap, err := s.fleet.Snapshot(res.Name)
+		if err != nil {
+			return offer{}, err
+		}
+		if snap.Cluster == nil {
+			continue // fully reclaimed for now
+		}
+		o, err := s.price(ctx, j, res, snap, remaining, opts, nil)
+		if err != nil {
+			if ctx.Err() != nil || !capacityErr(err) {
+				return offer{}, err
+			}
+			s.mu.Lock()
+			s.markTriedLocked(j, res.Name)
+			s.mu.Unlock()
+			if firstErr == nil {
+				firstErr = err
+			}
+			continue
+		}
+		planSec += o.planSec
+		offers = append(offers, o)
+	}
+	if len(offers) == 0 {
+		if firstErr == nil {
+			firstErr = fmt.Errorf("every pool untried by the job is fully reclaimed: %w", core.ErrInfeasible)
+		}
+		return offer{}, firstErr
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	best := &offers[0]
+	for i := 1; i < len(offers); i++ {
+		if o := &offers[i]; o.pool.load+o.sec < best.pool.load+best.sec {
+			best = o
+		}
+	}
+	best.planSec = planSec
+	j.resource = best.res.Name
+	s.reserveLocked(j, best.sec)
+	return *best, nil
+}
+
+// reserveLocked makes sec the unrun remainder the job holds on its pool
+// (j.resource; none while unplaced), moving the pool's load by the
+// change (caller holds s.mu). Each batch the job runs takes its seconds
+// off the remainder, so a pool's load is the simulated seconds its
+// jobs ran plus the remainders they still hold. A job that ends or
+// leaves its pool reserves 0.
+func (s *Server) reserveLocked(j *job, sec float64) {
+	if p := s.pools[j.resource]; p != nil {
+		p.load += sec - j.unrun
+		j.unrun = sec
+	}
+}
+
+// markTriedLocked records that the job does not fit a pool (caller
+// holds s.mu).
+func (s *Server) markTriedLocked(j *job, pool string) {
+	if j.tried == nil {
+		j.tried = map[string]bool{}
+	}
+	j.tried[pool] = true
+}
+
+// execute runs one job popped by nextJob until it ends or goes back to
+// the queue. It places the job, waits for the chosen pool's claim and
+// runs its batches there. The job survives preemption: when the fleet
+// view's generation moves at a batch boundary (or since the job was
+// priced), the executor re-plans the remaining batches on the pool's
+// current cluster, from the batchesDone checkpoint. Only when the pool
+// cannot run the job at all does it fall back to retryElsewhere.
+func (s *Server) execute(j *job) {
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	defer cancel()
+	// Trace names and args are built only under a tracer.
+	tr := s.tel.tr
+	popped := tr.Now()
 
 	s.mu.Lock()
+	wait := -1.0 // the queue wait, on the job's first start only
+	if j.started.IsZero() {
+		j.started = s.clk.Now()
+		wait = j.started.Sub(j.submitted).Seconds()
+		s.waitS.Add(wait)
+		s.tel.queueWaitHist.Observe(wait)
+	}
 	if j.cancelRequested {
 		s.finishLocked(j, StateCanceled, "canceled")
 		s.mu.Unlock()
 		return
 	}
 	j.cancel = cancel
-	j.resource = res.Name
 	expired := !j.deadline.IsZero() && s.clk.Now().After(j.deadline)
+	total := j.batches()
+	remaining := total - j.batchesDone
 	s.mu.Unlock()
 	if expired {
 		s.fail(j, fmt.Errorf("deadline exceeded before execution"))
@@ -143,68 +256,48 @@ func (s *Server) execute(j *job, res *scheduler.Resource) {
 	}
 
 	opts := s.jobOptions(j)
-	total := j.batches()
-	// Trace names and args are built only under a tracer.
-	tr := s.tel.tr
+	o, err := s.place(ctx, j, remaining, opts)
+	if err != nil {
+		if ctx.Err() != nil {
+			s.cancelFinished(j)
+			return
+		}
+		s.fail(j, err)
+		return
+	}
+	res := o.res
+	if wait >= 0 && tr != nil {
+		tr.Span(res.Name, "queue-wait", popped-wait, wait, map[string]any{"job": j.id})
+	}
+	s.claimPool(o.pool)
+	defer s.releasePool(o.pool)
 
-	// last is the plan of the previous attempt on this pool; after a
-	// preemption or restore it warm-starts the replan on the changed
-	// topology instead of searching cold.
-	var last *plan.Plan
 	for attempt := 0; ; attempt++ {
 		if s.abandonRequeued(j) {
 			return
 		}
-		snap, err := s.fleet.Snapshot(res.Name)
-		if err != nil {
-			s.fail(j, err)
-			return
-		}
-		if snap.Cluster == nil {
-			err := fmt.Errorf("pool %s fully preempted: %w", res.Name, core.ErrInfeasible)
-			if s.retryElsewhere(j, res, err) {
+		replan := attempt > 0 || s.fleet.Generation(res.Name) != o.snap.Generation
+		if replan {
+			// The last plan warm-starts the replan on the changed
+			// topology instead of searching cold.
+			snap, err := s.fleet.Snapshot(res.Name)
+			if err == nil && snap.Cluster == nil {
+				err = fmt.Errorf("pool %s fully preempted: %w", res.Name, core.ErrInfeasible)
+			}
+			if err == nil {
+				o, err = s.price(ctx, j, res, snap, total-j.batchesDone, opts, o.plan)
+			}
+			if err != nil {
+				if errors.Is(err, context.Canceled) || ctx.Err() != nil {
+					s.cancelFinished(j)
+					return
+				}
+				if s.retryElsewhere(j, res, err) {
+					return
+				}
+				s.fail(j, err)
 				return
 			}
-			s.fail(j, err)
-			return
-		}
-
-		// The cache keys on the *current* cluster: a degraded pool plans
-		// under its own fingerprint, and a pool restored to a composition
-		// it already planned is answered from the cache, simulation
-		// included.
-		planBegin := tr.Now()
-		p, sim, rep, hit, err := s.cache.PlanAndSimulate(ctx, j.mspec, snap.Cluster, j.batch, opts, last)
-		if err == nil && tr != nil {
-			cacheState := "cold"
-			if hit {
-				cacheState = "hit"
-			} else if last != nil {
-				cacheState = "warm"
-			}
-			tr.Span(res.Name, "plan", planBegin, tr.Now()-planBegin,
-				map[string]any{"job": j.id, "cache": cacheState})
-		}
-		if err != nil {
-			if errors.Is(err, context.Canceled) || ctx.Err() != nil {
-				s.cancelFinished(j)
-				return
-			}
-			if s.retryElsewhere(j, res, err) {
-				return
-			}
-			s.fail(j, err)
-			return
-		}
-		last = p
-
-		var planSec float64
-		if !hit {
-			planSec = rep.SolveSeconds
-			s.tel.planHist.Observe(planSec)
-		}
-		s.tel.planSeconds.Add(planSec)
-		if attempt > 0 {
 			s.tel.replans.Inc()
 			if tr != nil {
 				tr.Instant(res.Name, "replan", tr.Now(), map[string]any{"job": j.id, "attempt": attempt})
@@ -215,22 +308,23 @@ func (s *Server) execute(j *job, res *scheduler.Resource) {
 			s.mu.Unlock()
 			return
 		}
-		j.state = StateRunning
-		j.cacheHit = hit // last planning round's cache outcome
-		j.planStr = p.String()
-		j.planSeconds += planSec
-		j.batchesTotal = total
-		j.throughput = sim.Throughput
-		if attempt > 0 {
+		if replan {
+			s.reserveLocked(j, o.sec)
 			j.replans++
 		}
+		j.state = StateRunning
+		j.cacheHit = o.hit // last planning round's cache outcome
+		j.planStr = o.plan.String()
+		j.planSeconds += o.planSec
+		j.batchesTotal = total
+		j.throughput = o.sim.Throughput
 		start := j.batchesDone // checkpoint: resume, never redo, batches
 		s.mu.Unlock()
 
 		// Batches execute sequentially on the pool; each iteration is one
 		// simulated batch, so cancellation and preemption both land on a
 		// batch boundary ("finish in-flight batches" during drains).
-		perBatch := sim.TotalSeconds / res.Availability
+		perBatch := o.sim.TotalSeconds / res.Availability
 		batchHist := s.tel.batchHist.With(res.Name)
 		preempted := false
 		for b := start; b < total; b++ {
@@ -242,6 +336,7 @@ func (s *Server) execute(j *job, res *scheduler.Resource) {
 			s.mu.Lock()
 			j.batchesDone = b + 1
 			j.simSeconds += perBatch
+			j.unrun -= perBatch
 			s.mu.Unlock()
 			s.tel.simSeconds.Add(perBatch)
 			batchHist.Observe(perBatch)
@@ -252,13 +347,13 @@ func (s *Server) execute(j *job, res *scheduler.Resource) {
 			if s.cfg.BatchHook != nil {
 				s.cfg.BatchHook(j.id, b+1, total)
 			}
-			if b+1 < total && s.fleet.Generation(res.Name) != snap.Generation {
+			if b+1 < total && s.fleet.Generation(res.Name) != o.snap.Generation {
 				// The pool changed under the job: checkpoint and re-plan
 				// the remaining batches against the new topology.
 				cur, err := s.fleet.Snapshot(res.Name)
 				s.mu.Lock()
 				j.state = StatePlanning
-				if err == nil && cur.Devices < snap.Devices {
+				if err == nil && cur.Devices < o.snap.Devices {
 					j.preemptions++
 				}
 				s.mu.Unlock()
@@ -278,23 +373,19 @@ func (s *Server) execute(j *job, res *scheduler.Resource) {
 	}
 }
 
-// retryElsewhere requeues a job whose planning or simulation proved
-// infeasible on this pool, so a differently sized pool can try it;
-// admission only guarantees the job fits *some* pool. Returns false —
-// leaving the caller to fail the job — for non-capacity errors or once
-// every pool has been tried. A job abandoned mid-retry because the
-// server is stopping is canceled (shutdown), not failed: the pool being
-// too small is not the job's final verdict.
+// retryElsewhere requeues a job whose re-plan proved infeasible on this
+// pool, so a differently sized pool can take the remaining batches.
+// Returns false — leaving the caller to fail the job — for non-capacity
+// errors or once every pool has been tried. A job abandoned mid-retry
+// because the server is stopping is canceled (shutdown), not failed:
+// the pool being too small is not the job's final verdict.
 func (s *Server) retryElsewhere(j *job, res *scheduler.Resource, err error) bool {
-	if !errors.Is(err, core.ErrInfeasible) && !errors.Is(err, pipeline.ErrOOM) {
+	if !capacityErr(err) {
 		return false
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if j.tried == nil {
-		j.tried = map[string]bool{}
-	}
-	j.tried[res.Name] = true
+	s.markTriedLocked(j, res.Name)
 	if j.cancelRequested {
 		s.finishLocked(j, StateCanceled, "canceled")
 		return true
@@ -306,6 +397,7 @@ func (s *Server) retryElsewhere(j *job, res *scheduler.Resource, err error) bool
 		s.finishLocked(j, StateCanceled, "canceled by shutdown before retry on another pool")
 		return true
 	}
+	s.reserveLocked(j, 0)
 	j.state = StateQueued
 	j.resource = ""
 	j.cancel = nil

@@ -139,6 +139,10 @@ type job struct {
 	// plan); admission only guarantees the job fits *some* pool, so the
 	// executor retries it elsewhere before failing it.
 	tried map[string]bool
+
+	// unrun is the simulated seconds of the job's unrun batches that
+	// its pool's load still counts (see Server.reserveLocked).
+	unrun float64
 }
 
 // view snapshots the job (caller holds the server mutex).

@@ -170,7 +170,7 @@ func TestDrainTimeoutRequeuesWedgedJob(t *testing.T) {
 	srv := bareServer(t, cfg)
 	f := srv.clk.(*clock.Fake)
 	srv.workers.Add(1)
-	go srv.worker(0)
+	go srv.worker()
 
 	v := mustSubmit(t, srv, JobSpec{Model: "opt-1.3b", Batch: 16, Requests: 96}) // 6 batches
 	<-wedged

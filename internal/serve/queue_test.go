@@ -66,14 +66,13 @@ func TestQueueOrdering(t *testing.T) {
 
 	want := []string{d.ID, b.ID, c.ID, a.ID}
 	for i, id := range want {
-		j, res := s.nextJob(0)
+		j := s.nextJob()
 		if j == nil || j.id != id {
 			t.Fatalf("pop %d: got %v, want %s", i, j, id)
 		}
 		if j.state != StatePlanning {
 			t.Fatalf("pop %d: state %s", i, j.state)
 		}
-		s.releasePool(res) // hand the single pool back for the next pop
 	}
 }
 
@@ -112,7 +111,7 @@ func TestCancelQueued(t *testing.T) {
 		t.Fatalf("got %v, want ErrUnknownJob", err)
 	}
 
-	if j, _ := s.nextJob(0); j == nil || j.id != v2.ID {
+	if j := s.nextJob(); j == nil || j.id != v2.ID {
 		t.Fatalf("queue should skip the canceled job, popped %v", j)
 	}
 	if m := s.Metrics(); m.Canceled != 1 {
@@ -128,11 +127,11 @@ func TestDeadlineExpiredBeforeRun(t *testing.T) {
 	v := mustSubmit(t, s, spec)
 	s.clk.(*clock.Fake).Advance(time.Millisecond + 1)
 
-	j, res := s.nextJob(0)
+	j := s.nextJob()
 	if j == nil || j.id != v.ID {
 		t.Fatalf("popped %v", j)
 	}
-	s.execute(j, res)
+	s.execute(j)
 	got, err := s.Job(v.ID)
 	if err != nil {
 		t.Fatal(err)
@@ -143,9 +142,9 @@ func TestDeadlineExpiredBeforeRun(t *testing.T) {
 }
 
 // TestInfeasiblePairingRetriesElsewhere: admission guarantees a job
-// fits *some* pool; if the wrong pool's worker grabs it first, the
-// infeasible pairing requeues the job instead of failing it, and the
-// fitting pool completes it.
+// fits *some* pool; placement prices it on every pool, records the pool
+// it proves infeasible on instead of failing the job, and the fitting
+// pool completes it.
 func TestInfeasiblePairingRetriesElsewhere(t *testing.T) {
 	cfg := testConfig("")
 	cfg.Resources = []scheduler.Resource{
@@ -155,28 +154,16 @@ func TestInfeasiblePairingRetriesElsewhere(t *testing.T) {
 	s := bareServer(t, cfg)
 	v := mustSubmit(t, s, JobSpec{Model: "llama3.3-70b", Batch: 32, Requests: 32})
 
-	// The small pool (offset 0) grabs the job first and cannot plan it.
-	j, res := s.nextJob(0)
-	if j == nil || j.id != v.ID || res.Name != "small" {
-		t.Fatalf("popped %v on %v", j, res)
+	// The small pool, listed first, cannot plan the job.
+	j := s.nextJob()
+	if j == nil || j.id != v.ID {
+		t.Fatalf("popped %v", j)
 	}
-	s.execute(j, res)
-	s.releasePool(res)
+	s.execute(j)
+	if !j.tried["small"] || j.tried["big"] {
+		t.Fatalf("tried pools %v, want small only", j.tried)
+	}
 	got, err := s.Job(v.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.State != StateQueued {
-		t.Fatalf("job should be requeued after an infeasible pairing, got %s (%s)", got.State, got.Error)
-	}
-
-	// The next pick skips the tried pool and serves it on the big one.
-	j, res = s.nextJob(0)
-	if j == nil || j.id != v.ID || res.Name != "big" {
-		t.Fatalf("popped %v on %v", j, res)
-	}
-	s.execute(j, res)
-	got, err = s.Job(v.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +195,7 @@ func TestShutdownCancelsQueued(t *testing.T) {
 	if _, err := s.Submit(JobSpec{Model: "opt-1.3b", Batch: 8, Requests: 8}); !errors.Is(err, ErrDraining) {
 		t.Fatalf("got %v, want ErrDraining", err)
 	}
-	if j, _ := s.nextJob(0); j != nil {
+	if j := s.nextJob(); j != nil {
 		t.Fatal("nextJob should return nil after shutdown")
 	}
 }
@@ -220,9 +207,7 @@ func TestShutdownCancelsQueued(t *testing.T) {
 func TestPoolUtilization(t *testing.T) {
 	s := queueOnlyServer(t, 16)
 	f := s.clk.(*clock.Fake)
-	spec := JobSpec{Model: "opt-1.3b", Batch: 8, Requests: 8}
-	mustSubmit(t, s, spec)
-	mustSubmit(t, s, spec)
+	p := s.pools["pool1"]
 
 	util := s.maintenanceHooks().Utilization
 	gauge := s.tel.reg.GaugeVec("serve_pool_busy_ratio", "", "pool").With("pool1")
@@ -249,12 +234,12 @@ func TestPoolUtilization(t *testing.T) {
 	}
 
 	at(10, 0)
-	_, res := s.nextJob(0) // claimed at t=10
-	at(20, 10.0/20)        // in-flight time counts
-	s.releasePool(res)     // released at t=20
-	at(40, 10.0/40)        // released time accumulates while idle
-	_, res = s.nextJob(0)  // claimed again at t=40
-	at(50, 20.0/50)        // released plus in-flight
-	s.releasePool(res)
+	s.claimPool(p)   // claimed at t=10
+	at(20, 10.0/20)  // in-flight time counts
+	s.releasePool(p) // released at t=20
+	at(40, 10.0/40)  // released time accumulates while idle
+	s.claimPool(p)   // claimed again at t=40
+	at(50, 20.0/50)  // released plus in-flight
+	s.releasePool(p)
 	at(50, 20.0/50)
 }

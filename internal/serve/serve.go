@@ -1,15 +1,14 @@
 // Package serve is the offline batch-serving control plane over the
 // SplitQuant planner: a long-running daemon that accepts jobs (model +
 // workload + request volume) over an HTTP/JSON API, admits only jobs
-// whose memory lower bound fits some resource pool, queues them by
-// priority and deadline, plans each (job, pool) pairing through a
+// whose memory lower bound fits some resource pool, and queues them by
+// priority and deadline. It prices each job on every pool through a
 // persistent core.PlanCache keyed by core.PlanKey — which answers a
-// problem it already solved and runs the core.Assigner otherwise — and
-// executes batches on the pipeline simulator across the scheduler's
-// harvested fleet resources. It is the daemon-shaped counterpart of
-// internal/scheduler's one-shot Build: where Build plans a closed job
-// set, serve keeps accepting work, reports per-job progress, and
-// survives restarts warm (the plan cache persists under a state dir).
+// problem it already solved and runs the core.Assigner otherwise —
+// places the job on the pool where it finishes earliest, and executes
+// its batches there on the pipeline simulator. It reports per-job
+// progress and survives restarts warm (the plan cache persists under a
+// state dir).
 package serve
 
 import (
@@ -60,8 +59,8 @@ type Config struct {
 	Resources []scheduler.Resource
 	// Workers bounds executor concurrency; 0 or anything above the pool
 	// count defaults to one worker per resource. Workers are not pinned
-	// to pools: every worker rotates over all pools (at most one job per
-	// pool at a time), so even Workers=1 eventually serves every pool.
+	// to pools: each takes the next queued job, placement picks the
+	// job's pool, and at most one job executes per pool at a time.
 	Workers int
 	// StateDir, when non-empty, holds the persisted plan cache; the
 	// server restores it in New and snapshots it on Shutdown.
@@ -224,7 +223,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	for w := 0; w < s.cfg.Workers; w++ {
 		s.workers.Add(1)
-		go s.worker(w)
+		go s.worker()
 	}
 	return s, nil
 }
@@ -383,10 +382,9 @@ func (s *Server) Submit(spec JobSpec) (JobView, error) {
 	if tr := s.tel.tr; tr != nil {
 		tr.Instant("serve", "submit", tr.Now(), map[string]any{"job": j.id, "model": spec.Model})
 	}
-	// Broadcast, not Signal: a signaled worker whose every idle pool has
-	// already proven infeasible for the queued jobs would re-Wait without
-	// passing the wakeup on, stranding a runnable job while other workers
-	// sleep.
+	// Broadcast, not Signal: workers waiting for a pool claim share the
+	// condition, and a signaled one would re-Wait without passing the
+	// wakeup on, stranding the job while idle workers sleep.
 	s.cond.Broadcast()
 	return j.view(), nil
 }
@@ -443,6 +441,7 @@ func (s *Server) finishLocked(j *job, st State, errMsg string) {
 	j.state = st
 	j.errMsg = errMsg
 	j.finished = s.clk.Now()
+	s.reserveLocked(j, 0)
 	if st == StateCompleted && !j.started.IsZero() {
 		lat := j.finished.Sub(j.started).Seconds()
 		s.execS.Add(lat)
@@ -510,12 +509,16 @@ func (s *Server) Metrics() Metrics {
 	return m
 }
 
-// poolLoad is one pool's executor-claim record: busySec accumulates the
-// seconds of released claims, and claimedAt marks the current claim
-// (zero while the pool is idle) so an in-flight job's time counts too.
+// poolLoad is one pool's load. busySec accumulates the wall seconds of
+// released executor claims, and claimedAt marks the current claim (zero
+// while the pool is idle) so an in-flight job's time counts too. load
+// is the simulated seconds placed on the pool since the server started,
+// the backlog placement adds to (see DESIGN.md): it never reads the
+// clock.
 type poolLoad struct {
 	claimedAt time.Time
 	busySec   float64
+	load      float64
 }
 
 func (p *poolLoad) claimed() bool { return !p.claimedAt.IsZero() }
@@ -577,6 +580,7 @@ func (s *Server) requeueRunning() {
 	for _, j := range s.jobs {
 		if (j.state == StatePlanning || j.state == StateRunning) && !j.cancelRequested {
 			j.requeuedByDrain = true
+			s.reserveLocked(j, 0)
 			j.state = StateQueued
 			j.resource = ""
 			j.cancel = nil

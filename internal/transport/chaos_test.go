@@ -146,9 +146,14 @@ func TestChaosFaultMatrix(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			r := newChaosRig(t, tc.ioTimeout, tc.arm)
 			defer r.close()
-			if tc.name == "drop/decode/reconnect-refused" {
-				// Armed after the driver's initial connection so only
-				// the redial is refused.
+			refused := tc.name == "drop/decode/reconnect-refused"
+			if refused {
+				// Armed after the driver's initial connection, which a
+				// ping proves the proxy has accepted, so only the redial
+				// is refused.
+				if err := r.driver.Ping(); err != nil {
+					t.Fatal(err)
+				}
 				r.proxy.DropNextConns(1)
 			}
 			got, err := r.driver.Generate(chaosPrompt(), chaosTokens)
@@ -162,6 +167,9 @@ func TestChaosFaultMatrix(t *testing.T) {
 			}
 			if tc.wantReplay && rs.ReplayedTokens == 0 {
 				t.Fatalf("decode-phase fault replayed nothing: %+v (proxy %+v)", rs, r.proxy.Stats())
+			}
+			if refused && rs.FailedAttempts < 2 {
+				t.Fatalf("recovery stats %+v, want ≥ 2 failed attempts (the cut and the refused redial)", rs)
 			}
 			if !tc.wantRecovery && rs.Recoveries != 0 {
 				t.Fatalf("benign fault triggered recovery: %+v", rs)
