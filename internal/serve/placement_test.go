@@ -190,8 +190,7 @@ func TestPlacementTieGoesToFirstPool(t *testing.T) {
 }
 
 // TestPlacementJobFitsNoPool: a job no pool can hold is rejected at
-// admission with ErrInfeasible, and one that no pool can hold any more
-// when it runs fails with it, while the other jobs run.
+// admission with ErrInfeasible, while the other jobs run.
 func TestPlacementJobFitsNoPool(t *testing.T) {
 	giant := JobSpec{Model: "llama3.3-70b", Batch: 32, Requests: 64}
 	small := JobSpec{Model: "opt-13b", Batch: 16, Requests: 64}
@@ -203,10 +202,17 @@ func TestPlacementJobFitsNoPool(t *testing.T) {
 	if v := runJobs(t, s, []JobSpec{small})[0]; v.State != StateCompleted {
 		t.Fatalf("small job: %s (%s)", v.State, v.Error)
 	}
+}
 
-	// The giant job passes admission on the intact 4×V100 pool, which
-	// then loses three devices before the job is placed.
-	s = placementServer(t, []scheduler.Resource{{Name: "v100s", Cluster: cluster.MustPreset(9), Availability: 1}})
+// TestPlacementUnplaceableJobReported: a job that no pool can hold any
+// more when it runs is reported failed with ErrInfeasible, while the
+// other jobs run. The giant job passes admission on the intact 4×V100
+// pool, which then loses three devices before the job is placed.
+func TestPlacementUnplaceableJobReported(t *testing.T) {
+	giant := JobSpec{Model: "llama3.3-70b", Batch: 32, Requests: 64}
+	small := JobSpec{Model: "opt-13b", Batch: 16, Requests: 64}
+
+	s := placementServer(t, []scheduler.Resource{{Name: "v100s", Cluster: cluster.MustPreset(9), Availability: 1}})
 	ids := []string{mustSubmit(t, s, giant).ID, mustSubmit(t, s, small).ID}
 	if _, err := s.Fleet().Preempt("v100s", gpu.V100, 3); err != nil {
 		t.Fatal(err)
