@@ -122,8 +122,8 @@ test-race:
 # bits, both forms and both roundings. The twelfth checks that the
 # planner's optimistic bound, which decides which configurations the
 # search skips, never exceeds a feasible assignment's objective. The
-# thirteenth feeds arbitrary bytes to the plan JSON decoder that cached and
-# warm-start plans come through: no panic, Validate rejects malformed
+# thirteenth feeds arbitrary bytes to the plan JSON decoder that cached
+# plans come through: no panic, Validate rejects malformed
 # stages, and a valid bound plan survives a wire round trip unchanged.
 # The fourteenth decodes arbitrary bytes as a serve job spec: Submit rejects
 # it, or the job's batch is valid and equals a fresh synthesis, also
@@ -173,10 +173,11 @@ bench:
 # Gate the committed benchmark snapshots (the table in internal/perf
 # lists every file, part and gate). A check fails when a BENCH_*.json
 # file was generated from different benchmark scenarios than the
-# checked-out code (stale), when the warm-vs-cold replan speedup, the
-# online tier's goodput or TTFT p50, the capacity planner's fleet cost
-# or simulated queue-wait p95, or the rolling-maintenance migrated
-# session count has degraded more than 25% against the committed value,
+# checked-out code (stale), when the replan speedup of a Fork family's
+# shared plan and cost caches over fresh Systems, the online tier's
+# goodput or TTFT p50, the capacity planner's fleet cost or simulated
+# queue-wait p95, or the rolling-maintenance migrated session count has
+# degraded more than 25% against the committed value,
 # or when the telemetry layer costs the warm serve path more than the
 # absolute 5% ceiling. Every gate runs and every failure is reported
 # before the exit status is set. Replan and obs compare only ratios and

@@ -220,11 +220,11 @@ func BenchmarkServeThroughput(b *testing.B) {
 
 // BenchmarkReplanLatency runs the tracked seeded-churn scenario from
 // internal/perf: a fixed sequence of degraded preset-5 topologies, each
-// solved cold (fresh System) and warm (Replan seeded with the previous
-// round's deployment on a Fork of the original System). The scenario
-// itself asserts bit-identical plans and exact pruning accounting; the
-// benchmark additionally enforces the tracked floor of a 5× warm
-// speedup. cmd/benchjson snapshots the same measurement into
+// solved cold (fresh System) and warm (PlanContext on a Fork of the
+// previous round's System, sharing its plan cache and cost cache). The
+// scenario itself asserts bit-identical plans and exact pruning
+// accounting; the benchmark additionally enforces the tracked floor of
+// a 5× warm speedup. cmd/benchjson snapshots the same measurement into
 // BENCH_replan.json (regenerate with make bench-json-out).
 func BenchmarkReplanLatency(b *testing.B) {
 	var last *perf.ReplanResult

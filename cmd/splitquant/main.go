@@ -7,7 +7,6 @@
 //	splitquant -model opt-66b -cluster 7 -method uniform -json
 //	splitquant -model qwen2.5-14b -nodes "a:V100-32G:2,b:A100-40G:1" -workload chat
 //	splitquant -model opt-30b -cluster 5 -o plan.json          # save the plan
-//	splitquant -model opt-30b -cluster 5 -warm plan.json       # re-plan warm from it
 //
 // Clusters come from the paper's Table III presets (-cluster 1..10) or a
 // custom -nodes spec of comma-separated name:gpu:count triples.
@@ -42,8 +41,7 @@ func main() {
 		parallel  = flag.Int("parallel", 0, "planner worker goroutines (0 = all CPUs, 1 = sequential)")
 		progress  = flag.Bool("progress", false, "print live planning progress to stderr")
 		asJSON    = flag.Bool("json", false, "emit the plan as JSON")
-		planOut   = flag.String("o", "", "also write the reloadable plan (planner wire format) to this file")
-		warmFrom  = flag.String("warm", "", "warm-start from a previous plan file (written with -o), pruning the search")
+		planOut   = flag.String("o", "", "also write the plan (planner wire format) to this file")
 		list      = flag.Bool("models", false, "list model architectures and exit")
 	)
 	flag.Parse()
@@ -89,27 +87,9 @@ func main() {
 		fatal(fmt.Errorf("unknown workload %q", *wk))
 	}
 
-	var dep *splitquant.Deployment
-	if *warmFrom != "" {
-		f, err := os.Open(*warmFrom)
-		if err != nil {
-			fatal(err)
-		}
-		prev, err := sys.ReadPlanJSON(f)
-		f.Close()
-		if err != nil {
-			fatal(err)
-		}
-		dep, err = sys.Replan(ctx, prev, w, *batch)
-		if err != nil {
-			fatal(err)
-		}
-	} else {
-		var err error
-		dep, err = sys.PlanContext(ctx, w, *batch)
-		if err != nil {
-			fatal(err)
-		}
+	dep, err := sys.PlanContext(ctx, w, *batch)
+	if err != nil {
+		fatal(err)
 	}
 	if *progress {
 		fmt.Fprintln(os.Stderr)
@@ -139,9 +119,6 @@ func main() {
 	note := ""
 	if st.Cancelled {
 		note = "   (cancelled: best incumbent)"
-	}
-	if st.WarmStarted {
-		note += fmt.Sprintf("   (warm: %d cost-cache hits)", st.CostCacheHits)
 	}
 	fmt.Printf("quality:  Σω = %.4f   planning: %.2fs, %d evaluated, %d pruned%s\n",
 		dep.QualityPenalty(), dep.PlanningSeconds(), st.Configs, st.PrunedConfigs, note)

@@ -17,11 +17,8 @@ type Deployment struct {
 	plan   *plan.Plan
 	batch  workload.Batch
 	report *core.Report
-	// key is the core.PlanKey of the solved problem, for Replan's reuse
-	// fast paths.
-	key string
-	// reused marks a deployment answered from a previous plan or the
-	// plan cache instead of a fresh solve.
+	// reused marks a deployment answered from the plan cache instead of
+	// a fresh solve.
 	reused bool
 }
 
@@ -90,24 +87,19 @@ type PlanStats struct {
 	// cancellation and the deployment is the best incumbent found, not
 	// the full search result.
 	Cancelled bool
-	// WarmStarted reports that a Replan call adapted the previous plan
-	// onto the current topology and seeded the search with it.
-	WarmStarted bool
 	// PrunedConfigs counts configurations the search skipped because
-	// their optimistic bound proved they could not enter the shortlist,
-	// with or without a warm start. Configs + PrunedConfigs equals the
-	// enumeration.
+	// their optimistic bound proved they could not enter the shortlist.
+	// Configs + PrunedConfigs equals the enumeration.
 	PrunedConfigs int
 	// CostCacheHits and CostCacheMisses count per-device cost
 	// evaluations served by (respectively computed into) the System's
 	// shared cost cache during this solve.
 	CostCacheHits   int64
 	CostCacheMisses int64
-	// Reused reports that no search ran at all: Replan answered from the
-	// unchanged previous deployment, or Plan or Replan from the System's
-	// plan cache. The remaining fields then report the original solve's
-	// counts and times; ConfigStats is empty on a plan-cache hit, whose
-	// stored report keeps no per-configuration stats.
+	// Reused reports that no search ran at all: the Fork family's plan
+	// cache answered. The remaining fields then report the original
+	// solve's counts and times; ConfigStats is empty, since a stored
+	// report keeps no per-configuration stats.
 	Reused bool
 	// ConfigStats holds per-configuration solver statistics in canonical
 	// enumeration order.
@@ -124,7 +116,6 @@ func (d *Deployment) Stats() PlanStats {
 		SolveSeconds:    d.report.SolveSeconds,
 		Proved:          d.report.Proved,
 		Cancelled:       d.report.Cancelled,
-		WarmStarted:     d.report.WarmStarted,
 		PrunedConfigs:   d.report.PrunedConfigs,
 		CostCacheHits:   d.report.CostCacheHits,
 		CostCacheMisses: d.report.CostCacheMisses,

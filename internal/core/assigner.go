@@ -78,7 +78,7 @@ type Options struct {
 	// gpu.Pass they price, across configurations and across searches (see
 	// CostCache). Sharing one cache between re-plans of a churning fleet
 	// is safe — cached values are bitwise-identical to direct evaluation —
-	// and is where most of Replan's speedup comes from.
+	// and is what makes a re-plan cheaper than a plan from scratch.
 	Costs *CostCache
 	// Parallelism bounds the worker pool that fans the independent
 	// (mesh, ordering, η, ξ) candidate solves across CPUs: 0 means one
@@ -193,14 +193,9 @@ type Report struct {
 	// exceeded) mid-plan and the returned plan is the best incumbent
 	// found so far, not the full search result.
 	Cancelled bool
-	// WarmStarted reports that the search was seeded from a previous
-	// plan (see Assigner.Replan): the incumbent's objective primed the
-	// pruning threshold and candidate evaluation order.
-	WarmStarted bool
 	// PrunedConfigs counts configurations the search skipped because
-	// their optimistic bound proved they could not enter the shortlist,
-	// with or without an incumbent. They appear in ConfigStats with
-	// Pruned set.
+	// their optimistic bound proved they could not enter the shortlist.
+	// They appear in ConfigStats with Pruned set.
 	PrunedConfigs int
 	// CostCacheHits and CostCacheMisses are the Options.Costs counter
 	// deltas attributable to this solve (approximate when several
@@ -379,27 +374,6 @@ func (a *Assigner) buildConfigCosts(cfg planConfig, batch workload.Batch) *order
 // graceful degradation as the ILP TimeLimit; otherwise Plan returns
 // ctx.Err().
 func (a *Assigner) Plan(ctx context.Context, batch workload.Batch) (*plan.Plan, *Report, error) {
-	return a.Replan(ctx, batch, nil)
-}
-
-// Replan is Plan warm-started from a previous deployment. The incumbent
-// plan is adapted onto the current topology (preempted devices donate
-// their layers to the nearest surviving stage); its objective seeds the
-// search's pruning threshold, and configurations are evaluated closest
-// to it first. Pruning is shortlist-safe either way (see search), so a
-// completed Replan returns a plan bit-identical to Plan on the same
-// inputs; only the work spent differs (see Report.WarmStarted,
-// PrunedConfigs, CostCacheHits).
-//
-// The incumbent inc is the previous plan, live or deserialized; it need
-// not be bound to the current cluster and may come from a larger or
-// smaller one. Its devices are matched to the current topology by ID,
-// and layers of stages whose device no longer exists are merged into
-// the nearest surviving stage before it is evaluated. A nil incumbent,
-// or one that cannot be expressed on the current cluster (no surviving
-// devices, changed bit set) or is infeasible under it, searches exactly
-// as Plan does.
-func (a *Assigner) Replan(ctx context.Context, batch workload.Batch, inc *plan.Plan) (*plan.Plan, *Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -412,7 +386,8 @@ func (a *Assigner) Replan(ctx context.Context, batch workload.Batch, inc *plan.P
 	if c := a.opts.Costs; c != nil {
 		hits0, misses0 = c.Hits(), c.Misses()
 	}
-	p, err := a.solve(ctx, batch, inc, rep)
+	sink := newProgressSink(a.opts.Progress, math.Inf(1))
+	p, err := a.search(ctx, batch, a.searchConfigs(batch.Size), rep, sink, a.opts.Theta)
 	if c := a.opts.Costs; c != nil {
 		rep.CostCacheHits = c.Hits() - hits0
 		rep.CostCacheMisses = c.Misses() - misses0
@@ -422,13 +397,6 @@ func (a *Assigner) Replan(ctx context.Context, batch workload.Batch, inc *plan.P
 		p.SolveSeconds = rep.SolveSeconds
 	}
 	return p, rep, err
-}
-
-// solve runs the search over the method's configurations, seeded by the
-// incumbent plan inc when there is one (see Replan).
-func (a *Assigner) solve(ctx context.Context, batch workload.Batch, inc *plan.Plan, rep *Report) (*plan.Plan, error) {
-	sink := newProgressSink(a.opts.Progress, math.Inf(1))
-	return a.search(ctx, batch, a.searchConfigs(batch.Size), inc, rep, sink, a.opts.Theta)
 }
 
 // admissible reports whether an evaluated assignment may be planned:
@@ -464,15 +432,11 @@ const searchChunk = 8
 // shortlist depth: the ILP polish count, else 1). It stops at a
 // fixpoint where no unevaluated bound reaches the K-th best objective,
 // so no skipped configuration could enter the shortlist and the plan is
-// the one an exhaustive sweep would return.
-//
-// Only the start depends on prev. A previous plan that adapts onto the
-// current configurations and stays admissible under them seeds the
-// threshold with its objective, and chunks run closest to it first.
-// Otherwise the threshold starts at +Inf and chunks run in ascending
-// bound order (ties by enumeration index).
+// the one an exhaustive sweep would return. The threshold starts at
+// +Inf and chunks run in ascending bound order (ties by enumeration
+// index).
 func (a *Assigner) search(ctx context.Context, batch workload.Batch, configs []planConfig,
-	prev *plan.Plan, rep *Report, sink *progressSink, theta float64) (*plan.Plan, error) {
+	rep *Report, sink *progressSink, theta float64) (*plan.Plan, error) {
 
 	ocs := make([]*orderingCosts, len(configs))
 	bounds := make([]float64, len(configs))
@@ -493,13 +457,6 @@ func (a *Assigner) search(ctx context.Context, batch workload.Batch, configs []p
 		rank[i] = i
 	}
 	sort.SliceStable(rank, func(x, y int) bool { return bounds[rank[x]] < bounds[rank[y]] })
-	if seed := adaptIncumbent(prev, configs, a.ind, a.opts.Bits); seed != nil {
-		if ev := evaluate(seed.as, ocs[seed.cfg], a.ind, theta); a.admissible(ev) {
-			rep.WarmStarted = true
-			threshold = ev.Objective
-			rank = warmOrder(rank, configs, seed.cfg)
-		}
-	}
 
 	K := 1
 	if a.opts.Method == MethodILP {
@@ -533,14 +490,7 @@ func (a *Assigner) search(ctx context.Context, batch workload.Batch, configs []p
 			}
 		}
 		if len(chunk) == 0 {
-			// Fixpoint: a seeded threshold below the K-th best objective
-			// may have excluded a configuration the shortlist needs, so
-			// re-admit at the K-th best until nothing more qualifies.
-			if k := kth(); k > threshold {
-				threshold = k
-				continue
-			}
-			break
+			break // fixpoint
 		}
 		runPool(ctx, a.parallelism(), len(chunk), func(c int) {
 			if ctx.Err() != nil {
@@ -553,9 +503,7 @@ func (a *Assigner) search(ctx context.Context, batch workload.Batch, configs []p
 			results[i] = searchResult{done: true, cand: cand, stat: stat}
 			sink.finished(stat)
 		})
-		if k := kth(); k < threshold {
-			threshold = k
-		}
+		threshold = kth() // only falls: evaluated candidates only accumulate
 	}
 
 	// Canonical-order merge, identical regardless of completion order.

@@ -10,8 +10,7 @@ import (
 // CostCache memoizes per-layer latency evaluations across searches. It
 // is safe for concurrent use and intended to be shared: between the
 // candidate configurations of one solve (orderings of the same mesh
-// reuse every device's tables), between warm re-plans of a churning
-// fleet, and between the topology variants of System.Fork. It is keyed
+// reuse every device's tables), between re-plans of a churning fleet, and between the topology variants of System.Fork. It is keyed
 // by the gpu.Pass it prices, which holds every value the roofline reads
 // (derating and TP efficiency included, through the effective rates),
 // so a hit is bitwise-identical to an uncached computation and sharing

@@ -536,24 +536,3 @@ func TestMaxfMatchesMathMax(t *testing.T) {
 		}
 	}
 }
-
-// FuzzOptimisticBound checks that optimisticBound, which decides which
-// configurations the search may skip, never exceeds the objective of a
-// feasible assignment under the configuration.
-func FuzzOptimisticBound(f *testing.F) {
-	f.Add(uint8(0), uint8(0), 10.0, []byte{})
-	f.Add(uint8(7), uint8(10), 1.0, []byte{3, 0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2})
-	f.Add(uint8(13), uint8(5), 0.0, []byte{1, 1, 1, 1, 0, 0, 0, 0, 0, 0})
-	f.Add(uint8(24), uint8(9), 100.0, []byte{9, 0, 2, 5, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1})
-	f.Add(uint8(29), uint8(3), 0.5, []byte{0, 4, 0, 4, 3, 3, 3})
-	f.Fuzz(func(t *testing.T, instance, layers uint8, theta float64, assign []byte) {
-		oc, ind, theta, as := fuzzAssignment(t, instance, layers, theta, assign)
-		ev := evaluate(as, oc, ind, theta)
-		if !ev.Feasible {
-			return
-		}
-		if lb := optimisticBound(oc, ind, theta); lb > ev.Objective {
-			t.Fatalf("bound %v exceeds the objective %v of feasible %v", lb, ev.Objective, as)
-		}
-	})
-}

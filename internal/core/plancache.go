@@ -138,16 +138,15 @@ func NewPlanCache(capacity int) *PlanCache {
 // Plan returns the plan for batch of spec on clu under opts. When the
 // cache holds the problem's PlanKey it returns that plan, bound to clu,
 // and hit is true. Otherwise it profiles the quality indicator, runs
-// Assigner.Replan warm-started from inc (nil searches cold), and stores
-// the plan unless the solve was cancelled. Replan's contract makes a
-// completed solve bit-identical to a cold one, so a hit returns the plan
-// a fresh solve would. The plan is the caller's own copy; the report is
-// the solve's, and on a hit the stored one: without ConfigStats, and nil
-// for an entry restored by Load. A solve without Options.Costs uses the
+// Assigner.Plan, and stores the plan unless the solve was cancelled. A
+// solve is a pure function of the key's inputs, so a hit returns the
+// plan a fresh solve would. The plan is the caller's own copy; the
+// report is the solve's, and on a hit the stored one: without
+// ConfigStats, and nil for an entry restored by Load. A solve without Options.Costs uses the
 // cache's own cost cache.
 func (c *PlanCache) Plan(ctx context.Context, spec *model.Spec, clu *cluster.Cluster, batch workload.Batch,
-	opts Options, inc *plan.Plan) (p *plan.Plan, rep *Report, hit bool, err error) {
-	p, _, rep, hit, err = c.plan(ctx, spec, clu, batch, opts, inc, false)
+	opts Options) (p *plan.Plan, rep *Report, hit bool, err error) {
+	p, _, rep, hit, err = c.plan(ctx, spec, clu, batch, opts, false)
 	return p, rep, hit, err
 }
 
@@ -158,13 +157,13 @@ func (c *PlanCache) Plan(ctx context.Context, spec *model.Spec, clu *cluster.Clu
 // hit, so the caller must not modify it. A simulation error is returned
 // as err.
 func (c *PlanCache) PlanAndSimulate(ctx context.Context, spec *model.Spec, clu *cluster.Cluster, batch workload.Batch,
-	opts Options, inc *plan.Plan) (p *plan.Plan, sim *pipeline.Result, rep *Report, hit bool, err error) {
-	return c.plan(ctx, spec, clu, batch, opts, inc, true)
+	opts Options) (p *plan.Plan, sim *pipeline.Result, rep *Report, hit bool, err error) {
+	return c.plan(ctx, spec, clu, batch, opts, true)
 }
 
 // plan is Plan, and PlanAndSimulate when simulate is set.
 func (c *PlanCache) plan(ctx context.Context, spec *model.Spec, clu *cluster.Cluster, batch workload.Batch,
-	opts Options, inc *plan.Plan, simulate bool) (p *plan.Plan, sim *pipeline.Result, rep *Report, hit bool, err error) {
+	opts Options, simulate bool) (p *plan.Plan, sim *pipeline.Result, rep *Report, hit bool, err error) {
 	// The key is built on the stack and looked up without a string of
 	// its own; an uncacheable problem has the empty key, never stored.
 	var buf [512]byte
@@ -182,7 +181,7 @@ func (c *PlanCache) plan(ctx context.Context, spec *model.Spec, clu *cluster.Clu
 	if err != nil {
 		return nil, nil, nil, false, err
 	}
-	if p, rep, err = a.Replan(ctx, batch, inc); err != nil {
+	if p, rep, err = a.Plan(ctx, batch); err != nil {
 		return nil, nil, nil, false, err
 	}
 	if !rep.Cancelled { // a cut-short search's incumbent is not the answer

@@ -94,7 +94,7 @@ func TestPlanCacheLoadsSavedSnapshot(t *testing.T) {
 		if key := PlanKey(spec.Name, clu, pr.batch, pr.opts); key != e.Key {
 			t.Fatalf("problem %d: PlanKey = %q, saved under %q", i, key, e.Key)
 		}
-		p, _, hit, err := c.Plan(context.Background(), spec, clu, pr.batch, pr.opts, nil)
+		p, _, hit, err := c.Plan(context.Background(), spec, clu, pr.batch, pr.opts)
 		if err != nil || !hit {
 			t.Fatalf("problem %d (%s): hit %v, err %v", i, e.Key, hit, err)
 		}

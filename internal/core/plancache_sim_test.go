@@ -116,7 +116,7 @@ func sameSim(a *pipeline.Result, aErr error, b *pipeline.Result, bErr error) boo
 // against a fresh pipeline.Simulate of the returned plan.
 func simHit(t *testing.T, c *PlanCache, spec *model.Spec, clu *cluster.Cluster, batch workload.Batch, opts Options) (*pipeline.Result, error) {
 	t.Helper()
-	p, sim, _, hit, err := c.PlanAndSimulate(context.Background(), spec, clu, batch, opts, nil)
+	p, sim, _, hit, err := c.PlanAndSimulate(context.Background(), spec, clu, batch, opts)
 	if !hit && err == nil {
 		t.Fatal("PlanAndSimulate missed a stored key")
 	}
@@ -213,7 +213,7 @@ func TestPlanCacheSimulationRebinds(t *testing.T) {
 	fresh("a put of the same plan", spec, clu, c)
 	c.put(key, raw8, nil)
 	at8 := fresh("a put of another plan", spec, clu, c)
-	if p, _, _, _, _ := c.PlanAndSimulate(context.Background(), spec, clu, batch, opts, nil); !allBits(p, 8) {
+	if p, _, _, _, _ := c.PlanAndSimulate(context.Background(), spec, clu, batch, opts); !allBits(p, 8) {
 		t.Fatalf("after a put of the 8-bit plan, a hit returned bits %v", p.Bits())
 	}
 
@@ -300,7 +300,7 @@ func TestPlanCacheConcurrentSimulatedHits(t *testing.T) {
 	b := *a
 	c := NewPlanCache(2)
 	c.put(PlanKey(spec.Name, a, batch, opts), evenPlanJSON(t, spec, a, 4), nil)
-	p, _, _, _, err := c.PlanAndSimulate(context.Background(), spec, a, batch, opts, nil)
+	p, _, _, _, err := c.PlanAndSimulate(context.Background(), spec, a, batch, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +318,7 @@ func TestPlanCacheConcurrentSimulatedHits(t *testing.T) {
 				if (g+i)%3 == 0 {
 					clu = &b
 				}
-				_, sim, _, hit, err := c.PlanAndSimulate(context.Background(), spec, clu, batch, opts, nil)
+				_, sim, _, hit, err := c.PlanAndSimulate(context.Background(), spec, clu, batch, opts)
 				if err != nil || !hit {
 					t.Errorf("hit %v, err %v", hit, err)
 					return

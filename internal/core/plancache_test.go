@@ -380,7 +380,7 @@ func TestPlanKeyCoversOptions(t *testing.T) {
 }
 
 // TestPlanCachePlan checks the one way a plan is obtained. A miss, a hit
-// and an incumbent-seeded miss each return the plan a direct
+// and a miss on a shrunk cluster each return the plan a direct
 // Assigner.Plan returns; a stored entry keeps the solve's counts but no
 // per-configuration stats; writing into a returned plan never reaches
 // the next hit; and a cancelled solve is not stored.
@@ -400,9 +400,9 @@ func TestPlanCachePlan(t *testing.T) {
 		return planJSON(t, p)
 	}
 	c := NewPlanCache(4)
-	get := func(clu *cluster.Cluster, inc *plan.Plan, wantHit bool) (*plan.Plan, *Report) {
+	get := func(clu *cluster.Cluster, wantHit bool) (*plan.Plan, *Report) {
 		t.Helper()
-		p, rep, hit, err := c.Plan(context.Background(), spec, clu, smallBatch, opts, inc)
+		p, rep, hit, err := c.Plan(context.Background(), spec, clu, smallBatch, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -415,14 +415,14 @@ func TestPlanCachePlan(t *testing.T) {
 		return p, rep
 	}
 
-	_, solved := get(full, nil, false)
+	_, solved := get(full, false)
 	if len(solved.ConfigStats) == 0 {
 		t.Fatal("a solve reported no per-configuration stats")
 	}
 	// The first hit decodes the entry and the second copies the decoded
 	// plan; neither's caller can reach the next hit.
 	for i := 0; i < 2; i++ {
-		p, rep := get(full, nil, true)
+		p, rep := get(full, true)
 		if rep.ConfigStats != nil || rep.Configs != solved.Configs || rep.PrunedConfigs != solved.PrunedConfigs {
 			t.Fatalf("stored report = %+v, want the solve's counts without ConfigStats", rep)
 		}
@@ -433,10 +433,8 @@ func TestPlanCachePlan(t *testing.T) {
 		}
 		p.Stages = p.Stages[:1]
 	}
-	p, _ := get(full, nil, true)
-	if _, warm := get(degraded, p, false); !warm.WarmStarted {
-		t.Fatal("the full-cluster plan did not seed the degraded solve")
-	}
+	get(full, true)
+	get(degraded, false)
 	if hits, misses := c.Stats(); hits != 3 || misses != 2 || c.Len() != 2 {
 		t.Fatalf("%d hits, %d misses, %d entries; want 3, 2, 2", hits, misses, c.Len())
 	}
@@ -447,7 +445,7 @@ func TestPlanCachePlan(t *testing.T) {
 	cut.Parallelism = 1
 	cut.Progress = func(Progress) { cancel() }
 	c = NewPlanCache(4)
-	if _, rep, _, err := c.Plan(ctx, spec, full, smallBatch, cut, nil); err != nil || !rep.Cancelled {
+	if _, rep, _, err := c.Plan(ctx, spec, full, smallBatch, cut); err != nil || !rep.Cancelled {
 		t.Fatalf("cancelled solve: err %v, report %+v; want its incumbent", err, rep)
 	}
 	if c.Len() != 0 {

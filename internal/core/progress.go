@@ -30,7 +30,7 @@ type ConfigStat struct {
 	Seconds float64
 	// Pruned reports that the search skipped the configuration because
 	// its optimistic bound proved it could not enter the shortlist (see
-	// Assigner.Plan and Replan). Pruned entries report
+	// Assigner.search). Pruned entries report
 	// Feasible=false and an infinite Objective without implying the
 	// configuration is actually infeasible.
 	Pruned bool

@@ -1,15 +1,16 @@
 // Package perf holds the measurement logic behind the repo's tracked
-// benchmarks: replan latency under cluster churn, planner parallel
-// speedup, serving throughput, and the online tier's SLO quantities
-// under a seeded closed-loop scenario, capacity planning, telemetry
-// overhead and rolling maintenance. The same functions back both the
+// benchmarks: replan latency under cluster churn (plans on a Fork
+// family that shares its plan and cost caches versus plans on fresh
+// Systems), planner parallel speedup, serving throughput, and the
+// online tier's SLO quantities under a seeded closed-loop scenario,
+// capacity planning, telemetry overhead and rolling maintenance. The same functions back both the
 // `go test -bench` entry points and cmd/benchjson, which walks the
 // Snapshots table to write the committed BENCH_*.json files and to gate
 // fresh runs against them, so the two can never measure different
 // things.
 //
 // All entry points use fixed seeds and fixed scenario shapes; the
-// tracked quantities are machine-normalized ratios (warm/cold,
+// tracked quantities are machine-normalized ratios (shared-cache/fresh,
 // sequential/parallel) or virtual-clock simulation results, so
 // snapshots taken on different machines remain comparable.
 package perf
@@ -42,8 +43,9 @@ const (
 )
 
 // ReplanResult is one seeded-churn measurement: the total wall-clock of
-// cold PlanContext calls versus warm Replan calls over the same
-// sequence of degraded clusters.
+// cold PlanContext calls, each on a fresh System, versus warm ones on a
+// Fork family whose plan cache and cost cache carry over from round to
+// round, over the same sequence of degraded clusters.
 type ReplanResult struct {
 	Rounds int `json:"rounds"`
 	// ColdSeconds and WarmSeconds are the summed solve times.
@@ -53,8 +55,8 @@ type ReplanResult struct {
 	// quantity.
 	Speedup float64 `json:"speedup"`
 	// EvaluatedWarm and PrunedWarm sum the warm searches' configuration
-	// accounting over fresh-topology rounds; their total equals those
-	// rounds' cold enumeration count.
+	// accounting over fresh-topology rounds; each round's counts equal
+	// its cold search's.
 	EvaluatedWarm int `json:"evaluated_warm"`
 	PrunedWarm    int `json:"pruned_warm"`
 	// MemoHits counts revisit rounds answered from the plan cache (a
@@ -67,14 +69,14 @@ type ReplanResult struct {
 
 // churnState is one round of the seeded churn trace: a cluster
 // incarnation plus whether the trace has visited it before (a restore
-// after preemption, which Replan answers from the plan cache).
+// after preemption, which the plan cache answers).
 type churnState struct {
 	spec    splitquant.ClusterSpec
 	revisit bool
 }
 
 // churnStates returns the seeded churn sequence: four distinct degraded
-// incarnations of the base preset (every one a genuine warm search),
+// incarnations of the base preset (every one a genuine search),
 // followed by four restores to topologies the trace has already seen —
 // the preempt/return cycle a harvested fleet actually produces.
 func churnStates(base splitquant.ClusterSpec) []churnState {
@@ -116,10 +118,11 @@ func keyOf(d *splitquant.Deployment) planKey {
 // a fixed churn sequence of degraded topologies — four fresh
 // degradations followed by four restores to already-seen shapes. Each
 // round solves the cluster twice: cold (a fresh System, as a restarted
-// planner would) and warm (Replan on a Fork of the original System,
-// seeded with the previous round's deployment). Fresh rounds must
-// warm-start a genuine search; restore rounds must be answered from the
-// plan cache. Every round's warm plan must match its cold plan
+// planner would) and warm (PlanContext on a Fork of the previous
+// round's System, sharing its plan cache and cost cache). Fresh rounds
+// must run a genuine search that evaluates and prunes exactly the
+// configurations the cold search does; restore rounds must be answered
+// from the plan cache. Every round's warm plan must match its cold plan
 // bit-for-bit; the returned result carries the timing and pruning
 // accounting.
 func ReplanLatency(ctx context.Context, rounds int) (*ReplanResult, error) {
@@ -133,8 +136,7 @@ func ReplanLatency(ctx context.Context, rounds int) (*ReplanResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	prev, err := sys.PlanContext(ctx, w, replanBatch)
-	if err != nil {
+	if _, err := sys.PlanContext(ctx, w, replanBatch); err != nil {
 		return nil, err
 	}
 	states := churnStates(base)
@@ -157,7 +159,7 @@ func ReplanLatency(ctx context.Context, rounds int) (*ReplanResult, error) {
 			return nil, err
 		}
 		t0 = time.Now()
-		warm, err := warmSys.Replan(ctx, prev, w, replanBatch)
+		warm, err := warmSys.PlanContext(ctx, w, replanBatch)
 		if err != nil {
 			return nil, err
 		}
@@ -173,12 +175,9 @@ func ReplanLatency(ctx context.Context, rounds int) (*ReplanResult, error) {
 			if st.Reused {
 				return nil, fmt.Errorf("perf: fresh round %d was answered from the plan cache; its topology must be new", r)
 			}
-			if !st.WarmStarted {
-				return nil, fmt.Errorf("perf: fresh round %d did not warm-start", r)
-			}
-			if cs := cold.Stats(); st.Configs+st.PrunedConfigs != cs.Configs+cs.PrunedConfigs {
-				return nil, fmt.Errorf("perf: round %d evaluated %d + pruned %d != cold %d",
-					r, st.Configs, st.PrunedConfigs, cs.Configs+cs.PrunedConfigs)
+			if cs := cold.Stats(); st.Configs != cs.Configs || st.PrunedConfigs != cs.PrunedConfigs {
+				return nil, fmt.Errorf("perf: round %d evaluated %d and pruned %d, cold %d and %d",
+					r, st.Configs, st.PrunedConfigs, cs.Configs, cs.PrunedConfigs)
 			}
 			res.EvaluatedWarm += st.Configs
 			res.PrunedWarm += st.PrunedConfigs
@@ -187,7 +186,6 @@ func ReplanLatency(ctx context.Context, rounds int) (*ReplanResult, error) {
 		if !reflect.DeepEqual(keyOf(warm), keyOf(cold)) {
 			return nil, fmt.Errorf("perf: round %d warm plan differs from cold:\nwarm %+v\ncold %+v", r, keyOf(warm), keyOf(cold))
 		}
-		prev = warm
 	}
 	if res.WarmSeconds > 0 {
 		res.Speedup = res.ColdSeconds / res.WarmSeconds

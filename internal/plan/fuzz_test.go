@@ -10,8 +10,8 @@ import (
 	"repro/internal/cluster"
 )
 
-// FuzzPlanJSON fuzzes the wire format that cached and warm-start plans
-// are read back from disk in. Decoding arbitrary bytes must not panic.
+// FuzzPlanJSON fuzzes the wire format that cached plans are read back
+// from disk in. Decoding arbitrary bytes must not panic.
 // Validate must return an error, not panic, on a negative FirstLayer,
 // an empty stage or an unknown bitwidth. A decoded plan that binds to a
 // preset cluster and validates must survive Marshal → Unmarshal → Bind

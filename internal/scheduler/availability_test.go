@@ -11,7 +11,6 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/model"
 	"repro/internal/pipeline"
-	"repro/internal/plan"
 )
 
 func twoPoolFleet(t *testing.T) *FleetState {
@@ -258,10 +257,9 @@ func TestPlanCacheSimulationAcrossPreemptRestore(t *testing.T) {
 	spec := model.BLOOM560M
 	batch := fixedBatch(16)
 	cache := core.NewPlanCache(4)
-	var last *plan.Plan
 	run := func(step string, v View, wantHit bool) *pipeline.Result {
 		t.Helper()
-		p, sim, _, hit, err := cache.PlanAndSimulate(context.Background(), spec, v.Cluster, batch, fastPlanner(), last)
+		p, sim, _, hit, err := cache.PlanAndSimulate(context.Background(), spec, v.Cluster, batch, fastPlanner())
 		if err != nil {
 			t.Fatalf("%s: %v", step, err)
 		}
@@ -275,7 +273,6 @@ func TestPlanCacheSimulationAcrossPreemptRestore(t *testing.T) {
 		if !reflect.DeepEqual(sim, fresh) {
 			t.Fatalf("%s: simulation %+v, fresh %+v", step, sim, fresh)
 		}
-		last = p
 		return sim
 	}
 

@@ -98,14 +98,14 @@ type offer struct {
 }
 
 // price plans and simulates the job's remaining batches on a snapshot
-// of pool res through the plan cache, warm-started from inc. The cache
-// keys on the snapshot's cluster: a degraded pool plans under its own
-// fingerprint, and a pool restored to a composition it already planned
-// is answered from the cache, simulation included.
-func (s *Server) price(ctx context.Context, j *job, res *scheduler.Resource, snap scheduler.View, remaining int, opts core.Options, inc *plan.Plan) (offer, error) {
+// of pool res through the plan cache. The cache keys on the snapshot's
+// cluster: a degraded pool plans under its own fingerprint, and a pool
+// restored to a composition it already planned is answered from the
+// cache, simulation included.
+func (s *Server) price(ctx context.Context, j *job, res *scheduler.Resource, snap scheduler.View, remaining int, opts core.Options) (offer, error) {
 	tr := s.tel.tr
 	planBegin := tr.Now()
-	p, sim, rep, hit, err := s.cache.PlanAndSimulate(ctx, j.mspec, snap.Cluster, j.batch, opts, inc)
+	p, sim, rep, hit, err := s.cache.PlanAndSimulate(ctx, j.mspec, snap.Cluster, j.batch, opts)
 	if err != nil {
 		return offer{}, err
 	}
@@ -113,8 +113,6 @@ func (s *Server) price(ctx context.Context, j *job, res *scheduler.Resource, sna
 		cacheState := "cold"
 		if hit {
 			cacheState = "hit"
-		} else if inc != nil {
-			cacheState = "warm"
 		}
 		tr.Span(res.Name, "plan", planBegin, tr.Now()-planBegin,
 			map[string]any{"job": j.id, "cache": cacheState})
@@ -160,7 +158,7 @@ func (s *Server) place(ctx context.Context, j *job, remaining int, opts core.Opt
 		if snap.Cluster == nil {
 			continue // fully reclaimed for now
 		}
-		o, err := s.price(ctx, j, res, snap, remaining, opts, nil)
+		o, err := s.price(ctx, j, res, snap, remaining, opts)
 		if err != nil {
 			if ctx.Err() != nil || !capacityErr(err) {
 				return offer{}, err
@@ -278,14 +276,12 @@ func (s *Server) execute(j *job) {
 		}
 		replan := attempt > 0 || s.fleet.Generation(res.Name) != o.snap.Generation
 		if replan {
-			// The last plan warm-starts the replan on the changed
-			// topology instead of searching cold.
 			snap, err := s.fleet.Snapshot(res.Name)
 			if err == nil && snap.Cluster == nil {
 				err = fmt.Errorf("pool %s fully preempted: %w", res.Name, core.ErrInfeasible)
 			}
 			if err == nil {
-				o, err = s.price(ctx, j, res, snap, total-j.batchesDone, opts, o.plan)
+				o, err = s.price(ctx, j, res, snap, total-j.batchesDone, opts)
 			}
 			if err != nil {
 				if errors.Is(err, context.Canceled) || ctx.Err() != nil {

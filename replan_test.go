@@ -68,9 +68,10 @@ func coldPlan(t *testing.T, cs ClusterSpec, w Workload, opts ...PlanOption) *Dep
 }
 
 // TestReplanMatchesColdAcrossPresets degrades every preset by one GPU
-// and checks that warm-starting Replan from the full-cluster plan
-// produces the bit-identical plan a cold search finds on the degraded
-// cluster — while evaluating strictly no more configurations.
+// and checks that planning on a Fork of the full cluster's System — which
+// shares its plan cache and cost cache — produces the bit-identical plan
+// a fresh System finds on the degraded cluster, after evaluating and
+// pruning exactly the same configurations.
 func TestReplanMatchesColdAcrossPresets(t *testing.T) {
 	w := Summarization(1)
 	for n := 1; n <= 10; n++ {
@@ -84,31 +85,30 @@ func TestReplanMatchesColdAcrossPresets(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			prev, err := sys.Plan(w, 16)
-			if err != nil {
+			if _, err := sys.Plan(w, 16); err != nil {
 				t.Fatal(err)
 			}
 			deg, err := sys.Fork(degraded)
 			if err != nil {
 				t.Fatal(err)
 			}
-			warm, err := deg.Replan(context.Background(), prev, w, 16)
+			replan, err := deg.PlanContext(context.Background(), w, 16)
 			if err != nil {
 				t.Fatal(err)
 			}
 			// The cold solve runs in a family of its own: in deg's, the
-			// plan memo would answer it with the warm plan.
+			// plan cache would answer it with the re-plan.
 			cold := coldPlan(t, degraded, w)
-			if !reflect.DeepEqual(keyOf(warm), keyOf(cold)) {
-				t.Fatalf("warm plan differs from cold:\nwarm %+v\ncold %+v", keyOf(warm), keyOf(cold))
+			if !reflect.DeepEqual(keyOf(replan), keyOf(cold)) {
+				t.Fatalf("re-plan differs from cold:\nre-plan %+v\ncold    %+v", keyOf(replan), keyOf(cold))
 			}
-			ws, cs := warm.Stats(), cold.Stats()
-			if ws.Reused {
-				t.Fatal("warm replan on a changed cluster reported Reused")
+			rs, cs := replan.Stats(), cold.Stats()
+			if rs.Reused {
+				t.Fatal("a re-plan on a changed cluster reported Reused")
 			}
-			if ws.Configs+ws.PrunedConfigs != cs.Configs+cs.PrunedConfigs {
-				t.Fatalf("warm evaluated %d + pruned %d configs, cold enumerated %d",
-					ws.Configs, ws.PrunedConfigs, cs.Configs+cs.PrunedConfigs)
+			if rs.Configs != cs.Configs || rs.PrunedConfigs != cs.PrunedConfigs {
+				t.Fatalf("re-plan evaluated %d and pruned %d configs, cold %d and %d",
+					rs.Configs, rs.PrunedConfigs, cs.Configs, cs.PrunedConfigs)
 			}
 		})
 	}
@@ -139,25 +139,24 @@ func TestReplanMatchesColdAcrossWorkloads(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			prev, err := sys.Plan(tc.w, 16, tc.opts...)
-			if err != nil {
+			if _, err := sys.Plan(tc.w, 16, tc.opts...); err != nil {
 				t.Fatal(err)
 			}
-			warm, err := deg.Replan(context.Background(), prev, tc.w, 16, tc.opts...)
+			replan, err := deg.PlanContext(context.Background(), tc.w, 16, tc.opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
 			cold := coldPlan(t, degraded, tc.w, tc.opts...)
-			if !reflect.DeepEqual(keyOf(warm), keyOf(cold)) {
-				t.Fatalf("warm plan differs from cold:\nwarm %+v\ncold %+v", keyOf(warm), keyOf(cold))
+			if !reflect.DeepEqual(keyOf(replan), keyOf(cold)) {
+				t.Fatalf("re-plan differs from cold:\nre-plan %+v\ncold    %+v", keyOf(replan), keyOf(cold))
 			}
 		})
 	}
 }
 
 // TestReplanUnchangedClusterReuses pins the identical-inputs fast path:
-// when nothing changed since prev was planned, Replan answers without
-// searching.
+// planning the same problem again, on the System or on a Fork onto the
+// same cluster, is answered from the family's plan cache.
 func TestReplanUnchangedClusterReuses(t *testing.T) {
 	sys, err := New(replanModel, Preset(5), replanOpts()...)
 	if err != nil {
@@ -168,28 +167,34 @@ func TestReplanUnchangedClusterReuses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := sys.Replan(context.Background(), prev, w, 16)
+	same, err := sys.Fork(Preset(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !again.Stats().Reused {
-		t.Fatal("identical replan did not reuse the previous deployment")
+	for _, s := range []*System{sys, same} {
+		again, err := s.PlanContext(context.Background(), w, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !again.Stats().Reused {
+			t.Fatal("an unchanged re-plan did not reuse the previous plan")
+		}
+		if !reflect.DeepEqual(keyOf(again), keyOf(prev)) {
+			t.Fatal("reused deployment differs from the original")
+		}
 	}
-	if !reflect.DeepEqual(keyOf(again), keyOf(prev)) {
-		t.Fatal("reused deployment differs from the original")
-	}
-	// A different per-call option invalidates the fast path.
-	fresh, err := sys.Replan(context.Background(), prev, w, 16, WithTheta(1))
+	// A different per-call option is a different problem.
+	fresh, err := sys.PlanContext(context.Background(), w, 16, WithTheta(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fresh.Stats().Reused {
-		t.Fatal("replan with changed options reported Reused")
+		t.Fatal("a plan with changed options reported Reused")
 	}
 }
 
-// TestReplanRestoreHitsMemo pins the restore scenario: shrink, replan,
-// then restore the original topology — the Fork family's plan memo
+// TestReplanRestoreHitsMemo pins the restore scenario: shrink, re-plan,
+// then restore the original topology — the Fork family's plan cache
 // still holds the full-cluster solve, so no search runs.
 func TestReplanRestoreHitsMemo(t *testing.T) {
 	full := Preset(5)
@@ -207,28 +212,28 @@ func TestReplanRestoreHitsMemo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	onDegraded, err := deg.Replan(context.Background(), prev, w, 16)
-	if err != nil {
+	if _, err := deg.PlanContext(context.Background(), w, 16); err != nil {
 		t.Fatal(err)
 	}
 	restored, err := deg.Fork(full)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := restored.Replan(context.Background(), onDegraded, w, 16)
+	back, err := restored.PlanContext(context.Background(), w, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !back.Stats().Reused {
-		t.Fatal("replan after restore did not hit the plan memo")
+		t.Fatal("the plan after restore did not hit the plan cache")
 	}
 	if !reflect.DeepEqual(keyOf(back), keyOf(prev)) {
-		t.Fatal("memoized plan differs from the original full-cluster plan")
+		t.Fatal("cached plan differs from the original full-cluster plan")
 	}
 }
 
 // TestReplanConcurrentSolves exercises the shared cost cache, indicator
-// cache and plan memo under the race detector.
+// and plan cache under the race detector: two Forks onto one degraded
+// cluster plan it concurrently.
 func TestReplanConcurrentSolves(t *testing.T) {
 	full := Preset(5)
 	degraded, _ := shrinkSpec(full)
@@ -237,29 +242,21 @@ func TestReplanConcurrentSolves(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := Summarization(1)
-	prev, err := sys.Plan(w, 16)
-	if err != nil {
+	if _, err := sys.Plan(w, 16); err != nil {
 		t.Fatal(err)
 	}
-	deg, err := sys.Fork(degraded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := deg.PlanContext(context.Background(), w, 16)
-	if err != nil {
-		t.Fatal(err)
+	want := coldPlan(t, degraded, w)
+	var forks [2]*System
+	for i := range forks {
+		if forks[i], err = sys.Fork(degraded); err != nil {
+			t.Fatal(err)
+		}
 	}
 	const workers = 4
 	errs := make(chan error, workers)
 	for i := 0; i < workers; i++ {
 		go func(i int) {
-			var d *Deployment
-			var err error
-			if i%2 == 0 {
-				d, err = deg.Replan(context.Background(), prev, w, 16)
-			} else {
-				d, err = deg.PlanContext(context.Background(), w, 16)
-			}
+			d, err := forks[i%2].PlanContext(context.Background(), w, 16)
 			if err == nil && !reflect.DeepEqual(keyOf(d), keyOf(want)) {
 				err = fmt.Errorf("concurrent solve %d produced a different plan", i)
 			}

@@ -25,7 +25,7 @@
 // Every planning option has one type (Option, aliased as PlanOption)
 // and two scopes. Options passed to New or Fork become the System's
 // defaults — they describe how this System plans unless told otherwise.
-// The same options passed to an individual Plan/PlanContext/Replan call
+// The same options passed to an individual Plan/PlanContext call
 // override the defaults for that one solve only, so a single System can
 // serve many differently-configured solves concurrently:
 //
@@ -33,19 +33,19 @@
 //	fast, _ := sys.Plan(w, 32)                                // θ=5, heuristic
 //	good, _ := sys.Plan(w, 32, splitquant.WithMethod(splitquant.MethodILP))
 //
-// A System is safe for concurrent Plan/Replan calls.
+// A System is safe for concurrent Plan calls.
 //
-// # Incremental re-planning
+// # Re-planning after churn
 //
 // Every plan skips the configurations whose optimistic bound proves
-// they cannot reach the shortlist. Replan continues from a previous
-// Deployment instead of starting cold: the previous plan, adapted onto
-// the current (possibly degraded or restored) cluster, seeds the
-// pruning threshold and the evaluation order, and per-device cost
-// evaluations are memoized in a cache shared across all solves of the
-// System (and of its Fork variants). A
-// completed Replan returns a plan bit-identical to a cold PlanContext
-// on the same inputs — only the work spent differs (see PlanStats).
+// they cannot reach the shortlist. When devices are preempted or
+// restored, Fork the System onto the new cluster and plan there: the
+// Fork family shares one plan cache and one cost cache, so a return to
+// a composition the family has solved is answered outright (PlanStats
+// reports Reused), and a new composition reuses every per-device cost
+// evaluation the family has made. Either way the plan is bit-identical
+// to a PlanContext on a fresh System — only the work spent differs (see
+// PlanStats).
 //
 // The heavy lifting lives in the internal packages (planner, roofline
 // GPU simulator, LP/ILP solvers, tiny real-transformer quality backend);
@@ -186,7 +186,7 @@ const (
 )
 
 // Option customizes planning. Passed to New or Fork it sets a System
-// default; passed to an individual Plan/PlanContext/Replan call (see
+// default; passed to an individual Plan/PlanContext call (see
 // PlanOption) it overrides the default for that solve only.
 type Option func(*options)
 
@@ -259,9 +259,9 @@ func New(modelName string, cs ClusterSpec, opts ...Option) (*System, error) {
 
 // Fork derives a System for the same model on a different cluster (or
 // with different default options), sharing the parent's plan cache (and
-// its cost cache) and quality indicator. Replanning on a Fork after a
-// preemption or restore therefore reuses every per-device cost the
-// parent family has already evaluated.
+// its cost cache) and quality indicator. Planning on a Fork after a
+// preemption or restore therefore reuses every plan and per-device cost
+// the family has already computed.
 func (s *System) Fork(cs ClusterSpec, opts ...Option) (*System, error) {
 	return assemble(s.spec, cs, s.opts, opts, s)
 }
@@ -363,10 +363,9 @@ type ConfigStat struct {
 	Nodes     int
 	// Seconds is wall-clock time spent on the configuration.
 	Seconds float64
-	// Pruned reports that the search skipped the configuration, in a
-	// cold plan or a warm-started Replan alike: its optimistic bound
-	// proved it could not enter the shortlist, so no solver work was
-	// spent on it.
+	// Pruned reports that the search skipped the configuration: its
+	// optimistic bound proved it could not enter the shortlist, so no
+	// solver work was spent on it.
 	Pruned bool
 }
 
@@ -413,7 +412,46 @@ func (s *System) PlanContext(ctx context.Context, w Workload, batchSize int, opt
 	if err != nil {
 		return nil, err
 	}
-	return s.replanBatch(ctx, nil, batch, opts)
+	o, err := s.resolve(opts)
+	if err != nil {
+		return nil, err
+	}
+	p, rep, hit, err := s.plans.Plan(ctx, s.spec, s.clu, batch, s.coreOptions(o))
+	if err != nil {
+		return nil, err
+	}
+	return &Deployment{sys: s, plan: p, batch: batch, report: rep, reused: hit}, nil
+}
+
+// resolve applies per-call options on top of the System defaults.
+func (s *System) resolve(opts []PlanOption) (options, error) {
+	o := s.opts
+	for _, fn := range opts {
+		if fn != nil {
+			fn(&o)
+		}
+	}
+	return o, o.validate()
+}
+
+// coreOptions translates resolved options for the internal planner.
+func (s *System) coreOptions(o options) core.Options {
+	co := core.Options{
+		Theta:         o.theta,
+		Method:        o.method,
+		QualityCap:    o.qualityCap,
+		OrderingLimit: o.orderings,
+		Parallelism:   o.parallelism,
+	}
+	if hook := o.progress; hook != nil {
+		co.Progress = func(p core.Progress) {
+			hook(PlanProgress{
+				Phase: p.Phase, Done: p.Done, Total: p.Total, BestObjective: p.BestObjective,
+				Config: ConfigStat(p.Config),
+			})
+		}
+	}
+	return co
 }
 
 // synthesize turns a workload profile into the planner's batch shape.
