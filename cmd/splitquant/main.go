@@ -120,8 +120,8 @@ func main() {
 	if st.Cancelled {
 		note = "   (cancelled: best incumbent)"
 	}
-	fmt.Printf("quality:  Σω = %.4f   planning: %.2fs, %d evaluated, %d pruned%s\n",
-		dep.QualityPenalty(), dep.PlanningSeconds(), st.Configs, st.PrunedConfigs, note)
+	fmt.Printf("quality:  Σω = %.4f   planning: %.2fs, %d evaluated, %d pruned, certified gap %.1f%%%s\n",
+		dep.QualityPenalty(), dep.PlanningSeconds(), st.Configs, st.PrunedConfigs, 100*st.Gap, note)
 	m, err := dep.Measure()
 	if err != nil {
 		fatal(fmt.Errorf("simulation: %w", err))

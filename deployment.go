@@ -88,9 +88,16 @@ type PlanStats struct {
 	// the full search result.
 	Cancelled bool
 	// PrunedConfigs counts configurations the search skipped because
-	// their optimistic bound proved they could not enter the shortlist.
+	// their bound proved they could not enter the shortlist.
 	// Configs + PrunedConfigs equals the enumeration.
 	PrunedConfigs int
+	// LowerBound is a lower bound on the planning objective of every
+	// plan of the enumeration, pruned configurations included, and Gap
+	// is the certified gap (objective − LowerBound)/objective: no plan
+	// of the enumeration is better than this one by more than Gap of its
+	// objective. Gap is +Inf when planning was cancelled before every
+	// bound was built.
+	LowerBound, Gap float64
 	// CostCacheHits and CostCacheMisses count per-device cost
 	// evaluations served by (respectively computed into) the System's
 	// shared cost cache during this solve.
@@ -117,6 +124,8 @@ func (d *Deployment) Stats() PlanStats {
 		Proved:          d.report.Proved,
 		Cancelled:       d.report.Cancelled,
 		PrunedConfigs:   d.report.PrunedConfigs,
+		LowerBound:      d.report.LowerBound,
+		Gap:             (d.plan.Objective - d.report.LowerBound) / d.plan.Objective,
 		CostCacheHits:   d.report.CostCacheHits,
 		CostCacheMisses: d.report.CostCacheMisses,
 		Reused:          d.reused,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -194,9 +195,16 @@ type Report struct {
 	// found so far, not the full search result.
 	Cancelled bool
 	// PrunedConfigs counts configurations the search skipped because
-	// their optimistic bound proved they could not enter the shortlist.
-	// They appear in ConfigStats with Pruned set.
+	// their bound proved they could not enter the shortlist. They appear
+	// in ConfigStats with Pruned set.
 	PrunedConfigs int
+	// LowerBound is a lower bound on the Eq. 4 objective (at the plan's
+	// θ, quality cap relaxed) of every assignment under every enumerated
+	// configuration: the least of the search's per-configuration bounds,
+	// pruned configurations included. (Objective − LowerBound)/Objective
+	// is the plan's certified gap. It is −Inf when the search was
+	// cancelled before every bound was built.
+	LowerBound float64
 	// CostCacheHits and CostCacheMisses are the Options.Costs counter
 	// deltas attributable to this solve (approximate when several
 	// searches share one cache concurrently; zero without a cache).
@@ -364,7 +372,7 @@ func (a *Assigner) buildConfigCosts(cfg planConfig, batch workload.Batch) *order
 
 // Plan computes a deployment plan for one synthesized batch. The
 // candidate configurations are solved on a bounded worker pool
-// (Options.Parallelism), skipping those whose optimistic bound cannot
+// (Options.Parallelism), skipping those whose lower bound cannot
 // reach the shortlist (see search), and merged deterministically, so
 // the plan is bit-identical to a sequential, exhaustive run.
 //
@@ -381,7 +389,7 @@ func (a *Assigner) Plan(ctx context.Context, batch workload.Batch) (*plan.Plan, 
 	if err := batch.Validate(); err != nil {
 		return nil, nil, err
 	}
-	rep := &Report{}
+	rep := &Report{LowerBound: math.Inf(-1)}
 	var hits0, misses0 int64
 	if c := a.opts.Costs; c != nil {
 		hits0, misses0 = c.Hits(), c.Misses()
@@ -424,10 +432,25 @@ func (a *Assigner) solveConfig(oc *orderingCosts, key string, theta float64) (*c
 // machine-independent.
 const searchChunk = 8
 
+// thetaOmega returns θ·ω over nb bitwidths laid out as lagrangian.bound
+// reads it: layer i's entry for bit index bi at i*nb+bi.
+func thetaOmega(ind *Indicator, nb int, theta float64) []float64 {
+	tw := make([]float64, 0, ind.Layers()*nb)
+	for _, row := range ind.Omega {
+		for _, w := range row[:nb] {
+			tw = append(tw, theta*w)
+		}
+	}
+	return tw
+}
+
 // search is the phase-1 sweep: one bound-ordered search over every
 // candidate configuration. It builds each configuration's cost tables
-// and optimistic bound, then evaluates in chunks the configurations
-// whose bound reaches the admission threshold, tightening the threshold
+// and lower bound (optimisticBound, and for the joint methods the
+// Lagrangian bound at its starting multipliers), then evaluates in
+// chunks the configurations whose bound reaches the admission
+// threshold, each first refined toward a finite threshold (see
+// lagrangian.bound), tightening the threshold
 // to the K-th best candidate objective after every chunk (K is the
 // shortlist depth: the ILP polish count, else 1). It stops at a
 // fixpoint where no unevaluated bound reaches the K-th best objective,
@@ -438,14 +461,30 @@ const searchChunk = 8
 func (a *Assigner) search(ctx context.Context, batch workload.Batch, configs []planConfig,
 	rep *Report, sink *progressSink, theta float64) (*plan.Plan, error) {
 
+	// Only the joint methods, whose step is a multi-start search, pay
+	// for the Lagrangian bound, and only when the threshold can prune:
+	// the first chunk is evaluated whatever the bounds.
+	lagrange := builders[a.opts.Method] == nil && len(configs) > searchChunk
+	var tw []float64
+	if lagrange {
+		tw = thetaOmega(a.ind, len(a.opts.Bits), theta)
+	}
 	ocs := make([]*orderingCosts, len(configs))
 	bounds := make([]float64, len(configs))
+	lagrangeBound := func(i int, target float64, steps int) {
+		s := a.takeSearch()
+		bounds[i] = max(bounds[i], s.lagrangian.bound(ocs[i], tw, target, steps))
+		a.releaseSearch(s)
+	}
 	runPool(ctx, a.parallelism(), len(configs), func(i int) {
 		if ctx.Err() != nil {
 			return
 		}
 		ocs[i] = a.buildConfigCosts(configs[i], batch)
 		bounds[i] = optimisticBound(ocs[i], a.ind, theta)
+		if lagrange {
+			lagrangeBound(i, math.Inf(1), 0)
+		}
 	})
 	if ctx.Err() != nil {
 		return a.finishJoint(ctx, nil, batch, rep, sink, theta)
@@ -480,12 +519,31 @@ func (a *Assigner) search(ctx context.Context, batch workload.Batch, configs []p
 	}
 
 	sink.startPhase(PhaseSearch, len(configs))
+	var chunk, next []int
 	for ctx.Err() == nil {
-		var chunk []int
-		for _, i := range rank {
-			if !results[i].done && bounds[i] <= threshold+boundEps {
-				if chunk = append(chunk, i); len(chunk) == searchChunk {
-					break
+		// Fill the chunk in rank order. Under a finite threshold, each
+		// candidate's Lagrangian bound is first refined toward it, a
+		// batch of as many candidates as the chunk lacks at a time, so
+		// the refined set is the one a one-at-a-time scan refines.
+		chunk = chunk[:0]
+		for r := 0; len(chunk) < searchChunk; {
+			next = next[:0]
+			for ; r < len(rank) && len(next) < searchChunk-len(chunk); r++ {
+				if i := rank[r]; !results[i].done && bounds[i] <= threshold+boundEps {
+					next = append(next, i)
+				}
+			}
+			if len(next) == 0 {
+				break
+			}
+			if lagrange && !math.IsInf(threshold, 1) {
+				runPool(ctx, a.parallelism(), len(next), func(c int) {
+					lagrangeBound(next[c], threshold+boundEps, lagrangeSteps)
+				})
+			}
+			for _, i := range next {
+				if bounds[i] <= threshold+boundEps {
+					chunk = append(chunk, i)
 				}
 			}
 		}
@@ -505,6 +563,34 @@ func (a *Assigner) search(ctx context.Context, batch workload.Batch, configs []p
 		})
 		threshold = kth() // only falls: evaluated candidates only accumulate
 	}
+
+	// Only an evaluated configuration's bound can lie below the best
+	// objective found. Those are refined in ascending bound order, each
+	// toward the least refined bound so far (the floor); once the next
+	// bound reaches the floor, no later one can lower the least bound.
+	if lagrange && ctx.Err() == nil {
+		floor := math.Inf(1)
+		for i := range results {
+			if results[i].cand != nil {
+				floor = min(floor, results[i].cand.ev.Objective)
+			}
+		}
+		chunk = chunk[:0]
+		for i := range results {
+			if results[i].done && bounds[i] < floor {
+				chunk = append(chunk, i)
+			}
+		}
+		slices.SortStableFunc(chunk, func(x, y int) int { return cmp.Compare(bounds[x], bounds[y]) })
+		for _, i := range chunk {
+			if bounds[i] >= floor {
+				break
+			}
+			lagrangeBound(i, floor, lagrangeSteps)
+			floor = min(floor, bounds[i])
+		}
+	}
+	rep.LowerBound = slices.Min(bounds)
 
 	// Canonical-order merge, identical regardless of completion order.
 	// Pruned configurations are recorded (and fired to the progress sink)

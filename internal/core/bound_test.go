@@ -172,23 +172,47 @@ func TestCostCacheSharedAcrossSolvesIsTransparent(t *testing.T) {
 	}
 }
 
-// FuzzOptimisticBound checks that optimisticBound, which decides which
-// configurations the search may skip, never exceeds the objective of a
-// feasible assignment under the configuration.
+// FuzzOptimisticBound checks that the search's pruning bounds never
+// exceed the objective of a feasible assignment under the
+// configuration: optimisticBound, and the Lagrangian bound stepped
+// toward a target twice that objective (it returns the best value of
+// every step). On instances of at most bruteForceLayers layers it also
+// checks the Lagrangian bound, pushed toward twice the optimum, against
+// bruteForceBest's optimum. Instances from 30 up are memory-tight (see
+// deltaInstance), so the memory multipliers are exercised.
 func FuzzOptimisticBound(f *testing.F) {
 	f.Add(uint8(0), uint8(0), 10.0, []byte{})
 	f.Add(uint8(7), uint8(10), 1.0, []byte{3, 0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2})
 	f.Add(uint8(13), uint8(5), 0.0, []byte{1, 1, 1, 1, 0, 0, 0, 0, 0, 0})
 	f.Add(uint8(24), uint8(9), 100.0, []byte{9, 0, 2, 5, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1})
 	f.Add(uint8(29), uint8(3), 0.5, []byte{0, 4, 0, 4, 3, 3, 3})
+	f.Add(uint8(30), uint8(4), 1.0, []byte{1, 0, 3, 0, 1, 2, 3})
+	f.Add(uint8(36), uint8(5), 10.0, []byte{0, 1, 1, 1, 1, 1, 1, 1})
+	f.Add(uint8(41), uint8(2), 0.1, []byte{2, 1, 0, 0, 0, 0})
+	f.Add(uint8(47), uint8(3), 1.0, []byte{})
+	f.Add(uint8(52), uint8(9), 1.0, []byte{4, 0, 1, 1, 0, 1, 0, 1, 0, 1, 0, 1})
 	f.Fuzz(func(t *testing.T, instance, layers uint8, theta float64, assign []byte) {
 		oc, ind, theta, as := fuzzAssignment(t, instance, layers, theta, assign)
-		ev := evaluate(as, oc, ind, theta)
-		if !ev.Feasible {
+		tw := thetaOmega(ind, len(oc.bits), theta)
+		var lg lagrangian
+		if ev := evaluate(as, oc, ind, theta); ev.Feasible {
+			if lb := optimisticBound(oc, ind, theta); lb > ev.Objective {
+				t.Fatalf("optimistic bound %v exceeds the objective %v of feasible %v", lb, ev.Objective, as)
+			}
+			if lb := lg.bound(oc, tw, 2*ev.Objective, lagrangeSteps); lb > ev.Objective {
+				t.Fatalf("Lagrangian bound %v exceeds the objective %v of feasible %v", lb, ev.Objective, as)
+			}
+		}
+		if ind.Layers() > bruteForceLayers {
 			return
 		}
-		if lb := optimisticBound(oc, ind, theta); lb > ev.Objective {
-			t.Fatalf("bound %v exceeds the objective %v of feasible %v", lb, ev.Objective, as)
+		best, _ := bruteForceBest(oc, ind, theta)
+		if lb := lg.bound(oc, tw, 2*best, lagrangeSteps); lb > best {
+			t.Fatalf("Lagrangian bound %v exceeds the brute-force optimum %v", lb, best)
 		}
 	})
 }
+
+// bruteForceLayers is the largest instance FuzzOptimisticBound checks
+// against bruteForceBest.
+const bruteForceLayers = 7

@@ -48,6 +48,9 @@ type transferSearch struct {
 	// best assignment a multi-start search has reached so far.
 	starts startBuffers
 	best   assignment
+	// lagrangian is the scratch the search's worker computes
+	// configurations' Lagrangian bounds in.
+	lagrangian lagrangian
 }
 
 // pricedBit is one entry of transferSearch.bitMoves: an estimated

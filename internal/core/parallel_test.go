@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
@@ -52,8 +53,12 @@ func TestParallelMatchesSequential(t *testing.T) {
 					if !reflect.DeepEqual(seq, par) {
 						t.Fatalf("workers=%d plan differs:\nseq: %s\npar: %s", workers, seq, par)
 					}
-					if seqRep.Configs != parRep.Configs {
-						t.Fatalf("workers=%d configs %d != %d", workers, parRep.Configs, seqRep.Configs)
+					if seqRep.Configs != parRep.Configs || seqRep.PrunedConfigs != parRep.PrunedConfigs {
+						t.Fatalf("workers=%d evaluated %d and pruned %d configs, sequential %d and %d",
+							workers, parRep.Configs, parRep.PrunedConfigs, seqRep.Configs, seqRep.PrunedConfigs)
+					}
+					if math.Float64bits(seqRep.LowerBound) != math.Float64bits(parRep.LowerBound) {
+						t.Fatalf("workers=%d lower bound %v != %v", workers, parRep.LowerBound, seqRep.LowerBound)
 					}
 				}
 			})

@@ -29,7 +29,7 @@ type ConfigStat struct {
 	// Seconds is the wall-clock time spent on the configuration.
 	Seconds float64
 	// Pruned reports that the search skipped the configuration because
-	// its optimistic bound proved it could not enter the shortlist (see
+	// its bound proved it could not enter the shortlist (see
 	// Assigner.search). Pruned entries report
 	// Feasible=false and an infinite Objective without implying the
 	// configuration is actually infeasible.

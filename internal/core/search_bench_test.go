@@ -31,7 +31,7 @@ var (
 
 // benchAssigner returns a new assigner for sh with method at θ = 1
 // (Options.Parallelism and a cost cache as given) and sh's batch.
-func benchAssigner(b *testing.B, sh benchShape, method Method, parallelism int, costs *CostCache) (*Assigner, workload.Batch) {
+func benchAssigner(b testing.TB, sh benchShape, method Method, parallelism int, costs *CostCache) (*Assigner, workload.Batch) {
 	b.Helper()
 	spec, err := model.Lookup(sh.model)
 	if err != nil {
@@ -53,6 +53,39 @@ func benchAssigner(b *testing.B, sh benchShape, method Method, parallelism int, 
 		b.Fatal(err)
 	}
 	return a, batch
+}
+
+// TestBenchShapesPrune pins the search's pruning on the four
+// offline-cold shapes: a heuristic plan of each evaluates at most 16 of
+// its configurations, and every plan, the chat shape's ILP plan (as
+// perfbench submits it) included, equals exhaustivePlan's.
+func TestBenchShapesPrune(t *testing.T) {
+	for _, sh := range []benchShape{shapeOPT13B, shapeSummarize, shapeLongCtx, shapeChat} {
+		methods := []Method{MethodHeuristic}
+		if sh == shapeChat {
+			methods = append(methods, MethodILP)
+		}
+		for _, method := range methods {
+			t.Run(sh.name+"/"+string(method), func(t *testing.T) {
+				a, batch := benchAssigner(t, sh, method, 0, nil)
+				got, rep, err := a.Plan(context.Background(), batch)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := exhaustivePlan(a, batch)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if g, w := planJSON(t, got), planJSON(t, want); g != w {
+					t.Fatalf("plan differs from the exhaustive reference:\ngot  %s\nwant %s", g, w)
+				}
+				if method == MethodHeuristic && rep.Configs > 16 {
+					t.Fatalf("evaluated %d of %d configurations, want at most 16",
+						rep.Configs, rep.Configs+rep.PrunedConfigs)
+				}
+			})
+		}
+	}
 }
 
 // benchConfig plans sh with method at θ = 1 and returns the assigner and
@@ -121,6 +154,37 @@ func BenchmarkBestStart(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				a.bestStart(oc, 1)
 			}
+		})
+	}
+}
+
+// BenchmarkConfigBound times the Lagrangian bound of every configuration
+// of a cold heuristic plan at each of the four offline-cold shapes,
+// refined toward the plan's objective as the search refines it once
+// that objective is its threshold, and reports the CPU per
+// configuration.
+func BenchmarkConfigBound(b *testing.B) {
+	for _, sh := range []benchShape{shapeOPT13B, shapeSummarize, shapeLongCtx, shapeChat} {
+		b.Run(sh.name, func(b *testing.B) {
+			a, batch := benchAssigner(b, sh, MethodHeuristic, 0, nil)
+			p, _, err := a.Plan(context.Background(), batch)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var ocs []*orderingCosts
+			for _, cfg := range a.searchConfigs(batch.Size) {
+				ocs = append(ocs, a.buildConfigCosts(cfg, batch))
+			}
+			tw := thetaOmega(a.ind, len(a.opts.Bits), 1)
+			var lg lagrangian
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, oc := range ocs {
+					lg.bound(oc, tw, p.Objective+boundEps, lagrangeSteps)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(ocs)), "ns/config")
 		})
 	}
 }

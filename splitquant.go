@@ -37,7 +37,7 @@
 //
 // # Re-planning after churn
 //
-// Every plan skips the configurations whose optimistic bound proves
+// Every plan skips the configurations whose lower bound proves
 // they cannot reach the shortlist. When devices are preempted or
 // restored, Fork the System onto the new cluster and plan there: the
 // Fork family shares one plan cache and one cost cache, so a return to
@@ -364,7 +364,7 @@ type ConfigStat struct {
 	// Seconds is wall-clock time spent on the configuration.
 	Seconds float64
 	// Pruned reports that the search skipped the configuration: its
-	// optimistic bound proved it could not enter the shortlist, so no
+	// lower bound proved it could not enter the shortlist, so no
 	// solver work was spent on it.
 	Pruned bool
 }
