@@ -167,6 +167,9 @@ fuzz:
 # Full gate: static checks plus the race-enabled suite.
 check: vet test-race
 
+# Micro-benchmarks of the primitives in bench_test.go (quantize, matmul,
+# simplex, cold plan, simulate). Nothing gates them; the paper's tables
+# and figures are regenerated by cmd/experiments.
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 
@@ -175,14 +178,13 @@ bench:
 # file was generated from different benchmark scenarios than the
 # checked-out code (stale), when the replan speedup of a Fork family's
 # shared plan and cost caches over fresh Systems, the online tier's
-# goodput or TTFT p50, the capacity planner's fleet cost or simulated
-# queue-wait p95, or the rolling-maintenance migrated session count has
-# degraded more than 25% against the committed value,
-# or when the telemetry layer costs the warm serve path more than the
-# absolute 5% ceiling. Every gate runs and every failure is reported
-# before the exit status is set. Replan and obs compare only ratios and
-# the other scenarios are deterministic (virtual-clock simulations or
-# session counts), so the gates are machine-independent.
+# goodput or TTFT p50, or the capacity planner's fleet cost or
+# simulated queue-wait p95 has degraded more than 25% against the
+# committed value, or when the telemetry layer costs the warm serve
+# path more than the absolute 5% ceiling. Every gate runs and every
+# failure is reported before the exit status is set. Replan and obs
+# compare only ratios and the online and capacity scenarios are
+# virtual-clock simulations, so the gates are machine-independent.
 bench-json:
 	$(GO) run ./cmd/benchjson -check .
 

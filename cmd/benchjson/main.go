@@ -1,12 +1,10 @@
 // Command benchjson maintains the committed benchmark snapshots listed
 // in perf.Snapshots: BENCH_replan.json (replan latency under seeded
 // cluster churn, where a Fork family's shared plan and cost caches
-// race fresh Systems; planner parallel speedup; serve throughput),
-// BENCH_online.json (the online tier's SLO quantities under a fixed
-// seeded scenario), BENCH_capacity.json (the capacity planner's
-// recommended fleet, cost, and analytic-vs-simulated agreement),
-// BENCH_obs.json (the telemetry layer's overhead) and
-// BENCH_maintenance.json (the rolling fleet-maintenance scenario). The
+// race fresh Systems), BENCH_online.json (the online tier's SLO
+// quantities under a fixed seeded scenario), BENCH_capacity.json (the
+// capacity planner's recommended fleet, cost, and analytic-vs-simulated
+// agreement) and BENCH_obs.json (the telemetry layer's overhead). The
 // measurement logic and the gates live in internal/perf.
 //
 //	benchjson -out .     # regenerate every snapshot in this directory
@@ -16,10 +14,9 @@
 // benchmark scenarios than the checked-out code measures (config
 // fingerprint mismatch — regenerate with -out), or when a gate
 // regresses past its bound: the Fork family's replan speedup over
-// fresh Systems, the online tier's goodput and TTFT p50, the capacity
-// planner's fleet cost and simulated queue-wait p95, and the
-// migrated-session count may each degrade at most 25% against the
-// committed value; the telemetry
+// fresh Systems, the online tier's goodput and TTFT p50, and the
+// capacity planner's fleet cost and simulated queue-wait p95 may each
+// degrade at most 25% against the committed value; the telemetry
 // overhead on the warm serve path must stay under the absolute
 // perf.ObsOverheadCeiling (5%) no matter what was committed. Every gate
 // is evaluated and every failure reported before the exit status is

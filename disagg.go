@@ -53,11 +53,8 @@ func (s *System) PlanDisaggregatedContext(ctx context.Context, w Workload, batch
 	// simulates on the devices the phase actually occupies.
 	preSys := &System{spec: s.spec, clu: dp.PrefillCluster, opts: o, ind: s.ind, plans: s.plans}
 	decSys := &System{spec: s.spec, clu: dp.DecodeCluster, opts: o, ind: s.ind, plans: s.plans}
-	preBatch := batch
-	preBatch.GenTokens = 1
-	preBatch.ReserveTokens = 1
 	return &DisaggregatedDeployment{
-		Prefill: &Deployment{sys: preSys, plan: dp.Prefill, batch: preBatch, report: dp.PrefillReport},
+		Prefill: &Deployment{sys: preSys, plan: dp.Prefill, batch: dp.PrefillBatch, report: dp.PrefillReport},
 		Decode:  &Deployment{sys: decSys, plan: dp.Decode, batch: batch, report: dp.DecodeReport},
 	}, nil
 }

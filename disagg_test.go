@@ -1,8 +1,11 @@
 package splitquant
 
 import (
+	"context"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // TestPlanDisaggregated exercises the public phase-split path on the
@@ -14,9 +17,33 @@ func TestPlanDisaggregated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dd, err := sys.PlanDisaggregated(FixedWorkload(16, 256, 64), 16)
+	w := FixedWorkload(16, 256, 64)
+	dd, err := sys.PlanDisaggregated(w, 16)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The prefill Deployment measures on the batch core planned the
+	// prefill pool on, and the decode Deployment on the caller's batch.
+	batch, err := sys.synthesize(w, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, err := sys.resolve(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dp, err := core.PlanDisaggregated(context.Background(), sys.spec, sys.clu, sys.ind, sys.coreOptions(o), batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dd.Prefill.batch != dp.PrefillBatch {
+		t.Fatalf("prefill deployment batch %+v, core planned the prefill pool on %+v", dd.Prefill.batch, dp.PrefillBatch)
+	}
+	if dp.PrefillBatch.GenTokens != 1 || dp.PrefillBatch.Reserve() != 1 {
+		t.Fatalf("prefill pool planned with a %d-token generation budget, want 1", dp.PrefillBatch.Reserve())
+	}
+	if dd.Decode.batch != batch {
+		t.Fatalf("decode deployment batch %+v, want the caller's %+v", dd.Decode.batch, batch)
 	}
 	for _, st := range dd.Prefill.Stages() {
 		if !strings.HasPrefix(st.GPU, "A100") {

@@ -35,6 +35,10 @@ type DisaggregatedPlan struct {
 	DecodeCluster  *cluster.Cluster
 	PrefillReport  *Report
 	DecodeReport   *Report
+	// PrefillBatch is the batch shape the prefill pool was planned on:
+	// the caller's batch with a one-token generation budget. The decode
+	// pool was planned on the caller's batch itself.
+	PrefillBatch workload.Batch
 }
 
 // PoolSplit is one candidate partition of a cluster into a prefill and
@@ -230,6 +234,7 @@ func PlanDisaggregated(ctx context.Context, spec *model.Spec, clu *cluster.Clust
 			DecodeCluster:  sp.Decode,
 			PrefillReport:  preRep,
 			DecodeReport:   decRep,
+			PrefillBatch:   preBatch,
 		}, nil
 	}
 	return nil, fmt.Errorf("core: no feasible prefill/decode split of cluster %q: %w", clu.Name, lastErr)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"time"
 
 	"repro/internal/capacity"
 	"repro/internal/gpu"
@@ -63,9 +62,6 @@ type CapacityResult struct {
 	// limits shipped with the recommendation.
 	DecodeConcurrency  int `json:"decode_concurrency"`
 	AdmissionThreshold int `json:"admission_threshold"`
-	// PlanSeconds is the one machine-dependent number: the fleet-search
-	// wall time. Reported for context, never gated.
-	PlanSeconds float64 `json:"plan_seconds"`
 }
 
 // CapacitySLO is the service level the capacity scenario sizes its
@@ -101,12 +97,10 @@ func PlanCapacityFleet(ctx context.Context, rate float64) (*capacity.Recommendat
 // recommended configuration and check the simulation agrees with the
 // analytic prediction and meets the SLO.
 func CapacityPlanning(ctx context.Context) (*CapacityResult, error) {
-	t0 := time.Now()
 	rec, profile, err := PlanCapacityFleet(ctx, capRate)
 	if err != nil {
 		return nil, err
 	}
-	planSeconds := time.Since(t0).Seconds()
 
 	eng, err := online.New(rec.Config)
 	if err != nil {
@@ -133,7 +127,6 @@ func CapacityPlanning(ctx context.Context) (*CapacityResult, error) {
 		Rejected:           m.Rejected,
 		DecodeConcurrency:  rec.DecodeConcurrency,
 		AdmissionThreshold: rec.AdmissionThreshold,
-		PlanSeconds:        planSeconds,
 	}
 	if m.QueueWait.P95 > 0 {
 		res.WaitAgreement = math.Abs(res.AnaQueueWaitP95-res.SimQueueWaitP95) / res.SimQueueWaitP95

@@ -3,8 +3,13 @@ package perf
 import (
 	"context"
 	"fmt"
+	"time"
 
+	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/scheduler"
+	"repro/internal/serve"
 )
 
 // ObsOverheadCeiling is the tracked bound on telemetry cost: the traced
@@ -40,8 +45,7 @@ type ObsResult struct {
 }
 
 // ObsOverhead measures what the telemetry layer costs the serve hot
-// path. Both arms run the warm-cache throughput scenario of
-// ServeThroughput (submit → cache-hit plan → simulate →
+// path. Both arms run serveJobs (submit → cache-hit plan → simulate →
 // complete); the traced arm additionally records every span into an
 // in-memory tracer. Arms alternate within each round so cache warmup
 // and CPU frequency drift hit both equally.
@@ -51,12 +55,12 @@ func ObsOverhead(ctx context.Context, jobs int) (*ObsResult, error) {
 	}
 	res := &ObsResult{Jobs: jobs, Rounds: obsRounds}
 	for r := 0; r < obsRounds; r++ {
-		base, err := serveJobs(ctx, jobs, true, nil)
+		base, err := serveJobs(ctx, jobs, nil)
 		if err != nil {
 			return nil, err
 		}
 		tr := obs.NewTracer()
-		traced, err := serveJobs(ctx, jobs, true, tr)
+		traced, err := serveJobs(ctx, jobs, tr)
 		if err != nil {
 			return nil, err
 		}
@@ -76,4 +80,65 @@ func ObsOverhead(ctx context.Context, jobs int) (*ObsResult, error) {
 		res.Overhead = res.BaseJobsPerSec/res.TracedJobsPerSec - 1
 	}
 	return res, nil
+}
+
+// serveJobs submits identical jobs one at a time to a fresh single-pool
+// server on preset 9, optionally traced, and returns the jobs/sec of
+// that loop. One untimed job primes the plan cache first, so every
+// timed job must be a cache hit.
+func serveJobs(ctx context.Context, jobs int, tr *obs.Tracer) (float64, error) {
+	srv, err := serve.New(serve.Config{
+		Resources: []scheduler.Resource{
+			{Name: "pool9", Cluster: cluster.MustPreset(9), Availability: 1},
+		},
+		CacheCapacity: jobs + 2,
+		QueueCapacity: jobs + 2,
+		Planner:       core.Options{Method: core.MethodHeuristic, Theta: 1, OrderingLimit: 4},
+		Tracer:        tr,
+	})
+	if err != nil {
+		return 0, err
+	}
+	defer func() {
+		shCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		srv.Shutdown(shCtx)
+	}()
+	spec := serve.JobSpec{Model: "opt-1.3b", Batch: 8, Requests: 8}
+	// run submits one job and polls it to completion.
+	run := func() (serve.JobView, error) {
+		v, err := srv.Submit(spec)
+		if err != nil {
+			return v, err
+		}
+		for {
+			if v, err = srv.Job(v.ID); err != nil {
+				return v, err
+			}
+			if v.State == serve.StateCompleted {
+				return v, nil
+			}
+			if v.State == serve.StateFailed || v.State == serve.StateCanceled {
+				return v, fmt.Errorf("perf: job %s: %s (%s)", v.ID, v.State, v.Error)
+			}
+			if err := ctx.Err(); err != nil {
+				return v, err
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	if _, err := run(); err != nil { // prime the cache
+		return 0, err
+	}
+	t0 := time.Now()
+	for i := 0; i < jobs; i++ {
+		v, err := run()
+		if err != nil {
+			return 0, err
+		}
+		if !v.CacheHit {
+			return 0, fmt.Errorf("perf: warm job %s missed the plan cache", v.ID)
+		}
+	}
+	return float64(jobs) / time.Since(t0).Seconds(), nil
 }

@@ -53,9 +53,6 @@ type OnlineResult struct {
 	// the virtual clock when the last request finished.
 	Handoffs        int64   `json:"handoffs"`
 	MakespanSeconds float64 `json:"makespan_seconds"`
-	// PlanSeconds is the one machine-dependent number: how long the
-	// disaggregated planner took. Reported for context, never gated.
-	PlanSeconds float64 `json:"plan_seconds"`
 }
 
 // OnlineServing plans disaggregated prefill/decode pools for the fixed
@@ -74,13 +71,11 @@ func OnlineServing(ctx context.Context) (*OnlineResult, error) {
 	bits := core.CandidateBits
 	ind := core.ProfileIndicator(spec, bits, quant.Deterministic)
 	batch := workload.Batch{Size: 16, ChunkLen: 256, Chunks: 1, GenTokens: 32}
-	t0 := time.Now()
 	dp, err := core.PlanDisaggregated(ctx, spec, clu, ind,
 		core.Options{Bits: bits, TimeLimit: 30 * time.Second}, batch)
 	if err != nil {
 		return nil, err
 	}
-	planSeconds := time.Since(t0).Seconds()
 
 	eng, err := online.New(online.Config{
 		Spec:           spec,
@@ -111,7 +106,6 @@ func OnlineServing(ctx context.Context) (*OnlineResult, error) {
 		GoodputTPS:      m.GoodputTPS,
 		Handoffs:        m.Handoffs,
 		MakespanSeconds: m.Clock,
-		PlanSeconds:     planSeconds,
 	}
 	if n := m.DeadlineHits + m.DeadlineMisses; n > 0 {
 		res.DeadlineHitRate = float64(m.DeadlineHits) / float64(n)

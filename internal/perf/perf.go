@@ -1,33 +1,25 @@
-// Package perf holds the measurement logic behind the repo's tracked
-// benchmarks: replan latency under cluster churn (plans on a Fork
-// family that shares its plan and cost caches versus plans on fresh
-// Systems), planner parallel speedup, serving throughput, and the
-// online tier's SLO quantities under a seeded closed-loop scenario,
-// capacity planning, telemetry overhead and rolling maintenance. The same functions back both the
-// `go test -bench` entry points and cmd/benchjson, which walks the
-// Snapshots table to write the committed BENCH_*.json files and to gate
-// fresh runs against them, so the two can never measure different
-// things.
+// Package perf holds the scenarios behind the committed BENCH_*.json
+// snapshots and the gates that read them: replan latency under cluster
+// churn (plans on a Fork family that shares its plan and cost caches
+// versus plans on fresh Systems), the online tier's SLO quantities
+// under a seeded closed-loop scenario, capacity planning and telemetry
+// overhead. cmd/benchjson walks the Snapshots table to write the files
+// and to gate fresh runs against them; a scenario no gate reads is not
+// measured here.
 //
 // All entry points use fixed seeds and fixed scenario shapes; the
-// tracked quantities are machine-normalized ratios (shared-cache/fresh,
-// sequential/parallel) or virtual-clock simulation results, so
-// snapshots taken on different machines remain comparable.
+// gated quantities are machine-normalized ratios (shared-cache/fresh,
+// untraced/traced) or virtual-clock simulation results, so snapshots
+// taken on different machines remain comparable.
 package perf
 
 import (
 	"context"
 	"fmt"
 	"reflect"
-	"runtime"
 	"time"
 
 	splitquant "repro"
-	"repro/internal/cluster"
-	"repro/internal/core"
-	"repro/internal/obs"
-	"repro/internal/scheduler"
-	"repro/internal/serve"
 )
 
 // replanModel and the churn shapes below fix the ReplanLatency
@@ -191,140 +183,4 @@ func ReplanLatency(ctx context.Context, rounds int) (*ReplanResult, error) {
 		res.Speedup = res.ColdSeconds / res.WarmSeconds
 	}
 	return res, nil
-}
-
-// ParallelResult is one planner parallel-speedup measurement.
-type ParallelResult struct {
-	Workers    int     `json:"workers"`
-	SeqSeconds float64 `json:"seq_seconds"`
-	ParSeconds float64 `json:"par_seconds"`
-	// Speedup is SeqSeconds/ParSeconds.
-	Speedup float64 `json:"speedup"`
-}
-
-// PlanParallelSpeedup times one identical plan sequentially and on all
-// CPUs, each on a fresh System so neither side starts with warm caches.
-func PlanParallelSpeedup(ctx context.Context) (*ParallelResult, error) {
-	w := splitquant.FixedWorkload(32, 512, 32)
-	planOnce := func(workers int) (float64, error) {
-		sys, err := splitquant.New("opt-30b", splitquant.Preset(5),
-			splitquant.WithMethod(splitquant.MethodHeuristic), splitquant.WithTheta(1),
-			splitquant.WithParallelism(workers))
-		if err != nil {
-			return 0, err
-		}
-		t0 := time.Now()
-		if _, err := sys.PlanContext(ctx, w, 32); err != nil {
-			return 0, err
-		}
-		return time.Since(t0).Seconds(), nil
-	}
-	res := &ParallelResult{Workers: runtime.GOMAXPROCS(0)}
-	var err error
-	if res.SeqSeconds, err = planOnce(1); err != nil {
-		return nil, err
-	}
-	if res.ParSeconds, err = planOnce(0); err != nil {
-		return nil, err
-	}
-	if res.ParSeconds > 0 {
-		res.Speedup = res.SeqSeconds / res.ParSeconds
-	}
-	return res, nil
-}
-
-// ServeResult is one control-plane throughput measurement.
-type ServeResult struct {
-	Jobs int `json:"jobs"`
-	// ColdJobsPerSec submits jobs with distinct shapes (every job plans
-	// fresh); WarmJobsPerSec submits identical jobs against a primed plan
-	// cache.
-	ColdJobsPerSec float64 `json:"cold_jobs_per_sec"`
-	WarmJobsPerSec float64 `json:"warm_jobs_per_sec"`
-}
-
-// ServeThroughput measures end-to-end jobs/sec through the serve
-// control plane (submit → plan → simulate → complete) with a cold and a
-// warm plan cache.
-func ServeThroughput(ctx context.Context, jobs int) (*ServeResult, error) {
-	if jobs <= 0 {
-		jobs = 20
-	}
-	res := &ServeResult{Jobs: jobs}
-	var err error
-	if res.ColdJobsPerSec, err = serveJobs(ctx, jobs, false, nil); err != nil {
-		return nil, err
-	}
-	if res.WarmJobsPerSec, err = serveJobs(ctx, jobs, true, nil); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// serveJobs submits jobs one at a time to a fresh single-pool server on
-// preset 9, optionally traced, and returns the jobs/sec of that loop.
-// Cold jobs each get a distinct prompt length, so every one plans
-// fresh. Warm jobs are identical and follow one untimed job that primes
-// the plan cache, so every timed job must be a cache hit.
-func serveJobs(ctx context.Context, jobs int, warm bool, tr *obs.Tracer) (float64, error) {
-	srv, err := serve.New(serve.Config{
-		Resources: []scheduler.Resource{
-			{Name: "pool9", Cluster: cluster.MustPreset(9), Availability: 1},
-		},
-		CacheCapacity: jobs + 2,
-		QueueCapacity: jobs + 2,
-		Planner:       core.Options{Method: core.MethodHeuristic, Theta: 1, OrderingLimit: 4},
-		Tracer:        tr,
-	})
-	if err != nil {
-		return 0, err
-	}
-	defer func() {
-		shCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		srv.Shutdown(shCtx)
-	}()
-	spec := serve.JobSpec{Model: "opt-1.3b", Batch: 8, Requests: 8}
-	// run submits one job and polls it to completion.
-	run := func(s serve.JobSpec) (serve.JobView, error) {
-		v, err := srv.Submit(s)
-		if err != nil {
-			return v, err
-		}
-		for {
-			if v, err = srv.Job(v.ID); err != nil {
-				return v, err
-			}
-			if v.State == serve.StateCompleted {
-				return v, nil
-			}
-			if v.State == serve.StateFailed || v.State == serve.StateCanceled {
-				return v, fmt.Errorf("perf: job %s: %s (%s)", v.ID, v.State, v.Error)
-			}
-			if err := ctx.Err(); err != nil {
-				return v, err
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
-	if warm {
-		if _, err := run(spec); err != nil { // prime the cache
-			return 0, err
-		}
-	}
-	t0 := time.Now()
-	for i := 0; i < jobs; i++ {
-		s := spec
-		if !warm {
-			s.Prompt = 256 + i%512 // distinct cache key per job
-		}
-		v, err := run(s)
-		if err != nil {
-			return 0, err
-		}
-		if warm && !v.CacheHit {
-			return 0, fmt.Errorf("perf: warm job %s missed the plan cache", v.ID)
-		}
-	}
-	return float64(jobs) / time.Since(t0).Seconds(), nil
 }

@@ -10,8 +10,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-
-	"repro/internal/gpu"
 )
 
 // Rule is how a Gate compares a fresh measurement with the committed
@@ -47,8 +45,7 @@ type Gate struct {
 }
 
 // Part is one measured object of a snapshot file: Run produces it and
-// Gates check it. A part without gates is written by -out and never
-// re-run by -check.
+// Gates check it.
 type Part struct {
 	Key   string
 	Run   func(context.Context) (any, error)
@@ -66,19 +63,16 @@ type Snapshot struct {
 
 // Snapshots is every committed snapshot file, in the order cmd/benchjson
 // writes and checks them. Replan and obs compare only ratios and the
-// online, capacity and maintenance gates only deterministic counts or
-// virtual-clock results, so snapshots and checks may run on different
-// machines.
+// online and capacity gates only virtual-clock results, so snapshots
+// and checks may run on different machines.
 var Snapshots = []Snapshot{
 	{
 		File: "BENCH_replan.json",
-		Config: fingerprint("replan:%s|preset%d|B%d|s%d|o%d|rounds%d;parallel:opt-30b|preset5|B32|theta1;serve:opt-1.3b|pool9|B8|r8",
+		Config: fingerprint("replan:%s|preset%d|B%d|s%d|o%d|rounds%d",
 			replanModel, replanPreset, replanBatch, replanPrompt, replanOut, MaxChurnRound),
 		Parts: []Part{
 			{Key: "replan_latency", Run: func(ctx context.Context) (any, error) { return ReplanLatency(ctx, 0) },
 				Gates: []Gate{{Field: "speedup", Rule: HigherBetter, Bound: regressionTolerance}}},
-			{Key: "plan_parallel_speedup", Run: func(ctx context.Context) (any, error) { return PlanParallelSpeedup(ctx) }},
-			{Key: "serve_throughput", Run: func(ctx context.Context) (any, error) { return ServeThroughput(ctx, 0) }},
 		},
 	},
 	{
@@ -115,17 +109,6 @@ var Snapshots = []Snapshot{
 		Parts: []Part{
 			{Key: "obs_overhead", Run: func(ctx context.Context) (any, error) { return ObsOverhead(ctx, 0) },
 				Gates: []Gate{{Field: "overhead", Rule: Ceiling, Bound: ObsOverheadCeiling, Requires: "traced_jobs_per_sec"}}},
-		},
-	},
-	{
-		File: "BENCH_maintenance.json",
-		Config: fingerprint("maintenance:%s-l%d-h%d|seed%d|sessions%d@%d+%d|fleet%dx%s/%d|chaos%.2f/%.2f",
-			maintCfg.Name, maintCfg.Layers, maintCfg.Hidden,
-			maintSeed, maintSessions, maintBefore, maintAfter,
-			maintDevices, gpu.V100, maintDomainSize, maintCutProb, maintStallProb),
-		Parts: []Part{
-			{Key: "rolling_maintenance", Run: func(ctx context.Context) (any, error) { return RollingMaintenance(ctx) },
-				Gates: []Gate{{Field: "migrated_sessions", Rule: HigherBetter, Bound: regressionTolerance}}},
 		},
 	},
 }

@@ -11,9 +11,8 @@ import (
 	"testing"
 )
 
-// stubbed returns a copy of the named entry of Snapshots whose gated
-// parts report fresh instead of running their scenario, and whose
-// ungated parts fail the test if run.
+// stubbed returns a copy of the named entry of Snapshots whose parts
+// report fresh instead of running their scenario.
 func stubbed(t *testing.T, file string, fresh map[string]float64) Snapshot {
 	t.Helper()
 	for _, s := range Snapshots {
@@ -22,15 +21,7 @@ func stubbed(t *testing.T, file string, fresh map[string]float64) Snapshot {
 		}
 		s.Parts = append([]Part(nil), s.Parts...)
 		for i := range s.Parts {
-			if len(s.Parts[i].Gates) > 0 {
-				s.Parts[i].Run = func(context.Context) (any, error) { return fresh, nil }
-			} else {
-				key := s.Parts[i].Key
-				s.Parts[i].Run = func(context.Context) (any, error) {
-					t.Errorf("ungated part %s ran during a check", key)
-					return nil, nil
-				}
-			}
+			s.Parts[i].Run = func(context.Context) (any, error) { return fresh, nil }
 		}
 		return s
 	}
@@ -62,10 +53,10 @@ func TestSnapshotGates(t *testing.T) {
 		},
 		{
 			name:      "missing committed part",
-			file:      "BENCH_maintenance.json",
+			file:      "BENCH_replan.json",
 			committed: `{"config": CONFIG}`,
-			fresh:     map[string]float64{"migrated_sessions": 8},
-			want:      []string{"no committed rolling_maintenance.migrated_sessions"},
+			fresh:     map[string]float64{"speedup": 8},
+			want:      []string{"no committed replan_latency.speedup"},
 		},
 		{
 			name:      "relative floor at the bound",
@@ -159,13 +150,16 @@ func TestSnapshotGates(t *testing.T) {
 	}
 }
 
-// TestSnapshotWriteLayout writes a snapshot from stubbed parts and
-// checks the file lists config first and then every part in table
-// order, and that it passes its own gates.
+// TestSnapshotWriteLayout writes a two-part snapshot from stubbed
+// parts and checks the file lists config first and then every part in
+// table order, and that it passes its own gates.
 func TestSnapshotWriteLayout(t *testing.T) {
-	s := stubbed(t, "BENCH_replan.json", map[string]float64{"speedup": 6})
-	for i := range s.Parts {
-		s.Parts[i].Run = func(context.Context) (any, error) { return map[string]float64{"speedup": 6}, nil }
+	fresh := func(context.Context) (any, error) { return map[string]float64{"speedup": 6}, nil }
+	gates := []Gate{{Field: "speedup", Rule: HigherBetter, Bound: regressionTolerance}}
+	s := Snapshot{
+		File:   "BENCH_layout.json",
+		Config: fingerprint("layout"),
+		Parts:  []Part{{Key: "second", Run: fresh, Gates: gates}, {Key: "first", Run: fresh, Gates: gates}},
 	}
 	dir := t.TempDir()
 	if err := s.Write(context.Background(), dir); err != nil {
@@ -175,12 +169,37 @@ func TestSnapshotWriteLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"config", "replan_latency", "plan_parallel_speedup", "serve_throughput"}
+	want := []string{"config", "second", "first"}
 	if got := topKeys(t, raw); !reflect.DeepEqual(got, want) {
 		t.Fatalf("written keys %v, want %v", got, want)
 	}
 	if errs := s.Check(context.Background(), dir, &bytes.Buffer{}); len(errs) != 0 {
 		t.Fatalf("a freshly written snapshot fails its own gates: %v", errs)
+	}
+}
+
+// TestSimulatedPartsDeterministic runs the online and capacity
+// scenarios twice each: every field they record is a virtual-clock or
+// planner result, so the two runs must marshal to the same bytes.
+func TestSimulatedPartsDeterministic(t *testing.T) {
+	ctx := context.Background()
+	for name, run := range map[string]func(context.Context) (any, error){
+		"online_serving":    func(ctx context.Context) (any, error) { return OnlineServing(ctx) },
+		"capacity_planning": func(ctx context.Context) (any, error) { return CapacityPlanning(ctx) },
+	} {
+		var runs [2][]byte
+		for i := range runs {
+			res, err := run(ctx)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if runs[i], err = json.Marshal(res); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !bytes.Equal(runs[0], runs[1]) {
+			t.Errorf("%s differs between runs:\n%s\n%s", name, runs[0], runs[1])
+		}
 	}
 }
 
