@@ -196,7 +196,8 @@ type Report struct {
 	Cancelled bool
 	// PrunedConfigs counts configurations the search skipped because
 	// their bound proved they could not enter the shortlist. They appear
-	// in ConfigStats with Pruned set.
+	// in ConfigStats with Pruned set. A polish solve cut off by the
+	// heuristic's objective sets Pruned too, but counts in ILPSolves.
 	PrunedConfigs int
 	// LowerBound is a lower bound on the Eq. 4 objective (at the plan's
 	// θ, quality cap relaxed) of every assignment under every enumerated
@@ -653,9 +654,11 @@ func (a *Assigner) finishJoint(ctx context.Context, cands []candidate, batch wor
 }
 
 // polishShortlist is phase 2: the ILP refinement of the shortlisted
-// candidates, fanned across the pool. The merge replays the sequential
-// accept-if-better scan in shortlist order, so the winning candidate
-// (and Report.Proved) match a sequential run exactly.
+// candidates, fanned across the pool. Every solve is cut off at the
+// heuristic's best objective, the plan each must beat. The merge
+// replays the sequential accept-if-better scan in shortlist order, so
+// the winning candidate (and Report.Proved) match a sequential run
+// exactly.
 func (a *Assigner) polishShortlist(ctx context.Context, cands []candidate, best candidate,
 	rep *Report, sink *progressSink, theta float64) (candidate, error) {
 
@@ -682,12 +685,13 @@ func (a *Assigner) polishShortlist(ctx context.Context, cands []candidate, best 
 			TimeLimit:  a.opts.TimeLimit,
 			MaxNodes:   a.opts.MaxNodes,
 			QualityCap: a.opts.QualityCap,
-			WarmStart:  cands[c].as,
+			Incumbent:  best.ev.Objective,
 		}
 		as, sol, err := solveILP(ctx, cands[c].oc, a.ind, theta, cfg)
 		stat := ConfigStat{Key: cands[c].key, ILPSolves: 1, Objective: math.Inf(1)}
 		if sol != nil {
 			stat.Nodes = sol.Nodes
+			stat.Pruned = sol.Status == ilp.CutOff
 		}
 		if err == nil && as != nil {
 			if ev := evaluate(as, cands[c].oc, a.ind, theta); ev.Feasible {

@@ -22,7 +22,7 @@ const planGoldenSHA256 = "b4165f4573a5b0276ee8423f7138a1b67c3d0410c8a684eb5af155
 // configGoldenSHA256 is the hash TestPlanGolden takes over its grid's
 // ConfigStats. It moves with any change to a configuration's objective
 // and with any change to which configurations the search prunes.
-const configGoldenSHA256 = "02801cf2f4dda490e0154c696927705e6903531e4d1e46580d5d796fd7eae017"
+const configGoldenSHA256 = "888e514648bdc59e2a10504852cc5c9493b672190ffbffb5bd4e2db912906461"
 
 // TestPlanGolden plans a fixed grid and takes two hashes: one over every
 // plan's JSON (solve_seconds zeroed), and one over every ConfigStat's

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/ilp"
@@ -21,9 +22,17 @@ type ilpConfig struct {
 	MaxNodes int
 	// QualityCap, when > 0, adds Σω ≤ cap (the §VI-C quality floor).
 	QualityCap float64
-	// WarmStart optionally seeds the search.
-	WarmStart *assignment
+	// Incumbent, when finite and > 0, is the Eq. 4 objective of a plan
+	// the caller already holds: the solve cuts off every point that
+	// cannot beat it.
+	Incumbent float64
 }
+
+// cutoffMargin widens the solve's cutoff, relative to the objectives it
+// is computed from. It covers the rounding between the ILP's objective
+// and evaluate's, the simplex's tolerances and the search's pruning gap,
+// so no node is cut that could hold a plan beating the incumbent.
+const cutoffMargin = 1e-6
 
 // groupBounds returns the [start, end) layer ranges of each group.
 func groupBounds(layers, groupSize int) [][2]int {
@@ -197,16 +206,16 @@ func solveILP(ctx context.Context, oc *orderingCosts, ind *Indicator, theta floa
 		binary[i] = i
 	}
 	opts := ilp.Options{TimeLimit: cfg.TimeLimit, MaxNodes: cfg.MaxNodes}
-	if cfg.WarmStart != nil {
-		if ws := warmStartVector(cfg.WarmStart, oc, groups, nv, idx, tPre, tDec); ws != nil {
-			opts.WarmStart = ws
-		}
+	if inc := cfg.Incumbent; inc > 0 && !math.IsInf(inc, 1) {
+		// The ILP's objective omits the master engine's constant.
+		cut := inc - oc.masterConst + cutoffMargin*(inc+math.Abs(oc.masterConst))
+		opts.Cutoff = &cut
 	}
 	sol, err := ilp.SolveContext(ctx, &ilp.Problem{LP: prob, Binary: binary}, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	if sol.Status == ilp.Infeasible || sol.Status == ilp.NoSolution {
+	if sol.X == nil { // infeasible, cut off, or no point found in budget
 		return nil, sol, nil
 	}
 	// Decode z into a per-layer assignment.
@@ -230,44 +239,4 @@ func solveILP(ctx context.Context, oc *orderingCosts, ind *Indicator, theta floa
 		}
 	}
 	return a, sol, nil
-}
-
-// warmStartVector converts an assignment into a z-vector when it is
-// group-aligned (constant stage and bit within each group); otherwise it
-// returns nil and the solve starts cold.
-func warmStartVector(a *assignment, oc *orderingCosts, groups [][2]int, nv int,
-	idx func(g, j, bi int) int, tPre, tDec int) []float64 {
-
-	x := make([]float64, nv)
-	preStage := make([]float64, len(oc.devs))
-	decStage := make([]float64, len(oc.devs))
-	for g, b := range groups {
-		j, bi := a.stageOf[b[0]], a.bitIdx[b[0]]
-		for i := b[0] + 1; i < b[1]; i++ {
-			if a.stageOf[i] != j || a.bitIdx[i] != bi {
-				return nil
-			}
-		}
-		x[idx(g, j, bi)] = 1
-		size := float64(b[1] - b[0])
-		preStage[j] += size * oc.prefillLayer(j, bi)
-		decStage[j] += size * oc.decodeLayer(j, bi)
-	}
-	for j := range preStage {
-		p := preStage[j]
-		if oc.commPre[j] > p {
-			p = oc.commPre[j]
-		}
-		if p > x[tPre] {
-			x[tPre] = p
-		}
-		d := decStage[j]
-		if oc.commDec[j] > d {
-			d = oc.commDec[j]
-		}
-		if d > x[tDec] {
-			x[tDec] = d
-		}
-	}
-	return x
 }

@@ -2,9 +2,9 @@
 // optimizer over per-layer quantization bitwidths, phase-aware
 // contiguous layer partitioning, and micro-batch sizing. It enumerates
 // device topologies and micro-batch pairs, solves the Eq. 4 ILP via
-// internal/ilp (grouped layers, warm starts, time limits), and provides
-// the adabits and bitwidth-transfer heuristics plus the Uniform and Het
-// baselines of §VI.
+// internal/ilp (grouped layers, an incumbent cutoff, time limits), and
+// provides the adabits and bitwidth-transfer heuristics plus the
+// Uniform and Het baselines of §VI.
 package core
 
 import (

@@ -28,9 +28,11 @@ type ConfigStat struct {
 	Nodes     int
 	// Seconds is the wall-clock time spent on the configuration.
 	Seconds float64
-	// Pruned reports that the search skipped the configuration because
-	// its bound proved it could not enter the shortlist (see
-	// Assigner.search). Pruned entries report
+	// Pruned reports that a bound proved the configuration cannot win.
+	// In the sweep, its bound proved it could not enter the shortlist,
+	// so it was skipped (see Assigner.search). In the polish, the ILP
+	// solve ended ilp.CutOff: no integer point at this grouping beats
+	// the heuristic's best objective. Pruned entries report
 	// Feasible=false and an infinite Objective without implying the
 	// configuration is actually infeasible.
 	Pruned bool

@@ -57,8 +57,9 @@ func benchAssigner(b testing.TB, sh benchShape, method Method, parallelism int, 
 
 // TestBenchShapesPrune pins the search's pruning on the four
 // offline-cold shapes: a heuristic plan of each evaluates at most 16 of
-// its configurations, and every plan, the chat shape's ILP plan (as
-// perfbench submits it) included, equals exhaustivePlan's.
+// its configurations, the chat shape's ILP plan (as perfbench submits
+// it) explores at most 8 branch-and-bound nodes in its polish, and
+// every plan equals exhaustivePlan's.
 func TestBenchShapesPrune(t *testing.T) {
 	for _, sh := range []benchShape{shapeOPT13B, shapeSummarize, shapeLongCtx, shapeChat} {
 		methods := []Method{MethodHeuristic}
@@ -82,6 +83,9 @@ func TestBenchShapesPrune(t *testing.T) {
 				if method == MethodHeuristic && rep.Configs > 16 {
 					t.Fatalf("evaluated %d of %d configurations, want at most 16",
 						rep.Configs, rep.Configs+rep.PrunedConfigs)
+				}
+				if method == MethodILP && rep.Nodes > 8 {
+					t.Fatalf("polish explored %d nodes in %d solves, want at most 8", rep.Nodes, rep.ILPSolves)
 				}
 			})
 		}
@@ -112,7 +116,9 @@ func benchConfig(b *testing.B, sh benchShape, method Method, pick func(*Report) 
 // at each of the four offline-cold shapes with its method (the ILP for
 // the chat shape, as perfbench submits it): a new assigner and a new
 // cost cache every plan, so every search buffer and device cost is
-// built afresh, as on a fresh server.
+// built afresh, as on a fresh server. It reports the configurations
+// the sweep evaluates (configs/op) and the polish's branch-and-bound
+// nodes (nodes/op) per plan.
 func BenchmarkColdPlan(b *testing.B) {
 	for _, sh := range []benchShape{shapeOPT13B, shapeSummarize, shapeLongCtx, shapeChat} {
 		method := MethodHeuristic
@@ -121,14 +127,20 @@ func BenchmarkColdPlan(b *testing.B) {
 		}
 		b.Run(sh.name, func(b *testing.B) {
 			b.ReportAllocs()
+			configs, nodes := 0, 0
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				a, batch := benchAssigner(b, sh, method, 1, NewCostCache())
 				b.StartTimer()
-				if _, _, err := a.Plan(context.Background(), batch); err != nil {
+				_, rep, err := a.Plan(context.Background(), batch)
+				if err != nil {
 					b.Fatal(err)
 				}
+				configs += rep.Configs
+				nodes += rep.Nodes
 			}
+			b.ReportMetric(float64(configs)/float64(b.N), "configs/op")
+			b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
 		})
 	}
 }
@@ -189,21 +201,25 @@ func BenchmarkConfigBound(b *testing.B) {
 	}
 }
 
-// BenchmarkPolish times one ILP polish (solveILP, warm-started from the
-// heuristic's assignment) of the first configuration an ILP plan of the
-// offline-cold chat shape shortlists.
+// BenchmarkPolish times one ILP polish (solveILP, cut off at the
+// heuristic's best objective, as the polish runs it) of the first
+// configuration an ILP plan of the offline-cold chat shape shortlists.
 func BenchmarkPolish(b *testing.B) {
+	incumbent := math.Inf(1)
 	firstPolished := func(rep *Report) string {
+		key := ""
 		for _, st := range rep.ConfigStats {
-			if st.ILPSolves > 0 {
-				return st.Key
+			if st.ILPSolves == 0 && st.Feasible {
+				incumbent = min(incumbent, st.Objective)
+			}
+			if st.ILPSolves > 0 && key == "" {
+				key = st.Key
 			}
 		}
-		return ""
+		return key
 	}
 	a, oc := benchConfig(b, shapeChat, MethodILP, firstPolished)
-	warm, _ := a.bestStart(oc, 1)
-	cfg := ilpConfig{GroupSize: a.groupSizeFor(), TimeLimit: a.opts.TimeLimit, MaxNodes: a.opts.MaxNodes, WarmStart: warm}
+	cfg := ilpConfig{GroupSize: a.groupSizeFor(), TimeLimit: a.opts.TimeLimit, MaxNodes: a.opts.MaxNodes, Incumbent: incumbent}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

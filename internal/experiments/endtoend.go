@@ -21,23 +21,32 @@ import (
 func methodRun(ctx context.Context, spec *model.Spec, clu *cluster.Cluster, batch workload.Batch,
 	opts core.Options) (float64, *plan.Plan, error) {
 
+	tp, p, _, err := methodRunReport(ctx, spec, clu, batch, opts)
+	return tp, p, err
+}
+
+// methodRunReport is methodRun that also returns the planner's report
+// (nil when planning failed).
+func methodRunReport(ctx context.Context, spec *model.Spec, clu *cluster.Cluster, batch workload.Batch,
+	opts core.Options) (float64, *plan.Plan, *core.Report, error) {
+
 	ind := core.ProfileIndicator(spec, core.CandidateBits, quant.Deterministic)
 	a, err := core.New(spec, clu, ind, opts)
 	if err != nil {
-		return 0, nil, err
+		return 0, nil, nil, err
 	}
-	p, _, err := a.Plan(ctx, batch)
+	p, rep, err := a.Plan(ctx, batch)
 	if err != nil {
-		return 0, nil, nil // infeasible: OOM-style zero bar
+		return 0, nil, nil, nil // infeasible: OOM-style zero bar
 	}
 	res, err := pipeline.Simulate(p, spec, clu, batch)
 	if err != nil {
 		if errors.Is(err, pipeline.ErrOOM) {
-			return 0, p, nil
+			return 0, p, rep, nil
 		}
-		return 0, p, err
+		return 0, p, rep, err
 	}
-	return res.Throughput, p, nil
+	return res.Throughput, p, rep, nil
 }
 
 // uniformQuality returns the Σω of the Uniform plan (the §VI-C quality

@@ -19,7 +19,9 @@ import (
 // granularities versus the bitwidth-transfer heuristic, comparing both
 // the resulting throughput and the planning overhead, under a per-solve
 // ILP budget (the paper uses 60 s; we use a tighter budget so the whole
-// suite stays fast — the ranking is what matters).
+// suite stays fast — the ranking is what matters). The gap column is
+// each plan's certified gap, (objective − Report.LowerBound)/objective:
+// no plan of the enumeration beats it by more than that share.
 func Table6(ctx context.Context) (*Result, error) {
 	cases := []struct {
 		clusterN int
@@ -28,7 +30,7 @@ func Table6(ctx context.Context) (*Result, error) {
 	}{
 		{5, "opt-30b", 32}, {6, "opt-30b", 16}, {9, "opt-66b", 32},
 	}
-	t := newTable("cluster", "model", "method", "tkn/s", "overhead (s)")
+	t := newTable("cluster", "model", "method", "tkn/s", "gap", "overhead (s)")
 	metrics := map[string]float64{}
 	for _, c := range cases {
 		spec, err := model.Lookup(c.modelN)
@@ -58,12 +60,18 @@ func Table6(ctx context.Context) (*Result, error) {
 		}
 		for _, v := range variants {
 			start := time.Now()
-			tp, _, err := methodRun(ctx, spec, clu, batch, v.opts)
+			tp, p, rep, err := methodRunReport(ctx, spec, clu, batch, v.opts)
 			if err != nil {
 				return nil, err
 			}
 			overhead := time.Since(start).Seconds()
-			t.addf("%d|%s|%s|%s|%.2f", c.clusterN, c.modelN, v.label, tps(tp), overhead)
+			gap := "-"
+			if p != nil {
+				g := (p.Objective - rep.LowerBound) / p.Objective
+				gap = fmt.Sprintf("%.1f%%", 100*g)
+				metrics[fmt.Sprintf("c%d/%s/gap", c.clusterN, v.label)] = g
+			}
+			t.addf("%d|%s|%s|%s|%s|%.2f", c.clusterN, c.modelN, v.label, tps(tp), gap, overhead)
 			metrics[fmt.Sprintf("c%d/%s/tps", c.clusterN, v.label)] = tp
 			metrics[fmt.Sprintf("c%d/%s/overhead", c.clusterN, v.label)] = overhead
 		}

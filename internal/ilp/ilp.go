@@ -1,10 +1,12 @@
 // Package ilp implements a 0/1 mixed-integer linear-program solver by
 // best-first branch and bound over LP relaxations (internal/lp). It is
 // the reproduction's stand-in for GUROBI in SplitQuant's optimizer: it
-// supports warm starts (the paper seeds the search from adabits /
-// bitwidth-transfer solutions), a wall-clock time limit matching the
-// 60-second budget of §VI-F, and reports whether optimality was proved
-// or the incumbent is merely the best found in time.
+// takes an objective cutoff (GUROBI's Cutoff: the paper seeds the search
+// with the bitwidth-transfer solution, whose objective the caller passes
+// so the search prunes against it from the root), a wall-clock time
+// limit matching the 60-second budget of §VI-F, and reports whether
+// optimality was proved or the incumbent is merely the best found in
+// time.
 package ilp
 
 import (
@@ -33,9 +35,11 @@ type Options struct {
 	TimeLimit time.Duration
 	// MaxNodes bounds the number of explored nodes (0 = no limit).
 	MaxNodes int
-	// WarmStart, when non-nil, provides an initial feasible solution
-	// whose objective prunes the search from the start.
-	WarmStart []float64
+	// Cutoff, when non-nil, is the objective of a solution the caller
+	// already holds. The search returns only integer points strictly
+	// below it and prunes every node whose LP bound is not below it, by
+	// the gap rule it applies against an incumbent.
+	Cutoff *float64
 }
 
 // gap is the relative optimality gap at which a node is pruned against
@@ -55,6 +59,10 @@ const (
 	Infeasible
 	// NoSolution means limits expired before any feasible point appeared.
 	NoSolution
+	// CutOff means the search proved that no integer point lies below
+	// Options.Cutoff: it pruned some node against the cutoff, exhausted
+	// the rest of the tree and dropped no subtree.
+	CutOff
 )
 
 // String returns the status name.
@@ -68,6 +76,8 @@ func (s Status) String() string {
 		return "infeasible"
 	case NoSolution:
 		return "no-solution"
+	case CutOff:
+		return "cutoff"
 	default:
 		return fmt.Sprintf("Status(%d)", int(s))
 	}
@@ -159,15 +169,14 @@ func SolveContext(ctx context.Context, p *Problem, opts Options) (*Solution, err
 		deadline = time.Now().Add(opts.TimeLimit)
 	}
 	best := &Solution{Status: NoSolution, Objective: math.Inf(1)}
-	if opts.WarmStart != nil {
-		if len(opts.WarmStart) != n {
-			return nil, fmt.Errorf("ilp: warm start has %d vars, want %d", len(opts.WarmStart), n)
+	// bar is the objective a point must beat: the incumbent's once there
+	// is one, else the cutoff (+Inf without one).
+	bar := math.Inf(1)
+	if opts.Cutoff != nil {
+		if math.IsNaN(*opts.Cutoff) {
+			return nil, fmt.Errorf("ilp: cutoff is NaN")
 		}
-		if feasible(&p.LP, p.Binary, opts.WarmStart) {
-			best.X = append([]float64(nil), opts.WarmStart...)
-			best.Objective = dot(p.LP.C, opts.WarmStart)
-			best.Status = Feasible
-		}
+		bar = *opts.Cutoff
 	}
 
 	queue := &nodeQueue{{fixes: map[int]float64{}, bound: math.Inf(-1)}}
@@ -176,6 +185,10 @@ func SolveContext(ctx context.Context, p *Problem, opts Options) (*Solution, err
 	// LP hit the pivot budget or saw ctx cancelled mid-simplex): the
 	// search can then prove neither optimality nor infeasibility.
 	dropped := false
+	// cut records that a node was pruned. Before any incumbent every
+	// prune is against the cutoff, so an empty exhausted search that cut
+	// a node proves only that no point lies below the cutoff.
+	cut := false
 	// One Solver for every node LP, so they all reuse one tableau.
 	var solver lp.Solver
 
@@ -190,8 +203,9 @@ func SolveContext(ctx context.Context, p *Problem, opts Options) (*Solution, err
 			break
 		}
 		nd := heap.Pop(queue).(*node)
-		// Bound pruning against the incumbent.
-		if nd.bound >= best.Objective-gap*math.Abs(best.Objective)-1e-12 && best.Status != NoSolution {
+		// Bound pruning against the incumbent or the cutoff.
+		if prunes(nd.bound, bar) {
+			cut = true
 			continue
 		}
 		best.Nodes++
@@ -215,8 +229,9 @@ func SolveContext(ctx context.Context, p *Problem, opts Options) (*Solution, err
 			dropped = true
 			continue
 		}
-		if sol.Objective >= best.Objective-1e-12 && best.Status != NoSolution {
-			continue // bound cannot improve the incumbent
+		if sol.Objective >= bar-1e-12 {
+			cut = true
+			continue // bound cannot improve the incumbent or beat the cutoff
 		}
 		// Find the most fractional binary.
 		branch, frac := -1, 0.0
@@ -229,8 +244,9 @@ func SolveContext(ctx context.Context, p *Problem, opts Options) (*Solution, err
 			}
 		}
 		if branch == -1 {
-			// Integer feasible.
+			// Integer feasible, and below bar by the check above.
 			if sol.Objective < best.Objective {
+				bar = sol.Objective
 				best.Objective = sol.Objective
 				best.X = append([]float64(nil), sol.X...)
 				best.Status = Feasible
@@ -249,24 +265,34 @@ func SolveContext(ctx context.Context, p *Problem, opts Options) (*Solution, err
 
 	if best.Status == NoSolution {
 		// An exhausted search that dropped no subtree has proved that no
-		// integer point exists.
-		if queue.Len() == 0 && !dropped {
+		// integer point exists, or, if it cut a node, that none lies
+		// below the cutoff.
+		if !dropped && allPruned(queue, bar) {
 			best.Status = Infeasible
+			if cut {
+				best.Status = CutOff
+			}
 		}
 		return best, nil
 	}
-	if !dropped && (queue.Len() == 0 || allPruned(queue, best.Objective)) {
+	if !dropped && allPruned(queue, bar) {
 		best.Status = Optimal
 		best.Proved = true
 	}
 	return best, nil
 }
 
-// allPruned reports whether every open node's bound is at or above the
-// incumbent (within gap), i.e. the incumbent is optimal.
-func allPruned(q *nodeQueue, incumbent float64) bool {
+// prunes reports whether a node with the given LP bound cannot hold a
+// point below bar (within gap). Nothing prunes against an infinite bar.
+func prunes(bound, bar float64) bool {
+	return !math.IsInf(bar, 1) && bound >= bar-gap*math.Abs(bar)-1e-12
+}
+
+// allPruned reports whether every open node prunes against bar: with an
+// incumbent, that it is optimal; without one, that the search is over.
+func allPruned(q *nodeQueue, bar float64) bool {
 	for _, nd := range *q {
-		if nd.bound < incumbent-gap*math.Abs(incumbent)-1e-12 {
+		if !prunes(nd.bound, bar) {
 			return false
 		}
 	}
@@ -332,45 +358,4 @@ func applyFixes(base *lp.Problem, fixes map[int]float64, unit func(int) []float6
 	}
 	sub.A, sub.Senses, sub.B = a, senses, b
 	return sub
-}
-
-// feasible checks x against the LP constraints and binary restrictions.
-func feasible(p *lp.Problem, binary []int, x []float64) bool {
-	for _, j := range binary {
-		v := x[j]
-		if math.Abs(v) > intTol && math.Abs(v-1) > intTol {
-			return false
-		}
-	}
-	for _, v := range x {
-		if v < -intTol {
-			return false
-		}
-	}
-	for i, row := range p.A {
-		lhs := dot(row, x)
-		switch p.Senses[i] {
-		case lp.LE:
-			if lhs > p.B[i]+1e-6 {
-				return false
-			}
-		case lp.GE:
-			if lhs < p.B[i]-1e-6 {
-				return false
-			}
-		case lp.EQ:
-			if math.Abs(lhs-p.B[i]) > 1e-6 {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-func dot(a, b []float64) float64 {
-	s := 0.0
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
 }

@@ -106,8 +106,13 @@ func TestMixedContinuousAndBinary(t *testing.T) {
 	}
 }
 
-func TestWarmStartPrunes(t *testing.T) {
-	// Give the optimal solution as warm start; solver should confirm it.
+// cutoff returns a pointer to v, for Options.Cutoff.
+func cutoff(v float64) *float64 { return &v }
+
+// TestCutoffPrunes holds the knapsack's optimum, -16: a cutoff at it
+// proves that nothing beats it, in no more nodes than the uncut search
+// needs to prove it optimal.
+func TestCutoffPrunes(t *testing.T) {
 	p := &Problem{
 		LP: lp.Problem{
 			C:      []float64{-10, -6, -4},
@@ -117,16 +122,27 @@ func TestWarmStartPrunes(t *testing.T) {
 		},
 		Binary: []int{0, 1, 2},
 	}
-	s, err := Solve(p, Options{WarmStart: []float64{1, 1, 0}})
+	uncut, err := Solve(p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Status != Optimal || math.Abs(s.Objective+16) > 1e-6 {
-		t.Fatalf("warm-started solve = %+v", s)
+	s, err := Solve(p, Options{Cutoff: cutoff(-16)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Status != CutOff || s.X != nil || s.Proved {
+		t.Fatalf("solve cut off at the optimum = %+v, want cutoff with no point", s)
+	}
+	if s.Nodes > uncut.Nodes {
+		t.Fatalf("cut solve explored %d nodes, uncut %d", s.Nodes, uncut.Nodes)
 	}
 }
 
-func TestWarmStartInfeasibleIgnored(t *testing.T) {
+// TestCutoffBelowOptimum holds an infeasible point's objective, -2,
+// below the optimum -1: the solve must report that nothing lies below
+// it, neither adopting a point nor calling the program infeasible, and
+// a cutoff above the optimum must leave the optimum in reach.
+func TestCutoffBelowOptimum(t *testing.T) {
 	p := &Problem{
 		LP: lp.Problem{
 			C:      []float64{-1, -1},
@@ -136,43 +152,46 @@ func TestWarmStartInfeasibleIgnored(t *testing.T) {
 		},
 		Binary: []int{0, 1},
 	}
-	// Warm start violates the constraint; must be ignored, not adopted.
-	s, err := Solve(p, Options{WarmStart: []float64{1, 1}})
+	s, err := Solve(p, Options{Cutoff: cutoff(-2)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(s.Objective+1) > 1e-6 {
-		t.Fatalf("objective = %v, want -1", s.Objective)
+	if s.Status != CutOff || s.X != nil {
+		t.Fatalf("cutoff below the optimum: %+v, want cutoff with no point", s)
+	}
+	s, err = Solve(p, Options{Cutoff: cutoff(-0.5)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Status != Optimal || math.Abs(s.Objective+1) > 1e-6 {
+		t.Fatalf("cutoff above the optimum: %+v, want optimal -1", s)
 	}
 }
 
-func TestTimeLimitReturnsIncumbent(t *testing.T) {
-	// A larger knapsack with an immediate deadline: with a warm start the
-	// solver must return it rather than nothing.
+// TestTimeLimitUnderCutoff gives a larger knapsack an immediate deadline
+// and a cutoff at a held point's objective, -1: the search ends before
+// its first node, so it proves nothing and reports no solution, never
+// a cutoff, and the caller keeps its point.
+func TestTimeLimitUnderCutoff(t *testing.T) {
 	n := 20
 	c := make([]float64, n)
 	row := make([]float64, n)
 	bin := make([]int, n)
-	warm := make([]float64, n)
 	for i := range c {
 		c[i] = -float64(i + 1)
 		row[i] = 1
 		bin[i] = i
 	}
-	warm[0] = 1
 	p := &Problem{
 		LP:     lp.Problem{C: c, A: [][]float64{row}, Senses: []lp.Sense{lp.LE}, B: []float64{3}},
 		Binary: bin,
 	}
-	s, err := Solve(p, Options{TimeLimit: time.Nanosecond, WarmStart: warm})
+	s, err := Solve(p, Options{TimeLimit: time.Nanosecond, Cutoff: cutoff(-1)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Status == NoSolution {
-		t.Fatal("warm start lost under time limit")
-	}
-	if s.Objective > -1+1e-9 {
-		t.Fatalf("objective = %v", s.Objective)
+	if s.Status != NoSolution || s.Proved || s.X != nil {
+		t.Fatalf("status %v proved %v x %v, want no-solution", s.Status, s.Proved, s.X)
 	}
 }
 
@@ -296,8 +315,8 @@ func (c *pollLimitCtx) Err() error {
 // TestCancelledRootLPProvesNothing cancels the search inside the root
 // LP: the branch-and-bound loop's first poll passes, the simplex's first
 // poll fails, so the root node is dropped with its whole tree
-// unexplored. Neither a warm-started incumbent nor the empty result may
-// then be reported as proved.
+// unexplored. The empty result may then be reported neither as proved
+// infeasible nor, under a cutoff, as cut off.
 func TestCancelledRootLPProvesNothing(t *testing.T) {
 	p := &Problem{
 		LP: lp.Problem{
@@ -308,21 +327,20 @@ func TestCancelledRootLPProvesNothing(t *testing.T) {
 		},
 		Binary: []int{0, 1, 2},
 	}
-	warm, err := SolveContext(&pollLimitCtx{Context: context.Background(), polls: 1}, p,
-		Options{WarmStart: []float64{0, 0, 1}})
+	cut, err := SolveContext(&pollLimitCtx{Context: context.Background(), polls: 1}, p,
+		Options{Cutoff: cutoff(-4)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if warm.Status != Feasible || warm.Proved || warm.Objective != -4 {
-		t.Errorf("warm start: status %v proved %v objective %v, want an unproved feasible -4",
-			warm.Status, warm.Proved, warm.Objective)
+	if cut.Status != NoSolution || cut.Proved || cut.X != nil {
+		t.Errorf("cutoff -4: status %v proved %v x %v, want no-solution (not cutoff)", cut.Status, cut.Proved, cut.X)
 	}
-	cold, err := SolveContext(&pollLimitCtx{Context: context.Background(), polls: 1}, p, Options{})
+	uncut, err := SolveContext(&pollLimitCtx{Context: context.Background(), polls: 1}, p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cold.Status != NoSolution || cold.Proved {
-		t.Fatalf("no warm start: status %v proved %v, want no-solution (not infeasible)", cold.Status, cold.Proved)
+	if uncut.Status != NoSolution || uncut.Proved {
+		t.Fatalf("no cutoff: status %v proved %v, want no-solution (not infeasible)", uncut.Status, uncut.Proved)
 	}
 }
 
@@ -403,27 +421,44 @@ func bruteForce(p *Problem) float64 {
 }
 
 // FuzzILPMatchesBruteForce solves random 0/1 programs
-// (randomBinaryProgram) with no node or time limit and checks the status
-// and objective against enumeration of every binary point: Infeasible
-// when no point is feasible, otherwise Optimal at the least objective
-// (within 1e-9·max(1, |obj|)) and a feasible binary point that attains
-// it. The seeds are a program whose box rows are all implied by its
-// set-partition rows, one where no row implies a box (21 nodes), and an
-// infeasible one whose relaxation is feasible (3 nodes).
+// (randomBinaryProgram) with no node or time limit, under a cutoff at
+// the brute-force optimum plus delta/16 (+Inf when delta is -128, and
+// always for an infeasible program), and checks the status and
+// objective against enumeration of every binary point: Infeasible when
+// no point is feasible, CutOff with no point when the optimum is not
+// below the cutoff, otherwise Optimal at the least objective (within
+// 1e-9·max(1, |obj|)) and a feasible binary point that attains it and
+// lies below the cutoff. The seeds are a program whose box rows are all
+// implied by its set-partition rows, one where no row implies a box (21
+// nodes uncut), cut at, above and below its optimum, and an infeasible
+// one whose relaxation is feasible (3 nodes).
 func FuzzILPMatchesBruteForce(f *testing.F) {
-	f.Add(uint64(3), uint8(9), uint8(4), uint8(1))
-	f.Add(uint64(1), uint8(9), uint8(4), uint8(0))
-	f.Add(uint64(1), uint8(9), uint8(4), uint8(1))
-	f.Fuzz(func(t *testing.T, seed uint64, vars, rows, partition uint8) {
+	f.Add(uint64(3), uint8(9), uint8(4), uint8(1), int8(math.MinInt8))
+	f.Add(uint64(1), uint8(9), uint8(4), uint8(0), int8(0))
+	f.Add(uint64(1), uint8(9), uint8(4), uint8(1), int8(-3))
+	f.Add(uint64(1), uint8(9), uint8(4), uint8(0), int8(5))
+	f.Add(uint64(1), uint8(9), uint8(4), uint8(0), int8(-5))
+	f.Fuzz(func(t *testing.T, seed uint64, vars, rows, partition uint8, delta int8) {
 		p := randomBinaryProgram(seed, vars, rows, partition)
-		got, err := Solve(p, Options{})
+		want := bruteForce(p)
+		cut := math.Inf(1)
+		if delta != math.MinInt8 {
+			cut = want + float64(delta)/16
+		}
+		got, err := Solve(p, Options{Cutoff: &cut})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := bruteForce(p)
-		if math.IsInf(want, 1) {
+		switch {
+		case math.IsInf(want, 1):
 			if got.Status != Infeasible {
 				t.Fatalf("program %+v: status %v, want infeasible", p, got.Status)
+			}
+			return
+		case want >= cut:
+			if got.Status != CutOff || got.X != nil {
+				t.Fatalf("program %+v: optimum %v, cutoff %v: status %v x %v, want cutoff with no point",
+					p, want, cut, got.Status, got.X)
 			}
 			return
 		}
@@ -434,5 +469,49 @@ func FuzzILPMatchesBruteForce(f *testing.F) {
 		if !feasible(&p.LP, p.Binary, got.X) || math.Abs(dot(p.LP.C, got.X)-want) > tol {
 			t.Fatalf("program %+v: x = %v is infeasible or misses objective %v", p, got.X, want)
 		}
+		if got.Objective >= cut || dot(p.LP.C, got.X) >= cut {
+			t.Fatalf("program %+v: returned objective %v is not below the cutoff %v", p, got.Objective, cut)
+		}
 	})
+}
+
+// feasible checks x against the LP constraints and binary restrictions.
+func feasible(p *lp.Problem, binary []int, x []float64) bool {
+	for _, j := range binary {
+		v := x[j]
+		if math.Abs(v) > intTol && math.Abs(v-1) > intTol {
+			return false
+		}
+	}
+	for _, v := range x {
+		if v < -intTol {
+			return false
+		}
+	}
+	for i, row := range p.A {
+		lhs := dot(row, x)
+		switch p.Senses[i] {
+		case lp.LE:
+			if lhs > p.B[i]+1e-6 {
+				return false
+			}
+		case lp.GE:
+			if lhs < p.B[i]-1e-6 {
+				return false
+			}
+		case lp.EQ:
+			if math.Abs(lhs-p.B[i]) > 1e-6 {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+func dot(a, b []float64) float64 {
+	s := 0.0
+	for i := range a {
+		s += a[i] * b[i]
+	}
+	return s
 }

@@ -363,9 +363,11 @@ type ConfigStat struct {
 	Nodes     int
 	// Seconds is wall-clock time spent on the configuration.
 	Seconds float64
-	// Pruned reports that the search skipped the configuration: its
-	// lower bound proved it could not enter the shortlist, so no
-	// solver work was spent on it.
+	// Pruned reports that a bound proved the configuration cannot win.
+	// In the search, its lower bound proved it could not enter the
+	// shortlist, so no solver work was spent on it. In the ILP polish
+	// (ILPSolves > 0), branch and bound proved that no plan at the
+	// layer grouping beats the heuristic's best objective.
 	Pruned bool
 }
 
